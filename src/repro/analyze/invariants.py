@@ -4,7 +4,9 @@ Each checker re-derives a protocol's contract from first principles —
 its own active-set registry, its own ceiling computation, its own
 compatibility rule, its own wait-for graph — and compares against what
 the protocol actually did.  It deliberately does **not** call the
-protocol's admission helpers (``_can_acquire``, ``_ceiling_barrier``):
+protocol's admission helpers (``_can_acquire``, ``_ceiling_barrier``)
+or read the indexes behind them (the ceiling protocol's sorted barrier
+entries, cached static ceilings and wake-up partition):
 if checker and protocol ever disagree, one of them has a bug, which is
 exactly the signal we want (the same double-entry argument Brandenburg
 makes for mechanically checking locking-protocol invariants,

@@ -375,7 +375,7 @@ class ConcurrencyControl:
 
     def _withdraw(self, request: Request) -> None:
         """Interrupt cleanup: the waiter leaves the wait set."""
-        if request in self.waiting:
+        if request in self._waiting_by_oid.get(request.oid, ()):
             self._dequeue(request)
             if self.tracer is not None:
                 self.tracer.lock_withdraw(self.kernel.now, request.txn,

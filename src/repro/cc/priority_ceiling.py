@@ -38,11 +38,22 @@ the absolute ceiling.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
 from ..db.locks import LockError, LockMode
 from ..txn.transaction import Transaction
 from .base import ConcurrencyControl, Request
+
+
+_priority = attrgetter("priority")
+_seq = attrgetter("seq")
+
+
+def _grant_key(request: Request):
+    return (-request.txn.priority, request.seq)
 
 
 class PriorityCeiling(ConcurrencyControl):
@@ -58,44 +69,81 @@ class PriorityCeiling(ConcurrencyControl):
             self.name = "Cx"
         #: Active transactions (started, not completed).
         self.active: Set[Transaction] = set()
-        #: oid -> active transactions declaring a write on it.
+        #: oid -> active transactions declaring a write on it, and the
+        #: static write-priority ceiling that follows from them.
         self._writers: Dict[int, Set[Transaction]] = {}
-        #: oid -> active transactions declaring any access to it.
+        self._write_ceilings: Dict[int, float] = {}
+        #: oid -> active transactions declaring any access to it, and
+        #: the static absolute-priority ceiling.
         self._accessors: Dict[int, Set[Transaction]] = {}
-        #: Barrier index cache: sorted (-ceiling, table_seq, oid) over
-        #: locked oids, valid for one (lock-table, active-set) version
-        #: pair.  See _barrier_entries.
-        self._entries: list = []
-        self._entries_version = (-1, -1)
-        self._active_version = 0
+        self._absolute_ceilings: Dict[int, float] = {}
+        #: Barrier index: sorted (-rw_ceiling, table_seq, oid) over the
+        #: locked oids that have a ceiling, and each oid's current entry.
+        #: Kept current by _refresh_entry from the lock table's
+        #: change notifications and from register/deregister.
+        self._entries: List[tuple] = []
+        self._entry_of: Dict[int, tuple] = {}
+        self.locks.subscribe(self)
+        #: Wake-up index (see DESIGN.md §9).  Waiters whose transaction
+        #: holds no lock all see the barrier ``_entries[0]``; they are
+        #: the *shared* group: txn -> its request, plus a lazy-deletion
+        #: heap of (-priority, seq, request) whose live top stands for
+        #: the whole group.  Everyone else waits in ``_solo`` (enqueue
+        #: order) and is evaluated one by one.
+        self._shared: Dict[Transaction, Request] = {}
+        self._shared_heap: List[tuple] = []
+        self._solo: List[Request] = []
+        #: kernel.inheritance_changes as of the end of the last
+        #: _after_change: a different value means another protocol
+        #: instance re-prioritised a process in between.
+        self._inheritance_seen = kernel.inheritance_changes
 
     # ------------------------------------------------------------------
     # active set maintenance (drives the static ceilings)
     # ------------------------------------------------------------------
-    def register(self, txn: Transaction) -> None:
-        super().register(txn)
-        self._active_version += 1
-        self.active.add(txn)
+    def _declarations(self, txn: Transaction):
         write_set = (txn.access_set if self.exclusive_only
                      else txn.write_set)
-        for oid in write_set:
-            self._writers.setdefault(oid, set()).add(txn)
-        for oid in txn.access_set:
-            self._accessors.setdefault(oid, set()).add(txn)
+        return ((self._writers, self._write_ceilings, write_set),
+                (self._accessors, self._absolute_ceilings,
+                 txn.access_set))
+
+    def register(self, txn: Transaction) -> None:
+        super().register(txn)
+        self.active.add(txn)
+        priority = txn.priority
+        is_locked = self.locks.is_locked
+        for index, ceilings, oids in self._declarations(txn):
+            for oid in oids:
+                index.setdefault(oid, set()).add(txn)
+                ceiling = ceilings.get(oid)
+                if ceiling is None or ceiling < priority:
+                    ceilings[oid] = priority
+                    if is_locked(oid):
+                        self._refresh_entry(oid)
         if self.tracer is not None:
             self.tracer.ceiling_raise(self.kernel.now, txn,
                                       self._active_ceiling())
 
     def deregister(self, txn: Transaction) -> None:
-        self._active_version += 1
         self.active.discard(txn)
-        for index in (self._writers, self._accessors):
-            for oid in txn.access_set:
+        priority = txn.priority
+        is_locked = self.locks.is_locked
+        for index, ceilings, oids in self._declarations(txn):
+            for oid in oids:
                 declarers = index.get(oid)
-                if declarers is not None:
-                    declarers.discard(txn)
-                    if not declarers:
-                        del index[oid]
+                if declarers is None or txn not in declarers:
+                    continue
+                declarers.discard(txn)
+                if not declarers:
+                    del index[oid]
+                    del ceilings[oid]
+                elif ceilings[oid] == priority:
+                    ceilings[oid] = max(map(_priority, declarers))
+                else:
+                    continue
+                if is_locked(oid):
+                    self._refresh_entry(oid)
         if self.tracer is not None:
             self.tracer.ceiling_lower(self.kernel.now, txn,
                                       self._active_ceiling())
@@ -115,58 +163,54 @@ class PriorityCeiling(ConcurrencyControl):
     # ------------------------------------------------------------------
     def write_ceiling(self, oid: int) -> Optional[float]:
         """Static write-priority ceiling (None if no active writer)."""
-        declarers = self._writers.get(oid)
-        if not declarers:
-            return None
-        return max(txn.priority for txn in declarers)
+        return self._write_ceilings.get(oid)
 
     def absolute_ceiling(self, oid: int) -> Optional[float]:
         """Static absolute-priority ceiling (None if no active accessor)."""
-        declarers = self._accessors.get(oid)
-        if not declarers:
-            return None
-        return max(txn.priority for txn in declarers)
+        return self._absolute_ceilings.get(oid)
 
     def rw_ceiling(self, oid: int) -> Optional[float]:
         """Dynamic rw-priority ceiling of a *locked* object."""
         if self.locks.write_locked(oid):
-            return self.absolute_ceiling(oid)
-        return self.write_ceiling(oid)
+            return self._absolute_ceilings.get(oid)
+        return self._write_ceilings.get(oid)
 
-    def _barrier_entries(self) -> list:
-        """Sorted (-ceiling, table_seq, oid) over all locked oids with a
-        ceiling, rebuilt only when lock state or the active set changed.
+    def _refresh_entry(self, oid: int) -> None:
+        """Bring ``oid``'s barrier-index entry in line with the lock
+        table and the static ceilings.
 
-        Both static ceilings depend solely on the registered
-        transactions' declared sets and (immutable) priorities, and the
-        rw selection solely on the lock table, so the
-        (table version, active-set version) pair fully keys the index.
         Ordering parity with the historical per-request scan: that scan
         kept the *first* oid in table-iteration order whose ceiling was
         *strictly* greater than any before it — i.e. among the maximal
         ceilings, the lowest table insertion seq — which is exactly the
         head of this sort order once self-held-only entries are skipped.
         """
-        version = (self.locks.version, self._active_version)
-        if self._entries_version != version:
-            rw_ceiling = self.rw_ceiling
-            entries = []
-            for oid in self.locks.locked_oids():
-                ceiling = rw_ceiling(oid)
-                if ceiling is not None:
-                    entries.append(
-                        (-ceiling, self.locks.record_seq(oid), oid))
-            entries.sort()
-            self._entries = entries
-            self._entries_version = version
-        return self._entries
+        entry = None
+        seq = self.locks.record_seq(oid)
+        if seq is not None:
+            ceiling = self.rw_ceiling(oid)
+            if ceiling is not None:
+                entry = (-ceiling, seq, oid)
+        stale = self._entry_of.get(oid)
+        if entry == stale:
+            return
+        entries = self._entries
+        if stale is not None:
+            del entries[bisect_left(entries, stale)]
+            del self._entry_of[oid]
+        if entry is not None:
+            insort(entries, entry)
+            self._entry_of[oid] = entry
+
+    #: Lock-table notification (see LockTable.subscribe).
+    on_lock_change = _refresh_entry
 
     def _ceiling_barrier(self, txn: Transaction):
         """(ceiling, oid) of the highest rw-ceiling among objects locked
         by transactions other than ``txn``; (None, None) if no such
         object or none of them has a ceiling."""
         holder_map = self.locks.holder_map
-        for neg_ceiling, __, oid in self._barrier_entries():
+        for neg_ceiling, __, oid in self._entries:
             for holder in holder_map(oid):
                 if holder is not txn:
                     return -neg_ceiling, oid
@@ -199,19 +243,77 @@ class PriorityCeiling(ConcurrencyControl):
         return True
 
     # ------------------------------------------------------------------
-    # wakeup order and inheritance
+    # wake-up index
     # ------------------------------------------------------------------
-    def _grant_order(self) -> List[Request]:
-        return sorted(self.waiting,
-                      key=lambda r: (-r.txn.priority, r.seq))
+    def _enqueue(self, request: Request) -> None:
+        super()._enqueue(request)
+        txn = request.txn
+        # The shared group's one barrier and one priority stand for a
+        # member only while it holds nothing and waits at its own
+        # priority; a second request of a member also goes solo.
+        if (txn in self._shared or self.locks.holds_any(txn)
+                or request.waiter_priority() != txn.priority):
+            self._solo.append(request)
+            return
+        self._shared[txn] = request
+        heap = self._shared_heap
+        if len(heap) > 2 * len(self._shared) + 16:
+            # Withdrawn low-priority members never surface: drop them
+            # so the heap stays O(waiters).
+            heap[:] = [(-member.txn.priority, member.seq, member)
+                       for member in self._shared.values()]
+            heapify(heap)
+        else:
+            heappush(heap, (-txn.priority, request.seq, request))
 
+    def _dequeue(self, request: Request) -> None:
+        super()._dequeue(request)
+        if self._shared.get(request.txn) is request:
+            del self._shared[request.txn]  # heap entry dies lazily
+        else:
+            self._solo.remove(request)
+
+    def _refile_boosted(self) -> None:
+        """Move shared-group members that no longer wait at their own
+        priority to ``_solo``, for good: solo evaluation is exact for
+        any waiter, the group only under the _enqueue condition."""
+        boosted = [request for request in self._shared.values()
+                   if request.waiter_priority() != request.txn.priority]
+        if boosted:
+            for request in boosted:
+                del self._shared[request.txn]
+            self._solo.extend(boosted)
+            self._solo.sort(key=_seq)
+
+    def _shared_top(self) -> Optional[Request]:
+        """Highest-priority, then earliest, member of the shared group."""
+        heap = self._shared_heap
+        shared = self._shared
+        while heap:
+            request = heap[0][2]
+            if shared.get(request.txn) is request:
+                return request
+            heappop(heap)
+        return None
+
+    def _grant_order(self) -> List[Request]:
+        # If the shared group's top fails the ceiling test against
+        # their common barrier, every other member (lower priority,
+        # same barrier) fails it too, so the top stands for all.
+        top = self._shared_top()
+        candidates = self._solo if top is None else self._solo + [top]
+        return sorted(candidates, key=_grant_key)
+
+    # ------------------------------------------------------------------
+    # inheritance
+    # ------------------------------------------------------------------
     def _blocking_holders(self, request: Request) -> List[Transaction]:
         """Holder(s) of the lock with the highest rw-ceiling — the
         transaction(s) 'blocking' this request in the protocol's sense."""
         __, oid = self._ceiling_barrier(request.txn)
         if oid is None:
             return []
-        return [holder for holder in self.locks.holders(oid)
+        return [holder for holder in self.locks.holder_map(oid)
                 if holder is not request.txn]
 
     def _trace_blockers(self, request: Request) -> List[Transaction]:
@@ -222,14 +324,37 @@ class PriorityCeiling(ConcurrencyControl):
     def _after_change(self) -> None:
         # Same fixpoint structure as PI, but the inheritance edge goes to
         # the holder of the highest-ceiling lock rather than to direct
-        # lock conflicters.
+        # lock conflicters.  Waiters contribute in enqueue order (it
+        # fixes the order holders are re-prioritised and traced in); the
+        # shared group contributes once, where its earliest member
+        # stands in ``waiting``, to the holders of ``_entries[0]``.
+        kernel = self.kernel
+        if kernel.inheritance_changes != self._inheritance_seen:
+            self._refile_boosted()
+        order: list = self._solo
+        top = self._shared_top()
+        if top is not None and self._entries:
+            # Everything queued before the earliest member is solo.
+            shared = self._shared
+            place = 0
+            for request in self.waiting:
+                if shared.get(request.txn) is request:
+                    break
+                place += 1
+            order = order[:place] + [None] + order[place:]
         for __ in range(len(self.waiting) + 1):
             contributions: dict = {}
-            for request in self.waiting:
-                waiter_priority = request.waiter_priority()
-                for holder in self._blocking_holders(request):
+            for request in order:
+                if request is None:
+                    priority = top.txn.priority
+                    holders = self.locks.holder_map(self._entries[0][2])
+                else:
+                    priority = request.waiter_priority()
+                    holders = self._blocking_holders(request)
+                for holder in holders:
                     current = contributions.get(holder)
-                    if current is None or current < waiter_priority:
-                        contributions[holder] = waiter_priority
+                    if current is None or current < priority:
+                        contributions[holder] = priority
             if not self._apply_inheritance(contributions):
                 break
+        self._inheritance_seen = kernel.inheritance_changes

@@ -94,8 +94,10 @@ class CeilingAuditor:
 
     At grant time, the grantee's priority must exceed the highest
     rw-ceiling among objects locked by *other* transactions (or no such
-    ceiling may exist) — recomputed independently here from the
-    protocol's own ceiling definitions.
+    ceiling may exist) — recomputed here from the lock table and the
+    declared access sets of the active transactions, never from the
+    protocol's barrier index or cached ceilings (an auditor that reads
+    the index it audits would share its mistakes).
     """
 
     def __init__(self, cc: PriorityCeiling):
@@ -106,12 +108,30 @@ class CeilingAuditor:
         self.violations: List[str] = []
         self._wrap()
 
+    def _barrier(self, owner):
+        """(ceiling, oid) of the highest rw-ceiling among objects
+        locked by transactions other than ``owner``."""
+        cc = self.cc
+        best = best_oid = None
+        for oid in cc.locks.locked_oids():
+            if all(holder is owner for holder in cc.locks.holders(oid)):
+                continue
+            write_locked = cc.locks.write_locked(oid)
+            for txn in cc.active:
+                declared = (txn.access_set
+                            if write_locked or cc.exclusive_only
+                            else txn.write_set)
+                if oid in declared and (best is None
+                                        or txn.priority > best):
+                    best, best_oid = txn.priority, oid
+        return best, best_oid
+
     def _wrap(self) -> None:
         table = self.cc.locks
         original_grant = table.grant
 
         def audited_grant(oid, owner, mode):
-            barrier, barrier_oid = self.cc._ceiling_barrier(owner)
+            barrier, barrier_oid = self._barrier(owner)
             self.checked += 1
             if barrier is not None and owner.priority <= barrier:
                 message = (f"grant of {mode} on {oid} to txn "

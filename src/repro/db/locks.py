@@ -13,14 +13,17 @@ Owners are opaque hashables (the transaction objects of
 
 Hot-path design: each locked object is a slotted :class:`_LockRecord`
 carrying a writer count (O(1) ``write_locked``) and an insertion
-sequence number.  ``version`` increments on every state transition, so
-protocol layers can cache derived views (the ceiling protocol's barrier
-index) and invalidate with a single integer compare.
+sequence number.  A protocol layer that keeps a derived view (the
+ceiling protocol's barrier index) subscribes to the table and is told
+the oid after every state transition, so the view stays current
+without being re-derived — including when a test or recovery path
+drives the table directly.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import (Any, Dict, Hashable, Iterator, List, Mapping,
                     Optional, Set)
 
@@ -81,14 +84,30 @@ class LockTable:
         #: owner -> set of oids it holds (reverse index)
         self._held_by: Dict[Hashable, Set[int]] = {}
         self._seq = 0
-        #: Bumped on every grant/release; cache-invalidation stamp for
-        #: derived views held by protocol layers.
-        self.version = 0
+        #: Weak reference to the protocol keeping a derived view, or
+        #: None; see :meth:`subscribe`.
+        self._listener: Optional[weakref.ref] = None
         #: Sanitizer hook (see :mod:`repro.analyze.invariants`): when
         #: set, ``on_table_grant``/``on_table_release`` fire after every
         #: state transition, catching corruption that slips past the
         #: protocol layer.  None in normal operation.
         self.observer: Optional[Any] = None
+
+    def subscribe(self, listener: Any) -> None:
+        """Call ``listener.on_lock_change(oid)`` after every transition
+        (once per freed oid for ``release_all``), with the table
+        already in its new state.
+
+        Held weakly: the listener is the protocol that owns this table,
+        and a strong back-reference would make every finished system
+        cyclic garbage that only the collector can free.
+        """
+        self._listener = weakref.ref(listener)
+
+    def _notify(self, oid: int) -> None:
+        listener = self._listener()
+        if listener is not None:
+            listener.on_lock_change(oid)
 
     # ------------------------------------------------------------------
     # queries
@@ -113,6 +132,10 @@ class LockTable:
 
     def is_locked(self, oid: int) -> bool:
         return oid in self._records
+
+    def holds_any(self, owner: Hashable) -> bool:
+        """True if ``owner`` holds at least one lock."""
+        return owner in self._held_by
 
     def write_locked(self, oid: int) -> bool:
         record = self._records.get(oid)
@@ -192,7 +215,8 @@ class LockTable:
         else:
             holders[owner] = LockMode.READ
         self._held_by.setdefault(owner, set()).add(oid)
-        self.version += 1
+        if self._listener is not None:
+            self._notify(oid)
         if self.observer is not None:
             self.observer.on_table_grant(oid, owner, holders[owner])
 
@@ -208,7 +232,8 @@ class LockTable:
         self._held_by[owner].discard(oid)
         if not self._held_by[owner]:
             del self._held_by[owner]
-        self.version += 1
+        if self._listener is not None:
+            self._notify(oid)
         if self.observer is not None:
             self.observer.on_table_release(oid, owner)
 
@@ -223,8 +248,9 @@ class LockTable:
             if not record.holders:
                 del records[oid]
         self._held_by.pop(owner, None)
-        if oids:
-            self.version += 1
+        if self._listener is not None:
+            for oid in oids:
+                self._notify(oid)
         return oids
 
     def __len__(self) -> int:

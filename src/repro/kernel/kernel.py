@@ -66,6 +66,12 @@ class Kernel:
         #: when set, :meth:`run` delegates to its controlled loop.
         self.controller = None
         self._dispatching = False
+        #: Effective-priority changes applied through
+        #: :meth:`set_inherited_priority`.  A protocol that caches a
+        #: view of its waiters' priorities compares this against the
+        #: value it last saw to learn that *another* protocol instance
+        #: on this kernel moved one of them.
+        self.inheritance_changes = 0
 
     @property
     def trace_errors(self) -> int:
@@ -170,8 +176,10 @@ class Kernel:
         a priority-sensitive resource (the CPU), the resource is poked so
         preemption decisions are re-evaluated immediately.
         """
-        changed = process.inherit(priority)
-        if changed and process.blocker is not None:
+        if not process.inherit(priority):
+            return
+        self.inheritance_changes += 1
+        if process.blocker is not None:
             poke = getattr(process.blocker, "on_priority_change", None)
             if poke is not None:
                 poke(process)

@@ -8,7 +8,8 @@ mutated run completes and the collected violations can be inspected.
 
 import pytest
 
-from repro.analyze.sanitizer import (Sanitizer, SanitizerViolation,
+from repro.analyze.sanitizer import (ENV_VAR, Sanitizer,
+                                     SanitizerViolation,
                                      install_sanitizer,
                                      uninstall_sanitizer)
 from repro.cc.priority_ceiling import PriorityCeiling
@@ -51,6 +52,60 @@ def test_broken_ceiling_admission_is_detected(kernel, san, monkeypatch):
     assert violation.txn == low.tid
     assert violation.oid == 2
     assert violation.protocol == "C"
+
+
+# ----------------------------------------------------------------------
+# A corrupted barrier index, under REPRO_SANITIZE=1: the checker keeps
+# its own books (lock table + declared sets), so it convicts the
+# protocol's index instead of sharing its mistake.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def strict_from_env(monkeypatch):
+    uninstall_sanitizer()
+    monkeypatch.setenv(ENV_VAR, "1")
+    yield
+    uninstall_sanitizer()
+
+
+def test_dropped_barrier_entry_is_detected(kernel, strict_from_env):
+    cc = PriorityCeiling(kernel)
+    high = make_txn([(1, "w")], priority=10)
+    low = make_txn([(2, "w")], priority=5)
+    cc.register(high)
+    cc.register(low)
+    assert cc.acquire_async(high, 1, LockMode.WRITE,
+                            on_grant=lambda: None)
+    assert cc._entries == [(-10.0, 0, 1)]
+    # Mutation: the index forgets the lock that forms the barrier.
+    cc._entries.clear()
+    cc._entry_of.clear()
+    with pytest.raises(SanitizerViolation) as excinfo:
+        cc.acquire_async(low, 2, LockMode.WRITE, on_grant=lambda: None)
+    violation = excinfo.value.violation
+    assert violation.code == "SAN-PCP-CEILING"
+    assert violation.txn == low.tid
+    assert violation.oid == 2
+    assert violation.protocol == "C"
+
+
+def test_inflated_barrier_entry_is_detected(kernel, strict_from_env):
+    cc = PriorityCeiling(kernel)
+    holder = make_txn([(1, "w")], priority=10)
+    above = make_txn([(2, "w")], priority=12)
+    cc.register(holder)
+    cc.register(above)
+    assert cc.acquire_async(holder, 1, LockMode.WRITE,
+                            on_grant=lambda: None)
+    # Mutation: the index carries a ceiling nobody declared, so a
+    # transaction above the real barrier is turned away.
+    cc._entries[0] = cc._entry_of[1] = (-20.0, 0, 1)
+    with pytest.raises(SanitizerViolation) as excinfo:
+        cc.acquire_async(above, 2, LockMode.WRITE,
+                         on_grant=lambda: None)
+    violation = excinfo.value.violation
+    assert violation.code == "SAN-PCP-BLOCK"
+    assert violation.txn == above.tid
+    assert violation.oid == 2
 
 
 # ----------------------------------------------------------------------

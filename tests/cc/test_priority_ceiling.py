@@ -4,7 +4,9 @@ import pytest
 
 from repro.cc import PriorityCeiling
 from repro.db.locks import LockError, LockMode
-from repro.kernel import Kernel
+from repro.kernel import Delay, Kernel
+from repro.txn.transaction import TransactionAbort
+from tests.cc.pcp_oracle import barrier_entries, shadowed
 from tests.conftest import LockClient, make_txn
 
 
@@ -210,3 +212,282 @@ def test_subsumption_assertion_never_fires_in_random_scenarios(kernel):
     assert all(client.finished for client in clients)
     assert len(cc.locks) == 0
     assert cc.waiting_count == 0
+
+
+# ----------------------------------------------------------------------
+# barrier index and wake-up index maintenance
+#
+# Every scenario runs under the full-scan oracle (tests/cc/pcp_oracle):
+# each woken waiter and each ``contributions`` dict — keys, values and
+# insertion order — is compared against the historical O(W) scan.
+# ----------------------------------------------------------------------
+def _queue(cc, txn, oid, mode=LockMode.WRITE, granted=None):
+    """Queue an async request that must block; returns its grant log
+    (``granted``, when several requests should share one)."""
+    if granted is None:
+        granted = []
+    assert not cc.acquire_async(txn, oid, mode,
+                                on_grant=lambda: granted.append(oid))
+    return granted
+
+
+def _index_is_consistent(cc):
+    """The partition covers the wait list exactly; the barrier index
+    equals the from-scratch rebuild."""
+    assert cc._entries == barrier_entries(cc)
+    shared = list(cc._shared.values())
+    assert sorted(shared + cc._solo, key=lambda r: r.seq) == cc.waiting
+    assert cc._solo == sorted(cc._solo, key=lambda r: r.seq)
+    for request in shared:
+        assert not cc.locks.holds_any(request.txn)
+        assert cc._shared[request.txn] is request
+    return True
+
+
+def test_barrier_index_follows_grants_releases_and_the_active_set(kernel):
+    cc = PriorityCeiling(kernel)
+    writer = make_txn([(1, "w"), (2, "w")], priority=4)
+    reader = make_txn([(1, "r")], priority=6)
+    cc.register(writer)
+    cc.locks.grant(1, writer, LockMode.WRITE)   # driven directly
+    assert cc._entries == [(-4.0, 0, 1)]
+    cc.register(reader)                          # raises absolute(1)
+    assert cc._entries == [(-6.0, 0, 1)]
+    cc.locks.grant(2, writer, LockMode.WRITE)
+    assert cc._entries == [(-6.0, 0, 1), (-4.0, 1, 2)]
+    cc.deregister(reader)                        # ceiling falls back
+    assert cc._entries == [(-4.0, 0, 1), (-4.0, 1, 2)]
+    cc.locks.release(1, writer)
+    assert cc._entries == [(-4.0, 1, 2)]
+    cc.release_all(writer)
+    assert cc._entries == [] and cc._entry_of == {}
+    cc.deregister(writer)
+    assert cc._write_ceilings == {} and cc._absolute_ceilings == {}
+
+
+def test_read_lock_enters_the_index_when_a_writer_registers(kernel):
+    cc = PriorityCeiling(kernel)
+    reader = make_txn([(1, "r")], priority=5)
+    cc.register(reader)
+    cc.locks.grant(1, reader, LockMode.READ)
+    assert cc._entries == []          # read-locked, nobody writes it
+    writer = make_txn([(1, "w")], priority=3)
+    cc.register(writer)
+    assert cc._entries == [(-3.0, 0, 1)]
+    cc.deregister(writer)
+    assert cc._entries == []
+
+
+def test_lock_free_waiters_share_one_heap_entry(kernel):
+    with shadowed() as log:
+        cc = PriorityCeiling(kernel)
+        holder = make_txn([(1, "w")], priority=9)
+        cc.register(holder)
+        cc.locks.grant(1, holder, LockMode.WRITE)
+        waiters = [make_txn([(10 + i, "w")], priority=p)
+                   for i, p in enumerate((3, 7, 5))]
+        grants = []
+        for txn in waiters:
+            cc.register(txn)
+            grants.append(_queue(cc, txn, txn.operations[0][0]))
+        assert cc._solo == [] and len(cc._shared) == 3
+        # One candidate stands for the group: the priority-7 waiter.
+        assert [r.txn for r in cc._grant_order()] == [waiters[1]]
+        assert _index_is_consistent(cc)
+        # Grant-to-waiter: each release wakes the group's top, whose
+        # new lock becomes the barrier of the members left behind.
+        for leaving, woken in ((holder, 1), (waiters[1], 2),
+                               (waiters[2], 0)):
+            cc.release_all(leaving)
+            cc.deregister(leaving)
+            assert grants[woken] == [10 + woken]
+            assert waiters[woken] not in cc._shared
+            assert _index_is_consistent(cc)
+        assert cc._shared == {} and cc._shared_top() is None
+    assert log.grants == 3 and log.inheritance_passes > 0
+
+
+def test_lock_holding_waiter_sole_holder_of_the_top_entry(kernel):
+    # `mid` holds the highest-ceiling lock itself, so *its* barrier
+    # falls to the second entry while every lock-free waiter sees the
+    # first — and the contributions must still be built in enqueue
+    # order: mid (solo, queued first) -> low, then the group -> mid.
+    with shadowed():
+        cc = PriorityCeiling(kernel)
+        low = make_txn([(1, "w")], priority=1)
+        mid = make_txn([(2, "w"), (3, "w")], priority=5)
+        raises_1 = make_txn([(1, "w")], priority=7)
+        raises_2 = make_txn([(2, "w")], priority=9)
+        free = make_txn([(4, "w")], priority=3)
+        for txn in (low, mid, raises_1, raises_2, free):
+            cc.register(txn)
+        cc.locks.grant(1, low, LockMode.WRITE)
+        cc.locks.grant(2, mid, LockMode.WRITE)
+        assert [entry[2] for entry in cc._entries] == [2, 1]
+        applied = []
+        real_apply = cc._apply_inheritance
+        cc._apply_inheritance = lambda c: (
+            applied.append([(t.tid, p) for t, p in c.items()]),
+            real_apply(c))[1]
+        _queue(cc, mid, 3)
+        assert cc._ceiling_barrier(mid) == (7.0, 1)
+        assert [r.txn for r in cc._solo] == [mid]
+        _queue(cc, free, 4)
+        assert cc._ceiling_barrier(free) == (9.0, 2)
+        assert list(cc._shared) == [free]
+        assert applied[-1] == [(low.tid, 5.0), (mid.tid, 3.0)]
+        # A solo waiter queued *after* the group's earliest member
+        # contributes after it.
+        late = make_txn([(5, "w"), (6, "w")], priority=2)
+        cc.register(late)
+        cc.locks.grant(5, late, LockMode.WRITE)
+        _queue(cc, late, 6)
+        assert [r.txn for r in cc._solo] == [mid, late]
+        assert [tid for tid, __ in applied[-1]] == [low.tid, mid.tid]
+        assert _index_is_consistent(cc)
+        cc.cancel_async(mid)
+        assert [r.txn for r in cc._solo] == [late]
+        assert _index_is_consistent(cc)
+
+
+def test_empty_barrier_contributes_nothing_and_wakes_the_top(kernel):
+    with shadowed() as log:
+        cc = PriorityCeiling(kernel)
+        reader = make_txn([(1, "r")], priority=2)
+        writer = make_txn([(1, "w")], priority=8)
+        low = make_txn([(2, "r")], priority=4)
+        high = make_txn([(3, "r")], priority=6)
+        for txn in (reader, writer, low, high):
+            cc.register(txn)
+        cc.locks.grant(1, reader, LockMode.READ)   # rw-ceiling 8
+        order = []
+        _queue(cc, low, 2, LockMode.READ, order)
+        _queue(cc, high, 3, LockMode.READ, order)
+        # The only active writer of object 1 leaves: the lock stays but
+        # its ceiling — and with it the whole barrier — disappears, and
+        # the read locks the waiters take have no ceiling either.
+        cc.deregister(writer)
+        assert cc._entries == []
+        assert cc._ceiling_barrier(low) == (None, None)
+        assert order == [3, 2]
+        assert cc.waiting == [] and _index_is_consistent(cc)
+    assert log.grants == 2
+
+
+def test_withdraw_and_cancel_leave_no_trace_in_the_index(kernel):
+    with shadowed():
+        cc = PriorityCeiling(kernel)
+        holder = make_txn([(1, "w")], priority=9)
+        parked = make_txn([(2, "w")], priority=5)
+        queued = make_txn([(3, "w")], priority=7)
+        LockClient(kernel, cc, holder, hold=10.0)
+        client = LockClient(kernel, cc, parked, start_delay=1.0)
+        kernel.run(until=2.0)
+        cc.register(queued)
+        _queue(cc, queued, 3)
+        assert cc._shared_top().txn is queued
+        # cancel_async removes the heap's live top: the next-best
+        # member surfaces lazily.
+        assert cc.cancel_async(queued) == 1
+        assert cc._shared_top().txn is parked
+        assert _index_is_consistent(cc)
+        # _withdraw (interrupt cleanup) of the last member.
+        kernel.interrupt(parked.process, TransactionAbort("test"))
+        kernel.run(until=3.0)
+        assert client.aborted
+        assert cc._shared == {} and cc._shared_top() is None
+        assert cc._shared_heap == []
+        assert _index_is_consistent(cc)
+        cc.deregister(queued)
+        kernel.run()
+
+
+def test_second_request_of_a_waiting_transaction_goes_solo(kernel):
+    with shadowed():
+        cc = PriorityCeiling(kernel)
+        holder = make_txn([(1, "w")], priority=9)
+        twice = make_txn([(2, "w"), (3, "w")], priority=5)
+        cc.register(holder)
+        cc.register(twice)
+        cc.locks.grant(1, holder, LockMode.WRITE)
+        first = _queue(cc, twice, 2)
+        second = _queue(cc, twice, 3)
+        assert cc._shared[twice].oid == 2
+        assert [r.oid for r in cc._solo] == [3]
+        cc.release_all(holder)
+        cc.deregister(holder)
+        assert first == [2] and second == [3]
+        assert _index_is_consistent(cc)
+
+
+def test_shared_heap_is_compacted_to_the_live_waiters(kernel):
+    cc = PriorityCeiling(kernel)
+    holder = make_txn([(1, "w")], priority=1000)
+    cc.register(holder)
+    cc.locks.grant(1, holder, LockMode.WRITE)
+    keeper = make_txn([(2, "w")], priority=999)
+    cc.register(keeper)
+    _queue(cc, keeper, 2)
+    # Withdrawn members below a live top never surface on their own.
+    for index in range(200):
+        txn = make_txn([(3, "w")], priority=index)
+        cc.register(txn)
+        _queue(cc, txn, 3)
+        cc.cancel_async(txn)
+        cc.deregister(txn)
+    assert len(cc._shared) == 1
+    assert len(cc._shared_heap) < 32      # not the 201 ever pushed
+    assert cc._shared_top().txn is keeper
+
+
+def test_waiter_boosted_by_another_agent_is_refiled(kernel):
+    # DPCP's situation: `both` waits lock-free at agent B while holding
+    # a lock at agent A; when A raises its priority, B must hand the
+    # *inherited* priority on to its own barrier's holder.
+    with shadowed():
+        agent_a = PriorityCeiling(kernel)
+        agent_b = PriorityCeiling(kernel)
+        both = make_txn([(1, "w"), (11, "w")], priority=3)
+        b_holder = make_txn([(12, "w"), (14, "w")], priority=1)
+        b_other = make_txn([(15, "w")], priority=0.5)
+        b_raise = make_txn([(12, "w"), (15, "w")], priority=9)
+        a_waiter = make_txn([(1, "w")], priority=7)
+        later = make_txn([(13, "w")], priority=2)
+
+        def parked():
+            yield Delay(100.0)
+
+        for txn in (both, b_holder, b_other):
+            txn.process = kernel.spawn(parked(), f"tm-{txn.tid}",
+                                       priority=txn.priority)
+        kernel.run(until=1.0)
+        agent_a.register(both)
+        agent_a.locks.grant(1, both, LockMode.WRITE)
+        for txn in (both, b_holder, b_other, b_raise, later):
+            agent_b.register(txn)
+        agent_b.locks.grant(12, b_holder, LockMode.WRITE)
+        agent_b.locks.grant(15, b_other, LockMode.WRITE)
+        _queue(agent_b, both, 11)
+        _queue(agent_b, b_holder, 14)       # solo, queued after `both`
+        assert list(agent_b._shared) == [both]
+        assert b_holder.process.inherited_priority == 3
+        # Agent A blocks a priority-7 transaction on `both`.
+        agent_a.register(a_waiter)
+        _queue(agent_a, a_waiter, 1)
+        assert both.process.effective_priority == 7
+        # The next change at B sees the boost and re-files `both`, in
+        # enqueue order, ahead of the solo waiter that followed it.
+        _queue(agent_b, later, 13)
+        assert [r.txn for r in agent_b._solo] == [both, b_holder]
+        assert list(agent_b._shared) == [later]
+        assert b_holder.process.inherited_priority == 7
+        assert _index_is_consistent(agent_b)
+        # Still boosted when it queues again: solo from the start.  (A
+        # registration in between opens a new blocked-at-most-once
+        # epoch, so the suite also runs under REPRO_SANITIZE=1.)
+        agent_b.cancel_async(both)
+        agent_b.register(make_txn([(99, "w")], priority=0.1))
+        _queue(agent_b, both, 11)
+        assert [r.txn for r in agent_b._solo] == [b_holder, both]
+        assert both not in agent_b._shared
+        assert b_holder.process.inherited_priority == 7

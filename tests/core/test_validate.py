@@ -100,6 +100,25 @@ def test_ceiling_auditor_detects_barrier_violation(kernel):
         cc.locks.grant(2, intruder, LockMode.WRITE)
 
 
+def test_ceiling_auditor_does_not_trust_the_barrier_index(kernel):
+    cc = PriorityCeiling(kernel)
+    CeilingAuditor(cc)
+    holder = make_txn([(1, "w")], priority=9)
+    intruder = make_txn([(2, "w")], priority=1)
+    cc.register(holder)
+    cc.register(intruder)
+    assert cc.acquire_async(holder, 1, LockMode.WRITE,
+                            on_grant=lambda: None)
+    # Corrupt the protocol's index: its own admission test now passes
+    # the intruder, the auditor's from-scratch barrier does not.
+    cc._entries.clear()
+    cc._entry_of.clear()
+    assert cc._ceiling_barrier(intruder) == (None, None)
+    with pytest.raises(InvariantViolation, match="despite ceiling 9"):
+        cc.acquire_async(intruder, 2, LockMode.WRITE,
+                         on_grant=lambda: None)
+
+
 def test_ceiling_auditor_requires_pcp(kernel):
     with pytest.raises(TypeError):
         CeilingAuditor(TwoPhaseLocking(kernel))

@@ -1,0 +1,70 @@
+"""Seeded protocol mutations shared by the explorer and CLI tests.
+
+Each fixture breaks the protocol in a way the uncontrolled simulation's
+single default schedule never exercises; see ``test_mutations.py``.
+"""
+
+import heapq
+
+import pytest
+
+from repro.cc.base import ConcurrencyControl
+from repro.cc.priority_ceiling import PriorityCeiling
+
+
+@pytest.fixture
+def ceiling_hole(monkeypatch):
+    """Admission skips the ceiling test when every holder of the
+    barrier lock has a larger tid than the requester — invisible
+    unless the *later* transaction acquires first."""
+    orig = PriorityCeiling._can_acquire
+
+    def mutated(self, txn, oid, mode):
+        barrier, barrier_oid = self._ceiling_barrier(txn)
+        if barrier is not None and txn.priority <= barrier:
+            holders = []
+            if barrier_oid is not None:
+                holders = [h for h in self.locks.holders(barrier_oid)
+                           if h is not txn]
+            if holders and all(h.tid > txn.tid for h in holders):
+                return self.locks.can_grant(oid, txn, mode)
+            return False
+        return orig(self, txn, oid, mode)
+
+    monkeypatch.setattr(PriorityCeiling, "_can_acquire", mutated)
+
+
+@pytest.fixture
+def lost_wakeup(monkeypatch):
+    """Reevaluation silently skips when the wait queue is out of tid
+    order — a lost wakeup whose only symptom is the deadline timer
+    cleaning up after it."""
+    orig = ConcurrencyControl._reevaluate
+
+    def mutated(self):
+        if (len(self.waiting) >= 2
+                and self.waiting[0].txn.tid > self.waiting[1].txn.tid):
+            return
+        return orig(self)
+
+    monkeypatch.setattr(ConcurrencyControl, "_reevaluate", mutated)
+
+
+@pytest.fixture
+def stale_index(monkeypatch):
+    """The wake-up index drops a waiter from the shared group's heap
+    when it queues behind a *later* transaction — it stays in the wait
+    list but can never become the group's representative, so nothing
+    ever wakes it."""
+    orig = PriorityCeiling._enqueue
+
+    def mutated(self, request):
+        orig(self, request)
+        if (len(self.waiting) >= 2
+                and self.waiting[-2].txn.tid > request.txn.tid):
+            self._shared_heap[:] = [
+                entry for entry in self._shared_heap
+                if entry[2] is not request]
+            heapq.heapify(self._shared_heap)
+
+    monkeypatch.setattr(PriorityCeiling, "_enqueue", mutated)

@@ -2,9 +2,6 @@
 
 import json
 
-import pytest
-
-from repro.cc.base import ConcurrencyControl
 from repro.verify.cli import main
 
 
@@ -43,19 +40,6 @@ def test_json_format(capsys):
     assert reports[0]["clean"] is True
 
 
-@pytest.fixture
-def lost_wakeup(monkeypatch):
-    orig = ConcurrencyControl._reevaluate
-
-    def mutated(self):
-        if (len(self.waiting) >= 2
-                and self.waiting[0].txn.tid > self.waiting[1].txn.tid):
-            return
-        return orig(self)
-
-    monkeypatch.setattr(ConcurrencyControl, "_reevaluate", mutated)
-
-
 def test_violations_exit_one_and_export(tmp_path, capsys, lost_wakeup):
     code = main(["--scenario", "pcp-3x2", "--reduction", "hash",
                  "--schedules", "500",
@@ -68,3 +52,13 @@ def test_violations_exit_one_and_export(tmp_path, capsys, lost_wakeup):
     assert schedule.exists() and trace.exists()
     manifest = json.loads(schedule.read_text())
     assert "VFY-MISS" in manifest["codes"]
+
+
+def test_stale_wakeup_index_exits_one(capsys, stale_index):
+    code = main(["--scenario", "pcp-3x2", "--reduction", "hash",
+                 "--schedules", "500", "--format", "json"])
+    assert code == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert not report["clean"]
+    assert any(violation["code"].startswith("VFY-")
+               for violation in report["violations"])

@@ -2,10 +2,11 @@
 is clean, the explorer finds the violating interleaving, and the
 counterexample machinery minimizes, exports and replays it.
 
-Both mutations are *order-dependent by construction* — they only
+All mutations are *order-dependent by construction* — they only
 misbehave under an arrival/queue order the uncontrolled simulation
 never produces — so they are exactly the class of bug a single seeded
-run cannot catch and systematic exploration exists for.
+run cannot catch and systematic exploration exists for.  The mutation
+fixtures live in ``conftest.py`` (the CLI tests share them).
 """
 
 import json
@@ -13,48 +14,8 @@ import os
 
 import pytest
 
-from repro.cc.base import ConcurrencyControl
-from repro.cc.priority_ceiling import PriorityCeiling
 from repro.verify import (SCENARIOS, Explorer, minimize_prefix, replay,
                           write_counterexample)
-
-
-@pytest.fixture
-def ceiling_hole(monkeypatch):
-    """Admission skips the ceiling test when every holder of the
-    barrier lock has a larger tid than the requester — invisible
-    unless the *later* transaction acquires first."""
-    orig = PriorityCeiling._can_acquire
-
-    def mutated(self, txn, oid, mode):
-        barrier, barrier_oid = self._ceiling_barrier(txn)
-        if barrier is not None and txn.priority <= barrier:
-            holders = []
-            if barrier_oid is not None:
-                holders = [h for h in self.locks.holders(barrier_oid)
-                           if h is not txn]
-            if holders and all(h.tid > txn.tid for h in holders):
-                return self.locks.can_grant(oid, txn, mode)
-            return False
-        return orig(self, txn, oid, mode)
-
-    monkeypatch.setattr(PriorityCeiling, "_can_acquire", mutated)
-
-
-@pytest.fixture
-def lost_wakeup(monkeypatch):
-    """Reevaluation silently skips when the wait queue is out of tid
-    order — a lost wakeup whose only symptom is the deadline timer
-    cleaning up after it."""
-    orig = ConcurrencyControl._reevaluate
-
-    def mutated(self):
-        if (len(self.waiting) >= 2
-                and self.waiting[0].txn.tid > self.waiting[1].txn.tid):
-            return
-        return orig(self)
-
-    monkeypatch.setattr(ConcurrencyControl, "_reevaluate", mutated)
 
 
 def test_default_schedule_misses_ceiling_hole(ceiling_hole):
@@ -85,6 +46,22 @@ def test_explorer_finds_lost_wakeup(lost_wakeup):
     explorer = Explorer(SCENARIOS["pcp-3x2"], max_schedules=500,
                         reduction="hash")
     report = explorer.explore()
+    assert "VFY-MISS" in report.codes
+    assert report.first_violation_prefix is not None
+
+
+def test_default_schedule_misses_stale_index(stale_index):
+    explorer = Explorer(SCENARIOS["pcp-3x2"], max_schedules=500,
+                        reduction="hash")
+    outcome = explorer.execute((), reduced=False)
+    assert not outcome.codes
+
+
+def test_explorer_finds_stale_index(stale_index):
+    explorer = Explorer(SCENARIOS["pcp-3x2"], max_schedules=500,
+                        reduction="hash")
+    report = explorer.explore()
+    assert any(code.startswith("VFY-") for code in report.codes)
     assert "VFY-MISS" in report.codes
     assert report.first_violation_prefix is not None
 
