@@ -912,6 +912,11 @@ class EventQueueInternalsRule(Rule):
     objects with fields like ``_seq`` (the wait-queue's arrival
     counter, transaction ids) are not flagged because their base is
     not queue-shaped.  The two engine homes are exempt, as are tests.
+
+    The virtual clock is the other value only the dispatch loops own:
+    ``Kernel.now`` is a plain attribute (a frame-free read for model
+    code), so a *store* to ``kernel.now`` / ``self.kernel.now``
+    outside ``kernel/`` is flagged too — moving time is dispatching.
     """
 
     code = "RPL015"
@@ -928,6 +933,8 @@ class EventQueueInternalsRule(Rule):
     })
     #: Base-expression spellings that identify an event queue.
     queue_names = frozenset({"events", "_events", "queue"})
+    #: Base-expression spellings that identify a kernel.
+    kernel_names = frozenset({"kernel", "_kernel"})
     #: Module basenames allowed to touch reference-queue internals.
     engine_modules = ("events.py",)
 
@@ -939,18 +946,29 @@ class EventQueueInternalsRule(Rule):
         normalized = path.replace("\\", "/")
         return normalized.rsplit("/", 1)[-1] not in self.engine_modules
 
-    def _queue_shaped(self, node: ast.AST) -> bool:
+    @staticmethod
+    def _spelled(node: ast.AST, names: frozenset) -> bool:
         if isinstance(node, ast.Name):
-            return node.id in self.queue_names
+            return node.id in names
         if isinstance(node, ast.Attribute):
-            return node.attr in self.queue_names
+            return node.attr in names
         return False
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
+        owns_clock = _is_path_part(path, "kernel")
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in self.banned
-                    and self._queue_shaped(node.value)):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if (node.attr == "now" and not owns_clock
+                    and not isinstance(node.ctx, ast.Load)
+                    and self._spelled(node.value, self.kernel_names)):
+                yield self.finding(
+                    path, node,
+                    "virtual clock 'kernel.now' written outside "
+                    "kernel/; only the dispatch loops move time — "
+                    "schedule an event (kernel.at/after) instead")
+            elif (node.attr in self.banned
+                    and self._spelled(node.value, self.queue_names)):
                 yield self.finding(
                     path, node,
                     f"event-queue internal '.{node.attr}' accessed "
@@ -991,7 +1009,8 @@ RULE_INDEX = {
     "RPL009": "re-declared blocking-category string literal",
     "RPL013": "hard-coded protocol-name literal outside the registry",
     "RPL014": "host-clock call outside the hostclock gateway",
-    "RPL015": "event-queue internals accessed outside the engines",
+    "RPL015": "event-queue internals or the kernel clock touched "
+              "outside the engines",
 }
 
 # Imported at the bottom on purpose: flow_rules subclasses Rule from

@@ -3,8 +3,9 @@
 Every protocol (2PL, 2PL-priority, priority inheritance, priority
 ceiling) shares this skeleton:
 
-- :meth:`acquire` returns a syscall the transaction manager yields; it
-  grants immediately or parks the requester in the protocol's wait set;
+- :meth:`acquire` returns a syscall the transaction manager yields;
+  applied by the kernel it runs :meth:`attempt`, which grants
+  immediately or parks the requester in the protocol's wait set;
 - :meth:`release_all` frees a committing transaction's locks and
   re-evaluates waiters;
 - :meth:`abort` cleans up a transaction that died mid-flight (deadline
@@ -32,7 +33,7 @@ from ..telemetry.registry import current_metrics
 from ..trace.tracer import current_tracer
 from ..kernel.kernel import Kernel
 from ..kernel.process import Process
-from ..kernel.syscalls import BLOCKED, Call, Immediate
+from ..kernel.syscalls import BLOCKED, DONE, SysCall
 from ..txn.transaction import Transaction
 
 
@@ -120,6 +121,21 @@ class _RequestBlocker:
         self.cc._withdraw(self.request)
 
 
+class Acquire(SysCall):
+    """A blocking lock request; build via
+    :meth:`ConcurrencyControl.acquire`."""
+
+    __slots__ = ("cc", "txn", "oid", "mode")
+
+    def apply(self, kernel: Kernel, process: Process):
+        return self.cc.attempt(kernel, process, self.txn, self.oid,
+                               self.mode)
+
+    @property
+    def label(self) -> str:
+        return f"lock({self.oid},{self.mode})"
+
+
 class ConcurrencyControl:
     """Abstract base; see module docstring."""
 
@@ -172,53 +188,60 @@ class ConcurrencyControl:
     # ------------------------------------------------------------------
     # the lock API used by transaction managers
     # ------------------------------------------------------------------
-    def acquire(self, txn: Transaction, oid: int, mode: LockMode) -> Call:
+    def acquire(self, txn: Transaction, oid: int,
+                mode: LockMode) -> "Acquire":
         """Syscall: obtain ``mode`` on ``oid``, blocking per protocol."""
+        call = Acquire()
+        call.cc = self
+        call.txn = txn
+        call.oid = oid
+        call.mode = mode
+        return call
 
-        def attempt(kernel: Kernel, process: Process):
-            self.stats.requests += 1
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.lock_request(kernel.now, txn, oid, mode)
-            if self._can_acquire(txn, oid, mode):
-                self.locks.grant(oid, txn, mode)
-                self.stats.immediate_grants += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_grant(txn, oid, mode, waited=False)
-                if tracer is not None:
-                    tracer.lock_grant(kernel.now, txn, oid, mode,
-                                      waited=False)
-                if self.meter is not None:
-                    self.meter.on_grant(kernel.now, txn, oid,
-                                        waited=False)
-                return Immediate(None)
-            self.stats.blocks += 1
-            conflicts = self.locks.conflicting_holders(oid, txn, mode)
-            if conflicts:
-                self.stats.direct_blocks += 1
-                cause = BLOCKING_DIRECT
-            else:
-                self.stats.ceiling_blocks += 1
-                cause = BLOCKING_CEILING
-            request = Request(txn, oid, mode, process, next(self._seq),
-                              kernel.now)
-            self._enqueue(request)
-            process.blocker = _RequestBlocker(self, request)
+    def attempt(self, kernel: Kernel, process: Process, txn: Transaction,
+                oid: int, mode: LockMode):
+        """Kernel-context body of :meth:`acquire`: grant now (``DONE``)
+        or park ``process`` in the wait set (``BLOCKED``)."""
+        self.stats.requests += 1
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.lock_request(kernel.now, txn, oid, mode)
+        if self._can_acquire(txn, oid, mode):
+            self.locks.grant(oid, txn, mode)
+            self.stats.immediate_grants += 1
             if self.sanitizer is not None:
-                self.sanitizer.on_block(txn, oid, mode)
+                self.sanitizer.on_grant(txn, oid, mode, waited=False)
             if tracer is not None:
-                tracer.lock_block(
-                    kernel.now, txn, oid, mode, cause,
-                    conflicts or self._trace_blockers(request))
+                tracer.lock_grant(kernel.now, txn, oid, mode,
+                                  waited=False)
             if self.meter is not None:
-                self.meter.on_block(kernel.now, request, cause)
-            # _on_block may raise a TransactionAbort into the requester
-            # (deadlock victim); it must leave protocol state clean if so.
-            self._on_block(request)
-            self._after_change()
-            return BLOCKED
-
-        return Call(attempt, label=f"lock({oid},{mode})")
+                self.meter.on_grant(kernel.now, txn, oid, waited=False)
+            return DONE
+        self.stats.blocks += 1
+        conflicts = self.locks.conflicting_holders(oid, txn, mode)
+        if conflicts:
+            self.stats.direct_blocks += 1
+            cause = BLOCKING_DIRECT
+        else:
+            self.stats.ceiling_blocks += 1
+            cause = BLOCKING_CEILING
+        request = Request(txn, oid, mode, process, next(self._seq),
+                          kernel.now)
+        self._enqueue(request)
+        process.blocker = _RequestBlocker(self, request)
+        if self.sanitizer is not None:
+            self.sanitizer.on_block(txn, oid, mode)
+        if tracer is not None:
+            tracer.lock_block(
+                kernel.now, txn, oid, mode, cause,
+                conflicts or self._trace_blockers(request))
+        if self.meter is not None:
+            self.meter.on_block(kernel.now, request, cause)
+        # _on_block may raise a TransactionAbort into the requester
+        # (deadlock victim); it must leave protocol state clean if so.
+        self._on_block(request)
+        self._after_change()
+        return BLOCKED
 
     def acquire_async(self, txn: Transaction, oid: int, mode: LockMode,
                       on_grant, process: Optional[Process] = None) -> bool:

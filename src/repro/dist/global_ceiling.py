@@ -71,7 +71,7 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
     double-releasing.  Fault-free runs take the identical code path —
     the dedup branches are only reachable when messages repeat.
     """
-    port = site.register_service(CEILING_SERVICE)
+    receive = site.register_service(CEILING_SERVICE).receive()
     registered: Dict[int, Transaction] = {}
     completed: Set[int] = set()
     queued: Set[Tuple[int, int]] = set()
@@ -84,7 +84,7 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                                   sender_site=site.site_id, tag=tag))
 
     while True:
-        message = yield port.receive()
+        message = yield receive
         if isinstance(message, RegisterTxn):
             txn = message.txn
             if txn.tid in registered or txn.tid in completed:
@@ -196,9 +196,9 @@ def data_server(site: Site, costs: CostModel):
     site-resident: a crash aborts them mid-service (the requester's
     retry re-asks after recovery).
     """
-    port = site.register_service(DATA_SERVICE)
+    receive = site.register_service(DATA_SERVICE).receive()
     while True:
-        message = yield port.receive()
+        message = yield receive
         if not isinstance(message, DataRequest):
             raise TypeError(f"data server got {message!r}")
         helper = site.kernel.spawn(
@@ -228,10 +228,10 @@ def commit_server(site: Site, costs: CostModel):
     A repeated Decide (retried by the coordinator because the ack was
     lost) re-acknowledges without re-installing.
     """
-    port = site.register_service(COMMIT_SERVICE)
+    receive = site.register_service(COMMIT_SERVICE).receive()
     decided: Set[int] = set()
     while True:
-        message = yield port.receive()
+        message = yield receive
         if isinstance(message, Prepare):
             if costs.commit_cpu > 0:
                 yield site.cpu.use(costs.commit_cpu)
@@ -322,6 +322,7 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                     isinstance(m, Ack) and m.tag == "registered"
                     and m.sender_site == manager))
 
+        cpu_burst = site.cpu.use(costs.cpu_per_object)
         for oid, mode in txn.operations:
             blocked_at = kernel.now
             if probe is not None:
@@ -337,12 +338,13 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                                           and m.oid == oid),
                 interim=lambda m, oid=oid: (isinstance(m, LockQueued)
                                             and m.oid == oid))
+            waited = kernel.now - blocked_at
             if probe is not None:
-                probe.on_unblock(kernel.now, kernel.now - blocked_at)
-            txn.blocked_time += kernel.now - blocked_at
+                probe.on_unblock(kernel.now, waited)
+            txn.blocked_time += waited
             home = catalog.primary_site(oid)
             if home == txn.site:
-                yield site.cpu.use(costs.cpu_per_object)
+                yield cpu_burst
                 data_object = site.database.object(oid)
                 if mode is LockMode.WRITE:
                     data_object.write(float(txn.tid), kernel.now)

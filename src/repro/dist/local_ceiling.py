@@ -65,9 +65,9 @@ def replica_applier(site: Site, catalog: ReplicaCatalog,
     oid and version timestamp) is re-acknowledged immediately and not
     re-installed.
     """
-    port = site.register_service(REPLICA_SERVICE)
+    receive = site.register_service(REPLICA_SERVICE).receive()
     while True:
-        message = yield port.receive()
+        message = yield receive
         if not isinstance(message, ReplicaUpdate):
             raise TypeError(f"replica applier got {message!r}")
         key = (message.sender_site, message.origin_tid, message.oid,
@@ -188,15 +188,17 @@ def local_transaction_manager(sites: List[Site],
     timer = DeadlineTimer(kernel, txn.process, txn.deadline,
                           lambda: DeadlineMiss(txn.tid))
     try:
+        cpu_burst = site.cpu.use(costs.cpu_per_object)
         for oid, mode in txn.operations:
             blocked_at = kernel.now
             if probe is not None:
                 probe.on_block(blocked_at)
             yield cc.acquire(txn, oid, mode)
+            waited = kernel.now - blocked_at
             if probe is not None:
-                probe.on_unblock(kernel.now, kernel.now - blocked_at)
-            txn.blocked_time += kernel.now - blocked_at
-            yield site.cpu.use(costs.cpu_per_object)
+                probe.on_unblock(kernel.now, waited)
+            txn.blocked_time += waited
+            yield cpu_burst
             data_object = site.database.object(oid)
             if mode is LockMode.READ:
                 data_object.read()

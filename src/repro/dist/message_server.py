@@ -68,8 +68,9 @@ class MessageServer:
         return discarded
 
     def _loop(self):
+        receive = self.inbox.receive()
         while True:
-            message = yield self.inbox.receive()
+            message = yield receive
             if not isinstance(message, Message):
                 raise TypeError(f"MS {self.site_id} received non-message "
                                 f"{message!r}")

@@ -10,7 +10,6 @@ Public surface::
     )
 """
 
-from .clock import Clock
 from .controlled import (ChoiceRecord, Chooser, DefaultChooser,
                          SchedulerController, active_controller)
 from .errors import (InvalidProcessState, KernelError, PortClosed,
@@ -32,7 +31,6 @@ __all__ = [
     "Call",
     "ChoiceRecord",
     "Chooser",
-    "Clock",
     "DefaultChooser",
     "SchedulerController",
     "active_controller",

@@ -209,7 +209,6 @@ class SchedulerController:
         previous = _ACTIVE
         _ACTIVE = self
         events = kernel.events
-        clock = kernel.clock
         resume = kernel._resume
         after = None
         try:
@@ -236,7 +235,7 @@ class SchedulerController:
                 # consistent queue.
                 for other in batch:
                     events.push_entry(other)
-                clock._now = time
+                kernel.now = time
                 event = entry[3]
                 callback = event.callback
                 if callback is not None:
@@ -250,9 +249,9 @@ class SchedulerController:
         finally:
             _ACTIVE = previous
             kernel._dispatching = False
-        if until is not None and clock._now < until:
-            clock.advance_to(until)
-        return clock._now
+        if until is not None and kernel.now < until:
+            kernel.now = until
+        return kernel.now
 
 
 #: The controller currently inside :meth:`SchedulerController.run`,

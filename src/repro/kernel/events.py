@@ -51,25 +51,14 @@ class Event:
     :meth:`EventQueue.schedule_resume`.  Exactly one of ``callback``
     (bare callable) or ``process`` (resume target, with ``value`` /
     ``exc`` delivered at the yield point) is set.
+
+    There is deliberately no ``__init__``: the queues fill the slots
+    directly, and instantiating a class that defines neither
+    ``__new__`` nor ``__init__`` runs no Python frame at all.
     """
 
     __slots__ = ("time", "key", "seq", "callback", "cancelled",
                  "process", "value", "exc", "queue")
-
-    def __init__(self, time: float, key: float, seq: int,
-                 callback: Optional[Callable[[], None]],
-                 process: Any = None, value: Any = None,
-                 exc: Optional[BaseException] = None,
-                 queue: Optional["EventQueue"] = None):
-        self.time = time
-        self.key = key
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self.process = process
-        self.value = value
-        self.exc = exc
-        self.queue = queue
 
     def cancel(self) -> None:
         """Mark the event so it will be skipped when its time comes.
@@ -82,6 +71,11 @@ class Event:
             self.cancelled = True
             if self.queue is not None:
                 self.queue._note_cancel()
+
+    def withdraw(self, process: Any) -> None:
+        """Blocker protocol: a process parked on nothing but this
+        wake-up (a delay, an I/O burst) leaves by cancelling it."""
+        self.cancel()
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.key, self.seq) < (other.time, other.key,
@@ -134,13 +128,13 @@ class EventQueue:
         ``key`` breaks ties among events at the same instant: lower keys
         fire first.  Returns the :class:`Event`, which may be cancelled.
 
-        The event is built via ``__new__`` + direct slot stores — this
-        is the allocation every simulated action pays, and skipping the
+        The event is built by direct slot stores — this is the
+        allocation every simulated action pays, and skipping an
         ``__init__`` frame is measurably cheaper.
         """
         seq = self._seq
         self._seq = seq + 1
-        event = Event.__new__(Event)
+        event = Event()
         event.time = time
         event.key = key
         event.seq = seq
@@ -163,7 +157,7 @@ class EventQueue:
         """
         seq = self._seq
         self._seq = seq + 1
-        event = Event.__new__(Event)
+        event = Event()
         event.time = time
         event.key = 0.0
         event.seq = seq

@@ -14,13 +14,19 @@ from __future__ import annotations
 from heapq import heappop
 from typing import Any, Callable, Generator, List, Optional
 
-from .clock import Clock
 from .errors import (InvalidProcessState, KernelError, ProcessInterrupt,
                      SimulationOver)
 from .events import Event, EventQueue
 from .process import Process, ProcessState
 from .rng import RngStreams
-from .syscalls import BLOCKED, Immediate, SysCall
+from .syscalls import BLOCKED, DONE, Immediate, SysCall
+
+# Enum members read once: the process-control paths below test and
+# store them on every resume.
+_READY = ProcessState.READY
+_RUNNING = ProcessState.RUNNING
+_BLOCKED = ProcessState.BLOCKED
+_TERMINATED = ProcessState.TERMINATED
 
 
 class Kernel:
@@ -28,7 +34,13 @@ class Kernel:
 
     def __init__(self, seed: int = 0, trace: Optional[Callable] = None,
                  tracer=None):
-        self.clock = Clock()
+        #: Current virtual time, in abstract "time units" (the paper
+        #: reports delays and processing costs in the same units).  A
+        #: plain attribute so that reading it — the most frequent
+        #: kernel access of all — costs no frame.  Read-only for model
+        #: code: only the dispatch loops under ``kernel/`` store it,
+        #: as they pop events (lint rule RPL015 bans other writes).
+        self.now = 0.0
         self.events = self._new_event_queue()
         self.rng = RngStreams(seed)
         self.processes: List[Process] = []
@@ -88,10 +100,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
     def at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule a bare callback at an absolute time."""
         if time < self.now:
@@ -101,7 +109,10 @@ class Kernel:
 
     def after(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule a bare callback ``delay`` units from now."""
-        return self.at(self.now + delay, callback)
+        time = self.now + delay
+        if time < self.now:
+            return self.at(time, callback)  # raises, with the diagnosis
+        return self.events.schedule(time, callback)
 
     # ------------------------------------------------------------------
     # process control
@@ -116,12 +127,11 @@ class Kernel:
                 f"the generator function?): got {type(body).__name__}")
         process = Process(body, name, priority)
         self.processes.append(process)
-        process.state = ProcessState.READY
+        process.state = _READY
         process.pending_resume = self.events.schedule_resume(
-            self.clock._now, process)
+            self.now, process)
         if self.tracer is not None:
-            self.tracer.kernel_event(self.clock._now, "spawn", process,
-                                     None)
+            self.tracer.kernel_event(self.now, "spawn", process, None)
         return process
 
     def ready(self, process: Process, value: Any = None,
@@ -130,14 +140,14 @@ class Kernel:
         ``value`` as the result of its pending yield (or with ``exc``
         thrown into it).  Called by blockers (semaphores, ports, CPUs,
         lock managers) when the condition a process waited on occurs."""
-        process.check_not_terminated()
-        if process.state is not ProcessState.BLOCKED:
+        if process.state is not _BLOCKED:
+            process.check_not_terminated()
             raise InvalidProcessState(
                 f"ready() on non-blocked process {process}")
         process.blocker = None
-        process.state = ProcessState.READY
+        process.state = _READY
         process.pending_resume = self.events.schedule_resume(
-            self.clock._now, process, value, exc)
+            self.now, process, value, exc)
 
     def interrupt(self, process: Process,
                   exc: ProcessInterrupt) -> bool:
@@ -149,9 +159,9 @@ class Kernel:
         (the interrupt is then a no-op — e.g. a deadline timer firing
         just as its transaction commits).
         """
-        if process.terminated:
+        if process.state is _TERMINATED:
             return False
-        if process.state is ProcessState.RUNNING:
+        if process.state is _RUNNING:
             raise InvalidProcessState("a process cannot interrupt itself; "
                                       "raise the exception directly instead")
         if process.pending_resume is not None:
@@ -160,12 +170,11 @@ class Kernel:
         if process.blocker is not None:
             process.blocker.withdraw(process)
             process.blocker = None
-        process.state = ProcessState.READY
+        process.state = _READY
         process.pending_resume = self.events.schedule_resume(
-            self.clock._now, process, None, exc)
+            self.now, process, None, exc)
         if self.tracer is not None:
-            self.tracer.kernel_event(self.clock._now, "interrupt",
-                                     process, exc)
+            self.tracer.kernel_event(self.now, "interrupt", process, exc)
         return True
 
     def set_inherited_priority(self, process: Process,
@@ -194,11 +203,12 @@ class Kernel:
         (model code must not call run from inside a process).
 
         This is the hottest loop in the repository: the peek/pop pair
-        and the clock advance are inlined into direct heap and slot
-        accesses (the queue's tuple order guarantees non-decreasing
-        times, so the monotonicity check of ``Clock.advance_to`` is
-        redundant here), and process resumes read their arguments off
-        the event instead of calling through a per-event closure.
+        and the clock advance are inlined into direct heap accesses
+        and a plain attribute store (the queue's tuple order
+        guarantees non-decreasing times, so the monotonicity check
+        :meth:`step` makes is redundant here), and process resumes read
+        their arguments off the event instead of calling through a
+        per-event closure.
 
         A deep pre-built backlog (bulk-scheduled arrivals) is sorted
         once into the queue's drain list and consumed with O(1) tail
@@ -215,7 +225,6 @@ class Kernel:
         # Both aliases are stable: compaction and backlog sorting
         # mutate the lists in place, never rebind them.
         heap, drain = events.prepare_dispatch()
-        clock = self.clock
         resume = self._resume
         # Metrics probe: one float comparison per event when on (the
         # probe samples only at window boundaries), literally nothing
@@ -234,7 +243,7 @@ class Kernel:
                     if event.cancelled:
                         events.note_dead()
                         continue
-                    clock._now = entry[0]
+                    self.now = entry[0]
                     if entry[0] >= probe_next:
                         probe_next = probe.sample(entry[0])
                     callback = event.callback
@@ -250,7 +259,7 @@ class Kernel:
                     if event.cancelled:
                         events.note_dead()
                         continue
-                    clock._now = entry[0]
+                    self.now = entry[0]
                     if entry[0] >= probe_next:
                         probe_next = probe.sample(entry[0])
                     callback = event.callback
@@ -283,7 +292,7 @@ class Kernel:
                         heappop(heap)
                     else:
                         drain.pop()
-                    clock._now = entry[0]
+                    self.now = entry[0]
                     if entry[0] >= probe_next:
                         probe_next = probe.sample(entry[0])
                     callback = event.callback
@@ -301,7 +310,7 @@ class Kernel:
                     if entry[0] > until:
                         break
                     heappop(heap)
-                    clock._now = entry[0]
+                    self.now = entry[0]
                     if entry[0] >= probe_next:
                         probe_next = probe.sample(entry[0])
                     callback = event.callback
@@ -311,9 +320,9 @@ class Kernel:
                         resume(event.process, event.value, event.exc)
         finally:
             self._dispatching = False
-        if until is not None and clock._now < until:
-            clock.advance_to(until)
-        return clock._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def step(self) -> bool:
         """Dispatch a single event; returns False when the queue is empty.
@@ -329,7 +338,12 @@ class Kernel:
             event = self.events.pop()
             if event is None:
                 return False
-            self.clock.advance_to(event.time)
+            if event.time < self.now:
+                # A corrupted queue, not a scheduling decision: refuse
+                # rather than silently un-order the simulation.
+                raise ValueError(f"clock cannot move backwards: "
+                                 f"{event.time} < {self.now}")
+            self.now = event.time
             probe = self.telemetry
             if probe is not None and event.time >= probe.next_window:
                 probe.sample(event.time)
@@ -348,14 +362,16 @@ class Kernel:
                 exc: Optional[BaseException]) -> None:
         """Step the process generator until it blocks or terminates."""
         process.pending_resume = None
-        process.state = ProcessState.RUNNING
+        process.state = _RUNNING
+        generator = process.generator
+        send = generator.send
         while True:
             try:
                 if exc is not None:
                     pending, exc = exc, None
-                    item = process.generator.throw(pending)
+                    item = generator.throw(pending)
                 else:
-                    item = process.generator.send(value)
+                    item = send(value)
             except StopIteration as stop:
                 self._terminate(process, result=stop.value)
                 return
@@ -378,27 +394,32 @@ class Kernel:
                 # out of the generator and crashes the run loudly.
                 exc = raised
                 continue
+            # Identity first: the two shared outcomes cover almost every
+            # syscall, and only a boxed value needs the type check.
             if outcome is BLOCKED:
                 if process.blocker is None:
                     raise InvalidProcessState(
                         f"syscall {type(item).__name__} returned BLOCKED "
                         f"without registering a blocker on {process}")
-                process.state = ProcessState.BLOCKED
+                process.state = _BLOCKED
                 return
-            if not isinstance(outcome, Immediate):
+            if outcome is DONE:
+                value = None
+            elif isinstance(outcome, Immediate):
+                value = outcome.value
+            else:
                 raise TypeError(
                     f"syscall {type(item).__name__} returned {outcome!r}")
-            value = outcome.value
 
     def _terminate(self, process: Process, result: Any = None,
                    exception: Optional[BaseException] = None) -> None:
-        process.state = ProcessState.TERMINATED
+        process.state = _TERMINATED
         process.result = result
         process.exception = exception
         process.generator.close()
         if self.tracer is not None:
-            self.tracer.kernel_event(self.clock._now, "terminate",
-                                     process, exception)
+            self.tracer.kernel_event(self.now, "terminate", process,
+                                     exception)
         joiners, process.joiners = process.joiners, []
         for joiner in joiners:
             if exception is not None:

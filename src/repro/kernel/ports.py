@@ -17,13 +17,14 @@ mechanism), delivered as a :class:`~repro.kernel.errors.Timeout`.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Deque, Optional, Tuple
 
 from .errors import PortClosed, Timeout
 from .kernel import Kernel
 from .process import Process
 from .scheduler import WaitQueue
-from .syscalls import BLOCKED, Call, Immediate
+from .syscalls import BLOCKED, DONE, Immediate, SysCall
 
 
 class Port:
@@ -52,50 +53,29 @@ class Port:
         else:
             self._buffer.append(message)
 
-    def send_sync(self, message: Any) -> Call:
+    def send_sync(self, message: Any) -> "SendSync":
         """Syscall: rendezvous send; blocks until a receiver takes it."""
-
-        def attempt(kernel: Kernel, process: Process):
-            self._check_open()
-            if self._receivers:
-                receiver, blocker = self._receivers.pop()
-                blocker.clear_timer()
-                kernel.ready(receiver, value=message)
-                return Immediate(None)
-            blocker = _SenderBlocker(self)
-            self._senders.push(process, (blocker, message))
-            process.blocker = blocker
-            return BLOCKED
-
-        return Call(attempt, label=f"send_sync({self.name})")
+        call = SendSync()
+        call.port = self
+        call.message = message
+        return call
 
     # ------------------------------------------------------------------
     # receiving
     # ------------------------------------------------------------------
-    def receive(self, timeout: Optional[float] = None) -> Call:
+    def receive(self, timeout: Optional[float] = None) -> "Receive":
         """Syscall: return the next message, blocking if none is queued.
 
         With ``timeout``, a :class:`Timeout` is raised inside the
         receiving process if nothing arrives in time.
         """
-
-        def attempt(kernel: Kernel, process: Process):
-            self._check_open()
-            if self._buffer:
-                return Immediate(self._buffer.popleft())
-            if self._senders:
-                sender, (sender_blocker, message) = self._senders.pop()
-                kernel.ready(sender)
-                return Immediate(message)
-            blocker = _ReceiverBlocker(self)
-            self._receivers.push(process, blocker)
-            if timeout is not None:
-                blocker.timer = kernel.after(
-                    timeout, lambda: self._expire(process))
-            process.blocker = blocker
-            return BLOCKED
-
-        return Call(attempt, label=f"receive({self.name})")
+        if timeout is not None and timeout < 0:
+            raise ValueError(
+                f"receive timeout must be >= 0, got {timeout}")
+        call = Receive()
+        call.port = self
+        call.timeout = timeout
+        return call
 
     def drain(self) -> list:
         """Remove and return every buffered (undelivered) message.
@@ -126,6 +106,16 @@ class Port:
     def close(self) -> None:
         """Close the port; pending waiters get :class:`PortClosed`."""
         self.closed = True
+        for queue in (self._receivers, self._senders):
+            for process in list(queue.processes()):
+                # Leaves the queue (and disarms a receive timeout).
+                process.blocker.withdraw(process)
+                # A waiter whose own cleanup is closing the port (its
+                # generator is being finalised while still parked, at
+                # teardown of an abandoned run) has nobody left to
+                # deliver the exception to.
+                if not process.generator.gi_running:
+                    self.kernel.ready(process, exc=self._closed_error())
 
     @property
     def queued(self) -> int:
@@ -136,9 +126,12 @@ class Port:
     def waiting_receivers(self) -> int:
         return len(self._receivers)
 
+    def _closed_error(self) -> PortClosed:
+        return PortClosed(f"port {self.name!r} is closed")
+
     def _check_open(self) -> None:
         if self.closed:
-            raise PortClosed(f"port {self.name!r} is closed")
+            raise self._closed_error()
 
     def _expire(self, process: Process) -> None:
         if process in self._receivers:
@@ -147,6 +140,56 @@ class Port:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Port({self.name!r}, queued={self.queued}, "
                 f"receivers={self.waiting_receivers})")
+
+
+class SendSync(SysCall):
+    """Rendezvous send on a port; build via :meth:`Port.send_sync`."""
+
+    __slots__ = ("port", "message")
+
+    def apply(self, kernel: Kernel, process: Process):
+        port = self.port
+        port._check_open()
+        if port._receivers:
+            receiver, blocker = port._receivers.pop()
+            blocker.clear_timer()
+            kernel.ready(receiver, value=self.message)
+            return DONE
+        blocker = _SenderBlocker(port)
+        port._senders.push(process, (blocker, self.message))
+        process.blocker = blocker
+        return BLOCKED
+
+    @property
+    def label(self) -> str:
+        return f"send_sync({self.port.name})"
+
+
+class Receive(SysCall):
+    """Blocking receive on a port; build via :meth:`Port.receive`."""
+
+    __slots__ = ("port", "timeout")
+
+    def apply(self, kernel: Kernel, process: Process):
+        port = self.port
+        port._check_open()
+        if port._buffer:
+            return Immediate(port._buffer.popleft())
+        if port._senders:
+            sender, (__, message) = port._senders.pop()
+            kernel.ready(sender)
+            return Immediate(message)
+        blocker = _ReceiverBlocker(port)
+        port._receivers.push(process, blocker)
+        if self.timeout is not None:
+            blocker.timer = kernel.after(
+                self.timeout, partial(port._expire, process))
+        process.blocker = blocker
+        return BLOCKED
+
+    @property
+    def label(self) -> str:
+        return f"receive({self.port.name})"
 
 
 class _ReceiverBlocker:

@@ -16,13 +16,14 @@ to be yielded from process code:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from .errors import Timeout
 from .kernel import Kernel
 from .process import Process
 from .scheduler import WaitQueue
-from .syscalls import BLOCKED, Call, Immediate
+from .syscalls import BLOCKED, DONE, SysCall
 
 
 class Semaphore:
@@ -37,26 +38,18 @@ class Semaphore:
         self.name = name
         self._waiters: WaitQueue = WaitQueue(policy)
 
-    def wait(self, timeout: Optional[float] = None) -> Call:
+    def wait(self, timeout: Optional[float] = None) -> "SemaphoreWait":
         """Syscall: P operation.  Decrements the count or blocks.
 
         With ``timeout``, raises :class:`Timeout` inside the waiting
         process if no signal arrives within ``timeout`` time units.
         """
-
-        def attempt(kernel: Kernel, process: Process):
-            if self.count > 0:
-                self.count -= 1
-                return Immediate(None)
-            blocker = _SemaphoreBlocker(self)
-            self._waiters.push(process, blocker)
-            if timeout is not None:
-                blocker.timer = kernel.after(
-                    timeout, lambda: self._expire(process))
-            process.blocker = blocker
-            return BLOCKED
-
-        return Call(attempt, label=f"wait({self.name})")
+        if timeout is not None and timeout < 0:
+            raise ValueError(f"wait timeout must be >= 0, got {timeout}")
+        call = SemaphoreWait()
+        call.semaphore = self
+        call.timeout = timeout
+        return call
 
     def signal(self) -> None:
         """V operation: wake one waiter or increment the count."""
@@ -80,6 +73,29 @@ class Semaphore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Semaphore({self.name!r}, count={self.count}, "
                 f"waiting={self.waiting})")
+
+
+class SemaphoreWait(SysCall):
+    """P operation on a semaphore; build via :meth:`Semaphore.wait`."""
+
+    __slots__ = ("semaphore", "timeout")
+
+    def apply(self, kernel: Kernel, process: Process):
+        semaphore = self.semaphore
+        if semaphore.count > 0:
+            semaphore.count -= 1
+            return DONE
+        blocker = _SemaphoreBlocker(semaphore)
+        semaphore._waiters.push(process, blocker)
+        if self.timeout is not None:
+            blocker.timer = kernel.after(
+                self.timeout, partial(semaphore._expire, process))
+        process.blocker = blocker
+        return BLOCKED
+
+    @property
+    def label(self) -> str:
+        return f"wait({self.semaphore.name})"
 
 
 class _SemaphoreBlocker:

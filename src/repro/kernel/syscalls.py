@@ -7,12 +7,20 @@ in which case the process has been parked on some structure and will be
 resumed later via ``kernel.ready``.
 
 Model code normally uses the convenience wrappers on the structures
-themselves (``semaphore.wait()``, ``port.receive()``, ``cpu.use(t)``),
-which construct these syscalls.
+themselves (``semaphore.wait()``, ``port.receive()``, ``cpu.use(t)``,
+``cc.acquire(...)``).  Each returns a small typed :class:`SysCall`
+subclass defined next to its structure, whose ``apply`` *is* the
+operation: one object access costs one allocation and one frame here,
+not a closure, a wrapper and a result box.  A syscall only *describes*
+a request — ``apply`` never mutates it — so a process may build one
+once and yield it many times.  The typed classes define no
+``__init__``: the wrapper validates its arguments and stores the
+slots itself, so building a request runs the wrapper's frame only.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator
 
 from .errors import InvalidProcessState
@@ -26,6 +34,12 @@ class Immediate:
 
     def __init__(self, value: Any = None):
         self.value = value
+
+
+#: The shared value-less completion: a syscall that finished without
+#: blocking and has nothing to hand back returns this instead of
+#: boxing a fresh ``Immediate(None)``.
+DONE = Immediate(None)
 
 
 class _Blocked:
@@ -48,6 +62,12 @@ class SysCall:
     def apply(self, kernel: "Kernel", process: Process):  # noqa: F821
         raise NotImplementedError
 
+    @property
+    def label(self) -> str:
+        """Diagnostic tag, formatted on demand — never on the hot path
+        (typed syscalls override it to name their structure)."""
+        return type(self).__name__.lower()
+
 
 class Delay(SysCall):
     """Suspend the process for ``duration`` virtual time units.
@@ -66,28 +86,13 @@ class Delay(SysCall):
         self.duration = duration
 
     def apply(self, kernel, process):
-        if self.duration == 0:
-            return Immediate(None)
-        blocker = _DelayBlocker()
-        blocker.event = kernel.events.schedule(
-            kernel.now + self.duration,
-            lambda: kernel.ready(process))
-        process.blocker = blocker
+        duration = self.duration
+        if duration == 0:
+            return DONE
+        # The wake-up event is its own blocker (withdraw == cancel).
+        process.blocker = kernel.events.schedule(
+            kernel.now + duration, partial(kernel.ready, process))
         return BLOCKED
-
-
-class _DelayBlocker:
-    """Holds the wakeup event so an interrupt can cancel it."""
-
-    __slots__ = ("event",)
-
-    def __init__(self):
-        self.event = None
-
-    def withdraw(self, process: Process) -> None:
-        if self.event is not None:
-            self.event.cancel()
-            self.event = None
 
 
 class Spawn(SysCall):
@@ -144,8 +149,10 @@ class Call(SysCall):
 
     The function may return ``Immediate`` or ``BLOCKED`` itself (after
     parking the process); plain return values are wrapped in Immediate.
-    This is the extension point structures like semaphores, ports, CPUs
-    and lock managers use to implement their own blocking behaviour.
+    This is the extension point for *model and test* code that needs a
+    one-off kernel-context operation.  The library's own structures
+    (semaphores, ports, CPUs, I/O, lock managers) do not use it: each
+    defines a typed ``SysCall`` subclass, which costs no closure.
     """
 
     __slots__ = ("fn", "label")

@@ -45,7 +45,7 @@ class DeadlineTimer:
     def cancel(self) -> None:
         """Disarm the timer (idempotent; safe after firing)."""
         if self._event is not None:
-            self.kernel.events.cancel(self._event)
+            self._event.cancel()
             self._event = None
 
     @property

@@ -165,7 +165,7 @@ class CalendarEventQueue:
         reference queue (lower ``key`` fires first among ties)."""
         seq = self._seq
         self._seq = seq + 1
-        event = Event.__new__(Event)
+        event = Event()
         event.time = time
         event.key = key
         event.seq = seq
@@ -190,7 +190,7 @@ class CalendarEventQueue:
             event = freelist.pop()
             event.cancelled = False
         else:
-            event = Event.__new__(Event)
+            event = Event()
             event.callback = None
             event.cancelled = False
             event.queue = self
@@ -222,7 +222,7 @@ class CalendarEventQueue:
             raise ValueError("schedule_batch needs count >= 1")
         seq = self._seq
         self._seq = seq + count
-        event = Event.__new__(Event)
+        event = Event()
         event.time = time
         event.key = key
         event.seq = seq

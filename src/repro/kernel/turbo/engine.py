@@ -76,7 +76,6 @@ class TurboKernel(Kernel):
             raise SimulationOver("Kernel.run is not re-entrant")
         self._dispatching = True
         events = self.events
-        clock = self.clock
         resume = self._resume
         recycle = events.recycle
         probe = self.telemetry
@@ -133,7 +132,7 @@ class TurboKernel(Kernel):
                             # Whole bucket in one call, unsorted: the
                             # n dispatches are indistinguishable.
                             events._count -= len(bucket)
-                            clock._now = time
+                            self.now = time
                             batch(len(bucket))
                             continue
                     bucket.sort(reverse=True)
@@ -147,7 +146,7 @@ class TurboKernel(Kernel):
                 else:
                     drain.pop()
                 events._count -= 1
-                clock._now = time
+                self.now = time
                 if time >= probe_next:
                     probe_next = probe.sample(time)
                 event = entry[3]
@@ -159,6 +158,6 @@ class TurboKernel(Kernel):
                     recycle(event)
         finally:
             self._dispatching = False
-        if until is not None and clock._now < until:
-            clock.advance_to(until)
-        return clock._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 from ..kernel.errors import SchedulingError
 from ..kernel.kernel import Kernel
 from ..kernel.process import Process
-from ..kernel.syscalls import BLOCKED, Call, Immediate
+from ..kernel.syscalls import BLOCKED, DONE, SysCall
 from ..trace.tracer import current_tracer
 
 POLICIES = ("priority", "fifo")
@@ -50,6 +50,29 @@ class _Job:
         self.cpu._reschedule()
 
 
+class CpuBurst(SysCall):
+    """One CPU burst request; build via :meth:`CPU.use`."""
+
+    __slots__ = ("cpu", "amount")
+
+    def apply(self, kernel: Kernel, process: Process):
+        if self.amount == 0:
+            return DONE
+        cpu = self.cpu
+        if process in cpu._jobs:
+            raise SchedulingError(
+                f"process {process.name} already has a job on {cpu.name}")
+        job = _Job(process, self.amount, next(cpu._seq), cpu)
+        cpu._jobs[process] = job
+        process.blocker = job
+        cpu._reschedule()
+        return BLOCKED
+
+    @property
+    def label(self) -> str:
+        return f"cpu({self.cpu.name})"
+
+
 class CPU:
     """A single CPU shared by all processes at one site."""
 
@@ -73,7 +96,7 @@ class CPU:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def use(self, amount: float) -> Call:
+    def use(self, amount: float) -> "CpuBurst":
         """Syscall: consume ``amount`` units of CPU time.
 
         The calling process is blocked until its burst completes; it may
@@ -82,20 +105,10 @@ class CPU:
         """
         if amount < 0:
             raise ValueError(f"CPU burst must be >= 0, got {amount}")
-
-        def attempt(kernel: Kernel, process: Process):
-            if amount == 0:
-                return Immediate(None)
-            if process in self._jobs:
-                raise SchedulingError(
-                    f"process {process.name} already has a job on {self.name}")
-            job = _Job(process, amount, next(self._seq), self)
-            self._jobs[process] = job
-            process.blocker = job
-            self._reschedule()
-            return BLOCKED
-
-        return Call(attempt, label=f"cpu({self.name})")
+        call = CpuBurst()
+        call.cpu = self
+        call.amount = amount
+        return call
 
     @property
     def load(self) -> int:
@@ -118,16 +131,31 @@ class CPU:
     # dispatch
     # ------------------------------------------------------------------
     def _select(self) -> Optional[_Job]:
-        if not self._jobs:
+        jobs = self._jobs
+        if not jobs:
             return None
+        # ``_jobs`` is in arrival order (a dict keeps insertion order
+        # and every burst is inserted once, with the next ``seq``), so
+        # its first job is the oldest and a strict ``>`` scan keeps
+        # first-come-first-served among equal priorities.
         if self.policy == "fifo":
             # Non-preemptive FCFS: the current job always continues.
             if self._running is not None:
                 return self._running
-            return min(self._jobs.values(), key=lambda job: job.seq)
-        return max(self._jobs.values(),
-                   key=lambda job: (job.process.effective_priority,
-                                    -job.seq))
+            return next(iter(jobs.values()))
+        best = None
+        best_priority = None
+        for job in jobs.values():
+            # Process.effective_priority, inlined (a frame per job).
+            process = job.process
+            priority = process.base_priority
+            inherited = process.inherited_priority
+            if inherited is not None and inherited > priority:
+                priority = inherited
+            if best is None or priority > best_priority:
+                best = job
+                best_priority = priority
+        return best
 
     def _reschedule(self) -> None:
         best = self._select()
@@ -143,7 +171,7 @@ class CPU:
                 raise SchedulingError(
                     f"negative remaining burst on {self.name}")
             if self._completion_event is not None:
-                self.kernel.events.cancel(self._completion_event)
+                self._completion_event.cancel()
                 self._completion_event = None
             if self.tracer is not None:
                 self.tracer.cpu_preempt(now, self.name,
@@ -176,7 +204,7 @@ class CPU:
             elapsed = self.kernel.now - self._slice_start
             self.busy_time += elapsed
             if self._completion_event is not None:
-                self.kernel.events.cancel(self._completion_event)
+                self._completion_event.cancel()
                 self._completion_event = None
             self._running = None
             del self._jobs[job.process]

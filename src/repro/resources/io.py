@@ -15,13 +15,14 @@ parallel-I/O assumption (it is not needed to reproduce any figure).
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Dict
 
 from ..kernel.errors import SchedulingError
 from ..kernel.kernel import Kernel
 from ..kernel.process import Process
 from ..kernel.scheduler import WaitQueue
-from ..kernel.syscalls import BLOCKED, Call, Immediate
+from ..kernel.syscalls import BLOCKED, DONE, SysCall
 
 
 class ParallelIO:
@@ -33,38 +34,41 @@ class ParallelIO:
         self.requests = 0
         self.total_service = 0.0
 
-    def use(self, amount: float) -> Call:
+    def use(self, amount: float) -> "IoBurst":
         """Syscall: perform ``amount`` time units of I/O (pure delay)."""
         if amount < 0:
             raise ValueError(f"I/O burst must be >= 0, got {amount}")
-
-        def attempt(kernel: Kernel, process: Process):
-            self.requests += 1
-            self.total_service += amount
-            if amount == 0:
-                return Immediate(None)
-            blocker = _IoBlocker()
-            blocker.event = kernel.after(
-                amount, lambda: kernel.ready(process))
-            process.blocker = blocker
-            return BLOCKED
-
-        return Call(attempt, label=f"io({self.name})")
+        call = IoBurst()
+        call.io = self
+        call.amount = amount
+        return call
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelIO({self.name!r}, requests={self.requests})"
 
 
-class _IoBlocker:
-    __slots__ = ("event",)
+class IoBurst(SysCall):
+    """One parallel-I/O request; build via :meth:`ParallelIO.use`."""
 
-    def __init__(self):
-        self.event = None
+    __slots__ = ("io", "amount")
 
-    def withdraw(self, process: Process) -> None:
-        if self.event is not None:
-            self.event.cancel()
-            self.event = None
+    def apply(self, kernel: Kernel, process: Process):
+        io = self.io
+        amount = self.amount
+        io.requests += 1
+        io.total_service += amount
+        if amount == 0:
+            return DONE
+        # A pure delay, like the Delay syscall: ``amount`` was checked
+        # non-negative at construction, and the wake-up event is its
+        # own blocker (withdraw == cancel).
+        process.blocker = kernel.events.schedule(
+            kernel.now + amount, partial(kernel.ready, process))
+        return BLOCKED
+
+    @property
+    def label(self) -> str:
+        return f"io({self.io.name})"
 
 
 class DiskArray:
@@ -85,35 +89,23 @@ class DiskArray:
         self.total_service = 0.0
         self.total_wait = 0.0
 
-    def use(self, amount: float) -> Call:
+    def use(self, amount: float) -> "DiskRequest":
         """Syscall: perform ``amount`` units of disk service, queueing
         behind other requests when all servers are busy."""
         if amount < 0:
             raise ValueError(f"disk burst must be >= 0, got {amount}")
-
-        def attempt(kernel: Kernel, process: Process):
-            self.requests += 1
-            self.total_service += amount
-            if amount == 0 and len(self._in_service) < self.servers:
-                return Immediate(None)
-            blocker = _DiskBlocker(self, kernel.now)
-            process.blocker = blocker
-            if len(self._in_service) < self.servers:
-                self._start(process, amount)
-            else:
-                self._queue.push(process, (blocker, amount))
-            return BLOCKED
-
-        return Call(attempt, label=f"disk({self.name})")
+        call = DiskRequest()
+        call.disks = self
+        call.amount = amount
+        return call
 
     def _start(self, process: Process, amount: float) -> None:
         blocker = process.blocker
         if isinstance(blocker, _DiskBlocker):
             self.total_wait += self.kernel.now - blocker.enqueued_at
             blocker.in_service = True
-        event = self.kernel.after(
-            amount, lambda: self._finish(process))
-        self._in_service[process] = event
+        self._in_service[process] = self.kernel.after(
+            amount, partial(self._finish, process))
 
     def _finish(self, process: Process) -> None:
         del self._in_service[process]
@@ -146,6 +138,31 @@ class DiskArray:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"DiskArray({self.name!r}, servers={self.servers}, "
                 f"busy={self.busy}, queued={self.queued})")
+
+
+class DiskRequest(SysCall):
+    """One disk-service request; build via :meth:`DiskArray.use`."""
+
+    __slots__ = ("disks", "amount")
+
+    def apply(self, kernel: Kernel, process: Process):
+        disks = self.disks
+        amount = self.amount
+        disks.requests += 1
+        disks.total_service += amount
+        if amount == 0 and len(disks._in_service) < disks.servers:
+            return DONE
+        blocker = _DiskBlocker(disks, kernel.now)
+        process.blocker = blocker
+        if len(disks._in_service) < disks.servers:
+            disks._start(process, amount)
+        else:
+            disks._queue.push(process, (blocker, amount))
+        return BLOCKED
+
+    @property
+    def label(self) -> str:
+        return f"disk({self.disks.name})"
 
 
 class _DiskBlocker:

@@ -117,16 +117,21 @@ def _execute_once(kernel: Kernel, txn: Transaction,
                   cc: "ConcurrencyControl", cpu: CPU, io: ParallelIO,
                   database: Database, costs: CostModel, probe=None):
     """One attempt: acquire-and-access every object, then commit."""
+    # A syscall only describes its request, so the two per-object
+    # bursts (constant cost) are built once and yielded per object.
+    cpu_burst = cpu.use(costs.cpu_per_object)
+    io_burst = io.use(costs.io_per_object)
     for oid, mode in txn.operations:
         blocked_at = kernel.now
         if probe is not None:
             probe.on_block(blocked_at)
         yield cc.acquire(txn, oid, mode)
+        waited = kernel.now - blocked_at
         if probe is not None:
-            probe.on_unblock(kernel.now, kernel.now - blocked_at)
-        txn.blocked_time += kernel.now - blocked_at
-        yield cpu.use(costs.cpu_per_object)
-        yield io.use(costs.io_per_object)
+            probe.on_unblock(kernel.now, waited)
+        txn.blocked_time += waited
+        yield cpu_burst
+        yield io_burst
         data_object = database.object(oid)
         if mode is LockMode.WRITE:
             data_object.write(float(txn.tid), kernel.now)

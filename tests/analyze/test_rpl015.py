@@ -108,6 +108,41 @@ def test_silent_in_tests():
     assert codes(source, path="tests/kernel/test_events.py") == []
 
 
+def test_fires_on_kernel_clock_write_outside_the_kernel_package():
+    # ``Kernel.now`` is a plain attribute so that reads cost no frame;
+    # the price is that only lint stops model code from moving time.
+    source = """
+    class Harness:
+        def skip_ahead(self, kernel, site):
+            kernel.now = 10.0
+            self.kernel.now += 1.0
+            site._kernel.now = 0.0
+    """
+    assert codes(source) == ["RPL015", "RPL015", "RPL015"]
+    assert "kernel.now" in lint(source)[0].message
+
+
+def test_silent_on_kernel_clock_reads_and_unrelated_now_fields():
+    source = """
+    class Probe:
+        def sample(self, kernel):
+            self.now = kernel.now
+            started = self.kernel.now
+            self.clock.now = started
+            return kernel.now - started
+    """
+    assert codes(source) == []
+
+
+def test_silent_on_clock_write_inside_the_kernel_package():
+    source = """
+    def run(kernel, time):
+        kernel.now = time
+    """
+    assert codes(source, path="src/repro/kernel/controlled.py") == []
+    assert codes(source, path="src/repro/kernel/turbo/engine.py") == []
+
+
 def test_honours_noqa():
     source = """
     def snapshot(events):

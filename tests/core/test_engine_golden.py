@@ -49,7 +49,19 @@ def test_turbo_summary_matches_reference_golden(name):
         + "\n  ".join(problems))
 
 
-def test_engine_config_field_reaches_the_kernel(monkeypatch):
+@pytest.fixture
+def uninstrumented(monkeypatch):
+    """Engine *selection* is only observable on an uninstrumented
+    kernel: the sanitized CI job exports REPRO_SANITIZE=1 over the
+    whole suite, and an ambient sanitizer forces the reference engine
+    (which is what the last test here checks on purpose)."""
+    from repro.analyze import sanitizer
+    monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
+    monkeypatch.setattr(sanitizer, "_ACTIVE", None)
+
+
+def test_engine_config_field_reaches_the_kernel(monkeypatch,
+                                                uninstrumented):
     # The env override (CI exports REPRO_ENGINE=turbo over the whole
     # suite) must not leak into this test of the *config* path.
     monkeypatch.delenv(ENV_ENGINE, raising=False)
@@ -62,7 +74,7 @@ def test_engine_config_field_reaches_the_kernel(monkeypatch):
     assert active_engine(reference.kernel) == "reference"
 
 
-def test_env_var_overrides_the_config_field(monkeypatch):
+def test_env_var_overrides_the_config_field(monkeypatch, uninstrumented):
     from repro.core.builder import SingleSiteSystem
     from repro.core.config import SingleSiteConfig
     monkeypatch.setenv(ENV_ENGINE, "turbo")
@@ -103,7 +115,7 @@ def test_unknown_engine_is_rejected(monkeypatch):
         make_kernel(engine="reference")
 
 
-def test_instrumentation_forces_the_reference_engine():
+def test_instrumentation_forces_the_reference_engine(uninstrumented):
     """Traced/metered/sanitized runs silently fall back to reference
     (their instrumentation contract is defined on the reference
     loop); the fallback is observable via ``active_engine`` only —

@@ -209,3 +209,74 @@ def test_two_receivers_each_get_one_message():
     kernel.spawn(sender(), "s")
     kernel.run()
     assert sorted(got) == [("r1", "a"), ("r2", "b")]
+
+
+def test_close_wakes_parked_receiver_with_port_closed():
+    # Regression: close() only set a flag, so a receiver parked before
+    # it stayed BLOCKED forever.
+    kernel = Kernel()
+    port = Port(kernel, "p")
+    outcome = []
+
+    def receiver():
+        try:
+            yield port.receive(timeout=50.0)
+            outcome.append("message")
+        except PortClosed:
+            outcome.append(("closed", kernel.now))
+
+    process = kernel.spawn(receiver(), "r")
+    kernel.at(1.0, port.close)
+    kernel.run()
+    assert outcome == [("closed", 1.0)]
+    assert process.terminated
+    assert port.waiting_receivers == 0
+    # The receive timeout was disarmed, not left to fire at t=50.
+    assert len(kernel.events) == 0 and kernel.now == 1.0
+
+
+def test_close_wakes_parked_rendezvous_sender_with_port_closed():
+    kernel = Kernel()
+    port = Port(kernel, "p")
+    outcome = []
+
+    def sender():
+        try:
+            yield port.send_sync("m")
+            outcome.append("delivered")
+        except PortClosed:
+            outcome.append(("closed", kernel.now))
+
+    process = kernel.spawn(sender(), "s")
+    kernel.at(2.0, port.close)
+    kernel.run()
+    assert outcome == [("closed", 2.0)]
+    assert process.terminated
+
+
+def test_close_from_a_parked_waiters_own_cleanup_schedules_nothing():
+    # A run abandoned with the owner still parked: finalising its
+    # generator runs `finally: port.close()` while it sits in the
+    # receiver queue.  There is nobody to deliver PortClosed to.
+    kernel = Kernel()
+    port = Port(kernel, "reply")
+
+    def owner():
+        try:
+            yield port.receive()
+        finally:
+            port.close()
+
+    process = kernel.spawn(owner(), "owner")
+    kernel.run()
+    assert port.waiting_receivers == 1
+    process.generator.close()
+    assert port.closed and port.waiting_receivers == 0
+    assert len(kernel.events) == 0
+
+
+def test_negative_receive_timeout_rejected_at_the_call_site():
+    port = Port(Kernel(), "p")
+    with pytest.raises(ValueError, match="timeout"):
+        port.receive(timeout=-1.0)
+    port.receive(timeout=0.0)  # zero is a legal (immediate) timeout

@@ -172,3 +172,10 @@ def test_waiting_count_tracks_blocked_processes():
     sem.signal()
     kernel.run(until=1.0)
     assert sem.waiting == 1
+
+
+def test_negative_wait_timeout_rejected_at_the_call_site():
+    sem = Semaphore(Kernel())
+    with pytest.raises(ValueError, match="timeout"):
+        sem.wait(timeout=-0.5)
+    sem.wait(timeout=0.0)  # zero is a legal (immediate) timeout

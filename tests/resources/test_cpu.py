@@ -189,4 +189,4 @@ def test_double_use_by_same_process_rejected():
     process = kernel.spawn(body(), "p")
     kernel.run(until=1.0)  # process is mid-burst
     with pytest.raises(SchedulingError, match="already has a job"):
-        cpu.use(1.0).fn(kernel, process)
+        cpu.use(1.0).apply(kernel, process)
