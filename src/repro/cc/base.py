@@ -23,6 +23,7 @@ Subclasses implement ``_can_acquire`` (the admission test),
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Iterable, List, Optional
 
 from ..analyze.sanitizer import current_sanitizer
@@ -32,9 +33,11 @@ from ..telemetry.probes import CCProbe
 from ..telemetry.registry import current_metrics
 from ..trace.tracer import current_tracer
 from ..kernel.kernel import Kernel
-from ..kernel.process import Process
+from ..kernel.process import Process, ProcessState
 from ..kernel.syscalls import BLOCKED, DONE, SysCall
 from ..txn.transaction import Transaction
+
+_RUNNING = ProcessState.RUNNING
 
 
 class CCStats:
@@ -53,7 +56,7 @@ class CCStats:
         "blocks",              # requests that had to wait
         "ceiling_blocks",      # blocked with no direct lock conflict
         "direct_blocks",       # blocked on an incompatible holder
-        "deadlocks",           # deadlock cycles resolved (2PL family)
+        "deadlocks",           # deadlock cycles detected (2PL family)
         "inheritance_events",  # effective-priority raises applied
     )
 
@@ -108,6 +111,15 @@ class Request:
                 f"mode={self.mode})")
 
 
+#: Sort keys over waiting requests: enqueue order, and priority order
+#: with enqueue order breaking ties.
+by_seq = attrgetter("seq")
+
+
+def by_priority_then_seq(request: Request):
+    return (-request.txn.priority, request.seq)
+
+
 class _RequestBlocker:
     """Kernel blocker protocol adapter for a waiting lock request."""
 
@@ -152,6 +164,10 @@ class ConcurrencyControl:
         #: the per-object lock queue (same relative order as
         #: ``waiting``).  Maintained by _enqueue/_dequeue only.
         self._waiting_by_oid: dict = {}
+        #: tid -> that transaction's waiting requests, in enqueue order
+        #: (one entry except for async requests in flight together).
+        #: Keyed by tid: an int key hashes without a Python-level call.
+        self._waiting_by_tid: dict = {}
         self.stats = CCStats()
         self._seq = itertools.count()
         #: Transactions currently carrying inherited priority from us.
@@ -241,6 +257,10 @@ class ConcurrencyControl:
         # (deadlock victim); it must leave protocol state clean if so.
         self._on_block(request)
         self._after_change()
+        if process.blocker is None:
+            # _on_block aborted another victim, and its leaving the
+            # queue admitted this very request (see _grant_waiter).
+            return DONE
         return BLOCKED
 
     def acquire_async(self, txn: Transaction, oid: int, mode: LockMode,
@@ -298,8 +318,10 @@ class ConcurrencyControl:
         """Withdraw every queued async request of ``txn`` (abort path).
 
         Returns the number removed."""
-        stale = [request for request in self.waiting
-                 if request.txn is txn and request.on_grant is not None]
+        if txn.tid not in self._waiting_by_tid:
+            return 0
+        stale = [request for request in self._waiting_by_tid[txn.tid]
+                 if request.on_grant is not None]
         for request in stale:
             self._dequeue(request)
             if self.tracer is not None:
@@ -391,10 +413,15 @@ class ConcurrencyControl:
             self.meter.on_unblock(now, request, now - request.since)
             self.meter.on_grant(now, request.txn, request.oid,
                                 waited=True)
+        process = request.process
         if request.on_grant is not None:
             request.on_grant()
+        elif process.state is _RUNNING:
+            # Granted from inside the requester's own attempt(): it
+            # never parked, so there is nothing to make ready.
+            process.blocker = None
         else:
-            self.kernel.ready(request.process)
+            self.kernel.ready(process)
 
     def _withdraw(self, request: Request) -> None:
         """Interrupt cleanup: the waiter leaves the wait set."""
@@ -410,6 +437,15 @@ class ConcurrencyControl:
     def _enqueue(self, request: Request) -> None:
         self.waiting.append(request)
         self._waiting_by_oid.setdefault(request.oid, []).append(request)
+        # Nothing below is a call when this is the transaction's only
+        # request: the index must not add a frame to any protocol's
+        # block path.
+        by_tid = self._waiting_by_tid
+        tid = request.txn.tid
+        if tid in by_tid:
+            by_tid[tid].append(request)
+        else:
+            by_tid[tid] = [request]
 
     def _dequeue(self, request: Request) -> None:
         self.waiting.remove(request)
@@ -417,6 +453,12 @@ class ConcurrencyControl:
         queue.remove(request)
         if not queue:
             del self._waiting_by_oid[request.oid]
+        tid = request.txn.tid
+        own = self._waiting_by_tid[tid]
+        if own == [request]:
+            del self._waiting_by_tid[tid]
+        else:
+            own.remove(request)
 
     # ------------------------------------------------------------------
     # inheritance plumbing shared by PI and ceiling protocols

@@ -16,7 +16,8 @@ original deadline and priority — the classical restart model).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Set)
 
 VICTIM_POLICIES = ("none", "requester", "lowest_priority", "youngest")
 
@@ -37,40 +38,55 @@ class WaitsForGraph:
     def find_cycle_through(self, start: Hashable) -> Optional[List]:
         """Return a cycle containing ``start`` as a node list (without
         the repeated node), or None."""
-        path: List[Hashable] = []
-        on_path: Set[Hashable] = set()
-        visited: Set[Hashable] = set()
-
-        def dfs(node: Hashable) -> Optional[List]:
-            path.append(node)
-            on_path.add(node)
-            for successor in self._edges.get(node, ()):
-                if successor is start and len(path) >= 1:
-                    return list(path)
-                if successor in on_path:
-                    continue  # a cycle not through start
-                if successor in visited:
-                    continue
-                found = dfs(successor)
-                if found is not None:
-                    return found
-            path.pop()
-            on_path.discard(node)
-            visited.add(node)
-            return None
-
-        return dfs(start)
+        edges = self._edges
+        return find_cycle_through(start,
+                                  lambda node: edges.get(node, ()))
 
     def __contains__(self, node: Hashable) -> bool:
         return node in self._edges
 
 
-def build_waits_for(waiting_requests, lock_table) -> WaitsForGraph:
-    """Construct the graph from a protocol's wait set and lock table.
+def find_cycle_through(start: Hashable,
+                       successors: Callable[[Hashable], Iterable]
+                       ) -> Optional[List]:
+    """Depth-first search for a cycle containing ``start``; returns it
+    as a node list (without the repeated node), or None.
 
-    A waiter waits for: (a) every holder whose lock conflicts with its
-    request, and (b) — for priority-ordered queues — nothing else; queue
-    jumping means waiters do not wait on other waiters.
+    ``successors(node)`` is called exactly once per reachable node, when
+    the search first enters it, and is iterated in its own order — so a
+    caller may build each node's edges on demand, and two callers whose
+    successor iterables agree element for element find the same cycle.
+    Cycles that do not pass through ``start`` are ignored.
+    """
+    path: List[Hashable] = []
+    entered: Set[Hashable] = {start}
+
+    def dfs(node: Hashable) -> Optional[List]:
+        path.append(node)
+        for successor in successors(node):
+            if successor is start:
+                return list(path)
+            if successor in entered:
+                continue  # on the path (a cycle not through start) or done
+            entered.add(successor)
+            found = dfs(successor)
+            if found is not None:
+                return found
+        path.pop()
+        return None
+
+    return dfs(start)
+
+
+def build_waits_for(waiting_requests, lock_table) -> WaitsForGraph:
+    """Construct the lock-conflict graph from a wait set and lock table:
+    each waiter waits for every holder whose lock conflicts with its
+    request.
+
+    Lock conflicts are only half of the 2PL waits-for relation: a waiter
+    also waits for the waiters queued *ahead* of it on the same object.
+    Those edges depend on the queue policy, which the lock table does
+    not know; :meth:`TwoPhaseLocking._waits_for` adds them on top.
     """
     graph = WaitsForGraph()
     for request in waiting_requests:

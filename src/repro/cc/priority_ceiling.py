@@ -45,15 +45,11 @@ from typing import Dict, List, Optional, Set
 
 from ..db.locks import LockError, LockMode
 from ..txn.transaction import Transaction
-from .base import ConcurrencyControl, Request
+from .base import (ConcurrencyControl, Request, by_priority_then_seq,
+                   by_seq)
 
 
 _priority = attrgetter("priority")
-_seq = attrgetter("seq")
-
-
-def _grant_key(request: Request):
-    return (-request.txn.priority, request.seq)
 
 
 class PriorityCeiling(ConcurrencyControl):
@@ -283,7 +279,7 @@ class PriorityCeiling(ConcurrencyControl):
             for request in boosted:
                 del self._shared[request.txn]
             self._solo.extend(boosted)
-            self._solo.sort(key=_seq)
+            self._solo.sort(key=by_seq)
 
     def _shared_top(self) -> Optional[Request]:
         """Highest-priority, then earliest, member of the shared group."""
@@ -302,7 +298,7 @@ class PriorityCeiling(ConcurrencyControl):
         # same barrier) fails it too, so the top stands for all.
         top = self._shared_top()
         candidates = self._solo if top is None else self._solo + [top]
-        return sorted(candidates, key=_grant_key)
+        return sorted(candidates, key=by_priority_then_seq)
 
     # ------------------------------------------------------------------
     # inheritance

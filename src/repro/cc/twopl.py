@@ -16,16 +16,25 @@ difference is purely in *ordering*:
 Deadlocks are possible in both; they are detected continuously (at block
 time) via the waits-for graph and resolved by aborting a victim, which
 releases its locks and restarts from scratch with its original deadline.
+
+Both the wake-up and the deadlock search do work proportional to what
+changed (DESIGN.md §9): a waiter's admissibility depends on its own
+object's lock record and queue only, so a re-evaluation looks at the
+waiters of objects a holder or a waiter *left* since the last one; and
+the search builds waits-for edges only for the transactions it reaches
+from the requester.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..db.locks import LockMode
 from ..txn.transaction import DeadlockAbort, Transaction
-from .base import ConcurrencyControl, Request
-from .deadlock import VICTIM_POLICIES, build_waits_for, choose_victim
+from .base import (ConcurrencyControl, Request, by_priority_then_seq,
+                   by_seq)
+from .deadlock import (VICTIM_POLICIES, build_waits_for, choose_victim,
+                       find_cycle_through)
 
 
 class TwoPhaseLocking(ConcurrencyControl):
@@ -41,6 +50,13 @@ class TwoPhaseLocking(ConcurrencyControl):
             raise ValueError(f"unknown victim policy {victim_policy!r}; "
                              f"expected one of {VICTIM_POLICIES}")
         self.victim_policy = victim_policy
+        #: Objects whose waiters may have become admissible since the
+        #: last completed re-evaluation: those a holder left (journaled
+        #: by the lock table) or a waiter left (``_dequeue``).  A grant
+        #: or an enqueue can only take admissibility away, so neither
+        #: marks anything.  Used as an ordered set.
+        self._dirty: Dict[int, None] = {}
+        self.locks.freed = self._dirty
 
     # ------------------------------------------------------------------
     # admission
@@ -70,8 +86,8 @@ class TwoPhaseLocking(ConcurrencyControl):
 
     def _own_request(self, txn: Transaction,
                      oid: int) -> Optional[Request]:
-        for request in self._waiting_by_oid.get(oid, ()):
-            if request.txn is txn:
+        for request in self._waiting_by_tid.get(txn.tid, ()):
+            if request.oid == oid:
                 return request
         return None
 
@@ -95,17 +111,36 @@ class TwoPhaseLocking(ConcurrencyControl):
     # wakeup order
     # ------------------------------------------------------------------
     def _grant_order(self) -> List[Request]:
-        if self.queue_policy == "fifo":
-            return sorted(self.waiting, key=lambda r: r.seq)
-        return sorted(self.waiting,
-                      key=lambda r: (-r.txn.priority, r.seq))
+        """The waiters of dirty objects, in the order the whole wait set
+        would be reconsidered: every waiter that can be admissible is
+        among them, so the first admissible one is the same."""
+        by_oid = self._waiting_by_oid
+        candidates = [request for oid in self._dirty if oid in by_oid
+                      for request in by_oid[oid]]
+        candidates.sort(key=by_seq if self.queue_policy == "fifo"
+                        else by_priority_then_seq)
+        return candidates
+
+    def _reevaluate(self) -> None:
+        if not self._dirty:
+            # Nothing left since the last pass ended with no admissible
+            # waiter: there is still none.
+            self._after_change()
+            return
+        super()._reevaluate()
+        # The last pass found nothing grantable among the dirty
+        # objects' waiters, and nothing else could have changed.
+        self._dirty.clear()
+
+    def _dequeue(self, request: Request) -> None:
+        super()._dequeue(request)
+        self._dirty[request.oid] = None
 
     # ------------------------------------------------------------------
     # deadlock handling
     # ------------------------------------------------------------------
     def _on_block(self, request: Request) -> None:
-        graph = self._waits_for()
-        cycle = graph.find_cycle_through(request.txn)
+        cycle = find_cycle_through(request.txn, self._waits_on)
         if cycle is None:
             return
         self.stats.deadlocks += 1
@@ -148,7 +183,33 @@ class TwoPhaseLocking(ConcurrencyControl):
             return choose_victim(candidates, "youngest", request.txn)
         return choose_victim(candidates, self.victim_policy, request.txn)
 
+    def _waits_on(self, txn: Transaction) -> Set[Transaction]:
+        """The transactions ``txn`` waits for — its edges in
+        :meth:`_waits_for`, built for this one node.
+
+        Cycle (hence victim) parity with the full graph rests on set
+        iteration order, which is a function of the insertion sequence:
+        conflicting holders of each of ``txn``'s requests first, then
+        the waiters ahead of each in its object's queue — the sequence
+        ``build_waits_for`` plus the queue-order loop insert for this
+        node, both walking requests in enqueue order.
+        """
+        targets: Set[Transaction] = set()
+        requests = self._waiting_by_tid.get(txn.tid, ())
+        conflicting_holders = self.locks.conflicting_holders
+        for request in requests:
+            targets.update(
+                conflicting_holders(request.oid, txn, request.mode))
+        for request in requests:
+            for other in self._waiting_by_oid[request.oid]:
+                if (other.txn is not txn
+                        and self._ahead_of(other, request, txn)):
+                    targets.add(other.txn)
+        return targets
+
     def _waits_for(self):
+        """The whole waits-for graph.  Introspection and the test
+        oracle only: ``_on_block`` searches :meth:`_waits_on` edges."""
         graph = build_waits_for(self.waiting, self.locks)
         # Queue-order waits are waits too: without these edges a cycle
         # closed through a fairness wait would go undetected.  The

@@ -17,7 +17,9 @@ sequence number.  A protocol layer that keeps a derived view (the
 ceiling protocol's barrier index) subscribes to the table and is told
 the oid after every state transition, so the view stays current
 without being re-derived — including when a test or recovery path
-drives the table directly.
+drives the table directly.  A protocol that only asks *where a holder
+left* (the 2PL family's wake-up) plugs in a departure journal instead
+(:attr:`LockTable.freed`): nothing is called, and grants cost nothing.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ class LockTable:
         #: Weak reference to the protocol keeping a derived view, or
         #: None; see :meth:`subscribe`.
         self._listener: Optional[weakref.ref] = None
+        #: Departure journal: a protocol that only needs to know where
+        #: a holder *left* (the 2PL family's wake-up) stores a dict
+        #: here, and ``release``/``release_all`` record each freed oid
+        #: in it as a key.  Grants are not journaled, and nothing is
+        #: called — cheaper than :meth:`subscribe` for that question.
+        #: The protocol owns the dict and empties it.
+        self.freed: Optional[Dict[int, None]] = None
         #: Sanitizer hook (see :mod:`repro.analyze.invariants`): when
         #: set, ``on_table_grant``/``on_table_release`` fire after every
         #: state transition, catching corruption that slips past the
@@ -101,7 +110,17 @@ class LockTable:
         Held weakly: the listener is the protocol that owns this table,
         and a strong back-reference would make every finished system
         cyclic garbage that only the collector can free.
+
+        There is one listener slot: subscribing a second object while
+        the first is alive raises :class:`LockError` rather than
+        silently blinding the first one's view.
         """
+        current = (self._listener() if self._listener is not None
+                   else None)
+        if current is not None and current is not listener:
+            raise LockError(
+                f"lock table already notifies {current!r}; cannot also "
+                f"subscribe {listener!r}")
         self._listener = weakref.ref(listener)
 
     def _notify(self, oid: int) -> None:
@@ -232,6 +251,8 @@ class LockTable:
         self._held_by[owner].discard(oid)
         if not self._held_by[owner]:
             del self._held_by[owner]
+        if self.freed is not None:
+            self.freed[oid] = None
         if self._listener is not None:
             self._notify(oid)
         if self.observer is not None:
@@ -248,6 +269,10 @@ class LockTable:
             if not record.holders:
                 del records[oid]
         self._held_by.pop(owner, None)
+        freed = self.freed
+        if freed is not None:
+            for oid in oids:
+                freed[oid] = None
         if self._listener is not None:
             for oid in oids:
                 self._notify(oid)

@@ -96,6 +96,10 @@ class WorkloadGenerator:
         self.n_sites = n_sites
         self.catalog = catalog
         self._prefix = stream_prefix
+        #: The whole database, built once: every transaction samples
+        #: from it (a list, which ``random.sample`` takes without the
+        #: ABC checks a ``range`` costs per draw).
+        self._all_oids = list(range(db_size))
         if catalog is not None and catalog.n_sites != n_sites:
             raise ValueError(
                 f"catalog has {catalog.n_sites} sites, generator expects "
@@ -121,7 +125,7 @@ class WorkloadGenerator:
                                      self.n_sites - 1)
                     if self.n_sites > 1 else 0)
             oids = self.rng.sample(f"{self._prefix}.objects",
-                                   range(self.db_size), size)
+                                   self._all_oids, size)
             operations = tuple((oid, LockMode.READ) for oid in oids)
             return TransactionSpec(arrival, operations, site,
                                    TransactionType.READ_ONLY)
@@ -135,18 +139,19 @@ class WorkloadGenerator:
             write_pool = self.catalog.primaries_at(site)
         else:
             site = 0
-            write_pool = list(range(self.db_size))
+            write_pool = self._all_oids
         n_writes = max(1, round(self.write_fraction * size))
         n_writes = min(n_writes, size, len(write_pool))
         n_reads = size - n_writes
         write_oids = self.rng.sample(f"{self._prefix}.objects",
                                      write_pool, n_writes)
-        written = set(write_oids)
-        read_pool = [oid for oid in range(self.db_size)
-                     if oid not in written]
-        read_oids = (self.rng.sample(f"{self._prefix}.objects",
-                                     read_pool, n_reads)
-                     if n_reads > 0 else [])
+        read_oids = []
+        if n_reads > 0:
+            written = set(write_oids)
+            read_pool = [oid for oid in self._all_oids
+                         if oid not in written]
+            read_oids = self.rng.sample(f"{self._prefix}.objects",
+                                        read_pool, n_reads)
         operations = ([(oid, LockMode.WRITE) for oid in write_oids] +
                       [(oid, LockMode.READ) for oid in read_oids])
         # Access order is random (sample order is already random for the

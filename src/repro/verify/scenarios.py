@@ -302,6 +302,17 @@ def _twopl_3x3() -> Tuple[Any, List[Any]]:
     return _single_site("L", specs, db_size=3)
 
 
+def _twopl_3x1() -> Tuple[Any, List[Any]]:
+    # Two writers and a reader convoy on one object: no cycle can form,
+    # so — unlike the deadlock-prone 2PL scenarios, where every
+    # interleaving ends in deadline misses anyway — a miss here can
+    # only be a waiter nobody woke.
+    specs = [_spec(0.0, [(0, _W)]),
+             _spec(0.0, [(0, _W)]),
+             _spec(0.0, [(0, _R)])]
+    return _single_site("L", specs, db_size=1)
+
+
 def _dist_global_2x2() -> Tuple[Any, List[Any]]:
     # Two sites, one writer each, overlapping on object 0; 2PC runs
     # under every explored message-delivery order.
@@ -335,6 +346,9 @@ SCENARIOS: Dict[str, Scenario] = {
         Scenario("twopl-3x3",
                  "2PL, 3 txns / 3 objects, three-way circular conflict",
                  _twopl_3x3, expect_deadlocks=True),
+        Scenario("twopl-3x1",
+                 "2PL, 3 txns / 1 object, deadlock-free convoy",
+                 _twopl_3x1),
         Scenario("dist-global-2x2",
                  "global ceiling, 2 sites / 2 txns, shared hot object",
                  _dist_global_2x2),

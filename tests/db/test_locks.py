@@ -128,3 +128,46 @@ def test_len_counts_grants():
     table.grant(1, "b", LockMode.READ)
     table.grant(2, "a", LockMode.WRITE)
     assert len(table) == 3
+
+
+class _Listener:
+    def __init__(self):
+        self.changed = []
+
+    def on_lock_change(self, oid):
+        self.changed.append(oid)
+
+
+def test_second_live_subscriber_is_refused():
+    table = LockTable()
+    first = _Listener()
+    table.subscribe(first)
+    table.subscribe(first)  # the same listener again: a no-op
+    with pytest.raises(LockError, match="already notifies"):
+        table.subscribe(_Listener())
+    table.grant(1, "t1", LockMode.READ)
+    assert first.changed == [1], "the refused subscriber took the slot"
+
+
+def test_dead_subscriber_frees_the_slot():
+    table = LockTable()
+    table.subscribe(_Listener())  # collected at once: held weakly
+    second = _Listener()
+    table.subscribe(second)
+    table.grant(1, "t1", LockMode.READ)
+    assert second.changed == [1]
+
+
+def test_departure_journal_records_releases_not_grants():
+    table = LockTable()
+    table.freed = {}
+    table.grant(1, "t1", LockMode.READ)
+    table.grant(1, "t2", LockMode.READ)
+    table.grant(2, "t1", LockMode.WRITE)
+    table.grant(3, "t1", LockMode.WRITE)
+    assert table.freed == {}
+    table.release(1, "t2")  # journaled although oid 1 stays locked
+    assert list(table.freed) == [1]
+    table.freed.clear()
+    table.release_all("t1")
+    assert list(table.freed) == [1, 2, 3]

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cc.base import ConcurrencyControl
 from repro.cc.priority_ceiling import PriorityCeiling
+from repro.cc.twopl import TwoPhaseLocking
 
 
 @pytest.fixture
@@ -68,3 +69,24 @@ def stale_index(monkeypatch):
             heapq.heapify(self._shared_heap)
 
     monkeypatch.setattr(PriorityCeiling, "_enqueue", mutated)
+
+
+@pytest.fixture
+def stale_dirty(monkeypatch):
+    """The 2PL dirty set misses the objects a transaction frees when an
+    *earlier* transaction is waiting behind it — the lock table's
+    departure journal is unplugged for that release — so the waiters
+    on them are never looked at again."""
+    orig = TwoPhaseLocking.release_all
+
+    def mutated(self, txn):
+        if not any(request.txn.tid < txn.tid
+                   for request in self.waiting):
+            return orig(self, txn)
+        self.locks.freed = None
+        try:
+            return orig(self, txn)
+        finally:
+            self.locks.freed = self._dirty
+
+    monkeypatch.setattr(TwoPhaseLocking, "release_all", mutated)

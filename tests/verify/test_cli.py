@@ -62,3 +62,13 @@ def test_stale_wakeup_index_exits_one(capsys, stale_index):
     assert not report["clean"]
     assert any(violation["code"].startswith("VFY-")
                for violation in report["violations"])
+
+
+def test_stale_dirty_set_exits_one(capsys, stale_dirty):
+    code = main(["--scenario", "twopl-3x1", "--reduction", "hash",
+                 "--schedules", "500", "--format", "json"])
+    assert code == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    assert not report["clean"]
+    assert any(violation["code"] == "VFY-MISS"
+               for violation in report["violations"])

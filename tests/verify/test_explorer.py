@@ -11,6 +11,7 @@ _EXHAUSTIVE = {
     "pcp-2x2": 6,
     "twopl-2x2": 48,
     "pcp-3x2": 120,
+    "twopl-3x1": 90,
 }
 
 

@@ -66,6 +66,31 @@ def test_explorer_finds_stale_index(stale_index):
     assert report.first_violation_prefix is not None
 
 
+def test_default_schedule_misses_stale_dirty(stale_dirty):
+    explorer = Explorer(SCENARIOS["twopl-3x1"], max_schedules=500,
+                        reduction="hash")
+    outcome = explorer.execute((), reduced=False)
+    assert not outcome.codes
+
+
+def test_explorer_finds_stale_dirty(stale_dirty):
+    explorer = Explorer(SCENARIOS["twopl-3x1"], max_schedules=500,
+                        reduction="hash")
+    report = explorer.explore()
+    assert "VFY-MISS" in report.codes
+    assert report.first_violation_prefix is not None
+
+
+def test_lost_wakeup_bites_on_two_phase_locking(lost_wakeup):
+    """2PL overrides ``_reevaluate``; it must still go through the
+    base method the mutation replaces."""
+    explorer = Explorer(SCENARIOS["twopl-3x1"], max_schedules=500,
+                        reduction="hash")
+    assert not explorer.execute((), reduced=False).codes
+    report = explorer.explore()
+    assert "VFY-MISS" in report.codes
+
+
 def test_counterexample_minimizes_and_replays(ceiling_hole):
     explorer = Explorer(SCENARIOS["pcp-2x2"], max_schedules=200,
                         reduction="hash")
