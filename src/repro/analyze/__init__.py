@@ -13,13 +13,33 @@ Two independent prongs (see DESIGN.md, "Correctness tooling"):
   contract independently (double-entry bookkeeping for invariants).
 """
 
-from .engine import Finding, LintEngine, render_json, render_text
+import importlib
+
 from .invariants import (CeilingChecker, ProtocolChecker,
                          ReplicationChecker, TwoPhaseChecker, Violation)
-from .rules import DEFAULT_RULES, RULE_INDEX
 from .sanitizer import (ENV_VAR, Sanitizer, SanitizerViolation,
                         current_sanitizer, install_sanitizer, sanitize,
                         sanitizer_enabled, uninstall_sanitizer)
+
+#: The lint prong's public names and their modules.  Resolved on first
+#: access: the simulation stack imports this package for the sanitizer
+#: (``cc/base.py``) and must not pay for the AST engine and the rule
+#: table on every ``import repro``.
+_LAZY = {
+    "Finding": "engine", "LintEngine": "engine",
+    "render_json": "engine", "render_text": "engine",
+    "DEFAULT_RULES": "rules", "RULE_INDEX": "rules",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "CeilingChecker",

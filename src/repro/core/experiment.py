@@ -22,7 +22,7 @@ import dataclasses
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..dist.system import DistributedSystem
-from ..exec import plan_batch, run_units
+from ..exec import plan_batch, rows_by_group, run_units
 from ..exec.cache import CacheSpec
 from .builder import SingleSiteSystem
 from .config import DistributedConfig, SingleSiteConfig
@@ -62,12 +62,9 @@ def replicate_many(configs: Sequence[object], replications: int = 10,
     result = run_units(units, jobs=jobs, cache=cache,
                        progress=progress,
                        fleet=fleet).require_success()
-    summaries: List[Dict[str, float]] = []
-    for group in range(len(configs)):
-        rows = [row for unit, row in zip(units, result.rows)
-                if unit.group == group]
-        summaries.append(aggregate_runs(rows))
-    return summaries
+    grouped = rows_by_group(units, result.rows)
+    return [aggregate_runs(grouped[group])
+            for group in range(len(configs))]
 
 
 def replicate(config, replications: int = 10, base_seed: int = 1, *,

@@ -12,6 +12,10 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 
+#: Exact numeric types (``bool`` is an ``int`` subclass, not a metric).
+_NUMBERS = frozenset((int, float))
+
+
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
@@ -82,20 +86,34 @@ def aggregate_runs(rows: Iterable[Dict[str, float]]) -> Dict[str, float]:
     rows = list(rows)
     if not rows:
         raise ValueError("no runs to aggregate")
+    count = len(rows)
+    root = math.sqrt(count)
     result: Dict[str, float] = {}
     for key in rows[0]:
         values: List[float] = []
         for row in rows:
-            value = row.get(key)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, float)):
+            try:
+                value = row[key]
+            except KeyError:
+                break
+            if type(value) not in _NUMBERS and (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float))):
                 break
             values.append(float(value))
         else:
-            if values:
-                result[key] = mean(values)
-                result[key + "_std"] = sample_std(values)
-                result[key + "_ci95"] = confidence_interval(values)
-    result["n"] = len(rows)
-    result["runs"] = float(len(rows))
+            # mean(), sample_std() and confidence_interval() in one
+            # pass: the same operations in the same order, so every
+            # float is bit-identical to the three-function formula.
+            centre = sum(values) / count
+            deviation = 0.0
+            if count >= 2:
+                deviation = math.sqrt(
+                    sum([(v - centre) ** 2 for v in values])
+                    / (count - 1))
+            result[key] = centre
+            result[key + "_std"] = deviation
+            result[key + "_ci95"] = 1.96 * deviation / root
+    result["n"] = count
+    result["runs"] = float(count)
     return result

@@ -18,7 +18,7 @@ from .fleet import FleetTelemetry, format_fleet_report
 from .host import host_clock, peak_rss_kb
 from .progress import NullProgress, TextProgress
 from .units import (RunUnit, group_rows, plan_batch, plan_replications,
-                    plan_subset, replication_seeds)
+                    plan_subset, replication_seeds, rows_by_group)
 from .worker import InjectedFailure, execute_config, invoke_unit
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "reset_session_counters",
     "resolve_cache",
     "resolve_jobs",
+    "rows_by_group",
     "run_units",
     "session_counters",
 ]

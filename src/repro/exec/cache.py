@@ -21,20 +21,49 @@ Resolution order for "should this run use a cache, and where":
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
 from typing import Optional, Union
 
-from .fingerprint import config_fingerprint, config_payload
+from .fingerprint import canonical_payload, config_fingerprint
 
 CacheSpec = Union["ResultCache", str, os.PathLike, bool, None]
+
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+#: With the pid, a temp-file name no other live writer is using.
+_TEMP_IDS = itertools.count()
 
 
 def default_cache_dir() -> str:
     """``REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
     return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
         os.path.expanduser("~"), ".cache", "repro")
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a fresh temp file beside ``path`` and rename
+    it into place; the temp file is gone on any failure."""
+    temp = f"{path}.{os.getpid()}-{next(_TEMP_IDS)}.tmp"
+    try:
+        fd = os.open(temp, _TEMP_FLAGS, 0o600)
+    except FileNotFoundError:   # first entry of this fan-out directory
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(temp, _TEMP_FLAGS, 0o600)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
 
 
 class ResultCache:
@@ -57,9 +86,8 @@ class ResultCache:
     def get(self, fingerprint: str) -> Optional[dict]:
         """The cached row, or None on miss / corrupt entry."""
         try:
-            with open(self.path_for(fingerprint), "r",
-                      encoding="utf-8") as handle:
-                payload = json.load(handle)
+            with open(self.path_for(fingerprint), "rb") as handle:
+                payload = json.loads(handle.read())
             row = payload["row"]
             if (payload.get("fingerprint") != fingerprint
                     or not isinstance(row, dict)):
@@ -79,22 +107,14 @@ class ResultCache:
         Write errors (read-only cache dir, disk full) are swallowed:
         caching is an optimisation, never a correctness requirement.
         """
-        path = self.path_for(fingerprint)
         payload = {"fingerprint": fingerprint, "row": row}
         if config is not None:
-            payload["config"] = json.loads(config_payload(config))
+            # Already in sorted key order, and memoised from the unit's
+            # fingerprint: nothing is re-encoded here.
+            payload["config"] = canonical_payload(config)
+        data = json.dumps(payload).encode("ascii")
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                "w", dir=os.path.dirname(path), suffix=".tmp",
-                delete=False, encoding="utf-8")
-            try:
-                json.dump(payload, handle)
-                handle.close()
-                os.replace(handle.name, path)
-            finally:
-                if os.path.exists(handle.name):  # replace failed
-                    os.unlink(handle.name)
+            _write_atomic(self.path_for(fingerprint), data)
         except OSError:
             return
         self.writes += 1

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 from .cache import CacheSpec, ResultCache, resolve_cache
 from .executor import (DEFAULT_BACKOFF, DEFAULT_RETRIES, ExecutionError,
                        ExecutionStats, UnitFailure, _Run, _resolve_float,
-                       _resolve_int, resolve_jobs, run_pool, run_serial)
+                       _resolve_int, resolve_jobs, run_serial)
 from .progress import NullProgress
 from .units import RunUnit
 
@@ -134,6 +134,9 @@ def run_units(units: Sequence[RunUnit], *, jobs: Optional[int] = None,
         if jobs == 1 or len(to_run) == 1:
             run_serial(run, to_run)
         else:
+            # Here, not at import: a serial run never pays for
+            # concurrent.futures.process and multiprocessing.
+            from .pool import run_pool
             run_pool(run, to_run, jobs)
     stats.elapsed = time.monotonic() - started
     run.failures.sort(key=lambda failure: failure.index)

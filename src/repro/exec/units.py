@@ -17,7 +17,7 @@ the serial runner always produced.
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, List, Sequence
+from typing import Dict, Hashable, List, Sequence
 
 #: Seed stride between successive replications of one configuration.
 SEED_STRIDE = 1000
@@ -130,3 +130,15 @@ def group_rows(units: Sequence[RunUnit], rows: Sequence[object],
     if len(units) != len(rows):
         raise ValueError(f"{len(rows)} rows for {len(units)} units")
     return [row for unit, row in zip(units, rows) if unit.group == group]
+
+
+def rows_by_group(units: Sequence[RunUnit], rows: Sequence[object]
+                  ) -> Dict[Hashable, List[object]]:
+    """Every plan group's merged rows, in unit order, from one pass
+    over the plan (:func:`group_rows` for all groups at once)."""
+    if len(units) != len(rows):
+        raise ValueError(f"{len(rows)} rows for {len(units)} units")
+    grouped: Dict[Hashable, List[object]] = {}
+    for unit, row in zip(units, rows):
+        grouped.setdefault(unit.group, []).append(row)
+    return grouped

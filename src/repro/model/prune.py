@@ -19,7 +19,7 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 from ..core.metrics import aggregate_runs
-from ..exec import group_rows, plan_subset, run_units
+from ..exec import plan_subset, rows_by_group, run_units
 from .response import predict_summary
 
 
@@ -104,8 +104,8 @@ def run_pruned_sweep(configs: Sequence[object],
     result = run_units(units, jobs=jobs, cache=cache,
                        progress=progress).require_success()
     simulated = {
-        group: aggregate_runs(group_rows(units, result.rows, group))
-        for group in kept}
+        group: aggregate_runs(rows)
+        for group, rows in rows_by_group(units, result.rows).items()}
     rows: List[Dict[str, float]] = []
     for index, config in enumerate(configs):
         if index in simulated:

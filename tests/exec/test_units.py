@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec import (group_rows, plan_batch, plan_replications,
-                        replication_seeds)
+                        plan_subset, replication_seeds, rows_by_group)
 from repro.exec.units import check_runnable
 
 from .conftest import tiny_config
@@ -52,3 +52,21 @@ def test_group_rows_selects_in_unit_order():
     assert group_rows(units, rows, 1) == ["b0", "b1"]
     with pytest.raises(ValueError):
         group_rows(units, rows[:3], 0)
+
+
+def test_rows_by_group_equals_group_rows_for_every_group():
+    """One pass over the plan against the per-group filter, on a
+    pruned plan whose group numbers have gaps."""
+    configs = [tiny_config(seed=seed) for seed in range(6)]
+    for units in (plan_subset(configs, [4, 1, 5], replications=3),
+                  plan_batch(configs, replications=2)):
+        rows = [f"row{unit.index}" for unit in units]
+        grouped = rows_by_group(units, rows)
+        groups = sorted({unit.group for unit in units})
+        assert list(grouped) == groups
+        for group in groups:
+            assert grouped[group] == group_rows(units, rows, group)
+        assert sum(len(chunk) for chunk in grouped.values()) == len(rows)
+    assert rows_by_group([], []) == {}
+    with pytest.raises(ValueError):
+        rows_by_group(units, rows[:-1])

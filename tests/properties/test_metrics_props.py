@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import (aggregate_runs, confidence_interval,
@@ -66,3 +66,48 @@ def test_aggregate_runs_means_match_manual(rows):
         assert math.isclose(aggregated[key], expected, rel_tol=1e-9,
                             abs_tol=1e-6)
     assert aggregated["runs"] == float(len(rows))
+
+
+def three_function_aggregate(rows):
+    """``aggregate_runs`` as first written: one call each of mean(),
+    sample_std() and confidence_interval() per key."""
+    result = {}
+    for key in rows[0]:
+        values = []
+        for row in rows:
+            value = row.get(key)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, float)):
+                break
+            values.append(float(value))
+        else:
+            result[key] = mean(values)
+            result[key + "_std"] = sample_std(values)
+            result[key + "_ci95"] = confidence_interval(values)
+    result["n"] = len(rows)
+    result["runs"] = float(len(rows))
+    return result
+
+
+cells = st.one_of(
+    st.floats(-1e12, 1e12), st.floats(-1e-6, 1e-6),
+    st.integers(-10**6, 10**6), st.booleans(), st.none(),
+    st.sampled_from(["C", "edf"]))
+summary_rows = st.lists(
+    st.dictionaries(st.sampled_from("abcdefgh"), cells, max_size=8),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(summary_rows)
+def test_one_pass_aggregate_is_bit_equal_to_three_functions(rows):
+    """n = 1, bools, ``None`` and keys missing from later rows
+    included; ``float.hex`` tells ``0.0`` from ``-0.0``."""
+    got, expected = aggregate_runs(rows), three_function_aggregate(rows)
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        assert type(got[key]) is type(value)
+        if isinstance(value, float):
+            assert got[key].hex() == value.hex(), key
+        else:
+            assert got[key] == value

@@ -12,8 +12,6 @@ fixtures live in ``conftest.py`` (the CLI tests share them).
 import json
 import os
 
-import pytest
-
 from repro.verify import (SCENARIOS, Explorer, minimize_prefix, replay,
                           write_counterexample)
 
