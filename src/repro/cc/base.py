@@ -84,21 +84,14 @@ class Request:
       a server process (the global ceiling manager); the grant invokes
       the callback instead — the requester is blocked elsewhere, waiting
       for the grant *message*.
+
+    No ``__init__``: :meth:`ConcurrencyControl.attempt` and
+    :meth:`~ConcurrencyControl.acquire_async`, the two constructing
+    sites, store every slot (a frame per block otherwise).
     """
 
     __slots__ = ("txn", "oid", "mode", "process", "seq", "since",
                  "on_grant")
-
-    def __init__(self, txn: Transaction, oid: int, mode: LockMode,
-                 process: Process, seq: int, since: float,
-                 on_grant=None):
-        self.txn = txn
-        self.oid = oid
-        self.mode = mode
-        self.process = process
-        self.seq = seq
-        self.since = since
-        self.on_grant = on_grant
 
     def waiter_priority(self) -> float:
         """Effective priority of the waiter (for inheritance)."""
@@ -121,13 +114,10 @@ def by_priority_then_seq(request: Request):
 
 
 class _RequestBlocker:
-    """Kernel blocker protocol adapter for a waiting lock request."""
+    """Kernel blocker protocol adapter for a waiting lock request
+    (slots stored by :meth:`ConcurrencyControl.attempt`)."""
 
     __slots__ = ("cc", "request")
-
-    def __init__(self, cc: "ConcurrencyControl", request: Request):
-        self.cc = cc
-        self.request = request
 
     def withdraw(self, process: Process) -> None:
         self.cc._withdraw(self.request)
@@ -241,10 +231,18 @@ class ConcurrencyControl:
         else:
             self.stats.ceiling_blocks += 1
             cause = BLOCKING_CEILING
-        request = Request(txn, oid, mode, process, next(self._seq),
-                          kernel.now)
+        request = Request()
+        request.txn = txn
+        request.oid = oid
+        request.mode = mode
+        request.process = process
+        request.seq = next(self._seq)
+        request.since = kernel.now
+        request.on_grant = None
         self._enqueue(request)
-        process.blocker = _RequestBlocker(self, request)
+        process.blocker = blocker = _RequestBlocker()
+        blocker.cc = self
+        blocker.request = request
         if self.sanitizer is not None:
             self.sanitizer.on_block(txn, oid, mode)
         if tracer is not None:
@@ -298,10 +296,14 @@ class ConcurrencyControl:
         else:
             self.stats.ceiling_blocks += 1
             cause = BLOCKING_CEILING
-        request = Request(txn, oid, mode,
-                          process if process is not None else txn.process,
-                          next(self._seq), self.kernel.now,
-                          on_grant=on_grant)
+        request = Request()
+        request.txn = txn
+        request.oid = oid
+        request.mode = mode
+        request.process = process if process is not None else txn.process
+        request.seq = next(self._seq)
+        request.since = self.kernel.now
+        request.on_grant = on_grant
         self._enqueue(request)
         if self.sanitizer is not None:
             self.sanitizer.on_block(txn, oid, mode)

@@ -57,14 +57,13 @@ class _LockRecord:
     to rescan).  ``seq`` is the order the object entered the table —
     protocol layers use it to reproduce table-iteration tie-breaks
     without iterating.
+
+    No ``__init__``: :meth:`LockTable.grant`, the one constructing
+    site, stores the slots (a frame per first lock on an object
+    otherwise).
     """
 
     __slots__ = ("holders", "writers", "seq")
-
-    def __init__(self, seq: int) -> None:
-        self.holders: Dict[Hashable, LockMode] = {}
-        self.writers = 0
-        self.seq = seq
 
 
 _EMPTY: Dict[Hashable, LockMode] = {}
@@ -206,8 +205,12 @@ class LockTable:
         record = self._records.get(oid)
         if record is None:
             return []
-        return [o for o, m in record.holders.items()
-                if o is not owner and not compatible(m, mode)]
+        # compatible(), unrolled on the requested mode: a read conflicts
+        # with the writers, anything else with every other holder.
+        if mode is LockMode.READ:
+            return [o for o, m in record.holders.items()
+                    if o is not owner and m is not LockMode.READ]
+        return [o for o in record.holders if o is not owner]
 
     # ------------------------------------------------------------------
     # transitions
@@ -221,7 +224,10 @@ class LockTable:
                 f"{self.holders(oid)}")
         record = self._records.get(oid)
         if record is None:
-            record = _LockRecord(self._seq)
+            record = _LockRecord()
+            record.holders = {}
+            record.writers = 0
+            record.seq = self._seq
             self._seq += 1
             self._records[oid] = record
         holders = record.holders
@@ -233,7 +239,11 @@ class LockTable:
             record.writers += 1
         else:
             holders[owner] = LockMode.READ
-        self._held_by.setdefault(owner, set()).add(oid)
+        held_oids = self._held_by.get(owner)
+        if held_oids is None:
+            self._held_by[owner] = {oid}
+        else:
+            held_oids.add(oid)
         if self._listener is not None:
             self._notify(oid)
         if self.observer is not None:

@@ -32,6 +32,13 @@ _TERMINATED = ProcessState.TERMINATED
 class Kernel:
     """Owns the clock, the event queue, and every process."""
 
+    #: Engine capability: :meth:`wake` may step the woken process
+    #: inside the completion callback when the instant is quiet.  An
+    #: engine whose queue cannot answer "is anything else due now?"
+    #: (turbo) overrides it to False and keeps the queued path; tests
+    #: store False on one kernel to get the queued path as an oracle.
+    fuses_wakes = True
+
     def __init__(self, seed: int = 0, trace: Optional[Callable] = None,
                  tracer=None):
         #: Current virtual time, in abstract "time units" (the paper
@@ -78,6 +85,16 @@ class Kernel:
         #: when set, :meth:`run` delegates to its controlled loop.
         self.controller = None
         self._dispatching = False
+        #: ``(heap, drain)`` aliases of the event queue's stores while
+        #: the reference loop is dispatching with :attr:`fuses_wakes`
+        #: on, else None — the flag and the operands of :meth:`wake`'s
+        #: quiet-instant test in one attribute read.
+        self._quiet = None
+        #: Completions whose resume :meth:`wake` ran in place instead
+        #: of scheduling it (``kernel.wakes_fused`` when metered).  A
+        #: fused wake dispatches no event, so ``events_dispatched``
+        #: alone under-reports the work scheduled by this count.
+        self.fused_wakes = 0
         #: Effective-priority changes applied through
         #: :meth:`set_inherited_priority`.  A protocol that caches a
         #: view of its waiters' priorities compares this against the
@@ -148,6 +165,45 @@ class Kernel:
         process.state = _READY
         process.pending_resume = self.events.schedule_resume(
             self.now, process, value, exc)
+
+    def wake(self, process: Process,
+             then: Optional[Callable[[], None]] = None) -> None:
+        """The tail of a completion callback: unblock ``process`` —
+        its delay expired, its burst finished — and run ``then()``, the
+        completing structure's own re-dispatch (a CPU starting its next
+        job).  ``then`` must not touch ``process``.
+
+        Equivalent to ``ready(process)`` followed by ``then()``, and on
+        a *quiet instant* one event cheaper: the resume ``ready`` would
+        schedule carries the highest sequence number of the current
+        instant, so when nothing else is queued at ``time <= now`` it
+        is provably the next event dispatched, and stepping the process
+        right here is the same schedule.  The test reads only the top
+        of each store, so a cancelled entry there counts as a tie (it
+        may hide a live one at the same instant), and it is made
+        *before* ``then()``, which may itself land an entry at ``now``
+        (a next job with nothing left to run) that the queued resume
+        would still have preceded.
+
+        Fuses only inside the reference :meth:`run`/:meth:`step` loop:
+        under a controller, on an engine without the capability, or
+        called by hand outside dispatch it is the queued path.
+        """
+        quiet = self._quiet
+        if quiet is not None and process.state is _BLOCKED:
+            heap, drain = quiet
+            now = self.now
+            if not (heap and heap[0][0] <= now
+                    or drain and drain[-1][0] <= now):
+                process.blocker = None
+                self.fused_wakes += 1
+                if then is not None:
+                    then()
+                self._resume(process, None, None)
+                return
+        self.ready(process)
+        if then is not None:
+            then()
 
     def interrupt(self, process: Process,
                   exc: ProcessInterrupt) -> bool:
@@ -225,6 +281,8 @@ class Kernel:
         # Both aliases are stable: compaction and backlog sorting
         # mutate the lists in place, never rebind them.
         heap, drain = events.prepare_dispatch()
+        if self.fuses_wakes:
+            self._quiet = heap, drain
         resume = self._resume
         # Metrics probe: one float comparison per event when on (the
         # probe samples only at window boundaries), literally nothing
@@ -245,7 +303,7 @@ class Kernel:
                         continue
                     self.now = entry[0]
                     if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0])
+                        probe_next = probe.sample(entry[0], self.fused_wakes)
                     callback = event.callback
                     if callback is not None:
                         callback()
@@ -261,7 +319,7 @@ class Kernel:
                         continue
                     self.now = entry[0]
                     if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0])
+                        probe_next = probe.sample(entry[0], self.fused_wakes)
                     callback = event.callback
                     if callback is not None:
                         callback()
@@ -294,7 +352,7 @@ class Kernel:
                         drain.pop()
                     self.now = entry[0]
                     if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0])
+                        probe_next = probe.sample(entry[0], self.fused_wakes)
                     callback = event.callback
                     if callback is not None:
                         callback()
@@ -312,7 +370,7 @@ class Kernel:
                     heappop(heap)
                     self.now = entry[0]
                     if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0])
+                        probe_next = probe.sample(entry[0], self.fused_wakes)
                     callback = event.callback
                     if callback is not None:
                         callback()
@@ -320,12 +378,19 @@ class Kernel:
                         resume(event.process, event.value, event.exc)
         finally:
             self._dispatching = False
+            self._quiet = None
         if until is not None and self.now < until:
             self.now = until
         return self.now
 
     def step(self) -> bool:
         """Dispatch a single event; returns False when the queue is empty.
+
+        One event is not always one action: a completion that ends in
+        :meth:`wake` on a quiet instant steps the woken process inside
+        the same ``step()`` (a delay expiring with nothing else due
+        runs the body up to its next block), where a tied instant
+        takes a second ``step()`` for the queued resume.
 
         Guarded against re-entrant use exactly like :meth:`run` — a
         step from inside a dispatching event callback would corrupt the
@@ -335,6 +400,8 @@ class Kernel:
             raise SimulationOver("Kernel.step is not re-entrant")
         self._dispatching = True
         try:
+            if self.fuses_wakes and self.controller is None:
+                self._quiet = self.events.prepare_dispatch()
             event = self.events.pop()
             if event is None:
                 return False
@@ -346,7 +413,7 @@ class Kernel:
             self.now = event.time
             probe = self.telemetry
             if probe is not None and event.time >= probe.next_window:
-                probe.sample(event.time)
+                probe.sample(event.time, self.fused_wakes)
             if event.callback is not None:
                 event.callback()
             else:
@@ -354,6 +421,7 @@ class Kernel:
             return True
         finally:
             self._dispatching = False
+            self._quiet = None
 
     # ------------------------------------------------------------------
     # internals

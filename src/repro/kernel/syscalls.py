@@ -4,7 +4,8 @@ Each syscall implements ``apply(kernel, process)`` and returns either
 ``Immediate(value)`` — the process continues in the same instant with
 ``value`` as the result of the ``yield`` — or the ``BLOCKED`` sentinel,
 in which case the process has been parked on some structure and will be
-resumed later via ``kernel.ready``.
+resumed later via ``kernel.ready`` (or ``kernel.wake``, from the
+completion callback of a timed structure).
 
 Model code normally uses the convenience wrappers on the structures
 themselves (``semaphore.wait()``, ``port.receive()``, ``cpu.use(t)``,
@@ -91,7 +92,7 @@ class Delay(SysCall):
             return DONE
         # The wake-up event is its own blocker (withdraw == cancel).
         process.blocker = kernel.events.schedule(
-            kernel.now + duration, partial(kernel.ready, process))
+            kernel.now + duration, partial(kernel.wake, process))
         return BLOCKED
 
 

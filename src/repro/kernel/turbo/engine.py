@@ -62,6 +62,8 @@ from .calendar import CalendarEventQueue
 class TurboKernel(Kernel):
     """Drop-in kernel with the calendar queue and batch-stepped loop."""
 
+    fuses_wakes = False  # Kernel.wake keeps the queued path here
+
     def _new_event_queue(self) -> CalendarEventQueue:
         return CalendarEventQueue()
 

@@ -31,16 +31,13 @@ POLICIES = ("priority", "fifo")
 
 
 class _Job:
-    """One CPU burst being serviced for a process."""
+    """One CPU burst being serviced for a process.
+
+    No ``__init__``: :meth:`CpuBurst.apply`, the one constructing
+    site, stores the slots (a frame per burst otherwise).
+    """
 
     __slots__ = ("process", "remaining", "seq", "cpu")
-
-    def __init__(self, process: Process, remaining: float, seq: int,
-                 cpu: "CPU"):
-        self.process = process
-        self.remaining = remaining
-        self.seq = seq
-        self.cpu = cpu
 
     # Blocker protocol -------------------------------------------------
     def withdraw(self, process: Process) -> None:
@@ -59,13 +56,31 @@ class CpuBurst(SysCall):
         if self.amount == 0:
             return DONE
         cpu = self.cpu
-        if process in cpu._jobs:
+        jobs = cpu._jobs
+        if process in jobs:
             raise SchedulingError(
                 f"process {process.name} already has a job on {cpu.name}")
-        job = _Job(process, self.amount, next(cpu._seq), cpu)
-        cpu._jobs[process] = job
+        job = _Job()
+        job.process = process
+        job.remaining = self.amount
+        job.seq = next(cpu._seq)
+        job.cpu = cpu
         process.blocker = job
-        cpu._reschedule()
+        idle = not jobs
+        jobs[process] = job
+        if not idle:
+            cpu._reschedule()
+            return BLOCKED
+        # Idle CPU — most bursts: there is nothing to select among or
+        # to preempt, so the job starts now.  What _reschedule would
+        # do, without it and _select.
+        now = kernel.now
+        cpu._running = job
+        cpu._slice_start = now
+        cpu._completion_event = kernel.events.schedule(
+            now + job.remaining, cpu._complete)
+        if cpu.tracer is not None:
+            cpu.tracer.cpu_dispatch(now, cpu.name, process)
         return BLOCKED
 
     @property
@@ -192,9 +207,11 @@ class CPU:
         self._completion_event = None
         self.busy_time += self.kernel.now - self._slice_start
         self._running = None
-        del self._jobs[job.process]
-        self.kernel.ready(job.process)
-        self._reschedule()
+        jobs = self._jobs
+        del jobs[job.process]
+        # An emptied CPU — most completions — has nothing to start.
+        self.kernel.wake(job.process,
+                         self._reschedule if jobs else None)
 
     def _withdraw(self, job: _Job) -> None:
         """Interrupt cleanup: remove the job, preempting if running."""

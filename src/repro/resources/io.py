@@ -63,7 +63,7 @@ class IoBurst(SysCall):
         # non-negative at construction, and the wake-up event is its
         # own blocker (withdraw == cancel).
         process.blocker = kernel.events.schedule(
-            kernel.now + amount, partial(kernel.ready, process))
+            kernel.now + amount, partial(kernel.wake, process))
         return BLOCKED
 
     @property
@@ -109,8 +109,7 @@ class DiskArray:
 
     def _finish(self, process: Process) -> None:
         del self._in_service[process]
-        self.kernel.ready(process)
-        self._dispatch()
+        self.kernel.wake(process, self._dispatch)
 
     def _dispatch(self) -> None:
         while self._queue and len(self._in_service) < self.servers:

@@ -30,7 +30,8 @@ class KernelProbe:
     """
 
     __slots__ = ("_registry", "_events", "_depth", "_dispatched",
-                 "_cancelled", "_seen_dispatched", "_seen_cancelled")
+                 "_cancelled", "_fused", "_seen_dispatched",
+                 "_seen_cancelled", "_seen_fused")
 
     def __init__(self, registry: MetricsRegistry, events):
         self._registry = registry
@@ -38,19 +39,27 @@ class KernelProbe:
         self._depth = registry.gauge(
             "kernel.queue_depth", "pending events in the kernel queue")
         self._dispatched = registry.counter(
-            "kernel.events_dispatched", "events popped and dispatched")
+            "kernel.events_dispatched",
+            "events popped and dispatched (a fused wake dispatches "
+            "none: add kernel.wakes_fused for work scheduled)")
         self._cancelled = registry.counter(
             "kernel.events_cancelled", "events cancelled (timer churn)")
+        self._fused = registry.counter(
+            "kernel.wakes_fused",
+            "completions whose resume ran in place, without an event")
         self._seen_dispatched = 0
         self._seen_cancelled = 0
+        self._seen_fused = 0
 
     @property
     def next_window(self) -> float:
         return self._registry._window_end
 
-    def sample(self, t: float) -> float:
-        """Record queue statistics at ``t``; returns the next window
-        boundary for the kernel to compare against."""
+    def sample(self, t: float, fused_wakes: int = 0) -> float:
+        """Record queue statistics at ``t`` (``fused_wakes`` is the
+        kernel's lifetime count; the queue never saw those resumes);
+        returns the next window boundary for the kernel to compare
+        against."""
         live, dispatched, cancelled = self._events.queue_stats()
         self._depth.set(t, live)
         delta = dispatched - self._seen_dispatched
@@ -61,6 +70,10 @@ class KernelProbe:
         if delta > 0:
             self._cancelled.inc(t, delta)
             self._seen_cancelled = cancelled
+        delta = fused_wakes - self._seen_fused
+        if delta > 0:
+            self._fused.inc(t, delta)
+            self._seen_fused = fused_wakes
         return self._registry._window_end
 
 

@@ -79,10 +79,34 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
     timer = DeadlineTimer(kernel, txn.process, txn.deadline,
                           lambda: DeadlineMiss(txn.tid))
     try:
+        # A syscall only describes its request, so the two per-object
+        # bursts (constant cost) are built once and yielded per object.
+        cpu_burst = cpu.use(costs.cpu_per_object)
+        io_burst = io.use(costs.io_per_object)
         while True:  # restart loop for deadlock victims
             try:
-                yield from _execute_once(kernel, txn, cc, cpu, io,
-                                         database, costs, probe)
+                # One attempt — acquire-and-access every object, then
+                # commit — written out here rather than delegated with
+                # ``yield from``: every resume would cross both frames.
+                for oid, mode in txn.operations:
+                    blocked_at = kernel.now
+                    if probe is not None:
+                        probe.on_block(blocked_at)
+                    yield cc.acquire(txn, oid, mode)
+                    waited = kernel.now - blocked_at
+                    if probe is not None:
+                        probe.on_unblock(kernel.now, waited)
+                    txn.blocked_time += waited
+                    yield cpu_burst
+                    yield io_burst
+                    data_object = database.object(oid)
+                    if mode is LockMode.WRITE:
+                        data_object.write(float(txn.tid), kernel.now)
+                    else:
+                        data_object.read()
+                if costs.commit_cpu > 0:
+                    yield cpu.use(costs.commit_cpu)
+                cc.release_all(txn)
                 txn.mark_committed(kernel.now)
                 if cc.sanitizer is not None:
                     cc.sanitizer.on_commit(txn)
@@ -111,35 +135,6 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
         timer.cancel()
         cc.deregister(txn)
         on_done(txn)
-
-
-def _execute_once(kernel: Kernel, txn: Transaction,
-                  cc: "ConcurrencyControl", cpu: CPU, io: ParallelIO,
-                  database: Database, costs: CostModel, probe=None):
-    """One attempt: acquire-and-access every object, then commit."""
-    # A syscall only describes its request, so the two per-object
-    # bursts (constant cost) are built once and yielded per object.
-    cpu_burst = cpu.use(costs.cpu_per_object)
-    io_burst = io.use(costs.io_per_object)
-    for oid, mode in txn.operations:
-        blocked_at = kernel.now
-        if probe is not None:
-            probe.on_block(blocked_at)
-        yield cc.acquire(txn, oid, mode)
-        waited = kernel.now - blocked_at
-        if probe is not None:
-            probe.on_unblock(kernel.now, waited)
-        txn.blocked_time += waited
-        yield cpu_burst
-        yield io_burst
-        data_object = database.object(oid)
-        if mode is LockMode.WRITE:
-            data_object.write(float(txn.tid), kernel.now)
-        else:
-            data_object.read()
-    if costs.commit_cpu > 0:
-        yield cpu.use(costs.commit_cpu)
-    cc.release_all(txn)
 
 
 def spawn_transaction(kernel: Kernel, txn: Transaction,

@@ -83,10 +83,17 @@ class Transaction:
         self.site = site
         self.txn_type = txn_type
         self.periodic = periodic
-        self.read_set = frozenset(oid for oid, mode in operations
-                                  if mode is LockMode.READ)
-        self.write_set = frozenset(oid for oid, mode in operations
-                                   if mode is LockMode.WRITE)
+        # One pass; each frozenset sees the insertion sequence a
+        # filtering generator would feed it, so it iterates the same.
+        reads: List[int] = []
+        writes: List[int] = []
+        for oid, mode in operations:
+            if mode is LockMode.READ:
+                reads.append(oid)
+            elif mode is LockMode.WRITE:
+                writes.append(oid)
+        self.read_set = frozenset(reads)
+        self.write_set = frozenset(writes)
         # -- runtime ----------------------------------------------------
         self.process = None  # kernel Process of the transaction manager
         self.status = TransactionStatus.PENDING

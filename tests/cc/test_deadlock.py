@@ -8,6 +8,16 @@ from repro.cc.base import Request
 from tests.conftest import make_txn
 
 
+def make_request(txn, oid, mode, seq):
+    """A parked-nowhere request (``Request`` has no ``__init__``: the
+    protocol's constructing sites store the slots)."""
+    request = Request()
+    request.txn, request.oid, request.mode = txn, oid, mode
+    request.process, request.seq, request.since = None, seq, 0.0
+    request.on_grant = None
+    return request
+
+
 def test_no_cycle_in_a_chain():
     graph = WaitsForGraph()
     graph.add_edges("a", ["b"])
@@ -56,14 +66,12 @@ def test_build_waits_for_connects_waiters_to_conflicting_holders():
     t1 = make_txn([(1, "w")], priority=1)
     t2 = make_txn([(1, "w")], priority=2)
     table.grant(1, t1, LockMode.WRITE)
-    request = Request(t2, 1, LockMode.WRITE, process=None, seq=0,
-                      since=0.0)
+    request = make_request(t2, 1, LockMode.WRITE, seq=0)
     graph = build_waits_for([request], table)
     assert graph.find_cycle_through(t2) is None
     # Close the cycle: t1 waits on something t2 holds.
     table.grant(2, t2, LockMode.WRITE)
-    request_back = Request(t1, 2, LockMode.WRITE, process=None, seq=1,
-                           since=0.0)
+    request_back = make_request(t1, 2, LockMode.WRITE, seq=1)
     graph = build_waits_for([request, request_back], table)
     assert graph.find_cycle_through(t2) is not None
 
@@ -73,8 +81,7 @@ def test_read_locks_do_not_create_edges_for_readers():
     t1 = make_txn([(1, "r")], priority=1)
     t2 = make_txn([(1, "r")], priority=2)
     table.grant(1, t1, LockMode.READ)
-    request = Request(t2, 1, LockMode.READ, process=None, seq=0,
-                      since=0.0)
+    request = make_request(t2, 1, LockMode.READ, seq=0)
     graph = build_waits_for([request], table)
     assert graph.find_cycle_through(t2) is None
 

@@ -76,3 +76,16 @@ def test_can_grant_iff_no_conflicting_holders(actions, owner, oid):
     for mode in (LockMode.READ, LockMode.WRITE):
         expected = not table.conflicting_holders(oid, owner, mode)
         assert table.can_grant(oid, owner, mode) == expected
+
+
+@given(st.lists(action, max_size=60), st.sampled_from(OWNERS),
+       st.sampled_from(OIDS))
+def test_conflicting_holders_is_compatible_applied_per_holder(
+        actions, owner, oid):
+    # The table unrolls ``compatible`` on the requested mode; the
+    # predicate stays the definition, holder order included.
+    table = apply_actions(actions)
+    for mode in (LockMode.READ, LockMode.WRITE):
+        expected = [other for other, held in table.holders(oid).items()
+                    if other != owner and not compatible(held, mode)]
+        assert table.conflicting_holders(oid, owner, mode) == expected

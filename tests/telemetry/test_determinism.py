@@ -7,6 +7,8 @@ distributed scenario.  This is what lets ``repro run --metrics``
 coexist with the result cache and the golden tier-1 suite.
 """
 
+import contextlib
+
 import pytest
 
 from repro.telemetry import MetricsRegistry, current_metrics, metering
@@ -51,6 +53,7 @@ def test_probes_populate_expected_families():
     registry.finalize()
     names = {series["name"] for series in registry.dump()["series"]}
     assert "kernel.events_dispatched" in names
+    assert "kernel.wakes_fused" in names
     assert "cc.grants" in names
     assert "txn.committed" in names
     assert "cc.wait_time" in names    # histogram family
@@ -70,3 +73,49 @@ def test_summary_never_grows_metrics_keys():
     with metering(MetricsRegistry()):
         row = run_scenario("single_site_pcp")
     assert not any(key.startswith("metrics_") for key in row)
+
+
+def test_fused_wakes_are_counted_beside_dispatched_events():
+    # A fused wake dispatches no event; without its own counter a
+    # metrics diff across the change reads as less work scheduled.
+    with metering(MetricsRegistry()) as registry:
+        run_scenario("single_site_pcp")
+    registry.finalize()
+    series = {entry["name"]: entry
+              for entry in registry.dump()["series"]}
+    fused = series["kernel.wakes_fused"]
+    assert fused["kind"] == "counter"
+    assert fused["points"][-1][1] > 0
+    assert "fused wake" in series["kernel.events_dispatched"]["help"]
+
+
+def test_instrumented_runs_fuse_exactly_like_plain_ones():
+    from repro.analyze.sanitizer import sanitize
+    from repro.core.builder import SingleSiteSystem
+    from repro.core.config import SingleSiteConfig, WorkloadConfig
+    from repro.trace.tracer import tracing
+
+    from ..core.golden_scenarios import _reset_counters
+
+    config = SingleSiteConfig(
+        protocol="P", db_size=40, seed=5,
+        workload=WorkloadConfig(n_transactions=40, transaction_size=5))
+
+    def run(context):
+        _reset_counters()
+        with context:
+            system = SingleSiteSystem(config)
+            system.run()
+        return system
+
+    plain = run(contextlib.nullcontext())
+    counts = []
+    for context in (tracing(), metering(MetricsRegistry()), sanitize()):
+        system = run(context)
+        assert system.summary() == plain.summary()
+        counts.append(system.kernel.fused_wakes)
+    assert counts[0] > 0 and counts.count(counts[0]) == 3
+    # Under REPRO_ENGINE=turbo the plain run is on the engine without
+    # the capability (nothing fused); instrumented runs never are.
+    expected = counts[0] if plain.kernel.fuses_wakes else 0
+    assert plain.kernel.fused_wakes == expected

@@ -21,6 +21,18 @@ def test_access_sets_derived_from_operations():
     assert not txn.is_read_only
 
 
+def test_access_sets_iterate_like_sets_filled_in_operation_order():
+    # Protocols iterate these sets; their order is a function of the
+    # insertion sequence, which must stay "operations, filtered".
+    operations = [(oid % 97 * 8, mode)
+                  for oid, mode in zip(range(40, 0, -1), "rwwrw" * 8)]
+    txn = make_txn(operations, priority=1)
+    reads = frozenset(oid for oid, mode in operations if mode == "r")
+    writes = frozenset(oid for oid, mode in operations if mode == "w")
+    assert list(txn.read_set) == list(reads)
+    assert list(txn.write_set) == list(writes)
+
+
 def test_read_only_detection():
     txn = make_txn([(1, "r"), (2, "r")], priority=1)
     assert txn.is_read_only
