@@ -19,11 +19,13 @@ Each rule needs a fact that spans more than one AST node:
   ``clock()`` slips through them — reaching definitions catch it).
 - **RPL012 — orphaned mutation of shared protocol state.**  Every
   mutation of a lock manager's shared state (``waiting``,
-  ``_waiting_by_oid``, ``_waiting_by_tid``, ``locks``) must be
-  reachable from its public API — the entry points the kernel and
-  transaction managers call.  A mutating helper with no path from any
-  entry point is dead code at best and a protocol bypass at worst (the
-  classic refactor residue: the caller moved, the helper stayed).
+  ``_waiting_by_oid``, ``_waiting_by_tid``, ``locks``, and the
+  tid-keyed tables ``active``, ``_shared``, ``_inheriting``,
+  ``_inheriting_txn``) must be reachable from its public API — the
+  entry points the kernel and transaction managers call.  A mutating
+  helper with no path from any entry point is dead code at best and a
+  protocol bypass at worst (the classic refactor residue: the caller
+  moved, the helper stayed).
   Reachability runs over the module-local reference graph,
   over-approximated so only genuine orphans are flagged.
 """
@@ -49,7 +51,8 @@ _NONDETERMINISTIC_MODULES = {"time", "datetime", "random", "secrets"}
 
 #: Shared lock-manager state attributes patrolled by RPL012.
 _PROTOCOL_STATE = {"waiting", "_waiting_by_oid", "_waiting_by_tid",
-                   "locks"}
+                   "locks", "active", "_shared", "_inheriting",
+                   "_inheriting_txn"}
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = {"append", "remove", "pop", "clear", "insert", "extend",

@@ -37,7 +37,6 @@ virtual-time deterministic, which is property-tested elsewhere).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -65,10 +64,8 @@ _SIZES = {
 def _reset_counters() -> None:
     """Process-global id counters restart so every measured run does
     identical work regardless of what ran before it."""
-    import repro.kernel.process as process_module
-    import repro.txn.transaction as transaction_module
-    transaction_module._tid_counter = itertools.count(1)
-    process_module._pid_counter = itertools.count(1)
+    from ..core.experiment import reset_id_counters
+    reset_id_counters()
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..analyze.sanitizer import current_sanitizer
 from ..constants import BLOCKING_CEILING, BLOCKING_DIRECT
@@ -38,6 +38,7 @@ from ..kernel.syscalls import BLOCKED, DONE, SysCall
 from ..txn.transaction import Transaction
 
 _RUNNING = ProcessState.RUNNING
+_TERMINATED = ProcessState.TERMINATED
 
 
 class CCStats:
@@ -160,8 +161,14 @@ class ConcurrencyControl:
         self._waiting_by_tid: dict = {}
         self.stats = CCStats()
         self._seq = itertools.count()
-        #: Transactions currently carrying inherited priority from us.
-        self._inheriting: set = set()
+        #: tids of the transactions currently carrying inherited
+        #: priority from us, and tid -> transaction for exactly those.
+        #: A *set* of tids, not a dict: the restore loop of
+        #: _apply_inheritance iterates it, and a set of ints iterates
+        #: as the set of transactions it replaces did (``hash(txn)`` is
+        #: ``txn.tid``) — that order reaches set_inherited_priority.
+        self._inheriting: Set[int] = set()
+        self._inheriting_txn: Dict[int, Transaction] = {}
         #: Invariant checker when the protocol sanitizer is active
         #: (REPRO_SANITIZE / repro.analyze.sanitize); None keeps every
         #: hook site a single attribute test.
@@ -344,7 +351,7 @@ class ConcurrencyControl:
             self.tracer.lock_release(self.kernel.now, txn, freed)
         if self.meter is not None and freed:
             self.meter.on_release(self.kernel.now, txn, freed)
-        if freed or txn in self._inheriting:
+        if freed or txn.tid in self._inheriting:
             self._reevaluate()
         return freed
 
@@ -465,37 +472,49 @@ class ConcurrencyControl:
     # ------------------------------------------------------------------
     # inheritance plumbing shared by PI and ceiling protocols
     # ------------------------------------------------------------------
-    def _apply_inheritance(self, contributions: dict) -> bool:
-        """Set inherited priorities from {txn: priority}.
+    def _apply_inheritance(self, contributions: Dict[int, float],
+                           holders: Dict[int, Transaction]) -> bool:
+        """Set inherited priorities from {tid: priority}; ``holders``
+        maps each of those tids to its transaction.
 
         Transactions that previously inherited but no longer appear are
         cleared.  ``contributions`` values are effective priorities of
-        the waiters each holder blocks.  Returns True if any effective
-        priority changed (the PI fixpoint loop uses this to propagate
-        inheritance chains).
+        the waiters each holder blocks.  The kernel is only told of a
+        priority that differs from the one the process carries.
+        Returns True if any inherited priority changed (the PI fixpoint
+        loop uses this to propagate inheritance chains).
         """
         changed = False
-        for txn in list(self._inheriting):
-            if txn not in contributions:
-                self._inheriting.discard(txn)
-                if txn.process is not None and not txn.process.terminated:
-                    if txn.process.inherited_priority is not None:
-                        changed = True
-                        if self.tracer is not None:
-                            self.tracer.priority_restore(
-                                self.kernel.now, txn)
-                    self.kernel.set_inherited_priority(txn.process, None)
-        for txn, priority in contributions.items():
-            if txn.process is None or txn.process.terminated:
+        kernel = self.kernel
+        inheriting = self._inheriting
+        inheriting_txn = self._inheriting_txn
+        for tid in list(inheriting):
+            if tid not in contributions:
+                inheriting.discard(tid)
+                txn = inheriting_txn.pop(tid)
+                process = txn.process
+                if (process is not None
+                        and process.state is not _TERMINATED
+                        and process.inherited_priority is not None):
+                    changed = True
+                    if self.tracer is not None:
+                        self.tracer.priority_restore(kernel.now, txn)
+                    kernel.set_inherited_priority(process, None)
+        for tid, priority in contributions.items():
+            txn = holders[tid]
+            process = txn.process
+            if process is None or process.state is _TERMINATED:
                 continue
-            if txn.process.inherited_priority != priority:
+            if process.inherited_priority != priority:
                 self.stats.inheritance_events += 1
                 changed = True
                 if self.tracer is not None:
-                    self.tracer.priority_inherit(self.kernel.now, txn,
+                    self.tracer.priority_inherit(kernel.now, txn,
                                                  priority)
-            self.kernel.set_inherited_priority(txn.process, priority)
-            self._inheriting.add(txn)
+                kernel.set_inherited_priority(process, priority)
+            if tid not in inheriting:
+                inheriting.add(tid)
+                inheriting_txn[tid] = txn
         return changed
 
     # ------------------------------------------------------------------

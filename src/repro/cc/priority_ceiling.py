@@ -40,16 +40,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..db.locks import LockError, LockMode
+from ..kernel.process import ProcessState
 from ..txn.transaction import Transaction
 from .base import (ConcurrencyControl, Request, by_priority_then_seq,
                    by_seq)
 
-
-_priority = attrgetter("priority")
+_TERMINATED = ProcessState.TERMINATED
 
 
 class PriorityCeiling(ConcurrencyControl):
@@ -63,15 +62,18 @@ class PriorityCeiling(ConcurrencyControl):
         self.exclusive_only = exclusive_only
         if exclusive_only:
             self.name = "Cx"
-        #: Active transactions (started, not completed).
-        self.active: Set[Transaction] = set()
-        #: oid -> active transactions declaring a write on it, and the
-        #: static write-priority ceiling that follows from them.
-        self._writers: Dict[int, Set[Transaction]] = {}
+        #: Active transactions (started, not completed), by tid.  The
+        #: protocol's tables are keyed by tid throughout: an int key
+        #: hashes without a Python-level call.
+        self.active: Dict[int, Transaction] = {}
+        #: oid -> {tid: priority} of the active transactions declaring
+        #: a write on it, and the static write-priority ceiling that
+        #: follows from them.
+        self._writers: Dict[int, Dict[int, float]] = {}
         self._write_ceilings: Dict[int, float] = {}
-        #: oid -> active transactions declaring any access to it, and
-        #: the static absolute-priority ceiling.
-        self._accessors: Dict[int, Set[Transaction]] = {}
+        #: oid -> {tid: priority} of the active transactions declaring
+        #: any access to it, and the static absolute-priority ceiling.
+        self._accessors: Dict[int, Dict[int, float]] = {}
         self._absolute_ceilings: Dict[int, float] = {}
         #: Barrier index: sorted (-rw_ceiling, table_seq, oid) over the
         #: locked oids that have a ceiling, and each oid's current entry.
@@ -80,19 +82,34 @@ class PriorityCeiling(ConcurrencyControl):
         self._entries: List[tuple] = []
         self._entry_of: Dict[int, tuple] = {}
         self.locks.subscribe(self)
+        #: oid -> lock record of every locked oid (the table's live
+        #: read-only view).
+        self._locked = self.locks.records
         #: Wake-up index (see DESIGN.md §9).  Waiters whose transaction
         #: holds no lock all see the barrier ``_entries[0]``; they are
-        #: the *shared* group: txn -> its request, plus a lazy-deletion
+        #: the *shared* group: tid -> its request, plus a lazy-deletion
         #: heap of (-priority, seq, request) whose live top stands for
         #: the whole group.  Everyone else waits in ``_solo`` (enqueue
         #: order) and is evaluated one by one.
-        self._shared: Dict[Transaction, Request] = {}
+        self._shared: Dict[int, Request] = {}
         self._shared_heap: List[tuple] = []
         self._solo: List[Request] = []
-        #: kernel.inheritance_changes as of the end of the last
-        #: _after_change: a different value means another protocol
-        #: instance re-prioritised a process in between.
+        #: Settled state (see DESIGN.md §9).  ``_epoch`` counts the
+        #: changes to what _can_acquire and _after_change read: every
+        #: lock-table transition, every static-ceiling change on a
+        #: locked oid, every waiter queued or dequeued.  ``_settled``
+        #: is its value at the end of the last _after_change, and
+        #: ``_inheritance_seen`` is kernel.inheritance_changes as of
+        #: then: a different value means another protocol instance
+        #: re-prioritised a process in between.  ``_lent`` is that
+        #: pass's final contributions (tid -> priority): what the
+        #: process of each transaction in ``_inheriting_txn`` should
+        #: still carry.  With all of it unmoved a re-evaluation can
+        #: grant nothing and re-prioritise nobody.
+        self._epoch = 0
+        self._settled = 0
         self._inheritance_seen = kernel.inheritance_changes
+        self._lent: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # active set maintenance (drives the static ceilings)
@@ -106,50 +123,78 @@ class PriorityCeiling(ConcurrencyControl):
 
     def register(self, txn: Transaction) -> None:
         super().register(txn)
-        self.active.add(txn)
+        tid = txn.tid
+        self.active[tid] = txn
         priority = txn.priority
-        is_locked = self.locks.is_locked
+        locked = self._locked
         for index, ceilings, oids in self._declarations(txn):
             for oid in oids:
-                index.setdefault(oid, set()).add(txn)
+                if oid in index:
+                    index[oid][tid] = priority
+                else:
+                    index[oid] = {tid: priority}
                 ceiling = ceilings.get(oid)
                 if ceiling is None or ceiling < priority:
                     ceilings[oid] = priority
-                    if is_locked(oid):
-                        self._refresh_entry(oid)
+                    if oid in locked:
+                        self._refresh_entry(oid, locked[oid])
         if self.tracer is not None:
             self.tracer.ceiling_raise(self.kernel.now, txn,
                                       self._active_ceiling())
 
     def deregister(self, txn: Transaction) -> None:
-        self.active.discard(txn)
+        tid = txn.tid
+        if tid in self.active:
+            del self.active[tid]
         priority = txn.priority
-        is_locked = self.locks.is_locked
+        locked = self._locked
         for index, ceilings, oids in self._declarations(txn):
             for oid in oids:
                 declarers = index.get(oid)
-                if declarers is None or txn not in declarers:
+                if declarers is None or tid not in declarers:
                     continue
-                declarers.discard(txn)
+                del declarers[tid]
                 if not declarers:
                     del index[oid]
                     del ceilings[oid]
                 elif ceilings[oid] == priority:
-                    ceilings[oid] = max(map(_priority, declarers))
+                    ceilings[oid] = max(declarers.values())
                 else:
                     continue
-                if is_locked(oid):
-                    self._refresh_entry(oid)
+                if oid in locked:
+                    self._refresh_entry(oid, locked[oid])
         if self.tracer is not None:
             self.tracer.ceiling_lower(self.kernel.now, txn,
                                       self._active_ceiling())
-        super().deregister(txn)  # ceilings dropped: re-evaluate waiters
+        if self.sanitizer is not None:
+            self.sanitizer.on_deregister(txn)
+        # Ceilings dropped: re-evaluate the waiters — unless nothing
+        # that a re-evaluation reads moved since the last one settled
+        # (the usual case: release_all just ran it, and the ceilings
+        # that dropped were on unlocked objects).
+        if (self._epoch == self._settled
+                and self.kernel.inheritance_changes
+                == self._inheritance_seen):
+            # Another agent may have overwritten a priority we lent
+            # without moving the effective one (both below the base
+            # priority): the kernel does not count that, and the pass
+            # would write ours back.
+            lent = self._lent
+            inheriting_txn = self._inheriting_txn
+            for tid in inheriting_txn:
+                process = inheriting_txn[tid].process
+                if (process.state is not _TERMINATED
+                        and process.inherited_priority != lent[tid]):
+                    break
+            else:
+                return
+        self._reevaluate()
 
     def _active_ceiling(self) -> Optional[float]:
         """Highest priority among active transactions (trace snapshot:
         the static-ceiling upper bound after a set change)."""
         best: Optional[float] = None
-        for txn in self.active:
+        for txn in self.active.values():
             if best is None or txn.priority > best:
                 best = txn.priority
         return best
@@ -171,9 +216,13 @@ class PriorityCeiling(ConcurrencyControl):
             return self._absolute_ceilings.get(oid)
         return self._write_ceilings.get(oid)
 
-    def _refresh_entry(self, oid: int) -> None:
-        """Bring ``oid``'s barrier-index entry in line with the lock
-        table and the static ceilings.
+    def _refresh_entry(self, oid: int, record) -> None:
+        """Bring ``oid``'s barrier-index entry in line with its lock
+        record (None: unlocked) and the static ceilings.
+
+        Every call unsettles the protocol, whether or not the entry
+        tuple moves: a reader joining a read lock leaves the tuple
+        alone but changes whose barrier the entry is.
 
         Ordering parity with the historical per-request scan: that scan
         kept the *first* oid in table-iteration order whose ceiling was
@@ -181,12 +230,13 @@ class PriorityCeiling(ConcurrencyControl):
         ceilings, the lowest table insertion seq — which is exactly the
         head of this sort order once self-held-only entries are skipped.
         """
+        self._epoch += 1
         entry = None
-        seq = self.locks.record_seq(oid)
-        if seq is not None:
-            ceiling = self.rw_ceiling(oid)
+        if record is not None:
+            ceiling = (self._absolute_ceilings if record.writers
+                       else self._write_ceilings).get(oid)
             if ceiling is not None:
-                entry = (-ceiling, seq, oid)
+                entry = (-ceiling, record.seq, oid)
         stale = self._entry_of.get(oid)
         if entry == stale:
             return
@@ -216,7 +266,7 @@ class PriorityCeiling(ConcurrencyControl):
     # admission
     # ------------------------------------------------------------------
     def acquire(self, txn: Transaction, oid: int, mode: LockMode):
-        if txn not in self.active:
+        if txn.tid not in self.active:
             raise LockError(f"transaction {txn.tid} must be registered "
                             f"before acquiring locks under {self.name}")
         if self.exclusive_only:
@@ -243,15 +293,17 @@ class PriorityCeiling(ConcurrencyControl):
     # ------------------------------------------------------------------
     def _enqueue(self, request: Request) -> None:
         super()._enqueue(request)
+        self._epoch += 1
         txn = request.txn
+        tid = txn.tid
         # The shared group's one barrier and one priority stand for a
         # member only while it holds nothing and waits at its own
         # priority; a second request of a member also goes solo.
-        if (txn in self._shared or self.locks.holds_any(txn)
+        if (tid in self._shared or self.locks.holds_any(txn)
                 or request.waiter_priority() != txn.priority):
             self._solo.append(request)
             return
-        self._shared[txn] = request
+        self._shared[tid] = request
         heap = self._shared_heap
         if len(heap) > 2 * len(self._shared) + 16:
             # Withdrawn low-priority members never surface: drop them
@@ -264,8 +316,10 @@ class PriorityCeiling(ConcurrencyControl):
 
     def _dequeue(self, request: Request) -> None:
         super()._dequeue(request)
-        if self._shared.get(request.txn) is request:
-            del self._shared[request.txn]  # heap entry dies lazily
+        self._epoch += 1
+        tid = request.txn.tid
+        if self._shared.get(tid) is request:
+            del self._shared[tid]  # heap entry dies lazily
         else:
             self._solo.remove(request)
 
@@ -277,7 +331,7 @@ class PriorityCeiling(ConcurrencyControl):
                    if request.waiter_priority() != request.txn.priority]
         if boosted:
             for request in boosted:
-                del self._shared[request.txn]
+                del self._shared[request.txn.tid]
             self._solo.extend(boosted)
             self._solo.sort(key=by_seq)
 
@@ -287,7 +341,7 @@ class PriorityCeiling(ConcurrencyControl):
         shared = self._shared
         while heap:
             request = heap[0][2]
-            if shared.get(request.txn) is request:
+            if shared.get(request.txn.tid) is request:
                 return request
             heappop(heap)
         return None
@@ -334,23 +388,37 @@ class PriorityCeiling(ConcurrencyControl):
             shared = self._shared
             place = 0
             for request in self.waiting:
-                if shared.get(request.txn) is request:
+                if shared.get(request.txn.tid) is request:
                     break
                 place += 1
             order = order[:place] + [None] + order[place:]
+        # A boosted waiter queued by acquire_async can lose the boost
+        # with no event here: its process may end while its abort
+        # message is in flight, and waiter_priority() then falls back
+        # to the base priority.  A pass that read such a priority does
+        # not count as settled.
+        volatile = False
         for __ in range(len(self.waiting) + 1):
-            contributions: dict = {}
+            contributions: Dict[int, float] = {}
+            inheritors: Dict[int, Transaction] = {}
             for request in order:
                 if request is None:
                     priority = top.txn.priority
                     holders = self.locks.holder_map(self._entries[0][2])
                 else:
                     priority = request.waiter_priority()
+                    if (priority != request.txn.priority
+                            and request.on_grant is not None):
+                        volatile = True
                     holders = self._blocking_holders(request)
                 for holder in holders:
-                    current = contributions.get(holder)
+                    tid = holder.tid
+                    current = contributions.get(tid)
                     if current is None or current < priority:
-                        contributions[holder] = priority
-            if not self._apply_inheritance(contributions):
+                        contributions[tid] = priority
+                        inheritors[tid] = holder
+            if not self._apply_inheritance(contributions, inheritors):
                 break
+        self._settled = -1 if volatile else self._epoch
         self._inheritance_seen = kernel.inheritance_changes
+        self._lent = contributions

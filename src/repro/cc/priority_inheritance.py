@@ -30,12 +30,15 @@ class PriorityInheritance(TwoPhaseLockingPriority):
         # number of waiters, so the loop terminates.
         for __ in range(len(self.waiting) + 1):
             contributions: dict = {}
+            inheritors: dict = {}
             for request in self.waiting:
                 waiter_priority = request.waiter_priority()
                 for holder in self.locks.conflicting_holders(
                         request.oid, request.txn, request.mode):
-                    current = contributions.get(holder)
+                    tid = holder.tid
+                    current = contributions.get(tid)
                     if current is None or current < waiter_priority:
-                        contributions[holder] = waiter_priority
-            if not self._apply_inheritance(contributions):
+                        contributions[tid] = waiter_priority
+                        inheritors[tid] = holder
+            if not self._apply_inheritance(contributions, inheritors):
                 break

@@ -29,7 +29,7 @@ L/P/PI.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from ..txn.transaction import Transaction
 from .twopl import TwoPhaseLocking, TwoPhaseLockingPriority
@@ -44,30 +44,32 @@ class MPCP(TwoPhaseLockingPriority):
 
     def __init__(self, kernel, victim_policy: str = "none"):
         super().__init__(kernel, victim_policy=victim_policy)
-        #: Active transactions (registered, not completed).
-        self.active: Set[Transaction] = set()
-        #: oid -> active transactions declaring any access to it; the
-        #: per-resource priority ceiling is the max over this set.
-        self._accessors: Dict[int, Set[Transaction]] = {}
+        #: Active transactions (registered, not completed), by tid —
+        #: the same shapes as PriorityCeiling's tables.
+        self.active: Dict[int, Transaction] = {}
+        #: oid -> {tid: priority} of the active transactions declaring
+        #: any access to it; the per-resource priority ceiling is the
+        #: max over the values.
+        self._accessors: Dict[int, Dict[int, float]] = {}
 
     # ------------------------------------------------------------------
     # active set maintenance (drives the per-resource ceilings)
     # ------------------------------------------------------------------
     def register(self, txn: Transaction) -> None:
         super().register(txn)
-        self.active.add(txn)
+        self.active[txn.tid] = txn
         for oid in txn.access_set:
-            self._accessors.setdefault(oid, set()).add(txn)
+            self._accessors.setdefault(oid, {})[txn.tid] = txn.priority
         if self.tracer is not None:
             self.tracer.ceiling_raise(self.kernel.now, txn,
                                       self._priority_top())
 
     def deregister(self, txn: Transaction) -> None:
-        self.active.discard(txn)
+        self.active.pop(txn.tid, None)
         for oid in txn.access_set:
             declarers = self._accessors.get(oid)
             if declarers is not None:
-                declarers.discard(txn)
+                declarers.pop(txn.tid, None)
                 if not declarers:
                     del self._accessors[oid]
         if self.tracer is not None:
@@ -84,18 +86,18 @@ class MPCP(TwoPhaseLockingPriority):
         declarers = self._accessors.get(oid)
         if not declarers:
             return None
-        return max(txn.priority for txn in declarers)
+        return max(declarers.values())
 
     def _priority_top(self) -> Optional[float]:
         best: Optional[float] = None
-        for txn in self.active:
+        for txn in self.active.values():
             if best is None or txn.priority > best:
                 best = txn.priority
         return best
 
     def _priority_floor(self) -> Optional[float]:
         worst: Optional[float] = None
-        for txn in self.active:
+        for txn in self.active.values():
             if worst is None or txn.priority < worst:
                 worst = txn.priority
         return worst
@@ -114,6 +116,7 @@ class MPCP(TwoPhaseLockingPriority):
         # mechanism.  No fixpoint needed: inflation depends only on
         # base priorities, never on inherited ones.
         contributions: dict = {}
+        inheritors: dict = {}
         top = self._priority_top()
         floor = self._priority_floor()
         if top is not None:
@@ -124,10 +127,12 @@ class MPCP(TwoPhaseLockingPriority):
                     continue
                 boosted = top + (ceiling - floor) + 1.0
                 for holder in holder_map(oid):
-                    current = contributions.get(holder)
+                    tid = holder.tid
+                    current = contributions.get(tid)
                     if current is None or current < boosted:
-                        contributions[holder] = boosted
-        self._apply_inheritance(contributions)
+                        contributions[tid] = boosted
+                        inheritors[tid] = holder
+        self._apply_inheritance(contributions, inheritors)
 
 
 class FMLPQueueLock(TwoPhaseLocking):
@@ -149,12 +154,15 @@ class FMLPQueueLock(TwoPhaseLocking):
         # cannot preempt the holder while higher-priority work waits.
         for __ in range(len(self.waiting) + 1):
             contributions: dict = {}
+            inheritors: dict = {}
             for request in self.waiting:
                 waiter_priority = request.waiter_priority()
                 for holder in self.locks.conflicting_holders(
                         request.oid, request.txn, request.mode):
-                    current = contributions.get(holder)
+                    tid = holder.tid
+                    current = contributions.get(tid)
                     if current is None or current < waiter_priority:
-                        contributions[holder] = waiter_priority
-            if not self._apply_inheritance(contributions):
+                        contributions[tid] = waiter_priority
+                        inheritors[tid] = holder
+            if not self._apply_inheritance(contributions, inheritors):
                 break

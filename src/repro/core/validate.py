@@ -117,7 +117,7 @@ class CeilingAuditor:
             if all(holder is owner for holder in cc.locks.holders(oid)):
                 continue
             write_locked = cc.locks.write_locked(oid)
-            for txn in cc.active:
+            for txn in cc.active.values():
                 declared = (txn.access_set
                             if write_locked or cc.exclusive_only
                             else txn.write_set)

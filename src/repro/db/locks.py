@@ -14,18 +14,20 @@ Owners are opaque hashables (the transaction objects of
 Hot-path design: each locked object is a slotted :class:`_LockRecord`
 carrying a writer count (O(1) ``write_locked``) and an insertion
 sequence number.  A protocol layer that keeps a derived view (the
-ceiling protocol's barrier index) subscribes to the table and is told
-the oid after every state transition, so the view stays current
-without being re-derived — including when a test or recovery path
-drives the table directly.  A protocol that only asks *where a holder
-left* (the 2PL family's wake-up) plugs in a departure journal instead
-(:attr:`LockTable.freed`): nothing is called, and grants cost nothing.
+ceiling protocol's barrier index) subscribes to the table and is
+handed the oid and its record after every state transition, so the
+view stays current without being re-derived or re-fetched — including
+when a test or recovery path drives the table directly.  A protocol
+that only asks *where a holder left* (the 2PL family's wake-up) plugs
+in a departure journal instead (:attr:`LockTable.freed`): nothing is
+called, and grants cost nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import weakref
+from types import MappingProxyType
 from typing import (Any, Dict, Hashable, Iterator, List, Mapping,
                     Optional, Set)
 
@@ -82,6 +84,11 @@ class LockTable:
         #: oid -> live _LockRecord (removed as soon as it empties, so
         #: iteration order == insertion order of *currently* locked oids).
         self._records: Dict[int, _LockRecord] = {}
+        #: Live read-only view of the above, for a subscribed protocol:
+        #: ``oid in table.records`` is "is it locked", and the value is
+        #: what :meth:`subscribe`'s listener is handed for that oid.
+        self.records: Mapping[int, _LockRecord] = MappingProxyType(
+            self._records)
         #: owner -> set of oids it holds (reverse index)
         self._held_by: Dict[Hashable, Set[int]] = {}
         self._seq = 0
@@ -102,9 +109,11 @@ class LockTable:
         self.observer: Optional[Any] = None
 
     def subscribe(self, listener: Any) -> None:
-        """Call ``listener.on_lock_change(oid)`` after every transition
-        (once per freed oid for ``release_all``), with the table
-        already in its new state.
+        """Call ``listener.on_lock_change(oid, record)`` after every
+        transition (once per freed oid for ``release_all``), with the
+        table already in its new state: ``record`` is the oid's live
+        :class:`_LockRecord` (``holders``, ``writers``, ``seq`` — read,
+        never store), or None when the transition unlocked it.
 
         Held weakly: the listener is the protocol that owns this table,
         and a strong back-reference would make every finished system
@@ -121,11 +130,6 @@ class LockTable:
                 f"lock table already notifies {current!r}; cannot also "
                 f"subscribe {listener!r}")
         self._listener = weakref.ref(listener)
-
-    def _notify(self, oid: int) -> None:
-        listener = self._listener()
-        if listener is not None:
-            listener.on_lock_change(oid)
 
     # ------------------------------------------------------------------
     # queries
@@ -245,7 +249,9 @@ class LockTable:
         else:
             held_oids.add(oid)
         if self._listener is not None:
-            self._notify(oid)
+            listener = self._listener()
+            if listener is not None:
+                listener.on_lock_change(oid, record)
         if self.observer is not None:
             self.observer.on_table_grant(oid, owner, holders[owner])
 
@@ -258,13 +264,16 @@ class LockTable:
             record.writers -= 1
         if not record.holders:
             del self._records[oid]
+            record = None
         self._held_by[owner].discard(oid)
         if not self._held_by[owner]:
             del self._held_by[owner]
         if self.freed is not None:
             self.freed[oid] = None
         if self._listener is not None:
-            self._notify(oid)
+            listener = self._listener()
+            if listener is not None:
+                listener.on_lock_change(oid, record)
         if self.observer is not None:
             self.observer.on_table_release(oid, owner)
 
@@ -283,9 +292,13 @@ class LockTable:
         if freed is not None:
             for oid in oids:
                 freed[oid] = None
-        if self._listener is not None:
-            for oid in oids:
-                self._notify(oid)
+        if self._listener is not None and oids:
+            listener = self._listener()
+            if listener is not None:
+                on_lock_change = listener.on_lock_change
+                for oid in oids:
+                    on_lock_change(
+                        oid, records[oid] if oid in records else None)
         return oids
 
     def __len__(self) -> int:

@@ -111,6 +111,11 @@ def execute_config(config, batch: int = 1) -> dict:
     else:
         raise TypeError(f"unknown config type {type(config).__name__}")
 
+    # The row must not depend on what this interpreter ran before: a
+    # pool worker and the serial loop reach a unit at different id
+    # offsets, and ids are hashed.
+    experiment.reset_id_counters()
+
     trace_dir = os.environ.get("REPRO_TRACE_DIR")
     metrics_dir = os.environ.get("REPRO_METRICS_DIR")
     if not trace_dir and not metrics_dir:

@@ -15,7 +15,6 @@ work without touching process-global state.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analyze.sanitizer import (Sanitizer, current_sanitizer,
@@ -23,6 +22,7 @@ from ..analyze.sanitizer import (Sanitizer, current_sanitizer,
 from ..core.builder import SingleSiteSystem
 from ..core.config import (DistributedConfig, SingleSiteConfig,
                            TimingConfig, WorkloadConfig)
+from ..core.experiment import reset_id_counters
 from ..db.locks import LockMode
 from ..dist.system import DistributedSystem
 from ..kernel.controlled import pending_signature
@@ -128,8 +128,8 @@ class ScenarioInstance:
             accessors = getattr(cc, "_accessors", None)
             if accessors is not None:
                 state[("reg", index)] = tuple(sorted(
-                    (oid, tuple(sorted(txn.tid for txn in txns)))
-                    for oid, txns in accessors.items() if txns))
+                    (oid, tuple(sorted(tids)))
+                    for oid, tids in accessors.items() if tids))
         for process in self.kernel.processes:
             state[("proc", process.name)] = (
                 process.state.name, process.effective_priority)
@@ -201,10 +201,7 @@ class Scenario:
         # digests are comparable *across* schedules (convergence
         # pruning depends on it).  Safe because exploration never
         # coexists with another in-flight simulation in this process.
-        import repro.kernel.process as process_module
-        import repro.txn.transaction as transaction_module
-        transaction_module._tid_counter = itertools.count(1)
-        process_module._pid_counter = itertools.count(1)
+        reset_id_counters()
         previous_tracer = current_tracer()
         previous_sanitizer = current_sanitizer()
         tracer = Tracer(capacity=1 << 16)

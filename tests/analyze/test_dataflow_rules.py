@@ -5,6 +5,8 @@ sanctioned alternative."""
 
 import textwrap
 
+import pytest
+
 from repro.analyze.engine import LintEngine
 from repro.analyze.rules import DEFAULT_RULES, RULE_INDEX
 
@@ -193,6 +195,43 @@ def test_rpl012_allows_hook_of_externally_based_class():
         class Variant(ConcurrencyControl):
             def _after_change(self):
                 self.waiting.sort(key=lambda r: r.txn.priority)
+    """, path="src/repro/cc/widget.py", select=["RPL012"])
+    assert findings == []
+
+
+@pytest.mark.parametrize("mutation", [
+    "self.active[txn.tid] = txn",
+    "del self.active[txn.tid]",
+    "self._shared.pop(txn.tid)",
+    "self._inheriting.discard(txn.tid)",
+    "self._inheriting_txn.pop(txn.tid)",
+])
+def test_rpl012_patrols_the_tid_keyed_tables(mutation):
+    findings = lint(f"""
+        class Manager:
+            def acquire(self, txn, oid):
+                self.waiting.append(txn)
+
+            def _forget(self, txn):
+                {mutation}
+    """, path="src/repro/cc/widget.py", select=["RPL012"])
+    assert codes(findings) == ["RPL012"]
+    assert "_forget" in findings[0].message
+
+
+def test_rpl012_allows_tid_keyed_tables_mutated_from_the_api():
+    findings = lint("""
+        class Manager:
+            def register(self, txn):
+                self.active[txn.tid] = txn
+
+            def release_all(self, txn):
+                self._settle(txn)
+
+            def _settle(self, txn):
+                self._inheriting.discard(txn.tid)
+                self._inheriting_txn.pop(txn.tid, None)
+                del self._shared[txn.tid]
     """, path="src/repro/cc/widget.py", select=["RPL012"])
     assert findings == []
 

@@ -14,11 +14,16 @@ the oracle at three seams:
 - every :meth:`_grant_waiter` must grant the request the full scan
   would have granted from the same state;
 - every :meth:`_apply_inheritance` must receive the ``contributions``
-  the full scan builds — same holders, same values, **same insertion
-  order** (the order fixes ``set_inherited_priority`` calls and trace
-  events);
+  the full scan builds — same holder tids, same values, **same
+  insertion order** (the order fixes ``set_inherited_priority`` calls
+  and trace events) — and the transaction of each tid;
 - every :meth:`_after_change` must start with no admissible waiter left
-  behind (a lost wake-up).
+  behind (a lost wake-up);
+- every :meth:`deregister` that *skips* its re-evaluation (the protocol
+  was settled) has the pass run after all, under the three checks
+  above, and it must be a no-op: no grant, and no
+  ``set_inherited_priority`` call (the protocol only makes one with a
+  priority the process does not carry yet).
 """
 
 from __future__ import annotations
@@ -35,13 +40,13 @@ def _declared_write(cc, txn):
 
 
 def write_ceiling(cc, oid) -> Optional[float]:
-    priorities = [txn.priority for txn in cc.active
+    priorities = [txn.priority for txn in cc.active.values()
                   if oid in _declared_write(cc, txn)]
     return max(priorities) if priorities else None
 
 
 def absolute_ceiling(cc, oid) -> Optional[float]:
-    priorities = [txn.priority for txn in cc.active
+    priorities = [txn.priority for txn in cc.active.values()
                   if oid in txn.access_set]
     return max(priorities) if priorities else None
 
@@ -94,14 +99,14 @@ def next_grant(cc):
 
 def contributions(cc) -> dict:
     """One pass of the historical inheritance scan over every waiter,
-    in enqueue order."""
+    in enqueue order: {holder tid: priority}."""
     result: dict = {}
     for request in cc.waiting:
         waiter_priority = request.waiter_priority()
         for holder in blocking_holders(cc, request):
-            current = result.get(holder)
+            current = result.get(holder.tid)
             if current is None or current < waiter_priority:
-                result[holder] = waiter_priority
+                result[holder.tid] = waiter_priority
     return result
 
 
@@ -112,6 +117,10 @@ class ShadowLog:
     def __init__(self) -> None:
         self.grants = 0
         self.inheritance_passes = 0
+        #: _after_change calls, and the deregisters that made none and
+        #: were replayed as a no-op.
+        self.passes = 0
+        self.skipped_passes = 0
 
 
 @contextlib.contextmanager
@@ -121,35 +130,59 @@ def shadowed():
     real_grant = PriorityCeiling._grant_waiter
     real_apply = PriorityCeiling._apply_inheritance
     real_after = PriorityCeiling._after_change
+    real_deregister = PriorityCeiling.deregister
+    replaying: list = []
 
     def checked_grant(self, request):
+        assert not replaying, (
+            f"a skipped pass would have woken {request!r}")
         expected = next_grant(self)
         assert request is expected, (
             f"woke {request!r}, the full scan wakes {expected!r}")
         log.grants += 1
         return real_grant(self, request)
 
-    def checked_apply(self, got):
+    def checked_apply(self, got, holders):
         expected = contributions(self)
         assert list(got.items()) == list(expected.items()), (
-            f"contributions {_show(got)} != full scan {_show(expected)}")
+            f"contributions {list(got.items())} != full scan "
+            f"{list(expected.items())}")
+        assert all(holders[tid].tid == tid for tid in got)
         log.inheritance_passes += 1
-        return real_apply(self, got)
+        return real_apply(self, got, holders)
 
     def checked_after(self):
         stranded = next_grant(self)
         assert stranded is None, f"lost wake-up: {stranded!r} admissible"
+        log.passes += 1
         return real_after(self)
+
+    def checked_deregister(self, txn):
+        before = log.passes
+        real_deregister(self, txn)
+        if log.passes != before:
+            return
+        # The protocol was settled and skipped its pass: make it.
+
+        def refuse(process, priority):
+            raise AssertionError(
+                f"a skipped pass would have moved {process!r} from "
+                f"{process.inherited_priority} to {priority}")
+
+        replaying.append(txn)
+        try:
+            with mock.patch.object(self.kernel, "set_inherited_priority",
+                                   refuse):
+                self._reevaluate()
+        finally:
+            replaying.pop()
+        log.skipped_passes += 1
 
     with contextlib.ExitStack() as stack:
         for name, wrapper in (("_grant_waiter", checked_grant),
                               ("_apply_inheritance", checked_apply),
-                              ("_after_change", checked_after)):
+                              ("_after_change", checked_after),
+                              ("deregister", checked_deregister)):
             stack.enter_context(
                 mock.patch.object(PriorityCeiling, name, wrapper))
         yield log
-
-
-def _show(contribution_map) -> list:
-    return [(holder.tid, priority)
-            for holder, priority in contribution_map.items()]

@@ -240,7 +240,7 @@ def _index_is_consistent(cc):
     assert cc._solo == sorted(cc._solo, key=lambda r: r.seq)
     for request in shared:
         assert not cc.locks.holds_any(request.txn)
-        assert cc._shared[request.txn] is request
+        assert cc._shared[request.txn.tid] is request
     return True
 
 
@@ -301,7 +301,7 @@ def test_lock_free_waiters_share_one_heap_entry(kernel):
             cc.release_all(leaving)
             cc.deregister(leaving)
             assert grants[woken] == [10 + woken]
-            assert waiters[woken] not in cc._shared
+            assert waiters[woken].tid not in cc._shared
             assert _index_is_consistent(cc)
         assert cc._shared == {} and cc._shared_top() is None
     assert log.grants == 3 and log.inheritance_passes > 0
@@ -326,15 +326,15 @@ def test_lock_holding_waiter_sole_holder_of_the_top_entry(kernel):
         assert [entry[2] for entry in cc._entries] == [2, 1]
         applied = []
         real_apply = cc._apply_inheritance
-        cc._apply_inheritance = lambda c: (
-            applied.append([(t.tid, p) for t, p in c.items()]),
-            real_apply(c))[1]
+        cc._apply_inheritance = lambda c, holders: (
+            applied.append(list(c.items())),
+            real_apply(c, holders))[1]
         _queue(cc, mid, 3)
         assert cc._ceiling_barrier(mid) == (7.0, 1)
         assert [r.txn for r in cc._solo] == [mid]
         _queue(cc, free, 4)
         assert cc._ceiling_barrier(free) == (9.0, 2)
-        assert list(cc._shared) == [free]
+        assert list(cc._shared) == [free.tid]
         assert applied[-1] == [(low.tid, 5.0), (mid.tid, 3.0)]
         # A solo waiter queued *after* the group's earliest member
         # contributes after it.
@@ -412,7 +412,7 @@ def test_second_request_of_a_waiting_transaction_goes_solo(kernel):
         cc.locks.grant(1, holder, LockMode.WRITE)
         first = _queue(cc, twice, 2)
         second = _queue(cc, twice, 3)
-        assert cc._shared[twice].oid == 2
+        assert cc._shared[twice.tid].oid == 2
         assert [r.oid for r in cc._solo] == [3]
         cc.release_all(holder)
         cc.deregister(holder)
@@ -469,7 +469,7 @@ def test_waiter_boosted_by_another_agent_is_refiled(kernel):
         agent_b.locks.grant(15, b_other, LockMode.WRITE)
         _queue(agent_b, both, 11)
         _queue(agent_b, b_holder, 14)       # solo, queued after `both`
-        assert list(agent_b._shared) == [both]
+        assert list(agent_b._shared) == [both.tid]
         assert b_holder.process.inherited_priority == 3
         # Agent A blocks a priority-7 transaction on `both`.
         agent_a.register(a_waiter)
@@ -479,7 +479,7 @@ def test_waiter_boosted_by_another_agent_is_refiled(kernel):
         # enqueue order, ahead of the solo waiter that followed it.
         _queue(agent_b, later, 13)
         assert [r.txn for r in agent_b._solo] == [both, b_holder]
-        assert list(agent_b._shared) == [later]
+        assert list(agent_b._shared) == [later.tid]
         assert b_holder.process.inherited_priority == 7
         assert _index_is_consistent(agent_b)
         # Still boosted when it queues again: solo from the start.  (A
@@ -489,5 +489,236 @@ def test_waiter_boosted_by_another_agent_is_refiled(kernel):
         agent_b.register(make_txn([(99, "w")], priority=0.1))
         _queue(agent_b, both, 11)
         assert [r.txn for r in agent_b._solo] == [b_holder, both]
-        assert both not in agent_b._shared
+        assert both.tid not in agent_b._shared
         assert b_holder.process.inherited_priority == 7
+
+
+# ----------------------------------------------------------------------
+# settled state: deregister skips its re-evaluation exactly when nothing
+# a re-evaluation reads moved since the last one (DESIGN.md §9).  One
+# test per input; under the oracle every skipped pass is made after all
+# and must grant nothing and re-prioritise nobody.
+# ----------------------------------------------------------------------
+def _parked(kernel, *txns):
+    """Give each transaction a live (parked) manager process."""
+    def body():
+        yield Delay(100.0)
+
+    for txn in txns:
+        txn.process = kernel.spawn(body(), f"tm-{txn.tid}",
+                                   priority=txn.priority)
+    kernel.run(until=1.0)
+
+
+def _bystander(cc):
+    """A registered transaction that holds nothing and declares only an
+    object nobody locks: its deregister alone leaves the protocol
+    settled."""
+    txn = make_txn([(99, "w")], priority=0.25)
+    cc.register(txn)
+    return txn
+
+
+def test_ceiling_drop_on_an_unlocked_object_stays_settled(kernel):
+    with shadowed() as log:
+        cc = PriorityCeiling(kernel)
+        holder = make_txn([(1, "w")], priority=9)
+        waiter = make_txn([(2, "w")], priority=5)
+        _parked(kernel, holder)
+        cc.register(holder)
+        cc.register(waiter)
+        cc.locks.grant(1, holder, LockMode.WRITE)
+        idle = _bystander(cc)
+        _queue(cc, waiter, 2)                 # blocks: a pass settles
+        assert holder.process.inherited_priority == 5
+        assert cc._epoch == cc._settled
+        passes = log.passes
+        cc.deregister(idle)                   # ceiling of 99 disappears
+        assert cc._absolute_ceilings.get(99) is None
+        assert cc._epoch == cc._settled
+        # The oracle made the skipped pass itself, as a no-op.
+        assert log.skipped_passes == 1 and log.passes == passes + 1
+    assert log.grants == 0
+
+
+def test_ceiling_drop_on_a_locked_object_unsettles(kernel):
+    cc = PriorityCeiling(kernel)
+    reader = make_txn([(1, "r")], priority=2)
+    writer = make_txn([(1, "w")], priority=8)
+    waiter = make_txn([(2, "r")], priority=4)
+    for txn in (reader, writer, waiter):
+        cc.register(txn)
+    cc.locks.grant(1, reader, LockMode.READ)        # rw-ceiling 8
+    granted = _queue(cc, waiter, 2, LockMode.READ)
+    assert cc._epoch == cc._settled and granted == []
+    # The writer holds nothing, so only its deregister re-files the
+    # entry of object 1 — and must wake the waiter behind it.
+    cc.deregister(writer)
+    assert granted == [2] and cc.waiting == []
+
+
+def test_read_share_join_unsettles_though_the_entry_stands(kernel):
+    # `mid` holds a read lock alone, so its barrier is the *second*
+    # entry and `low` inherits from it.  A reader joining that lock —
+    # an immediate grant, which runs no pass — leaves the entry tuple
+    # as it was but makes it mid's barrier: the next deregister must
+    # move the inheritance from `low` to the new reader.
+    with shadowed():
+        cc = PriorityCeiling(kernel)
+        top_writer = make_txn([(1, "w")], priority=9)
+        mid = make_txn([(1, "r"), (3, "w")], priority=5)
+        low = make_txn([(2, "w")], priority=1)
+        raises_2 = make_txn([(2, "w")], priority=7)
+        joiner = make_txn([(1, "r")], priority=10)
+        _parked(kernel, mid, low, joiner)
+        for txn in (top_writer, mid, low, raises_2, joiner):
+            cc.register(txn)
+        idle = _bystander(cc)
+        cc.locks.grant(1, mid, LockMode.READ)
+        cc.locks.grant(2, low, LockMode.WRITE)
+        _queue(cc, mid, 3)
+        assert cc._ceiling_barrier(mid) == (7.0, 2)
+        assert low.process.inherited_priority == 5
+        assert cc._epoch == cc._settled
+        entry = cc._entry_of[1]
+        assert cc.acquire_async(joiner, 1, LockMode.READ,
+                                on_grant=lambda: None)
+        assert cc._entry_of[1] is entry and cc._entries[0] is entry
+        assert cc._epoch != cc._settled
+        assert cc._ceiling_barrier(mid) == (9.0, 1)
+        cc.deregister(idle)
+        assert low.process.inherited_priority is None
+        assert joiner.process.inherited_priority == 5
+
+
+def test_foreign_boost_unsettles(kernel):
+    # A waiter at agent B is boosted by agent A: nothing B can see
+    # moved, yet B's next deregister must hand the inherited priority
+    # on to its own barrier's holder.
+    with shadowed():
+        agent_a = PriorityCeiling(kernel)
+        agent_b = PriorityCeiling(kernel)
+        both = make_txn([(1, "w"), (11, "w")], priority=3)
+        b_holder = make_txn([(12, "w")], priority=1)
+        b_raise = make_txn([(12, "w")], priority=9)
+        a_waiter = make_txn([(1, "w")], priority=7)
+        _parked(kernel, both, b_holder)
+        agent_a.register(both)
+        agent_a.locks.grant(1, both, LockMode.WRITE)
+        for txn in (both, b_holder, b_raise):
+            agent_b.register(txn)
+        idle = _bystander(agent_b)
+        agent_b.locks.grant(12, b_holder, LockMode.WRITE)
+        _queue(agent_b, both, 11)
+        assert b_holder.process.inherited_priority == 3
+        agent_a.register(a_waiter)
+        _queue(agent_a, a_waiter, 1)
+        assert both.process.effective_priority == 7
+        assert agent_b._epoch == agent_b._settled
+        agent_b.deregister(idle)
+        assert b_holder.process.inherited_priority == 7
+        assert [r.txn for r in agent_b._solo] == [both]
+
+
+def test_overwritten_loan_below_the_base_priority_unsettles(kernel):
+    # Two agents lend to one process, both below its base priority: the
+    # effective priority never moves, so the kernel counts nothing —
+    # but a pass at A would write A's loan back (and count an
+    # inheritance event), so A's deregister may not skip it.
+    with shadowed():
+        agent_a = PriorityCeiling(kernel)
+        agent_b = PriorityCeiling(kernel)
+        holder = make_txn([(1, "w"), (11, "w")], priority=8)
+        a_waiter = make_txn([(1, "w")], priority=3)
+        b_waiter = make_txn([(11, "w")], priority=4)
+        _parked(kernel, holder)
+        for agent, oid, waiter in ((agent_a, 1, a_waiter),
+                                   (agent_b, 11, b_waiter)):
+            agent.register(holder)
+            agent.register(waiter)
+            agent.locks.grant(oid, holder, LockMode.WRITE)
+        idle = _bystander(agent_a)
+        changes = kernel.inheritance_changes
+        _queue(agent_a, a_waiter, 1)
+        assert holder.process.inherited_priority == 3
+        _queue(agent_b, b_waiter, 11)
+        assert holder.process.inherited_priority == 4
+        assert kernel.inheritance_changes == changes
+        assert agent_a._epoch == agent_a._settled
+        events = agent_a.stats.inheritance_events
+        agent_a.deregister(idle)
+        assert holder.process.inherited_priority == 3
+        assert agent_a.stats.inheritance_events == events + 1
+
+
+def test_boosted_async_waiter_keeps_the_protocol_unsettled(kernel):
+    # The waiter's process ends with its abort message still in flight:
+    # no event reaches the protocol, yet its waiter_priority() falls
+    # from the inherited to the base priority.  The pass that read the
+    # inherited one therefore never counts as settled.
+    with shadowed():
+        cc = PriorityCeiling(kernel)
+        bottom = make_txn([(1, "w")], priority=1)
+        mid = make_txn([(2, "w"), (3, "w")], priority=5)
+        raises_1 = make_txn([(1, "w")], priority=7)
+        high = make_txn([(2, "w")], priority=9)
+
+        def finishes():
+            yield Delay(5.0)
+
+        _parked(kernel, bottom)
+        mid.process = kernel.spawn(finishes(), "tm-mid", priority=5)
+        for txn in (bottom, mid, raises_1, high):
+            cc.register(txn)
+        idle = _bystander(cc)
+        cc.locks.grant(1, bottom, LockMode.WRITE)
+        cc.locks.grant(2, mid, LockMode.WRITE)
+        _queue(cc, high, 2)                   # mid inherits 9
+        _queue(cc, mid, 3)                    # waits boosted, on bottom
+        assert mid.process.effective_priority == 9
+        assert bottom.process.inherited_priority == 9
+        assert cc._settled != cc._epoch
+        kernel.run(until=6.0)
+        assert mid.process.terminated
+        cc.deregister(idle)
+        assert bottom.process.inherited_priority == 5
+
+
+def test_every_queue_change_unsettles(kernel):
+    # attempt/acquire_async/_withdraw/cancel_async all follow a queue
+    # change with a pass of their own; the epoch must not depend on
+    # that, so the seam is driven directly.
+    cc = PriorityCeiling(kernel)
+    holder = make_txn([(1, "w")], priority=9)
+    waiter = make_txn([(2, "w")], priority=5)
+    cc.register(holder)
+    cc.register(waiter)
+    cc.locks.grant(1, holder, LockMode.WRITE)
+    _queue(cc, waiter, 2)
+    (request,) = cc.waiting
+    assert cc._epoch == cc._settled
+    cc._dequeue(request)
+    assert cc._epoch != cc._settled
+    cc._after_change()
+    assert cc._epoch == cc._settled
+    cc._enqueue(request)
+    assert cc._epoch != cc._settled and _index_is_consistent(cc)
+
+
+def test_every_table_transition_unsettles(kernel):
+    cc = PriorityCeiling(kernel)
+    first = make_txn([(1, "r"), (2, "w")], priority=5)
+    second = make_txn([(1, "r")], priority=6)
+    cc.register(first)
+    cc.register(second)
+    for transition in (
+            lambda: cc.locks.grant(1, first, LockMode.READ),
+            lambda: cc.locks.grant(1, second, LockMode.READ),
+            lambda: cc.locks.grant(2, first, LockMode.WRITE),
+            lambda: cc.locks.release(1, second),
+            lambda: cc.locks.release_all(first)):
+        cc._after_change()
+        assert cc._epoch == cc._settled
+        transition()
+        assert cc._epoch != cc._settled
+    assert cc._entries == []

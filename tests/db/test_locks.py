@@ -133,9 +133,13 @@ def test_len_counts_grants():
 class _Listener:
     def __init__(self):
         self.changed = []
+        self.seen = []
 
-    def on_lock_change(self, oid):
+    def on_lock_change(self, oid, record):
         self.changed.append(oid)
+        self.seen.append(
+            (oid, None if record is None
+             else (sorted(record.holders), record.writers, record.seq)))
 
 
 def test_second_live_subscriber_is_refused():
@@ -156,6 +160,58 @@ def test_dead_subscriber_frees_the_slot():
     table.subscribe(second)
     table.grant(1, "t1", LockMode.READ)
     assert second.changed == [1]
+
+
+def test_listener_is_handed_the_record_of_the_new_state():
+    table = LockTable()
+    listener = _Listener()
+    table.subscribe(listener)
+    table.grant(7, "t1", LockMode.READ)
+    table.grant(7, "t2", LockMode.READ)      # joins: same record
+    table.grant(9, "t1", LockMode.WRITE)
+    table.release(7, "t2")                   # still locked
+    assert listener.seen == [(7, (["t1"], 0, 0)),
+                             (7, (["t1", "t2"], 0, 0)),
+                             (9, (["t1"], 1, 1)),
+                             (7, (["t1"], 0, 0))]
+    del listener.seen[:]
+    table.grant(9, "t1", LockMode.WRITE)     # idempotent: no transition
+    table.release(9, "t1")                   # unlocked: no record
+    assert listener.seen == [(9, None)]
+
+
+def test_release_all_notifies_after_every_lock_is_gone():
+    table = LockTable()
+    states = []
+
+    class Probe:
+        def on_lock_change(self, oid, record):
+            states.append((oid, record is table.records.get(oid),
+                           sorted(table.locked_oids())))
+
+    probe = Probe()
+    table.subscribe(probe)
+    table.grant(1, "t1", LockMode.WRITE)
+    table.grant(2, "t1", LockMode.READ)
+    table.grant(2, "t2", LockMode.READ)
+    del states[:]
+    assert table.release_all("t1") == [1, 2]
+    # Both notifications see the final table; oid 2 keeps its record.
+    assert states == [(1, True, [2]), (2, True, [2])]
+    assert table.records[2].holders == {"t2": LockMode.READ}
+    assert table.release_all("nobody") == [] and len(states) == 2
+
+
+def test_records_view_is_live_and_read_only():
+    table = LockTable()
+    view = table.records
+    assert 1 not in view
+    table.grant(1, "t1", LockMode.READ)
+    assert 1 in view and view[1].seq == 0
+    with pytest.raises(TypeError):
+        view[2] = view[1]
+    table.release_all("t1")
+    assert 1 not in view and table.records is view
 
 
 def test_departure_journal_records_releases_not_grants():

@@ -41,7 +41,7 @@ def test_register_is_acknowledged(kernel):
     kernel.spawn(client(), "client")
     kernel.run(until=5.0)
     assert results == ["registered"]
-    assert txn in cc.active
+    assert cc.active[txn.tid] is txn
 
 
 def _noop():
@@ -128,7 +128,7 @@ def test_abort_cancels_pending_request_and_frees_locks(kernel):
     assert cc.waiting_count == 0
     assert not cc.locks.is_locked(2)       # waiter's lock released
     assert cc.locks.is_locked(1)           # holder unaffected
-    assert waiter not in cc.active
+    assert waiter.tid not in cc.active
 
 
 def test_2pc_round_trips_extend_global_commit_latency():

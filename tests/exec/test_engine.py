@@ -1,11 +1,17 @@
 """Engine behaviour: determinism, caching, retries, fault tolerance."""
 
+import itertools
+
 import pytest
 
+from repro.core.config import SingleSiteConfig, WorkloadConfig
+from repro.core.experiment import reset_id_counters
 from repro.exec import (ExecutionError, InjectedFailure, ResultCache,
                         plan_batch, plan_replications,
                         reset_session_counters, resolve_jobs, run_units,
                         session_counters)
+from repro.exec.worker import execute_config
+from repro.txn import transaction as transaction_module
 
 from .conftest import tiny_config
 
@@ -38,6 +44,43 @@ def test_batch_merge_order_is_plan_order():
                        replications=2)
     pooled = run_units(units, jobs=3)
     serial = run_units(units, jobs=1)
+    assert pooled.rows == serial.rows
+
+
+def _victim_config():
+    """2PL with a victim policy: waits-for successor sets iterate in
+    ``hash(tid)`` order, so which transaction a cycle search reaches
+    first — and with it the victim and the row — depends on the tid
+    offset the run starts from."""
+    return SingleSiteConfig(
+        protocol="L", db_size=8, seed=4,
+        protocol_options=(("victim_policy", "lowest_priority"),),
+        workload=WorkloadConfig(n_transactions=34, mean_interarrival=2.0,
+                                transaction_size=2, size_jitter=0))
+
+
+def test_row_does_not_depend_on_what_the_interpreter_ran_before():
+    # Before the worker reset the id counters, the unit read throughput
+    # 0.5030 from tid offset 885 and 0.5306 from offset 919 — the
+    # offsets two back-to-back calls reach after 26 earlier units.
+    config = _victim_config()
+    transaction_module._tid_counter = itertools.count(885)
+    first = execute_config(config)
+    second = execute_config(config)
+    assert first == second
+    reset_id_counters()
+    assert execute_config(config) == first
+
+
+def test_serial_and_pool_agree_on_an_id_sensitive_config():
+    # The serial loop reaches unit k at the offset units 0..k-1 left
+    # behind; a pool worker reaches it at its own.
+    units = plan_replications(_victim_config(), replications=4,
+                              base_seed=4)
+    reset_id_counters()
+    serial = run_units(units, jobs=1, cache=False)
+    pooled = run_units(units, jobs=2, cache=False)
+    assert serial.ok and pooled.ok
     assert pooled.rows == serial.rows
 
 

@@ -7,17 +7,21 @@ agent while inheriting at another) — run with every
 :class:`PriorityCeiling` decision shadowed by the reference oracle in
 ``tests/cc/pcp_oracle.py``: each woken waiter, each ``contributions``
 dict (keys, values and insertion order) and the absence of a stranded
-admissible waiter at every ``_after_change``.
+admissible waiter at every ``_after_change`` — and with every
+re-evaluation ``deregister`` skips made after all and required to be a
+no-op.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import (DistributedConfig, SingleSiteConfig,
                                TimingConfig, WorkloadConfig)
-from repro.core.experiment import run_distributed, run_single_site
+from repro.core.experiment import (reset_id_counters, run_distributed,
+                                   run_single_site)
 from repro.faults.plan import FaultPlan
 from tests.cc.pcp_oracle import shadowed
 
@@ -73,3 +77,42 @@ def test_distributed_decisions_match_the_full_scan(
         row = run_distributed(config)
     assert row["processed"] == 30
     assert log.inheritance_passes > 0 or row["cc_blocks"] == 0
+
+
+#: Configurations that caught a hole in the settled-state skip while it
+#: was written, each a pass `deregister` skipped although it was not a
+#: no-op (the oracle makes every skipped pass and refuses any effect).
+_PINNED = {
+    # Two DPCP agents lend to one process, both below its base
+    # priority: no effective change for the kernel to count, yet the
+    # pass writes this agent's loan back (an inheritance event).
+    "overwritten-loan": DistributedConfig(
+        mode="global", protocol="dpcp", comm_delay=2.0, db_size=30,
+        seed=764,
+        workload=WorkloadConfig(n_transactions=30, mean_interarrival=1.0,
+                                transaction_size=4, size_jitter=1,
+                                read_only_fraction=0.3),
+        timing=TimingConfig(slack_factor=8.0)),
+    # A boosted waiter's manager process ends (deadline miss) while its
+    # abort message is in flight: waiter_priority() drops to the base
+    # priority with no event at the agent.
+    "ended-boosted-waiter": DistributedConfig(
+        mode="global", protocol="dpcp", comm_delay=2.0, db_size=12,
+        seed=22242,
+        workload=WorkloadConfig(n_transactions=60, mean_interarrival=0.5,
+                                transaction_size=6, size_jitter=1,
+                                read_only_fraction=0.3),
+        timing=TimingConfig(slack_factor=2.0),
+        faults=FaultPlan(loss_rate=0.05, duplicate_rate=0.2,
+                         delay_jitter=0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_pinned_counterexamples_match_the_full_scan(name):
+    # Found from a fresh id offset; ids are hashed, so pin it.
+    reset_id_counters()
+    with shadowed() as log:
+        row = run_distributed(_PINNED[name])
+    assert row["processed"] == _PINNED[name].workload.n_transactions
+    assert log.skipped_passes > 0

@@ -90,3 +90,47 @@ def stale_dirty(monkeypatch):
             self.locks.freed = self._dirty
 
     monkeypatch.setattr(TwoPhaseLocking, "release_all", mutated)
+
+
+@pytest.fixture
+def stale_settled(monkeypatch):
+    """``deregister`` re-files the barrier entry of a still-locked
+    object without unsettling the protocol when an *earlier*
+    transaction is waiting, so the re-evaluation the dropped ceiling
+    calls for is skipped.
+
+    Unlike the mutations above this is not a *lost* wake-up: a waiter
+    is only ever held back by a locked object's ceiling, and releasing
+    that lock re-evaluates unconditionally, so the stranded waiter is
+    delayed by one critical section at most — which no ``VFY-`` checker
+    sees in a slack-generous scenario.  Yields the
+    ``(leaving tid, stranded tid)`` pairs the mutation caused, so the
+    tests can tell "did not bite" from "bit and was absorbed".
+    """
+    orig_deregister = PriorityCeiling.deregister
+    orig_refresh = PriorityCeiling._refresh_entry
+    leaving = []
+    stranded = []
+
+    def refresh(self, oid, record):
+        epoch = self._epoch
+        orig_refresh(self, oid, record)
+        if leaving and any(request.txn.tid < leaving[-1].tid
+                           for request in self.waiting):
+            self._epoch = epoch
+
+    def deregister(self, txn):
+        leaving.append(txn)
+        try:
+            orig_deregister(self, txn)
+        finally:
+            leaving.pop()
+        stranded.extend(
+            (txn.tid, request.txn.tid) for request in self.waiting
+            if self._can_acquire(request.txn, request.oid, request.mode))
+
+    # on_lock_change keeps the original function: only the calls
+    # deregister makes by name lose their bump.
+    monkeypatch.setattr(PriorityCeiling, "_refresh_entry", refresh)
+    monkeypatch.setattr(PriorityCeiling, "deregister", deregister)
+    yield stranded

@@ -79,6 +79,30 @@ def test_explorer_finds_stale_dirty(stale_dirty):
     assert report.first_violation_prefix is not None
 
 
+def test_default_schedule_misses_stale_settled(stale_settled):
+    explorer = Explorer(SCENARIOS["pcp-3x2"], max_schedules=500,
+                        reduction="hash")
+    outcome = explorer.execute((), reduced=False)
+    assert not outcome.codes and not stale_settled
+
+
+def test_stale_settled_is_a_bounded_delay_no_checker_sees(stale_settled):
+    """The settle mutation strands an admissible waiter in explored
+    interleavings, yet every schedule stays clean: the waiter's barrier
+    is a held lock, and that lock's release re-evaluates whatever the
+    settled state says.  The bump it removes is pinned by
+    ``tests/cc/test_priority_ceiling.py::
+    test_ceiling_drop_on_a_locked_object_unsettles`` and by the oracle's
+    replay of skipped passes; here we pin that the explorer reaches the
+    interleavings where it bites and that nothing is lost for good."""
+    explorer = Explorer(SCENARIOS["pcp-3x2"], max_schedules=500,
+                        reduction="hash")
+    report = explorer.explore()
+    assert stale_settled, "the mutation must bite in some interleaving"
+    assert all(leaving > waiter for leaving, waiter in stale_settled)
+    assert report.clean
+
+
 def test_lost_wakeup_bites_on_two_phase_locking(lost_wakeup):
     """2PL overrides ``_reevaluate``; it must still go through the
     base method the mutation replaces."""
