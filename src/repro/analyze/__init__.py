@@ -7,24 +7,22 @@ Two independent prongs (see DESIGN.md, "Correctness tooling"):
   or ``python -m repro.analyze``, with determinism- and
   protocol-hygiene rules specific to this codebase;
 - **runtime sanitizer** (:mod:`repro.analyze.sanitizer`,
-  :mod:`repro.analyze.invariants`): opt-in invariant checkers hooked
-  into the lock table, the concurrency-control protocols, transaction
-  managers and the replica catalog, re-deriving each protocol's
-  contract independently (double-entry bookkeeping for invariants).
+  :mod:`repro.analyze.invariants`): opt-in invariant checkers
+  subscribed to the hooks of the concurrency-control protocols, the
+  transaction managers and replica propagation, re-deriving each
+  protocol's contract independently (double-entry bookkeeping for
+  invariants).
 """
 
 import importlib
 
 from .invariants import (CeilingChecker, ProtocolChecker,
-                         ReplicationChecker, TwoPhaseChecker, Violation)
-from .sanitizer import (ENV_VAR, Sanitizer, SanitizerViolation,
-                        current_sanitizer, install_sanitizer, sanitize,
-                        sanitizer_enabled, uninstall_sanitizer)
+                         TwoPhaseChecker, Violation)
+from .sanitizer import ENV_VAR, Sanitizer, SanitizerViolation, sanitize
 
 #: The lint prong's public names and their modules.  Resolved on first
-#: access: the simulation stack imports this package for the sanitizer
-#: (``cc/base.py``) and must not pay for the AST engine and the rule
-#: table on every ``import repro``.
+#: access: a run under ``REPRO_SANITIZE`` imports this package for the
+#: sanitizer and must not pay for the AST engine and the rule table.
 _LAZY = {
     "Finding": "engine", "LintEngine": "engine",
     "render_json": "engine", "render_text": "engine",
@@ -49,16 +47,11 @@ __all__ = [
     "LintEngine",
     "ProtocolChecker",
     "RULE_INDEX",
-    "ReplicationChecker",
     "Sanitizer",
     "SanitizerViolation",
     "TwoPhaseChecker",
     "Violation",
-    "current_sanitizer",
-    "install_sanitizer",
     "render_json",
     "render_text",
     "sanitize",
-    "sanitizer_enabled",
-    "uninstall_sanitizer",
 ]

@@ -13,9 +13,8 @@ makes for mechanically checking locking-protocol invariants,
 arXiv:1909.09600).
 
 This module imports nothing from the model packages (``repro.cc``,
-``repro.db``, ``repro.txn``): the concurrency-control base class
-imports the sanitizer at module load, so the dependency must point
-one way only.  Protocol objects are duck-typed: a checker needs
+``repro.db``, ``repro.txn``): the dependency points one way only.
+Protocol objects are duck-typed: a checker needs
 ``cc.locks`` (holders/locks_of), ``cc.kernel.now``, ``cc.name`` and,
 for the ceiling checker, ``cc.exclusive_only`` plus transactions with
 ``tid``/``priority``/``read_set``/``write_set``/``access_set``.
@@ -131,10 +130,6 @@ class ProtocolChecker:
         #: Transactions that executed their release point and may not
         #: acquire again until they abort/restart or leave.
         self._shrunk: Set[Any] = set()
-        # Watch the raw lock table too: a grant that bypasses the
-        # protocol (state corruption) still gets race-checked.
-        if getattr(cc.locks, "observer", None) is None:
-            cc.locks.observer = self
 
     # -- context helpers -----------------------------------------------
     def _now(self) -> Optional[float]:
@@ -148,17 +143,17 @@ class ProtocolChecker:
             protocol=getattr(self.cc, "name", None),
             txn=getattr(txn, "tid", None), oid=oid, time=self._now()))
 
-    # -- lifecycle hooks (called from repro.cc.base) ---------------------
-    def on_register(self, txn) -> None:
+    # -- the protocol's hooks, as the Sanitizer hands them on ------------
+    def txn_register(self, txn) -> None:
         pass
 
-    def on_deregister(self, txn) -> None:
+    def txn_deregister(self, txn) -> None:
         self._shrunk.discard(txn)
 
-    def on_block(self, txn, oid: int, mode) -> None:
+    def lock_block(self, txn, oid: int, mode) -> None:
         pass
 
-    def on_grant(self, txn, oid: int, mode, waited: bool) -> None:
+    def lock_grant(self, txn, oid: int, mode) -> None:
         if txn in self._shrunk:
             self._report(
                 "SAN-2PL-PHASE",
@@ -169,15 +164,15 @@ class ProtocolChecker:
             self._shrunk.discard(txn)  # report once per offence
         self._check_race(oid)
 
-    def on_release_all(self, txn, freed) -> None:
+    def lock_release(self, txn, freed) -> None:
         if freed:
             self._shrunk.add(txn)
 
-    def on_abort(self, txn) -> None:
+    def lock_abort(self, txn) -> None:
         # A deadlock victim restarts from scratch: fresh growing phase.
         self._shrunk.discard(txn)
 
-    def on_commit(self, txn) -> None:
+    def lock_commit(self, txn) -> None:
         held = self.cc.locks.locks_of(txn)
         if held:
             self._report(
@@ -187,13 +182,6 @@ class ProtocolChecker:
                 f"everything at commit",
                 txn=txn, oid=min(held))
         self._shrunk.discard(txn)
-
-    # -- lock-table observer (called from repro.db.locks) ----------------
-    def on_table_grant(self, oid: int, owner, mode) -> None:
-        self._check_race(oid)
-
-    def on_table_release(self, oid: int, owner) -> None:
-        pass
 
     # -- shared checks ---------------------------------------------------
     def _check_race(self, oid: int) -> None:
@@ -280,20 +268,20 @@ class CeilingChecker(ProtocolChecker):
                 for holder, held in self.cc.locks.holders(oid).items()
                 if holder is not txn and _incompatible(held, mode)]
 
-    # -- lifecycle hooks -------------------------------------------------
-    def on_register(self, txn) -> None:
+    # -- the protocol's hooks ---------------------------------------------
+    def txn_register(self, txn) -> None:
         self._active.add(txn)
         # The active set changed, so the static ceilings changed: the
         # blocked-at-most-once bound is only claimed within one epoch.
         self._episodes.clear()
 
-    def on_deregister(self, txn) -> None:
-        super().on_deregister(txn)
+    def txn_deregister(self, txn) -> None:
+        super().txn_deregister(txn)
         self._active.discard(txn)
         self._episodes.clear()
 
-    def on_grant(self, txn, oid: int, mode, waited: bool) -> None:
-        super().on_grant(txn, oid, mode, waited)
+    def lock_grant(self, txn, oid: int, mode) -> None:
+        super().lock_grant(txn, oid, mode)
         barrier, barrier_oid, __ = self._barrier(txn)
         if barrier is not None and txn.priority <= barrier:
             self._report(
@@ -304,7 +292,7 @@ class CeilingChecker(ProtocolChecker):
                 f"carries rw-ceiling {barrier:g} >= its priority",
                 txn=txn, oid=oid)
 
-    def on_block(self, txn, oid: int, mode) -> None:
+    def lock_block(self, txn, oid: int, mode) -> None:
         barrier, barrier_oid, blocking = self._barrier(txn)
         conflicters = self._conflicters(txn, oid, mode)
         ceiling_blocked = barrier is not None and txn.priority <= barrier
@@ -359,32 +347,28 @@ class CeilingChecker(ProtocolChecker):
                 txn=txn)
 
 
-class ReplicationChecker:
-    """The replicated architecture's single-writer invariant (R2).
+def check_replica_write(catalog, site: int, oid: int,
+                        timestamp: float) -> Optional[Violation]:
+    """The replicated architecture's single-writer invariant (R2),
+    checked as ``site`` is about to record version ``timestamp`` of
+    ``oid`` (so against the *pre-update* primary copy).
 
     Every version of an object is born at its primary site; secondary
     copies only ever install versions the primary already carries.  A
-    ``record_write`` at a non-primary site with a timestamp newer than
-    the primary's copy means a secondary originated data — the
+    write at a non-primary site with a timestamp newer than the
+    primary's copy means a secondary originated data — the
     single-writer/multiple-reader restriction is broken.
     """
-
-    def __init__(self, sanitizer, catalog):
-        self.sanitizer = sanitizer
-        self.catalog = catalog
-
-    def on_record_write(self, site: int, oid: int,
-                        timestamp: float) -> None:
-        primary = self.catalog.primary_site(oid)
-        if site == primary:
-            return
-        primary_ts = self.catalog.copy_timestamp(primary, oid)
-        if timestamp > primary_ts:
-            self.sanitizer.report(Violation(
-                code="SAN-REP-WRITER",
-                message=(f"site {site} recorded version "
-                         f"{timestamp:g} of object {oid}, newer than "
-                         f"its primary copy at site {primary} "
-                         f"({primary_ts:g}) — a secondary originated "
-                         f"an update (single-writer restriction R2)"),
-                oid=oid, site=site, time=timestamp))
+    primary = catalog.primary_site(oid)
+    if site == primary:
+        return None
+    primary_ts = catalog.copy_timestamp(primary, oid)
+    if timestamp <= primary_ts:
+        return None
+    return Violation(
+        code="SAN-REP-WRITER",
+        message=(f"site {site} recorded version {timestamp:g} of "
+                 f"object {oid}, newer than its primary copy at site "
+                 f"{primary} ({primary_ts:g}) — a secondary originated "
+                 f"an update (single-writer restriction R2)"),
+        oid=oid, site=site, time=timestamp)

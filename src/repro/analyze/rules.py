@@ -38,10 +38,14 @@ failure mode in this repository:
   default is evaluated once and shared across calls.
 - **RPL007 — ad-hoc output in protocol/dist modules.**  ``print`` and
   the ``logging`` module are banned from the concurrency-control and
-  distributed layers: those layers report through the structured
-  :class:`repro.trace.tracer.Tracer` (typed events, deterministic,
+  distributed layers: those layers report through the kernel's
+  instrumentation hooks (typed events, deterministic,
   zero-perturbation), and ad-hoc output either corrupts the CLI's
   table contract or depends on process-global logging configuration.
+- **RPL008 — hook call outside its guard.**  ``kernel.hooks`` is None
+  when nothing observes; every call on it in the instrumented layers
+  sits behind one ``is not None`` test, so an unobserved run pays no
+  call and builds no argument.
 - **RPL009 — re-declared blocking-category literal.**  The blocking
   taxonomy (``direct``/``ceiling``/``network``/``other``) is a
   cross-layer contract shared by the protocols (classification), the
@@ -566,24 +570,25 @@ def _none_guards(test: ast.AST) -> Set[str]:
     return guards
 
 
-class UnguardedTracerRule(Rule):
-    """RPL008: tracer event emitted without an ``is not None`` guard.
+class UnguardedHookRule(Rule):
+    """RPL008: a call on the instrumentation slot outside its ``is not
+    None`` guard.
 
-    The observability contract of the hot layers is *zero cost when
-    tracing is off*: components store the ambient tracer (or None) at
-    construction and every hook site must be a single ``is not None``
-    test before any event-argument construction.  An unguarded
-    ``<x>.tracer.<event>(...)`` either crashes on None or — worse —
-    forces a tracer to exist, making every run pay event-building cost.
-    The rule tracks guard scopes lexically: ``if t is not None:``
-    bodies, ``and``-chains, ternaries, and early-return ``if t is
-    None:`` blocks all count.
+    The observability contract of the simulation layers is *zero cost
+    when nothing observes*: ``kernel.hooks`` is None then
+    (:mod:`repro.kernel.hooks`), and every hook site must be a single
+    ``is not None`` test before any argument construction.  An
+    unguarded ``hooks.<hook>(...)`` / ``<x>.hooks.<hook>(...)`` either
+    crashes on None or — worse — forces an observer to exist, making
+    every run pay for it.  The rule tracks guard scopes lexically:
+    ``if h is not None:`` bodies, ``and``-chains, ternaries, and
+    early-return ``if h is None:`` blocks all count.
     """
 
     code = "RPL008"
-    name = "unguarded-tracer-call"
-    #: Directory names this rule patrols (the hot simulation layers).
-    scoped_parts = ("cc", "dist", "kernel")
+    name = "unguarded-hook-call"
+    #: Directory names this rule patrols (the instrumented layers).
+    scoped_parts = ("kernel", "cc", "db", "dist", "txn", "resources")
 
     def applies_to(self, path: str) -> bool:
         if _is_path_part(path, "tests"):
@@ -670,25 +675,23 @@ class UnguardedTracerRule(Rule):
             return
         if isinstance(node, ast.Call) and isinstance(node.func,
                                                      ast.Attribute):
-            key = self._tracer_key(node.func.value)
+            key = self._slot_key(node.func.value)
             if key is not None and key not in guarded:
                 findings.append(self.finding(
                     path, node,
-                    f"tracer call {key}.{node.func.attr}(...) outside "
-                    f"an 'if {key} is not None:' guard; trace hooks in "
-                    f"hot layers must be zero-cost when tracing is off"))
+                    f"hook call {key}.{node.func.attr}(...) outside an "
+                    f"'if {key} is not None:' guard; a hook site must "
+                    f"cost one test when nothing observes"))
         for child in ast.iter_child_nodes(node):
             self._scan_expr(child, guarded, path, findings)
 
     @staticmethod
-    def _tracer_key(base: ast.AST):
-        """Canonical key if ``base`` looks like a tracer reference."""
-        if isinstance(base, ast.Name):
-            if base.id == "tracer" or base.id.endswith("_tracer"):
-                return base.id
-        elif isinstance(base, ast.Attribute):
-            if base.attr == "tracer" or base.attr.endswith("_tracer"):
-                return ast.unparse(base)
+    def _slot_key(base: ast.AST):
+        """Canonical key if ``base`` reads the instrumentation slot."""
+        if isinstance(base, ast.Name) and base.id == "hooks":
+            return base.id
+        if isinstance(base, ast.Attribute) and base.attr == "hooks":
+            return ast.unparse(base)
         return None
 
 
@@ -989,7 +992,7 @@ _SYNTACTIC_RULES = (
     FingerprintSafetyRule(),
     MutableDefaultRule(),
     AdHocTraceOutputRule(),
-    UnguardedTracerRule(),
+    UnguardedHookRule(),
     BlockingTaxonomyRule(),
     ProtocolLiteralRule(),
     HostClockGatewayRule(),
@@ -1005,7 +1008,8 @@ RULE_INDEX = {
     "RPL005": "fingerprint-unsafe config dataclass field",
     "RPL006": "mutable default argument",
     "RPL007": "print()/logging in protocol or dist modules",
-    "RPL008": "tracer event call outside an 'is not None' guard",
+    "RPL008": "instrumentation-hook call outside its 'is not None' "
+              "guard",
     "RPL009": "re-declared blocking-category string literal",
     "RPL013": "hard-coded protocol-name literal outside the registry",
     "RPL014": "host-clock call outside the hostclock gateway",

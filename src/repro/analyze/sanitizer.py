@@ -6,34 +6,29 @@ Activation (any of):
   raises :class:`SanitizerViolation`) or ``REPRO_SANITIZE=record``
   (collect violations, never raise);
 - CLI — ``python -m repro <figure> --sanitize``;
-- programmatic — ``with repro.analyze.sanitize() as s: ...`` or
-  ``install_sanitizer(Sanitizer(strict=False))``.
+- programmatic — ``with repro.analyze.sanitize() as s: ...``.
 
-When no sanitizer is active the instrumentation cost is one ``is not
-None`` check per hook site: protocol constructors read the active
-sanitizer once and store ``None``, so steady-state simulation code
-never takes a branch into checker logic.
-
-The sanitizer itself is a thin dispatcher: protocol instances attach a
-per-instance checker (:class:`~repro.analyze.invariants.CeilingChecker`
-for the ceiling protocols, ``TwoPhaseChecker`` for the 2PL family) and
-replica catalogs attach a :class:`ReplicationChecker`.  Checkers report
+The sanitizer is a subscriber to the kernel's instrumentation hooks
+(:mod:`repro.kernel.hooks`) and itself a thin dispatcher: each protocol
+instance announces itself (``attach_protocol``) and gets a checker of
+its own (:class:`~repro.analyze.invariants.CeilingChecker` for the
+ceiling protocols, ``TwoPhaseChecker`` for the 2PL family), which the
+protocol's later hooks are handed to.  Checkers report
 :class:`~repro.analyze.invariants.Violation` records here; the
-sanitizer stores them (and raises in strict mode).  Selection is
-duck-typed on ``rw_ceiling`` so this module never imports the model
-packages — ``repro.cc.base`` imports *us* at module load.
+sanitizer stores them (and raises in strict mode).  This module never
+imports the model packages at load time.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import Dict, List, Optional
+import weakref
+from typing import Dict, Iterator, List, Optional
 
+from ..kernel.hooks import ENV_SANITIZE as ENV_VAR, Hooks, observing
 from .invariants import (CeilingChecker, ProtocolChecker,
-                         ReplicationChecker, TwoPhaseChecker, Violation)
-
-ENV_VAR = "REPRO_SANITIZE"
+                         TwoPhaseChecker, Violation, check_replica_write)
 
 
 class SanitizerViolation(AssertionError):
@@ -46,15 +41,31 @@ class SanitizerViolation(AssertionError):
         self.violation = violation
 
 
+class _Gone:
+    """Stands in for the checker of a protocol that is being garbage
+    collected: the cleanup of a manager still suspended in that system
+    can fire the protocol's hooks after its weak references died."""
+
+    def __getattr__(self, name: str):
+        return lambda *args: None
+
+
+_GONE = _Gone()
+
+
 class Sanitizer:
     """Collects invariant violations from attached checkers."""
 
     def __init__(self, strict: bool = True):
         self.strict = strict
         self.violations: List[Violation] = []
+        #: id(protocol) -> its checker, dropped with the protocol: an
+        #: environment-activated sanitizer lives as long as the
+        #: process and must not keep every system it checked alive.
+        self._checkers: Dict[int, ProtocolChecker] = {}
 
     # ------------------------------------------------------------------
-    # attachment (called by instrumented constructors)
+    # hooks (see repro.kernel.hooks.HOOKS)
     # ------------------------------------------------------------------
     def attach_protocol(self, cc) -> ProtocolChecker:
         """Checker for a concurrency-control instance.
@@ -72,17 +83,41 @@ class Sanitizer:
             pass
         else:
             family = REGISTRY.checker_family(getattr(cc, "name", None))
-        if family == "ceiling":
-            return CeilingChecker(self, cc)
-        if family == "twopl":
-            return TwoPhaseChecker(self, cc)
-        if hasattr(cc, "rw_ceiling"):
-            return CeilingChecker(self, cc)
-        return TwoPhaseChecker(self, cc)
+        checker_class = (
+            CeilingChecker if family == "ceiling" or (
+                family is None and hasattr(cc, "rw_ceiling"))
+            else TwoPhaseChecker)
+        checker = checker_class(self, weakref.proxy(cc))
+        self._checkers[id(cc)] = checker
+        weakref.finalize(cc, self._checkers.pop, id(cc), None)
+        return checker
 
-    def attach_catalog(self, catalog) -> ReplicationChecker:
-        """Checker for a replica catalog's single-writer invariant."""
-        return ReplicationChecker(self, catalog)
+    def txn_register(self, now, cc, txn) -> None:
+        self._checkers.get(id(cc), _GONE).txn_register(txn)
+
+    def txn_deregister(self, now, cc, txn) -> None:
+        self._checkers.get(id(cc), _GONE).txn_deregister(txn)
+
+    def lock_grant(self, now, cc, txn, oid, mode, request) -> None:
+        self._checkers.get(id(cc), _GONE).lock_grant(txn, oid, mode)
+
+    def lock_block(self, now, cc, request, cause, conflicts) -> None:
+        self._checkers.get(id(cc), _GONE).lock_block(request.txn, request.oid,
+                                      request.mode)
+
+    def lock_release(self, now, cc, txn, freed) -> None:
+        self._checkers.get(id(cc), _GONE).lock_release(txn, freed)
+
+    def lock_abort(self, now, cc, txn) -> None:
+        self._checkers.get(id(cc), _GONE).lock_abort(txn)
+
+    def lock_commit(self, now, cc, txn) -> None:
+        self._checkers.get(id(cc), _GONE).lock_commit(txn)
+
+    def replica_write(self, now, catalog, site, oid, timestamp) -> None:
+        violation = check_replica_write(catalog, site, oid, timestamp)
+        if violation is not None:
+            self.report(violation)
 
     # ------------------------------------------------------------------
     # reporting
@@ -123,59 +158,30 @@ class Sanitizer:
 # ----------------------------------------------------------------------
 # activation
 # ----------------------------------------------------------------------
-_ACTIVE: Optional[Sanitizer] = None
-
-
-def _from_env() -> Optional[Sanitizer]:
+def with_environment(active: Optional[Hooks]) -> Optional[Hooks]:
+    """``active`` plus, when ``REPRO_SANITIZE`` asks for one and none
+    is subscribed, a sanitizer (strict unless the value is ``record``).
+    The kernel's activation keeps the result, so one instance serves
+    every system this process builds."""
+    subscribers = () if active is None else active.subscribers
     value = os.environ.get(ENV_VAR, "").strip().lower()
-    if value in ("", "0", "false", "no", "off"):
-        return None
-    return Sanitizer(strict=value != "record")
-
-
-def current_sanitizer() -> Optional[Sanitizer]:
-    """The active sanitizer, if any.
-
-    An explicitly installed sanitizer wins; otherwise the environment
-    is consulted and — when it asks for one — a process-wide instance
-    is created on first use (so violations from every system built in
-    this process aggregate in one place).
-    """
-    global _ACTIVE
-    if _ACTIVE is None and ENV_VAR in os.environ:
-        _ACTIVE = _from_env()
-    return _ACTIVE
-
-
-def install_sanitizer(sanitizer: Sanitizer) -> Sanitizer:
-    """Make ``sanitizer`` the active one (overrides the environment)."""
-    global _ACTIVE
-    _ACTIVE = sanitizer
-    return sanitizer
-
-
-def uninstall_sanitizer() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def sanitizer_enabled() -> bool:
-    return current_sanitizer() is not None
+    if (value in ("", "0", "false", "no", "off")
+            or any(isinstance(subscriber, Sanitizer)
+                   for subscriber in subscribers)):
+        return active
+    return Hooks(subscribers + (Sanitizer(strict=value != "record"),))
 
 
 @contextlib.contextmanager
-def sanitize(strict: bool = True):
-    """Scoped activation: systems built inside the block are checked.
+def sanitize(strict: bool = True) -> Iterator[Sanitizer]:
+    """Scoped activation: systems built inside the block are checked
+    (by this sanitizer in place of an outer or environment one, beside
+    anything else observing).
 
         with sanitize(strict=False) as s:
             SingleSiteSystem(config).run()
         assert s.clean, s.summary()
     """
-    global _ACTIVE
-    previous = _ACTIVE
     sanitizer = Sanitizer(strict=strict)
-    _ACTIVE = sanitizer
-    try:
+    with observing(sanitizer):
         yield sanitizer
-    finally:
-        _ACTIVE = previous

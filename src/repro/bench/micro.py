@@ -61,13 +61,6 @@ _SIZES = {
 }
 
 
-def _reset_counters() -> None:
-    """Process-global id counters restart so every measured run does
-    identical work regardless of what ran before it."""
-    from ..core.experiment import reset_id_counters
-    reset_id_counters()
-
-
 # ----------------------------------------------------------------------
 # the benchmark bodies: each returns the operation count it performed
 # ----------------------------------------------------------------------
@@ -137,7 +130,6 @@ def _single_site_config(protocol: str, n_transactions: int):
 
 def _run_single_site(protocol: str, n: int) -> int:
     from ..core.experiment import run_single_site
-    _reset_counters()
     row = run_single_site(_single_site_config(protocol, n))
     return int(row["processed"])
 
@@ -166,7 +158,6 @@ def _distributed_config(mode: str, n_transactions: int):
 
 def _run_distributed(mode: str, n: int) -> int:
     from ..core.experiment import run_distributed
-    _reset_counters()
     row = run_distributed(_distributed_config(mode, n))
     return int(row["processed"])
 
@@ -182,7 +173,6 @@ def _bench_dist_global(n: int) -> int:
 def _bench_traced_single_site(n: int) -> int:
     from ..core.experiment import run_single_site
     from ..trace.tracer import Tracer, tracing
-    _reset_counters()
     with tracing(Tracer()):
         row = run_single_site(_single_site_config("C", n))
     return int(row["processed"])
@@ -251,7 +241,6 @@ def _bench_turbo_single_site(n: int) -> int:
     import dataclasses
 
     from ..core.experiment import run_single_site
-    _reset_counters()
     row = run_single_site(dataclasses.replace(
         _single_site_config("C", n), engine="turbo"))
     return int(row["processed"])
@@ -266,7 +255,6 @@ def _bench_metered_event_dispatch(n: int) -> int:
 def _bench_metered_single_site(n: int) -> int:
     from ..core.experiment import run_single_site
     from ..telemetry.registry import metering
-    _reset_counters()
     with metering():
         row = run_single_site(_single_site_config("C", n))
     return int(row["processed"])

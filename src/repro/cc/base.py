@@ -26,12 +26,8 @@ import itertools
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set
 
-from ..analyze.sanitizer import current_sanitizer
 from ..constants import BLOCKING_CEILING, BLOCKING_DIRECT
 from ..db.locks import LockMode, LockTable
-from ..telemetry.probes import CCProbe
-from ..telemetry.registry import current_metrics
-from ..trace.tracer import current_tracer
 from ..kernel.kernel import Kernel
 from ..kernel.process import Process, ProcessState
 from ..kernel.syscalls import BLOCKED, DONE, SysCall
@@ -169,33 +165,24 @@ class ConcurrencyControl:
         #: ``txn.tid``) — that order reaches set_inherited_priority.
         self._inheriting: Set[int] = set()
         self._inheriting_txn: Dict[int, Transaction] = {}
-        #: Invariant checker when the protocol sanitizer is active
-        #: (REPRO_SANITIZE / repro.analyze.sanitize); None keeps every
-        #: hook site a single attribute test.
-        active = current_sanitizer()
-        self.sanitizer = (active.attach_protocol(self)
-                          if active is not None else None)
-        #: Structured event tracer (repro.trace); None keeps every
-        #: hook site a single attribute test, like the sanitizer.
-        self.tracer = current_tracer()
-        #: Metrics probe (repro.telemetry); None when metering is off,
-        #: honoring the same zero-cost-when-off contract.
-        registry = current_metrics()
-        self.meter = (CCProbe(registry, self.name)
-                      if registry is not None else None)
+        hooks = kernel.hooks
+        if hooks is not None:
+            hooks.attach_protocol(self)
 
     # ------------------------------------------------------------------
     # lifecycle hooks
     # ------------------------------------------------------------------
     def register(self, txn: Transaction) -> None:
         """The transaction becomes active (started, not completed)."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_register(txn)
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.txn_register(self.kernel.now, self, txn)
 
     def deregister(self, txn: Transaction) -> None:
         """The transaction left the system (committed or missed)."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_deregister(txn)
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.txn_deregister(self.kernel.now, self, txn)
         self._reevaluate()
 
     # ------------------------------------------------------------------
@@ -216,19 +203,14 @@ class ConcurrencyControl:
         """Kernel-context body of :meth:`acquire`: grant now (``DONE``)
         or park ``process`` in the wait set (``BLOCKED``)."""
         self.stats.requests += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.lock_request(kernel.now, txn, oid, mode)
+        hooks = kernel.hooks
+        if hooks is not None:
+            hooks.lock_request(kernel.now, self, txn, oid, mode)
         if self._can_acquire(txn, oid, mode):
             self.locks.grant(oid, txn, mode)
             self.stats.immediate_grants += 1
-            if self.sanitizer is not None:
-                self.sanitizer.on_grant(txn, oid, mode, waited=False)
-            if tracer is not None:
-                tracer.lock_grant(kernel.now, txn, oid, mode,
-                                  waited=False)
-            if self.meter is not None:
-                self.meter.on_grant(kernel.now, txn, oid, waited=False)
+            if hooks is not None:
+                hooks.lock_grant(kernel.now, self, txn, oid, mode, None)
             return DONE
         self.stats.blocks += 1
         conflicts = self.locks.conflicting_holders(oid, txn, mode)
@@ -250,14 +232,8 @@ class ConcurrencyControl:
         process.blocker = blocker = _RequestBlocker()
         blocker.cc = self
         blocker.request = request
-        if self.sanitizer is not None:
-            self.sanitizer.on_block(txn, oid, mode)
-        if tracer is not None:
-            tracer.lock_block(
-                kernel.now, txn, oid, mode, cause,
-                conflicts or self._trace_blockers(request))
-        if self.meter is not None:
-            self.meter.on_block(kernel.now, request, cause)
+        if hooks is not None:
+            hooks.lock_block(kernel.now, self, request, cause, conflicts)
         # _on_block may raise a TransactionAbort into the requester
         # (deadlock victim); it must leave protocol state clean if so.
         self._on_block(request)
@@ -280,20 +256,15 @@ class ConcurrencyControl:
         machinery assumes a parked requester.
         """
         self.stats.requests += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.lock_request(self.kernel.now, txn, oid, mode)
+        kernel = self.kernel
+        hooks = kernel.hooks
+        if hooks is not None:
+            hooks.lock_request(kernel.now, self, txn, oid, mode)
         if self._can_acquire(txn, oid, mode):
             self.locks.grant(oid, txn, mode)
             self.stats.immediate_grants += 1
-            if self.sanitizer is not None:
-                self.sanitizer.on_grant(txn, oid, mode, waited=False)
-            if tracer is not None:
-                tracer.lock_grant(self.kernel.now, txn, oid, mode,
-                                  waited=False)
-            if self.meter is not None:
-                self.meter.on_grant(self.kernel.now, txn, oid,
-                                    waited=False)
+            if hooks is not None:
+                hooks.lock_grant(kernel.now, self, txn, oid, mode, None)
             return True
         self.stats.blocks += 1
         conflicts = self.locks.conflicting_holders(oid, txn, mode)
@@ -309,16 +280,11 @@ class ConcurrencyControl:
         request.mode = mode
         request.process = process if process is not None else txn.process
         request.seq = next(self._seq)
-        request.since = self.kernel.now
+        request.since = kernel.now
         request.on_grant = on_grant
         self._enqueue(request)
-        if self.sanitizer is not None:
-            self.sanitizer.on_block(txn, oid, mode)
-        if tracer is not None:
-            tracer.lock_block(self.kernel.now, txn, oid, mode, cause,
-                              conflicts or self._trace_blockers(request))
-        if self.meter is not None:
-            self.meter.on_block(self.kernel.now, request, cause)
+        if hooks is not None:
+            hooks.lock_block(kernel.now, self, request, cause, conflicts)
         self._on_block(request)
         self._after_change()
         return False
@@ -331,13 +297,11 @@ class ConcurrencyControl:
             return 0
         stale = [request for request in self._waiting_by_tid[txn.tid]
                  if request.on_grant is not None]
+        hooks = self.kernel.hooks
         for request in stale:
             self._dequeue(request)
-            if self.tracer is not None:
-                self.tracer.lock_withdraw(self.kernel.now, request.txn,
-                                          request.oid)
-            if self.meter is not None:
-                self.meter.on_withdraw(self.kernel.now, request)
+            if hooks is not None:
+                hooks.lock_withdraw(self.kernel.now, self, request)
         if stale:
             self._reevaluate()
         return len(stale)
@@ -345,12 +309,9 @@ class ConcurrencyControl:
     def release_all(self, txn: Transaction) -> List[int]:
         """Free every lock ``txn`` holds; wake newly grantable waiters."""
         freed = self.locks.release_all(txn)
-        if self.sanitizer is not None:
-            self.sanitizer.on_release_all(txn, freed)
-        if self.tracer is not None and freed:
-            self.tracer.lock_release(self.kernel.now, txn, freed)
-        if self.meter is not None and freed:
-            self.meter.on_release(self.kernel.now, txn, freed)
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.lock_release(self.kernel.now, self, txn, freed)
         if freed or txn.tid in self._inheriting:
             self._reevaluate()
         return freed
@@ -362,8 +323,9 @@ class ConcurrencyControl:
         the interrupt was delivered; only held locks remain here.
         """
         self.release_all(txn)
-        if self.sanitizer is not None:
-            self.sanitizer.on_abort(txn)
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.lock_abort(self.kernel.now, self, txn)
 
     # ------------------------------------------------------------------
     # protocol extension points
@@ -376,10 +338,11 @@ class ConcurrencyControl:
         """Called after ``request`` was parked (inheritance, deadlock
         detection).  Default: nothing."""
 
-    def _trace_blockers(self, request: Request) -> List[Transaction]:
-        """Holders to snapshot on a conflict-free (ceiling) block.
-        Protocols that can identify them override this; the trace
-        layer uses the snapshot to classify inversion intervals."""
+    def ceiling_blockers(self, request: Request) -> List[Transaction]:
+        """The holders behind a conflict-free (ceiling) block, for a
+        ``lock_block`` subscriber (the trace layer classifies inversion
+        intervals from them).  Protocols that can name them override
+        this."""
         return []
 
     def _grant_order(self) -> Iterable[Request]:
@@ -410,18 +373,10 @@ class ConcurrencyControl:
     def _grant_waiter(self, request: Request) -> None:
         self.locks.grant(request.oid, request.txn, request.mode)
         self._dequeue(request)
-        if self.sanitizer is not None:
-            self.sanitizer.on_grant(request.txn, request.oid,
-                                    request.mode, waited=True)
-        if self.tracer is not None:
-            self.tracer.lock_grant(self.kernel.now, request.txn,
-                                   request.oid, request.mode,
-                                   waited=True)
-        if self.meter is not None:
-            now = self.kernel.now
-            self.meter.on_unblock(now, request, now - request.since)
-            self.meter.on_grant(now, request.txn, request.oid,
-                                waited=True)
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.lock_grant(self.kernel.now, self, request.txn,
+                             request.oid, request.mode, request)
         process = request.process
         if request.on_grant is not None:
             request.on_grant()
@@ -436,11 +391,9 @@ class ConcurrencyControl:
         """Interrupt cleanup: the waiter leaves the wait set."""
         if request in self._waiting_by_oid.get(request.oid, ()):
             self._dequeue(request)
-            if self.tracer is not None:
-                self.tracer.lock_withdraw(self.kernel.now, request.txn,
-                                          request.oid)
-            if self.meter is not None:
-                self.meter.on_withdraw(self.kernel.now, request)
+            hooks = self.kernel.hooks
+            if hooks is not None:
+                hooks.lock_withdraw(self.kernel.now, self, request)
         self._reevaluate()
 
     def _enqueue(self, request: Request) -> None:
@@ -486,6 +439,7 @@ class ConcurrencyControl:
         """
         changed = False
         kernel = self.kernel
+        hooks = kernel.hooks
         inheriting = self._inheriting
         inheriting_txn = self._inheriting_txn
         for tid in list(inheriting):
@@ -497,8 +451,8 @@ class ConcurrencyControl:
                         and process.state is not _TERMINATED
                         and process.inherited_priority is not None):
                     changed = True
-                    if self.tracer is not None:
-                        self.tracer.priority_restore(kernel.now, txn)
+                    if hooks is not None:
+                        hooks.priority_restore(kernel.now, txn)
                     kernel.set_inherited_priority(process, None)
         for tid, priority in contributions.items():
             txn = holders[tid]
@@ -508,9 +462,8 @@ class ConcurrencyControl:
             if process.inherited_priority != priority:
                 self.stats.inheritance_events += 1
                 changed = True
-                if self.tracer is not None:
-                    self.tracer.priority_inherit(kernel.now, txn,
-                                                 priority)
+                if hooks is not None:
+                    hooks.priority_inherit(kernel.now, txn, priority)
                 kernel.set_inherited_priority(process, priority)
             if tid not in inheriting:
                 inheriting.add(tid)

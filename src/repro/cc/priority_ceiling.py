@@ -138,9 +138,9 @@ class PriorityCeiling(ConcurrencyControl):
                     ceilings[oid] = priority
                     if oid in locked:
                         self._refresh_entry(oid, locked[oid])
-        if self.tracer is not None:
-            self.tracer.ceiling_raise(self.kernel.now, txn,
-                                      self._active_ceiling())
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.ceiling_raise(self.kernel.now, self, txn)
 
     def deregister(self, txn: Transaction) -> None:
         tid = txn.tid
@@ -163,11 +163,10 @@ class PriorityCeiling(ConcurrencyControl):
                     continue
                 if oid in locked:
                     self._refresh_entry(oid, locked[oid])
-        if self.tracer is not None:
-            self.tracer.ceiling_lower(self.kernel.now, txn,
-                                      self._active_ceiling())
-        if self.sanitizer is not None:
-            self.sanitizer.on_deregister(txn)
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.ceiling_lower(self.kernel.now, self, txn)
+            hooks.txn_deregister(self.kernel.now, self, txn)
         # Ceilings dropped: re-evaluate the waiters — unless nothing
         # that a re-evaluation reads moved since the last one settled
         # (the usual case: release_all just ran it, and the ceilings
@@ -189,15 +188,6 @@ class PriorityCeiling(ConcurrencyControl):
             else:
                 return
         self._reevaluate()
-
-    def _active_ceiling(self) -> Optional[float]:
-        """Highest priority among active transactions (trace snapshot:
-        the static-ceiling upper bound after a set change)."""
-        best: Optional[float] = None
-        for txn in self.active.values():
-            if best is None or txn.priority > best:
-                best = txn.priority
-        return best
 
     # ------------------------------------------------------------------
     # ceilings
@@ -357,19 +347,15 @@ class PriorityCeiling(ConcurrencyControl):
     # ------------------------------------------------------------------
     # inheritance
     # ------------------------------------------------------------------
-    def _blocking_holders(self, request: Request) -> List[Transaction]:
+    def ceiling_blockers(self, request: Request) -> List[Transaction]:
         """Holder(s) of the lock with the highest rw-ceiling — the
-        transaction(s) 'blocking' this request in the protocol's sense."""
+        transaction(s) 'blocking' this request in the protocol's sense
+        (a ceiling block has no direct lock conflict to name them)."""
         __, oid = self._ceiling_barrier(request.txn)
         if oid is None:
             return []
         return [holder for holder in self.locks.holder_map(oid)
                 if holder is not request.txn]
-
-    def _trace_blockers(self, request: Request) -> List[Transaction]:
-        # Ceiling blocks have no direct lock conflict; snapshot the
-        # barrier lock's holders so traces can classify inversions.
-        return self._blocking_holders(request)
 
     def _after_change(self) -> None:
         # Same fixpoint structure as PI, but the inheritance edge goes to
@@ -410,7 +396,7 @@ class PriorityCeiling(ConcurrencyControl):
                     if (priority != request.txn.priority
                             and request.on_grant is not None):
                         volatile = True
-                    holders = self._blocking_holders(request)
+                    holders = self.ceiling_blockers(request)
                 for holder in holders:
                     tid = holder.tid
                     current = contributions.get(tid)

@@ -60,9 +60,9 @@ class MPCP(TwoPhaseLockingPriority):
         self.active[txn.tid] = txn
         for oid in txn.access_set:
             self._accessors.setdefault(oid, {})[txn.tid] = txn.priority
-        if self.tracer is not None:
-            self.tracer.ceiling_raise(self.kernel.now, txn,
-                                      self._priority_top())
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.ceiling_raise(self.kernel.now, self, txn)
 
     def deregister(self, txn: Transaction) -> None:
         self.active.pop(txn.tid, None)
@@ -72,9 +72,9 @@ class MPCP(TwoPhaseLockingPriority):
                 declarers.pop(txn.tid, None)
                 if not declarers:
                     del self._accessors[oid]
-        if self.tracer is not None:
-            self.tracer.ceiling_lower(self.kernel.now, txn,
-                                      self._priority_top())
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.ceiling_lower(self.kernel.now, self, txn)
         super().deregister(txn)  # ceilings dropped: re-evaluate
 
     # ------------------------------------------------------------------
@@ -147,22 +147,8 @@ class FMLPQueueLock(TwoPhaseLocking):
     def __init__(self, kernel, victim_policy: str = "none"):
         super().__init__(kernel, victim_policy=victim_policy)
 
-    def _after_change(self) -> None:
-        # The holder at the head of a contended FIFO queue inherits the
-        # highest effective priority queued behind it (same fixpoint
-        # structure as protocol PI), so a middle-priority transaction
-        # cannot preempt the holder while higher-priority work waits.
-        for __ in range(len(self.waiting) + 1):
-            contributions: dict = {}
-            inheritors: dict = {}
-            for request in self.waiting:
-                waiter_priority = request.waiter_priority()
-                for holder in self.locks.conflicting_holders(
-                        request.oid, request.txn, request.mode):
-                    tid = holder.tid
-                    current = contributions.get(tid)
-                    if current is None or current < waiter_priority:
-                        contributions[tid] = waiter_priority
-                        inheritors[tid] = holder
-            if not self._apply_inheritance(contributions, inheritors):
-                break
+    # The holder at the head of a contended FIFO queue inherits the
+    # highest effective priority queued behind it, so a middle-priority
+    # transaction cannot preempt the holder while higher-priority work
+    # waits: protocol PI's blocked-by relation, over FIFO queues.
+    _after_change = TwoPhaseLocking._inherit_from_waiters

@@ -207,6 +207,32 @@ class TwoPhaseLocking(ConcurrencyControl):
                     targets.add(other.txn)
         return targets
 
+    def _inherit_from_waiters(self) -> None:
+        """Priority inheritance along the blocked-by relation — the
+        ``_after_change`` of the protocols that inherit (PI over
+        priority queues, FMLP over FIFO ones; Brandenburg,
+        arXiv:1909.09600, defines both by this one relation).
+
+        A fixpoint over inheritance chains: a holder inherits the
+        highest *effective* priority among the waiters it blocks, and
+        effective priorities feed forward (T3 holding what T2 needs
+        inherits T1's priority when T1 blocks on T2).  Chains are
+        bounded by the number of waiters, so the loop terminates."""
+        for __ in range(len(self.waiting) + 1):
+            contributions: dict = {}
+            inheritors: dict = {}
+            for request in self.waiting:
+                waiter_priority = request.waiter_priority()
+                for holder in self.locks.conflicting_holders(
+                        request.oid, request.txn, request.mode):
+                    tid = holder.tid
+                    current = contributions.get(tid)
+                    if current is None or current < waiter_priority:
+                        contributions[tid] = waiter_priority
+                        inheritors[tid] = holder
+            if not self._apply_inheritance(contributions, inheritors):
+                break
+
     def _waits_for(self):
         """The whole waits-for graph.  Introspection and the test
         oracle only: ``_on_block`` searches :meth:`_waits_on` edges."""

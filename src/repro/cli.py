@@ -28,7 +28,6 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .analyze.sanitizer import ENV_VAR, Sanitizer, install_sanitizer
 from .bench import (format_dbsize, format_deadlock_policies,
                     format_fault_ablation,
                     format_fig2, format_fig3, format_fig4, format_fig5,
@@ -48,6 +47,7 @@ from .bench import (format_dbsize, format_deadlock_policies,
 from .protocols import REGISTRY, UnknownProtocolError
 from .exec import (ResultCache, TextProgress, default_cache_dir,
                    resolve_jobs, session_counters)
+from .kernel.hooks import ENV_SANITIZE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -316,8 +316,7 @@ def _run_main(argv: List[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.sanitize:
-        os.environ[ENV_VAR] = "1"
-        install_sanitizer(Sanitizer(strict=True))
+        os.environ[ENV_SANITIZE] = "1"
     plan = None
     if args.faults is not None:
         from .faults import load_plan
@@ -613,10 +612,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
     if args.sanitize:
-        # Via the environment so process-pool workers inherit it too;
-        # plus an in-process install so this process checks immediately.
-        os.environ[ENV_VAR] = "1"
-        install_sanitizer(Sanitizer(strict=True))
+        # Via the environment: this process's kernels read it as they
+        # are built, and process-pool workers inherit it.
+        os.environ[ENV_SANITIZE] = "1"
     opts = _exec_options(args)
     names = list(COMMANDS) if args.command == "all" else [args.command]
     if args.command == "all":

@@ -14,6 +14,7 @@ schedule so every protocol sees the identical transaction stream.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional
 
 from ..cc import make_protocol
@@ -56,6 +57,9 @@ class SingleSiteSystem:
         self.monitor = PerformanceMonitor()
         self.assigner = PriorityAssigner(config.timing.priority_policy)
         self._active = 0
+        #: Transaction ids of this run, from 1: ids are hashed, so a
+        #: row must not depend on what the interpreter numbered before.
+        self._tids = itertools.count(1)
         if schedule is None:
             workload = config.workload
             generator = WorkloadGenerator(
@@ -83,7 +87,7 @@ class SingleSiteSystem:
         priority = self.assigner.priority(now, deadline)
         txn = Transaction(spec.operations, now, deadline, priority,
                           site=spec.site, txn_type=spec.txn_type,
-                          periodic=spec.periodic)
+                          periodic=spec.periodic, tid=next(self._tids))
         self._active += 1
         spawn_transaction(self.kernel, txn, self.cc, self.cpu, self.io,
                           self.database, self.config.costs,

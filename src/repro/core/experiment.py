@@ -19,32 +19,14 @@ to exactly the same series as serial ones.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..dist.system import DistributedSystem
 from ..exec import plan_batch, rows_by_group, run_units
 from ..exec.cache import CacheSpec
-from ..kernel import process as process_module
-from ..txn import transaction as transaction_module
 from .builder import SingleSiteSystem
 from .config import DistributedConfig, SingleSiteConfig
 from .metrics import aggregate_runs
-
-
-def reset_id_counters() -> None:
-    """Restart the process-global transaction and process id counters.
-
-    Ids are hashed (waits-for successor sets iterate in ``hash(tid)``
-    order), so a run numbered from a different offset does different
-    work, and with a 2PL victim policy can return a different row.
-    Whoever needs a run to be a function of its config alone — the
-    exec worker, the benchmarks, the schedule explorer — calls this
-    before building the system.  Only safe while no other simulation
-    in this interpreter is in flight.
-    """
-    transaction_module._tid_counter = itertools.count(1)
-    process_module._pid_counter = itertools.count(1)
 
 
 def run_single_site(config: SingleSiteConfig) -> dict:

@@ -102,11 +102,6 @@ class LockTable:
         #: called — cheaper than :meth:`subscribe` for that question.
         #: The protocol owns the dict and empties it.
         self.freed: Optional[Dict[int, None]] = None
-        #: Sanitizer hook (see :mod:`repro.analyze.invariants`): when
-        #: set, ``on_table_grant``/``on_table_release`` fire after every
-        #: state transition, catching corruption that slips past the
-        #: protocol layer.  None in normal operation.
-        self.observer: Optional[Any] = None
 
     def subscribe(self, listener: Any) -> None:
         """Call ``listener.on_lock_change(oid, record)`` after every
@@ -252,8 +247,6 @@ class LockTable:
             listener = self._listener()
             if listener is not None:
                 listener.on_lock_change(oid, record)
-        if self.observer is not None:
-            self.observer.on_table_grant(oid, owner, holders[owner])
 
     def release(self, oid: int, owner: Hashable) -> None:
         """Release one lock.  Raises :class:`LockError` if not held."""
@@ -274,8 +267,6 @@ class LockTable:
             listener = self._listener()
             if listener is not None:
                 listener.on_lock_change(oid, record)
-        if self.observer is not None:
-            self.observer.on_table_release(oid, owner)
 
     def release_all(self, owner: Hashable) -> List[int]:
         """Release every lock held by ``owner``; returns the freed oids."""

@@ -18,9 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..analyze.invariants import ReplicationChecker
-from ..analyze.sanitizer import current_sanitizer
-
 
 class ReplicationViolation(Exception):
     """An operation broke one of restrictions R1–R3."""
@@ -46,10 +43,6 @@ class ReplicaCatalog:
         self._copy_ts: Dict[int, List[float]] = {
             site: [0.0] * db_size for site in range(n_sites)
         }
-        #: Single-writer invariant checker when the sanitizer is active.
-        active = current_sanitizer()
-        self.checker: Optional[ReplicationChecker] = (
-            active.attach_catalog(self) if active is not None else None)
 
     # ------------------------------------------------------------------
     # placement
@@ -80,11 +73,6 @@ class ReplicaCatalog:
     def record_write(self, site: int, oid: int, timestamp: float) -> None:
         """The copy of ``oid`` at ``site`` now reflects ``timestamp``."""
         self._check_site(site)
-        # The checker compares against the *pre-update* primary copy:
-        # a secondary installing a version the primary has never seen is
-        # an origination, not a propagation.
-        if self.checker is not None:
-            self.checker.on_record_write(site, oid, timestamp)
         self._copy_ts[site][oid] = timestamp
 
     def copy_timestamp(self, site: int, oid: int) -> float:

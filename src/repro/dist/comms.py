@@ -26,16 +26,6 @@ exactly-once protocol state.
 from __future__ import annotations
 
 from ..kernel.errors import Timeout
-from ..telemetry.probes import CommsProbe
-from ..telemetry.registry import current_metrics
-from ..trace.tracer import current_tracer
-
-
-def _message_label(make_message, built=None) -> str:
-    """Trace label for an exchange: the message type name."""
-    if built is not None:
-        return type(built).__name__
-    return getattr(make_message, "__name__", "request")
 
 
 class RecoveryPolicy:
@@ -53,10 +43,6 @@ class RecoveryPolicy:
         self.cap = cap
         self.attempts = attempts
         self.stats = stats
-        registry = current_metrics()
-        #: Retry/backoff metrics probe, or None when metering is off.
-        self.meter = (CommsProbe(registry)
-                      if registry is not None else None)
 
     @classmethod
     def from_plan(cls, plan, comm_delay: float,
@@ -79,7 +65,6 @@ class DirectComms:
         self.site = site
         self.reply = reply
         self.tid = tid
-        self.tracer = current_tracer()
 
     def request(self, dst: int, make_message, match=None, interim=None):
         """Generator: send once, return the next reply — exactly the
@@ -87,15 +72,16 @@ class DirectComms:
         checked: with exactly-once delivery the next message *is* the
         reply)."""
         message = make_message()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.rpc_begin(self.site.kernel.now, self.site.site_id,
-                             dst, self.tid, _message_label(None, message))
+        kernel = self.site.kernel
+        hooks = kernel.hooks
+        if hooks is not None:
+            hooks.rpc_begin(kernel.now, self.site.site_id, dst,
+                            self.tid, type(message).__name__)
         self.site.send(dst, message)
         response = yield self.reply.receive()
-        if tracer is not None:
-            tracer.rpc_end(self.site.kernel.now, self.site.site_id,
-                           dst, self.tid, _message_label(None, message))
+        if hooks is not None:
+            hooks.rpc_end(kernel.now, self.site.site_id, dst, self.tid,
+                          type(message).__name__)
         return response
 
 
@@ -109,7 +95,6 @@ class ReliableComms:
         self.reply = reply
         self.policy = policy
         self.tid = tid
-        self.tracer = current_tracer()
 
     # ------------------------------------------------------------------
     def request(self, dst: int, make_message, match=None, interim=None):
@@ -126,42 +111,38 @@ class ReliableComms:
         policy = self.policy
         stats = policy.stats
         timeout = policy.timeout
-        tracer = self.tracer
+        kernel = self.site.kernel
+        hooks = kernel.hooks
         label = None
         while True:
             message = make_message()
-            if tracer is not None and label is None:
-                label = _message_label(None, message)
-                tracer.rpc_begin(self.site.kernel.now,
-                                 self.site.site_id, dst, self.tid,
-                                 label)
+            if hooks is not None and label is None:
+                label = type(message).__name__
+                hooks.rpc_begin(kernel.now, self.site.site_id, dst,
+                                self.tid, label)
             self.site.send(dst, message)
             patience = timeout
             try:
                 while True:
                     response = yield self.reply.receive(timeout=patience)
                     if match is None or match(response):
-                        if tracer is not None:
-                            tracer.rpc_end(self.site.kernel.now,
-                                           self.site.site_id, dst,
-                                           self.tid, label)
+                        if hooks is not None:
+                            hooks.rpc_end(kernel.now, self.site.site_id,
+                                          dst, self.tid, label)
                         return response
                     if interim is not None and interim(response):
                         patience = policy.cap
                         continue
                     stats.stale_replies += 1
-                    if policy.meter is not None:
-                        policy.meter.on_stale(self.site.kernel.now)
+                    if hooks is not None:
+                        hooks.rpc_stale(kernel.now)
             except Timeout:
                 stats.rpc_timeouts += 1
                 stats.rpc_retries += 1
-                if policy.meter is not None:
-                    policy.meter.on_timeout(self.site.kernel.now)
-                    policy.meter.on_retry(self.site.kernel.now)
-                if tracer is not None:
-                    tracer.msg_retry(self.site.kernel.now,
-                                     self.site.site_id, dst, self.tid,
-                                     label)
+                if hooks is not None:
+                    hooks.rpc_timeout(kernel.now)
+                    hooks.msg_retry(kernel.now, self.site.site_id, dst,
+                                    self.tid, label)
                 timeout = policy.escalate(timeout)
 
     # ------------------------------------------------------------------
@@ -176,18 +157,18 @@ class ReliableComms:
         policy = self.policy
         stats = policy.stats
         timeout = policy.timeout
-        tracer = self.tracer
+        kernel = self.site.kernel
+        hooks = kernel.hooks
         label = None
         pending = list(dsts)
         got = {}
         while pending:
             for dst in pending:
                 message = make_message(dst)
-                if tracer is not None and label is None:
-                    label = "gather:" + _message_label(None, message)
-                    tracer.rpc_begin(self.site.kernel.now,
-                                     self.site.site_id, -1, self.tid,
-                                     label)
+                if hooks is not None and label is None:
+                    label = "gather:" + type(message).__name__
+                    hooks.rpc_begin(kernel.now, self.site.site_id, -1,
+                                    self.tid, label)
                 self.site.send(dst, message)
             try:
                 while pending:
@@ -195,27 +176,23 @@ class ReliableComms:
                     origin = classify(response)
                     if origin is None or origin not in pending:
                         stats.stale_replies += 1
-                        if policy.meter is not None:
-                            policy.meter.on_stale(self.site.kernel.now)
+                        if hooks is not None:
+                            hooks.rpc_stale(kernel.now)
                         continue
                     got[origin] = response
                     pending.remove(origin)
             except Timeout:
                 stats.rpc_timeouts += 1
                 stats.rpc_retries += len(pending)
-                if policy.meter is not None:
-                    policy.meter.on_timeout(self.site.kernel.now)
-                    policy.meter.on_retry(self.site.kernel.now,
-                                          len(pending))
-                if tracer is not None:
+                if hooks is not None:
+                    hooks.rpc_timeout(kernel.now)
                     for dst in pending:
-                        tracer.msg_retry(self.site.kernel.now,
-                                         self.site.site_id, dst,
-                                         self.tid, label)
+                        hooks.msg_retry(kernel.now, self.site.site_id,
+                                        dst, self.tid, label)
                 timeout = policy.escalate(timeout)
-        if tracer is not None and label is not None:
-            tracer.rpc_end(self.site.kernel.now, self.site.site_id,
-                           -1, self.tid, label)
+        if hooks is not None and label is not None:
+            hooks.rpc_end(kernel.now, self.site.site_id, -1, self.tid,
+                          label)
         return got
 
 
@@ -233,16 +210,15 @@ def courier(site, dst: int, build, policy: RecoveryPolicy,
     stats = policy.stats
     reply = site.make_reply_port(label)
     timeout = policy.timeout
-    tracer = current_tracer()
+    kernel = site.kernel
+    hooks = kernel.hooks
     try:
         for attempt in range(policy.attempts):
             if attempt:
                 stats.courier_retries += 1
-                if tracer is not None:
-                    tracer.msg_retry(site.kernel.now, site.site_id,
-                                     dst, None, label)
-                if policy.meter is not None:
-                    policy.meter.on_courier_retry(site.kernel.now)
+                if hooks is not None:
+                    hooks.courier_retry(kernel.now, site.site_id, dst,
+                                        label)
             site.send(dst, build(reply.address))
             try:
                 while True:
@@ -250,16 +226,16 @@ def courier(site, dst: int, build, policy: RecoveryPolicy,
                     if match is None or match(response):
                         return True
                     stats.stale_replies += 1
-                    if policy.meter is not None:
-                        policy.meter.on_stale(site.kernel.now)
+                    if hooks is not None:
+                        hooks.rpc_stale(kernel.now)
             except Timeout:
                 stats.rpc_timeouts += 1
-                if policy.meter is not None:
-                    policy.meter.on_timeout(site.kernel.now)
+                if hooks is not None:
+                    hooks.rpc_timeout(kernel.now)
             timeout = policy.escalate(timeout)
         stats.courier_failures += 1
-        if policy.meter is not None:
-            policy.meter.on_courier_failure(site.kernel.now)
+        if hooks is not None:
+            hooks.courier_failure(kernel.now)
         return False
     finally:
         reply.close()

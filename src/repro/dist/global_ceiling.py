@@ -36,9 +36,6 @@ from ..cc.base import ConcurrencyControl
 from ..db.locks import LockMode
 from ..db.replication import ReplicaCatalog
 from ..kernel.timers import DeadlineTimer
-from ..telemetry.probes import TwoPCProbe
-from ..telemetry.registry import current_metrics
-from ..trace.tracer import current_tracer
 from ..txn.manager import CostModel
 from ..txn.transaction import (DeadlineMiss, Transaction,
                                TransactionAbort)
@@ -163,8 +160,9 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                 # approach locks are held across the network until this
                 # message, so strict-2PL accounting closes here, not at
                 # mark_committed.
-                if cc.sanitizer is not None:
-                    cc.sanitizer.on_commit(txn)
+                hooks = site.kernel.hooks
+                if hooks is not None:
+                    hooks.lock_commit(site.kernel.now, cc, txn)
                 cc.deregister(txn)
                 registered.pop(txn.tid, None)
                 completed.add(txn.tid)
@@ -287,16 +285,9 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
         manager_sites = sorted({router(oid)
                                 for oid, __ in txn.operations})
     txn.mark_started(kernel.now)
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.txn_start(kernel.now, txn)
-    probe = kernel.txn_telemetry
-    if probe is not None:
-        probe.on_start(kernel.now)
-    registry = current_metrics()
-    # Instruments are get-or-create by name, so per-transaction probe
-    # construction shares the same registry series.
-    tpc_probe = TwoPCProbe(registry) if registry is not None else None
+    hooks = kernel.hooks
+    if hooks is not None:
+        hooks.txn_start(kernel.now, txn)
     timer = DeadlineTimer(kernel, txn.process, txn.deadline,
                           lambda: DeadlineMiss(txn.tid))
     reply = site.make_reply_port(f"txn{txn.tid}")
@@ -325,8 +316,8 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
         cpu_burst = site.cpu.use(costs.cpu_per_object)
         for oid, mode in txn.operations:
             blocked_at = kernel.now
-            if probe is not None:
-                probe.on_block(blocked_at)
+            if hooks is not None:
+                hooks.txn_block(blocked_at, txn)
             yield from comms.request(
                 gcm_site if router is None else router(oid),
                 lambda oid=oid, mode=mode: LockRequest(
@@ -339,8 +330,8 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                 interim=lambda m, oid=oid: (isinstance(m, LockQueued)
                                             and m.oid == oid))
             waited = kernel.now - blocked_at
-            if probe is not None:
-                probe.on_unblock(kernel.now, waited)
+            if hooks is not None:
+                hooks.txn_unblock(kernel.now, txn, waited)
             txn.blocked_time += waited
             home = catalog.primary_site(oid)
             if home == txn.site:
@@ -371,10 +362,9 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                 if home != txn.site:
                     by_site[home].append(oid)
             if not comms.recovery:
-                prepare_at = kernel.now
-                if tracer is not None:
-                    tracer.two_pc(kernel.now, txn, "prepare",
-                                  participants)
+                if hooks is not None:
+                    hooks.two_pc(kernel.now, txn, "prepare",
+                                 participants)
                 for participant in participants:
                     site.send(participant,
                               Prepare(target=COMMIT_SERVICE,
@@ -385,13 +375,9 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                     yield reply.receive()  # Vote (all yes in this model)
                 prepared = list(participants)
                 decided_commit = True
-                decide_at = kernel.now
-                if tracer is not None:
-                    tracer.two_pc(kernel.now, txn, "decide",
-                                  participants, commit=True)
-                if tpc_probe is not None:
-                    tpc_probe.on_phase(decide_at, "prepare",
-                                       decide_at - prepare_at)
+                if hooks is not None:
+                    hooks.two_pc(kernel.now, txn, "decide",
+                                 participants, True)
                 for participant in participants:
                     site.send(participant,
                               Decide(target=COMMIT_SERVICE,
@@ -402,18 +388,14 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                 for __ in participants:
                     yield reply.receive()  # Ack
                 prepared = []
-                if tracer is not None:
-                    tracer.two_pc(kernel.now, txn, "done", participants)
-                if tpc_probe is not None:
-                    tpc_probe.on_phase(kernel.now, "decide",
-                                       kernel.now - decide_at)
+                if hooks is not None:
+                    hooks.two_pc(kernel.now, txn, "done", participants)
             else:
                 tpc = TwoPhaseCommit(txn.tid, participants)
                 tpc.start()
-                prepare_at = kernel.now
-                if tracer is not None:
-                    tracer.two_pc(kernel.now, txn, "prepare",
-                                  participants)
+                if hooks is not None:
+                    hooks.two_pc(kernel.now, txn, "prepare",
+                                 participants)
                 votes = yield from comms.gather(
                     participants,
                     lambda dst: Prepare(target=COMMIT_SERVICE,
@@ -430,13 +412,9 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                                     votes[participant].commit)
                 prepared = list(participants)
                 decided_commit = tpc.decision_commit
-                decide_at = kernel.now
-                if tracer is not None:
-                    tracer.two_pc(kernel.now, txn, "decide",
-                                  participants, commit=decided_commit)
-                if tpc_probe is not None:
-                    tpc_probe.on_phase(decide_at, "prepare",
-                                       decide_at - prepare_at)
+                if hooks is not None:
+                    hooks.two_pc(kernel.now, txn, "decide",
+                                 participants, decided_commit)
                 yield from comms.gather(
                     participants,
                     lambda dst: Decide(target=COMMIT_SERVICE,
@@ -451,11 +429,8 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                 for participant in participants:
                     tpc.record_ack(participant)
                 prepared = []
-                if tracer is not None:
-                    tracer.two_pc(kernel.now, txn, "done", participants)
-                if tpc_probe is not None:
-                    tpc_probe.on_phase(kernel.now, "decide",
-                                       kernel.now - decide_at)
+                if hooks is not None:
+                    hooks.two_pc(kernel.now, txn, "done", participants)
         if costs.commit_cpu > 0:
             yield site.cpu.use(costs.commit_cpu)
         for manager in manager_sites:
@@ -467,10 +442,8 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                                                sender_site=site.site_id,
                                                txn=txn))
         txn.mark_committed(kernel.now)
-        if tracer is not None:
-            tracer.txn_commit(kernel.now, txn)
-        if probe is not None:
-            probe.on_commit(kernel.now)
+        if hooks is not None:
+            hooks.txn_commit(kernel.now, txn)
     except TransactionAbort:
         # Resolve any in-doubt participants, then free the locks.  If
         # the decision was already commit when the abort struck (a lost
@@ -497,10 +470,8 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                                             sender_site=site.site_id,
                                             txn=txn))
         txn.mark_missed(kernel.now)
-        if tracer is not None:
-            tracer.txn_miss(kernel.now, txn, reason="deadline")
-        if probe is not None:
-            probe.on_renege(kernel.now)
+        if hooks is not None:
+            hooks.txn_miss(kernel.now, txn, "deadline")
     finally:
         timer.cancel()
         reply.close()

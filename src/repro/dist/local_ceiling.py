@@ -34,7 +34,7 @@ courier re-delivers after recovery.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from ..db.locks import LockMode
 from ..db.replication import ReplicaCatalog
@@ -54,11 +54,12 @@ REPLICA_SERVICE = "replica"
 # replica propagation
 # ----------------------------------------------------------------------
 def replica_applier(site: Site, catalog: ReplicaCatalog,
-                    costs: CostModel,
+                    costs: CostModel, tids: Iterator[int],
                     versions: Optional[MultiVersionStore] = None,
                     stats=None):
     """Generator body: receives ReplicaUpdates, spawns one applier
-    transaction per update.
+    transaction per update, numbered from ``tids`` (the system's
+    transaction-id counter).
 
     At-least-once delivery makes duplicates normal under a fault plan:
     an update already applied here (keyed by origin site, origin tid,
@@ -92,7 +93,7 @@ def replica_applier(site: Site, catalog: ReplicaCatalog,
             deadline=float("inf"),
             priority=message.origin_priority,
             site=site.site_id,
-            txn_type=TransactionType.UPDATE)
+            txn_type=TransactionType.UPDATE, tid=next(tids))
         body = _apply_update(site, catalog, costs, txn, message, versions)
         txn.process = site.kernel.spawn(
             body, f"replica-{site.site_id}-oid{message.oid}",
@@ -114,13 +115,14 @@ def _apply_update(site: Site, catalog: ReplicaCatalog, costs: CostModel,
                   txn: Transaction, message: ReplicaUpdate,
                   versions: Optional[MultiVersionStore]):
     cc = site.ceiling
-    tracer = cc.tracer
+    kernel = site.kernel
+    hooks = kernel.hooks
     key = (message.sender_site, message.origin_tid, message.oid,
            message.timestamp)
-    txn.mark_started(site.kernel.now)
+    txn.mark_started(kernel.now)
     cc.register(txn)
-    if tracer is not None:
-        tracer.txn_start(site.kernel.now, txn, applier=True)
+    if hooks is not None:
+        hooks.txn_start(kernel.now, txn, True)
     try:
         yield cc.acquire(txn, message.oid, LockMode.WRITE)
         if costs.apply_cpu > 0:
@@ -128,19 +130,21 @@ def _apply_update(site: Site, catalog: ReplicaCatalog, costs: CostModel,
         data_object = site.database.object(message.oid)
         if message.timestamp >= data_object.version_ts:
             data_object.write(message.value, message.timestamp)
+            if hooks is not None:
+                hooks.replica_write(kernel.now, catalog, site.site_id,
+                                    message.oid, message.timestamp)
             catalog.record_write(site.site_id, message.oid,
                                  message.timestamp)
         site.replica_apply_latencies.append(
-            site.kernel.now - message.timestamp)
+            kernel.now - message.timestamp)
         if versions is not None:
             versions.install(message.oid, message.timestamp,
                              message.value)
         cc.release_all(txn)
-        txn.mark_committed(site.kernel.now)
-        if cc.sanitizer is not None:
-            cc.sanitizer.on_commit(txn)
-        if tracer is not None:
-            tracer.txn_commit(site.kernel.now, txn)
+        txn.mark_committed(kernel.now)
+        if hooks is not None:
+            hooks.lock_commit(kernel.now, cc, txn)
+            hooks.txn_commit(kernel.now, txn, True)
         # Dedup memory + ack only after the install is durable, so a
         # crash between receive and apply leaves the update re-playable.
         site.applied_updates.add(key)
@@ -149,8 +153,8 @@ def _apply_update(site: Site, catalog: ReplicaCatalog, costs: CostModel,
         # Site crash (or other abort) mid-apply: release locks and
         # vanish.  No ack is sent, so the origin's courier re-delivers.
         cc.abort(txn)
-        if tracer is not None:
-            tracer.txn_abort(site.kernel.now, txn, reason="crash")
+        if hooks is not None:
+            hooks.txn_abort(kernel.now, txn, "crash")
     finally:
         site.pending_updates.discard(key)
         cc.deregister(txn)
@@ -179,24 +183,21 @@ def local_transaction_manager(sites: List[Site],
     catalog.check_update_locality(txn.site, txn.write_set)  # R2
     txn.mark_started(kernel.now)
     cc.register(txn)
-    tracer = cc.tracer
-    if tracer is not None:
-        tracer.txn_start(kernel.now, txn)
-    probe = kernel.txn_telemetry
-    if probe is not None:
-        probe.on_start(kernel.now)
+    hooks = kernel.hooks
+    if hooks is not None:
+        hooks.txn_start(kernel.now, txn)
     timer = DeadlineTimer(kernel, txn.process, txn.deadline,
                           lambda: DeadlineMiss(txn.tid))
     try:
         cpu_burst = site.cpu.use(costs.cpu_per_object)
         for oid, mode in txn.operations:
             blocked_at = kernel.now
-            if probe is not None:
-                probe.on_block(blocked_at)
+            if hooks is not None:
+                hooks.txn_block(blocked_at, txn)
             yield cc.acquire(txn, oid, mode)
             waited = kernel.now - blocked_at
-            if probe is not None:
-                probe.on_unblock(kernel.now, waited)
+            if hooks is not None:
+                hooks.txn_unblock(kernel.now, txn, waited)
             txn.blocked_time += waited
             yield cpu_burst
             data_object = site.database.object(oid)
@@ -208,18 +209,18 @@ def local_transaction_manager(sites: List[Site],
         commit_ts = kernel.now
         for oid in sorted(txn.write_set):
             site.database.object(oid).write(float(txn.tid), commit_ts)
+            if hooks is not None:
+                hooks.replica_write(commit_ts, catalog, site.site_id,
+                                    oid, commit_ts)
             catalog.record_write(site.site_id, oid, commit_ts)
             if versions is not None:
                 versions[site.site_id].install(oid, commit_ts,
                                                float(txn.tid))
         cc.release_all(txn)
         txn.mark_committed(kernel.now)
-        if cc.sanitizer is not None:
-            cc.sanitizer.on_commit(txn)
-        if tracer is not None:
-            tracer.txn_commit(kernel.now, txn)
-        if probe is not None:
-            probe.on_commit(kernel.now)
+        if hooks is not None:
+            hooks.lock_commit(kernel.now, cc, txn)
+            hooks.txn_commit(kernel.now, txn)
         # R3: committed first, now propagate asynchronously.
         if policy is None:
             for oid in sorted(txn.write_set):
@@ -243,10 +244,8 @@ def local_transaction_manager(sites: List[Site],
     except TransactionAbort:
         cc.abort(txn)
         txn.mark_missed(kernel.now)
-        if tracer is not None:
-            tracer.txn_miss(kernel.now, txn, reason="deadline")
-        if probe is not None:
-            probe.on_renege(kernel.now)
+        if hooks is not None:
+            hooks.txn_miss(kernel.now, txn, "deadline")
     finally:
         timer.cancel()
         cc.deregister(txn)

@@ -18,7 +18,6 @@ from typing import Dict, Optional
 
 from ..kernel.kernel import Kernel
 from ..kernel.ports import Port
-from ..trace.tracer import current_tracer
 from .message import Message
 
 
@@ -53,7 +52,6 @@ class MessageServer:
         self.site_id = site_id
         self.registry = registry
         self.inbox = Port(kernel, name=f"ms-inbox-{site_id}")
-        self.tracer = current_tracer()
         self.forwarded = 0
         self.dropped = 0
         self.process = kernel.spawn(self._loop(), f"ms-{site_id}",
@@ -80,9 +78,10 @@ class MessageServer:
                 # (e.g. a grant racing an abort): drop it, count it.
                 self.dropped += 1
                 self.registry.undeliverable += 1
-                if self.tracer is not None:
-                    self.tracer.msg_undeliverable(self.kernel.now,
-                                                  self.site_id, message)
+                hooks = self.kernel.hooks
+                if hooks is not None:
+                    hooks.msg_undeliverable(self.kernel.now,
+                                            self.site_id, message)
                 continue
             self.forwarded += 1
             port.send(message)

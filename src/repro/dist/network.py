@@ -18,9 +18,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..kernel.kernel import Kernel
-from ..telemetry.probes import NetworkProbe
-from ..telemetry.registry import current_metrics
-from ..trace.tracer import current_tracer
 from .message import Message
 
 
@@ -34,11 +31,6 @@ class Network:
         if delay < 0 or local_delay < 0:
             raise ValueError("delays must be non-negative")
         self.kernel = kernel
-        self.tracer = current_tracer()
-        registry = current_metrics()
-        #: In-flight/drop/delay probe, or None when metering is off.
-        self.meter = (NetworkProbe(registry)
-                      if registry is not None else None)
         self.n_sites = n_sites
         self.delay = delay
         self.local_delay = local_delay
@@ -106,18 +98,11 @@ class Network:
             fates = (delay,)
         else:
             fates = self.injector.route(message.sender_site, dst, delay)
-        if self.tracer is not None:
-            self.tracer.msg_send(self.kernel.now, message.sender_site,
-                                 dst, message, copies=len(fates))
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.msg_send(self.kernel.now, dst, message, len(fates))
             if not fates:
-                self.tracer.msg_drop(self.kernel.now, dst, message,
-                                     reason="injected")
-        if self.meter is not None:
-            now = self.kernel.now
-            for _ in fates:
-                self.meter.on_send(now, message.sender_site, dst)
-            if not fates:
-                self.meter.on_drop(now, in_flight=False)
+                hooks.msg_drop(self.kernel.now, dst, message, "injected")
 
         def deliver(lag: float) -> None:
             # Operational state — and the delay ledger — are evaluated
@@ -126,18 +111,13 @@ class Network:
             # arrives accrues no delivered delay.
             if dst in self._down:
                 self.messages_lost += 1
-                if self.tracer is not None:
-                    self.tracer.msg_drop(self.kernel.now, dst, message,
-                                         reason="site-down")
-                if self.meter is not None:
-                    self.meter.on_drop(self.kernel.now)
+                if hooks is not None:
+                    hooks.msg_drop(self.kernel.now, dst, message,
+                                   "site-down")
             else:
                 self.bytes_delay_total += lag
-                if self.tracer is not None:
-                    self.tracer.msg_deliver(self.kernel.now, dst,
-                                            message, lag)
-                if self.meter is not None:
-                    self.meter.on_deliver(self.kernel.now, lag)
+                if hooks is not None:
+                    hooks.msg_deliver(self.kernel.now, dst, message, lag)
                 inbox.send(message)
 
         for lag in fates:

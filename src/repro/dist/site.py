@@ -25,9 +25,6 @@ from ..resources.cpu import CPU
 from .message_server import MessageServer, ServiceRegistry
 from .network import Network
 
-_reply_counter = itertools.count(1)
-
-
 class Site:
     """One node of the distributed system."""
 
@@ -36,6 +33,8 @@ class Site:
         self.kernel = kernel
         self.site_id = site_id
         self.network = network
+        #: Numbers this site's reply ports (names are per site).
+        self._replies = itertools.count(1)
         self.cpu = CPU(kernel, name=f"cpu-{site_id}", policy="priority")
         self.database = Database(db_size, site_id=site_id)
         self.registry = ServiceRegistry()
@@ -81,7 +80,7 @@ class Site:
 
     def make_reply_port(self, label: str) -> "ReplyPort":
         """A uniquely named private port for request/reply exchanges."""
-        name = f"reply-{label}-{next(_reply_counter)}"
+        name = f"reply-{label}-{next(self._replies)}"
         port = self.register_service(name)
         return ReplyPort(self, name, port)
 

@@ -24,6 +24,7 @@ implies lost state) the TMs switch to the
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from ..core.config import DistributedConfig
@@ -33,7 +34,6 @@ from ..db.versions import MultiVersionStore
 from ..faults import FaultInjector
 from ..kernel.turbo import make_kernel
 from ..protocols import REGISTRY
-from ..trace.tracer import current_tracer
 from ..txn.generator import TransactionSpec, WorkloadGenerator
 from ..txn.priority import PriorityAssigner, proportional_deadline
 from ..txn.transaction import (SiteFailure, Transaction,
@@ -55,8 +55,11 @@ class DistributedSystem:
                  schedule: Optional[List[TransactionSpec]] = None):
         config.validate()
         self.config = config
-        self.tracer = current_tracer()
         self.kernel = make_kernel(config.seed, engine=config.engine)
+        #: Transaction ids of this run (TMs and replica appliers), from
+        #: 1: ids are hashed, so a row must not depend on what the
+        #: interpreter numbered before.
+        self._tids = itertools.count(1)
         self.network = Network(self.kernel, config.n_sites,
                                config.comm_delay)
         self.catalog = ReplicaCatalog(config.db_size, config.n_sites)
@@ -129,7 +132,8 @@ class DistributedSystem:
                             if self.versions is not None else None)
                 self.kernel.spawn(
                     replica_applier(site, self.catalog, config.costs,
-                                    versions, stats=self.degradation),
+                                    self._tids, versions,
+                                    stats=self.degradation),
                     f"replica-applier-{site.site_id}",
                     priority=float("inf"))
 
@@ -160,7 +164,7 @@ class DistributedSystem:
         priority = self.assigner.priority(now, deadline)
         txn = Transaction(spec.operations, now, deadline, priority,
                           site=spec.site, txn_type=spec.txn_type,
-                          periodic=spec.periodic)
+                          periodic=spec.periodic, tid=next(self._tids))
         if not self.network.is_operational(spec.site):
             # A crashed site accepts no work: the arrival is refused and
             # scored as missed (the hard-deadline policy — it can never
@@ -168,8 +172,9 @@ class DistributedSystem:
             txn.mark_missed(now)
             self.degradation.rejected_at_down_site += 1
             self.monitor.record(txn)
-            if self.tracer is not None:
-                self.tracer.txn_miss(now, txn, reason="site-down")
+            hooks = self.kernel.hooks
+            if hooks is not None:
+                hooks.txn_miss(now, txn, "site-down")
             return
         self._active += 1
         if self.config.mode == "global":
@@ -221,8 +226,9 @@ class DistributedSystem:
         killed, purged = site.crash(lambda: SiteFailure(site_id))
         del killed  # residents include non-txn helpers; victims counted
         self.degradation.purged_messages += purged
-        if self.tracer is not None:
-            self.tracer.site_crash(now, site_id, victims=len(victims))
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.site_crash(now, site_id, len(victims))
 
     def recover_site(self, site_id: int) -> None:
         """Bring a crashed site back: rejoin the network, sweep any
@@ -234,8 +240,9 @@ class DistributedSystem:
         self.network.set_site_operational(site_id, True)
         self.sites[site_id].recover()
         self.degradation.mark_up(site_id, now)
-        if self.tracer is not None:
-            self.tracer.site_recover(now, site_id)
+        hooks = self.kernel.hooks
+        if hooks is not None:
+            hooks.site_recover(now, site_id)
         self._finalize_orphans()
         if self.config.mode == "local":
             self._resync_replicas(site_id)
@@ -253,9 +260,9 @@ class DistributedSystem:
                                        TransactionStatus.RUNNING)):
                 txn.mark_missed(self.kernel.now)
                 self._on_done(txn)
-                if self.tracer is not None:
-                    self.tracer.txn_miss(self.kernel.now, txn,
-                                         reason="orphaned")
+                hooks = self.kernel.hooks
+                if hooks is not None:
+                    hooks.txn_miss(self.kernel.now, txn, "orphaned")
 
     def _resync_replicas(self, site_id: int) -> None:
         """Anti-entropy after recovery (local mode): re-propagate every

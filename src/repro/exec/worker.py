@@ -111,36 +111,30 @@ def execute_config(config, batch: int = 1) -> dict:
     else:
         raise TypeError(f"unknown config type {type(config).__name__}")
 
-    # The row must not depend on what this interpreter ran before: a
-    # pool worker and the serial loop reach a unit at different id
-    # offsets, and ids are hashed.
-    experiment.reset_id_counters()
-
     trace_dir = os.environ.get("REPRO_TRACE_DIR")
     metrics_dir = os.environ.get("REPRO_METRICS_DIR")
     if not trace_dir and not metrics_dir:
         return runner(config)
 
-    import contextlib
-
+    from ..kernel.hooks import observing
     from .fingerprint import config_fingerprint
     from .host import host_clock, peak_rss_kb
 
-    tracer = None
-    registry = None
-    with contextlib.ExitStack() as observers:
-        if trace_dir:
-            from ..trace.tracer import Tracer, tracing
-            tracer = Tracer()
-            observers.enter_context(tracing(tracer))
-        if metrics_dir:
-            from ..telemetry.registry import (DEFAULT_WINDOW,
-                                              ENV_METRICS_WINDOW,
-                                              MetricsRegistry, metering)
-            raw = os.environ.get(ENV_METRICS_WINDOW, "").strip()
-            registry = MetricsRegistry(
-                window=float(raw) if raw else DEFAULT_WINDOW)
-            observers.enter_context(metering(registry))
+    subscribers = []
+    if trace_dir:
+        from ..trace.tracer import Tracer
+        tracer = Tracer()
+        subscribers.append(tracer)
+    if metrics_dir:
+        from ..telemetry.probes import probes
+        from ..telemetry.registry import (DEFAULT_WINDOW,
+                                          ENV_METRICS_WINDOW,
+                                          MetricsRegistry)
+        raw = os.environ.get(ENV_METRICS_WINDOW, "").strip()
+        registry = MetricsRegistry(
+            window=float(raw) if raw else DEFAULT_WINDOW)
+        subscribers.extend(probes(registry))
+    with observing(*subscribers):
         started = host_clock()
         row = runner(config)
         wall_s = host_clock() - started

@@ -11,12 +11,14 @@ where swapping a synchronization protocol touches only its own module.
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop
 from typing import Any, Callable, Generator, List, Optional
 
 from .errors import (InvalidProcessState, KernelError, ProcessInterrupt,
                      SimulationOver)
 from .events import Event, EventQueue
+from .hooks import Hooks, activation
 from .process import Process, ProcessState
 from .rng import RngStreams
 from .syscalls import BLOCKED, DONE, Immediate, SysCall
@@ -39,8 +41,7 @@ class Kernel:
     #: store False on one kernel to get the queued path as an oracle.
     fuses_wakes = True
 
-    def __init__(self, seed: int = 0, trace: Optional[Callable] = None,
-                 tracer=None):
+    def __init__(self, seed: int = 0, hooks: Optional[Hooks] = None):
         #: Current virtual time, in abstract "time units" (the paper
         #: reports delays and processing costs in the same units).  A
         #: plain attribute so that reading it — the most frequent
@@ -51,36 +52,12 @@ class Kernel:
         self.events = self._new_event_queue()
         self.rng = RngStreams(seed)
         self.processes: List[Process] = []
-        #: Legacy callable(time, kind, process, detail) hook, kept for
-        #: source compatibility.  It is routed through the structured
-        #: Tracer adapter, which *guards* it: a raising callback is
-        #: counted (``trace_errors``) instead of corrupting the run.
-        self.trace = trace
-        # Deferred import: repro.trace is plain data + stdlib, but the
-        # package layout keeps the kernel importable first.
-        from ..trace.tracer import Tracer, current_tracer
-        active = tracer if tracer is not None else current_tracer()
-        if trace is not None and active is None:
-            # Private adapter so the legacy hook works without an
-            # installed tracer (small ring: it only exists to guard).
-            active = Tracer(capacity=4096)
-        if trace is not None:
-            active.attach_callback(trace)
-        #: The structured tracer, or None when tracing is off.
-        self.tracer = active
-        # Same deferral for the metrics layer (plain data + stdlib).
-        from ..telemetry.registry import current_metrics
-        meter = current_metrics()
-        if meter is not None:
-            from ..telemetry.probes import KernelProbe, TxnProbe
-            #: Queue-depth/dispatch/churn probe, or None when off.
-            self.telemetry = KernelProbe(meter, self.events)
-            #: Transaction-population probe shared by every manager
-            #: running on this kernel, or None when off.
-            self.txn_telemetry = TxnProbe(meter)
-        else:
-            self.telemetry = None
-            self.txn_telemetry = None
+        self._pids = itertools.count(1)
+        #: The instrumentation slot (:mod:`repro.kernel.hooks`): what
+        #: every layer on this kernel reports to, or None when nothing
+        #: observes.  Sampled here, once: activate observers *before*
+        #: building the system they should see.
+        self.hooks = hooks if hooks is not None else activation()
         #: Optional SchedulerController (repro.kernel.controlled);
         #: when set, :meth:`run` delegates to its controlled loop.
         self.controller = None
@@ -102,15 +79,10 @@ class Kernel:
         #: on this kernel moved one of them.
         self.inheritance_changes = 0
 
-    @property
-    def trace_errors(self) -> int:
-        """Exceptions swallowed from the legacy trace callback."""
-        return 0 if self.tracer is None else self.tracer.callback_errors
-
     def _new_event_queue(self):
         """Factory hook: engines substitute their own event structure
         (the turbo engine installs a calendar queue) while every other
-        kernel service — processes, clock, RNG streams, probes — stays
+        kernel service — processes, clock, RNG streams, hooks — stays
         shared between engines."""
         return EventQueue()
 
@@ -142,13 +114,14 @@ class Kernel:
             raise TypeError(
                 f"process body must be a generator (did you forget to call "
                 f"the generator function?): got {type(body).__name__}")
-        process = Process(body, name, priority)
+        process = Process(body, name, priority, next(self._pids))
         self.processes.append(process)
         process.state = _READY
         process.pending_resume = self.events.schedule_resume(
             self.now, process)
-        if self.tracer is not None:
-            self.tracer.kernel_event(self.now, "spawn", process, None)
+        hooks = self.hooks
+        if hooks is not None:
+            hooks.kernel_event(self.now, "spawn", process, None)
         return process
 
     def ready(self, process: Process, value: Any = None,
@@ -229,8 +202,9 @@ class Kernel:
         process.state = _READY
         process.pending_resume = self.events.schedule_resume(
             self.now, process, None, exc)
-        if self.tracer is not None:
-            self.tracer.kernel_event(self.now, "interrupt", process, exc)
+        hooks = self.hooks
+        if hooks is not None:
+            hooks.kernel_event(self.now, "interrupt", process, exc)
         return True
 
     def set_inherited_priority(self, process: Process,
@@ -284,12 +258,14 @@ class Kernel:
         if self.fuses_wakes:
             self._quiet = heap, drain
         resume = self._resume
-        # Metrics probe: one float comparison per event when on (the
-        # probe samples only at window boundaries), literally nothing
-        # when off (probe_next stays +inf).
-        probe = self.telemetry
-        probe_next = probe.next_window if probe is not None else float(
-            "inf")
+        # Queue sampling: one float comparison per event, true only
+        # when a subscriber's sampling window has elapsed — never when
+        # nothing observes (sample_at stays +inf).
+        hooks = self.hooks
+        if hooks is not None:
+            sample, sample_at = hooks.kernel_sample, hooks.sample_due()
+        else:
+            sample, sample_at = None, float("inf")
         try:
             if until is None:
                 while drain:
@@ -302,8 +278,8 @@ class Kernel:
                         events.note_dead()
                         continue
                     self.now = entry[0]
-                    if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0], self.fused_wakes)
+                    if entry[0] >= sample_at:
+                        sample_at = sample(entry[0], self)
                     callback = event.callback
                     if callback is not None:
                         callback()
@@ -318,8 +294,8 @@ class Kernel:
                         events.note_dead()
                         continue
                     self.now = entry[0]
-                    if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0], self.fused_wakes)
+                    if entry[0] >= sample_at:
+                        sample_at = sample(entry[0], self)
                     callback = event.callback
                     if callback is not None:
                         callback()
@@ -351,8 +327,8 @@ class Kernel:
                     else:
                         drain.pop()
                     self.now = entry[0]
-                    if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0], self.fused_wakes)
+                    if entry[0] >= sample_at:
+                        sample_at = sample(entry[0], self)
                     callback = event.callback
                     if callback is not None:
                         callback()
@@ -369,8 +345,8 @@ class Kernel:
                         break
                     heappop(heap)
                     self.now = entry[0]
-                    if entry[0] >= probe_next:
-                        probe_next = probe.sample(entry[0], self.fused_wakes)
+                    if entry[0] >= sample_at:
+                        sample_at = sample(entry[0], self)
                     callback = event.callback
                     if callback is not None:
                         callback()
@@ -411,9 +387,9 @@ class Kernel:
                 raise ValueError(f"clock cannot move backwards: "
                                  f"{event.time} < {self.now}")
             self.now = event.time
-            probe = self.telemetry
-            if probe is not None and event.time >= probe.next_window:
-                probe.sample(event.time, self.fused_wakes)
+            hooks = self.hooks
+            if hooks is not None and event.time >= hooks.sample_due():
+                hooks.kernel_sample(event.time, self)
             if event.callback is not None:
                 event.callback()
             else:
@@ -485,9 +461,9 @@ class Kernel:
         process.result = result
         process.exception = exception
         process.generator.close()
-        if self.tracer is not None:
-            self.tracer.kernel_event(self.now, "terminate", process,
-                                     exception)
+        hooks = self.hooks
+        if hooks is not None:
+            hooks.kernel_event(self.now, "terminate", process, exception)
         joiners, process.joiners = process.joiners, []
         for joiner in joiners:
             if exception is not None:

@@ -18,12 +18,9 @@ effect immediately without re-queueing.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Generator, Optional
 
 from .errors import InvalidProcessState
-
-_pid_counter = itertools.count(1)
 
 
 class ProcessState(enum.Enum):
@@ -40,7 +37,8 @@ class ProcessState(enum.Enum):
 class Process:
     """A kernel-scheduled coroutine.
 
-    Do not instantiate directly; use :meth:`Kernel.spawn`.
+    Do not instantiate directly; use :meth:`Kernel.spawn`, which
+    numbers its processes from 1 (``pid`` 0: never spawned).
     """
 
     __slots__ = ("pid", "name", "generator", "base_priority",
@@ -49,8 +47,8 @@ class Process:
                  "payload")
 
     def __init__(self, generator: Generator, name: str,
-                 priority: float = 0.0):
-        self.pid: int = next(_pid_counter)
+                 priority: float = 0.0, pid: int = 0):
+        self.pid = pid
         self.name = name
         self.generator = generator
         self.base_priority = float(priority)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from ..hooks import activation
 from ..kernel import Kernel
 from .calendar import CalendarEventQueue
 from .engine import TurboKernel
@@ -51,21 +52,6 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return chosen
 
 
-def _instrumentation_active() -> bool:
-    """True when a tracer, metrics registry or sanitizer is installed —
-    the diagnostic modes contractually served by the reference loop."""
-    # Deferred imports: keep the kernel package importable first, the
-    # same discipline Kernel.__init__ applies to these layers.
-    from ...trace.tracer import current_tracer
-    if current_tracer() is not None:
-        return True
-    from ...telemetry.registry import current_metrics
-    if current_metrics() is not None:
-        return True
-    from ...analyze.sanitizer import current_sanitizer
-    return current_sanitizer() is not None
-
-
 def make_kernel(seed: int = 0, engine: Optional[str] = None) -> Kernel:
     """Build the kernel for ``engine`` (resolved per module rules).
 
@@ -73,8 +59,7 @@ def make_kernel(seed: int = 0, engine: Optional[str] = None) -> Kernel:
     instrumentation is active; results are identical either way, the
     instrumentation output is only defined for the reference loop.
     """
-    if resolve_engine(engine) == "turbo" and not \
-            _instrumentation_active():
+    if resolve_engine(engine) == "turbo" and activation() is None:
         return TurboKernel(seed=seed)
     return Kernel(seed=seed)
 

@@ -27,7 +27,7 @@ What the turbo loop adds over the reference loop:
 
   1. the queue has no dead entries pending (``_dead == 0``) — a
      cancelled entry hiding in the bucket would be mis-dispatched;
-  2. no telemetry probe is attached (probes sample per window
+  2. nothing observes the kernel (a queue sampler fires per window
      boundary, which a single batched call would skip);
   3. every entry in the bucket is at the same ``(time, key)`` with
      the *same* callback object (identity, not equality), and that
@@ -80,9 +80,11 @@ class TurboKernel(Kernel):
         events = self.events
         resume = self._resume
         recycle = events.recycle
-        probe = self.telemetry
-        probe_next = probe.next_window if probe is not None else float(
-            "inf")
+        hooks = self.hooks
+        if hooks is not None:
+            sample, sample_at = hooks.kernel_sample, hooks.sample_due()
+        else:
+            sample, sample_at = None, float("inf")
         # Stable aliases: the calendar mutates both lists in place
         # (rebucketing included), never rebinds them.
         drain = events._drain
@@ -121,7 +123,7 @@ class TurboKernel(Kernel):
                     batch = (getattr(callback, "batch_call", None)
                              if callback is not None else None)
                     if (batch is not None and events._dead == 0
-                            and probe is None
+                            and hooks is None
                             and (until is None or first[0] <= until)):
                         time, key = first[0], first[1]
                         for other in bucket:
@@ -149,8 +151,8 @@ class TurboKernel(Kernel):
                     drain.pop()
                 events._count -= 1
                 self.now = time
-                if time >= probe_next:
-                    probe_next = probe.sample(time)
+                if time >= sample_at:
+                    sample_at = sample(time, self)
                 event = entry[3]
                 callback = event.callback
                 if callback is not None:

@@ -25,7 +25,6 @@ from ..kernel.errors import SchedulingError
 from ..kernel.kernel import Kernel
 from ..kernel.process import Process
 from ..kernel.syscalls import BLOCKED, DONE, SysCall
-from ..trace.tracer import current_tracer
 
 POLICIES = ("priority", "fifo")
 
@@ -79,8 +78,9 @@ class CpuBurst(SysCall):
         cpu._slice_start = now
         cpu._completion_event = kernel.events.schedule(
             now + job.remaining, cpu._complete)
-        if cpu.tracer is not None:
-            cpu.tracer.cpu_dispatch(now, cpu.name, process)
+        hooks = kernel.hooks
+        if hooks is not None:
+            hooks.cpu_dispatch(now, cpu, process)
         return BLOCKED
 
     @property
@@ -99,7 +99,6 @@ class CPU:
         self.kernel = kernel
         self.name = name
         self.policy = policy
-        self.tracer = current_tracer()
         self._jobs: Dict[Process, _Job] = {}
         self._running: Optional[_Job] = None
         self._slice_start = 0.0
@@ -177,6 +176,7 @@ class CPU:
         if best is self._running:
             return
         now = self.kernel.now
+        hooks = self.kernel.hooks
         if self._running is not None:
             # Preempt: charge the elapsed slice and cancel the completion.
             elapsed = now - self._slice_start
@@ -188,16 +188,15 @@ class CPU:
             if self._completion_event is not None:
                 self._completion_event.cancel()
                 self._completion_event = None
-            if self.tracer is not None:
-                self.tracer.cpu_preempt(now, self.name,
-                                        self._running.process)
+            if hooks is not None:
+                hooks.cpu_preempt(now, self, self._running.process)
         self._running = best
         if best is not None:
             self._slice_start = now
             self._completion_event = self.kernel.at(
                 now + best.remaining, self._complete)
-            if self.tracer is not None:
-                self.tracer.cpu_dispatch(now, self.name, best.process)
+            if hooks is not None:
+                hooks.cpu_dispatch(now, self, best.process)
 
     def _complete(self) -> None:
         job = self._running

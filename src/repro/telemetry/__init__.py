@@ -8,13 +8,12 @@ bitwise-identical to plain runs.
 
 Public surface:
 
-- :class:`MetricsRegistry` plus the activation trio
-  (:func:`current_metrics` / :func:`install_metrics` /
-  :func:`metering`) in :mod:`repro.telemetry.registry`;
+- :class:`MetricsRegistry` and its activation, :func:`metering`, in
+  :mod:`repro.telemetry.registry`;
 - the typed instruments (Counter, Gauge, log-bucketed Histogram) in
   :mod:`repro.telemetry.instruments`;
-- the guarded probes the hot layers call in
-  :mod:`repro.telemetry.probes`;
+- the probes — the subscribers to the kernel's instrumentation
+  hooks — in :mod:`repro.telemetry.probes`;
 - exporters (JSONL artifact, OpenMetrics/Prometheus text, CSV, JSON)
   and the exposition-format validator in
   :mod:`repro.telemetry.export`;
@@ -25,11 +24,10 @@ Public surface:
 
 from .instruments import Counter, Gauge, Histogram
 from .registry import (DEFAULT_WINDOW, ENV_METRICS_DIR,
-                       ENV_METRICS_WINDOW, MetricsRegistry,
-                       current_metrics, install_metrics, metering)
+                       ENV_METRICS_WINDOW, MetricsRegistry, metering)
 
 __all__ = [
     "Counter", "Gauge", "Histogram",
-    "MetricsRegistry", "current_metrics", "install_metrics", "metering",
+    "MetricsRegistry", "metering",
     "DEFAULT_WINDOW", "ENV_METRICS_DIR", "ENV_METRICS_WINDOW",
 ]

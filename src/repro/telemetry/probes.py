@@ -1,202 +1,208 @@
-"""Guarded probes the hot layers drive when metering is on.
+"""The probes: the metrics layer's subscribers to the kernel's hooks.
 
-Each probe pre-creates its instruments at construction (so the hot
-path never pays get-or-create hashing) and exposes tiny methods the
-instrumented layers call behind ``is not None`` guards — the same
-zero-cost-when-off contract the tracer honors (lint rule RPL008
-enforces it for tracer calls).
+Each probe implements the hooks (:mod:`repro.kernel.hooks`) of the
+layer it measures and moves numbers into instruments it created up
+front (so the hot path never pays get-or-create hashing), stamped with
+simulated time.  :func:`probes` builds the set for one registry;
+``metering()`` subscribes it.
 
 None of the probes schedule events, draw randomness, read the host
-clock, or mutate model state: they only move numbers into the
-registry's instruments, stamped with simulated time.
+clock, or mutate model state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from ..constants import BLOCKING_CEILING, BLOCKING_DIRECT
-from .instruments import Counter, Gauge, Histogram
-from .registry import MetricsRegistry
+from .instruments import Counter, Histogram
+
+if TYPE_CHECKING:
+    from .registry import MetricsRegistry
 
 
 class KernelProbe:
     """Event-queue depth, dispatch rate, and timer churn.
 
     The kernel's run loops compare the current event time against
-    :attr:`next_window` (one float comparison per event) and call
-    :meth:`sample` only when a sampling window has elapsed — so the
-    per-event overhead with metrics on stays within the bench gate.
+    :meth:`sample_due` (one float comparison per event) and call
+    :meth:`kernel_sample` only when a sampling window has elapsed — so
+    the per-event overhead with metrics on stays within the bench gate.
     """
 
-    __slots__ = ("_registry", "_events", "_depth", "_dispatched",
-                 "_cancelled", "_fused", "_seen_dispatched",
-                 "_seen_cancelled", "_seen_fused")
+    __slots__ = ("_registry", "_depth", "_counters", "_seen")
 
-    def __init__(self, registry: MetricsRegistry, events):
+    def __init__(self, registry: "MetricsRegistry"):
         self._registry = registry
-        self._events = events
         self._depth = registry.gauge(
             "kernel.queue_depth", "pending events in the kernel queue")
-        self._dispatched = registry.counter(
-            "kernel.events_dispatched",
-            "events popped and dispatched (a fused wake dispatches "
-            "none: add kernel.wakes_fused for work scheduled)")
-        self._cancelled = registry.counter(
-            "kernel.events_cancelled", "events cancelled (timer churn)")
-        self._fused = registry.counter(
-            "kernel.wakes_fused",
-            "completions whose resume ran in place, without an event")
-        self._seen_dispatched = 0
-        self._seen_cancelled = 0
-        self._seen_fused = 0
+        self._counters = (
+            registry.counter(
+                "kernel.events_dispatched",
+                "events popped and dispatched (a fused wake dispatches "
+                "none: add kernel.wakes_fused for work scheduled)"),
+            registry.counter(
+                "kernel.events_cancelled",
+                "events cancelled (timer churn)"),
+            registry.counter(
+                "kernel.wakes_fused",
+                "completions whose resume ran in place, without an "
+                "event"))
+        #: kernel -> the lifetime (dispatched, cancelled, fused) totals
+        #: already counted.
+        self._seen: Dict[object, Tuple[int, int, int]] = {}
 
-    @property
-    def next_window(self) -> float:
+    def sample_due(self) -> float:
         return self._registry._window_end
 
-    def sample(self, t: float, fused_wakes: int = 0) -> float:
-        """Record queue statistics at ``t`` (``fused_wakes`` is the
-        kernel's lifetime count; the queue never saw those resumes);
-        returns the next window boundary for the kernel to compare
-        against."""
-        live, dispatched, cancelled = self._events.queue_stats()
+    def kernel_sample(self, t: float, kernel) -> None:
+        """Record queue statistics at ``t`` (the queue never saw the
+        resumes ``kernel.fused_wakes`` counts)."""
+        live, dispatched, cancelled = kernel.events.queue_stats()
         self._depth.set(t, live)
-        delta = dispatched - self._seen_dispatched
-        if delta > 0:
-            self._dispatched.inc(t, delta)
-            self._seen_dispatched = dispatched
-        delta = cancelled - self._seen_cancelled
-        if delta > 0:
-            self._cancelled.inc(t, delta)
-            self._seen_cancelled = cancelled
-        delta = fused_wakes - self._seen_fused
-        if delta > 0:
-            self._fused.inc(t, delta)
-            self._seen_fused = fused_wakes
-        return self._registry._window_end
+        totals = (dispatched, cancelled, kernel.fused_wakes)
+        seen = self._seen.get(kernel, (0, 0, 0))
+        for counter, total, before in zip(self._counters, totals, seen):
+            if total > before:
+                counter.inc(t, total - before)
+        self._seen[kernel] = totals
+
+
+class _CCSeries:
+    """One protocol instance's instruments and hold times."""
+
+    __slots__ = ("grants_immediate", "grants_waited", "blocks",
+                 "wait_queue", "ceiling_blocked", "wait_time",
+                 "hold_time", "withdrawn", "held_since")
 
 
 class CCProbe:
     """Lock-wait queue length, hold/blocking-time histograms, and
-    ceiling-barrier occupancy for one concurrency-control instance."""
+    ceiling-barrier occupancy, per concurrency-control instance
+    (labelled by protocol)."""
 
-    __slots__ = ("_grants_immediate", "_grants_waited", "_blocks",
-                 "_wait_queue", "_ceiling_blocked", "_wait_time",
-                 "_hold_time", "_withdrawn", "_held_since", "_cause")
+    __slots__ = ("_registry", "_series", "_cause")
 
-    def __init__(self, registry: MetricsRegistry, protocol: str,
-                 site: Optional[int] = None):
-        labels = {"protocol": protocol}
-        if site is not None:
-            labels["site"] = str(site)
-        self._grants_immediate = registry.counter(
-            "cc.grants", "lock grants", {**labels, "waited": "no"})
-        self._grants_waited = registry.counter(
-            "cc.grants", "lock grants", {**labels, "waited": "yes"})
-        self._blocks = {
-            cause: registry.counter(
-                "cc.blocks", "lock requests blocked",
-                {**labels, "cause": cause})
-            for cause in (BLOCKING_DIRECT, BLOCKING_CEILING)}
-        self._wait_queue = registry.gauge(
-            "cc.wait_queue", "requests waiting for locks", labels)
-        self._ceiling_blocked = registry.gauge(
-            "cc.ceiling_blocked",
-            "requests held at the ceiling barrier", labels)
-        self._wait_time = registry.histogram(
-            "cc.wait_time", "lock blocking time (simulated)", labels)
-        self._hold_time = registry.histogram(
-            "cc.hold_time", "lock hold time (simulated)", labels)
-        self._withdrawn = registry.counter(
-            "cc.withdrawn", "waiting requests withdrawn", labels)
-        #: (tid, oid) -> grant time; drained on release.  Probe-private
-        #: so protocol state carries no telemetry residue.
-        self._held_since: Dict[Tuple[int, int], float] = {}
+    def __init__(self, registry: "MetricsRegistry"):
+        self._registry = registry
+        self._series: Dict[object, _CCSeries] = {}
         #: request -> blocking cause, for the matching dequeue hook.
         #: Keyed by identity; never iterated, so no ordering leaks.
         self._cause: Dict[object, str] = {}
 
-    def on_grant(self, t: float, txn, oid: int, waited: bool) -> None:
-        if waited:
-            self._grants_waited.inc(t)
-        else:
-            self._grants_immediate.inc(t)
-        self._held_since.setdefault((txn.tid, oid), t)
+    def attach_protocol(self, cc) -> None:
+        registry = self._registry
+        labels = {"protocol": cc.name}
+        series = self._series[cc] = _CCSeries()
+        series.grants_immediate = registry.counter(
+            "cc.grants", "lock grants", {**labels, "waited": "no"})
+        series.grants_waited = registry.counter(
+            "cc.grants", "lock grants", {**labels, "waited": "yes"})
+        series.blocks = {
+            cause: registry.counter(
+                "cc.blocks", "lock requests blocked",
+                {**labels, "cause": cause})
+            for cause in (BLOCKING_DIRECT, BLOCKING_CEILING)}
+        series.wait_queue = registry.gauge(
+            "cc.wait_queue", "requests waiting for locks", labels)
+        series.ceiling_blocked = registry.gauge(
+            "cc.ceiling_blocked",
+            "requests held at the ceiling barrier", labels)
+        series.wait_time = registry.histogram(
+            "cc.wait_time", "lock blocking time (simulated)", labels)
+        series.hold_time = registry.histogram(
+            "cc.hold_time", "lock hold time (simulated)", labels)
+        series.withdrawn = registry.counter(
+            "cc.withdrawn", "waiting requests withdrawn", labels)
+        #: (tid, oid) -> grant time; drained on release.  Probe-private
+        #: so protocol state carries no telemetry residue.
+        series.held_since = {}
 
-    def on_block(self, t: float, request, cause: str) -> None:
-        counter = self._blocks.get(cause)
-        if counter is not None:
-            counter.inc(t)
-        self._wait_queue.inc(t)
+    def lock_grant(self, t: float, cc, txn, oid: int, mode,
+                   request) -> None:
+        series = self._series[cc]
+        if request is None:
+            series.grants_immediate.inc(t)
+        else:
+            self._unqueue(t, series, request)
+            series.wait_time.observe(t, t - request.since)
+            series.grants_waited.inc(t)
+        series.held_since.setdefault((txn.tid, oid), t)
+
+    def lock_block(self, t: float, cc, request, cause: str,
+                   conflicts) -> None:
+        series = self._series[cc]
+        series.blocks[cause].inc(t)
+        series.wait_queue.inc(t)
         if cause == BLOCKING_CEILING:
-            self._ceiling_blocked.inc(t)
+            series.ceiling_blocked.inc(t)
         self._cause[request] = cause
 
-    def on_unblock(self, t: float, request, waited: float) -> None:
-        self._wait_queue.dec(t)
-        if self._cause.pop(request, None) == BLOCKING_CEILING:
-            self._ceiling_blocked.dec(t)
-        self._wait_time.observe(t, waited)
+    def lock_withdraw(self, t: float, cc, request) -> None:
+        series = self._series[cc]
+        self._unqueue(t, series, request)
+        series.withdrawn.inc(t)
 
-    def on_withdraw(self, t: float, request) -> None:
-        self._wait_queue.dec(t)
+    def _unqueue(self, t: float, series: _CCSeries, request) -> None:
+        series.wait_queue.dec(t)
         if self._cause.pop(request, None) == BLOCKING_CEILING:
-            self._ceiling_blocked.dec(t)
-        self._withdrawn.inc(t)
+            series.ceiling_blocked.dec(t)
 
-    def on_release(self, t: float, txn, oids: Iterable[int]) -> None:
-        held = self._held_since
+    def lock_release(self, t: float, cc, txn,
+                     freed: Iterable[int]) -> None:
+        series = self._series[cc]
+        held = series.held_since
         tid = txn.tid
-        for oid in oids:
+        for oid in freed:
             since = held.pop((tid, oid), None)
             if since is not None:
-                self._hold_time.observe(t, t - since)
+                series.hold_time.observe(t, t - since)
 
 
 class TxnProbe:
-    """Active/blocked/committed/reneged transaction population."""
+    """Active/blocked/committed/reneged transaction population
+    (replica appliers are not part of it)."""
 
     __slots__ = ("_active", "_blocked", "_committed", "_restarts",
                  "_reneged", "_blocked_time")
 
-    def __init__(self, registry: MetricsRegistry,
-                 site: Optional[int] = None):
-        labels = {} if site is None else {"site": str(site)}
+    def __init__(self, registry: "MetricsRegistry"):
         self._active = registry.gauge(
-            "txn.active", "transactions between start and completion",
-            labels)
+            "txn.active", "transactions between start and completion")
         self._blocked = registry.gauge(
-            "txn.blocked", "transactions blocked on a lock", labels)
+            "txn.blocked", "transactions blocked on a lock")
         self._committed = registry.counter(
-            "txn.committed", "committed transactions", labels)
+            "txn.committed", "committed transactions")
         self._restarts = registry.counter(
-            "txn.restarts", "deadlock-induced restarts", labels)
+            "txn.restarts", "deadlock-induced restarts")
         self._reneged = registry.counter(
-            "txn.reneged", "transactions that missed their deadline",
-            labels)
+            "txn.reneged", "transactions that missed their deadline")
         self._blocked_time = registry.histogram(
-            "txn.blocked_time", "per-wait blocked time (simulated)",
-            labels)
+            "txn.blocked_time", "per-wait blocked time (simulated)")
 
-    def on_start(self, t: float) -> None:
-        self._active.inc(t)
+    def txn_start(self, t: float, txn, applier: bool = False) -> None:
+        if not applier:
+            self._active.inc(t)
 
-    def on_commit(self, t: float) -> None:
-        self._active.dec(t)
-        self._committed.inc(t)
+    def txn_commit(self, t: float, txn, applier: bool = False) -> None:
+        if not applier:
+            self._active.dec(t)
+            self._committed.inc(t)
 
-    def on_restart(self, t: float) -> None:
+    def txn_restart(self, t: float, txn) -> None:
         self._restarts.inc(t)
 
-    def on_renege(self, t: float) -> None:
-        self._active.dec(t)
-        self._reneged.inc(t)
+    def txn_miss(self, t: float, txn, reason: str) -> None:
+        # An arrival refused at a down site, or orphaned by a crash
+        # before its first step, never started.
+        if reason == "deadline":
+            self._active.dec(t)
+            self._reneged.inc(t)
 
-    def on_block(self, t: float) -> None:
+    def txn_block(self, t: float, txn) -> None:
         self._blocked.inc(t)
 
-    def on_unblock(self, t: float, waited: float) -> None:
+    def txn_unblock(self, t: float, txn, waited: float) -> None:
         self._blocked.dec(t)
         self._blocked_time.observe(t, waited)
 
@@ -207,7 +213,7 @@ class NetworkProbe:
     __slots__ = ("_registry", "_in_flight", "_delay", "_dropped",
                  "_links")
 
-    def __init__(self, registry: MetricsRegistry):
+    def __init__(self, registry: "MetricsRegistry"):
         self._registry = registry
         self._in_flight = registry.gauge(
             "net.in_flight", "message copies in flight")
@@ -219,25 +225,28 @@ class NetworkProbe:
         #: link set depends only on the deterministic topology).
         self._links: Dict[str, Counter] = {}
 
-    def on_send(self, t: float, src: int, dst: int) -> None:
-        link = f"{src}->{dst}"
+    def msg_send(self, t: float, dst: int, message, copies: int) -> None:
+        if not copies:
+            return
+        link = f"{message.sender_site}->{dst}"
         counter = self._links.get(link)
         if counter is None:
             counter = self._registry.counter(
                 "net.sent", "message copies sent per link",
                 {"link": link})
             self._links[link] = counter
-        counter.inc(t)
-        self._in_flight.inc(t)
+        counter.inc(t, copies)
+        self._in_flight.inc(t, copies)
 
-    def on_deliver(self, t: float, lag: float) -> None:
+    def msg_deliver(self, t: float, dst: int, message,
+                    lag: float) -> None:
         self._in_flight.dec(t)
         self._delay.observe(t, lag)
 
-    def on_drop(self, t: float, in_flight: bool = True) -> None:
+    def msg_drop(self, t: float, dst: int, message, reason: str) -> None:
         """A copy was lost — in flight (site down) or before takeoff
-        (fault injector dropped every copy)."""
-        if in_flight:
+        (the fault injector dropped every copy)."""
+        if reason != "injected":
             self._in_flight.dec(t)
         self._dropped.inc(t)
 
@@ -248,7 +257,7 @@ class CommsProbe:
     __slots__ = ("_timeouts", "_retries", "_stale",
                  "_courier_retries", "_courier_failures")
 
-    def __init__(self, registry: MetricsRegistry):
+    def __init__(self, registry: "MetricsRegistry"):
         self._timeouts = registry.counter(
             "comms.timeouts", "rpc attempts that timed out")
         self._retries = registry.counter(
@@ -260,35 +269,52 @@ class CommsProbe:
         self._courier_failures = registry.counter(
             "comms.courier_failures", "courier deliveries abandoned")
 
-    def on_timeout(self, t: float) -> None:
+    def rpc_timeout(self, t: float) -> None:
         self._timeouts.inc(t)
 
-    def on_retry(self, t: float, count: int = 1) -> None:
-        self._retries.inc(t, count)
+    def msg_retry(self, t: float, site, dst: int, tid, label) -> None:
+        self._retries.inc(t)
 
-    def on_stale(self, t: float) -> None:
+    def rpc_stale(self, t: float) -> None:
         self._stale.inc(t)
 
-    def on_courier_retry(self, t: float) -> None:
+    def courier_retry(self, t: float, site, dst: int, label) -> None:
         self._courier_retries.inc(t)
 
-    def on_courier_failure(self, t: float) -> None:
+    def courier_failure(self, t: float) -> None:
         self._courier_failures.inc(t)
 
 
 class TwoPCProbe:
     """Per-phase two-phase-commit latency histograms."""
 
-    __slots__ = ("_phases",)
+    __slots__ = ("_phases", "_since")
 
-    def __init__(self, registry: MetricsRegistry):
+    def __init__(self, registry: "MetricsRegistry"):
         self._phases: Dict[str, Histogram] = {
             phase: registry.histogram(
                 "dist.two_pc_phase", "2PC phase latency (simulated)",
                 {"phase": phase})
             for phase in ("prepare", "decide")}
+        #: txn -> when its current phase began.
+        self._since: Dict[object, float] = {}
 
-    def on_phase(self, t: float, phase: str, elapsed: float) -> None:
-        histogram = self._phases.get(phase)
-        if histogram is not None:
-            histogram.observe(t, elapsed)
+    def two_pc(self, t: float, txn, phase: str, participants,
+               commit=None) -> None:
+        """``phase`` names the step that *starts* at ``t`` (prepare,
+        decide, done), which ends the one before it."""
+        since = self._since
+        if phase == "decide":
+            self._phases["prepare"].observe(t, t - since[txn])
+        elif phase == "done":
+            self._phases["decide"].observe(t, t - since.pop(txn))
+            return
+        since[txn] = t
+
+
+def probes(registry: "MetricsRegistry") -> tuple:
+    """One of each probe over ``registry``: the subscribers that make a
+    run metered."""
+    return (KernelProbe(registry), CCProbe(registry), TxnProbe(registry),
+            NetworkProbe(registry), CommsProbe(registry),
+            TwoPCProbe(registry))

@@ -19,21 +19,21 @@ Design contract (tested in ``tests/telemetry``):
   re-requesting an existing instrument with a different kind is a
   programming error and raises.
 
-Activation mirrors :mod:`repro.trace.tracer`: components sample
-:func:`current_metrics` once at construction and store ``None`` when
-metering is off; every hook site costs one ``is not None`` test.
-Install a registry *before* building a system — :func:`metering` is
-the context manager, and the exec worker installs a fresh registry per
-run unit when ``REPRO_METRICS_DIR`` is set.
+:func:`metering` subscribes a registry's probes
+(:mod:`repro.telemetry.probes`) to the kernels built inside its block;
+the exec worker does the same with a fresh registry per run unit when
+``REPRO_METRICS_DIR`` is set.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
+from ..kernel.hooks import observing
 from .instruments import (Counter, Gauge, Histogram, Instrument,
                           LabelsArg, canonical_labels)
+from .probes import probes
 
 #: Default sampling-window width in *simulated* time units.
 DEFAULT_WINDOW = 50.0
@@ -180,32 +180,12 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 # activation
 # ----------------------------------------------------------------------
-_ACTIVE: Optional[MetricsRegistry] = None
-
-
-def current_metrics() -> Optional[MetricsRegistry]:
-    """The installed registry, or None when metering is off.
-
-    Components sample this once at construction, so install a registry
-    *before* building the system you want metered."""
-    return _ACTIVE
-
-
-def install_metrics(
-        registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """Make ``registry`` the active one (None turns metering off)."""
-    global _ACTIVE
-    _ACTIVE = registry
-    return registry
-
-
 @contextlib.contextmanager
-def metering(registry: Optional[MetricsRegistry] = None):
-    """``with metering() as m: ...`` — install (and restore) metrics."""
+def metering(registry: Optional[MetricsRegistry] = None
+             ) -> Iterator[MetricsRegistry]:
+    """``with metering() as m: ...`` — kernels built inside the block
+    are measured into ``m`` (shadowing an outer registry's probes,
+    beside anything else observing)."""
     active = registry if registry is not None else MetricsRegistry()
-    previous = current_metrics()
-    install_metrics(active)
-    try:
+    with observing(*probes(active)):
         yield active
-    finally:
-        install_metrics(previous)

@@ -15,12 +15,11 @@ from .export import (chrome_document, export_chrome, export_jsonl,
 from .timeline import (BlockSpan, RunTimeline, TransactionTimeline,
                        merge_intervals, reconstruct, subtract_intervals,
                        total_length)
-from .tracer import (DEFAULT_CAPACITY, ENV_TRACE_DIR, Tracer,
-                     current_tracer, install_tracer, tracing)
+from .tracer import DEFAULT_CAPACITY, ENV_TRACE_DIR, Tracer, tracing
 
 __all__ = [
     "EVENT_KINDS", "TraceEvent", "Tracer", "DEFAULT_CAPACITY",
-    "ENV_TRACE_DIR", "current_tracer", "install_tracer", "tracing",
+    "ENV_TRACE_DIR", "tracing",
     "BlockSpan", "RunTimeline", "TransactionTimeline", "reconstruct",
     "merge_intervals", "subtract_intervals", "total_length",
     "chrome_document", "export_chrome", "export_jsonl", "load_jsonl",

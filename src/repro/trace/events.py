@@ -65,8 +65,6 @@ EVENT_KINDS: Dict[str, str] = {
     # faults
     "site_crash": "site failed (fail-stop)",
     "site_recover": "site rejoined the network",
-    # diagnostics
-    "trace_error": "a legacy trace callback raised (guarded)",
 }
 
 

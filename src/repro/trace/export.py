@@ -42,7 +42,9 @@ def export_jsonl(tracer, destination: str) -> Dict[str, int]:
     meta = {"trace_version": TRACE_VERSION,
             "events": len(tracer.events), "emitted": tracer.emitted,
             "dropped": tracer.dropped,
-            "callback_errors": tracer.callback_errors}
+            # A trace_version-1 field; always 0 since the guarded
+            # legacy callbacks that could fail went away.
+            "callback_errors": 0}
     with open(destination, "w", encoding="utf-8") as sink:
         sink.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
         for event in tracer.events:

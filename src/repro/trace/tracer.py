@@ -4,33 +4,29 @@ Design contract (property-tested in ``tests/trace``):
 
 - **zero perturbation** — emitting draws no randomness, schedules no
   events and mutates no model state; a traced run is bitwise identical
-  to an untraced one.  Every hook site in the kernel, the protocols and
-  the distributed environment costs one ``is not None`` attribute test
-  when tracing is off, mirroring the sanitizer's instrumentation
-  pattern.
+  to an untraced one.
 - **bounded memory** — events land in a ring buffer
   (``collections.deque(maxlen=...)``); overflow silently drops the
   *oldest* events and is reported (``emitted`` vs ``len(events)``), so
   a pathological run can never exhaust memory.
-- **typed records** — model layers call the ``lock_block`` /
-  ``msg_drop`` / ``two_pc`` style methods below rather than inventing
-  payload shapes; the methods translate live objects (transactions,
-  messages, processes) into the plain-data schema of
-  :mod:`repro.trace.events`.
+- **typed records** — the ``lock_block`` / ``msg_drop`` / ``two_pc``
+  style methods below are this subscriber's side of the hooks of
+  :mod:`repro.kernel.hooks` (same names, same signatures): they
+  translate the live objects a hook carries (transactions, messages,
+  processes) into the plain-data schema of :mod:`repro.trace.events`.
 
-Activation mirrors :mod:`repro.analyze.sanitizer`: components sample
-:func:`current_tracer` once at construction and store ``None`` when
-tracing is off.  Install a tracer *before* building a system —
-:func:`tracing` is the convenient context manager, and the exec worker
-installs a fresh tracer per run unit when ``REPRO_TRACE_DIR`` is set.
+:func:`tracing` subscribes a tracer to the kernels built inside its
+block; the exec worker subscribes a fresh one per run unit when
+``REPRO_TRACE_DIR`` is set.
 """
 
 from __future__ import annotations
 
 import contextlib
 from collections import deque
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional
 
+from ..kernel.hooks import observing
 from .events import TraceEvent
 
 #: Ring-buffer capacity (events) unless the caller chooses otherwise.
@@ -57,6 +53,13 @@ def _holder_entry(holder) -> List[float]:
             float(getattr(holder, "priority", 0.0))]
 
 
+def _active_ceiling(cc) -> Optional[float]:
+    """Highest priority among a ceiling protocol's active transactions:
+    the static-ceiling upper bound after a set change."""
+    return max((float(txn.priority) for txn in cc.active.values()),
+               default=None)
+
+
 def _message_tid(message) -> Optional[int]:
     txn = getattr(message, "txn", None)
     if txn is not None:
@@ -75,11 +78,6 @@ class Tracer:
         self.events: "deque[TraceEvent]" = deque(maxlen=capacity)
         #: Total events emitted (>= len(events) once the ring wraps).
         self.emitted = 0
-        #: Exceptions swallowed from legacy kernel trace callbacks.
-        self.callback_errors = 0
-        #: Legacy ``callable(time, kind, process, detail)`` hooks the
-        #: kernel routes through us (guarded; see :meth:`kernel_event`).
-        self._callbacks: List[Callable] = []
 
     # ------------------------------------------------------------------
     # core
@@ -94,42 +92,27 @@ class Tracer:
         """Events lost to ring-buffer overflow."""
         return max(0, self.emitted - len(self.events))
 
-    def attach_callback(self, callback: Callable) -> None:
-        """Route a legacy kernel ``trace`` hook through this tracer."""
-        self._callbacks.append(callback)
-
     # ------------------------------------------------------------------
     # kernel layer
     # ------------------------------------------------------------------
     def kernel_event(self, t: float, kind: str, process,
-                     detail: Any = None) -> None:
-        """Process lifecycle event, forwarded to legacy callbacks.
-
-        A raising callback can no longer corrupt or abort a run: the
-        exception is swallowed, counted, and recorded as a
-        ``trace_error`` event.
-        """
+                     detail: Any) -> None:
+        """Process lifecycle event (spawn / interrupt / terminate)."""
         payload = getattr(process, "payload", None)
         data = {"process": getattr(process, "name", str(process))}
         if detail is not None:
             data["detail"] = repr(detail)
         self.emit(t, kind, tid=_txn_tid(payload), **data)
-        for callback in self._callbacks:
-            try:
-                callback(t, kind, process, detail)
-            except Exception as exc:
-                self.callback_errors += 1
-                self.emit(t, "trace_error", error=repr(exc))
 
-    def cpu_dispatch(self, t: float, cpu: str, process) -> None:
+    def cpu_dispatch(self, t: float, cpu, process) -> None:
         self.emit(t, "cpu_dispatch",
                   tid=_txn_tid(getattr(process, "payload", None)),
-                  cpu=cpu, process=getattr(process, "name", ""))
+                  cpu=cpu.name, process=getattr(process, "name", ""))
 
-    def cpu_preempt(self, t: float, cpu: str, process) -> None:
+    def cpu_preempt(self, t: float, cpu, process) -> None:
         self.emit(t, "cpu_preempt",
                   tid=_txn_tid(getattr(process, "payload", None)),
-                  cpu=cpu, process=getattr(process, "name", ""))
+                  cpu=cpu.name, process=getattr(process, "name", ""))
 
     # ------------------------------------------------------------------
     # transaction lifecycle
@@ -142,59 +125,61 @@ class Tracer:
         self.emit(t, "txn_start", site=_txn_site(txn),
                   tid=_txn_tid(txn), **data)
 
-    def txn_commit(self, t: float, txn) -> None:
+    def txn_commit(self, t: float, txn, applier: bool = False) -> None:
         self.emit(t, "txn_commit", site=_txn_site(txn),
                   tid=_txn_tid(txn), restarts=txn.restarts)
 
-    def txn_miss(self, t: float, txn,
-                 reason: Optional[str] = None) -> None:
-        data = {} if reason is None else {"reason": reason}
+    def txn_miss(self, t: float, txn, reason: str) -> None:
         self.emit(t, "txn_miss", site=_txn_site(txn),
-                  tid=_txn_tid(txn), **data)
+                  tid=_txn_tid(txn), reason=reason)
 
     def txn_restart(self, t: float, txn) -> None:
         self.emit(t, "txn_restart", site=_txn_site(txn),
                   tid=_txn_tid(txn), restarts=txn.restarts)
 
-    def txn_abort(self, t: float, txn,
-                  reason: Optional[str] = None) -> None:
-        data = {} if reason is None else {"reason": reason}
+    def txn_abort(self, t: float, txn, reason: str) -> None:
         self.emit(t, "txn_abort", site=_txn_site(txn),
-                  tid=_txn_tid(txn), **data)
+                  tid=_txn_tid(txn), reason=reason)
 
     # ------------------------------------------------------------------
     # locking
     # ------------------------------------------------------------------
-    def lock_request(self, t: float, txn, oid: int, mode) -> None:
+    def lock_request(self, t: float, cc, txn, oid: int, mode) -> None:
         self.emit(t, "lock_request", site=_txn_site(txn),
                   tid=_txn_tid(txn), oid=oid, mode=str(mode))
 
-    def lock_grant(self, t: float, txn, oid: int, mode,
-                   waited: bool) -> None:
+    def lock_grant(self, t: float, cc, txn, oid: int, mode,
+                   request) -> None:
         self.emit(t, "lock_grant", site=_txn_site(txn),
                   tid=_txn_tid(txn), oid=oid, mode=str(mode),
-                  waited=waited)
+                  waited=request is not None)
 
-    def lock_block(self, t: float, txn, oid: int, mode, cause: str,
-                   holders: Iterable) -> None:
+    def lock_block(self, t: float, cc, request, cause: str,
+                   conflicts: Iterable) -> None:
         """``cause`` is ``"direct"`` (incompatible holder) or
-        ``"ceiling"`` (admission denied with no lock conflict);
-        ``holders`` are the transactions blocking this request, each
-        snapshotted as ``[tid, base priority]`` so the timeline layer
-        can classify priority-inversion intervals offline."""
+        ``"ceiling"`` (admission denied with no lock conflict, in which
+        case the protocol names the barrier's holders); the blocking
+        transactions are snapshotted as ``[tid, base priority]`` so the
+        timeline layer can classify priority-inversion intervals
+        offline."""
+        txn = request.txn
+        holders = conflicts or cc.ceiling_blockers(request)
         self.emit(t, "lock_block", site=_txn_site(txn),
-                  tid=_txn_tid(txn), oid=oid, mode=str(mode),
-                  cause=cause,
+                  tid=_txn_tid(txn), oid=request.oid,
+                  mode=str(request.mode), cause=cause,
                   holders=[_holder_entry(holder) for holder in holders],
                   waiter_priority=float(txn.priority))
 
-    def lock_release(self, t: float, txn, oids: Iterable[int]) -> None:
-        self.emit(t, "lock_release", site=_txn_site(txn),
-                  tid=_txn_tid(txn), oids=list(oids))
+    def lock_release(self, t: float, cc, txn,
+                     freed: Iterable[int]) -> None:
+        if freed:
+            self.emit(t, "lock_release", site=_txn_site(txn),
+                      tid=_txn_tid(txn), oids=list(freed))
 
-    def lock_withdraw(self, t: float, txn, oid: int) -> None:
+    def lock_withdraw(self, t: float, cc, request) -> None:
+        txn = request.txn
         self.emit(t, "lock_withdraw", site=_txn_site(txn),
-                  tid=_txn_tid(txn), oid=oid)
+                  tid=_txn_tid(txn), oid=request.oid)
 
     # ------------------------------------------------------------------
     # priority management
@@ -208,24 +193,21 @@ class Tracer:
         self.emit(t, "priority_restore", site=_txn_site(txn),
                   tid=_txn_tid(txn))
 
-    def ceiling_raise(self, t: float, txn,
-                      ceiling: Optional[float]) -> None:
+    def ceiling_raise(self, t: float, cc, txn) -> None:
         self.emit(t, "ceiling_raise", site=_txn_site(txn),
-                  tid=_txn_tid(txn),
-                  ceiling=None if ceiling is None else float(ceiling))
+                  tid=_txn_tid(txn), ceiling=_active_ceiling(cc))
 
-    def ceiling_lower(self, t: float, txn,
-                      ceiling: Optional[float]) -> None:
+    def ceiling_lower(self, t: float, cc, txn) -> None:
         self.emit(t, "ceiling_lower", site=_txn_site(txn),
-                  tid=_txn_tid(txn),
-                  ceiling=None if ceiling is None else float(ceiling))
+                  tid=_txn_tid(txn), ceiling=_active_ceiling(cc))
 
     # ------------------------------------------------------------------
     # messaging
     # ------------------------------------------------------------------
-    def msg_send(self, t: float, src: int, dst: int, message,
-                 copies: int = 1) -> None:
-        self.emit(t, "msg_send", site=src, tid=_message_tid(message),
+    def msg_send(self, t: float, dst: int, message,
+                 copies: int) -> None:
+        self.emit(t, "msg_send", site=message.sender_site,
+                  tid=_message_tid(message),
                   dst=dst, msg=type(message).__name__,
                   target=getattr(message, "target", None),
                   copies=copies)
@@ -245,6 +227,10 @@ class Tracer:
                   tid: Optional[int], label: str) -> None:
         self.emit(t, "msg_retry", site=site, tid=tid, dst=dst,
                   label=label)
+
+    def courier_retry(self, t: float, site: Optional[int], dst: int,
+                      label: str) -> None:
+        self.msg_retry(t, site, dst, None, label)
 
     def msg_undeliverable(self, t: float, site: int, message) -> None:
         self.emit(t, "msg_undeliverable", site=site,
@@ -277,7 +263,7 @@ class Tracer:
     # ------------------------------------------------------------------
     # faults
     # ------------------------------------------------------------------
-    def site_crash(self, t: float, site: int, victims: int = 0) -> None:
+    def site_crash(self, t: float, site: int, victims: int) -> None:
         self.emit(t, "site_crash", site=site, victims=victims)
 
     def site_recover(self, t: float, site: int) -> None:
@@ -295,31 +281,11 @@ class Tracer:
 # ----------------------------------------------------------------------
 # activation
 # ----------------------------------------------------------------------
-_ACTIVE: Optional[Tracer] = None
-
-
-def current_tracer() -> Optional[Tracer]:
-    """The installed tracer, or None when tracing is off.
-
-    Components sample this once at construction, so install a tracer
-    *before* building the system you want traced."""
-    return _ACTIVE
-
-
-def install_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Make ``tracer`` the active one (None turns tracing off)."""
-    global _ACTIVE
-    _ACTIVE = tracer
-    return tracer
-
-
 @contextlib.contextmanager
-def tracing(tracer: Optional[Tracer] = None):
-    """``with tracing() as t: ...`` — install (and restore) a tracer."""
+def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
+    """``with tracing() as t: ...`` — kernels built inside the block
+    report to ``t`` (shadowing an outer tracer, beside anything else
+    observing)."""
     active = tracer if tracer is not None else Tracer()
-    previous = current_tracer()
-    install_tracer(active)
-    try:
+    with observing(active):
         yield active
-    finally:
-        install_tracer(previous)

@@ -70,12 +70,9 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
     """
     txn.mark_started(kernel.now)
     cc.register(txn)
-    tracer = cc.tracer
-    if tracer is not None:
-        tracer.txn_start(kernel.now, txn)
-    probe = kernel.txn_telemetry
-    if probe is not None:
-        probe.on_start(kernel.now)
+    hooks = kernel.hooks
+    if hooks is not None:
+        hooks.txn_start(kernel.now, txn)
     timer = DeadlineTimer(kernel, txn.process, txn.deadline,
                           lambda: DeadlineMiss(txn.tid))
     try:
@@ -90,12 +87,12 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
                 # ``yield from``: every resume would cross both frames.
                 for oid, mode in txn.operations:
                     blocked_at = kernel.now
-                    if probe is not None:
-                        probe.on_block(blocked_at)
+                    if hooks is not None:
+                        hooks.txn_block(blocked_at, txn)
                     yield cc.acquire(txn, oid, mode)
                     waited = kernel.now - blocked_at
-                    if probe is not None:
-                        probe.on_unblock(kernel.now, waited)
+                    if hooks is not None:
+                        hooks.txn_unblock(kernel.now, txn, waited)
                     txn.blocked_time += waited
                     yield cpu_burst
                     yield io_burst
@@ -108,29 +105,22 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
                     yield cpu.use(costs.commit_cpu)
                 cc.release_all(txn)
                 txn.mark_committed(kernel.now)
-                if cc.sanitizer is not None:
-                    cc.sanitizer.on_commit(txn)
-                if tracer is not None:
-                    tracer.txn_commit(kernel.now, txn)
-                if probe is not None:
-                    probe.on_commit(kernel.now)
+                if hooks is not None:
+                    hooks.lock_commit(kernel.now, cc, txn)
+                    hooks.txn_commit(kernel.now, txn)
                 break
             except DeadlockAbort:
                 txn.restarts += 1
                 cc.abort(txn)
-                if tracer is not None:
-                    tracer.txn_restart(kernel.now, txn)
-                if probe is not None:
-                    probe.on_restart(kernel.now)
+                if hooks is not None:
+                    hooks.txn_restart(kernel.now, txn)
                 if costs.restart_delay > 0:
                     yield Delay(costs.restart_delay)
     except DeadlineMiss:
         cc.abort(txn)
         txn.mark_missed(kernel.now)
-        if tracer is not None:
-            tracer.txn_miss(kernel.now, txn, reason="deadline")
-        if probe is not None:
-            probe.on_renege(kernel.now)
+        if hooks is not None:
+            hooks.txn_miss(kernel.now, txn, "deadline")
     finally:
         timer.cancel()
         cc.deregister(txn)

@@ -12,13 +12,10 @@ and the number of aborts".
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import List, Optional, Sequence, Tuple
 
 from ..db.locks import LockMode
 from ..kernel.errors import ProcessInterrupt
-
-_tid_counter = itertools.count(1)
 
 
 class TransactionAbort(ProcessInterrupt):
@@ -72,10 +69,12 @@ class Transaction:
                  arrival_time: float, deadline: float,
                  priority: float, site: int = 0,
                  txn_type: TransactionType = TransactionType.UPDATE,
-                 periodic: bool = False):
+                 periodic: bool = False, *, tid: int):
         if not operations:
             raise ValueError("a transaction needs at least one operation")
-        self.tid: int = next(_tid_counter)
+        #: Unique within one system, which numbers its transactions
+        #: from 1 (hashed: see ``__hash__``).
+        self.tid = tid
         self.operations: List[Operation] = list(operations)
         self.arrival_time = arrival_time
         self.deadline = deadline

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analyze.sanitizer import (Sanitizer, current_sanitizer,
-                                 install_sanitizer, uninstall_sanitizer)
+from ..analyze.sanitizer import Sanitizer
 from ..core.builder import SingleSiteSystem
 from ..core.config import (DistributedConfig, SingleSiteConfig,
                            TimingConfig, WorkloadConfig)
-from ..core.experiment import reset_id_counters
 from ..db.locks import LockMode
 from ..dist.system import DistributedSystem
 from ..kernel.controlled import pending_signature
-from ..trace.tracer import Tracer, current_tracer, install_tracer
+from ..kernel.hooks import observing
+from ..trace.tracer import Tracer
 from ..txn.generator import TransactionSpec
 from ..txn.manager import CostModel
 
@@ -188,34 +187,20 @@ class Scenario:
     def build(self) -> ScenarioInstance:
         """Construct a fresh instance with private observers.
 
-        The tracer and the (non-strict) sanitizer are installed only
-        for the duration of construction — components sample the
-        active observers once in their constructors — and the previous
-        observers are restored afterwards, so building scenarios never
-        leaks into, or inherits from, the surrounding process state
-        (e.g. a CI job running under ``REPRO_SANITIZE=1``).
+        The tracer and the (non-strict) sanitizer observe only the
+        system built here — its kernel samples the activation once, at
+        construction — and stand in for any already active (e.g. a CI
+        job running under ``REPRO_SANITIZE=1``), so building scenarios
+        never leaks into, or inherits from, the surrounding process
+        state.  Every build names its transactions and processes
+        identically (ids are per system, from 1): replayed trails match
+        explored trails verbatim, and state digests are comparable
+        *across* schedules (convergence pruning depends on it).
         """
-        # Pin the process-global id counters so every build of this
-        # scenario names its transactions and processes identically:
-        # replayed trails match explored trails verbatim, and state
-        # digests are comparable *across* schedules (convergence
-        # pruning depends on it).  Safe because exploration never
-        # coexists with another in-flight simulation in this process.
-        reset_id_counters()
-        previous_tracer = current_tracer()
-        previous_sanitizer = current_sanitizer()
         tracer = Tracer(capacity=1 << 16)
         sanitizer = Sanitizer(strict=False)
-        install_tracer(tracer)
-        install_sanitizer(sanitizer)
-        try:
+        with observing(tracer, sanitizer):
             system, ccs = self._factory()
-        finally:
-            install_tracer(previous_tracer)
-            if previous_sanitizer is not None:
-                install_sanitizer(previous_sanitizer)
-            else:
-                uninstall_sanitizer()
         return ScenarioInstance(system, ccs, self.name, tracer,
                                 sanitizer,
                                 expect_deadlocks=self.expect_deadlocks,
@@ -249,13 +234,14 @@ def _single_site(protocol: str,
 def _distributed(mode: str,
                  specs: List[TransactionSpec],
                  n_sites: int = 2,
-                 db_size: int = 2) -> Tuple[Any, List[Any]]:
+                 db_size: int = 2,
+                 slack_factor: float = 12.0) -> Tuple[Any, List[Any]]:
     config = DistributedConfig(
         mode=mode, n_sites=n_sites, db_size=db_size, comm_delay=1.0,
         workload=WorkloadConfig(n_transactions=len(specs),
                                 transaction_size=1,
                                 read_only_fraction=0.0),
-        timing=TimingConfig(slack_factor=12.0),
+        timing=TimingConfig(slack_factor=slack_factor),
         costs=CostModel(cpu_per_object=1.0, io_per_object=0.0,
                         restart_delay=0.5),
         seed=1)
@@ -312,10 +298,13 @@ def _twopl_3x1() -> Tuple[Any, List[Any]]:
 
 def _dist_global_2x2() -> Tuple[Any, List[Any]]:
     # Two sites, one writer each, overlapping on object 0; 2PC runs
-    # under every explored message-delivery order.
+    # under every explored message-delivery order.  The remote writer
+    # pays five round trips (register, lock, data, prepare, decide)
+    # behind the local one's critical section: twice the slack of the
+    # local-mode scenario, or it misses its deadline in every order.
     specs = [_spec(0.0, [(0, _W), (1, _R)], site=0),
              _spec(0.0, [(0, _W)], site=1)]
-    return _distributed("global", specs)
+    return _distributed("global", specs, slack_factor=24.0)
 
 
 def _dist_local_2x2() -> Tuple[Any, List[Any]]:

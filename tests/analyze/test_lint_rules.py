@@ -316,12 +316,10 @@ def test_rpl007_flags_logging_submodule_import():
 
 def test_rpl007_silent_on_tracer_usage():
     findings = lint("""
-        from ..trace.tracer import current_tracer
-
-        def deliver(now, dst, message, lag):
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.msg_deliver(now, dst, message, lag)
+        def deliver(kernel, dst, message, lag):
+            hooks = kernel.hooks
+            if hooks is not None:
+                hooks.msg_deliver(kernel.now, dst, message, lag)
     """, path="src/repro/dist/network.py")
     assert findings == []
 
@@ -347,36 +345,36 @@ def test_rpl007_real_cc_and_dist_packages_are_clean():
 
 
 # ----------------------------------------------------------------------
-# RPL008 — unguarded tracer calls in hot layers
+# RPL008 — calls on the instrumentation slot outside its guard
 # ----------------------------------------------------------------------
 def test_rpl008_flags_unguarded_tracer_call():
     findings = lint("""
         def grant(self, request):
-            self.tracer.lock_grant(self.kernel.now, request.txn,
-                                   request.oid)
+            self.kernel.hooks.lock_grant(self.kernel.now, self,
+                                         request.txn, request.oid)
     """, path="src/repro/cc/base.py")
     assert codes(findings) == ["RPL008"]
-    assert "self.tracer" in findings[0].message
+    assert "self.kernel.hooks" in findings[0].message
 
 
 def test_rpl008_silent_inside_is_not_none_guard():
     findings = lint("""
         def grant(self, request):
-            if self.tracer is not None:
-                self.tracer.lock_grant(self.kernel.now, request.txn)
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.lock_release(self.kernel.now, request.txn, [])
+            if self.kernel.hooks is not None:
+                self.kernel.hooks.lock_grant(self.kernel.now, self)
+            hooks = self.kernel.hooks
+            if hooks is not None:
+                hooks.lock_release(self.kernel.now, self, request.txn, [])
     """, path="src/repro/cc/base.py")
     assert findings == []
 
 
 def test_rpl008_guard_does_not_leak_past_its_branch():
     findings = lint("""
-        def grant(self, request):
-            if self.tracer is not None:
+        def spawn(self, process):
+            if self.hooks is not None:
                 pass
-            self.tracer.lock_grant(self.kernel.now, request.txn)
+            self.hooks.kernel_event(self.now, "spawn", process, None)
     """, path="src/repro/kernel/kernel.py")
     assert codes(findings) == ["RPL008"]
 
@@ -384,21 +382,20 @@ def test_rpl008_guard_does_not_leak_past_its_branch():
 def test_rpl008_accepts_early_return_guard():
     findings = lint("""
         def emit(self, event):
-            if self.tracer is None:
+            if self.hooks is None:
                 return
-            self.tracer.kernel_event(0.0, "spawn", event, None)
+            self.hooks.kernel_event(0.0, "spawn", event, None)
     """, path="src/repro/kernel/kernel.py")
     assert findings == []
 
 
 def test_rpl008_accepts_and_chain_and_ternary():
     findings = lint("""
-        def emit(self, txn, on):
-            result = (self.tracer.snapshot(txn)
-                      if self.tracer is not None else None)
-            ok = on and self.tracer is not None and \\
-                self.tracer.enabled(txn)
-            return result, ok
+        def emit(self, now, on):
+            hooks = self.kernel.hooks
+            due = hooks.sample_due() if hooks is not None else None
+            ok = on and hooks is not None and hooks.rpc_stale(now)
+            return due, ok
     """, path="src/repro/dist/network.py")
     assert findings == []
 
@@ -406,9 +403,9 @@ def test_rpl008_accepts_and_chain_and_ternary():
 def test_rpl008_guard_does_not_cover_nested_function():
     findings = lint("""
         def arm(self):
-            if self.tracer is not None:
+            if self.hooks is not None:
                 def later():
-                    self.tracer.kernel_event(0.0, "fire", None, None)
+                    self.hooks.kernel_event(0.0, "fire", None, None)
                 return later
     """, path="src/repro/kernel/kernel.py")
     assert codes(findings) == ["RPL008"]
@@ -417,21 +414,24 @@ def test_rpl008_guard_does_not_cover_nested_function():
 def test_rpl008_scoped_to_hot_layers_only():
     source = """
         def report(self, row):
-            self.tracer.flush(row)
+            self.kernel.hooks.txn_commit(0.0, row)
     """
     assert codes(lint(source, path="src/repro/trace/export.py")) == []
     assert codes(lint(source, path="tests/kernel/test_kernel.py")) == []
+    # Probe and sanitizer hook sites are the slot's too: every
+    # instrumented layer is patrolled, not just the tracer's three.
+    for layer in ("kernel", "cc", "db", "dist", "txn", "resources"):
+        assert codes(lint(
+            source, path=f"src/repro/{layer}/module.py")) == ["RPL008"]
 
 
 def test_rpl008_real_hot_packages_are_clean():
     from pathlib import Path
-    import repro.cc as cc_pkg
-    import repro.dist as dist_pkg
-    import repro.kernel as kernel_pkg
+    import repro
     engine = LintEngine(DEFAULT_RULES, select=["RPL008"])
-    for pkg in (cc_pkg, dist_pkg, kernel_pkg):
+    for layer in ("kernel", "cc", "db", "dist", "txn", "resources"):
         for module_path in sorted(
-                Path(pkg.__file__).parent.glob("*.py")):
+                (Path(repro.__file__).parent / layer).rglob("*.py")):
             assert engine.check_file(module_path) == [], module_path
 
 

@@ -10,15 +10,13 @@ import sys
 import pytest
 
 import repro.analyze.sanitizer as sanitizer_module
-from repro.analyze.sanitizer import (ENV_VAR, Sanitizer,
-                                     current_sanitizer,
-                                     install_sanitizer, sanitize,
-                                     sanitizer_enabled,
-                                     uninstall_sanitizer)
+from repro.analyze.sanitizer import ENV_VAR, Sanitizer, sanitize
 from repro.core import (DistributedConfig, SingleSiteConfig,
                         TimingConfig, WorkloadConfig, run_distributed,
                         run_single_site)
+from repro.kernel import Kernel
 from repro.txn import CostModel
+from tests.conftest import observers
 
 WORKLOAD = WorkloadConfig(n_transactions=60, mean_interarrival=20.0,
                           transaction_size=8, size_jitter=2)
@@ -64,65 +62,70 @@ def dataclasses_replace(workload, **kwargs):
 # ----------------------------------------------------------------------
 # activation surface
 # ----------------------------------------------------------------------
-def test_no_sanitizer_by_default(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    uninstall_sanitizer()
-    assert current_sanitizer() is None
-    assert not sanitizer_enabled()
+def sanitizers():
+    return observers(Sanitizer)
+
+
+def test_no_sanitizer_by_default(unobserved):
+    assert sanitizers() == []
+    assert Kernel().hooks is None
 
 
 @pytest.mark.parametrize("value,expected_strict", [
     ("1", True), ("record", False)])
-def test_env_var_creates_a_sanitizer(monkeypatch, value,
+def test_env_var_creates_a_sanitizer(unobserved, monkeypatch, value,
                                      expected_strict):
     monkeypatch.setenv(ENV_VAR, value)
-    uninstall_sanitizer()
-    try:
-        sanitizer = current_sanitizer()
-        assert sanitizer is not None
-        assert sanitizer.strict is expected_strict
-        # Lazy singleton: repeated queries yield the same instance.
-        assert current_sanitizer() is sanitizer
-    finally:
-        uninstall_sanitizer()
+    [sanitizer] = sanitizers()
+    assert sanitizer.strict is expected_strict
+    # Lazy singleton: every kernel reports to the same instance.
+    assert sanitizers() == [sanitizer]
 
 
 @pytest.mark.parametrize("value", ["", "0", "false", "off", "no"])
-def test_env_var_disabled_values(monkeypatch, value):
+def test_env_var_disabled_values(unobserved, monkeypatch, value):
     monkeypatch.setenv(ENV_VAR, value)
-    uninstall_sanitizer()
-    assert current_sanitizer() is None
+    assert sanitizers() == []
 
 
-def test_explicit_install_wins_over_environment(monkeypatch):
+def test_explicit_install_wins_over_environment(unobserved, monkeypatch):
     monkeypatch.setenv(ENV_VAR, "1")
-    uninstall_sanitizer()
-    mine = install_sanitizer(Sanitizer(strict=False))
-    try:
-        assert current_sanitizer() is mine
-    finally:
-        uninstall_sanitizer()
+    [ambient] = sanitizers()
+    with sanitize(strict=False) as mine:
+        assert sanitizers() == [mine]
+    assert sanitizers() == [ambient]
 
 
 def test_sanitize_context_manager_restores_previous():
-    outer = install_sanitizer(Sanitizer(strict=False))
-    try:
+    with sanitize(strict=False) as outer:
         with sanitize() as inner:
-            assert current_sanitizer() is inner
+            assert sanitizers() == [inner]
             assert inner is not outer
-        assert current_sanitizer() is outer
-    finally:
-        uninstall_sanitizer()
+        assert sanitizers() == [outer]
 
 
-def test_protocols_skip_hooks_entirely_when_off(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    uninstall_sanitizer()
+def test_observers_compose_when_nested(unobserved):
+    from repro.telemetry import metering
+    from repro.trace import Tracer, tracing
+    from tests.conftest import metered
+    with tracing() as tracer, metering() as registry:
+        with sanitize() as sanitizer:
+            assert observers(Tracer) == [tracer]
+            assert metered() == [registry]
+            assert sanitizers() == [sanitizer]
+        assert sanitizers() == []
+        assert observers(Tracer) == [tracer]
+    assert Kernel().hooks is None
+
+
+def test_protocols_skip_hooks_entirely_when_off(unobserved):
     from repro.cc.twopl import TwoPhaseLocking
-    from repro.kernel import Kernel
-    cc = TwoPhaseLocking(Kernel(seed=1))
-    assert cc.sanitizer is None
-    assert cc.locks.observer is None
+    kernel = Kernel(seed=1)
+    cc = TwoPhaseLocking(kernel)
+    assert kernel.hooks is None
+    # The slot is the kernel's: a protocol keeps no observer of its own.
+    assert not {"sanitizer", "tracer", "meter", "hooks"} & set(vars(cc))
+    assert not hasattr(cc.locks, "observer")
 
 
 def test_env_var_reaches_a_fresh_interpreter():
@@ -130,15 +133,15 @@ def test_env_var_reaches_a_fresh_interpreter():
     # process boundaries; prove a child interpreter picks it up.
     env = dict(os.environ, REPRO_SANITIZE="record",
                PYTHONPATH="src")
-    code = ("import repro.analyze.sanitizer as s; "
-            "x = s.current_sanitizer(); "
-            "print(x is not None and not x.strict)")
+    code = ("from repro.kernel import Kernel; "
+            "[x] = Kernel().hooks.subscribers; "
+            "print(type(x).__name__, x.strict)")
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, env=env,
                             cwd=os.path.dirname(
                                 os.path.dirname(
                                     os.path.dirname(__file__))))
-    assert result.stdout.strip() == "True", result.stderr
+    assert result.stdout.strip() == "Sanitizer False", result.stderr
 
 
 def test_module_reexports_the_public_api():

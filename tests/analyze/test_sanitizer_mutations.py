@@ -2,29 +2,29 @@
 the corresponding sanitizer detector fires — and that every violation
 identifies the offending transaction and object.
 
-Each test installs a *recording* sanitizer (strict=False) so the
+Each test runs under a *recording* sanitizer (strict=False) so the
 mutated run completes and the collected violations can be inspected.
+A kernel samples the activation when it is built, so the tests request
+``san`` *before* ``kernel`` (pytest builds fixtures in that order).
 """
 
 import pytest
 
-from repro.analyze.sanitizer import (ENV_VAR, Sanitizer,
-                                     SanitizerViolation,
-                                     install_sanitizer,
-                                     uninstall_sanitizer)
+from repro.analyze.sanitizer import (ENV_VAR, SanitizerViolation,
+                                     sanitize)
 from repro.cc.priority_ceiling import PriorityCeiling
 from repro.cc.twopl import TwoPhaseLocking
 from repro.db.locks import LockMode
 from repro.db.replication import ReplicaCatalog
+from repro.kernel import Kernel
 from repro.txn.transaction import TransactionAbort
 from tests.conftest import LockClient, make_txn
 
 
 @pytest.fixture
 def san():
-    sanitizer = install_sanitizer(Sanitizer(strict=False))
-    yield sanitizer
-    uninstall_sanitizer()
+    with sanitize(strict=False) as sanitizer:
+        yield sanitizer
 
 
 def only_codes(sanitizer):
@@ -34,7 +34,7 @@ def only_codes(sanitizer):
 # ----------------------------------------------------------------------
 # SAN-PCP-CEILING — admission ignores the ceiling rule
 # ----------------------------------------------------------------------
-def test_broken_ceiling_admission_is_detected(kernel, san, monkeypatch):
+def test_broken_ceiling_admission_is_detected(san, kernel, monkeypatch):
     # Mutation: the admission test stops consulting the ceiling.
     monkeypatch.setattr(PriorityCeiling, "_can_acquire",
                         lambda self, txn, oid, mode: True)
@@ -60,14 +60,11 @@ def test_broken_ceiling_admission_is_detected(kernel, san, monkeypatch):
 # protocol's index instead of sharing its mistake.
 # ----------------------------------------------------------------------
 @pytest.fixture
-def strict_from_env(monkeypatch):
-    uninstall_sanitizer()
+def strict_from_env(unobserved, monkeypatch):
     monkeypatch.setenv(ENV_VAR, "1")
-    yield
-    uninstall_sanitizer()
 
 
-def test_dropped_barrier_entry_is_detected(kernel, strict_from_env):
+def test_dropped_barrier_entry_is_detected(strict_from_env, kernel):
     cc = PriorityCeiling(kernel)
     high = make_txn([(1, "w")], priority=10)
     low = make_txn([(2, "w")], priority=5)
@@ -88,7 +85,7 @@ def test_dropped_barrier_entry_is_detected(kernel, strict_from_env):
     assert violation.protocol == "C"
 
 
-def test_inflated_barrier_entry_is_detected(kernel, strict_from_env):
+def test_inflated_barrier_entry_is_detected(strict_from_env, kernel):
     cc = PriorityCeiling(kernel)
     holder = make_txn([(1, "w")], priority=10)
     above = make_txn([(2, "w")], priority=12)
@@ -111,7 +108,7 @@ def test_inflated_barrier_entry_is_detected(kernel, strict_from_env):
 # ----------------------------------------------------------------------
 # SAN-PCP-BLOCK — spurious blocking with no justification
 # ----------------------------------------------------------------------
-def test_spurious_ceiling_block_is_detected(kernel, san, monkeypatch):
+def test_spurious_ceiling_block_is_detected(san, kernel, monkeypatch):
     # Mutation: the protocol refuses every acquisition.
     monkeypatch.setattr(PriorityCeiling, "_can_acquire",
                         lambda self, txn, oid, mode: False)
@@ -133,7 +130,7 @@ def test_spurious_ceiling_block_is_detected(kernel, san, monkeypatch):
 # ----------------------------------------------------------------------
 # SAN-PCP-ONCE — blocked-at-most-once accounting
 # ----------------------------------------------------------------------
-def test_repeated_ceiling_blocking_is_detected(kernel, san):
+def test_repeated_ceiling_blocking_is_detected(san, kernel):
     # Mutation at the client layer: an async requester withdraws and
     # re-requests within one stable active set, producing two blocking
     # episodes against the same lower-priority holder — more than the
@@ -159,7 +156,7 @@ def test_repeated_ceiling_blocking_is_detected(kernel, san):
 # ----------------------------------------------------------------------
 # SAN-PCP-DEADLOCK — a direct-conflict wait cycle under protocol C
 # ----------------------------------------------------------------------
-def test_ceiling_deadlock_cycle_is_detected(kernel, san, monkeypatch):
+def test_ceiling_deadlock_cycle_is_detected(san, kernel, monkeypatch):
     # Mutation: admission checks only direct lock compatibility (the
     # ceiling test — the thing that makes C deadlock-free — is gone).
     monkeypatch.setattr(
@@ -190,7 +187,7 @@ def test_ceiling_deadlock_cycle_is_detected(kernel, san, monkeypatch):
 # ----------------------------------------------------------------------
 # SAN-2PL-PHASE — lock acquired after the first release
 # ----------------------------------------------------------------------
-def test_lock_after_unlock_is_detected(kernel, san):
+def test_lock_after_unlock_is_detected(san, kernel):
     # Mutation at the client layer: a transaction manager that keeps
     # acquiring after its release point (broken two-phase discipline).
     cc = TwoPhaseLocking(kernel)
@@ -217,7 +214,7 @@ def test_lock_after_unlock_is_detected(kernel, san):
 # ----------------------------------------------------------------------
 # SAN-2PL-STRICT — commit while still holding locks
 # ----------------------------------------------------------------------
-def test_commit_with_held_locks_is_detected(kernel, san):
+def test_commit_with_held_locks_is_detected(san, kernel):
     # Mutation at the client layer: a manager that commits without
     # releasing (strictness broken).
     cc = TwoPhaseLocking(kernel)
@@ -226,7 +223,8 @@ def test_commit_with_held_locks_is_detected(kernel, san):
     def forgetful_manager():
         cc.register(txn)
         yield cc.acquire(txn, 1, LockMode.WRITE)
-        cc.sanitizer.on_commit(txn)  # commit point, locks still held
+        # The commit point, locks still held.
+        kernel.hooks.lock_commit(kernel.now, cc, txn)
         cc.release_all(txn)
         cc.deregister(txn)
 
@@ -242,7 +240,7 @@ def test_commit_with_held_locks_is_detected(kernel, san):
 # ----------------------------------------------------------------------
 # SAN-LOCK-RACE — incompatible grants coexist
 # ----------------------------------------------------------------------
-def test_incompatible_coexisting_grants_are_detected(kernel, san):
+def test_incompatible_coexisting_grants_are_detected(san, kernel):
     # Mutation: the lock table's compatibility predicate says yes to
     # everything, so two write locks land on one object.
     cc = TwoPhaseLocking(kernel)
@@ -261,34 +259,52 @@ def test_incompatible_coexisting_grants_are_detected(kernel, san):
 # ----------------------------------------------------------------------
 # SAN-REP-WRITER — a secondary originates an update
 # ----------------------------------------------------------------------
-def test_secondary_originated_update_is_detected(san):
+def record_write(kernel, catalog, site, oid, timestamp):
+    """What the local-mode managers do around a replica install."""
+    kernel.hooks.replica_write(kernel.now, catalog, site, oid, timestamp)
+    catalog.record_write(site, oid, timestamp)
+
+
+def test_secondary_originated_update_is_detected(san, kernel):
     catalog = ReplicaCatalog(db_size=10, n_sites=3)
     oid = 0
     primary = catalog.primary_site(oid)
     secondary = (primary + 1) % 3
     # Legal propagation first: primary writes, secondary catches up.
-    catalog.record_write(primary, oid, 5.0)
-    catalog.record_write(secondary, oid, 5.0)
+    record_write(kernel, catalog, primary, oid, 5.0)
+    record_write(kernel, catalog, secondary, oid, 5.0)
     assert san.clean
     # Mutation: the secondary originates a version the primary has
     # never seen (single-writer restriction R2 broken).
-    catalog.record_write(secondary, oid, 9.0)
+    record_write(kernel, catalog, secondary, oid, 9.0)
     assert only_codes(san) == ["SAN-REP-WRITER"]
     violation = san.violations[0]
     assert violation.oid == oid
     assert violation.site == secondary
 
 
+def test_replica_installs_reach_the_checker(san, monkeypatch):
+    # Mutation: the catalog forgets what the primaries wrote, so every
+    # secondary install of a local-mode run looks like an origination.
+    from repro.core import (DistributedConfig, WorkloadConfig,
+                            run_distributed)
+    monkeypatch.setattr(ReplicaCatalog, "copy_timestamp",
+                        lambda self, site, oid: 0.0)
+    run_distributed(DistributedConfig(
+        mode="local", n_sites=2, db_size=20, seed=3,
+        workload=WorkloadConfig(n_transactions=10, transaction_size=3,
+                                read_only_fraction=0.0)))
+    assert only_codes(san) == ["SAN-REP-WRITER"]
+
+
 # ----------------------------------------------------------------------
 # strict mode raises, record mode collects
 # ----------------------------------------------------------------------
-def test_strict_mode_raises_on_first_violation(kernel):
-    install_sanitizer(Sanitizer(strict=True))
-    try:
-        catalog = ReplicaCatalog(db_size=4, n_sites=2)
-        secondary = 1 - catalog.primary_site(0)
-        with pytest.raises(SanitizerViolation) as excinfo:
-            catalog.record_write(secondary, 0, 1.0)
-        assert excinfo.value.violation.code == "SAN-REP-WRITER"
-    finally:
-        uninstall_sanitizer()
+def test_strict_mode_raises_on_first_violation():
+    with sanitize(strict=True):
+        kernel = Kernel()
+    catalog = ReplicaCatalog(db_size=4, n_sites=2)
+    secondary = 1 - catalog.primary_site(0)
+    with pytest.raises(SanitizerViolation) as excinfo:
+        record_write(kernel, catalog, secondary, 0, 1.0)
+    assert excinfo.value.violation.code == "SAN-REP-WRITER"

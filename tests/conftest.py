@@ -9,16 +9,47 @@ assertions inspect.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.db.locks import LockMode
-from repro.kernel import Delay, Kernel
+from repro.kernel import Delay, Kernel, hooks
 from repro.txn.transaction import Transaction, TransactionType
 
 
 @pytest.fixture
 def kernel():
     return Kernel(seed=1234)
+
+
+@pytest.fixture
+def unobserved(monkeypatch):
+    """No activation at all, whatever the environment asks for (the
+    CI job that runs this suite under ``REPRO_SANITIZE=1``); restored
+    afterwards."""
+    monkeypatch.delenv(hooks.ENV_SANITIZE, raising=False)
+    monkeypatch.setattr(hooks, "_ACTIVE", None)
+
+
+def observers(kind=object):
+    """The subscribers of class ``kind`` that a kernel built right now
+    would report to (empty: nothing of that kind observes)."""
+    slot = Kernel().hooks
+    return [subscriber
+            for subscriber in (() if slot is None else slot.subscribers)
+            if isinstance(subscriber, kind)]
+
+
+def metered():
+    """The registries a kernel built right now would be measured into."""
+    from repro.telemetry.probes import KernelProbe
+    return [probe._registry for probe in observers(KernelProbe)]
+
+
+#: Ids for hand-built transactions, clear of the ones a system gives
+#: its own (from 1): some tests slip one of these into a built system.
+_tids = itertools.count(1_000_001)
 
 
 def make_txn(operations, priority, arrival=0.0, deadline=1e9, site=0):
@@ -29,7 +60,7 @@ def make_txn(operations, priority, arrival=0.0, deadline=1e9, site=0):
                 if all(m is LockMode.READ for __, m in ops)
                 else TransactionType.UPDATE)
     return Transaction(ops, arrival, deadline, priority, site=site,
-                       txn_type=txn_type)
+                       txn_type=txn_type, tid=next(_tids))
 
 
 class LockClient:

@@ -14,21 +14,11 @@ paper over an optimization-induced drift)::
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import sys
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-
-
-def _reset_counters() -> None:
-    """Reset process-global id counters so scenario runs are identical
-    no matter how many simulations ran earlier in the process."""
-    import repro.kernel.process as process_module
-    import repro.txn.transaction as transaction_module
-    transaction_module._tid_counter = itertools.count(1)
-    process_module._pid_counter = itertools.count(1)
 
 
 def _single_site(protocol: str) -> dict:
@@ -86,8 +76,7 @@ SCENARIOS = {
 
 
 def run_scenario(name: str) -> dict:
-    """One scenario run from a cold, counter-reset state."""
-    _reset_counters()
+    """One scenario run (a row is a function of its config alone)."""
     return SCENARIOS[name]()
 
 

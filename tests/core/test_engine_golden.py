@@ -49,19 +49,13 @@ def test_turbo_summary_matches_reference_golden(name):
         + "\n  ".join(problems))
 
 
-@pytest.fixture
-def uninstrumented(monkeypatch):
-    """Engine *selection* is only observable on an uninstrumented
-    kernel: the sanitized CI job exports REPRO_SANITIZE=1 over the
-    whole suite, and an ambient sanitizer forces the reference engine
-    (which is what the last test here checks on purpose)."""
-    from repro.analyze import sanitizer
-    monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
-    monkeypatch.setattr(sanitizer, "_ACTIVE", None)
-
+# Engine *selection* is only observable on an unobserved kernel: the
+# sanitized CI job exports REPRO_SANITIZE=1 over the whole suite, and
+# an ambient sanitizer forces the reference engine (which is what the
+# last test here checks on purpose).
 
 def test_engine_config_field_reaches_the_kernel(monkeypatch,
-                                                uninstrumented):
+                                                unobserved):
     # The env override (CI exports REPRO_ENGINE=turbo over the whole
     # suite) must not leak into this test of the *config* path.
     monkeypatch.delenv(ENV_ENGINE, raising=False)
@@ -74,7 +68,7 @@ def test_engine_config_field_reaches_the_kernel(monkeypatch,
     assert active_engine(reference.kernel) == "reference"
 
 
-def test_env_var_overrides_the_config_field(monkeypatch, uninstrumented):
+def test_env_var_overrides_the_config_field(monkeypatch, unobserved):
     from repro.core.builder import SingleSiteSystem
     from repro.core.config import SingleSiteConfig
     monkeypatch.setenv(ENV_ENGINE, "turbo")
@@ -90,13 +84,11 @@ def test_engine_config_field_matches_env_forcing():
     turbo run equals an env-forced turbo run equals the golden."""
     from repro.core.config import SingleSiteConfig, WorkloadConfig
     from repro.core.experiment import run_single_site
-    from .golden_scenarios import _reset_counters
     config = SingleSiteConfig(
         protocol="C", db_size=120, seed=11,
         workload=WorkloadConfig(n_transactions=80, mean_interarrival=2.0,
                                 transaction_size=6, size_jitter=2,
                                 read_only_fraction=0.25))
-    _reset_counters()
     via_config = run_single_site(
         dataclasses.replace(config, engine="turbo"))
     problems = _diff(load_golden("single_site_pcp"), via_config)
@@ -115,7 +107,7 @@ def test_unknown_engine_is_rejected(monkeypatch):
         make_kernel(engine="reference")
 
 
-def test_instrumentation_forces_the_reference_engine(uninstrumented):
+def test_instrumentation_forces_the_reference_engine(unobserved):
     """Traced/metered/sanitized runs silently fall back to reference
     (their instrumentation contract is defined on the reference
     loop); the fallback is observable via ``active_engine`` only —

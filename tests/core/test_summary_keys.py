@@ -11,7 +11,6 @@ monitor), re-run these tests with fresh output, and update the golden
 JSON alongside the docs in README's Observability section.
 """
 
-import itertools
 import json
 import os
 
@@ -21,7 +20,6 @@ from repro.core.config import SingleSiteConfig
 from repro.core.experiment import run_single_site
 from repro.dist import DistributedSystem
 from repro.txn import CostModel
-import repro.txn.transaction as transaction_module
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -32,7 +30,6 @@ def _golden(name):
 
 
 def test_single_site_summary_keys_are_pinned():
-    transaction_module._tid_counter = itertools.count(1)
     summary = run_single_site(
         SingleSiteConfig(protocol="C", db_size=100, seed=11))
     assert sorted(summary) == _golden(
@@ -40,7 +37,6 @@ def test_single_site_summary_keys_are_pinned():
 
 
 def test_distributed_summary_keys_are_pinned():
-    transaction_module._tid_counter = itertools.count(1)
     config = DistributedConfig(
         mode="local", comm_delay=1.0, db_size=60, seed=3,
         workload=WorkloadConfig(n_transactions=40,

@@ -1,17 +1,14 @@
 """Engine behaviour: determinism, caching, retries, fault tolerance."""
 
-import itertools
-
 import pytest
 
 from repro.core.config import SingleSiteConfig, WorkloadConfig
-from repro.core.experiment import reset_id_counters
+from repro.core.experiment import run_single_site
 from repro.exec import (ExecutionError, InjectedFailure, ResultCache,
                         plan_batch, plan_replications,
                         reset_session_counters, resolve_jobs, run_units,
                         session_counters)
 from repro.exec.worker import execute_config
-from repro.txn import transaction as transaction_module
 
 from .conftest import tiny_config
 
@@ -60,15 +57,14 @@ def _victim_config():
 
 
 def test_row_does_not_depend_on_what_the_interpreter_ran_before():
-    # Before the worker reset the id counters, the unit read throughput
-    # 0.5030 from tid offset 885 and 0.5306 from offset 919 — the
-    # offsets two back-to-back calls reach after 26 earlier units.
+    # While ids came from process globals this unit read throughput
+    # 0.5306 or 0.5030 depending on the tid offset the interpreter had
+    # reached (every fourth back-to-back call, the second value), and
+    # a direct run_single_site caller still did after the exec worker
+    # learned to reset them.  Ids now belong to the system.
     config = _victim_config()
-    transaction_module._tid_counter = itertools.count(885)
     first = execute_config(config)
-    second = execute_config(config)
-    assert first == second
-    reset_id_counters()
+    assert [run_single_site(config) for __ in range(4)] == [first] * 4
     assert execute_config(config) == first
 
 
@@ -77,7 +73,6 @@ def test_serial_and_pool_agree_on_an_id_sensitive_config():
     # behind; a pool worker reaches it at its own.
     units = plan_replications(_victim_config(), replications=4,
                               base_seed=4)
-    reset_id_counters()
     serial = run_units(units, jobs=1, cache=False)
     pooled = run_units(units, jobs=2, cache=False)
     assert serial.ok and pooled.ok

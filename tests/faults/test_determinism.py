@@ -7,11 +7,8 @@ This is what lets every historical experiment carry a ``faults`` config
 field without invalidating a single cached result.
 """
 
-import itertools
-
 import pytest
 
-import repro.txn.transaction as transaction_module
 from repro.core import DistributedConfig, TimingConfig, WorkloadConfig
 from repro.dist import DistributedSystem
 from repro.faults import FaultPlan, SiteCrash
@@ -33,9 +30,6 @@ def fault_config(mode, faults=None, seed=3):
 
 
 def run_system(mode, faults, seed=3):
-    # Transaction ids come from a module-level counter; reset it so
-    # otherwise-identical runs produce identical records.
-    transaction_module._tid_counter = itertools.count(1)
     system = DistributedSystem(fault_config(mode, faults, seed=seed))
     system.run()
     streams = {name: rng.getstate()

@@ -129,12 +129,7 @@ def test_lossy_network_with_one_crash_per_site(mode):
 
 @pytest.mark.parametrize("mode", ["local", "global"])
 def test_faulted_summary_is_reproducible(mode):
-    import itertools
-
-    import repro.txn.transaction as transaction_module
-
     def once():
-        transaction_module._tid_counter = itertools.count(1)
         system, __ = run_to_completion(fault_config(mode, ACCEPTANCE))
         return system.summary()
 

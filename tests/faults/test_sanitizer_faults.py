@@ -9,8 +9,7 @@ fault plan is active.
 
 import pytest
 
-from repro.analyze.sanitizer import (Sanitizer, install_sanitizer,
-                                     sanitize, uninstall_sanitizer)
+from repro.analyze.sanitizer import sanitize
 from repro.core import (DistributedConfig, TimingConfig, WorkloadConfig,
                         run_distributed)
 from repro.db.locks import LockMode
@@ -55,9 +54,8 @@ def test_faulted_runs_are_violation_free(mode, seed):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def san():
-    sanitizer = install_sanitizer(Sanitizer(strict=False))
-    yield sanitizer
-    uninstall_sanitizer()
+    with sanitize(strict=False) as sanitizer:
+        yield sanitizer
 
 
 def test_real_violation_is_still_caught_under_faults(san):

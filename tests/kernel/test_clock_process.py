@@ -64,9 +64,13 @@ def test_inherit_reports_whether_effective_changed():
 
 
 def test_pids_are_unique_and_increasing():
-    first = Process(_gen(), "a")
-    second = Process(_gen(), "b")
-    assert second.pid > first.pid
+    # The kernel numbers the processes it spawns, from 1, whatever
+    # another kernel in this interpreter has spawned.
+    for kernel in (Kernel(), Kernel()):
+        first = kernel.spawn(_gen(), "a")
+        second = kernel.spawn(_gen(), "b")
+        assert (first.pid, second.pid) == (1, 2)
+    assert Process(_gen(), "never spawned").pid == 0
 
 
 def test_check_not_terminated():

@@ -5,6 +5,7 @@ import pytest
 from repro.kernel import (Delay, InvalidProcessState, Join, Kernel, Now,
                           ProcessInterrupt, ProcessState, Spawn)
 from repro.kernel.errors import SimulationOver
+from repro.kernel.hooks import Hooks
 
 
 def test_spawn_requires_generator():
@@ -281,16 +282,23 @@ def test_process_states_progress():
 
 def test_trace_hook_receives_lifecycle_events():
     events = []
-    kernel = Kernel(trace=lambda time, kind, process, detail:
-                    events.append((time, kind, process.name)))
+
+    class Subscriber:
+        def kernel_event(self, now, kind, process, detail):
+            events.append((now, kind, process.name))
+
+    kernel = Kernel(hooks=Hooks((Subscriber(),)))
 
     def body():
         yield Delay(2.0)
 
-    kernel.spawn(body(), "traced")
+    victim = kernel.spawn(body(), "traced")
+    kernel.at(1.0, lambda: kernel.interrupt(victim,
+                                            ProcessInterrupt("stop")))
     kernel.run()
-    kinds = [kind for __, kind, ___ in events]
-    assert "spawn" in kinds and "terminate" in kinds
+    assert events == [(0.0, "spawn", "traced"),
+                      (1.0, "interrupt", "traced"),
+                      (1.0, "terminate", "traced")]
 
 
 def test_at_rejects_past_times():

@@ -224,7 +224,7 @@ def test_labels_are_formatted_on_demand_in_the_legacy_spelling():
     kernel = Kernel()
     cc = TwoPhaseLocking(kernel)
     txn = Transaction(operations=[(3, LockMode.WRITE)], arrival_time=0.0,
-                      deadline=9.0, priority=1.0)
+                      deadline=9.0, priority=1.0, tid=1)
     assert CPU(kernel, name="c0").use(1.0).label == "cpu(c0)"
     assert ParallelIO(kernel, name="io0").use(1.0).label == "io(io0)"
     assert DiskArray(kernel, name="d0").use(1.0).label == "disk(d0)"

@@ -13,20 +13,12 @@ Two layers of evidence, both randomised:
 """
 
 import dataclasses
-import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.events import EventQueue
 from repro.kernel.turbo.calendar import CalendarEventQueue
-
-
-def _reset_counters():
-    import repro.kernel.process as process_module
-    import repro.txn.transaction as transaction_module
-    transaction_module._tid_counter = itertools.count(1)
-    process_module._pid_counter = itertools.count(1)
 
 
 class _Recorder:
@@ -112,10 +104,8 @@ def test_calendar_pop_order_matches_reference_exactly(times):
 
 def _run_both(config):
     from repro.core.experiment import run_single_site
-    _reset_counters()
     reference = run_single_site(
         dataclasses.replace(config, engine="reference"))
-    _reset_counters()
     turbo = run_single_site(dataclasses.replace(config, engine="turbo"))
     return reference, turbo
 
@@ -159,9 +149,7 @@ def test_distributed_summaries_identical_across_engines(
         from repro.faults.plan import FaultPlan
         config = dataclasses.replace(
             config, faults=FaultPlan(loss_rate=0.05, delay_jitter=0.3))
-    _reset_counters()
     reference = run_distributed(
         dataclasses.replace(config, engine="reference"))
-    _reset_counters()
     turbo = run_distributed(dataclasses.replace(config, engine="turbo"))
     assert turbo == reference

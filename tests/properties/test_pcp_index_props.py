@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import (DistributedConfig, SingleSiteConfig,
                                TimingConfig, WorkloadConfig)
-from repro.core.experiment import (reset_id_counters, run_distributed,
-                                   run_single_site)
+from repro.core.experiment import run_distributed, run_single_site
 from repro.faults.plan import FaultPlan
 from tests.cc.pcp_oracle import shadowed
 
@@ -110,8 +109,6 @@ _PINNED = {
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_pinned_counterexamples_match_the_full_scan(name):
-    # Found from a fresh id offset; ids are hashed, so pin it.
-    reset_id_counters()
     with shadowed() as log:
         row = run_distributed(_PINNED[name])
     assert row["processed"] == _PINNED[name].workload.n_transactions

@@ -29,19 +29,12 @@ from repro.dist.system import DistributedSystem
 from repro.faults.plan import FaultPlan
 from repro.kernel.turbo import make_kernel
 from repro.txn.manager import CostModel
-from tests.core.golden_scenarios import _reset_counters
 
 _SEEDS = st.integers(min_value=0, max_value=2 ** 16)
 
 
 def observed(build, fuse):
-    """Build and run a system; returns ``(row, resumes, fused_wakes)``.
-
-    Transaction and process ids restart at 1 for every run: ids are
-    hashed, so set iteration order — and through it 2PL victim choice —
-    is only comparable between runs that number alike.
-    """
-    _reset_counters()
+    """Build and run a system; returns ``(row, resumes, fused_wakes)``."""
     system = build()
     kernel = system.kernel
     if not fuse:

@@ -6,30 +6,20 @@ loadable ``<fingerprint>.metrics.jsonl`` artifact whose meta carries
 the host telemetry (wall seconds, peak RSS, batch size).
 """
 
-import itertools
-
 import pytest
 
 from repro.core.config import SingleSiteConfig, WorkloadConfig
 from repro.exec.fingerprint import config_fingerprint
 from repro.exec.worker import execute_config
 from repro.telemetry.export import load_metrics_jsonl
-from repro.telemetry.registry import (ENV_METRICS_DIR,
-                                      ENV_METRICS_WINDOW,
-                                      current_metrics)
+from repro.telemetry.registry import ENV_METRICS_DIR, ENV_METRICS_WINDOW
+from tests.conftest import metered
 
 CONFIG = SingleSiteConfig(
     protocol="C", db_size=60, seed=5,
     workload=WorkloadConfig(n_transactions=20, mean_interarrival=3.0,
                             transaction_size=4, size_jitter=1,
                             read_only_fraction=0.25))
-
-
-def _reset_counters():
-    import repro.kernel.process as process_module
-    import repro.txn.transaction as transaction_module
-    transaction_module._tid_counter = itertools.count(1)
-    process_module._pid_counter = itertools.count(1)
 
 
 @pytest.fixture()
@@ -42,16 +32,13 @@ def metrics_dir(tmp_path, monkeypatch):
 
 def test_metered_row_is_bitwise_identical(metrics_dir, monkeypatch):
     monkeypatch.delenv(ENV_METRICS_DIR)
-    _reset_counters()
     plain = execute_config(CONFIG)
     monkeypatch.setenv(ENV_METRICS_DIR, str(metrics_dir))
-    _reset_counters()
     metered = execute_config(CONFIG)
     assert metered == plain
 
 
 def test_artifact_written_with_host_meta(metrics_dir):
-    _reset_counters()
     execute_config(CONFIG, batch=3)
     stem = config_fingerprint(CONFIG)
     artifact = metrics_dir / f"{stem}.metrics.jsonl"
@@ -70,7 +57,6 @@ def test_artifact_written_with_host_meta(metrics_dir):
 
 def test_worker_honours_window_override(metrics_dir, monkeypatch):
     monkeypatch.setenv(ENV_METRICS_WINDOW, "5.0")
-    _reset_counters()
     execute_config(CONFIG)
     stem = config_fingerprint(CONFIG)
     document = load_metrics_jsonl(str(metrics_dir /
@@ -79,6 +65,5 @@ def test_worker_honours_window_override(metrics_dir, monkeypatch):
 
 
 def test_worker_uninstalls_registry_after_run(metrics_dir):
-    _reset_counters()
     execute_config(CONFIG)
-    assert current_metrics() is None
+    assert metered() == []

@@ -1,16 +1,16 @@
-"""Registry windowing semantics and the activation trio."""
+"""Registry windowing semantics and the ``metering`` activation."""
 
 import pytest
 
-from repro.telemetry.registry import (MetricsRegistry, current_metrics,
-                                      install_metrics, metering)
+from repro.telemetry.registry import MetricsRegistry, metering
+from tests.conftest import metered
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_registry():
-    assert current_metrics() is None
+    assert metered() == []
     yield
-    install_metrics(None)
+    assert metered() == []
 
 
 def test_window_must_be_positive():
@@ -113,19 +113,12 @@ def test_dump_histogram_shape():
 
 
 def test_metering_installs_and_restores():
-    assert current_metrics() is None
+    assert metered() == []
     with metering() as registry:
-        assert current_metrics() is registry
+        assert metered() == [registry]
         inner = MetricsRegistry(window=5.0)
         with metering(inner):
-            assert current_metrics() is inner
-        assert current_metrics() is registry
-    assert current_metrics() is None
-
-
-def test_install_metrics_returns_registry():
-    registry = MetricsRegistry()
-    assert install_metrics(registry) is registry
-    assert current_metrics() is registry
-    install_metrics(None)
-    assert current_metrics() is None
+            # An inner registry's probes shadow the outer one's.
+            assert metered() == [inner]
+        assert metered() == [registry]
+    assert metered() == []

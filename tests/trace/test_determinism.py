@@ -8,19 +8,18 @@ single-site environment.  This is what lets ``repro run --trace``
 re-run cached experiments without invalidating a single result.
 """
 
-import itertools
+import contextlib
 
 import pytest
 
-import repro.dist.site as site_module
-import repro.txn.transaction as transaction_module
 from repro.core import DistributedConfig, TimingConfig, WorkloadConfig
 from repro.core.config import SingleSiteConfig
 from repro.core.experiment import run_single_site
 from repro.dist import DistributedSystem
 from repro.faults import FaultPlan, SiteCrash
-from repro.trace import Tracer, current_tracer, install_tracer, tracing
+from repro.trace import Tracer, tracing
 from repro.txn import CostModel
+from tests.conftest import observers
 
 MODES = ("local", "global")
 
@@ -30,9 +29,9 @@ FAULTY = FaultPlan(loss_rate=0.05, delay_jitter=1.0,
 
 @pytest.fixture(autouse=True)
 def no_leaked_tracer():
-    assert current_tracer() is None
+    assert observers(Tracer) == []
     yield
-    install_tracer(None)
+    assert observers(Tracer) == []
 
 
 def dist_config(mode, faults=None, seed=3):
@@ -48,18 +47,10 @@ def dist_config(mode, faults=None, seed=3):
 
 
 def run_dist(mode, faults, tracer=None, seed=3):
-    # Transaction ids and reply-port names come from module-level
-    # counters; reset them so otherwise-identical runs produce
-    # identical records and traces.
-    transaction_module._tid_counter = itertools.count(1)
-    site_module._reply_counter = itertools.count(1)
-    if tracer is not None:
-        install_tracer(tracer)
-    try:
+    with (tracing(tracer) if tracer is not None
+          else contextlib.nullcontext()):
         system = DistributedSystem(dist_config(mode, faults, seed=seed))
         system.run()
-    finally:
-        install_tracer(None)
     streams = {name: rng.getstate()
                for name, rng in system.kernel.rng._streams.items()}
     return system.summary(), list(system.monitor.records), streams
@@ -119,10 +110,8 @@ def test_replicate_is_identical_under_tracing(mode):
 
 def test_single_site_run_is_bitwise_identical():
     config = SingleSiteConfig(protocol="C", db_size=100, seed=11)
-    transaction_module._tid_counter = itertools.count(1)
     base = run_single_site(config)
     tracer = Tracer()
-    transaction_module._tid_counter = itertools.count(1)
     with tracing(tracer):
         traced = run_single_site(config)
     assert traced == base

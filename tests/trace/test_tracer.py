@@ -1,20 +1,18 @@
-"""Tracer unit behaviour: ring buffer, typed events, activation, and
-the hardened legacy kernel trace callback (satellite: a raising legacy
-hook is guarded, counted, and cannot corrupt a run)."""
+"""Tracer unit behaviour: ring buffer, typed events, activation."""
 
 import pytest
 
 from repro.kernel import Kernel
 from repro.kernel.syscalls import Delay
-from repro.trace import (EVENT_KINDS, Tracer, current_tracer,
-                         install_tracer, tracing)
+from repro.trace import EVENT_KINDS, Tracer, tracing
+from tests.conftest import observers
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_tracer():
-    assert current_tracer() is None
+    assert observers(Tracer) == []
     yield
-    install_tracer(None)
+    assert observers(Tracer) == []
 
 
 # ----------------------------------------------------------------------
@@ -64,27 +62,44 @@ def test_typed_methods_emit_registered_kinds():
         txn = None
         origin_tid = 3
         target = "replica"
+        sender_site = 0
+
+    class FakeRequest:
+        txn = FakeTxn()
+        oid = 9
+        mode = "W"
+
+    class FakeCpu:
+        name = "cpu-0"
+
+    class FakeProtocol:
+        active = {3: FakeRequest.txn}
 
     tracer = Tracer()
-    txn = FakeTxn()
+    txn = FakeRequest.txn
+    cc = None  # the tracer asks a protocol only for ceiling blockers
     tracer.txn_start(0.0, txn)
     tracer.txn_commit(1.0, txn)
     tracer.txn_miss(1.0, txn, reason="deadline")
     tracer.txn_restart(1.0, txn)
     tracer.txn_abort(1.0, txn, reason="crash")
-    tracer.lock_request(2.0, txn, 9, "R")
-    tracer.lock_grant(2.0, txn, 9, "R", waited=False)
-    tracer.lock_block(2.0, txn, 9, "W", "direct", [txn])
-    tracer.lock_release(3.0, txn, [9])
-    tracer.lock_withdraw(3.0, txn, 9)
+    tracer.lock_request(2.0, cc, txn, 9, "R")
+    tracer.lock_grant(2.0, cc, txn, 9, "R", None)
+    tracer.lock_block(2.0, cc, FakeRequest(), "direct", [txn])
+    tracer.lock_release(3.0, cc, txn, [9])
+    tracer.lock_release(3.0, cc, txn, [])      # nothing freed: no event
+    tracer.lock_withdraw(3.0, cc, FakeRequest())
     tracer.priority_inherit(3.0, txn, -1.0)
     tracer.priority_restore(3.5, txn)
-    tracer.ceiling_raise(4.0, txn, -1.0)
-    tracer.ceiling_lower(4.0, txn, None)
-    tracer.msg_send(5.0, 0, 1, FakeMsg(), copies=2)
+    tracer.ceiling_raise(4.0, FakeProtocol(), txn)
+    tracer.ceiling_lower(4.0, FakeProtocol(), txn)
+    tracer.cpu_dispatch(4.5, FakeCpu(), None)
+    tracer.cpu_preempt(4.5, FakeCpu(), None)
+    tracer.msg_send(5.0, 1, FakeMsg(), 2)
     tracer.msg_deliver(5.5, 1, FakeMsg(), lag=0.5)
     tracer.msg_drop(5.5, 1, FakeMsg(), reason="injected")
     tracer.msg_retry(6.0, 0, 1, 3, "LockRequest")
+    tracer.courier_retry(6.0, 0, 1, "release-3-1")
     tracer.msg_undeliverable(6.0, 1, FakeMsg())
     tracer.rpc_begin(7.0, 0, 1, 3, "LockRequest")
     tracer.rpc_end(7.5, 0, 1, 3, "LockRequest")
@@ -93,7 +108,7 @@ def test_typed_methods_emit_registered_kinds():
     tracer.two_pc(9.0, txn, "done", [1, 2])
     tracer.site_crash(10.0, 1, victims=2)
     tracer.site_recover(12.0, 1)
-    assert tracer.emitted == 26
+    assert tracer.emitted == 29
     for event in tracer.events:
         assert event.kind in EVENT_KINDS, event.kind
 
@@ -108,8 +123,19 @@ def test_lock_block_snapshots_holders_as_plain_data():
         site = 0
         priority = -2.0
 
+    class Request:
+        txn = Waiter()
+        oid = 5
+        mode = "W"
+
+    class Protocol:
+        @staticmethod
+        def ceiling_blockers(request):
+            return [Holder()]
+
     tracer = Tracer()
-    tracer.lock_block(1.0, Waiter(), 5, "W", "ceiling", [Holder()])
+    # No direct conflict: the protocol names the barrier's holders.
+    tracer.lock_block(1.0, Protocol(), Request(), "ceiling", [])
     data = tracer.events[0].data
     assert data["holders"] == [[11, -9.0]]
     assert data["waiter_priority"] == -2.0
@@ -119,72 +145,42 @@ def test_lock_block_snapshots_holders_as_plain_data():
 # ----------------------------------------------------------------------
 # activation
 # ----------------------------------------------------------------------
-def test_install_and_context_manager():
-    assert current_tracer() is None
-    tracer = Tracer()
-    with tracing(tracer) as active:
-        assert active is tracer
-        assert current_tracer() is tracer
-        inner = Tracer()
-        with tracing(inner):
-            assert current_tracer() is inner
-        assert current_tracer() is tracer
-    assert current_tracer() is None
-
-
-# ----------------------------------------------------------------------
-# hardened legacy kernel trace callback (satellite 1)
-# ----------------------------------------------------------------------
 def _body():
     yield Delay(1.0)
 
 
-def test_legacy_trace_callback_still_sees_kernel_events():
-    seen = []
-    kernel = Kernel(trace=lambda t, kind, process, detail:
-                    seen.append((t, kind, process.name)))
-    kernel.spawn(_body(), "worker")
-    kernel.run()
-    kinds = [kind for __, kind, ___ in seen]
-    assert "spawn" in kinds
-    assert "terminate" in kinds
-    assert all(name == "worker" for __, ___, name in seen)
-    assert kernel.trace_errors == 0
-
-
-def test_raising_legacy_callback_is_guarded_and_counted():
-    def bad_hook(t, kind, process, detail):
-        raise RuntimeError("observer crashed")
-
-    kernel = Kernel(trace=bad_hook)
-    process = kernel.spawn(_body(), "worker")
-    end = kernel.run()
-    # The run completed despite the raising hook...
-    assert process.terminated
-    assert end == 1.0
-    # ...and every swallowed exception was counted and recorded.
-    assert kernel.trace_errors > 0
-    errors = [event for event in kernel.tracer.events
-              if event.kind == "trace_error"]
-    assert len(errors) == kernel.trace_errors
-    assert "observer crashed" in errors[0].data["error"]
-
-
-def test_kernel_prefers_installed_tracer_and_forwards_legacy():
+def test_install_and_context_manager():
+    assert observers(Tracer) == []
     tracer = Tracer()
-    seen = []
+    with tracing(tracer) as active:
+        assert active is tracer
+        assert observers(Tracer) == [tracer]
+        inner = Tracer()
+        with tracing(inner):
+            # An inner tracer shadows the outer one.
+            assert observers(Tracer) == [inner]
+        assert observers(Tracer) == [tracer]
+    assert observers(Tracer) == []
+
+
+def test_a_kernel_keeps_the_observers_it_was_built_under(unobserved):
+    with tracing() as tracer:
+        kernel = Kernel()
+    late = Kernel()
+    for victim in (kernel, late):
+        victim.spawn(_body(), "worker")
+        victim.run()
+    assert late.hooks is None
+    assert [event.kind for event in tracer.events] == ["spawn",
+                                                       "terminate"]
+
+
+def test_untraced_kernel_emits_nothing(unobserved):
+    tracer = Tracer()
+    kernel = Kernel()
+    assert kernel.hooks is None
     with tracing(tracer):
-        kernel = Kernel(trace=lambda *args: seen.append(args))
-        assert kernel.tracer is tracer
+        # Too late: the kernel sampled the activation when it was built.
         kernel.spawn(_body(), "worker")
         kernel.run()
-    assert seen  # the legacy hook still fires
-    assert any(event.kind == "spawn" for event in tracer.events)
-
-
-def test_untraced_kernel_emits_nothing():
-    kernel = Kernel()
-    assert kernel.tracer is None
-    kernel.spawn(_body(), "worker")
-    kernel.run()
-    assert kernel.trace_errors == 0
+    assert tracer.emitted == 0

@@ -9,7 +9,7 @@ from tests.conftest import make_txn
 
 def test_needs_operations():
     with pytest.raises(ValueError):
-        Transaction([], 0.0, 10.0, 1.0)
+        Transaction([], 0.0, 10.0, 1.0, tid=1)
 
 
 def test_access_sets_derived_from_operations():

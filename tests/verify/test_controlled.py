@@ -8,7 +8,6 @@ hot loop would pop, and a queue tie's option 0 is the FIFO-among-
 equals waiter the priority policy already serves.
 """
 
-import itertools
 import math
 
 import pytest
@@ -17,13 +16,6 @@ from repro.core.builder import SingleSiteSystem
 from repro.core.config import SingleSiteConfig, WorkloadConfig
 from repro.kernel import DefaultChooser, SchedulerController
 from repro.kernel.controlled import entry_label, pending_signature
-
-
-def _reset_counters():
-    import repro.kernel.process as process_module
-    import repro.txn.transaction as transaction_module
-    transaction_module._tid_counter = itertools.count(1)
-    process_module._pid_counter = itertools.count(1)
 
 
 def _config(protocol):
@@ -36,7 +28,6 @@ def _config(protocol):
 
 
 def _summary(protocol, controlled):
-    _reset_counters()
     system = SingleSiteSystem(_config(protocol))
     controller = None
     if controlled:
@@ -82,7 +73,6 @@ def test_controller_records_choice_trail():
 
 
 def test_entry_labels_are_address_free():
-    _reset_counters()
     system = SingleSiteSystem(_config("C"))
     for entry in system.kernel.events.live_entries():
         label = entry_label(entry)
@@ -90,10 +80,8 @@ def test_entry_labels_are_address_free():
 
 
 def test_pending_signature_excludes_sequence_numbers():
-    _reset_counters()
     first = SingleSiteSystem(_config("C"))
     sig_first = pending_signature(first.kernel.events)
-    _reset_counters()
     second = SingleSiteSystem(_config("C"))
     sig_second = pending_signature(second.kernel.events)
     assert sig_first == sig_second
@@ -101,7 +89,6 @@ def test_pending_signature_excludes_sequence_numbers():
 
 
 def test_reinstalling_controller_rejects_double_run():
-    _reset_counters()
     system = SingleSiteSystem(_config("C"))
     controller = SchedulerController(DefaultChooser())
     controller.install(system.kernel)
