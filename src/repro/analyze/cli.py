@@ -28,8 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST lint for determinism and protocol hygiene "
-                    "(rules RPL001-RPL013; suppress one occurrence "
-                    "with '# noqa: <code>').")
+                    f"(rules {min(RULE_INDEX)}-{max(RULE_INDEX)}; "
+                    "suppress one occurrence with '# noqa: <code>').")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint (default: "
                              "the installed repro package)")

@@ -4,9 +4,6 @@ Every paper figure is thousands of discrete-event runs, so the per-event
 cost of the kernel/lock/trace path *is* the repo's performance story.
 This module prices that path directly:
 
-- ``calibration``     — a fixed pure-Python spin, used to normalize
-  ops/sec across machines (CI gates on the *normalized* throughput, so
-  a slower runner does not read as a regression);
 - ``event_dispatch``  — raw kernel event throughput: N bare callbacks
   through ``Kernel.run``;
 - ``timer_churn``     — schedule + cancel far-future timers while
@@ -27,11 +24,12 @@ This module prices that path directly:
   per wave on turbo vs one Python call per event on reference) and is
   what the CI ``--min-engine-speedup`` gate prices.
 
-``run_bench`` writes ``BENCH_<timestamp>.json`` documents; ``compare``
-diffs two documents and enforces a regression threshold (the CI gate).
-Wall time is measured with ``time.perf_counter`` — host time never
-leaks into simulation state (the runs themselves are seeded and
-virtual-time deterministic, which is property-tested elsewhere).
+``run_bench`` writes ``BENCH_<timestamp>.json`` documents; the gates
+(``--max-metrics-overhead``, ``--min-engine-speedup``) are ratios
+within one document.  Wall time is measured with
+``time.perf_counter`` — host time never leaks into simulation state
+(the runs themselves are seeded and virtual-time deterministic, which
+is property-tested elsewhere).
 """
 
 from __future__ import annotations
@@ -45,14 +43,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.host import peak_rss_kb
 
-#: Benchmarks the CI regression gate checks by default: the acceptance
-#: metrics of the optimization pass (raw dispatch and the single-site
-#: microbench), chosen because they are the least noisy.
-DEFAULT_GATED = ("event_dispatch", "single_site_pcp")
-
 #: (full, quick) problem sizes per benchmark.
 _SIZES = {
-    "calibration": (400_000, 120_000),
     "event_dispatch": (200_000, 30_000),
     "timer_churn": (60_000, 10_000),
     "spawn_resume": (2_000, 400),
@@ -64,13 +56,6 @@ _SIZES = {
 # ----------------------------------------------------------------------
 # the benchmark bodies: each returns the operation count it performed
 # ----------------------------------------------------------------------
-def _bench_calibration(n: int) -> int:
-    total = 0
-    for i in range(n):
-        total += i & 7
-    return n
-
-
 def _bench_event_dispatch(n: int) -> int:
     from ..kernel.kernel import Kernel
     kernel = Kernel(seed=0)
@@ -275,7 +260,6 @@ ENGINE_PAIRS = {"turbo_event_dispatch": "event_dispatch",
 
 #: name -> (size key, body).  Declaration order is report order.
 BENCHMARKS: Dict[str, Tuple[str, Callable[[int], int]]] = {
-    "calibration": ("calibration", _bench_calibration),
     "event_dispatch": ("event_dispatch", _bench_event_dispatch),
     "timer_churn": ("timer_churn", _bench_timer_churn),
     "spawn_resume": ("spawn_resume", _bench_spawn_resume),
@@ -321,16 +305,13 @@ def run_bench(quick: bool = False, only: Optional[Sequence[str]] = None,
     if unknown:
         raise ValueError(f"unknown benchmark(s) {unknown}; expected "
                          f"a subset of {list(BENCHMARKS)}")
-    if "calibration" not in selected:
-        selected.insert(0, "calibration")
     results: Dict[str, dict] = {}
-    calibration_rate: Optional[float] = None
     for name in selected:
         size_key, body = BENCHMARKS[name]
         size = _SIZES[size_key][1 if quick else 0]
         ops, best, walls = _measure(body, size, repeats)
         rate = ops / best if best > 0 else float("inf")
-        entry = {
+        results[name] = {
             "ops": ops,
             "size": size,
             "repeats": repeats,
@@ -339,11 +320,6 @@ def run_bench(quick: bool = False, only: Optional[Sequence[str]] = None,
             "ops_per_sec": rate,
             "peak_rss_kb": peak_rss_kb(),
         }
-        if name == "calibration":
-            calibration_rate = rate
-        elif calibration_rate:
-            entry["normalized_ops"] = rate / calibration_rate
-        results[name] = entry
     if ("traced_single_site" in results
             and "single_site_pcp" in results):
         untraced = results["single_site_pcp"]["ops_per_sec"]
@@ -389,26 +365,16 @@ def write_doc(doc: dict, out_dir: str) -> str:
     return path
 
 
-def load_doc(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if doc.get("schema") != "repro-bench/1":
-        raise ValueError(f"{path}: not a repro-bench/1 document")
-    return doc
-
-
 def format_doc(doc: dict) -> str:
     lines = [f"repro bench — {doc['timestamp']} "
              f"(python {doc['python']}, "
              f"{'quick' if doc.get('quick') else 'full'})",
              f"{'benchmark':<20} {'ops':>10} {'wall s':>9} "
-             f"{'ops/sec':>12} {'norm':>8} {'rss KB':>9}"]
+             f"{'ops/sec':>12} {'rss KB':>9}"]
     for name, entry in doc["results"].items():
-        norm = entry.get("normalized_ops")
         lines.append(
             f"{name:<20} {entry['ops']:>10} {entry['wall_s']:>9.4f} "
             f"{entry['ops_per_sec']:>12.0f} "
-            f"{norm if norm is None else format(norm, '.4f')!s:>8} "
             f"{entry.get('peak_rss_kb') or 0:>9}")
     traced = doc["results"].get("traced_single_site", {})
     if "tracer_overhead_x" in traced:
@@ -473,80 +439,9 @@ def metrics_overhead_violations(doc: dict,
 
 
 # ----------------------------------------------------------------------
-# comparison / regression gating
-# ----------------------------------------------------------------------
-def _comparable_rate(entry: dict, other: dict) -> Tuple[float, float,
-                                                        bool]:
-    """Rates for old/new, normalized when both sides can be."""
-    if "normalized_ops" in entry and "normalized_ops" in other:
-        return entry["normalized_ops"], other["normalized_ops"], True
-    return entry["ops_per_sec"], other["ops_per_sec"], False
-
-
-def missing_gated(old: dict, new: dict,
-                  gated: Sequence[str]) -> List[str]:
-    """Gated benchmarks absent from either document.
-
-    Each entry reads ``name (missing from: old)`` etc.  A gate on a
-    benchmark neither document contains can never fire, so the CLI
-    refuses such comparisons (exit 3) instead of silently passing.
-    """
-    messages = []
-    for name in gated:
-        absent = [label for label, doc in (("old", old), ("new", new))
-                  if name not in doc["results"]]
-        if absent:
-            messages.append(f"{name} (missing from: "
-                            f"{', '.join(absent)})")
-    return messages
-
-
-def compare_docs(old: dict, new: dict,
-                 gated: Sequence[str] = DEFAULT_GATED,
-                 threshold: float = 0.2) -> Tuple[str, List[str]]:
-    """Render an A/B table; return (text, regression messages).
-
-    A *gated* benchmark regresses when its (machine-normalized, when
-    available) throughput drops by more than ``threshold`` relative to
-    the old document.  Non-gated benchmarks are reported but never
-    fail the comparison.  Only benchmarks present in both documents
-    are compared — callers that gate should first reject comparisons
-    where :func:`missing_gated` is non-empty, as the CLI does.
-    """
-    shared = [name for name in old["results"] if name in new["results"]]
-    lines = [f"{'benchmark':<20} {'old ops/s':>12} {'new ops/s':>12} "
-             f"{'speedup':>9}  basis"]
-    regressions: List[str] = []
-    for name in shared:
-        if name == "calibration":
-            continue
-        old_rate, new_rate, normalized = _comparable_rate(
-            old["results"][name], new["results"][name])
-        speedup = (new_rate / old_rate) if old_rate > 0 else float("inf")
-        basis = "normalized" if normalized else "raw"
-        gate = ""
-        if name in gated:
-            gate = " [gated]"
-            if speedup < 1.0 - threshold:
-                regressions.append(
-                    f"{name}: {speedup:.3f}x is below the "
-                    f"{1.0 - threshold:.2f}x regression floor "
-                    f"({basis} throughput)")
-        lines.append(
-            f"{name:<20} "
-            f"{old['results'][name]['ops_per_sec']:>12.0f} "
-            f"{new['results'][name]['ops_per_sec']:>12.0f} "
-            f"{speedup:>8.3f}x  {basis}{gate}")
-    return "\n".join(lines), regressions
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "compare":
-        return _compare_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description="Microbenchmark the simulation hot path and emit a "
@@ -642,51 +537,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             for message in violations:
                 print(f"  {message}", file=sys.stderr)
             return 1
-    return 0
-
-
-def _compare_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench compare",
-        description="Compare two BENCH_*.json documents and enforce a "
-                    "regression threshold on the gated benchmarks.")
-    parser.add_argument("old", help="baseline document (A)")
-    parser.add_argument("new", help="candidate document (B)")
-    parser.add_argument("--threshold", type=float, default=0.2,
-                        help="maximum tolerated throughput drop on "
-                             "gated benchmarks (default 0.2 = 20%%)")
-    parser.add_argument("--gate", default=",".join(DEFAULT_GATED),
-                        help="comma-separated benchmarks the threshold "
-                             "applies to")
-    args = parser.parse_args(argv)
-    if not 0.0 <= args.threshold < 1.0:
-        print("error: --threshold must be in [0, 1)", file=sys.stderr)
-        return 2
-    try:
-        old, new = load_doc(args.old), load_doc(args.new)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    gated = [token.strip() for token in args.gate.split(",")
-             if token.strip()]
-    missing = missing_gated(old, new, gated)
-    if missing:
-        print("error: gated benchmark(s) absent from the compared "
-              "documents — the regression gate cannot apply:",
-              file=sys.stderr)
-        for message in missing:
-            print(f"  {message}", file=sys.stderr)
-        print("re-run 'repro bench' with these benchmarks included, "
-              "or adjust --gate", file=sys.stderr)
-        return 3
-    text, regressions = compare_docs(old, new, gated=gated,
-                                     threshold=args.threshold)
-    print(text)
-    if regressions:
-        print("\nREGRESSION:", file=sys.stderr)
-        for message in regressions:
-            print(f"  {message}", file=sys.stderr)
-        return 1
     return 0
 
 

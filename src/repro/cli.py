@@ -9,9 +9,13 @@
     python -m repro verify               # bounded model check (repro.verify)
     python -m repro validate-model --quick   # sim-vs-model divergence
     python -m repro sweep --prune-model      # analytically pruned sweep
+    python -m repro -h                       # every command, once
 
-Each command runs the corresponding sweep from :mod:`repro.bench` and
-prints the text table the benchmark harness would print.  Sweeps
+Two tables drive it: :data:`FIGURES` (the sweep commands; one parser,
+one runner) and :data:`TOOLS` (everything else, dispatched to the
+module that owns the command).  Each figure command runs its sweep
+from :mod:`repro.bench` and prints the text table the benchmark
+harness would print.  Sweeps
 execute on the :mod:`repro.exec` engine: ``--jobs`` (or ``REPRO_JOBS``)
 fans the seeded run units out to a process pool, and the on-disk result
 cache — enabled by default under ``~/.cache/repro`` — means re-running
@@ -23,27 +27,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .bench import (format_dbsize, format_deadlock_policies,
-                    format_fault_ablation,
-                    format_fig2, format_fig3, format_fig4, format_fig5,
-                    format_fig6, format_inheritance,
-                    format_io_models, format_model_vs_sim,
-                    format_protocol_suite,
-                    format_rw_vs_exclusive,
-                    format_snapshot_reads,
-                    format_temporal, run_dbsize_sweep,
-                    run_deadlock_policies, run_fault_ablation,
-                    run_fig2_fig3, run_fig4,
-                    run_io_models, run_model_vs_sim,
-                    run_fig5, run_fig6, run_inheritance_vs_ceiling,
-                    run_protocol_suite,
-                    run_rw_vs_exclusive, run_snapshot_reads,
-                    run_temporal_staleness)
+from . import bench
 from .protocols import REGISTRY, UnknownProtocolError
 from .exec import (ResultCache, TextProgress, default_cache_dir,
                    resolve_jobs, session_counters)
@@ -63,156 +53,157 @@ class ExecOptions:
                 "progress": self.progress}
 
 
-def _fig2(replications: int, opts: ExecOptions) -> str:
-    return format_fig2(run_fig2_fig3(replications=replications,
-                                     **opts.kwargs()))
+@dataclasses.dataclass(frozen=True)
+class Figure:
+    """One figure or ablation command: a sweep and the tables it prints."""
+
+    run: Callable[..., object]
+    formats: Tuple[Callable[..., str], ...]
+    help: str
+    #: Instruments the simulation in-process (A4's sampler
+    #: co-processes, A5's victim-policy pokes on a hand-built system)
+    #: and cannot fan out: the engine knobs are not passed.
+    serial: bool = False
+    #: Runs half the requested replications.
+    halved: bool = False
+    #: Part of ``repro all``.
+    in_all: bool = True
+
+    def render(self, replications: int, opts: ExecOptions) -> str:
+        if self.halved:
+            replications = max(1, replications // 2)
+        series = self.run(replications=replications,
+                          **({} if self.serial else opts.kwargs()))
+        return "\n\n".join(fmt(series) for fmt in self.formats)
 
 
-def _fig3(replications: int, opts: ExecOptions) -> str:
-    return format_fig3(run_fig2_fig3(replications=replications,
-                                     **opts.kwargs()))
+#: The sweep commands.  They share one parser (:func:`build_parser`)
+#: and one runner (:func:`_run_figures`); declaration order is the
+#: order of ``repro all`` and of ``repro -h``.
+FIGURES: Dict[str, Figure] = {
+    # fig23 covers both in one sweep, so ``all`` skips these two.
+    "fig2": Figure(bench.run_fig2_fig3, (bench.format_fig2,),
+                   "Figure 2 - throughput vs transaction size",
+                   in_all=False),
+    "fig3": Figure(bench.run_fig2_fig3, (bench.format_fig3,),
+                   "Figure 3 - % deadline-missing vs size",
+                   in_all=False),
+    "fig23": Figure(bench.run_fig2_fig3,
+                    (bench.format_fig2, bench.format_fig3),
+                    "Figures 2+3 in one sweep"),
+    "fig4": Figure(bench.run_fig4, (bench.format_fig4,),
+                   "Figure 4 - local/global throughput ratio"),
+    "fig5": Figure(bench.run_fig5, (bench.format_fig5,),
+                   "Figure 5 - global/local missing ratio vs delay"),
+    "fig6": Figure(bench.run_fig6, (bench.format_fig6,),
+                   "Figure 6 - % missing vs transaction mix"),
+    "a1": Figure(bench.run_rw_vs_exclusive,
+                 (bench.format_rw_vs_exclusive,),
+                 "Ablation A1 - rw vs exclusive lock semantics"),
+    "a2": Figure(bench.run_inheritance_vs_ceiling,
+                 (bench.format_inheritance,),
+                 "Ablation A2 - priority inheritance vs ceiling"),
+    "a3": Figure(bench.run_dbsize_sweep, (bench.format_dbsize,),
+                 "Ablation A3 - database size sweep"),
+    "a4": Figure(bench.run_temporal_staleness, (bench.format_temporal,),
+                 "Ablation A4 - replica staleness vs delay",
+                 serial=True, halved=True),
+    "a5": Figure(bench.run_deadlock_policies,
+                 (bench.format_deadlock_policies,),
+                 "Ablation A5 - 2PL deadlock policies", serial=True),
+    "a6": Figure(bench.run_snapshot_reads,
+                 (bench.format_snapshot_reads,),
+                 "Ablation A6 - lock-free snapshot reads"),
+    "a7": Figure(bench.run_io_models, (bench.format_io_models,),
+                 "Ablation A7 - bounded disks vs parallel I/O"),
+    "a8": Figure(bench.run_fault_ablation,
+                 (bench.format_fault_ablation,),
+                 "Ablation A8 - fault injection: loss and crashes"),
+    "model": Figure(bench.run_model_vs_sim, (bench.format_model_vs_sim,),
+                    "Analytic model vs simulation overlay"),
+    "protocols": Figure(bench.run_protocol_suite,
+                        (bench.format_protocol_suite,),
+                        "Protocol suite - mpcp/dpcp/fmlp vs C/Cx"),
+}
 
-
-def _fig23(replications: int, opts: ExecOptions) -> str:
-    series = run_fig2_fig3(replications=replications, **opts.kwargs())
-    return format_fig2(series) + "\n\n" + format_fig3(series)
-
-
-def _fig4(replications: int, opts: ExecOptions) -> str:
-    return format_fig4(run_fig4(replications=replications,
-                                **opts.kwargs()))
-
-
-def _fig5(replications: int, opts: ExecOptions) -> str:
-    return format_fig5(run_fig5(replications=replications,
-                                **opts.kwargs()))
-
-
-def _fig6(replications: int, opts: ExecOptions) -> str:
-    return format_fig6(run_fig6(replications=replications,
-                                **opts.kwargs()))
-
-
-def _a1(replications: int, opts: ExecOptions) -> str:
-    return format_rw_vs_exclusive(
-        run_rw_vs_exclusive(replications=replications, **opts.kwargs()))
-
-
-def _a2(replications: int, opts: ExecOptions) -> str:
-    return format_inheritance(
-        run_inheritance_vs_ceiling(replications=replications,
-                                   **opts.kwargs()))
-
-
-def _a3(replications: int, opts: ExecOptions) -> str:
-    return format_dbsize(run_dbsize_sweep(replications=replications,
-                                          **opts.kwargs()))
-
-
-def _a4(replications: int, opts: ExecOptions) -> str:
-    # A4 instruments the simulation with an in-process sampler and
-    # cannot fan out; engine knobs are intentionally not passed.
-    return format_temporal(
-        run_temporal_staleness(replications=max(1, replications // 2)))
-
-
-def _a6(replications: int, opts: ExecOptions) -> str:
-    return format_snapshot_reads(
-        run_snapshot_reads(replications=replications, **opts.kwargs()))
-
-
-def _a7(replications: int, opts: ExecOptions) -> str:
-    return format_io_models(run_io_models(replications=replications,
-                                          **opts.kwargs()))
-
-
-def _a5(replications: int, opts: ExecOptions) -> str:
-    # A5 pokes the victim policy onto a hand-built system; serial.
-    return format_deadlock_policies(
-        run_deadlock_policies(replications=replications))
-
-
-def _a8(replications: int, opts: ExecOptions) -> str:
-    return format_fault_ablation(
-        run_fault_ablation(replications=replications, **opts.kwargs()))
-
-
-def _model(replications: int, opts: ExecOptions) -> str:
-    return format_model_vs_sim(
-        run_model_vs_sim(replications=replications, **opts.kwargs()))
-
-
-def _protocol_suite(replications: int, opts: ExecOptions) -> str:
-    return format_protocol_suite(
-        run_protocol_suite(replications=replications, **opts.kwargs()))
-
-
-COMMANDS: Dict[str, Tuple[Callable[[int, ExecOptions], str], str]] = {
-    "fig2": (_fig2, "Figure 2 - throughput vs transaction size"),
-    "fig3": (_fig3, "Figure 3 - %% deadline-missing vs size"),
-    "fig23": (_fig23, "Figures 2+3 in one sweep"),
-    "fig4": (_fig4, "Figure 4 - local/global throughput ratio"),
-    "fig5": (_fig5, "Figure 5 - global/local missing ratio vs delay"),
-    "fig6": (_fig6, "Figure 6 - %% missing vs transaction mix"),
-    "a1": (_a1, "Ablation A1 - rw vs exclusive lock semantics"),
-    "a2": (_a2, "Ablation A2 - priority inheritance vs ceiling"),
-    "a3": (_a3, "Ablation A3 - database size sweep"),
-    "a4": (_a4, "Ablation A4 - replica staleness vs delay"),
-    "a5": (_a5, "Ablation A5 - 2PL deadlock policies"),
-    "a6": (_a6, "Ablation A6 - lock-free snapshot reads"),
-    "a7": (_a7, "Ablation A7 - bounded disks vs parallel I/O"),
-    "a8": (_a8, "Ablation A8 - fault injection: loss and crashes"),
-    "model": (_model, "Analytic model vs simulation overlay"),
-    "protocols": (_protocol_suite,
-                  "Protocol suite - mpcp/dpcp/fmlp vs C/Cx"),
+#: Every other command: name -> (module, function, one-line help).
+#: ``main`` hands everything after the name to ``function(argv)`` —
+#: each has its own parser and exit-status contract — and imports the
+#: module only then.
+TOOLS: Dict[str, Tuple[str, str, str]] = {
+    "all": (".cli", "_all_main",
+            "every figure and ablation above, with the same options"),
+    "run": (".cli", "_run_main",
+            "one distributed sweep point, optionally faulted, traced "
+            "or metered"),
+    "sweep": (".cli", "_sweep_main",
+              "a protocol x size grid, optionally pruned by the model"),
+    "validate-model": (".model.validate", "main",
+                       "cross-validate the analytic model against the "
+                       "simulator"),
+    "faults": (".cli", "_faults_main", "validate a fault plan"),
+    "trace": (".trace.cli", "main",
+              "summarize, export and validate trace artifacts"),
+    "metrics": (".telemetry.cli", "main",
+                "summarize, export, diff and validate metrics "
+                "artifacts"),
+    "verify": (".verify.cli", "main",
+               "explore protocol schedules exhaustively on small "
+               "configs"),
+    "lint": (".analyze.cli", "main",
+             "static analyzer (determinism and protocol hygiene)"),
+    "bench": (".bench.micro", "main", "hot-path microbenchmarks"),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate the figures and ablations of Son & "
-                    "Chang (ICDCS 1990).")
-    choices = list(COMMANDS) + ["all", "lint", "verify", "faults",
-                                "run", "trace", "metrics",
-                                "bench", "validate-model", "sweep"]
-    parser.add_argument("command", choices=choices,
-                        help="which figure/ablation to run "
-                             "('all' runs everything; 'lint' runs the "
-                             "static analyzer; 'verify' explores "
-                             "protocol schedules exhaustively on "
-                             "small configs; 'faults' manages fault "
-                             "plans; 'run' runs one distributed sweep "
-                             "point; 'trace' inspects trace artifacts; "
-                             "'bench' runs the hot-path microbenchmarks; "
-                             "'validate-model' cross-validates the "
-                             "analytic model against the simulator; "
-                             "'sweep' runs a protocol/size grid, "
-                             "optionally model-pruned "
-                             "— see 'repro <cmd> -h')")
-    parser.add_argument("--replications", type=int, default=5,
-                        help="seeded runs averaged per sweep point "
-                             "(paper used 10; default 5)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the sweep's run "
-                             "units (default: REPRO_JOBS or 1; 1 runs "
-                             "serially in-process)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result-cache directory (default: "
-                             "REPRO_CACHE_DIR or ~/.cache/repro)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk result cache")
-    parser.add_argument("--progress", action="store_true",
-                        help="force the live progress/ETA line even "
-                             "when stderr is not a TTY")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="enable the runtime protocol sanitizer "
-                             "(strict: abort on the first invariant "
-                             "violation); equivalent to REPRO_SANITIZE=1")
-    return parser
+def option_block(replications: Optional[int],
+                 default: str = "%(default)s") -> argparse.ArgumentParser:
+    """The one declaration of the options every simulating command
+    takes, for ``ArgumentParser(parents=[...])``; ``default`` words the
+    ``--replications`` default where it is not a number."""
+    block = argparse.ArgumentParser(add_help=False)
+    block.add_argument("--replications", type=int, default=replications,
+                       help="seeded runs averaged per sweep point "
+                            f"(paper used 10; default {default})")
+    block.add_argument("--jobs", type=int, default=None,
+                       help="worker processes for the run units "
+                            "(default: REPRO_JOBS or 1; 1 runs "
+                            "serially in-process)")
+    block.add_argument("--cache-dir", default=None,
+                       help="result-cache directory (default: "
+                            "REPRO_CACHE_DIR or ~/.cache/repro)")
+    block.add_argument("--no-cache", action="store_true",
+                       help="disable the on-disk result cache")
+    block.add_argument("--progress", action="store_true",
+                       help="force the live progress/ETA line even "
+                            "when stderr is not a TTY")
+    block.add_argument("--sanitize", action="store_true",
+                       help="enable the runtime protocol sanitizer "
+                            "(strict: abort on the first invariant "
+                            "violation); equivalent to REPRO_SANITIZE=1")
+    return block
 
 
-def _exec_options(args: argparse.Namespace) -> ExecOptions:
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def exec_options(args: argparse.Namespace) -> Optional[ExecOptions]:
+    """Validate and apply an :func:`option_block` namespace.
+
+    Returns None, having printed the one-line error, when a count is
+    out of range (the caller exits 2).
+    """
+    for flag in ("replications", "jobs"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            _usage_error(f"--{flag} must be >= 1")
+            return None
+    if args.sanitize:
+        # Via the environment: this process's kernels read it as they
+        # are built, and process-pool workers inherit it.
+        os.environ[ENV_SANITIZE] = "1"
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
@@ -220,6 +211,66 @@ def _exec_options(args: argparse.Namespace) -> ExecOptions:
     if args.progress or sys.stderr.isatty():
         progress = TextProgress(sys.stderr)
     return ExecOptions(jobs=args.jobs, cache=cache, progress=progress)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    def listing(rows) -> str:
+        return "\n".join(f"  {name:<16}{text}" for name, text in rows)
+
+    parser = argparse.ArgumentParser(
+        prog="repro", parents=[option_block(5)],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description=(
+            "Regenerate the figures and ablations of Son & Chang "
+            "(ICDCS 1990).\n\n"
+            "figures and ablations (they take the options below):\n"
+            + listing((name, figure.help)
+                      for name, figure in FIGURES.items())
+            + "\n\nother commands (options go after the name: "
+              "repro <command> -h):\n"
+            + listing((name, text)
+                      for name, (__, __, text) in TOOLS.items())))
+    parser.add_argument("command", choices=[*FIGURES, *TOOLS],
+                        metavar="command",
+                        help="one of the commands listed above")
+    return parser
+
+
+def _run_figures(names: List[str], args: argparse.Namespace) -> int:
+    opts = exec_options(args)
+    if opts is None:
+        return 2
+    for name in names:
+        # perf_counter, not time.time: the trailer measures elapsed
+        # duration, and wall clock jumps under NTP adjustment.
+        started = time.perf_counter()
+        before = session_counters()
+        print(FIGURES[name].render(args.replications, opts))
+        delta = {key: value - before[key]
+                 for key, value in session_counters().items()}
+        trailer = (f"[{name}: {time.perf_counter() - started:.1f}s, "
+                   f"{args.replications} replications")
+        if delta["units"]:
+            trailer += (f", jobs={resolve_jobs(args.jobs)}, "
+                        f"{delta['units']} units, "
+                        f"{delta['computed']} computed, "
+                        f"{delta['cache_hits']} cache hits")
+            if delta["retries"]:
+                trailer += f", {delta['retries']} retried"
+            if delta.get("messages_lost"):
+                trailer += f", {delta['messages_lost']} msgs lost"
+            if delta["failures"]:
+                trailer += f", {delta['failures']} FAILED"
+        print(trailer + "]")
+        print()
+    return 0
+
+
+def _all_main(argv: List[str]) -> int:
+    """``repro all`` — every figure the table marks ``in_all``."""
+    return _run_figures(
+        [name for name, figure in FIGURES.items() if figure.in_all],
+        build_parser().parse_args(["all"] + argv))
 
 
 def _faults_main(argv: List[str]) -> int:
@@ -255,11 +306,30 @@ def _faults_main(argv: List[str]) -> int:
     return 0
 
 
+def _observed(directory: Optional[str], subdir: str, env_var: str,
+              args: argparse.Namespace,
+              opts: ExecOptions) -> Tuple[Optional[str], ExecOptions]:
+    """Activate ``--trace [DIR]`` / ``--metrics [DIR]`` for every unit.
+
+    ``directory`` is the flag's value: None when absent, empty for the
+    default ``<cache-dir>/<subdir>``.  Workers find the directory in
+    ``env_var``; the cache is dropped, because a cached row would skip
+    the observed re-run.
+    """
+    if directory is None:
+        return None, opts
+    directory = directory or os.path.join(
+        args.cache_dir or default_cache_dir(), subdir)
+    os.makedirs(directory, exist_ok=True)
+    os.environ[env_var] = directory
+    return directory, dataclasses.replace(opts, cache=None)
+
+
 def _run_main(argv: List[str]) -> int:
     """``repro run`` — one distributed configuration, optionally under
     a fault plan, averaged over seeded replications."""
     parser = argparse.ArgumentParser(
-        prog="repro run",
+        prog="repro run", parents=[option_block(3)],
         description="Run the calibrated distributed configuration at "
                     "one sweep point, optionally under a fault plan.")
     parser.add_argument("--mode", choices=("local", "global", "both"),
@@ -272,13 +342,6 @@ def _run_main(argv: List[str]) -> int:
     parser.add_argument("--comm-delay", type=float, default=2.0)
     parser.add_argument("--read-only-fraction", type=float, default=0.5)
     parser.add_argument("--transactions", type=int, default=120)
-    parser.add_argument("--replications", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--progress", action="store_true")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="enable the runtime protocol sanitizer")
     parser.add_argument("--trace", nargs="?", const="", default=None,
                         metavar="DIR",
                         help="write per-unit trace artifacts "
@@ -303,20 +366,17 @@ def _run_main(argv: List[str]) -> int:
                              "identical, turbo is the throughput core "
                              "(REPRO_ENGINE overrides)")
     args = parser.parse_args(argv)
-    if args.replications < 1 or args.transactions < 1:
-        print("error: --replications and --transactions must be >= 1",
-              file=sys.stderr)
-        return 2
+    if args.transactions < 1:
+        return _usage_error("--transactions must be >= 1")
     if args.profile and args.trace is None:
-        print("error: --profile requires --trace", file=sys.stderr)
-        return 2
+        return _usage_error("--profile requires --trace")
     try:
         protocol = REGISTRY.resolve(args.protocol).name
     except UnknownProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return _usage_error(str(exc))
+    opts = exec_options(args)
+    if opts is None:
         return 2
-    if args.sanitize:
-        os.environ[ENV_SANITIZE] = "1"
     plan = None
     if args.faults is not None:
         from .faults import load_plan
@@ -325,34 +385,20 @@ def _run_main(argv: List[str]) -> int:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: invalid fault plan: {exc}", file=sys.stderr)
             return 1
-    from .bench import distributed_config
     from .core.experiment import replicate
-    opts = _exec_options(args)
-    trace_dir = None
-    if args.trace is not None:
-        from .trace.tracer import ENV_TRACE_DIR
-        trace_dir = args.trace or os.path.join(
-            args.cache_dir or default_cache_dir(), "traces")
-        os.makedirs(trace_dir, exist_ok=True)
-        os.environ[ENV_TRACE_DIR] = trace_dir
-        # Cached rows would skip the traced re-run: force computation.
-        opts = dataclasses.replace(opts, cache=None)
-    metrics_dir = None
-    if args.metrics is not None:
-        from .telemetry.registry import ENV_METRICS_DIR
-        metrics_dir = args.metrics or os.path.join(
-            args.cache_dir or default_cache_dir(), "metrics")
-        os.makedirs(metrics_dir, exist_ok=True)
-        os.environ[ENV_METRICS_DIR] = metrics_dir
-        # Cached rows would skip the metered re-run: force computation.
-        opts = dataclasses.replace(opts, cache=None)
+    from .telemetry.registry import ENV_METRICS_DIR
+    from .trace.tracer import ENV_TRACE_DIR
+    trace_dir, opts = _observed(args.trace, "traces", ENV_TRACE_DIR,
+                                args, opts)
+    metrics_dir, opts = _observed(args.metrics, "metrics",
+                                  ENV_METRICS_DIR, args, opts)
     modes = (["local", "global"] if args.mode == "both"
              else [args.mode])
     shown = ("percent_missed", "throughput", "messages_sent",
              "messages_lost", "undeliverable", "ms_dropped",
              "max_staleness", "fault_downtime", "fault_availability")
     for mode in modes:
-        config = distributed_config(
+        config = bench.distributed_config(
             mode, args.comm_delay, args.read_only_fraction,
             n_transactions=args.transactions)
         config = dataclasses.replace(config, protocol=protocol,
@@ -362,11 +408,9 @@ def _run_main(argv: List[str]) -> int:
         try:
             config.validate()
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(str(exc))
         row = replicate(config, replications=args.replications,
-                        jobs=opts.jobs, cache=opts.cache,
-                        progress=opts.progress)
+                        **opts.kwargs())
         print(f"[{mode}] protocol={protocol} delay={args.comm_delay} "
               f"mix={args.read_only_fraction} "
               f"n={args.transactions} x{args.replications}")
@@ -393,7 +437,7 @@ def _sweep_main(argv: List[str]) -> int:
     skipped points report the model's prediction, marked ``~``.
     """
     parser = argparse.ArgumentParser(
-        prog="repro sweep",
+        prog="repro sweep", parents=[option_block(5)],
         description="Sweep a protocol x transaction-size grid. "
                     "--prune-model scores every config analytically "
                     "(repro.model) and simulates only the top "
@@ -412,7 +456,9 @@ def _sweep_main(argv: List[str]) -> int:
     parser.add_argument("--prune-model", action="store_true",
                         help="simulate only the best --keep-fraction "
                              "of the grid by the model's --metric "
-                             "score; report the runs saved")
+                             "score (and every config of a protocol "
+                             "the model is not validated for); report "
+                             "the runs saved")
     parser.add_argument("--keep-fraction", type=float, default=0.4,
                         help="fraction of configs to simulate under "
                              "--prune-model (default %(default)s)")
@@ -420,11 +466,6 @@ def _sweep_main(argv: List[str]) -> int:
                         default="min",
                         help="whether lower or higher --metric scores "
                              "rank better (default %(default)s)")
-    parser.add_argument("--replications", type=int, default=5)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--progress", action="store_true")
     parser.add_argument("--dashboard", action="store_true",
                         help="live multi-line TTY dashboard (unit "
                              "throughput, cache hits, host RSS, latest "
@@ -442,49 +483,36 @@ def _sweep_main(argv: List[str]) -> int:
                              "%(default)s); results are bitwise "
                              "identical (REPRO_ENGINE overrides)")
     args = parser.parse_args(argv)
-    if args.replications < 1:
-        print("error: --replications must be >= 1", file=sys.stderr)
-        return 2
     if not 0.0 < args.keep_fraction <= 1.0:
-        print("error: --keep-fraction must be in (0, 1]",
-              file=sys.stderr)
-        return 2
+        return _usage_error("--keep-fraction must be in (0, 1]")
     try:
         sizes = [int(part) for part in args.sizes.split(",") if part]
     except ValueError:
-        print(f"error: --sizes must be comma-separated integers, "
-              f"got {args.sizes!r}", file=sys.stderr)
-        return 2
+        return _usage_error(f"--sizes must be comma-separated "
+                            f"integers, got {args.sizes!r}")
     try:
         protocols = [REGISTRY.resolve(part).name
                      for part in args.protocols.split(",") if part]
     except UnknownProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     if not protocols or not sizes:
-        print("error: need at least one protocol and one size",
-              file=sys.stderr)
-        return 2
-    from .bench import single_site_config
+        return _usage_error("need at least one protocol and one size")
     try:
         grid = [(protocol, size,
-                 dataclasses.replace(single_site_config(protocol, size),
-                                     engine=args.engine))
+                 dataclasses.replace(
+                     bench.single_site_config(protocol, size),
+                     engine=args.engine))
                 for protocol in protocols for size in sizes]
         for __, __, config in grid:
             config.validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return _usage_error(str(exc))
+    opts = exec_options(args)
+    if opts is None:
         return 2
-    opts = _exec_options(args)
-    if args.metrics is not None:
-        from .telemetry.registry import ENV_METRICS_DIR
-        sweep_metrics_dir = args.metrics or os.path.join(
-            args.cache_dir or default_cache_dir(), "metrics")
-        os.makedirs(sweep_metrics_dir, exist_ok=True)
-        os.environ[ENV_METRICS_DIR] = sweep_metrics_dir
-        # Cached rows would skip the metered re-run: force computation.
-        opts = dataclasses.replace(opts, cache=None)
+    from .telemetry.registry import ENV_METRICS_DIR
+    __, opts = _observed(args.metrics, "metrics", ENV_METRICS_DIR,
+                         args, opts)
     fleet = None
     if args.dashboard:
         from .exec import Dashboard, FleetTelemetry
@@ -502,28 +530,29 @@ def _sweep_main(argv: List[str]) -> int:
                 keep_fraction=args.keep_fraction, best=args.best,
                 replications=args.replications, **opts.kwargs())
         except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+            return _usage_error(exc.args[0])
         print(header)
         for (protocol, size, __), row in zip(grid, result.rows):
             marker = "~" if row["pruned"] else " "
             source = "model" if row["pruned"] else "sim"
             print(f"{marker}{protocol:>9} {size:>5} "
                   f"{row[args.metric]:>16.3f} {source:>7}")
+        ranked = len(result.kept) - len(result.unprunable)
+        unprunable = (f", {len(result.unprunable)} unprunable"
+                      if result.unprunable else "")
         print(f"\n[pruned {result.n_skipped}/{result.n_configs} "
               f"configs ({result.saved_fraction:.0%} of simulation "
-              f"runs saved), kept top {len(result.kept)} by model "
-              f"{args.metric} ({args.best})]")
+              f"runs saved), kept top {ranked} by model "
+              f"{args.metric} ({args.best}){unprunable}]")
         return 0
     from .core.experiment import replicate_many
     rows = replicate_many(configs, replications=args.replications,
                           fleet=fleet, **opts.kwargs())
+    if args.metric not in rows[0]:
+        return _usage_error(f"simulator summary has no metric "
+                            f"{args.metric!r}")
     print(header)
     for (protocol, size, __), row in zip(grid, rows):
-        if args.metric not in row:
-            print(f"error: simulator summary has no metric "
-                  f"{args.metric!r}", file=sys.stderr)
-            return 2
         print(f" {protocol:>9} {size:>5} "
               f"{row[args.metric]:>16.3f} {'sim':>7}")
     if fleet is not None:
@@ -533,118 +562,58 @@ def _sweep_main(argv: List[str]) -> int:
     return 0
 
 
-def _print_trace_summary(config, trace_dir: str,
-                         profile: bool) -> None:
-    """Summarize the first replication's trace artifact for one mode.
+def _first_artifact(kind: str, config, directory: str) -> Optional[str]:
+    """Path of the first replication's ``kind`` artifact, announced.
 
     The first unit of a ``replicate`` call runs ``config`` with seed
     ``base_seed`` (1), so its fingerprint locates its artifact.
     """
     from .exec.fingerprint import config_fingerprint
+    fp = config_fingerprint(dataclasses.replace(config, seed=1))
+    artifact = os.path.join(directory, f"{fp}.{kind}.jsonl")
+    if not os.path.exists(artifact):
+        print(f"  (no {kind} artifact at {artifact})")
+        return None
+    print(f"[{kind}] first replication artifact: {artifact}")
+    return artifact
+
+
+def _print_trace_summary(config, trace_dir: str,
+                         profile: bool) -> None:
+    """Summarize the first replication's trace artifact for one mode."""
     from .trace.cli import profile_text, summary_text
     from .trace.export import load_jsonl
     from .trace.timeline import reconstruct
-    fp = config_fingerprint(dataclasses.replace(config, seed=1))
-    artifact = os.path.join(trace_dir, fp + ".trace.jsonl")
-    if not os.path.exists(artifact):
-        print(f"  (no trace artifact at {artifact})")
+    artifact = _first_artifact("trace", config, trace_dir)
+    if artifact is None:
         return
     meta, events = load_jsonl(artifact)
     run = reconstruct(events, dropped=int(meta.get("dropped", 0)))
-    print(f"[trace] first replication artifact: {artifact}")
     print(summary_text(run, top=10))
     if profile:
         print(profile_text(run))
 
 
 def _print_metrics_summary(config, metrics_dir: str) -> None:
-    """Summarize the first replication's metrics artifact for one mode.
-
-    Same fingerprint convention as the trace summary: the first unit
-    of a ``replicate`` call runs ``config`` with seed ``base_seed``
-    (1).
-    """
-    from .exec.fingerprint import config_fingerprint
-    from .telemetry.export import load_metrics_jsonl
-    from .telemetry.export import summary_text as metrics_summary_text
-    fp = config_fingerprint(dataclasses.replace(config, seed=1))
-    artifact = os.path.join(metrics_dir, fp + ".metrics.jsonl")
-    if not os.path.exists(artifact):
-        print(f"  (no metrics artifact at {artifact})")
-        return
-    print(f"[metrics] first replication artifact: {artifact}")
-    print(metrics_summary_text(load_metrics_jsonl(artifact)))
+    """Summarize the first replication's metrics artifact for one mode."""
+    from .telemetry.export import load_metrics_jsonl, summary_text
+    artifact = _first_artifact("metrics", config, metrics_dir)
+    if artifact is not None:
+        print(summary_text(load_metrics_jsonl(artifact)))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
-    if raw and raw[0] == "lint":
-        # Delegate everything after 'lint' to the analyzer's own parser
-        # (it has its own options and exit-status contract).
-        from .analyze.cli import main as lint_main
-        return lint_main(raw[1:])
-    if raw and raw[0] == "verify":
-        from .verify.cli import main as verify_main
-        return verify_main(raw[1:])
-    if raw and raw[0] == "faults":
-        return _faults_main(raw[1:])
-    if raw and raw[0] == "trace":
-        from .trace.cli import main as trace_main
-        return trace_main(raw[1:])
-    if raw and raw[0] == "metrics":
-        from .telemetry.cli import main as metrics_main
-        return metrics_main(raw[1:])
-    if raw and raw[0] == "run":
-        return _run_main(raw[1:])
-    if raw and raw[0] == "bench":
-        from .bench.micro import main as bench_main
-        return bench_main(raw[1:])
-    if raw and raw[0] == "validate-model":
-        from .model.validate import main as validate_main
-        return validate_main(raw[1:])
-    if raw and raw[0] == "sweep":
-        return _sweep_main(raw[1:])
-    args = build_parser().parse_args(raw)
-    if args.replications < 1:
-        print("error: --replications must be >= 1", file=sys.stderr)
-        return 2
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.sanitize:
-        # Via the environment: this process's kernels read it as they
-        # are built, and process-pool workers inherit it.
-        os.environ[ENV_SANITIZE] = "1"
-    opts = _exec_options(args)
-    names = list(COMMANDS) if args.command == "all" else [args.command]
-    if args.command == "all":
-        names.remove("fig2")   # fig23 covers both in one sweep
-        names.remove("fig3")
-    for name in names:
-        runner, __ = COMMANDS[name]
-        # perf_counter, not time.time: the trailer measures elapsed
-        # duration, and wall clock jumps under NTP adjustment.
-        started = time.perf_counter()
-        before = session_counters()
-        print(runner(args.replications, opts))
-        delta = {key: value - before[key]
-                 for key, value in session_counters().items()}
-        trailer = (f"[{name}: {time.perf_counter() - started:.1f}s, "
-                   f"{args.replications} replications")
-        if delta["units"]:
-            trailer += (f", jobs={resolve_jobs(args.jobs)}, "
-                        f"{delta['units']} units, "
-                        f"{delta['computed']} computed, "
-                        f"{delta['cache_hits']} cache hits")
-            if delta["retries"]:
-                trailer += f", {delta['retries']} retried"
-            if delta.get("messages_lost"):
-                trailer += f", {delta['messages_lost']} msgs lost"
-            if delta["failures"]:
-                trailer += f", {delta['failures']} FAILED"
-        print(trailer + "]")
-        print()
-    return 0
+    if raw and raw[0] in TOOLS:
+        module, function, __ = TOOLS[raw[0]]
+        return getattr(importlib.import_module(module, __package__),
+                       function)(raw[1:])
+    parser = build_parser()
+    args = parser.parse_args(raw)
+    if args.command in TOOLS:
+        parser.error(f"{args.command!r} takes its own options: put it "
+                     f"first ('repro {args.command} -h')")
+    return _run_figures([args.command], args)
 
 
 if __name__ == "__main__":  # pragma: no cover

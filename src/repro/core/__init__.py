@@ -15,13 +15,8 @@ from .metrics import (aggregate_runs, confidence_interval, mean,
                       throughput_ratio)
 from .monitor import PerformanceMonitor, TransactionRecord
 from .reporting import comparison_table, format_table, series_table
-from .validate import (CeilingAuditor, InvariantViolation,
-                       LockDisciplineAuditor)
 
 __all__ = [
-    "CeilingAuditor",
-    "InvariantViolation",
-    "LockDisciplineAuditor",
     "ceiling_load_estimate",
     "ceiling_pipeline_capacity",
     "cpu_bound_capacity",

@@ -74,8 +74,8 @@ _EMPTY: Dict[Hashable, LockMode] = {}
 class LockTable:
     """Holders per object, with upgrade-aware compatibility checks.
 
-    No ``__slots__`` here on purpose: the validation layer
-    (:mod:`repro.core.validate`) wraps ``grant``/``release`` on table
+    No ``__slots__`` here on purpose: tests spy on ``grant`` and the
+    sanitizer's mutation suite replaces ``can_grant`` on table
     *instances*, and there is exactly one table per site anyway — the
     per-object :class:`_LockRecord` is the allocation that matters.
     """

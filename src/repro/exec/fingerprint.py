@@ -57,8 +57,8 @@ HASHED_SOURCES = (
 EXEMPT_SOURCES = (
     "__init__.py", "__main__.py", "analyze", "bench", "cli.py",
     "core/__init__.py", "core/analysis.py", "core/metrics.py",
-    "core/reporting.py", "core/validate.py", "exec", "model",
-    "telemetry", "trace", "verify")
+    "core/reporting.py", "exec", "model", "telemetry", "trace",
+    "verify")
 
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

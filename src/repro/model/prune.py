@@ -10,6 +10,12 @@ the output stays one row per requested config.
 Because :func:`plan_subset` preserves the full-batch group numbering,
 the surviving units' cache fingerprints are identical to an unpruned
 sweep's: a later full run reuses every row the pruned run produced.
+
+The model ranks only what ``repro validate-model`` holds it to: a
+config whose protocol is modelled by another family's solver (the
+queue locks ``mpcp`` and ``fmlp`` borrow the 2PL fixed point, which
+does not compute their blocking bounds — Brandenburg,
+arXiv:1909.09600) is *unprunable* and always simulated.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.metrics import aggregate_runs
 from ..exec import plan_subset, rows_by_group, run_units
+from ..protocols import REGISTRY
 from .response import predict_summary
 
 
@@ -33,6 +40,9 @@ class PruneResult:
     scores: List[float]
     #: Indices (into the request) that were actually simulated.
     kept: List[int]
+    #: The subset of ``kept`` simulated because no validated solver
+    #: covers the config's protocol family, whatever its score.
+    unprunable: List[int]
     #: One row per requested config: simulated summaries for kept
     #: configs, model predictions (with ``pruned: True``) for skipped.
     rows: List[Dict[str, float]]
@@ -97,8 +107,14 @@ def run_pruned_sweep(configs: Sequence[object],
     """Score analytically, simulate the survivors, merge the rows."""
     configs = list(configs)
     scores = model_scores(configs, metric=metric)
-    kept = select_configs(scores, keep_fraction=keep_fraction,
-                          best=best)
+    rankable, unprunable = [], []
+    for index, config in enumerate(configs):
+        spec = REGISTRY.resolve(config.protocol)
+        (rankable if spec.family == spec.model_family
+         else unprunable).append(index)
+    chosen = select_configs([scores[index] for index in rankable],
+                            keep_fraction=keep_fraction, best=best)
+    kept = sorted([rankable[index] for index in chosen] + unprunable)
     units = plan_subset(configs, kept, replications=replications,
                         base_seed=base_seed)
     result = run_units(units, jobs=jobs, cache=cache,
@@ -117,4 +133,5 @@ def run_pruned_sweep(configs: Sequence[object],
         row["model_score"] = scores[index]
         rows.append(row)
     return PruneResult(metric=metric, scores=scores, kept=kept,
-                       rows=rows, replications=replications)
+                       unprunable=unprunable, rows=rows,
+                       replications=replications)

@@ -25,8 +25,6 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from ..core.experiment import replicate_many
-from ..exec import (ResultCache, TextProgress, default_cache_dir,
-                    resolve_jobs)
 from .response import predict_summary
 from .workload import AnyConfig
 
@@ -209,8 +207,10 @@ def format_report(report: ValidationReport) -> str:
 # CLI: repro validate-model
 # ----------------------------------------------------------------------
 def main(argv: Optional[List[str]] = None) -> int:
+    from ..cli import exec_options, option_block
     parser = argparse.ArgumentParser(
         prog="repro validate-model",
+        parents=[option_block(None, "2 quick, 3 full")],
         description="Sweep simulator vs analytic model across the "
                     "calibration grid and report the divergence "
                     "against the documented error budget.")
@@ -219,9 +219,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "replications (CI smoke); default is the "
                              "full grid incl. 2PL thrash and "
                              "distributed modes")
-    parser.add_argument("--replications", type=int, default=None,
-                        help="seeded runs per config (default: 2 "
-                             "quick, 3 full)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write the report as a JSON artifact")
     parser.add_argument("--budget-missed", type=float,
@@ -233,35 +230,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=DEFAULT_ERROR_BUDGET["mean_blocked_time"],
         help="mean relative-error budget on mean_blocked_time "
              "(default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: REPRO_JOBS "
-                             "or 1)")
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--progress", action="store_true")
     args = parser.parse_args(argv)
-    if args.replications is not None and args.replications < 1:
-        print("error: --replications must be >= 1", file=sys.stderr)
-        return 2
     if args.budget_missed <= 0 or args.budget_blocking <= 0:
         print("error: budgets must be positive", file=sys.stderr)
+        return 2
+    opts = exec_options(args)
+    if opts is None:
         return 2
     replications = args.replications
     if replications is None:
         replications = 2 if args.quick else 3
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    progress = None
-    if args.progress or sys.stderr.isatty():
-        progress = TextProgress(sys.stderr)
     cases = quick_grid() if args.quick else full_grid()
     budget = {"percent_missed": args.budget_missed,
               "mean_blocked_time": args.budget_blocking}
     report = run_validation(cases, replications=replications,
-                            budget=budget,
-                            jobs=resolve_jobs(args.jobs), cache=cache,
-                            progress=progress)
+                            budget=budget, **opts.kwargs())
     print(format_report(report))
     if args.json:
         directory = os.path.dirname(args.json)

@@ -22,12 +22,12 @@ WORKLOAD = WorkloadConfig(n_transactions=60, mean_interarrival=20.0,
                           transaction_size=8, size_jitter=2)
 
 
-def single_config(protocol):
+def single_config(protocol, **protocol_options):
     return SingleSiteConfig(
         protocol=protocol, db_size=100, workload=WORKLOAD,
         timing=TimingConfig(slack_factor=6.0),
         costs=CostModel(cpu_per_object=1.0, io_per_object=2.0),
-        seed=7)
+        protocol_options=tuple(protocol_options.items()), seed=7)
 
 
 @pytest.mark.parametrize("protocol", ["L", "P", "PI", "C", "Cx"])
@@ -38,6 +38,15 @@ def test_single_site_run_is_violation_free(protocol):
     assert checker.clean, checker.summary()
     # Observation must not perturb the simulation.
     assert checked == baseline
+
+
+def test_restarted_deadlock_victims_may_reacquire():
+    # A victim released its locks and begins a fresh growing phase:
+    # legal under SAN-2PL-PHASE, unlike a lock after the release point.
+    with sanitize(strict=True) as checker:
+        row = run_single_site(single_config("L", victim_policy="requester"))
+    assert row["restarts"] > 0
+    assert checker.clean, checker.summary()
 
 
 @pytest.mark.parametrize("mode", ["local", "global"])

@@ -1,13 +1,21 @@
 """CLI: argument handling and a smoke run of a small command."""
 
+import os
+import re
+
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+import repro
+from repro.cli import FIGURES, TOOLS, build_parser, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def test_parser_accepts_every_command():
     parser = build_parser()
-    for command in list(COMMANDS) + ["all"]:
+    assert len(FIGURES) + len(TOOLS) == 26
+    for command in [*FIGURES, *TOOLS]:
         args = parser.parse_args([command])
         assert args.command == command
         assert args.replications == 5
@@ -81,6 +89,93 @@ def test_no_cache_flag_skips_the_cache(capsys, tmp_path):
 
 
 def test_every_command_has_a_description():
-    for name, (runner, description) in COMMANDS.items():
-        assert callable(runner)
+    assert not set(FIGURES) & set(TOOLS)
+    for figure in FIGURES.values():
+        assert callable(figure.run) and figure.formats
+        assert figure.help
+    for module, function, description in TOOLS.values():
+        assert module.startswith(".") and function
         assert description
+
+
+def test_every_tool_reaches_its_own_parser(capsys):
+    for name in TOOLS:
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "-h"])
+        assert excinfo.value.code == 0
+        assert "usage: repro" in capsys.readouterr().out
+
+
+def test_options_before_a_tool_name_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--jobs", "2", "lint"])
+    assert excinfo.value.code == 2
+    assert "repro lint -h" in capsys.readouterr().err
+
+
+def test_help_lists_each_command_once(capsys):
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    lines = capsys.readouterr().out.splitlines()
+    for name in [*FIGURES, *TOOLS]:
+        assert sum(line.startswith(f"  {name} ")
+                   for line in lines) == 1, name
+
+
+def test_all_runs_what_no_other_figure_covers():
+    skipped = [name for name, figure in FIGURES.items()
+               if not figure.in_all]
+    assert skipped == ["fig2", "fig3"]
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep"], ["validate-model", "--quick"]])
+@pytest.mark.parametrize("flag", ["--jobs", "--replications"])
+def test_option_block_is_validated_for_every_simulating_command(
+        capsys, command, flag):
+    assert main(command + [flag, "0"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
+
+
+def test_sweep_checks_the_metric_before_printing_the_header(
+        capsys, tmp_path):
+    code = main(["sweep", "--metric", "nope", "--sizes", "2",
+                 "--protocols", "C", "--replications", "1",
+                 "--cache-dir", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nope" in captured.err
+
+
+def test_exec_option_block_is_declared_once():
+    package = os.path.dirname(os.path.abspath(repro.__file__))
+    declared = []
+    for directory, __, names in os.walk(package):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, encoding="utf-8") as handle:
+                    declared += [path] * handle.read().count(
+                        '"--no-cache"')
+    assert declared == [os.path.join(package, "cli.py")]
+
+
+def test_ci_runs_known_commands_and_each_test_once():
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "ci.yml"),
+              encoding="utf-8") as handle:
+        jobs = yaml.safe_load(handle)["jobs"]
+    commands, pytest_jobs = set(), set()
+    for job, body in jobs.items():
+        for step in body["steps"]:
+            script = step.get("run", "").replace("\\\n", " ")
+            commands.update(re.findall(r"python -m repro ([\w-]+)",
+                                       script))
+            if any("perfbench/tests" not in arguments for arguments
+                   in re.findall(r"-m pytest\b(.*)", script)):
+                pytest_jobs.add(job)
+    assert commands and commands <= {*FIGURES, *TOOLS}
+    # tests/ is collected whole by `tests` and, on the other engine,
+    # by `engine`; a `pytest tests/<subset>` elsewhere is a re-run.
+    assert pytest_jobs == {"tests", "engine"}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import FIGURES, build_parser, main
 
 
 def test_parser_lists_new_commands():
@@ -12,7 +12,7 @@ def test_parser_lists_new_commands():
 
 
 def test_model_figure_is_registered():
-    assert "model" in COMMANDS
+    assert "model" in FIGURES
 
 
 # ----------------------------------------------------------------------
@@ -83,6 +83,21 @@ def test_sweep_prune_model_end_to_end(tmp_path, capsys):
                if line.endswith(" model"))
     assert "pruned 2/4" in out
     assert "50%" in out
+
+
+def test_sweep_prune_model_reports_unprunable_protocols(tmp_path,
+                                                        capsys):
+    code = main(["sweep", "--prune-model", "--protocols", "mpcp,C",
+                 "--sizes", "2,14", "--keep-fraction", "0.5",
+                 "--replications", "1",
+                 "--cache-dir", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert [line.split()[-1] for line in out.splitlines()
+            if "mpcp" in line] == ["sim", "sim"]
+    assert "pruned 1/4" in out
+    assert "kept top 1 by model percent_missed (min), 2 unprunable]" \
+        in out
 
 
 def test_sweep_unpruned_end_to_end(tmp_path, capsys):

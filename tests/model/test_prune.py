@@ -66,6 +66,22 @@ def test_pruned_sweep_retains_top_ranked_configs():
     assert "processed" in result.rows[0]
 
 
+def test_pruned_sweep_always_simulates_a_borrowed_model_family():
+    # mpcp is a queue lock scored by the 2PL solver, which nobody
+    # validated for it: never pruned, however badly it ranks, and the
+    # keep fraction applies to the validated remainder alone.
+    configs = [small_config("mpcp", interarrival=1.0, size=12),
+               small_config("C", interarrival=25.0, size=2),
+               small_config("C", interarrival=1.0, size=12),
+               small_config("mpcp", interarrival=25.0, size=2)]
+    result = run_pruned_sweep(configs, keep_fraction=0.5,
+                              replications=1)
+    assert result.unprunable == [0, 3]
+    assert result.kept == [0, 1, 3]
+    assert [row["pruned"] for row in result.rows] == [
+        False, False, True, False]
+
+
 def test_pruned_sweep_saves_at_least_half_at_default_fraction():
     # The acceptance grid shape: keep_fraction 0.4 must skip >= 50%.
     configs = [small_config(size=size) for size in range(2, 9)] * 3
