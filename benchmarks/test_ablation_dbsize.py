@@ -8,13 +8,15 @@ size does.  This sweep confirms that claim holds in the reproduction:
 protocol stays deadlock-free throughout.
 """
 
-from repro.bench import format_dbsize, run_dbsize_sweep
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["a3"]
 
 
 def test_dbsize_sweep(run_sweep, replications):
-    series = run_sweep(run_dbsize_sweep, replications=replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_dbsize(series))
+    print(render(SPEC, series))
 
     smallest, largest = series[0], series[-1]
     # More objects -> fewer conflicts -> fewer 2PL deadlocks and misses.

@@ -8,13 +8,15 @@ victim-selection rules, quantifying how much of 2PL's Figure-3 collapse
 is attributable to unresolved deadlocks.
 """
 
-from repro.bench import format_deadlock_policies, run_deadlock_policies
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["a5"]
 
 
 def test_deadlock_policies(run_sweep, replications):
-    series = run_sweep(run_deadlock_policies, replications=replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_deadlock_policies(series))
+    print(render(SPEC, series))
 
     by_policy = {row["policy"]: row for row in series}
     # Detect-and-restart beats wait-until-deadline on misses.

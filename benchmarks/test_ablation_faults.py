@@ -7,17 +7,15 @@ historical fault-free code path, so the first row of each sweep
 doubles as the regression baseline.
 """
 
-from repro.bench import format_fault_ablation, run_fault_ablation
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["a8"]
 
 
 def test_fault_ablation(run_sweep, replications):
-    series = run_sweep(run_fault_ablation,
-                       loss_rates=(0.0, 0.05, 0.1),
-                       crash_downtimes=(0.0, 40.0),
-                       replications=replications,
-                       n_transactions=120)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_fault_ablation(series))
+    print(render(SPEC, series))
 
     loss = [row for row in series if row["kind"] == "loss"]
     crash = [row for row in series if row["kind"] == "crash"]

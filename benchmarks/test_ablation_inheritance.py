@@ -7,14 +7,15 @@ sweep compares P (no inheritance), PI (inheritance) and C (ceiling) on
 the Figure-2/3 workload.
 """
 
-from repro.bench import format_inheritance, run_inheritance_vs_ceiling
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["a2"]
 
 
 def test_inheritance_vs_ceiling(run_sweep, replications):
-    series = run_sweep(run_inheritance_vs_ceiling,
-                       replications=replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_inheritance(series))
+    print(render(SPEC, series))
 
     largest = series[-1]
     # At the largest size the ceiling protocol misses fewest deadlines;

@@ -8,13 +8,15 @@ concurrency shrinks, 2PL loses the advantage the assumption gave it,
 while the ceiling protocol's near-serial pipeline barely notices.
 """
 
-from repro.bench import format_io_models, run_io_models
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["a7"]
 
 
 def test_io_model_sensitivity(run_sweep, replications):
-    series = run_sweep(run_io_models, replications=replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_io_models(series))
+    print(render(SPEC, series))
 
     by_servers = {row["io_servers"]: row for row in series}
     unlimited = by_servers["inf"]

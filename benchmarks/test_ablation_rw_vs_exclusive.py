@@ -9,13 +9,15 @@ exclusive semantics (Cx) serialize them.  The sweep quantifies the cost
 of exclusivity for throughput and deadline misses.
 """
 
-from repro.bench import format_rw_vs_exclusive, run_rw_vs_exclusive
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["a1"]
 
 
 def test_rw_vs_exclusive(run_sweep, replications):
-    series = run_sweep(run_rw_vs_exclusive, replications=replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_rw_vs_exclusive(series))
+    print(render(SPEC, series))
 
     # On a read-heavy mix, read/write semantics should not lose to
     # exclusive semantics at any size, and should win at the largest.

@@ -7,13 +7,15 @@ against writers; this sweep quantifies the scheduling benefit over the
 classic read-lock path under the local ceiling architecture.
 """
 
-from repro.bench import format_snapshot_reads, run_snapshot_reads
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["a6"]
 
 
 def test_snapshot_reads(run_sweep, replications):
-    series = run_sweep(run_snapshot_reads, replications=replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_snapshot_reads(series))
+    print(render(SPEC, series))
 
     for row in series:
         # Snapshots never miss more than locking readers, and the

@@ -4,14 +4,16 @@ architecture, as a function of the communication delay, and the
 multiversion mechanism that bounds it.
 """
 
-from repro.bench import format_temporal, run_temporal_staleness
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["a4"]
 
 
 def test_temporal_staleness(run_sweep, replications):
-    series = run_sweep(run_temporal_staleness,
+    series = run_sweep(run, SPEC,
                        replications=max(3, replications // 2))
     print()
-    print(format_temporal(series))
+    print(render(SPEC, series))
 
     by_delay = {row["delay"]: row for row in series}
     # A copy cannot become visible faster than one network hop: the

@@ -9,23 +9,15 @@ Paper claims reproduced here:
   crossing below C.
 """
 
-from repro.bench import format_fig2, run_fig2_fig3
+from repro.bench import SPECS, render, run
 
-# Shared across the fig2/fig3 modules within one pytest session so the
-# (identical) sweep is computed once.
-_CACHE = {}
-
-
-def fig23_series(replications):
-    if replications not in _CACHE:
-        _CACHE[replications] = run_fig2_fig3(replications=replications)
-    return _CACHE[replications]
+SPEC = SPECS["fig2"]
 
 
 def test_fig2_throughput(run_sweep, replications):
-    series = run_sweep(fig23_series, replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_fig2(series))
+    print(render(SPEC, series))
 
     # Shape assertions: C stable (max/min bounded), P/L collapse.
     c_values = [row["throughput_C"] for row in series if row["size"] >= 8]

@@ -8,15 +8,15 @@ Paper claims reproduced here:
   slowly ... in the priority ceiling protocol" (no deadlocks).
 """
 
-from repro.bench import format_fig3
+from repro.bench import SPECS, render, run
 
-from test_fig2_throughput import fig23_series
+SPEC = SPECS["fig3"]
 
 
 def test_fig3_missed(run_sweep, replications):
-    series = run_sweep(fig23_series, replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_fig3(series))
+    print(render(SPEC, series))
 
     largest = series[-1]   # size 20
     mid = series[3]        # size 11

@@ -9,13 +9,15 @@ Paper claims reproduced here:
   increase accordingly to the communication delay".
 """
 
-from repro.bench import FIG4_DELAYS, format_fig4, run_fig4
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["fig4"]
 
 
 def test_fig4_throughput_ratio(run_sweep, replications):
-    series = run_sweep(run_fig4, replications=replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_fig4(series))
+    print(render(SPEC, series))
 
     # At zero delay the ratio exceeds ~1.5x on the update-heavy mixes.
     update_heavy = [row for row in series if row["mix"] <= 0.25]

@@ -7,13 +7,15 @@ Paper claims reproduced here:
   increases beyond 16".
 """
 
-from repro.bench import format_fig5, run_fig5
+from repro.bench import SPECS, render, run
+
+SPEC = SPECS["fig5"]
 
 
 def test_fig5_missed_ratio(run_sweep, replications):
-    series = run_sweep(run_fig5, replications=replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_fig5(series))
+    print(render(SPEC, series))
 
     by_delay = {row["delay"]: row for row in series}
     # Rapid rise over delays 0..2.

@@ -9,13 +9,16 @@ Paper claims reproduced here:
   decrease".
 """
 
-from repro.bench import FIG6_DELAYS, format_fig6, run_fig6
+from repro.bench import SPECS, render, run
+from repro.bench.figures import FIG6_DELAYS
+
+SPEC = SPECS["fig6"]
 
 
 def test_fig6_missed_vs_mix(run_sweep, replications):
-    series = run_sweep(run_fig6, replications=replications)
+    series = run_sweep(run, SPEC, replications=replications)
     print()
-    print(format_fig6(series))
+    print(render(SPEC, series))
 
     # Misses fall as the read-only share rises (both modes, both
     # delays) - compare the extreme mixes.

@@ -39,8 +39,7 @@ from .protocols import REGISTRY as PROTOCOL_REGISTRY
 from .core import (DistributedConfig, PerformanceMonitor,
                    SingleSiteConfig, SingleSiteSystem, TimingConfig,
                    WorkloadConfig, compare_protocols, replicate,
-                   replicate_many, run_distributed, run_single_site,
-                   sweep)
+                   replicate_many, run_distributed, run_single_site)
 from .dist import DistributedSystem
 from .kernel import Kernel
 from .txn import (CostModel, Transaction, TransactionSpec,
@@ -77,5 +76,4 @@ __all__ = [
     "replicate_many",
     "run_distributed",
     "run_single_site",
-    "sweep",
 ]

@@ -1,69 +1,19 @@
-"""Benchmark harness: figure and ablation sweeps.
+"""Benchmark harness: every figure and ablation as one sweep spec.
 
-``benchmarks/`` contains thin pytest-benchmark wrappers; the sweep
-logic lives here so examples and notebooks can reuse it.
+``SPECS`` is the table; ``run`` and ``render`` are the two functions
+over a row.  The CLI, the ``benchmarks/`` pytest wrappers, examples and
+notebooks all read the same rows.
 """
 
-from .ablations import (fault_crash_plan, fault_loss_plan,
-                        format_dbsize, format_deadlock_policies,
-                        format_fault_ablation, format_inheritance,
-                        format_rw_vs_exclusive,
-                        format_io_models, format_snapshot_reads,
-                        format_temporal, run_dbsize_sweep,
-                        run_deadlock_policies, run_fault_ablation,
-                        run_io_models,
-                        run_inheritance_vs_ceiling, run_rw_vs_exclusive,
-                        run_snapshot_reads, run_temporal_staleness)
-from .figures import (FIG4_DELAYS, FIG5_DELAYS, FIG6_DELAYS,
-                      FIG23_SIZES, FIG46_MIXES, distributed_config,
-                      format_fig2, format_fig3, format_fig4,
-                      format_fig5, format_fig6, run_fig2_fig3,
-                      run_fig4, run_fig5, run_fig6,
-                      single_site_config)
-from .model_vs_sim import format_model_vs_sim, run_model_vs_sim
-from .protocol_suite import (PROTOCOL_SUITE_SIZES,
-                             format_protocol_suite,
-                             run_protocol_suite, suite_protocols)
+from .figures import (SPECS, Sweep, Table, distributed_config, render,
+                      run, single_site_config)
 
 __all__ = [
-    "FIG23_SIZES",
-    "FIG46_MIXES",
-    "FIG4_DELAYS",
-    "FIG5_DELAYS",
-    "FIG6_DELAYS",
+    "SPECS",
+    "Sweep",
+    "Table",
     "distributed_config",
-    "format_dbsize",
-    "format_deadlock_policies",
-    "format_fig2",
-    "format_fig3",
-    "format_fig4",
-    "format_fig5",
-    "format_fig6",
-    "format_inheritance",
-    "format_io_models",
-    "format_model_vs_sim",
-    "format_protocol_suite",
-    "format_rw_vs_exclusive",
-    "format_snapshot_reads",
-    "format_temporal",
-    "fault_crash_plan",
-    "fault_loss_plan",
-    "format_fault_ablation",
-    "run_dbsize_sweep",
-    "run_deadlock_policies",
-    "run_fault_ablation",
-    "run_fig2_fig3",
-    "run_fig4",
-    "run_fig5",
-    "run_fig6",
-    "run_inheritance_vs_ceiling",
-    "run_io_models",
-    "run_model_vs_sim",
-    "run_protocol_suite",
-    "run_rw_vs_exclusive",
-    "run_snapshot_reads",
-    "run_temporal_staleness",
+    "render",
+    "run",
     "single_site_config",
-    "suite_protocols",
-    "PROTOCOL_SUITE_SIZES",
 ]

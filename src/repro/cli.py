@@ -13,9 +13,9 @@
 
 Two tables drive it: :data:`FIGURES` (the sweep commands; one parser,
 one runner) and :data:`TOOLS` (everything else, dispatched to the
-module that owns the command).  Each figure command runs its sweep
-from :mod:`repro.bench` and prints the text table the benchmark
-harness would print.  Sweeps
+module that owns the command).  Each figure command runs its spec from
+:data:`repro.bench.SPECS` through the one grid runner and prints the
+text table the benchmark harness would print.  Sweeps
 execute on the :mod:`repro.exec` engine: ``--jobs`` (or ``REPRO_JOBS``)
 fans the seeded run units out to a process pool, and the on-disk result
 cache — enabled by default under ``~/.cache/repro`` — means re-running
@@ -31,7 +31,7 @@ import importlib
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import bench
 from .protocols import REGISTRY, UnknownProtocolError
@@ -55,76 +55,61 @@ class ExecOptions:
 
 @dataclasses.dataclass(frozen=True)
 class Figure:
-    """One figure or ablation command: a sweep and the tables it prints."""
+    """One figure or ablation command: a sweep spec and its CLI facts."""
 
-    run: Callable[..., object]
-    formats: Tuple[Callable[..., str], ...]
+    spec: bench.Sweep
     help: str
-    #: Instruments the simulation in-process (A4's sampler
-    #: co-processes, A5's victim-policy pokes on a hand-built system)
-    #: and cannot fan out: the engine knobs are not passed.
-    serial: bool = False
     #: Runs half the requested replications.
     halved: bool = False
     #: Part of ``repro all``.
     in_all: bool = True
 
-    def render(self, replications: int, opts: ExecOptions) -> str:
+    @property
+    def serial(self) -> bool:
+        """Samples inside the simulation (A4's staleness co-process)
+        and cannot fan out: the engine knobs are not passed."""
+        return self.spec.sample is not None
+
+    def render(self, replications: int,
+               opts: ExecOptions) -> Tuple[str, int]:
+        """The command's tables and the replication count that ran."""
         if self.halved:
             replications = max(1, replications // 2)
-        series = self.run(replications=replications,
-                          **({} if self.serial else opts.kwargs()))
-        return "\n\n".join(fmt(series) for fmt in self.formats)
+        series = bench.run(self.spec, replications,
+                           **({} if self.serial else opts.kwargs()))
+        return bench.render(self.spec, series), replications
 
 
-#: The sweep commands.  They share one parser (:func:`build_parser`)
-#: and one runner (:func:`_run_figures`); declaration order is the
-#: order of ``repro all`` and of ``repro -h``.
-FIGURES: Dict[str, Figure] = {
+def _figure(name: str, help: str, **facts: bool) -> Tuple[str, Figure]:
+    return name, Figure(bench.SPECS[name], help, **facts)
+
+
+#: The sweep commands: a row of :data:`repro.bench.SPECS` each, plus
+#: what only the front door needs.  They share one parser
+#: (:func:`build_parser`) and one runner (:func:`_run_figures`);
+#: declaration order is the order of ``repro all`` and of ``repro -h``.
+FIGURES: Dict[str, Figure] = dict([
     # fig23 covers both in one sweep, so ``all`` skips these two.
-    "fig2": Figure(bench.run_fig2_fig3, (bench.format_fig2,),
-                   "Figure 2 - throughput vs transaction size",
-                   in_all=False),
-    "fig3": Figure(bench.run_fig2_fig3, (bench.format_fig3,),
-                   "Figure 3 - % deadline-missing vs size",
-                   in_all=False),
-    "fig23": Figure(bench.run_fig2_fig3,
-                    (bench.format_fig2, bench.format_fig3),
-                    "Figures 2+3 in one sweep"),
-    "fig4": Figure(bench.run_fig4, (bench.format_fig4,),
-                   "Figure 4 - local/global throughput ratio"),
-    "fig5": Figure(bench.run_fig5, (bench.format_fig5,),
-                   "Figure 5 - global/local missing ratio vs delay"),
-    "fig6": Figure(bench.run_fig6, (bench.format_fig6,),
-                   "Figure 6 - % missing vs transaction mix"),
-    "a1": Figure(bench.run_rw_vs_exclusive,
-                 (bench.format_rw_vs_exclusive,),
-                 "Ablation A1 - rw vs exclusive lock semantics"),
-    "a2": Figure(bench.run_inheritance_vs_ceiling,
-                 (bench.format_inheritance,),
-                 "Ablation A2 - priority inheritance vs ceiling"),
-    "a3": Figure(bench.run_dbsize_sweep, (bench.format_dbsize,),
-                 "Ablation A3 - database size sweep"),
-    "a4": Figure(bench.run_temporal_staleness, (bench.format_temporal,),
-                 "Ablation A4 - replica staleness vs delay",
-                 serial=True, halved=True),
-    "a5": Figure(bench.run_deadlock_policies,
-                 (bench.format_deadlock_policies,),
-                 "Ablation A5 - 2PL deadlock policies", serial=True),
-    "a6": Figure(bench.run_snapshot_reads,
-                 (bench.format_snapshot_reads,),
-                 "Ablation A6 - lock-free snapshot reads"),
-    "a7": Figure(bench.run_io_models, (bench.format_io_models,),
-                 "Ablation A7 - bounded disks vs parallel I/O"),
-    "a8": Figure(bench.run_fault_ablation,
-                 (bench.format_fault_ablation,),
-                 "Ablation A8 - fault injection: loss and crashes"),
-    "model": Figure(bench.run_model_vs_sim, (bench.format_model_vs_sim,),
-                    "Analytic model vs simulation overlay"),
-    "protocols": Figure(bench.run_protocol_suite,
-                        (bench.format_protocol_suite,),
-                        "Protocol suite - mpcp/dpcp/fmlp vs C/Cx"),
-}
+    _figure("fig2", "Figure 2 - throughput vs transaction size",
+            in_all=False),
+    _figure("fig3", "Figure 3 - % deadline-missing vs size",
+            in_all=False),
+    _figure("fig23", "Figures 2+3 in one sweep"),
+    _figure("fig4", "Figure 4 - local/global throughput ratio"),
+    _figure("fig5", "Figure 5 - global/local missing ratio vs delay"),
+    _figure("fig6", "Figure 6 - % missing vs transaction mix"),
+    _figure("a1", "Ablation A1 - rw vs exclusive lock semantics"),
+    _figure("a2", "Ablation A2 - priority inheritance vs ceiling"),
+    _figure("a3", "Ablation A3 - database size sweep"),
+    _figure("a4", "Ablation A4 - replica staleness vs delay",
+            halved=True),
+    _figure("a5", "Ablation A5 - 2PL deadlock policies"),
+    _figure("a6", "Ablation A6 - lock-free snapshot reads"),
+    _figure("a7", "Ablation A7 - bounded disks vs parallel I/O"),
+    _figure("a8", "Ablation A8 - fault injection: loss and crashes"),
+    _figure("model", "Analytic model vs simulation overlay"),
+    _figure("protocols", "Protocol suite - mpcp/dpcp/fmlp vs C/Cx"),
+])
 
 #: Every other command: name -> (module, function, one-line help).
 #: ``main`` hands everything after the name to ``function(argv)`` —
@@ -245,11 +230,13 @@ def _run_figures(names: List[str], args: argparse.Namespace) -> int:
         # duration, and wall clock jumps under NTP adjustment.
         started = time.perf_counter()
         before = session_counters()
-        print(FIGURES[name].render(args.replications, opts))
+        text, replications = FIGURES[name].render(args.replications,
+                                                  opts)
+        print(text)
         delta = {key: value - before[key]
                  for key, value in session_counters().items()}
         trailer = (f"[{name}: {time.perf_counter() - started:.1f}s, "
-                   f"{args.replications} replications")
+                   f"{replications} replications")
         if delta["units"]:
             trailer += (f", jobs={resolve_jobs(args.jobs)}, "
                         f"{delta['units']} units, "

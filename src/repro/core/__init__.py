@@ -8,13 +8,12 @@ from .builder import SingleSiteSystem
 from .config import (DISTRIBUTED_MODES, DistributedConfig,
                      SingleSiteConfig, TimingConfig, WorkloadConfig)
 from .experiment import (compare_protocols, replicate, replicate_many,
-                         run_distributed, run_single_site, sweep,
-                         sweep_x)
+                         run_distributed, run_single_site)
 from .metrics import (aggregate_runs, confidence_interval, mean,
                       missed_ratio, safe_ratio, sample_std,
                       throughput_ratio)
 from .monitor import PerformanceMonitor, TransactionRecord
-from .reporting import comparison_table, format_table, series_table
+from .reporting import format_table
 
 __all__ = [
     "ceiling_load_estimate",
@@ -35,7 +34,6 @@ __all__ = [
     "WorkloadConfig",
     "aggregate_runs",
     "compare_protocols",
-    "comparison_table",
     "confidence_interval",
     "format_table",
     "mean",
@@ -46,8 +44,5 @@ __all__ = [
     "run_single_site",
     "safe_ratio",
     "sample_std",
-    "series_table",
-    "sweep",
-    "sweep_x",
     "throughput_ratio",
 ]

@@ -1,10 +1,10 @@
-"""Experiment runner: seeded replications and parameter sweeps.
+"""Experiment runner: seeded replications of one or many configs.
 
 "For each experiment and for each algorithm tested, we collected
 performance statistics and averaged over the 10 runs."  The runner
 replays each configuration under ``replications`` different seeds and
-averages the summary rows; sweeps vary one knob and produce the series
-a figure plots.
+averages the summary rows; :func:`repro.bench.run` lays a figure's
+value x variant grid over :func:`replicate_many`.
 
 Execution is delegated to :mod:`repro.exec`: every public function
 plans its request into independent ``(config, seed)`` run units and
@@ -19,7 +19,7 @@ to exactly the same series as serial ones.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..dist.system import DistributedSystem
 from ..exec import plan_batch, rows_by_group, run_units
@@ -78,47 +78,6 @@ def replicate(config, replications: int = 10, base_seed: int = 1, *,
     return replicate_many([config], replications=replications,
                           base_seed=base_seed, jobs=jobs, cache=cache,
                           progress=progress)[0]
-
-
-def sweep_x(value: object) -> object:
-    """The ``"x"`` cell recorded for one swept value.
-
-    Numeric knobs keep the historical float coercion; anything that
-    does not cleanly coerce (protocol names, tuples, booleans, None)
-    is stored raw so non-numeric sweeps round-trip losslessly.
-    """
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, float)):
-        return float(value)
-    try:
-        return float(value)      # numeric strings
-    except (TypeError, ValueError):
-        return value
-
-
-def sweep(make_config: Callable[[object], object],
-          values: Sequence, replications: int = 10,
-          base_seed: int = 1, *, jobs: Optional[int] = None,
-          cache: CacheSpec = None,
-          progress=None) -> List[Dict[str, float]]:
-    """Evaluate ``make_config(value)`` for each value in ``values``.
-
-    Returns one averaged row per value, with the swept value recorded
-    under ``"x"``.  This is the generic engine behind every figure:
-    Figure 2 sweeps transaction size, Figure 4 sweeps the transaction
-    mix, Figure 5 the communication delay, and so on.
-    """
-    values = list(values)
-    summaries = replicate_many([make_config(value) for value in values],
-                               replications=replications,
-                               base_seed=base_seed, jobs=jobs,
-                               cache=cache, progress=progress)
-    series: List[Dict[str, float]] = []
-    for value, row in zip(values, summaries):
-        row["x"] = sweep_x(value)
-        series.append(row)
-    return series
 
 
 def compare_protocols(base_config: SingleSiteConfig,

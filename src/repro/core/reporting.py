@@ -7,7 +7,7 @@ one command.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def format_table(headers: Sequence[str],
@@ -43,28 +43,3 @@ def _cell(value: object, precision: int) -> str:
     if isinstance(value, float):
         return f"{value:.{precision}f}"
     return str(value)
-
-
-def series_table(series: Sequence[Dict[str, float]], x_label: str,
-                 columns: Dict[str, str],
-                 title: Optional[str] = None) -> str:
-    """Render sweep output: one row per swept value.
-
-    ``columns`` maps summary keys to display headers, e.g.
-    ``{"throughput": "objects/sec", "percent_missed": "% missed"}``.
-    """
-    headers = [x_label] + list(columns.values())
-    rows = [[row.get("x")] + [row.get(key) for key in columns]
-            for row in series]
-    return format_table(headers, rows, title=title)
-
-
-def comparison_table(results: Dict[str, Dict[str, float]],
-                     columns: Dict[str, str],
-                     title: Optional[str] = None,
-                     key_label: str = "protocol") -> str:
-    """Render a protocol-comparison dict as a table."""
-    headers = [key_label] + list(columns.values())
-    rows = [[name] + [summary.get(key) for key in columns]
-            for name, summary in results.items()]
-    return format_table(headers, rows, title=title)

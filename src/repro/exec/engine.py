@@ -17,9 +17,10 @@ knob           environment          default
 ``cache``      ``REPRO_CACHE_DIR``  off (``REPRO_NO_CACHE=1``
                                     forces off)
 ``retries``    ``REPRO_EXEC_RETRIES``  2
-``backoff``    ``REPRO_EXEC_BACKOFF``  0.05 s, doubling
-``timeout``    ``REPRO_EXEC_TIMEOUT``  none
 =============  ===================  ========================
+
+``backoff`` (0.05 s, doubling) and ``timeout`` (none) are arguments
+only.
 
 The module also keeps **session counters** — cumulative units /
 cache hits / failures across every run in the process — which the CLI
@@ -35,8 +36,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .cache import CacheSpec, ResultCache, resolve_cache
 from .executor import (DEFAULT_BACKOFF, DEFAULT_RETRIES, ExecutionError,
-                       ExecutionStats, UnitFailure, _Run, _resolve_float,
-                       _resolve_int, resolve_jobs, run_serial)
+                       ExecutionStats, UnitFailure, _Run, _resolve_int,
+                       resolve_jobs, run_serial)
 from .progress import NullProgress
 from .units import RunUnit
 
@@ -116,10 +117,8 @@ def run_units(units: Sequence[RunUnit], *, jobs: Optional[int] = None,
     cache_store: Optional[ResultCache] = resolve_cache(cache)
     retries = _resolve_int(retries, "REPRO_EXEC_RETRIES",
                            DEFAULT_RETRIES)
-    backoff = _resolve_float(backoff, "REPRO_EXEC_BACKOFF",
-                             DEFAULT_BACKOFF)
-    if timeout is None:
-        timeout = _resolve_float(None, "REPRO_EXEC_TIMEOUT", 0.0) or None
+    if backoff is None:
+        backoff = DEFAULT_BACKOFF
     if retries < 0:
         raise ValueError("retries must be >= 0")
     progress = progress if progress is not None else NullProgress()

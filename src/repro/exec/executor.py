@@ -109,14 +109,6 @@ def _resolve_int(value: Optional[int], env: str, default: int) -> int:
     return int(raw) if raw else default
 
 
-def _resolve_float(value: Optional[float], env: str,
-                   default: float) -> float:
-    if value is not None:
-        return value
-    raw = os.environ.get(env, "").strip()
-    return float(raw) if raw else default
-
-
 def _format_exception(exc: BaseException) -> str:
     return "".join(traceback.format_exception(type(exc), exc,
                                               exc.__traceback__))

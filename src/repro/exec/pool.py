@@ -28,7 +28,7 @@ from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Sequence, Tuple
 
-from .executor import _Run, _resolve_int
+from .executor import _Run
 from .worker import invoke_batch, invoke_unit, warm_worker
 
 
@@ -47,12 +47,11 @@ def _batch_size(run: _Run, n_units: int, jobs: int) -> int:
     for small units — but is only safe when nothing needs per-unit
     attribution inside a task: it is disabled under failure injection
     and per-unit timeouts.  The heuristic keeps ~4 tasks per worker
-    queued for load balancing; ``REPRO_EXEC_BATCH`` overrides it.
+    queued for load balancing.
     """
     if run.inject is not None or run.timeout is not None:
         return 1
-    default = max(1, min(8, n_units // (jobs * 4)))
-    return max(1, _resolve_int(None, "REPRO_EXEC_BATCH", default))
+    return max(1, min(8, n_units // (jobs * 4)))
 
 
 def run_pool(run: _Run, to_run: Sequence[Tuple[int, int]],

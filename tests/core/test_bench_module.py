@@ -1,16 +1,18 @@
 """Smoke tests for the bench sweep module (tiny configurations).
 
-The full-resolution sweeps live in benchmarks/; these verify the sweep
-plumbing — series structure, formatting, config correctness — at the
-smallest sizes that still exercise the code paths.
+The full-resolution sweeps live in benchmarks/; these run every spec
+of the table through the grid runner and its tables at the smallest
+sizes that still exercise the code paths.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.bench import (distributed_config, format_fig2, format_fig4,
-                         format_fig5, run_fig2_fig3, run_fig4, run_fig5,
+from repro.bench import (Table, distributed_config, render, run,
                          single_site_config)
 from repro.bench.figures import _fig5_config
+from repro.cli import FIGURES
 
 
 def test_single_site_config_is_valid():
@@ -38,31 +40,33 @@ def test_fig5_config_differs_only_in_load_and_slack():
     assert fig5.mode == base.mode
 
 
-def test_run_fig2_fig3_series_structure():
-    series = run_fig2_fig3(protocols=("C", "L"), sizes=(2, 4),
-                           replications=1, n_transactions=15)
-    assert [row["size"] for row in series] == [2, 4]
-    for row in series:
-        for protocol in ("C", "L"):
-            assert f"throughput_{protocol}" in row
-            assert f"missed_{protocol}" in row
-            assert f"deadlocks_{protocol}" in row
-    table = format_fig2(series, protocols=("C", "L"))
-    assert "Figure 2" in table
+def tiny(spec):
+    """``spec`` on a grid small enough for tier-1: two axis values,
+    15 transactions a run."""
+    def config(value, variant):
+        full = spec.config(value, variant)
+        return dataclasses.replace(
+            full, workload=dataclasses.replace(full.workload,
+                                               n_transactions=15))
+    return dataclasses.replace(spec, values=spec.values[:2],
+                               config=config)
 
 
-def test_run_fig4_series_structure():
-    series = run_fig4(mixes=(0.5,), delays=(0.0,), replications=1,
-                      n_transactions=15)
-    assert len(series) == 1
-    assert "ratio_d0" in series[0]
-    assert series[0]["ratio_d0"] > 0
-    table = format_fig4(series, delays=(0.0,))
-    assert "Figure 4" in table
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_every_figure_runs_and_renders(name):
+    spec = tiny(FIGURES[name].spec)
+    series = run(spec, replications=1)
+    assert len(series) == 2
+    text = render(spec, series)
+    for table in spec.tables:
+        if isinstance(table, Table):
+            # A typo'd key is found here, not at print time.
+            for row in series:
+                assert {key for __, key in table.columns} <= set(row)
+            assert table.title in text
+    assert text
 
 
-def test_run_fig5_series_structure():
-    series = run_fig5(delays=(0.0,), replications=1, n_transactions=15)
-    assert series[0]["delay"] == 0.0
-    assert series[0]["ratio"] >= 0.0
-    assert "Figure 5" in format_fig5(series)
+def test_only_a4_samples_in_process():
+    assert [name for name, figure in FIGURES.items()
+            if figure.serial] == ["a4"]

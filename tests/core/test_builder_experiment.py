@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
+from repro.bench import Sweep, run
 from repro.core import (SingleSiteConfig, SingleSiteSystem, TimingConfig,
                         WorkloadConfig, compare_protocols, replicate,
-                        run_single_site, sweep)
+                        run_single_site)
 from repro.txn import CostModel
 
 
@@ -101,8 +102,13 @@ def test_sweep_attaches_x_values():
                                     mean_interarrival=10.0,
                                     transaction_size=size))
 
-    series = sweep(make, values=[2, 4], replications=2)
-    assert [row["x"] for row in series] == [2.0, 4.0]
+    series = run(Sweep(axis="x", values=(2, 4), variants=(None,),
+                       config=lambda size, _: make(size),
+                       metrics=(("processed", "processed"),),
+                       tables=()),
+                 replications=2)
+    assert series == [{"x": 2, "processed": 10.0},
+                      {"x": 4, "processed": 10.0}]
 
 
 def test_compare_protocols_runs_same_workload():

@@ -1,5 +1,6 @@
 """CLI: argument handling and a smoke run of a small command."""
 
+import dataclasses
 import os
 import re
 
@@ -88,10 +89,26 @@ def test_no_cache_flag_skips_the_cache(capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_a5_runs_on_the_engine(capsys):
+    assert main(["a5", "--replications", "1", "--no-cache"]) == 0
+    assert "4 units, 4 computed" in capsys.readouterr().out
+
+
+def test_trailer_reports_the_replications_that_ran(capsys,
+                                                   monkeypatch):
+    # a4 halves the request; the trailer names the count it used.
+    a4 = FIGURES["a4"]
+    monkeypatch.setitem(FIGURES, "a4", dataclasses.replace(
+        a4, spec=dataclasses.replace(a4.spec,
+                                     values=a4.spec.values[:1])))
+    assert main(["a4", "--replications", "3", "--no-cache"]) == 0
+    assert "s, 1 replications]" in capsys.readouterr().out
+
+
 def test_every_command_has_a_description():
     assert not set(FIGURES) & set(TOOLS)
     for figure in FIGURES.values():
-        assert callable(figure.run) and figure.formats
+        assert figure.spec.tables
         assert figure.help
     for module, function, description in TOOLS.values():
         assert module.startswith(".") and function

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.reporting import (comparison_table, format_table,
-                                  series_table)
+from repro.bench import Table
+from repro.core.reporting import format_table
 
 
 def test_format_table_aligns_columns():
@@ -39,17 +39,10 @@ def test_format_table_renders_none_and_bool():
 def test_series_table_maps_columns():
     series = [{"x": 2.0, "throughput": 0.5, "percent_missed": 10.0},
               {"x": 4.0, "throughput": 0.4, "percent_missed": 30.0}]
-    text = series_table(series, "size",
-                        {"throughput": "objects/sec",
-                         "percent_missed": "% missed"})
+    text = Table("a title", (("size", "x"),
+                             ("objects/sec", "throughput"),
+                             ("% missed", "percent_missed")))(series)
+    assert text.splitlines()[0] == "a title"
     assert "objects/sec" in text
     assert "% missed" in text
     assert "2.000" in text and "30.000" in text
-
-
-def test_comparison_table_keys_as_rows():
-    results = {"C": {"throughput": 0.3}, "L": {"throughput": 0.1}}
-    text = comparison_table(results, {"throughput": "thr"})
-    assert text.splitlines()[0].startswith("protocol")
-    assert any(line.startswith("C") for line in text.splitlines())
-    assert any(line.startswith("L") for line in text.splitlines())

@@ -26,6 +26,5 @@ def clean_exec_env(monkeypatch):
     """Engine knobs must come from the test, not the outer shell."""
     for var in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_NO_CACHE",
                 "REPRO_CACHE_SALT", "REPRO_EXEC_INJECT",
-                "REPRO_EXEC_RETRIES", "REPRO_EXEC_BACKOFF",
-                "REPRO_EXEC_TIMEOUT"):
+                "REPRO_EXEC_RETRIES"):
         monkeypatch.delenv(var, raising=False)

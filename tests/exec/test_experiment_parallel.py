@@ -10,8 +10,9 @@ import dataclasses
 
 import pytest
 
+from repro.bench import Sweep, run
 from repro.core import (WorkloadConfig, compare_protocols, replicate,
-                        replicate_many, sweep, sweep_x)
+                        replicate_many)
 from repro.exec import ExecutionError, ResultCache
 
 from .conftest import tiny_config
@@ -52,34 +53,34 @@ def test_replicate_many_matches_individual_replicates():
     assert batched == individual
 
 
-def test_sweep_identical_jobs1_vs_jobs4():
-    def make(size):
-        return dataclasses.replace(
-            tiny_config(),
-            workload=WorkloadConfig(n_transactions=10,
-                                    mean_interarrival=10.0,
-                                    transaction_size=size))
+def sized_config(size, protocol):
+    return dataclasses.replace(
+        tiny_config(protocol),
+        workload=WorkloadConfig(n_transactions=10,
+                                mean_interarrival=10.0,
+                                transaction_size=size))
 
-    serial = sweep(make, values=[2, 4], replications=2, jobs=1)
-    parallel = sweep(make, values=[2, 4], replications=2, jobs=4)
+
+def size_sweep(values=(2, 4), config=sized_config):
+    return Sweep(axis="size", values=values, variants=("C", "L"),
+                 config=config, metrics=(("throughput", "thr_{}"),),
+                 tables=())
+
+
+def test_sweep_identical_jobs1_vs_jobs4():
+    serial = run(size_sweep(), replications=2, jobs=1)
+    parallel = run(size_sweep(), replications=2, jobs=4)
     assert serial == parallel
-    assert [row["x"] for row in serial] == [2.0, 4.0]
+    assert [row["size"] for row in serial] == [2, 4]
+    assert all(set(row) == {"size", "thr_C", "thr_L"} for row in serial)
 
 
 def test_sweep_preserves_non_numeric_values():
-    series = sweep(lambda value: tiny_config(), replications=1,
-                   values=["C", (1, 2), True, None, "2.5"])
-    assert [row["x"] for row in series] == ["C", (1, 2), True, None,
-                                            2.5]
-
-
-def test_sweep_x_coercion_rules():
-    assert sweep_x(3) == 3.0
-    assert sweep_x("7") == 7.0
-    assert sweep_x("edf") == "edf"
-    assert sweep_x((0, 1)) == (0, 1)
-    assert sweep_x(True) is True
-    assert sweep_x(None) is None
+    values = ("C", (1, 2), True, None, "2.5")
+    series = run(size_sweep(values, lambda value, protocol:
+                            tiny_config(protocol)),
+                 replications=1)
+    assert tuple(row["size"] for row in series) == values
 
 
 def test_compare_protocols_identical_jobs1_vs_jobs4():
