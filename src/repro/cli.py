@@ -31,7 +31,7 @@ import importlib
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import bench
 from .protocols import REGISTRY, UnknownProtocolError
@@ -45,7 +45,10 @@ class ExecOptions:
     """Engine knobs threaded from the command line into the sweeps."""
 
     jobs: Optional[int] = None
-    cache: Optional[ResultCache] = None
+    #: A cache, or False for none.  Never None here: ``resolve_cache``
+    #: reads None as "ask the environment", which would let
+    #: ``REPRO_CACHE_DIR`` undo ``--no-cache``.
+    cache: Union[ResultCache, bool] = False
     progress: Optional[TextProgress] = None
 
     def kwargs(self) -> dict:
@@ -189,7 +192,7 @@ def exec_options(args: argparse.Namespace) -> Optional[ExecOptions]:
         # Via the environment: this process's kernels read it as they
         # are built, and process-pool workers inherit it.
         os.environ[ENV_SANITIZE] = "1"
-    cache = None
+    cache = False
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
     progress = None
@@ -309,7 +312,7 @@ def _observed(directory: Optional[str], subdir: str, env_var: str,
         args.cache_dir or default_cache_dir(), subdir)
     os.makedirs(directory, exist_ok=True)
     os.environ[env_var] = directory
-    return directory, dataclasses.replace(opts, cache=None)
+    return directory, dataclasses.replace(opts, cache=False)
 
 
 def _run_main(argv: List[str]) -> int:

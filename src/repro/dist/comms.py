@@ -1,31 +1,60 @@
-"""Request/reply transports for the transaction managers.
+"""The transport between a transaction manager and the network.
 
-Two interchangeable strategies sit between a TM and the network:
+Whether the network can lose, repeat or swallow a message is a fact
+about the run (``FaultPlan.needs_recovery``), so it lives here and
+nowhere else: the system picks one of two transports and hands it to
+the TMs, which are written once against three verbs.
 
-- :class:`DirectComms` — the historical exchange: send once, block on
-  the reply port forever.  Correct when every message arrives exactly
-  once (no fault plan, or a plan that only re-times deliveries), and
-  **bit-identical** to the pre-fault code path: same sends, same
-  syscalls, no timers, no RNG.
-- :class:`ReliableComms` — the paper's "time-out mechanism will
-  unblock the sender", grown into a protocol: every receive carries a
-  timeout; on expiry the request is re-sent with exponentially
-  escalating patience (bounded by a cap); replies that do not match
-  the outstanding request (late duplicates, re-granted locks) are
-  discarded and counted.  In-flight transaction RPCs retry without an
-  attempt bound — the transaction's deadline timer is the liveness
-  backstop — while fire-and-forget cleanup (lock release, abort
-  notices, replica propagation) is carried by bounded-attempt
-  :func:`courier` processes so nothing outlives the run.
+- ``request(dst, make_message, match, interim)`` — ask one site, return
+  its reply.
+- ``gather(dsts, make_message, match)`` — ask several sites, return
+  ``{site: reply}`` once every one has answered (2PC's two rounds).
+- ``post(dst, message)`` — one-way: the caller does not wait (lock
+  release, abort notices, in-doubt decisions, replica propagation).
 
-Servers are deduplicating and idempotent (see the ceiling manager and
-replica applier), so at-least-once delivery composes into effectively
+``match=None`` means "the reply is the :class:`Ack` of what was sent":
+its tag is the message's ``ack_tag`` and it comes from ``dst``.
+
+:class:`DirectComms` assumes every message arrives exactly once (no
+fault plan, or one that only re-times deliveries): a send, a blocking
+receive, no timers, no RNG, ``match`` trusted rather than checked, and
+``post`` *is* the site's own ``send``.  :class:`ReliableComms` is the
+paper's "time-out mechanism will unblock the sender", grown into a
+protocol: every receive carries a timeout; on expiry the destinations
+still silent are re-asked with exponentially escalating patience
+(bounded by a cap); replies that do not match (late duplicates,
+re-granted locks) are discarded and counted.  Requests retry without
+an attempt bound — the transaction's deadline timer is the liveness
+backstop — while ``post`` hands the message to a bounded-attempt
+:func:`courier` process so nothing outlives the run.
+
+Servers are deduplicating and idempotent and confirm receipt with
+:func:`ack`, so at-least-once delivery composes into effectively
 exactly-once protocol state.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..kernel.errors import Timeout
+from .message import Ack
+
+
+def ack(site, message) -> None:
+    """Server side of the contract: confirm ``message`` to a sender
+    that asked (``reply_to`` set) with the tag the message names."""
+    if message.reply_to is None:
+        return
+    reply_site, reply_name = message.reply_to
+    site.send(reply_site, Ack(target=reply_name,
+                              sender_site=site.site_id,
+                              tag=message.ack_tag))
+
+
+def _acks(response, message, dst: int) -> bool:
+    return (isinstance(response, Ack) and response.tag == message.ack_tag
+            and response.sender_site == dst)
 
 
 class RecoveryPolicy:
@@ -57,20 +86,23 @@ class RecoveryPolicy:
 
 
 class DirectComms:
-    """Legacy blocking exchanges over a transaction's reply port."""
+    """Blocking exchanges over a network that delivers exactly once."""
 
-    recovery = False
+    #: No timeouts, so a queued request needs no interim ``LockQueued``.
+    wants_interim = False
 
     def __init__(self, site, reply, tid=None):
         self.site = site
         self.reply = reply
         self.tid = tid
+        #: One-way delivery needs no custody here: ``post`` is the
+        #: site's own send, not a frame around it.
+        self.post = site.send
 
     def request(self, dst: int, make_message, match=None, interim=None):
-        """Generator: send once, return the next reply — exactly the
-        historical send/receive pair (``match`` is trusted, not
-        checked: with exactly-once delivery the next message *is* the
-        reply)."""
+        """Generator: send once, return the next reply (``match`` is
+        trusted, not checked: with exactly-once delivery the next
+        message *is* the reply)."""
         message = make_message()
         kernel = self.site.kernel
         hooks = kernel.hooks
@@ -84,11 +116,24 @@ class DirectComms:
                           type(message).__name__)
         return response
 
+    def gather(self, dsts, make_message, match=None):
+        """Generator: one send per destination, then one receive per
+        destination; replies are keyed by the site that sent them."""
+        for dst in dsts:
+            self.site.send(dst, make_message(dst))
+        got = {}
+        for __ in dsts:
+            response = yield self.reply.receive()
+            got[response.sender_site] = response
+        return got
+
 
 class ReliableComms:
     """Timeout + exponential-backoff retry exchanges."""
 
-    recovery = True
+    #: A silent manager is indistinguishable from a lost request, so a
+    #: request that may queue asks for an interim ``LockQueued``.
+    wants_interim = True
 
     def __init__(self, site, reply, policy: RecoveryPolicy, tid=None):
         self.site = site
@@ -125,7 +170,8 @@ class ReliableComms:
             try:
                 while True:
                     response = yield self.reply.receive(timeout=patience)
-                    if match is None or match(response):
+                    if (_acks(response, message, dst) if match is None
+                            else match(response)):
                         if hooks is not None:
                             hooks.rpc_end(kernel.now, self.site.site_id,
                                           dst, self.tid, label)
@@ -146,25 +192,21 @@ class ReliableComms:
                 timeout = policy.escalate(timeout)
 
     # ------------------------------------------------------------------
-    def gather(self, dsts, make_message, classify):
+    def gather(self, dsts, make_message, match=None):
         """Generator: one request per destination, all replies
-        collected; missing destinations are re-asked after a timeout.
-
-        ``make_message(dst)`` builds each request; ``classify(msg)``
-        returns the responding destination (or None for junk).
-        Returns ``{dst: reply}``.
-        """
+        collected; only the destinations still missing after a timeout
+        are re-asked.  A reply from a site that is not (or no longer)
+        awaited, or that fails ``match``, is stale."""
         policy = self.policy
         stats = policy.stats
         timeout = policy.timeout
         kernel = self.site.kernel
         hooks = kernel.hooks
         label = None
-        pending = list(dsts)
+        pending = {dst: make_message(dst) for dst in dsts}
         got = {}
         while pending:
-            for dst in pending:
-                message = make_message(dst)
+            for dst, message in pending.items():
                 if hooks is not None and label is None:
                     label = "gather:" + type(message).__name__
                     hooks.rpc_begin(kernel.now, self.site.site_id, -1,
@@ -173,14 +215,16 @@ class ReliableComms:
             try:
                 while pending:
                     response = yield self.reply.receive(timeout=timeout)
-                    origin = classify(response)
-                    if origin is None or origin not in pending:
+                    origin = response.sender_site
+                    if origin in pending and (
+                            _acks(response, pending[origin], origin)
+                            if match is None else match(response)):
+                        got[origin] = response
+                        del pending[origin]
+                    else:
                         stats.stale_replies += 1
                         if hooks is not None:
                             hooks.rpc_stale(kernel.now)
-                        continue
-                    got[origin] = response
-                    pending.remove(origin)
             except Timeout:
                 stats.rpc_timeouts += 1
                 stats.rpc_retries += len(pending)
@@ -195,20 +239,31 @@ class ReliableComms:
                           label)
         return got
 
+    # ------------------------------------------------------------------
+    def post(self, dst: int, message) -> None:
+        """One-way, at-least-once: hand ``message`` to its own courier
+        (one per message, so a slow destination never delays the
+        sender), resident at the sending site so a crash takes it."""
+        site = self.site
+        site.adopt(site.kernel.spawn(
+            courier(site, dst, message, self.policy),
+            f"courier-{message.ack_tag}-{dst}", priority=float("inf")))
 
-def courier(site, dst: int, build, policy: RecoveryPolicy,
-            label: str, match=None):
+
+def courier(site, dst: int, message, policy: RecoveryPolicy):
     """Generator body: deliver one message at-least-once, then die.
 
-    ``build(reply_address)`` constructs the message with the courier's
-    private ack port woven in.  Bounded attempts: a courier must never
-    outlive the run, so after ``policy.attempts`` unacknowledged sends
-    it gives up (counted — the receiver may still have processed every
-    copy; only the *confirmation* failed).  Spawn one per message so a
-    slow destination never delays the sender.
+    The message goes out with the courier's private ack port as its
+    ``reply_to`` and is confirmed by its own ``ack_tag`` from ``dst``.
+    Bounded attempts: a courier must never outlive the run, so after
+    ``policy.attempts`` unacknowledged sends it gives up (counted — the
+    receiver may still have processed every copy; only the
+    *confirmation* failed).
     """
     stats = policy.stats
+    label = f"{message.ack_tag}-{dst}"
     reply = site.make_reply_port(label)
+    message = dataclasses.replace(message, reply_to=reply.address)
     timeout = policy.timeout
     kernel = site.kernel
     hooks = kernel.hooks
@@ -219,11 +274,11 @@ def courier(site, dst: int, build, policy: RecoveryPolicy,
                 if hooks is not None:
                     hooks.courier_retry(kernel.now, site.site_id, dst,
                                         label)
-            site.send(dst, build(reply.address))
+            site.send(dst, message)
             try:
                 while True:
                     response = yield reply.receive(timeout=timeout)
-                    if match is None or match(response):
+                    if _acks(response, message, dst):
                         return True
                     stats.stale_replies += 1
                     if hooks is not None:

@@ -18,11 +18,13 @@ weakness:
   commit, and locks are "held across the network" until the commit
   completes and the release message reaches the manager.
 
-Fault tolerance (see :mod:`repro.faults`): the servers here are
-deduplicating and idempotent, so the at-least-once delivery the
-:class:`~repro.dist.comms.ReliableComms` layer provides composes into
-exactly-once protocol state — a retried registration re-acks, a retried
-request for a held lock re-grants, a retried release/abort only
+Fault tolerance (see :mod:`repro.faults`) is the transport's business
+(:mod:`repro.dist.comms`): the transaction manager below is written
+once against ``request`` / ``gather`` / ``post`` and never asks whether
+the network can lose a message.  The servers here are deduplicating and
+idempotent, so at-least-once delivery composes into exactly-once
+protocol state — a repeated registration re-acks, a repeated request
+for a held lock re-grants, a repeated release/abort only
 re-acknowledges.  The manager's own protocol state is modelled as
 recoverable across a crash of its site (write-ahead state on stable
 storage): a crash silences it while down, it does not amnesia it.
@@ -40,8 +42,8 @@ from ..txn.manager import CostModel
 from ..txn.transaction import (DeadlineMiss, Transaction,
                                TransactionAbort)
 from ..txn.two_phase_commit import TwoPhaseCommit
-from .comms import DirectComms, RecoveryPolicy, ReliableComms, courier
-from .message import (Ack, AbortTxn, DataReply, DataRequest, Decide,
+from .comms import ack
+from .message import (AbortTxn, DataReply, DataRequest, Decide,
                       LockGrant, LockQueued, LockRequest, Prepare,
                       RegisterTxn, ReleaseAndDeregister, Vote)
 from .site import Site
@@ -63,22 +65,15 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
     ``cc`` is any protocol supporting the async acquire path.
 
     Keeps a registry of active transactions and of queued lock
-    requests so retried messages (at-least-once delivery under a fault
+    requests so repeated messages (at-least-once delivery under a fault
     plan) are absorbed without double-registering, double-granting or
-    double-releasing.  Fault-free runs take the identical code path —
-    the dedup branches are only reachable when messages repeat.
+    double-releasing; the dedup branches are only reachable when
+    messages repeat.
     """
     receive = site.register_service(CEILING_SERVICE).receive()
     registered: Dict[int, Transaction] = {}
     completed: Set[int] = set()
     queued: Set[Tuple[int, int]] = set()
-
-    def ack(reply_to, tag: str) -> None:
-        if reply_to is None:
-            return
-        reply_site, reply_name = reply_to
-        site.send(reply_site, Ack(target=reply_name,
-                                  sender_site=site.site_id, tag=tag))
 
     while True:
         message = yield receive
@@ -92,12 +87,12 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
             else:
                 cc.register(txn)
                 registered[txn.tid] = txn
-            ack(message.reply_to, "registered")
+            ack(site, message)
         elif isinstance(message, LockRequest):
             txn = message.txn
             reply_site, reply_name = message.reply_to
             if message.queued_ack:
-                # Recovery-mode requester: absorb retransmissions.
+                # A requester that re-sends: absorb retransmissions.
                 if txn.tid in completed:
                     # The transaction already released/aborted; this is
                     # a ghost of a completed exchange.
@@ -166,7 +161,7 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                 cc.deregister(txn)
                 registered.pop(txn.tid, None)
                 completed.add(txn.tid)
-            ack(message.reply_to, f"released-{txn.tid}")
+            ack(site, message)
         elif isinstance(message, AbortTxn):
             txn = message.txn
             if txn.tid in completed:
@@ -180,7 +175,7 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                 completed.add(txn.tid)
                 queued.difference_update(
                     {entry for entry in queued if entry[0] == txn.tid})
-            ack(message.reply_to, f"aborted-{txn.tid}")
+            ack(site, message)
         else:
             raise TypeError(f"ceiling manager got {message!r}")
 
@@ -223,7 +218,7 @@ def _serve_data(site: Site, message: DataRequest, costs: CostModel):
 def commit_server(site: Site, costs: CostModel):
     """Generator body: 2PC participant for this site's partition.
 
-    A repeated Decide (retried by the coordinator because the ack was
+    A repeated Decide (re-sent by the coordinator because the ack was
     lost) re-acknowledges without re-installing.
     """
     receive = site.register_service(COMMIT_SERVICE).receive()
@@ -245,10 +240,7 @@ def commit_server(site: Site, costs: CostModel):
                     site.database.object(oid).write(
                         float(message.txn.tid), now)
             decided.add(message.txn.tid)
-            reply_site, reply_name = message.reply_to
-            site.send(reply_site, Ack(target=reply_name,
-                                      sender_site=site.site_id,
-                                      tag=f"decided-{message.txn.tid}"))
+            ack(site, message)
         else:
             raise TypeError(f"commit server got {message!r}")
 
@@ -260,22 +252,22 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                                catalog: ReplicaCatalog, txn: Transaction,
                                costs: CostModel,
                                on_done: Callable[[Transaction], None],
-                               policy: Optional[RecoveryPolicy] = None,
+                               connect: Callable,
                                router: Optional[Callable[[int], int]]
                                = None):
     """Generator body for a transaction under the global approach.
 
-    Without a recovery ``policy`` every exchange is the historical
-    blocking send/receive (bit-identical to the pre-fault code).  With
-    one, every RPC times out and retries (the deadline timer bounds the
-    total), and commit-path cleanup is handed to bounded-attempt
-    couriers so the manager always learns the outcome.
+    ``connect(site, reply, tid=)`` builds this transaction's transport
+    (:mod:`repro.dist.comms`) over its reply port; the system chooses
+    which.  Every exchange is a ``request`` or a ``gather`` on it, and
+    cleanup nobody waits for (release, abort notices, in-doubt
+    decisions) is ``post``-ed, so the manager always learns the outcome
+    the transport can deliver.
 
     ``router`` is the registry spec's per-oid lock routing (DPCP:
     each lock request goes to the resource's own agent site, and the
     transaction registers/releases at every agent it touches).  With
-    ``router=None`` all lock traffic goes to ``gcm_site`` on the
-    bit-identical single-manager path.
+    ``router=None`` all lock traffic goes to ``gcm_site``.
     """
     site = sites[txn.site]
     kernel = site.kernel
@@ -291,13 +283,13 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
     timer = DeadlineTimer(kernel, txn.process, txn.deadline,
                           lambda: DeadlineMiss(txn.tid))
     reply = site.make_reply_port(f"txn{txn.tid}")
-    if policy is None:
-        comms = DirectComms(site, reply, tid=txn.tid)
-    else:
-        comms = ReliableComms(site, reply, policy, tid=txn.tid)
-    prepared: List[int] = []
+    comms = connect(site, reply, tid=txn.tid)
+    post = comms.post
+    #: Written remote primaries by home site: the 2PC participants.
     by_site: Dict[int, List[int]] = {}
-    decided_commit = False
+    #: Decide messages of participants that voted but have not yet
+    #: acknowledged the decision.
+    in_doubt: Dict[int, Decide] = {}
     try:
         # Registration round trip(s): every manager whose resources
         # this transaction touches must know its access sets before
@@ -308,10 +300,7 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                 manager,
                 lambda: RegisterTxn(target=CEILING_SERVICE,
                                     sender_site=site.site_id,
-                                    txn=txn, reply_to=reply.address),
-                match=lambda m, manager=manager: (
-                    isinstance(m, Ack) and m.tag == "registered"
-                    and m.sender_site == manager))
+                                    txn=txn, reply_to=reply.address))
 
         cpu_burst = site.cpu.use(costs.cpu_per_object)
         for oid, mode in txn.operations:
@@ -324,7 +313,7 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                     target=CEILING_SERVICE, sender_site=site.site_id,
                     txn=txn, oid=oid, mode=mode,
                     reply_to=reply.address,
-                    queued_ack=comms.recovery),
+                    queued_ack=comms.wants_interim),
                 match=lambda m, oid=oid: (isinstance(m, LockGrant)
                                           and m.oid == oid),
                 interim=lambda m, oid=oid: (isinstance(m, LockQueued)
@@ -342,6 +331,8 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                 else:
                     data_object.read()
             else:
+                if mode is LockMode.WRITE:
+                    by_site.setdefault(home, []).append(oid)
                 yield from comms.request(
                     home,
                     lambda oid=oid, mode=mode, home=home: DataRequest(
@@ -352,93 +343,42 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
                                               and m.oid == oid))
 
         # Two-phase commit across the sites holding written primaries.
-        participants = sorted({catalog.primary_site(oid)
-                               for oid in txn.write_set
-                               if catalog.primary_site(oid) != txn.site})
-        if participants:
-            by_site = {p: [] for p in participants}
-            for oid in txn.write_set:
-                home = catalog.primary_site(oid)
-                if home != txn.site:
-                    by_site[home].append(oid)
-            if not comms.recovery:
-                if hooks is not None:
-                    hooks.two_pc(kernel.now, txn, "prepare",
-                                 participants)
-                for participant in participants:
-                    site.send(participant,
-                              Prepare(target=COMMIT_SERVICE,
-                                      sender_site=site.site_id, txn=txn,
-                                      oids=tuple(by_site[participant]),
-                                      reply_to=reply.address))
-                for __ in participants:
-                    yield reply.receive()  # Vote (all yes in this model)
-                prepared = list(participants)
-                decided_commit = True
-                if hooks is not None:
-                    hooks.two_pc(kernel.now, txn, "decide",
-                                 participants, True)
-                for participant in participants:
-                    site.send(participant,
-                              Decide(target=COMMIT_SERVICE,
-                                     sender_site=site.site_id, txn=txn,
-                                     commit=True,
-                                     oids=tuple(by_site[participant]),
-                                     reply_to=reply.address))
-                for __ in participants:
-                    yield reply.receive()  # Ack
-                prepared = []
-                if hooks is not None:
-                    hooks.two_pc(kernel.now, txn, "done", participants)
-            else:
-                tpc = TwoPhaseCommit(txn.tid, participants)
-                tpc.start()
-                if hooks is not None:
-                    hooks.two_pc(kernel.now, txn, "prepare",
-                                 participants)
-                votes = yield from comms.gather(
-                    participants,
-                    lambda dst: Prepare(target=COMMIT_SERVICE,
-                                        sender_site=site.site_id,
-                                        txn=txn,
-                                        oids=tuple(by_site[dst]),
-                                        reply_to=reply.address),
-                    classify=lambda m: (m.sender_site
-                                        if isinstance(m, Vote)
-                                        and m.txn_tid == txn.tid
-                                        else None))
-                for participant in participants:
-                    tpc.record_vote(participant,
-                                    votes[participant].commit)
-                prepared = list(participants)
-                decided_commit = tpc.decision_commit
-                if hooks is not None:
-                    hooks.two_pc(kernel.now, txn, "decide",
-                                 participants, decided_commit)
-                yield from comms.gather(
-                    participants,
-                    lambda dst: Decide(target=COMMIT_SERVICE,
-                                       sender_site=site.site_id,
-                                       txn=txn, commit=decided_commit,
-                                       oids=tuple(by_site[dst]),
-                                       reply_to=reply.address),
-                    classify=lambda m: (m.sender_site
-                                        if isinstance(m, Ack)
-                                        and m.tag == f"decided-{txn.tid}"
-                                        else None))
-                for participant in participants:
-                    tpc.record_ack(participant)
-                prepared = []
-                if hooks is not None:
-                    hooks.two_pc(kernel.now, txn, "done", participants)
+        if by_site:
+            participants = sorted(by_site)
+            tpc = TwoPhaseCommit(txn.tid, participants)
+            tpc.start()
+            if hooks is not None:
+                hooks.two_pc(kernel.now, txn, "prepare", participants)
+            votes = yield from comms.gather(
+                participants,
+                lambda dst: Prepare(target=COMMIT_SERVICE,
+                                    sender_site=site.site_id, txn=txn,
+                                    oids=tuple(by_site[dst]),
+                                    reply_to=reply.address),
+                match=lambda m: (isinstance(m, Vote)
+                                 and m.txn_tid == txn.tid))
+            for participant in participants:
+                tpc.record_vote(participant, votes[participant].commit)
+            commit = tpc.decision_commit
+            in_doubt = {dst: Decide(target=COMMIT_SERVICE,
+                                    sender_site=site.site_id, txn=txn,
+                                    commit=commit,
+                                    oids=tuple(by_site[dst]),
+                                    reply_to=reply.address)
+                        for dst in participants}
+            if hooks is not None:
+                hooks.two_pc(kernel.now, txn, "decide", participants,
+                             commit)
+            yield from comms.gather(participants, in_doubt.get)
+            for participant in participants:
+                tpc.record_ack(participant)
+            in_doubt = {}
+            if hooks is not None:
+                hooks.two_pc(kernel.now, txn, "done", participants)
         if costs.commit_cpu > 0:
             yield site.cpu.use(costs.commit_cpu)
         for manager in manager_sites:
-            if comms.recovery:
-                _spawn_release_courier(site, manager, txn, policy)
-            else:
-                site.send(manager,
-                          ReleaseAndDeregister(target=CEILING_SERVICE,
+            post(manager, ReleaseAndDeregister(target=CEILING_SERVICE,
                                                sender_site=site.site_id,
                                                txn=txn))
         txn.mark_committed(kernel.now)
@@ -446,29 +386,15 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
             hooks.txn_commit(kernel.now, txn)
     except TransactionAbort:
         # Resolve any in-doubt participants, then free the locks.  If
-        # the decision was already commit when the abort struck (a lost
-        # Decide-ack), participants must still learn *commit* — the
-        # transaction scores as missed, but 2PC atomicity holds.
-        if comms.recovery:
-            for participant in prepared:
-                _spawn_decide_courier(site, participant, txn,
-                                      decided_commit,
-                                      tuple(by_site.get(participant,
-                                                        ())),
-                                      policy)
-            for manager in manager_sites:
-                _spawn_abort_courier(site, manager, txn, policy)
-        else:
-            for participant in prepared:
-                site.send(participant,
-                          Decide(target=COMMIT_SERVICE,
-                                 sender_site=site.site_id, txn=txn,
-                                 commit=False, oids=(),
-                                 reply_to=reply.address))
-            for manager in manager_sites:
-                site.send(manager, AbortTxn(target=CEILING_SERVICE,
-                                            sender_site=site.site_id,
-                                            txn=txn))
+        # the decision was already commit when the abort struck (a
+        # Decide-ack still outstanding), participants must still learn
+        # *commit* — the transaction scores as missed, but 2PC
+        # atomicity holds.
+        for participant, decide in in_doubt.items():
+            post(participant, decide)
+        for manager in manager_sites:
+            post(manager, AbortTxn(target=CEILING_SERVICE,
+                                   sender_site=site.site_id, txn=txn))
         txn.mark_missed(kernel.now)
         if hooks is not None:
             hooks.txn_miss(kernel.now, txn, "deadline")
@@ -476,55 +402,3 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
         timer.cancel()
         reply.close()
         on_done(txn)
-
-
-# ----------------------------------------------------------------------
-# cleanup couriers (recovery mode)
-# ----------------------------------------------------------------------
-def _spawn_release_courier(site: Site, manager: int, txn: Transaction,
-                           policy: RecoveryPolicy) -> None:
-    tag = f"released-{txn.tid}"
-    body = courier(
-        site, manager,
-        lambda addr: ReleaseAndDeregister(
-            target=CEILING_SERVICE, sender_site=site.site_id,
-            txn=txn, reply_to=addr),
-        policy, f"release-{txn.tid}-{manager}",
-        match=lambda m: (isinstance(m, Ack) and m.tag == tag
-                         and m.sender_site == manager))
-    site.adopt(site.kernel.spawn(
-        body, f"release-courier-{txn.tid}-{manager}",
-        priority=float("inf")))
-
-
-def _spawn_abort_courier(site: Site, manager: int, txn: Transaction,
-                         policy: RecoveryPolicy) -> None:
-    tag = f"aborted-{txn.tid}"
-    body = courier(
-        site, manager,
-        lambda addr: AbortTxn(target=CEILING_SERVICE,
-                              sender_site=site.site_id, txn=txn,
-                              reply_to=addr),
-        policy, f"abort-{txn.tid}-{manager}",
-        match=lambda m: (isinstance(m, Ack) and m.tag == tag
-                         and m.sender_site == manager))
-    site.adopt(site.kernel.spawn(
-        body, f"abort-courier-{txn.tid}-{manager}",
-        priority=float("inf")))
-
-
-def _spawn_decide_courier(site: Site, participant: int,
-                          txn: Transaction, commit: bool,
-                          oids: tuple,
-                          policy: RecoveryPolicy) -> None:
-    tag = f"decided-{txn.tid}"
-    body = courier(
-        site, participant,
-        lambda addr: Decide(target=COMMIT_SERVICE,
-                            sender_site=site.site_id, txn=txn,
-                            commit=commit, oids=oids, reply_to=addr),
-        policy, f"decide-{txn.tid}-{participant}",
-        match=lambda m: isinstance(m, Ack) and m.tag == tag)
-    site.adopt(site.kernel.spawn(
-        body, f"decide-courier-{txn.tid}-{participant}",
-        priority=float("inf")))

@@ -23,13 +23,14 @@ Mechanically:
 - appliers use last-writer-wins by version timestamp, so reordered
   deliveries never roll a copy backwards.
 
-Fault tolerance (see :mod:`repro.faults`): under a recovery policy the
-fan-out rides bounded-retry :func:`~repro.dist.comms.courier`
-processes, and the applier deduplicates by (origin site, origin tid,
-oid, version ts) so a retried update is acknowledged but applied only
-once.  Applier transactions are site-resident: a crash aborts them
-(locks released through the protocol's own abort path) and the origin's
-courier re-delivers after recovery.
+Fault tolerance (see :mod:`repro.faults`) is the transport's business
+(:mod:`repro.dist.comms`): the fan-out is ``post``-ed, and whether a
+post is a bare send or an acknowledged, re-sent delivery is not known
+here.  The applier deduplicates by (origin site, origin tid, oid,
+version ts) so a repeated update is acknowledged but applied only once.
+Applier transactions are site-resident: a crash aborts them (locks
+released through the protocol's own abort path) and an origin that
+asked for an acknowledgement re-delivers after recovery.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from ..kernel.timers import DeadlineTimer
 from ..txn.manager import CostModel
 from ..txn.transaction import (DeadlineMiss, Transaction,
                                TransactionAbort, TransactionType)
-from .comms import RecoveryPolicy, courier
-from .message import Ack, ReplicaUpdate
+from .comms import ack
+from .message import ReplicaUpdate
 from .site import Site
 
 REPLICA_SERVICE = "replica"
@@ -76,13 +77,13 @@ def replica_applier(site: Site, catalog: ReplicaCatalog,
         if key in site.applied_updates:
             if stats is not None:
                 stats.duplicates_suppressed += 1
-            _ack_update(site, message)
+            ack(site, message)
             continue
         if key in site.pending_updates:
             # An applier for this very update is still in flight
             # (waiting on the lock or the CPU): dropping the duplicate
-            # is safe — no ack yet, so the courier keeps custody until
-            # the first copy lands and future retries are re-acked.
+            # is safe — no ack yet, so the sender keeps custody until
+            # the first copy lands and future copies are re-acked.
             if stats is not None:
                 stats.duplicates_suppressed += 1
             continue
@@ -100,15 +101,6 @@ def replica_applier(site: Site, catalog: ReplicaCatalog,
             priority=txn.priority)
         txn.process.payload = txn
         site.adopt(txn.process)
-
-
-def _ack_update(site: Site, message: ReplicaUpdate) -> None:
-    if message.reply_to is None:
-        return
-    reply_site, reply_name = message.reply_to
-    site.send(reply_site, Ack(target=reply_name,
-                              sender_site=site.site_id,
-                              tag=f"applied-{message.oid}"))
 
 
 def _apply_update(site: Site, catalog: ReplicaCatalog, costs: CostModel,
@@ -148,10 +140,10 @@ def _apply_update(site: Site, catalog: ReplicaCatalog, costs: CostModel,
         # Dedup memory + ack only after the install is durable, so a
         # crash between receive and apply leaves the update re-playable.
         site.applied_updates.add(key)
-        _ack_update(site, message)
+        ack(site, message)
     except TransactionAbort:
         # Site crash (or other abort) mid-apply: release locks and
-        # vanish.  No ack is sent, so the origin's courier re-delivers.
+        # vanish.  No ack is sent, so a sender awaiting one re-delivers.
         cc.abort(txn)
         if hooks is not None:
             hooks.txn_abort(kernel.now, txn, "crash")
@@ -167,15 +159,14 @@ def local_transaction_manager(sites: List[Site],
                               catalog: ReplicaCatalog, txn: Transaction,
                               costs: CostModel,
                               on_done: Callable[[Transaction], None],
+                              comms,
                               versions: Optional[List[MultiVersionStore]]
-                              = None,
-                              policy: Optional[RecoveryPolicy] = None):
+                              = None):
     """Generator body for a transaction under the local approach.
 
-    Without a recovery ``policy`` the commit fan-out is the historical
-    fire-and-forget send (bit-identical to the pre-fault code).  With
-    one, each (object, destination) update rides its own courier so a
-    lossy network cannot silently strand a secondary copy.
+    ``comms`` is the home site's transport (:mod:`repro.dist.comms`);
+    all this manager asks of it is ``post``, once per (written object,
+    other site), after the commit.
     """
     site = sites[txn.site]
     kernel = site.kernel
@@ -207,7 +198,8 @@ def local_transaction_manager(sites: List[Site],
             yield site.cpu.use(costs.commit_cpu)
         # Commit: install at local primaries, then release (strict 2PL).
         commit_ts = kernel.now
-        for oid in sorted(txn.write_set):
+        writes = sorted(txn.write_set)
+        for oid in writes:
             site.database.object(oid).write(float(txn.tid), commit_ts)
             if hooks is not None:
                 hooks.replica_write(commit_ts, catalog, site.site_id,
@@ -222,25 +214,15 @@ def local_transaction_manager(sites: List[Site],
             hooks.lock_commit(kernel.now, cc, txn)
             hooks.txn_commit(kernel.now, txn)
         # R3: committed first, now propagate asynchronously.
-        if policy is None:
-            for oid in sorted(txn.write_set):
-                for other in sites:
-                    if other.site_id == site.site_id:
-                        continue
-                    site.send(other.site_id, ReplicaUpdate(
-                        target=REPLICA_SERVICE,
-                        sender_site=site.site_id,
-                        oid=oid, value=float(txn.tid),
-                        timestamp=commit_ts,
-                        origin_priority=txn.priority))
-        else:
-            for oid in sorted(txn.write_set):
-                for other in sites:
-                    if other.site_id == site.site_id:
-                        continue
-                    spawn_update_courier(
-                        site, other.site_id, oid, float(txn.tid),
-                        commit_ts, txn.priority, txn.tid, policy)
+        post = comms.post
+        for oid in writes:
+            for other in sites:
+                if other.site_id == site.site_id:
+                    continue
+                post(other.site_id, ReplicaUpdate(
+                    target=REPLICA_SERVICE, sender_site=site.site_id,
+                    oid=oid, value=float(txn.tid), timestamp=commit_ts,
+                    origin_priority=txn.priority, origin_tid=txn.tid))
     except TransactionAbort:
         cc.abort(txn)
         txn.mark_missed(kernel.now)
@@ -250,23 +232,3 @@ def local_transaction_manager(sites: List[Site],
         timer.cancel()
         cc.deregister(txn)
         on_done(txn)
-
-
-def spawn_update_courier(site: Site, dst: int, oid: int, value: float,
-                         timestamp: float, origin_priority: float,
-                         origin_tid: int,
-                         policy: RecoveryPolicy) -> None:
-    """Fire one bounded-retry courier carrying a ReplicaUpdate."""
-    tag = f"applied-{oid}"
-    body = courier(
-        site, dst,
-        lambda addr: ReplicaUpdate(
-            target=REPLICA_SERVICE, sender_site=site.site_id,
-            oid=oid, value=value, timestamp=timestamp,
-            origin_priority=origin_priority, origin_tid=origin_tid,
-            reply_to=addr),
-        policy, f"prop-{origin_tid}-{oid}-{dst}",
-        match=lambda m: isinstance(m, Ack) and m.tag == tag)
-    site.adopt(site.kernel.spawn(
-        body, f"prop-courier-{origin_tid}-{oid}-{dst}",
-        priority=float("inf")))

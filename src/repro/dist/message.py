@@ -36,6 +36,8 @@ class RegisterTxn(Message):
     txn: Any = None
     reply_to: Optional[Address] = None
 
+    ack_tag = "registered"
+
 
 @dataclasses.dataclass(frozen=True)
 class LockRequest(Message):
@@ -43,9 +45,9 @@ class LockRequest(Message):
     oid: int = -1
     mode: LockMode = LockMode.READ
     reply_to: Optional[Address] = None
-    #: True when the requester runs the timeout/retry protocol and
+    #: True when the requester's transport times out on silence and
     #: wants a LockQueued acknowledgement if the lock blocks (so it can
-    #: tell "request lost" apart from "ceiling-blocked").  Legacy
+    #: tell "request lost" apart from "ceiling-blocked").  Other
     #: requesters wait for the grant alone.
     queued_ack: bool = False
 
@@ -67,11 +69,15 @@ class LockQueued(Message):
 class ReleaseAndDeregister(Message):
     """Commit-path cleanup: release all locks and leave the active set.
 
-    ``reply_to`` (recovery mode only) asks the manager to acknowledge,
-    enabling at-least-once delivery by a cleanup courier.
+    ``reply_to``, when set, asks the manager to acknowledge (a
+    transport that must confirm delivery sets it).
     """
     txn: Any = None
     reply_to: Optional[Address] = None
+
+    @property
+    def ack_tag(self) -> str:
+        return f"released-{self.txn.tid}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +88,10 @@ class AbortTxn(Message):
     """
     txn: Any = None
     reply_to: Optional[Address] = None
+
+    @property
+    def ack_tag(self) -> str:
+        return f"aborted-{self.txn.tid}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,6 +141,10 @@ class Decide(Message):
     oids: Tuple[int, ...] = ()
     reply_to: Optional[Address] = None
 
+    @property
+    def ack_tag(self) -> str:
+        return f"decided-{self.txn.tid}"
+
 
 # ----------------------------------------------------------------------
 # replica propagation (local approach)
@@ -140,9 +154,8 @@ class ReplicaUpdate(Message):
     """Asynchronous post-commit update of a secondary copy (R3).
 
     ``origin_tid`` identifies the committing transaction (or -1 for a
-    recovery resync), so appliers can deduplicate retried deliveries;
-    ``reply_to`` (recovery mode only) requests an applied-ack for
-    at-least-once propagation.
+    recovery resync), so appliers can deduplicate repeated deliveries;
+    ``reply_to``, when set, requests an applied-ack.
     """
     oid: int = -1
     value: float = 0.0
@@ -150,3 +163,7 @@ class ReplicaUpdate(Message):
     origin_priority: float = 0.0
     origin_tid: int = -1
     reply_to: Optional[Address] = None
+
+    @property
+    def ack_tag(self) -> str:
+        return f"applied-{self.oid}"

@@ -17,14 +17,17 @@ Message Server, and either
 
 With a :class:`~repro.faults.FaultPlan` on the config, the network
 routes every message through a :class:`~repro.faults.FaultInjector`,
-crash/recovery intervals are armed as kernel events, and (when the plan
-implies lost state) the TMs switch to the
-:class:`~repro.dist.comms.ReliableComms` timeout/retry transport.
+crash/recovery intervals are armed as kernel events, and the system —
+not the TMs, and not the user — picks the transport the TMs talk
+through: :class:`~repro.dist.comms.ReliableComms` when the plan can
+lose or repeat a message (``plan.needs_recovery``),
+:class:`~repro.dist.comms.DirectComms` otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..core.config import DistributedConfig
@@ -38,11 +41,12 @@ from ..txn.generator import TransactionSpec, WorkloadGenerator
 from ..txn.priority import PriorityAssigner, proportional_deadline
 from ..txn.transaction import (SiteFailure, Transaction,
                                TransactionStatus)
-from .comms import RecoveryPolicy
+from .comms import DirectComms, RecoveryPolicy, ReliableComms
 from .global_ceiling import (ceiling_manager, commit_server, data_server,
                              global_transaction_manager)
-from .local_ceiling import (local_transaction_manager, replica_applier,
-                            spawn_update_courier)
+from .local_ceiling import (REPLICA_SERVICE, local_transaction_manager,
+                            replica_applier)
+from .message import ReplicaUpdate
 from .network import Network
 from .site import Site
 from .snapshot import SnapshotReader, snapshot_read_transaction
@@ -93,29 +97,36 @@ class DistributedSystem:
             self.network.attach_injector(self.injector)
             self.injector.schedule_crashes(self.crash_site,
                                            self.recover_site)
+        #: ``connect(site, reply, tid=)`` builds a transport: the one
+        #: place that knows whether the network can lose a message.
+        self.connect = DirectComms
         if plan is not None and plan.needs_recovery:
             self.policy = RecoveryPolicy.from_plan(
                 plan, config.comm_delay, self.degradation)
+            self.connect = partial(ReliableComms, policy=self.policy)
+        #: Each site's reply-less transport (``post`` only).
+        self.site_comms = [self.connect(site, None)
+                           for site in self.sites]
 
         spec = REGISTRY.resolve(config.protocol)
         self.spec = spec
         self.lock_router = None
-        #: Global-mode lock managers by site (one entry at ``gcm_site``
-        #: for single-manager protocols; one per site under DPCP's
-        #: resource-local placement).  Empty in local mode.
-        self.global_ccs: Dict[int, object] = {}
+        #: Lock managers by site.  Global mode: one entry at
+        #: ``gcm_site`` for single-manager protocols, one per site under
+        #: DPCP's resource-local placement.  Local mode: every site's
+        #: own instance (also ``site.ceiling``).
+        self.ccs: Dict[int, object] = {}
         if config.mode == "global":
             self.lock_router = spec.lock_router(self.catalog,
                                                 config.gcm_site)
             for manager_id in spec.manager_sites(config.n_sites,
                                                  config.gcm_site):
                 cc = spec.build(self.kernel, config.protocol_options)
-                self.global_ccs[manager_id] = cc
+                self.ccs[manager_id] = cc
                 self.kernel.spawn(
                     ceiling_manager(self.sites[manager_id], cc,
                                     stats=self.degradation),
                     f"gcm-{manager_id}", priority=float("inf"))
-            self.global_cc = self.global_ccs.get(config.gcm_site)
             for site in self.sites:
                 self.kernel.spawn(data_server(site, config.costs),
                                   f"data-server-{site.site_id}",
@@ -124,10 +135,9 @@ class DistributedSystem:
                                   f"commit-server-{site.site_id}",
                                   priority=float("inf"))
         else:
-            self.global_cc = None
             for site in self.sites:
-                site.ceiling = spec.build(self.kernel,
-                                          config.protocol_options)
+                site.ceiling = self.ccs[site.site_id] = spec.build(
+                    self.kernel, config.protocol_options)
                 versions = (self.versions[site.site_id]
                             if self.versions is not None else None)
                 self.kernel.spawn(
@@ -180,7 +190,7 @@ class DistributedSystem:
         if self.config.mode == "global":
             body = global_transaction_manager(
                 self.sites, self.config.gcm_site, self.catalog, txn,
-                self.config.costs, self._on_done, policy=self.policy,
+                self.config.costs, self._on_done, self.connect,
                 router=self.lock_router)
         elif (self.snapshot_reader is not None
               and not txn.write_set):
@@ -192,8 +202,8 @@ class DistributedSystem:
         else:
             body = local_transaction_manager(
                 self.sites, self.catalog, txn, self.config.costs,
-                self._on_done, versions=self.versions,
-                policy=self.policy)
+                self._on_done, self.site_comms[txn.site],
+                versions=self.versions)
         txn.process = self.kernel.spawn(body, f"tm-{txn.tid}",
                                         priority=txn.priority)
         txn.process.payload = txn
@@ -272,20 +282,12 @@ class DistributedSystem:
         dead)."""
         for dst, oid, primary, primary_ts in (
                 self.catalog.stale_copies(involving=site_id)):
-            origin = self.sites[primary]
-            value = origin.database.object(oid).value
+            value = self.sites[primary].database.object(oid).value
             self.degradation.resync_updates += 1
-            if self.policy is not None:
-                spawn_update_courier(origin, dst, oid, value,
-                                     primary_ts, -float("inf"),
-                                     -1, self.policy)
-            else:  # pragma: no cover - crashes imply a recovery policy
-                from .local_ceiling import REPLICA_SERVICE
-                from .message import ReplicaUpdate
-                origin.send(dst, ReplicaUpdate(
-                    target=REPLICA_SERVICE, sender_site=primary,
-                    oid=oid, value=value, timestamp=primary_ts,
-                    origin_priority=-float("inf"), origin_tid=-1))
+            self.site_comms[primary].post(dst, ReplicaUpdate(
+                target=REPLICA_SERVICE, sender_site=primary, oid=oid,
+                value=value, timestamp=primary_ts,
+                origin_priority=-float("inf")))
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> PerformanceMonitor:
@@ -305,17 +307,10 @@ class DistributedSystem:
                                    for site in self.sites)
         row["ms_dropped"] = sum(site.message_server.dropped
                                 for site in self.sites)
-        if self.config.mode == "global":
-            stats = {}
-            for manager_id in sorted(self.global_ccs):
-                manager_stats = self.global_ccs[manager_id].stats
-                for key, value in manager_stats.as_dict().items():
-                    stats[key] = stats.get(key, 0) + value
-        else:
-            stats = {}
-            for site in self.sites:
-                for key, value in site.ceiling.stats.as_dict().items():
-                    stats[key] = stats.get(key, 0) + value
+        stats = {}
+        for site_id in sorted(self.ccs):
+            for key, value in self.ccs[site_id].stats.as_dict().items():
+                stats[key] = stats.get(key, 0) + value
         row.update({f"cc_{key}": value for key, value in stats.items()})
         if self.degradation.enabled:
             now = self.kernel.now

@@ -246,11 +246,7 @@ def _distributed(mode: str,
                         restart_delay=0.5),
         seed=1)
     system = DistributedSystem(config, schedule=specs)
-    if system.global_cc is not None:
-        ccs = [system.global_cc]
-    else:
-        ccs = [site.ceiling for site in system.sites]
-    return system, ccs
+    return system, list(system.ccs.values())
 
 
 def _pcp_2x2() -> Tuple[Any, List[Any]]:

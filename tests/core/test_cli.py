@@ -1,5 +1,6 @@
 """CLI: argument handling and a smoke run of a small command."""
 
+import ast
 import dataclasses
 import os
 import re
@@ -86,6 +87,17 @@ def test_no_cache_flag_skips_the_cache(capsys, tmp_path):
           "--no-cache"])
     out = capsys.readouterr().out
     assert "0 cache hits" in out
+    assert not list(tmp_path.iterdir())
+
+
+def test_no_cache_flag_beats_the_environment(capsys, tmp_path,
+                                             monkeypatch):
+    # ``cache=None`` means "ask the environment" to ``resolve_cache``,
+    # so ``--no-cache`` has to say False or REPRO_CACHE_DIR wins.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    for __ in range(2):
+        assert main(["a3", "--replications", "1", "--no-cache"]) == 0
+        assert "8 computed, 0 cache hits" in capsys.readouterr().out
     assert not list(tmp_path.iterdir())
 
 
@@ -196,3 +208,24 @@ def test_ci_runs_known_commands_and_each_test_once():
     # tests/ is collected whole by `tests` and, on the other engine,
     # by `engine`; a `pytest tests/<subset>` elsewhere is a re-run.
     assert pytest_jobs == {"tests", "engine"}
+
+
+@pytest.mark.parametrize("module", ("global_ceiling", "local_ceiling"))
+def test_transaction_managers_do_not_know_the_transport(module):
+    # The system builds the transport and the TMs receive it: whether
+    # the network can lose a message is not a name in their source.
+    banned = ("recovery", "policy", "RecoveryPolicy", "courier",
+              "DirectComms", "ReliableComms")
+    path = os.path.join(os.path.dirname(os.path.abspath(repro.__file__)),
+                        "dist", module + ".py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "arg", "name", "asname"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                names.add(value)
+    assert names
+    assert not sorted(name for name in names
+                      if any(word in name for word in banned))

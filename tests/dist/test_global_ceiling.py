@@ -12,6 +12,7 @@ from repro.dist.message import (AbortTxn, LockGrant, LockRequest,
 from repro.dist.network import Network
 from repro.dist.site import Site
 from repro.txn import CostModel
+from repro.txn.generator import TransactionSpec
 from tests.conftest import make_txn
 
 
@@ -131,9 +132,10 @@ def test_abort_cancels_pending_request_and_frees_locks(kernel):
     assert waiter.tid not in cc.active
 
 
-def test_2pc_round_trips_extend_global_commit_latency():
+def test_remote_data_round_trips_extend_global_commit_latency():
     """An update transaction whose reads are remote pays data round
-    trips; measured commit latency grows linearly with delay."""
+    trips; measured commit latency grows linearly with delay.
+    (Generated updates write home primaries only, so no 2PC here.)"""
     def run_one(delay):
         config = DistributedConfig(
             mode="global", comm_delay=delay, db_size=60, seed=11,
@@ -150,3 +152,34 @@ def test_2pc_round_trips_extend_global_commit_latency():
         return monitor.mean_response_time()
 
     assert run_one(0.0) < run_one(2.0) < run_one(5.0)
+
+
+@pytest.mark.parametrize("delay", (1.0, 3.0))
+def test_2pc_round_trips_extend_global_commit_latency(delay):
+    """A one-object transaction at a non-manager site pays two round
+    trips (register, lock); a remote object adds the data round trip;
+    a remote *write* adds prepare + decide on top of that."""
+    def latency(oid_site, mode):
+        config = DistributedConfig(
+            mode="global", comm_delay=delay, db_size=6, seed=1,
+            workload=WorkloadConfig(n_transactions=1,
+                                    transaction_size=1),
+            timing=TimingConfig(slack_factor=1000.0),
+            costs=CostModel(cpu_per_object=1.0, io_per_object=0.0))
+        system = DistributedSystem(config, schedule=[])
+        oid = system.catalog.primaries_at(oid_site)[0]
+        spec = TransactionSpec(0.0, ((oid, mode),), site=1)
+        system.kernel.at(0.0, lambda: system._admit(spec))
+        monitor = system.run()
+        assert monitor.committed == 1
+        return monitor.mean_response_time(), system.network.messages_sent
+
+    round_trip = 2 * delay
+    home_write, home_messages = latency(1, LockMode.WRITE)
+    remote_read, read_messages = latency(2, LockMode.READ)
+    remote_write, write_messages = latency(2, LockMode.WRITE)
+    assert home_write == 2 * round_trip + 1.0
+    assert remote_read == home_write + round_trip
+    assert remote_write == remote_read + 2 * round_trip
+    # register, lock (2 each) + one-way release; data; prepare, decide.
+    assert (home_messages, read_messages, write_messages) == (5, 7, 11)

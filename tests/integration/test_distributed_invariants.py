@@ -24,15 +24,11 @@ def config(mode, delay=2.0, seed=17, n=60, **overrides):
 def test_no_locks_leak_after_the_run(mode):
     system = DistributedSystem(config(mode))
     system.run()
-    if mode == "global":
-        assert len(system.global_cc.locks) == 0
-        assert system.global_cc.waiting_count == 0
-        assert not system.global_cc.active
-    else:
-        for site in system.sites:
-            assert len(site.ceiling.locks) == 0
-            assert site.ceiling.waiting_count == 0
-            assert not site.ceiling.active
+    assert system.ccs
+    for cc in system.ccs.values():
+        assert len(cc.locks) == 0
+        assert cc.waiting_count == 0
+        assert not cc.active
 
 
 def audited_violations(config):

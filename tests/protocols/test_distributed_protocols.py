@@ -34,21 +34,23 @@ def config(mode, protocol, delay=2.0, seed=17, n=50, **overrides):
 # ----------------------------------------------------------------------
 def test_dpcp_global_mode_places_an_agent_at_every_site():
     system = DistributedSystem(config("global", "dpcp"))
-    assert sorted(system.global_ccs) == [0, 1, 2]
+    assert sorted(system.ccs) == [0, 1, 2]
     assert all(isinstance(cc, DistributedPriorityCeiling)
-               for cc in system.global_ccs.values())
+               for cc in system.ccs.values())
     assert system.lock_router is not None
 
 
 def test_manager_placement_keeps_one_global_manager():
     system = DistributedSystem(config("global", "C"))
-    assert sorted(system.global_ccs) == [system.config.gcm_site]
+    assert sorted(system.ccs) == [system.config.gcm_site]
     assert system.lock_router is None
 
 
 def test_local_mode_builds_the_registered_protocol_per_site():
     system = DistributedSystem(config("local", "dpcp"))
+    assert sorted(system.ccs) == [0, 1, 2]
     assert all(isinstance(site.ceiling, DistributedPriorityCeiling)
+               and system.ccs[site.site_id] is site.ceiling
                for site in system.sites)
 
 
@@ -61,7 +63,7 @@ def test_global_mode_completes_and_releases_everything(protocol):
     monitor = system.run()
     assert monitor.processed == 50
     assert monitor.committed + monitor.missed == 50
-    for cc in system.global_ccs.values():
+    for cc in system.ccs.values():
         assert len(cc.locks) == 0
         assert cc.waiting_count == 0
 
@@ -78,14 +80,14 @@ def test_dpcp_routes_lock_traffic_to_every_agent():
     # routing every agent — not just the gcm site — serves requests.
     system = DistributedSystem(config("global", "dpcp"))
     system.run()
-    for site, cc in system.global_ccs.items():
+    for site, cc in system.ccs.items():
         assert cc.stats.requests > 0, site
     total = sum(cc.stats.requests
-                for cc in system.global_ccs.values())
+                for cc in system.ccs.values())
     lone = DistributedSystem(config("global", "C"))
     lone.run()
     # Same workload: the request volume lands on one manager instead.
-    assert lone.global_cc.stats.requests > 0
+    assert lone.ccs[lone.config.gcm_site].stats.requests > 0
     assert total > 0
 
 
