@@ -57,7 +57,6 @@ def run_sweep(benchmark, jobs):
             print(f"[exec] jobs={jobs} units={delta['units']} "
                   f"computed={delta['computed']} "
                   f"cache_hits={delta['cache_hits']} "
-                  f"retries={delta['retries']} "
                   f"failures={delta['failures']}")
         return value
 

@@ -35,8 +35,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import bench
 from .protocols import REGISTRY, UnknownProtocolError
-from .exec import (ResultCache, TextProgress, default_cache_dir,
-                   resolve_jobs, session_counters)
+from .exec import (ExecutionError, ResultCache, TextProgress,
+                   default_cache_dir, resolve_jobs, session_counters)
 from .kernel.hooks import ENV_SANITIZE
 
 
@@ -109,7 +109,7 @@ FIGURES: Dict[str, Figure] = dict([
     _figure("a5", "Ablation A5 - 2PL deadlock policies"),
     _figure("a6", "Ablation A6 - lock-free snapshot reads"),
     _figure("a7", "Ablation A7 - bounded disks vs parallel I/O"),
-    _figure("a8", "Ablation A8 - fault injection: loss and crashes"),
+    _figure("a8", "Ablation A8 - faulted network: loss and crashes"),
     _figure("model", "Analytic model vs simulation overlay"),
     _figure("protocols", "Protocol suite - mpcp/dpcp/fmlp vs C/Cx"),
 ])
@@ -163,7 +163,9 @@ def option_block(replications: Optional[int],
     block.add_argument("--no-cache", action="store_true",
                        help="disable the on-disk result cache")
     block.add_argument("--progress", action="store_true",
-                       help="force the live progress/ETA line even "
+                       help="draw the live progress panel (units, "
+                            "ETA, host RSS, latest row; utilization "
+                            "and unit walls when the run ends) even "
                             "when stderr is not a TTY")
     block.add_argument("--sanitize", action="store_true",
                        help="enable the runtime protocol sanitizer "
@@ -245,12 +247,8 @@ def _run_figures(names: List[str], args: argparse.Namespace) -> int:
                         f"{delta['units']} units, "
                         f"{delta['computed']} computed, "
                         f"{delta['cache_hits']} cache hits")
-            if delta["retries"]:
-                trailer += f", {delta['retries']} retried"
-            if delta.get("messages_lost"):
+            if delta["messages_lost"]:
                 trailer += f", {delta['messages_lost']} msgs lost"
-            if delta["failures"]:
-                trailer += f", {delta['failures']} FAILED"
         print(trailer + "]")
         print()
     return 0
@@ -328,7 +326,7 @@ def _run_main(argv: List[str]) -> int:
                         help="concurrency-control protocol (registry "
                              "name or alias; default %(default)s)")
     parser.add_argument("--faults", default=None, metavar="PLAN.json",
-                        help="fault-plan JSON to inject")
+                        help="fault-plan JSON to run under")
     parser.add_argument("--comm-delay", type=float, default=2.0)
     parser.add_argument("--read-only-fraction", type=float, default=0.5)
     parser.add_argument("--transactions", type=int, default=120)
@@ -456,11 +454,6 @@ def _sweep_main(argv: List[str]) -> int:
                         default="min",
                         help="whether lower or higher --metric scores "
                              "rank better (default %(default)s)")
-    parser.add_argument("--dashboard", action="store_true",
-                        help="live multi-line TTY dashboard (unit "
-                             "throughput, cache hits, host RSS, latest "
-                             "summary row) plus a fleet-telemetry "
-                             "trailer; degrades to plain lines off-TTY")
     parser.add_argument("--metrics", nargs="?", const="", default=None,
                         metavar="DIR",
                         help="write per-unit metrics artifacts "
@@ -503,12 +496,6 @@ def _sweep_main(argv: List[str]) -> int:
     from .telemetry.registry import ENV_METRICS_DIR
     __, opts = _observed(args.metrics, "metrics", ENV_METRICS_DIR,
                          args, opts)
-    fleet = None
-    if args.dashboard:
-        from .exec import Dashboard, FleetTelemetry
-        fleet = FleetTelemetry()
-        opts = dataclasses.replace(opts,
-                                   progress=Dashboard(sys.stderr))
     configs = [config for __, __, config in grid]
     header = (f"{'':>1}{'protocol':>9} {'size':>5} "
               f"{args.metric:>16} {'source':>7}")
@@ -537,7 +524,7 @@ def _sweep_main(argv: List[str]) -> int:
         return 0
     from .core.experiment import replicate_many
     rows = replicate_many(configs, replications=args.replications,
-                          fleet=fleet, **opts.kwargs())
+                          **opts.kwargs())
     if args.metric not in rows[0]:
         return _usage_error(f"simulator summary has no metric "
                             f"{args.metric!r}")
@@ -545,10 +532,6 @@ def _sweep_main(argv: List[str]) -> int:
     for (protocol, size, __), row in zip(grid, rows):
         print(f" {protocol:>9} {size:>5} "
               f"{row[args.metric]:>16.3f} {'sim':>7}")
-    if fleet is not None:
-        from .exec import format_fleet_report
-        print()
-        print(format_fleet_report(fleet.report()))
     return 0
 
 
@@ -593,17 +576,24 @@ def _print_metrics_summary(config, metrics_dir: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Dispatch one command; a run with failed units prints the first
+    failure's worker traceback under one ``error:`` line and exits 1."""
     raw = sys.argv[1:] if argv is None else list(argv)
-    if raw and raw[0] in TOOLS:
-        module, function, __ = TOOLS[raw[0]]
-        return getattr(importlib.import_module(module, __package__),
-                       function)(raw[1:])
-    parser = build_parser()
-    args = parser.parse_args(raw)
-    if args.command in TOOLS:
-        parser.error(f"{args.command!r} takes its own options: put it "
-                     f"first ('repro {args.command} -h')")
-    return _run_figures([args.command], args)
+    try:
+        if raw and raw[0] in TOOLS:
+            module, function, __ = TOOLS[raw[0]]
+            return getattr(importlib.import_module(module, __package__),
+                           function)(raw[1:])
+        parser = build_parser()
+        args = parser.parse_args(raw)
+        if args.command in TOOLS:
+            parser.error(f"{args.command!r} takes its own options: put "
+                         f"it first ('repro {args.command} -h')")
+        return _run_figures([args.command], args)
+    except ExecutionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(exc.failures[0].traceback, end="", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

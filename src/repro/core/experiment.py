@@ -10,10 +10,12 @@ Execution is delegated to :mod:`repro.exec`: every public function
 plans its request into independent ``(config, seed)`` run units and
 hands them to the engine, which runs them serially (``jobs=1``, the
 default — bit-identical to the historical in-process loop) or on a
-fault-tolerant process pool (``jobs>1`` or ``REPRO_JOBS``), optionally
-satisfying units from the on-disk result cache.  Rows are merged in
-plan order regardless of completion order, so parallel runs aggregate
-to exactly the same series as serial ones.
+process pool (``jobs>1`` or ``REPRO_JOBS``), optionally satisfying
+units from the on-disk result cache.  Each unit gets one attempt: a
+seeded run that raised would raise again, so the functions here raise
+:class:`~repro.exec.ExecutionError` naming every unit that failed.
+Rows are merged in plan order regardless of completion order, so
+parallel runs aggregate to exactly the same series as serial ones.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def run_distributed(config: DistributedConfig) -> dict:
 def replicate_many(configs: Sequence[object], replications: int = 10,
                    base_seed: int = 1, *, jobs: Optional[int] = None,
                    cache: CacheSpec = None,
-                   progress=None, fleet=None) -> List[Dict[str, float]]:
+                   progress=None) -> List[Dict[str, float]]:
     """Replicate several configurations in one engine run.
 
     All ``len(configs) * replications`` units fan out together, so a
@@ -60,8 +62,7 @@ def replicate_many(configs: Sequence[object], replications: int = 10,
     units = plan_batch(configs, replications=replications,
                        base_seed=base_seed)
     result = run_units(units, jobs=jobs, cache=cache,
-                       progress=progress,
-                       fleet=fleet).require_success()
+                       progress=progress).require_success()
     grouped = rows_by_group(units, result.rows)
     return [aggregate_runs(grouped[group])
             for group in range(len(configs))]

@@ -1,34 +1,30 @@
 """repro.exec — parallel experiment execution engine.
 
 Plans sweep/replication requests into independent run units, executes
-them serially or on a fault-tolerant process pool, caches per-unit
-summary rows on disk keyed by stable config fingerprints, and reports
-progress.  See DESIGN.md ("Execution engine") for the architecture.
+them serially or on a process pool that survives a dying worker,
+caches per-unit summary rows on disk keyed by stable config
+fingerprints, and reports progress.  See DESIGN.md ("Execution
+engine") for the architecture.
 """
 
 from .cache import ResultCache, default_cache_dir, resolve_cache
-from .dashboard import Dashboard
 from .engine import (ExecutionResult, reset_session_counters, run_units,
                      session_counters)
 from .executor import (ExecutionError, ExecutionStats, UnitFailure,
                        resolve_jobs)
 from .fingerprint import (CODE_VERSION, config_fingerprint,
                           describe_config)
-from .fleet import FleetTelemetry, format_fleet_report
 from .host import host_clock, peak_rss_kb
 from .progress import NullProgress, TextProgress
 from .units import (RunUnit, group_rows, plan_batch, plan_replications,
                     plan_subset, replication_seeds, rows_by_group)
-from .worker import InjectedFailure, execute_config, invoke_unit
+from .worker import execute_config, invoke_unit
 
 __all__ = [
     "CODE_VERSION",
-    "Dashboard",
     "ExecutionError",
     "ExecutionResult",
     "ExecutionStats",
-    "FleetTelemetry",
-    "InjectedFailure",
     "NullProgress",
     "ResultCache",
     "RunUnit",
@@ -38,7 +34,6 @@ __all__ = [
     "default_cache_dir",
     "describe_config",
     "execute_config",
-    "format_fleet_report",
     "group_rows",
     "host_clock",
     "invoke_unit",

@@ -16,11 +16,11 @@ knob           environment          default
 ``jobs``       ``REPRO_JOBS``       1 (serial, in-process)
 ``cache``      ``REPRO_CACHE_DIR``  off (``REPRO_NO_CACHE=1``
                                     forces off)
-``retries``    ``REPRO_EXEC_RETRIES``  2
 =============  ===================  ========================
 
-``backoff`` (0.05 s, doubling) and ``timeout`` (none) are arguments
-only.
+A unit gets one attempt: a seeded unit that raised would raise again,
+so it is a :class:`UnitFailure` at once, and a crashed worker is the
+pool's business (:mod:`repro.exec.pool`).
 
 The module also keeps **session counters** — cumulative units /
 cache hits / failures across every run in the process — which the CLI
@@ -34,9 +34,8 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence
 
-from .cache import CacheSpec, ResultCache, resolve_cache
-from .executor import (DEFAULT_BACKOFF, DEFAULT_RETRIES, ExecutionError,
-                       ExecutionStats, UnitFailure, _Run, _resolve_int,
+from .cache import CacheSpec, resolve_cache
+from .executor import (ExecutionError, ExecutionStats, UnitFailure, _Run,
                        resolve_jobs, run_serial)
 from .progress import NullProgress
 from .units import RunUnit
@@ -49,10 +48,6 @@ class ExecutionResult:
     rows: List[Optional[dict]]
     failures: List[UnitFailure]
     stats: ExecutionStats
-    #: Sweep-level fleet telemetry report (host-side wall/RSS/cache
-    #: roll-up), present only when the caller passed a
-    #: :class:`~repro.exec.fleet.FleetTelemetry` to :func:`run_units`.
-    fleet: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
@@ -71,7 +66,7 @@ _SESSION_COUNTERS: Dict[str, int] = {}
 
 def _blank_counters() -> Dict[str, int]:
     return {"runs": 0, "units": 0, "computed": 0, "cache_hits": 0,
-            "failures": 0, "retries": 0, "messages_lost": 0}
+            "failures": 0, "messages_lost": 0}
 
 
 def session_counters() -> Dict[str, int]:
@@ -95,37 +90,25 @@ def _accumulate(stats: ExecutionStats) -> None:
     counters["computed"] += stats.computed
     counters["cache_hits"] += stats.cache_hits
     counters["failures"] += stats.failures
-    counters["retries"] += stats.retries
     counters["messages_lost"] += stats.messages_lost
 
 
 def run_units(units: Sequence[RunUnit], *, jobs: Optional[int] = None,
-              cache: CacheSpec = None, retries: Optional[int] = None,
-              backoff: Optional[float] = None,
-              timeout: Optional[float] = None,
-              inject: Optional[str] = None,
-              progress=None, fleet=None) -> ExecutionResult:
+              cache: CacheSpec = None, progress=None) -> ExecutionResult:
     """Execute a planned unit list and merge rows in unit order.
 
     ``jobs=1`` runs serially in-process (bit-identical to the
     historical runner); ``jobs>1`` fans out to a process pool.  Rows of
     failed units are ``None``; strict callers chain
-    ``.require_success()``.
+    ``.require_success()``.  ``progress`` is a reporter
+    (:class:`~repro.exec.progress.TextProgress`) told ``start``,
+    ``update`` and ``finish`` with the run's :class:`ExecutionStats`.
     """
     units = list(units)
     jobs = resolve_jobs(jobs)
-    cache_store: Optional[ResultCache] = resolve_cache(cache)
-    retries = _resolve_int(retries, "REPRO_EXEC_RETRIES",
-                           DEFAULT_RETRIES)
-    if backoff is None:
-        backoff = DEFAULT_BACKOFF
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
     progress = progress if progress is not None else NullProgress()
-
     stats = ExecutionStats(total=len(units), jobs=jobs)
-    run = _Run(units, cache_store, retries, backoff, timeout, inject,
-               progress, stats, fleet=fleet)
+    run = _Run(units, resolve_cache(cache), progress, stats)
     progress.start(stats)
     started = time.monotonic()
     to_run = run.sweep_cache()
@@ -142,6 +125,4 @@ def run_units(units: Sequence[RunUnit], *, jobs: Optional[int] = None,
     _accumulate(stats)
     progress.finish(stats)
     return ExecutionResult(rows=run.rows, failures=run.failures,
-                           stats=stats,
-                           fleet=(fleet.report(stats)
-                                  if fleet is not None else None))
+                           stats=stats)

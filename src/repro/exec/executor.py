@@ -9,10 +9,9 @@ units out to the process pool of :mod:`repro.exec.pool`, imported only
 then: a serial run never loads ``concurrent.futures.process`` or
 ``multiprocessing``.
 
-Fault tolerance: a unit whose attempt raises is retried up to
-``retries`` times with exponential backoff; on exhaustion it is
-recorded as a structured :class:`UnitFailure` and the rest of the sweep
-continues.
+A unit gets one attempt.  Whatever it returns — a row, or the text of
+what it raised — settles through :meth:`_Run.settle`; a raise becomes a
+structured :class:`UnitFailure` and the rest of the sweep continues.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import traceback
 from typing import List, Optional, Sequence, Tuple
 
 from .cache import ResultCache
@@ -28,29 +26,31 @@ from .fingerprint import config_fingerprint, describe_config
 from .units import RunUnit
 from .worker import invoke_unit
 
-#: Default retry budget per unit (attempts = retries + 1).
-DEFAULT_RETRIES = 2
-#: Default base backoff between attempts (seconds, doubles per retry).
-DEFAULT_BACKOFF = 0.05
-
 
 @dataclasses.dataclass
 class ExecutionStats:
-    """Counters the progress reporter and CLI summaries read."""
+    """The one record of a run: the counters and per-unit facts the
+    progress reporter, the CLI trailer and the session counters read."""
 
     total: int = 0
     computed: int = 0
     cache_hits: int = 0
     failures: int = 0
-    retries: int = 0
     jobs: int = 1
     elapsed: float = 0.0
     busy_time: float = 0.0
     in_flight: int = 0
     pool_restarts: int = 0
     #: Messages lost across all settled rows (fault-plan sweeps); the
-    #: progress trailer surfaces it so a lossy run is visibly lossy.
+    #: progress panel surfaces it so a lossy run is visibly lossy.
     messages_lost: int = 0
+    #: Wall seconds of each computed unit, in settlement order (a pool
+    #: task's wall is split evenly across its units).
+    unit_walls: List[float] = dataclasses.field(default_factory=list)
+    #: Computed units that rode in a pool task of more than one unit.
+    batched_units: int = 0
+    #: The most recently settled row (computed or cached).
+    latest_row: Optional[dict] = None
 
     @property
     def done(self) -> int:
@@ -66,18 +66,17 @@ class ExecutionStats:
 
 @dataclasses.dataclass(frozen=True)
 class UnitFailure:
-    """One unit that exhausted its retries — the sweep went on."""
+    """One unit whose run raised (or whose worker died) — the sweep
+    went on."""
 
     index: int
     seed: int
     config: str          # describe_config() label
-    attempts: int
-    error: str           # repr of the final exception
-    traceback: Optional[str] = None
+    error: str           # repr of the exception
+    traceback: str       # formatted where it was raised
 
     def __str__(self) -> str:
-        return (f"unit #{self.index} ({self.config}) failed after "
-                f"{self.attempts} attempt(s): {self.error}")
+        return f"unit #{self.index} ({self.config}) failed: {self.error}"
 
 
 class ExecutionError(RuntimeError):
@@ -102,63 +101,24 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _resolve_int(value: Optional[int], env: str, default: int) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(env, "").strip()
-    return int(raw) if raw else default
-
-
-def _format_exception(exc: BaseException) -> str:
-    return "".join(traceback.format_exception(type(exc), exc,
-                                              exc.__traceback__))
-
-
-def _failure(unit: RunUnit, attempts: int,
-             exc: BaseException) -> UnitFailure:
-    return UnitFailure(index=unit.index, seed=unit.seed,
-                       config=describe_config(unit.config),
-                       attempts=attempts, error=repr(exc),
-                       traceback=_format_exception(exc))
-
-
 class _Run:
     """Shared bookkeeping for one engine run (either executor)."""
 
     def __init__(self, units: Sequence[RunUnit],
-                 cache: Optional[ResultCache], retries: int,
-                 backoff: float, timeout: Optional[float],
-                 inject: Optional[str], progress, stats: ExecutionStats,
-                 fleet=None):
+                 cache: Optional[ResultCache], progress,
+                 stats: ExecutionStats):
         self.units = list(units)
         self.cache = cache
-        self.retries = retries
-        self.backoff = backoff
-        self.timeout = timeout
-        self.inject = (inject if inject is not None
-                       else os.environ.get("REPRO_EXEC_INJECT"))
         self.progress = progress
         self.stats = stats
-        self.fleet = fleet
         self.rows: List[Optional[dict]] = [None] * len(self.units)
         self.failures: List[UnitFailure] = []
         self.fingerprints: List[Optional[str]] = [None] * len(self.units)
 
-    def notify_unit(self, pos: int, wall_s: float, cached: bool,
-                    batch: int = 1, failed: bool = False,
-                    row: Optional[dict] = None) -> None:
-        """Fan one settled unit out to progress + fleet telemetry."""
-        unit = self.units[pos]
-        self.progress.unit_done(unit, wall_s, cached, batch=batch,
-                                failed=failed, row=row)
-        if self.fleet is not None:
-            self.fleet.unit_done(unit, wall_s, cached, batch=batch,
-                                 failed=failed, row=row)
-
-    # -- cache --------------------------------------------------------
-    def sweep_cache(self) -> List[Tuple[int, int]]:
-        """Satisfy units from cache; return (pos, attempt=0) to run."""
-        to_run: List[Tuple[int, int]] = []
+    def sweep_cache(self) -> List[int]:
+        """Satisfy units from cache; return the positions to run."""
+        to_run: List[int] = []
+        stats = self.stats
         for pos, unit in enumerate(self.units):
             if self.cache is not None:
                 fp = config_fingerprint(unit.config)
@@ -166,60 +126,48 @@ class _Run:
                 row = self.cache.get(fp)
                 if row is not None:
                     self.rows[pos] = row
-                    self.stats.cache_hits += 1
-                    self.stats.messages_lost += int(
-                        row.get("messages_lost", 0))
-                    self.notify_unit(pos, 0.0, cached=True, row=row)
-                    self.progress.update(self.stats)
+                    stats.cache_hits += 1
+                    stats.messages_lost += int(row.get("messages_lost", 0))
+                    stats.latest_row = row
+                    self.progress.update(stats)
                     continue
-            to_run.append((pos, 0))
+            to_run.append(pos)
         return to_run
 
-    # -- settlement ---------------------------------------------------
-    def settle_success(self, pos: int, row: dict, wall: float = 0.0,
-                       batch: int = 1) -> None:
-        self.rows[pos] = row
-        self.stats.computed += 1
-        self.stats.messages_lost += int(row.get("messages_lost", 0))
-        if self.cache is not None:
-            self.cache.put(self.fingerprints[pos], row,
-                           config=self.units[pos].config)
-        self.notify_unit(pos, wall, cached=False, batch=batch, row=row)
-        self.progress.update(self.stats)
+    def settle(self, pos: int, row: Optional[dict],
+               error: Optional[Tuple[str, str]], wall: float = 0.0,
+               batch: int = 1) -> None:
+        """Record one unit's one attempt: its row, or its failure."""
+        stats = self.stats
+        if error is not None:
+            unit = self.units[pos]
+            self.failures.append(UnitFailure(
+                index=unit.index, seed=unit.seed,
+                config=describe_config(unit.config), error=error[0],
+                traceback=error[1]))
+            stats.failures += 1
+        else:
+            self.rows[pos] = row
+            stats.computed += 1
+            stats.messages_lost += int(row.get("messages_lost", 0))
+            stats.unit_walls.append(wall)
+            if batch > 1:
+                stats.batched_units += 1
+            stats.latest_row = row
+            if self.cache is not None:
+                self.cache.put(self.fingerprints[pos], row,
+                               config=self.units[pos].config)
+        self.progress.update(stats)
 
-    def settle_failure(self, pos: int, attempts: int,
-                       exc: BaseException) -> None:
-        self.failures.append(_failure(self.units[pos], attempts, exc))
-        self.stats.failures += 1
-        self.notify_unit(pos, 0.0, cached=False, failed=True)
-        self.progress.update(self.stats)
 
-    def backoff_delay(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-based), doubling."""
-        return self.backoff * (2 ** max(0, attempt - 1))
-
-
-def run_serial(run: _Run, to_run: Sequence[Tuple[int, int]]) -> None:
+def run_serial(run: _Run, to_run: Sequence[int]) -> None:
     """In-process executor: exact historical call sequence."""
-    for pos, attempt in to_run:
+    run.stats.in_flight = 1
+    for pos in to_run:
         unit = run.units[pos]
-        while True:
-            started = time.monotonic()
-            run.stats.in_flight = 1
-            try:
-                _, row = invoke_unit(unit.index, unit.config, attempt,
-                                     run.inject)
-            except Exception as exc:
-                run.stats.busy_time += time.monotonic() - started
-                if attempt >= run.retries:
-                    run.settle_failure(pos, attempt + 1, exc)
-                    break
-                attempt += 1
-                run.stats.retries += 1
-                time.sleep(run.backoff_delay(attempt))
-            else:
-                wall = time.monotonic() - started
-                run.stats.busy_time += wall
-                run.settle_success(pos, row, wall=wall)
-                break
-        run.stats.in_flight = 0
+        started = time.monotonic()
+        __, row, error = invoke_unit(unit.index, unit.config)
+        wall = time.monotonic() - started
+        run.stats.busy_time += wall
+        run.settle(pos, row, error, wall)
+    run.stats.in_flight = 0

@@ -1,86 +1,20 @@
-"""The function that runs inside pool workers.
+"""The functions that run inside pool workers.
 
 :func:`invoke_unit` is a plain module-level function (so it pickles by
 reference into ``concurrent.futures`` workers) that executes one seeded
-configuration and returns ``(index, summary_row)``.  It also hosts the
-**failure-injection hook** the fault-tolerance tests (and chaos-minded
-users) drive: a spec string, passed explicitly or via
-``REPRO_EXEC_INJECT``, makes selected units misbehave on selected
-attempts.
-
-Spec grammar — comma-separated clauses ``<seed>:<times>[:<mode>]``:
-
-- ``seed``  — the unit's config seed the clause applies to;
-- ``times`` — fail the first ``times`` attempts (attempts count from
-  0), or ``inf`` to fail every attempt;
-- ``mode``  — ``raise`` (default: raise :class:`InjectedFailure`),
-  ``crash`` (``os._exit``: simulates a segfaulting worker; pool mode
-  only), or ``sleep=<seconds>`` (hang: exercises the timeout path).
-
-Example: ``REPRO_EXEC_INJECT="2001:1,3001:inf:crash"`` makes the unit
-seeded 2001 fail once then succeed on retry, and the unit seeded 3001
-kill its worker process on every attempt.
+configuration and returns ``(index, row, error)``.  A unit gets one
+attempt: same seed, same bytes, so a unit that raised once would raise
+again.  What the simulation raises is caught here and crosses back as
+text — ``error`` is ``(repr, formatted traceback)`` — so an exception
+whose constructor does not survive pickling reports itself like any
+other, and the other units of a batched task settle normally.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import time
-from typing import Dict, Optional, Tuple
-
-
-class InjectedFailure(RuntimeError):
-    """Deterministic failure raised by the injection hook."""
-
-
-@dataclasses.dataclass(frozen=True)
-class InjectClause:
-    times: float           # attempts to sabotage (inf = all)
-    mode: str              # "raise" | "crash" | "sleep"
-    sleep_seconds: float = 0.0
-
-
-def parse_inject_spec(spec: Optional[str]) -> Dict[int, InjectClause]:
-    """Parse a spec string into ``{seed: clause}``; '' / None -> {}."""
-    clauses: Dict[int, InjectClause] = {}
-    if not spec:
-        return clauses
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad inject clause {chunk!r}; expected "
-                             f"seed:times[:mode]")
-        seed = int(parts[0])
-        times = float("inf") if parts[1] == "inf" else int(parts[1])
-        mode, sleep_seconds = "raise", 0.0
-        if len(parts) == 3:
-            mode = parts[2]
-            if mode.startswith("sleep="):
-                sleep_seconds = float(mode.split("=", 1)[1])
-                mode = "sleep"
-            elif mode not in ("raise", "crash"):
-                raise ValueError(f"unknown inject mode {mode!r}")
-        clauses[seed] = InjectClause(times=times, mode=mode,
-                                     sleep_seconds=sleep_seconds)
-    return clauses
-
-
-def _apply_injection(seed: int, attempt: int,
-                     spec: Optional[str]) -> None:
-    clause = parse_inject_spec(spec).get(seed)
-    if clause is None or attempt >= clause.times:
-        return
-    if clause.mode == "crash":
-        os._exit(13)
-    if clause.mode == "sleep":
-        time.sleep(clause.sleep_seconds)
-        return
-    raise InjectedFailure(f"injected failure for seed {seed} "
-                          f"(attempt {attempt})")
+import traceback
+from typing import Optional, Tuple
 
 
 def execute_config(config, batch: int = 1) -> dict:
@@ -164,18 +98,18 @@ def execute_config(config, batch: int = 1) -> dict:
     return row
 
 
-def invoke_unit(index: int, config, attempt: int = 0,
-                inject: Optional[str] = None,
-                batch: int = 1) -> Tuple[int, dict]:
-    """Execute one run unit; the pool's submit target.
+def invoke_unit(index: int, config, batch: int = 1
+                ) -> Tuple[int, Optional[dict], Optional[Tuple[str, str]]]:
+    """Execute one run unit: ``(index, row, None)`` or, when the run
+    raised, ``(index, None, (repr, traceback))``.
 
-    Returns ``(index, row)`` so completions identify themselves
-    regardless of completion order.
+    The index travels with the result so completions identify
+    themselves regardless of completion order.
     """
-    spec = inject if inject is not None else os.environ.get(
-        "REPRO_EXEC_INJECT")
-    _apply_injection(config.seed, attempt, spec)
-    return index, execute_config(config, batch=batch)
+    try:
+        return index, execute_config(config, batch=batch), None
+    except Exception as exc:
+        return index, None, (repr(exc), traceback.format_exc())
 
 
 def warm_worker() -> None:
@@ -188,16 +122,9 @@ def warm_worker() -> None:
     from ..core import config              # noqa: F401
 
 
-def invoke_batch(items, inject: Optional[str] = None) -> list:
-    """Execute several units in one pool task, amortizing the
-    submit/pickle/result round-trip for small units.
-
-    ``items`` is a sequence of ``(index, config, attempt)``; returns the
-    ``(index, row)`` results in the same order.  Callers only batch
-    units with no injection spec and no per-unit timeout, so a raise
-    here aborts the whole task — the executor re-files the batch's
-    units individually to attribute the failure.
-    """
-    return [invoke_unit(index, config, attempt, inject,
-                        batch=len(items))
-            for index, config, attempt in items]
+def invoke_batch(items) -> list:
+    """Execute several ``(index, config)`` units in one pool task,
+    amortizing the submit/pickle/result round-trip for small units;
+    returns their :func:`invoke_unit` results in the same order."""
+    return [invoke_unit(index, config, batch=len(items))
+            for index, config in items]

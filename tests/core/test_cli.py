@@ -177,6 +177,28 @@ def test_sweep_checks_the_metric_before_printing_the_header(
     assert "nope" in captured.err
 
 
+def test_a_failed_unit_is_an_error_line_not_a_traceback(capsys,
+                                                       monkeypatch):
+    from repro.exec import worker
+    real = worker.execute_config
+
+    def execute_config(config, batch=1):
+        if config.seed == 1001:
+            raise RuntimeError("seed 1001 is broken")
+        return real(config, batch=batch)
+
+    monkeypatch.setattr(worker, "execute_config", execute_config)
+    assert main(["sweep", "--sizes", "2", "--protocols", "C",
+                 "--replications", "2", "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1 unit(s) failed: unit #1 ")
+    assert "seed=1001" in err.splitlines()[0]
+    assert "RuntimeError('seed 1001 is broken')" in err.splitlines()[0]
+    # The worker's traceback follows the one error line.
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("RuntimeError: seed 1001 is broken")
+
+
 def test_exec_option_block_is_declared_once():
     package = os.path.dirname(os.path.abspath(repro.__file__))
     declared = []

@@ -1,16 +1,16 @@
-"""Engine behaviour: determinism, caching, retries, fault tolerance."""
+"""Engine behaviour: determinism, caching, one attempt per unit,
+surviving a dying worker."""
 
 import pytest
 
 from repro.core.config import SingleSiteConfig, WorkloadConfig
 from repro.core.experiment import run_single_site
-from repro.exec import (ExecutionError, InjectedFailure, ResultCache,
-                        plan_batch, plan_replications,
-                        reset_session_counters, resolve_jobs, run_units,
-                        session_counters)
+from repro.exec import (ExecutionError, ResultCache, plan_batch,
+                        plan_replications, reset_session_counters,
+                        resolve_jobs, run_units, session_counters)
 from repro.exec.worker import execute_config
 
-from .conftest import tiny_config
+from .conftest import needs_fork, tiny_config
 
 
 def plan(replications=3, **overrides):
@@ -119,88 +119,105 @@ def test_changed_knob_misses_cache(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# fault tolerance (the REPRO_EXEC_INJECT test hook)
+# one attempt per unit (a patched execute_config, see conftest)
 # ----------------------------------------------------------------------
-def test_transient_failure_is_retried_serial():
-    result = run_units(plan(), jobs=1, inject="1001:1", backoff=0.0)
-    assert result.ok
-    assert result.stats.retries == 1
-    assert all(row is not None for row in result.rows)
-
-
-def test_transient_failure_is_retried_pool():
-    result = run_units(plan(), jobs=2, inject="1001:1", backoff=0.0)
-    assert result.ok
-    assert result.stats.retries == 1
-
-
-def test_exhausted_unit_is_structured_failure_not_abort():
-    result = run_units(plan(), jobs=1, inject="1001:inf", retries=1,
-                       backoff=0.0)
-    assert not result.ok
+def test_raising_unit_runs_once_serial(failing_units):
+    fake = failing_units([1001])
+    result = run_units(plan(), jobs=1)
+    assert fake.calls(1001) == 1
     assert [failure.seed for failure in result.failures] == [1001]
-    failure = result.failures[0]
-    assert failure.attempts == 2            # retries=1 -> 2 attempts
-    assert "InjectedFailure" in failure.error
-    assert failure.traceback
+
+
+@needs_fork
+def test_raising_unit_runs_once_pool(failing_units):
+    fake = failing_units([1001])
+    result = run_units(plan(), jobs=2)
+    assert fake.calls(1001) == 1
+    assert [failure.seed for failure in result.failures] == [1001]
+    assert result.stats.pool_restarts == 0
+
+
+def test_exhausted_unit_is_structured_failure_not_abort(failing_units):
+    failing_units([1001])
+    result = run_units(plan(), jobs=1)
+    assert not result.ok
+    failure, = result.failures
+    assert failure.seed == 1001 and failure.index == 1
+    assert failure.error == "RuntimeError('seed 1001 is broken')"
+    assert "execute_config" in failure.traceback
     # The rest of the sweep still completed.
     assert sum(row is not None for row in result.rows) == 2
     assert result.rows[1] is None
 
 
-def test_exhausted_unit_pool_mode():
-    result = run_units(plan(replications=4), jobs=3,
-                       inject="2001:inf", retries=1, backoff=0.0)
+@needs_fork
+def test_exhausted_unit_pool_mode(failing_units):
+    failing_units([2001])
+    result = run_units(plan(replications=4), jobs=3)
     assert [failure.seed for failure in result.failures] == [2001]
     assert sum(row is not None for row in result.rows) == 3
 
 
-def test_require_success_raises_with_failure_details():
-    result = run_units(plan(), jobs=1, inject="1:inf", retries=0,
-                       backoff=0.0)
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+def test_an_unpicklable_error_crosses_the_pool_as_text(failing_units,
+                                                       jobs):
+    # Raised in a worker and pickled back, OddError's constructor would
+    # break the pool; as text it is the unit's own failure.
+    fake = failing_units([1001], how="odd")
+    result = run_units(plan(), jobs=jobs)
+    failure, = result.failures
+    assert failure.error == "OddError('x/y')"
+    assert "OddError" in failure.traceback
+    assert result.stats.pool_restarts == 0
+    assert fake.calls(1001) == 1
+
+
+@needs_fork
+def test_a_raise_in_a_batched_task_fails_only_its_unit(failing_units):
+    units = plan(replications=16)
+    serial = run_units(units, jobs=1)
+    failing_units([5001])
+    pooled = run_units(units, jobs=2)
+    assert pooled.stats.batched_units > 0
+    assert [failure.seed for failure in pooled.failures] == [5001]
+    assert pooled.rows == [None if unit.seed == 5001 else row
+                           for unit, row in zip(units, serial.rows)]
+
+
+def test_require_success_raises_with_failure_details(failing_units):
+    failing_units([1])
+    result = run_units(plan(), jobs=1)
     with pytest.raises(ExecutionError) as excinfo:
         result.require_success()
     assert "seed=1" in str(excinfo.value)
     assert excinfo.value.failures == result.failures
 
 
-def test_crashed_worker_is_retried_and_recovered():
-    """os._exit in a worker breaks the pool; the engine rebuilds it."""
-    result = run_units(plan(replications=4), jobs=2,
-                       inject="1001:1:crash", backoff=0.0)
+def test_crashed_worker_is_retried_and_recovered(failing_units):
+    """A worker death is not the unit's fault: the pool is torn down,
+    finished rows are kept and the rest rerun in quarantine."""
+    serial = run_units(plan(replications=4), jobs=1)
+    fake = failing_units([1001], how="crash-once")
+    result = run_units(plan(replications=4), jobs=2)
     assert result.ok
-    assert result.stats.pool_restarts >= 1
-    assert all(row is not None for row in result.rows)
+    assert result.stats.pool_restarts == 1
+    assert result.rows == serial.rows
+    assert fake.calls(1001) == 2     # crashed, then quarantined
 
 
-def test_persistent_crasher_fails_alone():
-    result = run_units(plan(replications=4), jobs=2,
-                       inject="1001:inf:crash", retries=1, backoff=0.0)
-    assert not result.ok
-    assert any(failure.seed == 1001 for failure in result.failures)
-    # Peers eventually settle despite repeated pool teardowns.
-    survivors = sum(row is not None for row in result.rows)
-    assert survivors >= 2
-
-
-def test_inject_env_hook(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_INJECT", "1:inf")
-    result = run_units(plan(), jobs=1, retries=0, backoff=0.0)
-    assert [failure.seed for failure in result.failures] == [1]
-    with pytest.raises(InjectedFailure):
-        from repro.exec import invoke_unit
-        invoke_unit(0, tiny_config(seed=1))
-
-
-def test_timeout_is_a_failed_attempt():
-    result = run_units(plan(replications=2), jobs=2,
-                       inject="1001:1:sleep=2", timeout=0.4,
-                       backoff=0.0)
-    # First attempt hangs, times out, and the retry (attempt 1, past
-    # the clause's budget) succeeds.
-    assert result.ok
-    assert result.stats.retries >= 1
-    assert result.stats.pool_restarts >= 1
+def test_persistent_crasher_fails_alone(failing_units):
+    serial = run_units(plan(replications=4), jobs=1)
+    fake = failing_units([1001], how="crash")
+    result = run_units(plan(replications=4), jobs=2)
+    failure, = result.failures
+    assert failure.seed == 1001
+    assert "BrokenProcessPool" in failure.error
+    # Blamed alone in quarantine: one death in the shared pool, one in
+    # its own, and every peer's row is the serial row.
+    assert fake.calls(1001) == 2
+    assert result.stats.pool_restarts == 2
+    assert result.rows == [None if index == 1 else row
+                           for index, row in enumerate(serial.rows)]
 
 
 # ----------------------------------------------------------------------

@@ -102,9 +102,8 @@ def test_replicate_uses_cache_across_calls(tmp_path):
     assert cache.hits == 3
 
 
-def test_replicate_surfaces_structured_failures(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_INJECT", "1001:inf")
-    monkeypatch.setenv("REPRO_EXEC_RETRIES", "0")
+def test_replicate_surfaces_structured_failures(failing_units):
+    failing_units([1001])
     with pytest.raises(ExecutionError) as excinfo:
         replicate(tiny_config(), replications=3, jobs=1)
     assert len(excinfo.value.failures) == 1

@@ -1,117 +1,128 @@
-"""Fleet telemetry roll-up and the sweep dashboard renderer."""
+"""The one reporter: the progress panel and its finish frame, drawn
+from the run's stats record — the fleet facts included."""
 
 import io
 
-from repro.exec.executor import ExecutionStats
-from repro.exec.dashboard import Dashboard
-from repro.exec.fleet import FleetTelemetry, format_fleet_report
-from repro.exec.units import RunUnit
+from repro.exec import (ExecutionStats, ResultCache, TextProgress,
+                        plan_replications, run_units)
+
+from .conftest import tiny_config
 
 
-def unit(index, seed):
-    class _Config:
-        pass
-    config = _Config()
-    config.seed = seed
-    return RunUnit(index=index, group=0, config=config)
+def settled_stats():
+    """What a finished run leaves behind: two computed units (one of
+    them batched), one cache hit, one failure."""
+    return ExecutionStats(total=4, computed=2, cache_hits=1, failures=1,
+                          jobs=2, elapsed=2.0, busy_time=3.0,
+                          unit_walls=[0.4, 0.2], batched_units=1,
+                          latest_row={"seed": 101, "processed": 20,
+                                      "missed": 2.0})
 
 
-def settled_fleet():
-    fleet = FleetTelemetry()
-    fleet.unit_done(unit(0, 101), 0.4, cached=False)
-    fleet.unit_done(unit(1, 102), 0.2, cached=False, batch=2)
-    fleet.unit_done(unit(2, 103), 0.0, cached=True)
-    fleet.unit_done(unit(3, 104), 0.0, cached=False, failed=True)
-    return fleet
+def finish_frame(stats):
+    """The last line a TextProgress writes off a TTY for ``stats``."""
+    stream = io.StringIO()
+    progress = TextProgress(stream=stream, min_interval=0.0)
+    progress.start(stats)
+    progress.update(stats)
+    progress.finish(stats)
+    return stream.getvalue().splitlines()[-1]
+
+
+class Terminal(io.StringIO):
+    def isatty(self):
+        return True
 
 
 def test_report_counts_and_wall_shape():
-    report = settled_fleet().report()
-    assert report["units"] == 4
-    assert report["computed"] == 2
-    assert report["cache_hits"] == 1
-    assert report["failed"] == 1
-    assert report["batched_units"] == 1
-    assert report["unit_wall_s_total"] == 0.6000000000000001
-    assert report["unit_wall_s_max"] == 0.4
-    assert report["unit_wall_s_p50"] == 0.4
-    assert "parent_peak_rss_kb" in report
+    frame = finish_frame(settled_stats())
+    assert "[exec] 4/4 units · 1 cached · 1 failed" in frame
+    assert "unit mean 0.30s · unit max 0.40s" in frame
+    assert "1 batched" in frame
+    assert "unit wall total 0.60s · p50 0.40s" in frame
+    assert " MB" in frame                      # the parent's peak RSS
 
 
 def test_report_includes_engine_stats():
-    stats = ExecutionStats(total=4, computed=2, cache_hits=1,
-                           failures=1, retries=1, jobs=2,
-                           elapsed=2.0, busy_time=3.0)
-    report = settled_fleet().report(stats)
-    assert report["elapsed_s"] == 2.0
-    assert report["jobs"] == 2
-    assert report["retries"] == 1
-    assert report["units_per_sec"] == stats.done / 2.0
-    assert 0.0 < report["utilization"] <= 1.0
+    frame = finish_frame(settled_stats())
+    assert "wall 2.0s" in frame
+    assert "1.0 u/s" in frame                  # computed / elapsed
+    assert "utilization 75%" in frame          # 3.0 s busy / (2.0 s x 2)
+    assert "/2 workers" in frame
 
 
 def test_format_fleet_report_order_and_values():
-    text = format_fleet_report(settled_fleet().report())
-    lines = text.splitlines()
-    assert lines[0] == "[fleet] sweep telemetry:"
-    keys = [line.split()[0] for line in lines[1:]]
-    assert keys[:4] == ["units", "computed", "cache_hits", "failed"]
-    assert "units                4" in text
+    # Progress, host, latest row, then the run's summary line.
+    parts = finish_frame(settled_stats()).split(" | ")
+    assert [part.split()[0] for part in parts] == [
+        "[exec]", "host", "latest", "run"]
+    assert parts[2] == "latest seed=101 processed=20 missed=2"
 
 
 def test_dashboard_renders_plain_lines_off_tty():
     stream = io.StringIO()
-    dashboard = Dashboard(stream=stream, min_interval=0.0)
+    progress = TextProgress(stream=stream, min_interval=0.0)
     stats = ExecutionStats(total=10, computed=3, cache_hits=1, jobs=2,
-                           elapsed=1.0, in_flight=2)
-    dashboard.start(stats)
-    dashboard.unit_done(unit(0, 101), 0.3, cached=False,
-                        row={"seed": 101, "processed": 20,
-                             "missed": 2.0})
-    dashboard.update(stats)
+                           in_flight=2, unit_walls=[0.3, 0.3, 0.3],
+                           latest_row={"seed": 101, "processed": 20})
+    progress.start(stats)
+    progress.update(stats)
+    progress.update(stats)
     out = stream.getvalue()
-    assert "\x1b[" not in out            # no cursor control off-TTY
-    assert "progress   [" in out
+    assert "\x1b[" not in out                  # no cursor control off-TTY
+    assert len(out.splitlines()) == 2          # one line per frame
     assert "4/10 units" in out
     assert "1 cached" in out
+    assert "2/2 workers" in out
     assert "seed=101" in out
-    assert "missed=2" in out
 
 
-def test_dashboard_skips_cached_and_failed_walls():
-    dashboard = Dashboard(stream=io.StringIO(), min_interval=0.0)
-    dashboard.start(ExecutionStats())
-    dashboard.unit_done(unit(0, 1), 5.0, cached=True)
-    dashboard.unit_done(unit(1, 2), 5.0, cached=False, failed=True)
-    dashboard.unit_done(unit(2, 3), 0.25, cached=False)
-    assert dashboard._unit_walls == [0.25]
+def test_panel_is_redrawn_in_place_on_a_tty():
+    stream = Terminal()
+    progress = TextProgress(stream=stream, min_interval=0.0)
+    stats = settled_stats()
+    progress.start(stats)
+    progress.update(stats)
+    first = stream.getvalue()
+    assert first.count("\n") == 3 and "\x1b[" in first
+    progress.finish(stats)
+    # Back over the three lines drawn, then four (the summary added).
+    repaint = stream.getvalue()[len(first):]
+    assert repaint.startswith("\x1b[3F")
+    assert repaint.count("\x1b[2K") == 4
+
+
+def test_dashboard_skips_cached_and_failed_walls(failing_units, tmp_path):
+    units = plan_replications(tiny_config(), replications=3)
+    failing_units([2001])
+    cache = ResultCache(tmp_path / "cache")
+    cold = run_units(units, jobs=1, cache=cache)
+    assert cold.stats.failures == 1
+    assert len(cold.stats.unit_walls) == 2
+    warm = run_units(units, jobs=1, cache=cache)
+    assert warm.stats.cache_hits == 2 and warm.stats.failures == 1
+    assert warm.stats.unit_walls == []
 
 
 def test_dashboard_finish_is_quiet_when_never_drawn():
     stream = io.StringIO()
-    dashboard = Dashboard(stream=stream, min_interval=0.0)
-    dashboard.start(ExecutionStats())
-    dashboard.finish(ExecutionStats())
+    progress = TextProgress(stream=stream, min_interval=0.0)
+    progress.start(ExecutionStats())
+    progress.finish(ExecutionStats())
     assert stream.getvalue() == ""
 
 
-def test_run_units_feeds_fleet(monkeypatch, tmp_path):
-    # End-to-end: a tiny serial engine run notifies the fleet once per
-    # unit and the report reflects the computed counts.
-    from repro.core.config import SingleSiteConfig, WorkloadConfig
-    from repro.exec import plan_replications, run_units
-
-    config = SingleSiteConfig(
-        protocol="C", db_size=40, seed=1,
-        workload=WorkloadConfig(n_transactions=8, mean_interarrival=3.0,
-                                transaction_size=3, size_jitter=1,
-                                read_only_fraction=0.25))
-    units = plan_replications(config, replications=2)
-    fleet = FleetTelemetry()
-    result = run_units(units, jobs=1, cache=None, fleet=fleet)
+def test_run_units_feeds_fleet():
+    # End-to-end: a tiny serial run fills the stats record the panel
+    # reads, and the reporter ends on the finish frame.
+    units = plan_replications(tiny_config(), replications=2)
+    stream = io.StringIO()
+    result = run_units(units, jobs=1, cache=False,
+                       progress=TextProgress(stream=stream))
     result.require_success()
-    assert len(fleet.units) == 2
-    assert result.fleet["units"] == 2
-    assert result.fleet["computed"] == 2
-    assert result.fleet["failed"] == 0
-    assert result.fleet["unit_wall_s_total"] > 0.0
+    assert len(result.stats.unit_walls) == 2
+    assert all(wall > 0.0 for wall in result.stats.unit_walls)
+    assert result.stats.latest_row == result.rows[-1]
+    assert result.stats.batched_units == 0
+    assert stream.getvalue().splitlines()[-1].split(" | ")[-1].startswith(
+        "run    utilization ")

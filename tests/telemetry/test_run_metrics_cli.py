@@ -63,12 +63,19 @@ def test_exported_exposition_is_spec_valid(metered_run, tmp_path):
         assert validate_openmetrics(stream.read()) == []
 
 
-def test_sweep_dashboard_prints_fleet_report(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("dashboard-cli")
+def test_sweep_prune_model_progress_ends_with_the_finish_frame(
+        tmp_path_factory):
+    # Captured stderr is not a TTY: one joined line per frame, the
+    # last one carrying what the whole run did.
+    tmp = tmp_path_factory.mktemp("progress-cli")
     result = _repro(
-        ["sweep", "--sizes", "2,4", "--protocols", "C",
+        ["sweep", "--prune-model", "--sizes", "2,4", "--protocols", "C",
          "--replications", "1", "--cache-dir", str(tmp / "cache"),
-         "--dashboard"], tmp)
+         "--progress"], tmp)
     assert result.returncode == 0, result.stderr
-    assert "[fleet] sweep telemetry:" in result.stdout
-    assert "units" in result.stdout
+    assert "[pruned 1/2 configs" in result.stdout
+    frame = result.stderr.splitlines()[-1]
+    assert frame.startswith("[exec] 1/1 units")
+    for fact in ("utilization ", "unit mean ", "unit wall total ",
+                 " MB"):
+        assert fact in frame, fact
