@@ -15,7 +15,8 @@ schedule so every protocol sees the identical transaction stream.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from functools import partial
+from typing import Callable, List, Optional
 
 from ..cc import make_protocol
 from ..db.objects import Database
@@ -28,6 +29,20 @@ from ..txn.priority import PriorityAssigner, proportional_deadline
 from ..txn.transaction import Transaction
 from .config import SingleSiteConfig
 from .monitor import PerformanceMonitor
+
+
+def schedule_arrivals(kernel, schedule: List[TransactionSpec],
+                      admit: Callable[[TransactionSpec], None]) -> None:
+    """Schedule ``admit(spec)`` at every spec's arrival, in schedule
+    order (the event order :meth:`Kernel.at` would give).  The callback
+    is a ``partial``, so dispatch enters ``admit`` with no frame in
+    between."""
+    now = kernel.now
+    push = kernel.events.schedule
+    for spec in schedule:
+        if spec.arrival < now:
+            kernel.at(spec.arrival, admit)  # raises, with the diagnosis
+        push(spec.arrival, partial(admit, spec))
 
 
 class SingleSiteSystem:
@@ -71,9 +86,7 @@ class SingleSiteSystem:
                 size_jitter=workload.size_jitter)
             schedule = generator.generate()
         self.schedule = schedule
-        for spec in schedule:
-            self.kernel.at(spec.arrival,
-                           lambda spec=spec: self._admit(spec))
+        schedule_arrivals(self.kernel, schedule, self._admit)
 
     # ------------------------------------------------------------------
     def _admit(self, spec: TransactionSpec) -> None:

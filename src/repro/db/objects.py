@@ -41,7 +41,13 @@ class DataObject:
 
 
 class Database:
-    """A fixed-size set of data objects identified by integer oids."""
+    """A fixed-size set of data objects identified by integer oids.
+
+    Objects are built on first touch: a run pays for the objects its
+    transactions reach, not for the whole database.  An untouched
+    object is indistinguishable from a fresh :class:`DataObject`, and
+    every accessor below builds it before handing it out.
+    """
 
     def __init__(self, size: int, site_id: int = 0,
                  first_oid: int = 0):
@@ -50,30 +56,31 @@ class Database:
         self.site_id = site_id
         self.size = size
         self.first_oid = first_oid
-        self._objects: Dict[int, DataObject] = {
-            oid: DataObject(oid)
-            for oid in range(first_oid, first_oid + size)
-        }
+        self._oids = range(first_oid, first_oid + size)
+        self._objects: Dict[int, DataObject] = {}
 
     def object(self, oid: int) -> DataObject:
         try:
             return self._objects[oid]
         except KeyError:
-            raise KeyError(
-                f"oid {oid} not in database of site {self.site_id} "
-                f"(oids {self.first_oid}..{self.first_oid + self.size - 1})"
-            ) from None
+            if oid not in self._oids:
+                raise KeyError(
+                    f"oid {oid} not in database of site {self.site_id} "
+                    f"(oids {self.first_oid}.."
+                    f"{self.first_oid + self.size - 1})") from None
+            obj = self._objects[oid] = DataObject(oid)
+            return obj
 
     def __contains__(self, oid: int) -> bool:
-        return oid in self._objects
+        return oid in self._oids
 
     def oids(self) -> List[int]:
         """All object ids, in ascending order."""
-        return sorted(self._objects)
+        return list(self._oids)
 
     def __iter__(self) -> Iterator[DataObject]:
-        for oid in sorted(self._objects):
-            yield self._objects[oid]
+        for oid in self._oids:
+            yield self.object(oid)
 
     def __len__(self) -> int:
         return self.size

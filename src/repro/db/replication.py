@@ -16,7 +16,7 @@ temporal inconsistency (staleness of the views).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 
 class ReplicationViolation(Exception):
@@ -39,6 +39,14 @@ class ReplicaCatalog:
             oid: min(oid * n_sites // db_size, n_sites - 1)
             for oid in range(db_size)
         }
+        #: site -> its primaries, ascending, and the same as a set.
+        self._primaries: Dict[int, List[int]] = {
+            site: [] for site in range(n_sites)}
+        for oid, site in self._primary.items():
+            self._primaries[site].append(oid)
+        self._primary_sets: Dict[int, FrozenSet[int]] = {
+            site: frozenset(oids)
+            for site, oids in self._primaries.items()}
         #: (site, oid) -> version timestamp of that site's copy.
         self._copy_ts: Dict[int, List[float]] = {
             site: [0.0] * db_size for site in range(n_sites)
@@ -55,12 +63,15 @@ class ReplicaCatalog:
                            f"(0..{self.db_size - 1})") from None
 
     def primaries_at(self, site: int) -> List[int]:
-        """Objects whose primary copy lives at ``site``."""
+        """Objects whose primary copy lives at ``site``, ascending (the
+        catalog's own list: read it, do not change it)."""
         self._check_site(site)
-        return [oid for oid, s in self._primary.items() if s == site]
+        return self._primaries[site]
 
     def check_update_locality(self, site: int, write_set) -> None:
         """Enforce R2: all written objects must be primary at ``site``."""
+        if self._primary_sets.get(site, frozenset()).issuperset(write_set):
+            return
         bad = [oid for oid in write_set if self.primary_site(oid) != site]
         if bad:
             raise ReplicationViolation(
@@ -122,10 +133,17 @@ class ReplicaCatalog:
 
     def max_staleness(self, now: float) -> float:
         """Worst staleness over all (site, object) pairs."""
+        # staleness() inlined: a pair is stale by now - primary_ts when
+        # its copy lags, so the worst pair is the oldest lagging write.
         worst = 0.0
-        for oid in range(self.db_size):
-            for site in range(self.n_sites):
-                worst = max(worst, self.staleness(site, oid, now))
+        copies = list(self._copy_ts.values())
+        for oid, primary in self._primary.items():
+            primary_ts = self._copy_ts[primary][oid]
+            for copy_ts in copies:
+                if copy_ts[oid] < primary_ts:
+                    if now - primary_ts > worst:
+                        worst = now - primary_ts
+                    break
         return worst
 
     def _check_site(self, site: int) -> None:

@@ -30,6 +30,7 @@ import itertools
 from functools import partial
 from typing import Dict, List, Optional
 
+from ..core.builder import schedule_arrivals
 from ..core.config import DistributedConfig
 from ..core.monitor import PerformanceMonitor
 from ..db.replication import ReplicaCatalog
@@ -159,9 +160,7 @@ class DistributedSystem:
                 n_sites=config.n_sites, catalog=self.catalog)
             schedule = generator.generate()
         self.schedule = schedule
-        for spec in schedule:
-            self.kernel.at(spec.arrival,
-                           lambda spec=spec: self._admit(spec))
+        schedule_arrivals(self.kernel, schedule, self._admit)
 
     # ------------------------------------------------------------------
     def _admit(self, spec: TransactionSpec) -> None:

@@ -100,10 +100,11 @@ def entry_label(entry: tuple) -> str:
     """A replay-stable description of a queued event entry.
 
     Process resumes are labelled by process name; bare callbacks by
-    qualified name plus the ``repr`` of their closure cells (the
-    builder schedules arrivals as ``lambda spec=spec: ...``, so the
-    cells distinguish otherwise identical lambdas).  Memory addresses
-    are scrubbed so the label is identical across replays.
+    qualified name plus the ``repr`` of their closure cells (which
+    distinguish otherwise identical closures), or by their ``repr``
+    when they have no name (a ``partial`` such as the builder's
+    arrivals, ``partial(admit, spec)``, shows its arguments).  Memory
+    addresses are scrubbed so the label is identical across replays.
     """
     event = entry[3]
     if event.callback is None:

@@ -17,6 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 from ..db.locks import LockMode
 from ..kernel.errors import ProcessInterrupt
 
+_READ = LockMode.READ
+_WRITE = LockMode.WRITE
+
 
 class TransactionAbort(ProcessInterrupt):
     """Base for interrupts that abort a transaction's execution."""
@@ -82,17 +85,12 @@ class Transaction:
         self.site = site
         self.txn_type = txn_type
         self.periodic = periodic
-        # One pass; each frozenset sees the insertion sequence a
-        # filtering generator would feed it, so it iterates the same.
-        reads: List[int] = []
-        writes: List[int] = []
-        for oid, mode in operations:
-            if mode is LockMode.READ:
-                reads.append(oid)
-            elif mode is LockMode.WRITE:
-                writes.append(oid)
-        self.read_set = frozenset(reads)
-        self.write_set = frozenset(writes)
+        # Each frozenset sees the operations' order of insertion, so it
+        # iterates the same as one built by a filtering generator.
+        self.read_set = frozenset([oid for oid, mode in operations
+                                   if mode is _READ])
+        self.write_set = frozenset([oid for oid, mode in operations
+                                    if mode is _WRITE])
         # -- runtime ----------------------------------------------------
         self.process = None  # kernel Process of the transaction manager
         self.status = TransactionStatus.PENDING

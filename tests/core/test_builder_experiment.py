@@ -8,7 +8,9 @@ from repro.bench import Sweep, run
 from repro.core import (SingleSiteConfig, SingleSiteSystem, TimingConfig,
                         WorkloadConfig, compare_protocols, replicate,
                         run_single_site)
+from repro.db.locks import LockMode
 from repro.txn import CostModel
+from repro.txn.generator import TransactionSpec
 
 
 def tiny_config(protocol="C", **workload_overrides):
@@ -62,6 +64,13 @@ def test_explicit_schedule_replayed_across_protocols():
     assert other.schedule == schedule
     other.run()
     assert other.monitor.processed == 20
+
+
+def test_explicit_schedule_in_the_past_rejected():
+    schedule = [TransactionSpec(1.0, ((0, LockMode.WRITE),)),
+                TransactionSpec(-1.0, ((1, LockMode.WRITE),))]
+    with pytest.raises(ValueError, match="cannot schedule in the past"):
+        SingleSiteSystem(tiny_config(), schedule=schedule)
 
 
 def test_summary_merges_cc_stats_and_utilization():

@@ -43,6 +43,21 @@ def test_read_write_counters_and_timestamps():
     assert obj.version_ts == 15.0
 
 
+def test_objects_are_built_on_first_touch():
+    database = Database(4, first_oid=2)
+    assert 3 in database and 6 not in database
+    assert database.oids() == [2, 3, 4, 5]
+    assert not database._objects
+    touched = database.object(3)
+    touched.write(2.0, 5.0)
+    assert database.object(3) is touched
+    assert [(obj.oid, obj.value) for obj in database] == [
+        (2, 0.0), (3, 2.0), (4, 0.0), (5, 0.0)]
+    with pytest.raises(KeyError, match=r"oid 6 not in database of site "
+                                       r"0 \(oids 2..5\)"):
+        database.object(6)
+
+
 def test_objects_are_independent():
     database = Database(3)
     database.object(0).write(1.0, 1.0)

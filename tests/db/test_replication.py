@@ -46,6 +46,14 @@ def test_check_update_locality_rejects_remote_primaries():
         catalog.check_update_locality(1, remote[:1])
 
 
+def test_locality_violation_names_the_remote_objects_in_order():
+    catalog = ReplicaCatalog(db_size=6, n_sites=2)
+    with pytest.raises(ReplicationViolation) as caught:
+        catalog.check_update_locality(0, [4, 1, 3])
+    assert str(caught.value) == ("R2 violated: site 0 cannot update "
+                                 "objects [4, 3] (primaries at [1, 1])")
+
+
 def test_staleness_zero_when_in_sync():
     catalog = ReplicaCatalog(db_size=4, n_sites=2)
     assert catalog.staleness(0, 1, now=10.0) == 0.0

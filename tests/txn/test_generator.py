@@ -26,6 +26,13 @@ def test_parameter_validation():
         make_generator(transaction_size=0)
     with pytest.raises(ValueError):
         make_generator(transaction_size=90, size_jitter=20)
+    # Both used to surface only at a draw: the first inside
+    # RngStreams.exponential, the second as "empty range for randrange".
+    for mean in (0.0, -1.0):
+        with pytest.raises(ValueError, match="mean_interarrival"):
+            make_generator(mean_interarrival=mean)
+    with pytest.raises(ValueError, match="size_jitter"):
+        make_generator(size_jitter=-1)
 
 
 def test_generates_requested_count_with_increasing_arrivals():
