@@ -927,7 +927,7 @@ class EventQueueInternalsRule(Rule):
     #: Internal attributes of either engine's event structure.
     banned = frozenset({
         # reference tuple-heap internals
-        "_heap", "_sorted",
+        "_heap",
         # turbo calendar internals
         "_buckets", "_bucket_heap", "_drain", "_spill", "_far",
         "_current_id", "_width", "_resize_at", "_freelist",

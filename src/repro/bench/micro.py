@@ -18,18 +18,13 @@ This module prices that path directly:
   :class:`~repro.trace.tracer.Tracer`, pricing observability overhead;
 - ``turbo_*`` — the same workloads on the turbo engine
   (:mod:`repro.kernel.turbo`).  Each pairs with a reference benchmark
-  (:data:`ENGINE_PAIRS`) and reports ``engine_speedup_x``; the
-  ``batched_dispatch`` pair is the batch-stepped showcase (thousands
-  of same-timestamp events per wave, dispatched one ``batch_call``
-  per wave on turbo vs one Python call per event on reference) and is
-  what the CI ``--min-engine-speedup`` gate prices.
+  (:data:`ENGINE_PAIRS`) and reports ``engine_speedup_x``.
 
-``run_bench`` writes ``BENCH_<timestamp>.json`` documents; the gates
-(``--max-metrics-overhead``, ``--min-engine-speedup``) are ratios
-within one document.  Wall time is measured with
-``time.perf_counter`` — host time never leaks into simulation state
-(the runs themselves are seeded and virtual-time deterministic, which
-is property-tested elsewhere).
+``run_bench`` writes ``BENCH_<timestamp>.json`` documents; the one
+gate (``--max-metrics-overhead``) is a ratio within one document.
+Wall time is measured with ``time.perf_counter`` — host time never
+leaks into simulation state (the runs themselves are seeded and
+virtual-time deterministic, which is property-tested elsewhere).
 """
 
 from __future__ import annotations
@@ -177,51 +172,6 @@ def _bench_turbo_event_dispatch(n: int) -> int:
     return n
 
 
-class _WaveTick:
-    """The batch-dispatch workload: one counter ticked per event.
-
-    ``__call__`` is what the reference loop pays per event;
-    ``batch_call`` is the turbo engine's opt-in — one call advances
-    the whole same-timestamp wave.  Both leave identical state, which
-    is exactly the batch-step eligibility contract (DESIGN.md §14).
-    """
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def __call__(self) -> None:
-        self.count += 1
-
-    def batch_call(self, n: int) -> None:
-        self.count += n
-
-
-#: Events per same-timestamp wave in the batched-dispatch workload.
-_WAVE = 512
-
-
-def _run_batched_dispatch(kernel, n: int) -> int:
-    tick = _WaveTick()
-    schedule_batch = kernel.events.schedule_batch
-    for wave in range(n // _WAVE):
-        schedule_batch(float(wave), tick, _WAVE)
-    kernel.run()
-    assert tick.count == (n // _WAVE) * _WAVE
-    return n
-
-
-def _bench_batched_dispatch(n: int) -> int:
-    from ..kernel.kernel import Kernel
-    return _run_batched_dispatch(Kernel(seed=0), n)
-
-
-def _bench_turbo_batched_dispatch(n: int) -> int:
-    from ..kernel.turbo import TurboKernel
-    return _run_batched_dispatch(TurboKernel(seed=0), n)
-
-
 def _bench_turbo_single_site(n: int) -> int:
     import dataclasses
 
@@ -251,11 +201,8 @@ METERED_PAIRS = {"metered_event_dispatch": "event_dispatch",
                  "metered_single_site": "single_site_pcp"}
 
 #: Turbo benchmark -> reference twin running the identical workload;
-#: priced as ``engine_speedup_x`` ratios and gated by
-#: ``--min-engine-speedup`` (CI holds ``turbo_batched_dispatch`` to
-#: the tentpole's >=10x floor).
+#: priced as ``engine_speedup_x`` ratios.
 ENGINE_PAIRS = {"turbo_event_dispatch": "event_dispatch",
-                "turbo_batched_dispatch": "batched_dispatch",
                 "turbo_single_site": "single_site_pcp"}
 
 #: name -> (size key, body).  Declaration order is report order.
@@ -271,11 +218,8 @@ BENCHMARKS: Dict[str, Tuple[str, Callable[[int], int]]] = {
     "metered_event_dispatch": ("event_dispatch",
                                _bench_metered_event_dispatch),
     "metered_single_site": ("single_site", _bench_metered_single_site),
-    "batched_dispatch": ("event_dispatch", _bench_batched_dispatch),
     "turbo_event_dispatch": ("event_dispatch",
                              _bench_turbo_event_dispatch),
-    "turbo_batched_dispatch": ("event_dispatch",
-                               _bench_turbo_batched_dispatch),
     "turbo_single_site": ("single_site", _bench_turbo_single_site),
 }
 
@@ -396,29 +340,6 @@ def format_doc(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def engine_speedup_violations(doc: dict,
-                              floors: Dict[str, float]) -> List[str]:
-    """Engine pairs whose turbo/reference ratio misses its floor.
-
-    ``floors`` maps a turbo benchmark name to the minimum acceptable
-    ``engine_speedup_x``.  A named pair the document lacks is itself a
-    violation — a gate that silently cannot fire is not a gate.
-    """
-    messages = []
-    for turbo_name, floor in floors.items():
-        speedup = doc["results"].get(turbo_name, {}).get(
-            "engine_speedup_x")
-        if speedup is None:
-            messages.append(
-                f"{turbo_name}: no engine_speedup_x in the document "
-                f"(benchmark or its reference twin did not run)")
-        elif speedup < floor:
-            messages.append(
-                f"{turbo_name}: {speedup:.2f}x is below the "
-                f"{floor:.2f}x engine-speedup floor")
-    return messages
-
-
 def metrics_overhead_violations(doc: dict,
                                 limit: float) -> List[str]:
     """Metered benchmarks whose slowdown exceeds ``limit``.
@@ -466,11 +387,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail (exit 1) when a metered benchmark "
                              "is more than RATIO x its plain baseline "
                              "(e.g. 1.10 gates at 10%% overhead)")
-    parser.add_argument("--min-engine-speedup", action="append",
-                        default=None, metavar="NAME=RATIO",
-                        help="fail (exit 1) when engine pair NAME's "
-                             "engine_speedup_x is below RATIO (e.g. "
-                             "turbo_batched_dispatch=10); repeatable")
     parser.add_argument("--engine", choices=("reference", "turbo"),
                         default=None,
                         help="force the config-driven benchmarks "
@@ -489,17 +405,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     only = ([token.strip() for token in args.only.split(",")
              if token.strip()] if args.only else None)
-    floors: Dict[str, float] = {}
-    for spec in args.min_engine_speedup or ():
-        name, sep, ratio = spec.partition("=")
-        try:
-            floors[name.strip()] = float(ratio)
-        except ValueError:
-            sep = ""
-        if not sep:
-            print(f"error: --min-engine-speedup expects NAME=RATIO, "
-                  f"got {spec!r}", file=sys.stderr)
-            return 2
     previous_engine = os.environ.get("REPRO_ENGINE")
     if args.engine is not None:
         os.environ["REPRO_ENGINE"] = args.engine
@@ -527,13 +432,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             doc, args.max_metrics_overhead)
         if violations:
             print("\nMETRICS OVERHEAD:", file=sys.stderr)
-            for message in violations:
-                print(f"  {message}", file=sys.stderr)
-            return 1
-    if floors:
-        violations = engine_speedup_violations(doc, floors)
-        if violations:
-            print("\nENGINE SPEEDUP:", file=sys.stderr)
             for message in violations:
                 print(f"  {message}", file=sys.stderr)
             return 1

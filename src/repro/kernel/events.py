@@ -21,13 +21,6 @@ Hot-path design (this queue is the innermost loop of every run):
   heap is dead (timer-heavy workloads: deadline watchdogs armed per
   transaction and cancelled at commit), the heap is compacted in place,
   bounding both memory and the ``log(heap)`` factor of every push.
-- **sorted backlog drain** — a large pre-built backlog (bulk-scheduled
-  arrivals, event storms) is sorted *once* into a descending list and
-  consumed with O(1) tail pops, instead of paying an O(log n) sift per
-  pop through a deep heap.  New arrivals land in the (now near-empty)
-  heap and are min-merged with the backlog by a single tuple
-  comparison.  Order is the same total order either way, so dispatch
-  order — and therefore every simulation result — is unchanged.
 """
 
 from __future__ import annotations
@@ -38,10 +31,6 @@ from typing import Any, Callable, Iterator, Optional
 #: Heaps smaller than this are never compacted (rebuild overhead would
 #: exceed the scan cost it saves).
 _COMPACT_MIN = 64
-
-#: Backlogs smaller than this are drained straight off the heap; above
-#: it, one sort plus O(1) tail pops beats per-pop sifting.
-_SORT_MIN = 2048
 
 
 class Event:
@@ -77,10 +66,6 @@ class Event:
         wake-up (a delay, an I/O burst) leaves by cancelling it."""
         self.cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.key, self.seq) < (other.time, other.key,
-                                                  other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time:.6g}, seq={self.seq}{flag})"
@@ -89,33 +74,24 @@ class Event:
 class EventQueue:
     """A stable priority queue of :class:`Event` objects.
 
+    One heap, ``_heap``, of ``(time, key, seq, Event)`` tuples: ``seq``
+    is unique, so tuple order is the total event order and a comparison
+    never reaches the :class:`Event`.
+
     Live-count bookkeeping is *inverted*: the queue counts dead
     (cancelled, still-queued) entries, and ``len`` is derived as
     ``entries - dead``.  Scheduling and popping live events — the
     overwhelmingly common operations — therefore touch no counter at
     all; only cancellation and dead-entry reaping do.
-
-    Entries live in two stores with one total order between them:
-
-    - ``_heap`` — a heap of ``(time, key, seq, Event)`` tuples; every
-      ``schedule`` lands here.
-    - ``_sorted`` — a *descending*-sorted drain list, filled by
-      :meth:`_sort_backlog` when the kernel is about to dispatch a deep
-      backlog.  The next event overall is the smaller of ``_heap[0]``
-      and ``_sorted[-1]`` (one C tuple comparison; ``seq`` is unique so
-      there are never ties).
     """
 
-    __slots__ = ("_heap", "_sorted", "_seq", "_dead",
-                 "_cancelled_total")
+    __slots__ = ("_heap", "_seq", "_dead", "_cancelled_total")
 
     def __init__(self) -> None:
         #: Heap of (time, key, seq, Event) — tuple order == event order.
         self._heap: list = []
-        #: Descending drain list; consumed from the tail.
-        self._sorted: list = []
         self._seq = 0
-        #: Cancelled entries still sitting in either store.
+        #: Cancelled entries still sitting in the heap.
         self._dead = 0
         #: Lifetime cancellation count (never decremented); the
         #: telemetry KernelProbe derives timer churn from it.
@@ -170,26 +146,6 @@ class EventQueue:
         heappush(self._heap, (time, 0.0, seq, event))
         return event
 
-    def schedule_batch(self, time: float, callback: Callable[[], None],
-                       count: int, key: float = 0.0) -> None:
-        """Schedule ``count`` indistinguishable firings of ``callback``
-        at ``time`` — the bulk-arrival API for homogeneous waves.
-
-        Declaring the firings indistinguishable is what lets an engine
-        choose its representation: this reference queue expands them
-        into ``count`` ordinary entries with consecutive sequence
-        numbers; the turbo calendar collapses them into one entry
-        occupying the same sequence range, which is order-identical
-        because no other event's ``seq`` can fall inside a range
-        allocated atomically.  Fire-and-forget on purpose (no handle
-        is returned): a cancellable bulk wave would pin ``count``
-        handles and defeat the collapsed representation.
-        """
-        if count < 1:
-            raise ValueError("schedule_batch needs count >= 1")
-        for __ in range(count):
-            self.schedule(time, callback, key)
-
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
         event.cancel()
@@ -198,53 +154,23 @@ class EventQueue:
         """One live event became dead; compact when mostly dead."""
         self._dead += 1
         self._cancelled_total += 1
-        size = len(self._heap) + len(self._sorted)
+        size = len(self._heap)
         if size > _COMPACT_MIN and self._dead * 2 > size:
             self.compact()
 
-    def _sort_backlog(self) -> None:
-        """Move the heap's contents into the sorted drain list.
-
-        Both list *identities* are preserved (extend/clear, never
-        rebind): the kernel's dispatch loop and :meth:`compact` hold
-        direct references to them.  Any leftover drain entries are
-        merged before sorting, so the call is always safe.
-        """
-        heap = self._heap
-        if heap:
-            drain = self._sorted
-            drain.extend(heap)
-            heap.clear()
-            drain.sort(reverse=True)
-
     def compact(self) -> None:
-        """Drop every cancelled entry from both stores, in place.
+        """Drop every cancelled entry from the heap, in place.
 
-        In place on purpose: the kernel's dispatch loop holds direct
-        references to both lists, which must stay valid across a
-        compaction triggered from inside an event callback.  Filtering
-        preserves the drain list's descending order.
+        In place on purpose: the kernel's dispatch loop and
+        :meth:`Kernel.wake`'s quiet-instant guard hold a direct
+        reference to the heap, which must stay valid across a
+        compaction triggered from inside an event callback (a timer
+        cancelled by the event being dispatched).
         """
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[3].cancelled]
         heapify(heap)
-        drain = self._sorted
-        if drain:
-            drain[:] = [entry for entry in drain
-                        if not entry[3].cancelled]
         self._dead = 0
-
-    def _next_entry(self) -> Optional[tuple]:
-        """Remove and return the overall-smallest entry (dead or live)."""
-        heap = self._heap
-        drain = self._sorted
-        if drain:
-            if heap and heap[0] < drain[-1]:
-                return heappop(heap)
-            return drain.pop()
-        if heap:
-            return heappop(heap)
-        return None
 
     def pop_tied_entries(self) -> list:
         """Remove and return every live entry tied at the earliest
@@ -273,69 +199,54 @@ class EventQueue:
         heappush(self._heap, entry)
 
     def _pop_live_entry(self) -> Optional[tuple]:
-        while True:
-            entry = self._next_entry()
-            if entry is None:
-                return None
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
             if not entry[3].cancelled:
                 return entry
             self._dead -= 1
+        return None
 
     def _peek_live_entry(self) -> Optional[tuple]:
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heappop(heap)
             self._dead -= 1
-        drain = self._sorted
-        while drain and drain[-1][3].cancelled:
-            drain.pop()
-            self._dead -= 1
-        if drain:
-            if heap and heap[0] < drain[-1]:
-                return heap[0]
-            return drain[-1]
         return heap[0] if heap else None
 
     # ------------------------------------------------------------------
     # dispatch API — the only sanctioned way for engines to reach the
-    # queue's stores (lint rule RPL015 bans direct ``_heap``/``_sorted``
-    # access outside this module and ``kernel/turbo/``)
+    # queue's heap (lint rule RPL015 bans direct ``_heap`` access
+    # outside this module and ``kernel/turbo/``)
     # ------------------------------------------------------------------
-    def prepare_dispatch(self) -> tuple:
-        """Hand the dispatch loop direct aliases of both stores.
+    def prepare_dispatch(self) -> list:
+        """Hand the dispatch loop a direct alias of the heap.
 
-        Sorts a deep pre-built backlog into the drain list first (one
-        sort plus O(1) tail pops beats per-pop sifting), then returns
-        ``(heap, drain)``.  Both list identities are stable across
-        compaction and backlog sorting, so a run loop may hold them for
-        its whole lifetime.
+        The list identity is stable across compaction (filtered in
+        place, never rebound), so a run loop may hold it for its whole
+        lifetime.
         """
-        if len(self._heap) >= _SORT_MIN:
-            self._sort_backlog()
-        return self._heap, self._sorted
+        return self._heap
 
     def note_dead(self, count: int = 1) -> None:
         """A dispatch loop removed ``count`` dead (cancelled) entries."""
         self._dead -= count
 
     def live_entries(self) -> Iterator[tuple]:
-        """Every live queued entry, in store order (not sorted)."""
+        """Every live queued entry, in heap order (not sorted)."""
         for entry in self._heap:
-            if not entry[3].cancelled:
-                yield entry
-        for entry in self._sorted:
             if not entry[3].cancelled:
                 yield entry
 
     def queue_stats(self) -> tuple:
         """``(live, dispatched_total, cancelled_total)`` for telemetry.
 
-        Entries leave the stores by dispatch, by dead-skip on pop, or
-        by compaction; the latter two total ``cancelled - dead``, which
-        is how the lifetime dispatch count is derived from the sequence
+        Entries leave the heap by dispatch, by dead-skip on pop, or by
+        compaction; the latter two total ``cancelled - dead``, which is
+        how the lifetime dispatch count is derived from the sequence
         counter.
         """
-        raw = len(self._heap) + len(self._sorted)
+        raw = len(self._heap)
         dead = self._dead
         cancelled = self._cancelled_total
         dispatched = self._seq - raw - (cancelled - dead)
@@ -343,37 +254,11 @@ class EventQueue:
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or None if empty."""
-        while True:
-            entry = self._next_entry()
-            if entry is None:
-                return None
-            event = entry[3]
-            if not event.cancelled:
-                return event
-            self._dead -= 1
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event without removing it.
-
-        Dead prefix entries are dropped as they are skipped, so a
-        peek/pop pair never scans the same dead prefix twice.
-        """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-            self._dead -= 1
-        drain = self._sorted
-        while drain and drain[-1][3].cancelled:
-            drain.pop()
-            self._dead -= 1
-        if drain:
-            if heap and heap[0] < drain[-1]:
-                return heap[0][0]
-            return drain[-1][0]
-        return heap[0][0] if heap else None
+        entry = self._pop_live_entry()
+        return None if entry is None else entry[3]
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._sorted) - self._dead
+        return len(self._heap) - self._dead
 
     def __bool__(self) -> bool:
-        return len(self._heap) + len(self._sorted) > self._dead
+        return len(self._heap) > self._dead

@@ -62,10 +62,10 @@ class Kernel:
         #: when set, :meth:`run` delegates to its controlled loop.
         self.controller = None
         self._dispatching = False
-        #: ``(heap, drain)`` aliases of the event queue's stores while
-        #: the reference loop is dispatching with :attr:`fuses_wakes`
-        #: on, else None — the flag and the operands of :meth:`wake`'s
-        #: quiet-instant test in one attribute read.
+        #: Alias of the event queue's heap while the reference loop is
+        #: dispatching with :attr:`fuses_wakes` on, else None — the
+        #: flag and the operand of :meth:`wake`'s quiet-instant test in
+        #: one attribute read.
         self._quiet = None
         #: Completions whose resume :meth:`wake` ran in place instead
         #: of scheduling it (``kernel.wakes_fused`` when metered).  A
@@ -152,7 +152,7 @@ class Kernel:
         instant, so when nothing else is queued at ``time <= now`` it
         is provably the next event dispatched, and stepping the process
         right here is the same schedule.  The test reads only the top
-        of each store, so a cancelled entry there counts as a tie (it
+        of the heap, so a cancelled entry there counts as a tie (it
         may hide a live one at the same instant), and it is made
         *before* ``then()``, which may itself land an entry at ``now``
         (a next job with nothing left to run) that the queued resume
@@ -162,18 +162,15 @@ class Kernel:
         under a controller, on an engine without the capability, or
         called by hand outside dispatch it is the queued path.
         """
-        quiet = self._quiet
-        if quiet is not None and process.state is _BLOCKED:
-            heap, drain = quiet
-            now = self.now
-            if not (heap and heap[0][0] <= now
-                    or drain and drain[-1][0] <= now):
-                process.blocker = None
-                self.fused_wakes += 1
-                if then is not None:
-                    then()
-                self._resume(process, None, None)
-                return
+        heap = self._quiet
+        if (heap is not None and process.state is _BLOCKED
+                and not (heap and heap[0][0] <= self.now)):
+            process.blocker = None
+            self.fused_wakes += 1
+            if then is not None:
+                then()
+            self._resume(process, None, None)
+            return
         self.ready(process)
         if then is not None:
             then()
@@ -239,11 +236,6 @@ class Kernel:
         :meth:`step` makes is redundant here), and process resumes read
         their arguments off the event instead of calling through a
         per-event closure.
-
-        A deep pre-built backlog (bulk-scheduled arrivals) is sorted
-        once into the queue's drain list and consumed with O(1) tail
-        pops; events scheduled *during* dispatch land in the now-tiny
-        heap and are min-merged by one tuple comparison per step.
         """
         controller = self.controller
         if controller is not None:
@@ -252,11 +244,11 @@ class Kernel:
             raise SimulationOver("Kernel.run is not re-entrant")
         self._dispatching = True
         events = self.events
-        # Both aliases are stable: compaction and backlog sorting
-        # mutate the lists in place, never rebind them.
-        heap, drain = events.prepare_dispatch()
+        # The alias is stable: compaction filters the heap in place,
+        # never rebinds it.
+        heap = events.prepare_dispatch()
         if self.fuses_wakes:
-            self._quiet = heap, drain
+            self._quiet = heap
         resume = self._resume
         # Queue sampling: one float comparison per event, true only
         # when a subscriber's sampling window has elapsed — never when
@@ -268,23 +260,6 @@ class Kernel:
             sample, sample_at = None, float("inf")
         try:
             if until is None:
-                while drain:
-                    if heap and heap[0] < drain[-1]:
-                        entry = heappop(heap)
-                    else:
-                        entry = drain.pop()
-                    event = entry[3]
-                    if event.cancelled:
-                        events.note_dead()
-                        continue
-                    self.now = entry[0]
-                    if entry[0] >= sample_at:
-                        sample_at = sample(entry[0], self)
-                    callback = event.callback
-                    if callback is not None:
-                        callback()
-                    else:
-                        resume(event.process, event.value, event.exc)
                 # Drain-everything loop: pop unconditionally (nothing
                 # can outlive an unbounded run, so no peek needed).
                 while heap:
@@ -302,38 +277,6 @@ class Kernel:
                     else:
                         resume(event.process, event.value, event.exc)
             else:
-                while drain:
-                    if heap and heap[0] < drain[-1]:
-                        entry = heap[0]
-                        from_heap = True
-                    else:
-                        entry = drain[-1]
-                        from_heap = False
-                    event = entry[3]
-                    if event.cancelled:
-                        if from_heap:
-                            heappop(heap)
-                        else:
-                            drain.pop()
-                        events.note_dead()
-                        continue
-                    if entry[0] > until:
-                        # The overall-next event is past the horizon,
-                        # so the heap loop below breaks immediately
-                        # too — no live event is misordered.
-                        break
-                    if from_heap:
-                        heappop(heap)
-                    else:
-                        drain.pop()
-                    self.now = entry[0]
-                    if entry[0] >= sample_at:
-                        sample_at = sample(entry[0], self)
-                    callback = event.callback
-                    if callback is not None:
-                        callback()
-                    else:
-                        resume(event.process, event.value, event.exc)
                 while heap:
                     entry = heap[0]
                     event = entry[3]

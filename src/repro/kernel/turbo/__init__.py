@@ -2,7 +2,7 @@
 
 The reference engine (:class:`~repro.kernel.kernel.Kernel`, global
 tuple heap) is the semantic ground truth; the turbo engine
-(:class:`.engine.TurboKernel`, calendar queue + batch stepping) is the
+(:class:`.engine.TurboKernel`, calendar queue + resume recycling) is the
 throughput core.  Both produce bitwise-identical results — the golden
 suite holds them to it — so which one runs is purely an operational
 choice:

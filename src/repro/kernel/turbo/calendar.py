@@ -14,8 +14,7 @@ Inserts are O(1) list appends.  Only when a bucket becomes the
 descending — into a drain list consumed with O(1) tail pops.  Entries
 scheduled into the current bucket *while it drains* (wake-ups at
 "now") go to a small spill heap that is min-merged against the drain
-tail with one C tuple comparison per pop, exactly the heap/drain merge
-the reference queue performs, applied at bucket granularity.
+tail with one C tuple comparison per pop.
 
 **Ordering proof (exact-tie contract).**  The reference queue defines
 the total dispatch order as ascending ``(time, key, seq)`` with ``seq``
@@ -82,36 +81,12 @@ _RESIZE_MIN = 1024
 _FAR_ID = float("inf")
 
 
-class _BatchCall:
-    """One collapsed :meth:`CalendarEventQueue.schedule_batch` wave.
-
-    Installed as the entry's ``callback``, so every dispatch path —
-    per-event, controlled, ``step()`` — fires the whole wave with one
-    ordinary ``callback()`` invocation and needs no batch awareness.
-    """
-
-    __slots__ = ("callback", "count")
-
-    def __init__(self, callback: Callable[[], None], count: int):
-        self.callback = callback
-        self.count = count
-
-    def __call__(self) -> None:
-        batch = getattr(self.callback, "batch_call", None)
-        if batch is not None:
-            batch(self.count)
-            return
-        callback = self.callback
-        for __ in range(self.count):
-            callback()
-
-
 class CalendarEventQueue:
     """Bucketed-timestamp drop-in for the reference ``EventQueue``.
 
     Implements the full queue API the kernel, the controlled scheduler
     and the telemetry probe consume (``schedule``/``schedule_resume``/
-    ``cancel``/``pop``/``peek_time``/``pop_tied_entries``/
+    ``cancel``/``pop``/``pop_tied_entries``/
     ``push_entry``/``live_entries``/``queue_stats``/``compact``), plus
     the bucket internals the :class:`~repro.kernel.turbo.engine.
     TurboKernel` dispatch loop reaches directly (sanctioned: lint rule
@@ -119,8 +94,7 @@ class CalendarEventQueue:
 
     ``_drain`` and ``_spill`` keep one list identity for the queue's
     lifetime (mutated in place, never rebound) so the dispatch loop may
-    alias them, mirroring the reference queue's contract for its heap
-    and drain lists.
+    alias them, mirroring the reference queue's contract for its heap.
     """
 
     __slots__ = ("_width", "_buckets", "_bucket_heap", "_drain",
@@ -202,34 +176,6 @@ class CalendarEventQueue:
         event.exc = exc
         self._insert((time, 0.0, seq, event))
         return event
-
-    def schedule_batch(self, time: float, callback: Callable[[], None],
-                       count: int, key: float = 0.0) -> None:
-        """Schedule ``count`` indistinguishable firings of ``callback``
-        at ``time`` as ONE collapsed entry.
-
-        The entry takes the first sequence number of an atomically
-        allocated range of ``count`` — bitwise order-identical to the
-        reference queue's per-event expansion, because consecutive
-        seqs at one ``(time, key)`` are contiguous in the total order
-        (no foreign ``seq`` can fall inside the range).  Dispatching
-        the entry performs all ``count`` firings back to back:
-        ``callback.batch_call(count)`` when the callback opts in, a
-        plain loop otherwise.  This is the O(1)-per-wave path the
-        batched-dispatch benchmark pair prices.
-        """
-        if count < 1:
-            raise ValueError("schedule_batch needs count >= 1")
-        seq = self._seq
-        self._seq = seq + count
-        event = Event()
-        event.time = time
-        event.key = key
-        event.seq = seq
-        event.callback = _BatchCall(callback, count)
-        event.cancelled = False
-        event.queue = self
-        self._insert((time, key, seq, event))
 
     def recycle(self, event: Event) -> None:
         """Return a dispatched (or reaped-dead) *resume* event to the
@@ -357,9 +303,9 @@ class CalendarEventQueue:
     # ------------------------------------------------------------------
     # bucket machinery
     # ------------------------------------------------------------------
-    def _pop_raw_bucket(self) -> Optional[list]:
-        """Detach the minimum pending bucket, unsorted, setting
-        ``_current_id``; falls back to the far store; None when empty.
+    def _advance(self) -> bool:
+        """Open the minimum pending bucket (else the far store) into the
+        drain list, setting ``_current_id``; False when empty.
 
         Callers must have exhausted ``_drain`` and ``_spill`` first.
         """
@@ -370,20 +316,14 @@ class CalendarEventQueue:
             bucket_id = heappop(bucket_heap)
             if bucket is not None:
                 self._current_id = bucket_id
-                return bucket
-        far = self._far
-        if far:
+                break
+        else:
+            bucket = self._far
+            if not bucket:
+                self._current_id = None
+                return False
             self._far = []
             self._current_id = _FAR_ID
-            return far
-        self._current_id = None
-        return None
-
-    def _advance(self) -> bool:
-        """Open the next bucket into the drain list; False when empty."""
-        bucket = self._pop_raw_bucket()
-        if bucket is None:
-            return False
         bucket.sort(reverse=True)
         self._drain[:] = bucket
         return True
@@ -427,11 +367,6 @@ class CalendarEventQueue:
         """Remove and return the next live event, or None if empty."""
         entry = self._pop_live_entry()
         return None if entry is None else entry[3]
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event without removing it."""
-        entry = self._peek_live_entry()
-        return None if entry is None else entry[0]
 
     def pop_tied_entries(self) -> list:
         """Every live entry tied at the earliest ``(time, key)``, in

@@ -1,4 +1,4 @@
-"""TurboKernel: the batch-stepped dispatch loop over the calendar queue.
+"""TurboKernel: the dispatch loop over the calendar queue.
 
 Same kernel, different event core.  :class:`TurboKernel` subclasses the
 reference :class:`~repro.kernel.kernel.Kernel` and overrides exactly
@@ -19,29 +19,6 @@ What the turbo loop adds over the reference loop:
   goes back to the queue's freelist; steady-state process wake-ups
   allocate no event objects (see :meth:`CalendarEventQueue.recycle`
   for the aliasing argument).
-- **Batch stepping** — when a freshly opened bucket is *homogeneous*
-  (every entry live, same ``(time, key)``, same callback object) and
-  the callback opts in by exposing ``batch_call(n)``, the whole bucket
-  is dispatched as ONE call, skipping the per-event sort/pop/dispatch
-  machinery entirely.  Eligibility rules (all must hold):
-
-  1. the queue has no dead entries pending (``_dead == 0``) — a
-     cancelled entry hiding in the bucket would be mis-dispatched;
-  2. nothing observes the kernel (a queue sampler fires per window
-     boundary, which a single batched call would skip);
-  3. every entry in the bucket is at the same ``(time, key)`` with
-     the *same* callback object (identity, not equality), and that
-     object defines ``batch_call``;
-  4. the shared timestamp does not exceed ``until``.
-
-  Heterogeneous populations fall back to the per-event path with no
-  observable difference: a homogeneous batch's per-event order is the
-  unique ``seq`` order, and ``batch_call(n)`` is only sound for
-  callbacks whose effect is order-insensitive across their own
-  consecutive invocations — which identical-callback ticks are by
-  construction.  Model code (transactions, managers) never exposes
-  ``batch_call``, so scenario runs always take the per-event path and
-  stay bitwise-identical to the reference engine.
 
 Traced, metered, sanitized and controlled runs never reach this loop:
 :func:`~repro.kernel.turbo.resolve_engine` forces the reference engine
@@ -60,7 +37,7 @@ from .calendar import CalendarEventQueue
 
 
 class TurboKernel(Kernel):
-    """Drop-in kernel with the calendar queue and batch-stepped loop."""
+    """Drop-in kernel with the calendar queue and its dispatch loop."""
 
     fuses_wakes = False  # Kernel.wake keeps the queued path here
 
@@ -115,32 +92,8 @@ class TurboKernel(Kernel):
                     from_spill = True
                 else:
                     # Current bucket exhausted: open the next one.
-                    bucket = events._pop_raw_bucket()
-                    if bucket is None:
+                    if not events._advance():
                         break
-                    first = bucket[0]
-                    callback = first[3].callback
-                    batch = (getattr(callback, "batch_call", None)
-                             if callback is not None else None)
-                    if (batch is not None and events._dead == 0
-                            and hooks is None
-                            and (until is None or first[0] <= until)):
-                        time, key = first[0], first[1]
-                        for other in bucket:
-                            if (other[0] != time or other[1] != key
-                                    or other[3].callback
-                                    is not callback):
-                                batch = None
-                                break
-                        if batch is not None:
-                            # Whole bucket in one call, unsorted: the
-                            # n dispatches are indistinguishable.
-                            events._count -= len(bucket)
-                            self.now = time
-                            batch(len(bucket))
-                            continue
-                    bucket.sort(reverse=True)
-                    drain.extend(bucket)
                     continue
                 time = entry[0]
                 if until is not None and time > until:

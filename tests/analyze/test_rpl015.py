@@ -40,7 +40,7 @@ def test_fires_on_attribute_chained_queue_base():
     source = """
     class Probe:
         def snapshot(self, kernel):
-            return len(kernel.events._sorted) + kernel.events._dead
+            return len(kernel.events._heap) + kernel.events._dead
     """
     assert codes(source) == ["RPL015", "RPL015"]
 

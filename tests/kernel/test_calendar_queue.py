@@ -1,10 +1,7 @@
 """Calendar event queue: ordering, overflow, rebucket, freelist."""
 
 from repro.kernel.events import EventQueue
-from repro.kernel.turbo.calendar import (_RESIZE_MIN, CalendarEventQueue,
-                                         _BatchCall)
-
-import pytest
+from repro.kernel.turbo.calendar import _RESIZE_MIN, CalendarEventQueue
 
 
 def drain_order(queue):
@@ -103,60 +100,6 @@ def test_bare_callback_events_are_never_auto_recycled():
     queue.pop()
     second = queue.schedule(2.0, lambda: None)
     assert second is not first
-
-
-def test_schedule_batch_collapses_to_one_entry():
-    queue = CalendarEventQueue()
-    calls = []
-    queue.schedule_batch(4.0, lambda: calls.append("x"), 5)
-    assert len(queue) == 1
-    assert queue._seq == 5  # the whole seq range was consumed
-    event = queue.pop()
-    assert isinstance(event.callback, _BatchCall)
-    event.callback()
-    assert calls == ["x"] * 5
-
-
-def test_schedule_batch_prefers_batch_call():
-    class Tick:
-        count = 0
-
-        def __call__(self):
-            raise AssertionError("per-call path must not run")
-
-        def batch_call(self, n):
-            self.count += n
-
-    queue = CalendarEventQueue()
-    tick = Tick()
-    queue.schedule_batch(1.0, tick, 7)
-    queue.pop().callback()
-    assert tick.count == 7
-
-
-def test_schedule_batch_rejects_empty_waves():
-    with pytest.raises(ValueError):
-        CalendarEventQueue().schedule_batch(1.0, lambda: None, 0)
-    with pytest.raises(ValueError):
-        EventQueue().schedule_batch(1.0, lambda: None, 0)
-
-
-def test_schedule_batch_order_matches_reference_expansion():
-    # Interleave a batch with ordinary events at the same and nearby
-    # timestamps on both queues; the induced call sequence must match.
-    def run(queue):
-        log = []
-        queue.schedule(2.0, lambda: log.append("before"))
-        queue.schedule_batch(2.0, lambda: log.append("wave"), 3)
-        queue.schedule(2.0, lambda: log.append("after"))
-        queue.schedule(1.0, lambda: log.append("first"))
-        while queue:
-            queue.pop().callback()
-        return log
-
-    assert run(CalendarEventQueue()) == run(EventQueue())
-    assert run(CalendarEventQueue()) == [
-        "first", "before", "wave", "wave", "wave", "after"]
 
 
 def test_cancel_and_compact_keep_the_survivors():

@@ -67,16 +67,19 @@ def test_len_counts_only_live_events():
     assert len(queue) == 0
 
 
-def test_peek_time_skips_cancelled_head():
+def test_pop_tied_entries_skips_a_cancelled_tie():
     queue = EventQueue()
     first = queue.schedule(1.0, lambda: None)
+    middle = queue.schedule(1.0, lambda: None)
+    last = queue.schedule(1.0, lambda: None)
     queue.schedule(2.0, lambda: None)
-    queue.cancel(first)
-    assert queue.peek_time() == 2.0
+    queue.cancel(middle)
+    assert [entry[3] for entry in queue.pop_tied_entries()] == [first, last]
+    assert len(queue) == 1
 
 
-def test_peek_time_empty_returns_none():
-    assert EventQueue().peek_time() is None
+def test_pop_tied_entries_empty_returns_nothing():
+    assert EventQueue().pop_tied_entries() == []
 
 
 def test_pop_empty_returns_none():

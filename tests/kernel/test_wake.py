@@ -15,7 +15,6 @@ import pytest
 from repro.kernel import (Delay, Kernel, ProcessInterrupt, ProcessState,
                           SchedulerController)
 from repro.kernel.errors import InvalidProcessState
-from repro.kernel.events import _SORT_MIN
 from repro.resources import CPU, DiskArray, ParallelIO
 
 
@@ -138,35 +137,51 @@ def test_a_cancelled_entry_at_now_on_top_of_the_heap_counts_as_a_tie():
     assert kernel.fused_wakes == 0
 
 
-def test_an_entry_at_now_in_the_drain_list_counts_as_a_tie():
-    # Mutant: drain half of the guard dropped.  p parks first; then a
-    # backlog deep enough to be sorted into the drain list is built,
-    # so p's expiry and ``late`` both sit there — and the heap is empty
-    # — when the expiry fires.
-    kernel = Kernel()
-    log = []
-    sleeper(kernel, log, "p", 1.0)
-    kernel.run(until=0.5)
-    kernel.at(1.0, lambda: log.append("late"))
-    for index in range(_SORT_MIN):
-        kernel.at(5.0 + index, lambda: None)
-    heap, drain = kernel.events.prepare_dispatch()
-    assert not heap and len(drain) == _SORT_MIN + 2
-    kernel.run()
-    assert log == ["late", ("p", 1.0)]
-    assert kernel.fused_wakes == 0
-
-
 def test_the_drain_backlog_does_not_stop_a_quiet_wake():
+    # A deep heap of later entries: only its top is read.
     kernel = Kernel()
     log = []
     sleeper(kernel, log, "p", 1.0)
     kernel.run(until=0.5)
-    for index in range(_SORT_MIN):
+    for index in range(2048):
         kernel.at(5.0 + index, lambda: None)
     kernel.run()
     assert log == [("p", 1.0)]
     assert kernel.fused_wakes == 1
+
+
+def test_a_compaction_inside_run_keeps_order_and_the_quiet_guard():
+    # One callback cancels 60 of 80 pending timers, so the heap is
+    # compacted while the run loop and wake's guard alias it.
+    kernel = Kernel()
+    fired = []
+    timers = [kernel.at(10.0 + index % 7,
+                        lambda index=index: fired.append(index))
+              for index in range(80)]
+    heap = kernel.events.prepare_dispatch()
+    seen = []
+
+    def cancel_most():
+        for index, timer in enumerate(timers):
+            if index % 4:
+                timer.cancel()
+        seen.append((kernel.events.prepare_dispatch() is heap, len(heap),
+                     kernel.events.queue_stats()))
+
+    kernel.at(1.0, cancel_most)
+    log = []
+    sleeper(kernel, log, "p", 5.0)
+    kernel.run()
+    # Compacted at the 41st cancellation (81 entries): 40 remain, and
+    # the 19 later cancellations stay as dead entries.
+    assert seen == [(True, 40, (21, 2, 60))]
+    survivors = [index for index in range(80) if index % 4 == 0]
+    assert fired == sorted(survivors,
+                           key=lambda index: (10.0 + index % 7, index))
+    # The expiry at t=5 read the compacted heap's top (t=10): quiet.
+    assert log == [("p", 5.0)]
+    assert kernel.fused_wakes == 1
+    assert kernel.events.queue_stats() == (0, 23, 60)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Two layers of evidence, both randomised:
 
-* **Queue level** — random schedule / cancel / batch interleavings
-  driven through the reference tuple heap and the turbo calendar
-  produce the identical dispatch sequence, even though the calendar
-  stores batches as single collapsed entries.
+* **Queue level** — random schedule / cancel interleavings driven
+  through the reference tuple heap and the turbo calendar produce the
+  identical dispatch sequence.
 * **System level** — random small workload configs run end-to-end
   under both engines produce the identical summary dict, key by key.
   This is the golden-scenario contract extended from 11 pinned points
@@ -40,10 +39,6 @@ _OPS = st.lists(
         st.tuples(st.just("cancel"),
                   st.integers(min_value=0, max_value=200),
                   st.just(0)),
-        st.tuples(st.just("batch"),
-                  st.floats(min_value=0.0, max_value=50.0,
-                            allow_nan=False),
-                  st.integers(min_value=1, max_value=6)),
     ),
     max_size=60)
 
@@ -55,15 +50,11 @@ def _drive(queue, ops, recorder):
         if op == "schedule":
             handles.append(queue.schedule(
                 value, recorder.tagged(("s", index)), key=float(extra)))
-        elif op == "cancel":
-            if handles:
-                handle = handles[value % len(handles)]
-                if handle is not None:
-                    queue.cancel(handle)
-                    handles[value % len(handles)] = None
-        else:
-            queue.schedule_batch(value, recorder.tagged(("b", index)),
-                                 extra)
+        elif handles:
+            handle = handles[value % len(handles)]
+            if handle is not None:
+                queue.cancel(handle)
+                handles[value % len(handles)] = None
     times = []
     while queue:
         event = queue.pop()
@@ -76,14 +67,10 @@ def _drive(queue, ops, recorder):
 @settings(max_examples=60, deadline=None)
 def test_calendar_dispatch_sequence_matches_reference(ops):
     reference, turbo = _Recorder(), _Recorder()
-    EventQueue_times = _drive(EventQueue(), ops, reference)
+    reference_times = _drive(EventQueue(), ops, reference)
     calendar_times = _drive(CalendarEventQueue(), ops, turbo)
     assert reference.log == turbo.log
-    # The calendar collapses a batch into one entry, so its *pop*
-    # count differs — but the dispatched time sequence it induces is
-    # the same nondecreasing walk.
-    assert calendar_times == sorted(calendar_times)
-    assert EventQueue_times == sorted(EventQueue_times)
+    assert calendar_times == reference_times == sorted(reference_times)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=30.0,

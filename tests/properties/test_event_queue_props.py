@@ -19,22 +19,31 @@ def test_pop_order_is_nondecreasing_in_time(times):
     assert sorted(popped) == sorted(times)
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=100.0,
-                          allow_nan=False), min_size=1, max_size=40),
+@given(st.integers(min_value=1, max_value=200).flatmap(
+    lambda size: st.lists(st.floats(min_value=0.0, max_value=100.0,
+                                    allow_nan=False),
+                          min_size=size, max_size=size)),
        st.data())
 def test_cancellation_removes_exactly_the_cancelled(times, data):
+    # Sizes up to 200, drawn evenly so most exceed _COMPACT_MIN, and
+    # each entry cancelled with even odds: cancelling more than half
+    # compacts the heap.
     queue = EventQueue()
     events = [queue.schedule(time, lambda: None) for time in times]
-    to_cancel = data.draw(st.sets(
-        st.integers(min_value=0, max_value=len(events) - 1)))
-    for index in to_cancel:
-        queue.cancel(events[index])
-    surviving_times = sorted(time for index, time in enumerate(times)
-                             if index not in to_cancel)
+    cancel = data.draw(st.lists(st.booleans(), min_size=len(times),
+                                max_size=len(times)))
+    for event, dropped in zip(events, cancel):
+        if dropped:
+            queue.cancel(event)
+    surviving = sorted((event.time, event.seq)
+                       for event, dropped in zip(events, cancel)
+                       if not dropped)
+    assert len(queue) == len(surviving)
     popped = []
     while queue:
-        popped.append(queue.pop().time)
-    assert popped == surviving_times
+        event = queue.pop()
+        popped.append((event.time, event.seq))
+    assert popped == surviving
 
 
 @given(st.integers(min_value=1, max_value=60))
