@@ -58,24 +58,32 @@ def find_cycle_through(start: Hashable,
     successor iterables agree element for element find the same cycle.
     Cycles that do not pass through ``start`` are ignored.
     """
-    path: List[Hashable] = []
-    entered: Set[Hashable] = {start}
+    return _search(start, start, successors, [], {start})
 
-    def dfs(node: Hashable) -> Optional[List]:
-        path.append(node)
-        for successor in successors(node):
-            if successor is start:
-                return list(path)
-            if successor in entered:
-                continue  # on the path (a cycle not through start) or done
-            entered.add(successor)
-            found = dfs(successor)
-            if found is not None:
-                return found
-        path.pop()
-        return None
 
-    return dfs(start)
+def _search(node: Hashable, start: Hashable,
+            successors: Callable[[Hashable], Iterable],
+            path: List[Hashable], entered: Set[Hashable]
+            ) -> Optional[List]:
+    """One level of :func:`find_cycle_through`'s depth-first search.
+
+    A module-level function rather than a closure: a closure that
+    recurses through its own cell is a reference cycle, and every
+    search would hand its path (the transactions on it) to the cyclic
+    collector instead of freeing it on return.
+    """
+    path.append(node)
+    for successor in successors(node):
+        if successor is start:
+            return list(path)
+        if successor in entered:
+            continue  # on the path (a cycle not through start) or done
+        entered.add(successor)
+        found = _search(successor, start, successors, path, entered)
+        if found is not None:
+            return found
+    path.pop()
+    return None
 
 
 def build_waits_for(waiting_requests, lock_table) -> WaitsForGraph:

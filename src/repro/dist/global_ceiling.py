@@ -32,6 +32,7 @@ storage): a crash silences it while down, it does not amnesia it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..cc.base import ConcurrencyControl
@@ -121,21 +122,12 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                         stats.duplicates_suppressed += 1
                     continue
 
-            def make_grant(reply_site=reply_site, reply_name=reply_name,
-                           oid=message.oid, tid=txn.tid):
-                def deliver():
-                    queued.discard((tid, oid))
-                    site.send(reply_site,
-                              LockGrant(target=reply_name,
-                                        sender_site=site.site_id,
-                                        oid=oid))
-                return deliver
-
+            grant = partial(_grant, site, queued, reply_site, reply_name,
+                            message.oid, txn.tid)
             granted = cc.acquire_async(txn, message.oid, message.mode,
-                                       on_grant=make_grant(),
-                                       process=txn.process)
+                                       on_grant=grant, process=txn.process)
             if granted:
-                make_grant()()
+                grant()
             else:
                 queued.add((txn.tid, message.oid))
                 if message.queued_ack:
@@ -178,6 +170,16 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
             ack(site, message)
         else:
             raise TypeError(f"ceiling manager got {message!r}")
+
+
+def _grant(site: Site, queued: Set[Tuple[int, int]], reply_site: int,
+           reply_name: str, oid: int, tid: int) -> None:
+    """Send the grant of ``tid``'s lock on ``oid`` to its reply port:
+    at once for an immediate grant, or as the queued request's
+    ``on_grant`` when the protocol admits it later."""
+    queued.discard((tid, oid))
+    site.send(reply_site, LockGrant(target=reply_name,
+                                    sender_site=site.site_id, oid=oid))
 
 
 def data_server(site: Site, costs: CostModel):

@@ -41,6 +41,7 @@ from ..db.locks import LockMode
 from ..db.replication import ReplicaCatalog
 from ..db.versions import MultiVersionStore
 from ..kernel.timers import DeadlineTimer
+from ..resources.cpu import CpuBurst
 from ..txn.manager import CostModel
 from ..txn.transaction import (DeadlineMiss, Transaction,
                                TransactionAbort, TransactionType)
@@ -68,6 +69,10 @@ def replica_applier(site: Site, catalog: ReplicaCatalog,
     re-installed.
     """
     receive = site.register_service(REPLICA_SERVICE).receive()
+    # A syscall only describes its request: one burst serves every
+    # update this applier installs.
+    apply_burst = (site.cpu.use(costs.apply_cpu) if costs.apply_cpu > 0
+                   else None)
     while True:
         message = yield receive
         if not isinstance(message, ReplicaUpdate):
@@ -95,7 +100,8 @@ def replica_applier(site: Site, catalog: ReplicaCatalog,
             priority=message.origin_priority,
             site=site.site_id,
             txn_type=TransactionType.UPDATE, tid=next(tids))
-        body = _apply_update(site, catalog, costs, txn, message, versions)
+        body = _apply_update(site, catalog, apply_burst, txn, message,
+                             key, versions)
         txn.process = site.kernel.spawn(
             body, f"replica-{site.site_id}-oid{message.oid}",
             priority=txn.priority)
@@ -103,22 +109,21 @@ def replica_applier(site: Site, catalog: ReplicaCatalog,
         site.adopt(txn.process)
 
 
-def _apply_update(site: Site, catalog: ReplicaCatalog, costs: CostModel,
-                  txn: Transaction, message: ReplicaUpdate,
+def _apply_update(site: Site, catalog: ReplicaCatalog,
+                  apply_burst: Optional[CpuBurst], txn: Transaction,
+                  message: ReplicaUpdate, key: tuple,
                   versions: Optional[MultiVersionStore]):
     cc = site.ceiling
     kernel = site.kernel
     hooks = kernel.hooks
-    key = (message.sender_site, message.origin_tid, message.oid,
-           message.timestamp)
     txn.mark_started(kernel.now)
     cc.register(txn)
     if hooks is not None:
         hooks.txn_start(kernel.now, txn, True)
     try:
         yield cc.acquire(txn, message.oid, LockMode.WRITE)
-        if costs.apply_cpu > 0:
-            yield site.cpu.use(costs.apply_cpu)
+        if apply_burst is not None:
+            yield apply_burst
         data_object = site.database.object(message.oid)
         if message.timestamp >= data_object.version_ts:
             data_object.write(message.value, message.timestamp)

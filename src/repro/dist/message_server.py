@@ -14,7 +14,7 @@ site's registry.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..kernel.kernel import Kernel
 from ..kernel.ports import Port
@@ -27,6 +27,11 @@ class ServiceRegistry:
     def __init__(self) -> None:
         self._services: Dict[str, Port] = {}
         self.undeliverable = 0
+        #: ``lookup(name)`` -> the port registered under ``name``, or
+        #: None.  The map's own ``get``: every inter-site message is
+        #: resolved here (and every intra-site one in ``Site.send``),
+        #: so the lookup is one C call with no Python frame.
+        self.lookup: Callable[[str], Optional[Port]] = self._services.get
 
     def register(self, name: str, port: Port) -> None:
         if name in self._services:
@@ -35,9 +40,6 @@ class ServiceRegistry:
 
     def unregister(self, name: str) -> None:
         self._services.pop(name, None)
-
-    def lookup(self, name: str) -> Optional[Port]:
-        return self._services.get(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._services
@@ -67,12 +69,13 @@ class MessageServer:
 
     def _loop(self):
         receive = self.inbox.receive()
+        lookup = self.registry.lookup
         while True:
             message = yield receive
             if not isinstance(message, Message):
                 raise TypeError(f"MS {self.site_id} received non-message "
                                 f"{message!r}")
-            port = self.registry.lookup(message.target)
+            port = lookup(message.target)
             if port is None:
                 # A reply addressed to a transaction that already died
                 # (e.g. a grant racing an abort): drop it, count it.

@@ -15,6 +15,7 @@ self-addressed case with zero delay for uniformity of caller code.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Tuple
 
 from ..kernel.kernel import Kernel
@@ -92,39 +93,49 @@ class Network:
         inbox = self.inboxes.get(dst)
         if inbox is None:
             raise RuntimeError(f"site {dst} has no attached inbox")
-        delay = self.link_delay(message.sender_site, dst)
+        src = message.sender_site
+        if src == dst:
+            delay = self.local_delay
+        else:
+            delay = self._link_delay.get((src, dst), self.delay)
         self.messages_sent += 1
         if self.injector is None:
             fates = (delay,)
         else:
-            fates = self.injector.route(message.sender_site, dst, delay)
-        hooks = self.kernel.hooks
+            fates = self.injector.route(src, dst, delay)
+        kernel = self.kernel
+        hooks = kernel.hooks
         if hooks is not None:
-            hooks.msg_send(self.kernel.now, dst, message, len(fates))
+            hooks.msg_send(kernel.now, dst, message, len(fates))
             if not fates:
-                hooks.msg_drop(self.kernel.now, dst, message, "injected")
-
-        def deliver(lag: float) -> None:
-            # Operational state — and the delay ledger — are evaluated
-            # at delivery time: a site that crashes while a message is
-            # in flight still loses it, and a message that never
-            # arrives accrues no delivered delay.
-            if dst in self._down:
-                self.messages_lost += 1
-                if hooks is not None:
-                    hooks.msg_drop(self.kernel.now, dst, message,
-                                   "site-down")
-            else:
-                self.bytes_delay_total += lag
-                if hooks is not None:
-                    hooks.msg_deliver(self.kernel.now, dst, message, lag)
-                inbox.send(message)
-
+                hooks.msg_drop(kernel.now, dst, message, "injected")
         for lag in fates:
             if lag == 0:
-                deliver(lag)
+                self._deliver(dst, inbox, message, lag)
             else:
-                self.kernel.after(lag, lambda lag=lag: deliver(lag))
+                # A partial over a method, not a closure: a message in
+                # flight is one event whose callback is the delivery
+                # itself, with no lambda frame in between.
+                kernel.after(lag, partial(self._deliver, dst, inbox,
+                                          message, lag))
+
+    def _deliver(self, dst: int, inbox, message: Message,
+                 lag: float) -> None:
+        """One fate of ``message`` lands after ``lag``."""
+        # Operational state — and the delay ledger — are evaluated at
+        # delivery time: a site that crashes while a message is in
+        # flight still loses it, and a message that never arrives
+        # accrues no delivered delay.
+        hooks = self.kernel.hooks
+        if dst in self._down:
+            self.messages_lost += 1
+            if hooks is not None:
+                hooks.msg_drop(self.kernel.now, dst, message, "site-down")
+        else:
+            self.bytes_delay_total += lag
+            if hooks is not None:
+                hooks.msg_deliver(self.kernel.now, dst, message, lag)
+            inbox.send(message)
 
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.n_sites:

@@ -355,8 +355,11 @@ class Kernel:
         while True:
             try:
                 if exc is not None:
-                    pending, exc = exc, None
-                    item = generator.throw(pending)
+                    item = generator.throw(exc)
+                    # A syscall's own exception (a deadlock victim's
+                    # DeadlockAbort) carries this frame in its
+                    # traceback: holding it here would make a cycle.
+                    exc = None
                 else:
                     item = send(value)
             except StopIteration as stop:
@@ -407,6 +410,10 @@ class Kernel:
         hooks = self.hooks
         if hooks is not None:
             hooks.kernel_event(self.now, "terminate", process, exception)
+        # The payload (a TM's Transaction) points back at its process:
+        # dropping it lets the transaction go at its last reference
+        # instead of leaving the pair to the cyclic collector.
+        process.payload = None
         joiners, process.joiners = process.joiners, []
         for joiner in joiners:
             if exception is not None:

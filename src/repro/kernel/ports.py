@@ -12,6 +12,14 @@ Message Server.  Ports here support both styles the paper names:
 
 Receives may carry a timeout (the paper's site-failure time-out
 mechanism), delivered as a :class:`~repro.kernel.errors.Timeout`.
+
+Every port is FIFO and unbounded: buffered messages, parked receivers
+and parked rendezvous senders are each served in arrival order, so the
+waiters sit in plain deques of ``(process, blocker)`` pairs rather than
+a :class:`~repro.kernel.scheduler.WaitQueue`.  Every inter-site message
+crosses two ports (the network into the Message Server's inbox, the
+Message Server into the service port), so a delivery to a receiver
+parked without a timeout calls nothing but :meth:`Kernel.ready`.
 """
 
 from __future__ import annotations
@@ -23,32 +31,35 @@ from typing import Any, Deque, Optional, Tuple
 from .errors import PortClosed, Timeout
 from .kernel import Kernel
 from .process import Process
-from .scheduler import WaitQueue
 from .syscalls import BLOCKED, DONE, Immediate, SysCall
 
 
 class Port:
-    """A named mailbox with blocking receive and optional rendezvous."""
+    """A named FIFO mailbox with blocking receive and optional
+    rendezvous."""
 
-    def __init__(self, kernel: Kernel, name: str = "port",
-                 receiver_policy: str = "fifo"):
+    def __init__(self, kernel: Kernel, name: str = "port"):
         self.kernel = kernel
         self.name = name
         self.closed = False
         self._buffer: Deque[Any] = deque()
-        self._receivers: WaitQueue = WaitQueue(receiver_policy)
-        #: Senders parked in a rendezvous, with their pending messages.
-        self._senders: WaitQueue = WaitQueue("fifo")
+        #: Parked receivers, in arrival order.
+        self._receivers: Deque[Tuple[Process, _ReceiverBlocker]] = deque()
+        #: Senders parked in a rendezvous, in arrival order; each
+        #: blocker carries its pending message.
+        self._senders: Deque[Tuple[Process, _SenderBlocker]] = deque()
 
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def send(self, message: Any) -> None:
         """Asynchronous send: deliver to a waiting receiver or buffer."""
-        self._check_open()
+        if self.closed:
+            raise self._closed_error()
         if self._receivers:
-            receiver, blocker = self._receivers.pop()
-            blocker.clear_timer()
+            receiver, blocker = self._receivers.popleft()
+            if blocker.timer is not None:
+                blocker.timer.cancel()
             self.kernel.ready(receiver, value=message)
         else:
             self._buffer.append(message)
@@ -95,9 +106,9 @@ class Port:
         if self._buffer:
             return True, self._buffer.popleft()
         if self._senders:
-            sender, (__, message) = self._senders.pop()
+            sender, blocker = self._senders.popleft()
             self.kernel.ready(sender)
-            return True, message
+            return True, blocker.message
         return False, None
 
     # ------------------------------------------------------------------
@@ -107,9 +118,9 @@ class Port:
         """Close the port; pending waiters get :class:`PortClosed`."""
         self.closed = True
         for queue in (self._receivers, self._senders):
-            for process in list(queue.processes()):
+            for process, blocker in list(queue):
                 # Leaves the queue (and disarms a receive timeout).
-                process.blocker.withdraw(process)
+                blocker.withdraw(process)
                 # A waiter whose own cleanup is closing the port (its
                 # generator is being finalised while still parked, at
                 # teardown of an abandoned run) has nobody left to
@@ -134,7 +145,7 @@ class Port:
             raise self._closed_error()
 
     def _expire(self, process: Process) -> None:
-        if process in self._receivers:
+        if any(parked is process for parked, __ in self._receivers):
             self.kernel.interrupt(process, Timeout(self.name))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -149,14 +160,18 @@ class SendSync(SysCall):
 
     def apply(self, kernel: Kernel, process: Process):
         port = self.port
-        port._check_open()
+        if port.closed:
+            raise port._closed_error()
         if port._receivers:
-            receiver, blocker = port._receivers.pop()
-            blocker.clear_timer()
+            receiver, blocker = port._receivers.popleft()
+            if blocker.timer is not None:
+                blocker.timer.cancel()
             kernel.ready(receiver, value=self.message)
             return DONE
-        blocker = _SenderBlocker(port)
-        port._senders.push(process, (blocker, self.message))
+        blocker = _SenderBlocker()
+        blocker.port = port
+        blocker.message = self.message
+        port._senders.append((process, blocker))
         process.blocker = blocker
         return BLOCKED
 
@@ -172,15 +187,20 @@ class Receive(SysCall):
 
     def apply(self, kernel: Kernel, process: Process):
         port = self.port
-        port._check_open()
+        if port.closed:
+            raise port._closed_error()
         if port._buffer:
             return Immediate(port._buffer.popleft())
         if port._senders:
-            sender, (__, message) = port._senders.pop()
+            sender, blocker = port._senders.popleft()
             kernel.ready(sender)
-            return Immediate(message)
-        blocker = _ReceiverBlocker(port)
-        port._receivers.push(process, blocker)
+            return Immediate(blocker.message)
+        # Slot stores, no __init__: a class that defines neither
+        # __new__ nor __init__ instantiates without a Python frame.
+        blocker = _ReceiverBlocker()
+        blocker.port = port
+        blocker.timer = None
+        port._receivers.append((process, blocker))
         if self.timeout is not None:
             blocker.timer = kernel.after(
                 self.timeout, partial(port._expire, process))
@@ -193,27 +213,21 @@ class Receive(SysCall):
 
 
 class _ReceiverBlocker:
+    """A receiver parked on ``port``; ``timer`` is its armed receive
+    timeout, or None."""
+
     __slots__ = ("port", "timer")
 
-    def __init__(self, port: Port):
-        self.port = port
-        self.timer = None
-
-    def clear_timer(self) -> None:
+    def withdraw(self, process: Process) -> None:
+        self.port._receivers.remove((process, self))
         if self.timer is not None:
             self.timer.cancel()
-            self.timer = None
-
-    def withdraw(self, process: Process) -> None:
-        self.port._receivers.remove(process)
-        self.clear_timer()
 
 
 class _SenderBlocker:
-    __slots__ = ("port",)
+    """A rendezvous sender parked on ``port`` with its ``message``."""
 
-    def __init__(self, port: Port):
-        self.port = port
+    __slots__ = ("port", "message")
 
     def withdraw(self, process: Process) -> None:
-        self.port._senders.remove(process)
+        self.port._senders.remove((process, self))

@@ -1,8 +1,9 @@
 """Wait queues with pluggable service disciplines.
 
-Every structure in the kernel that parks processes (semaphores, ports,
-lock tables, the CPU ready set) uses a :class:`WaitQueue`.  Two policies
-cover the paper's protocols:
+Semaphores and the parallel-I/O disk array park their waiters in a
+:class:`WaitQueue` (ports are FIFO-only and keep plain deques; the CPU
+and the lock tables order their own waiters).  Two policies cover the
+paper's protocols:
 
 - ``fifo``    — first-come-first-served; the two-phase locking baseline
   ("protocol L") uses this everywhere.

@@ -280,3 +280,42 @@ def test_negative_receive_timeout_rejected_at_the_call_site():
     with pytest.raises(ValueError, match="timeout"):
         port.receive(timeout=-1.0)
     port.receive(timeout=0.0)  # zero is a legal (immediate) timeout
+
+
+def test_closed_port_raises_from_send_receive_and_send_sync():
+    kernel = Kernel()
+    port = Port(kernel, "p")
+    port.close()
+    with pytest.raises(PortClosed):
+        port.send("m")
+    failures = []
+
+    def caller(make_call, label):
+        try:
+            yield make_call()
+        except PortClosed:
+            failures.append(label)
+
+    kernel.spawn(caller(port.receive, "receive"), "r")
+    kernel.spawn(caller(lambda: port.send_sync("m"), "send_sync"), "s")
+    kernel.run()
+    assert failures == ["receive", "send_sync"]
+    assert port.queued == 0 and port.waiting_receivers == 0
+
+
+def test_delivery_disarms_the_receive_timeout():
+    kernel = Kernel()
+    port = Port(kernel, "p")
+    got = []
+
+    def receiver():
+        got.append((yield port.receive(timeout=50.0)))
+        yield Delay(10.0)
+
+    kernel.spawn(receiver(), "r")
+    kernel.at(1.0, lambda: port.send("in time"))
+    kernel.run(until=2.0)
+    assert got == ["in time"]
+    # Only the receiver's own delay is pending: the timer at 50 is dead.
+    assert [entry[0] for entry in kernel.events.live_entries()] == [11.0]
+    assert len(kernel.events) == 1

@@ -13,7 +13,9 @@ import math
 import pytest
 
 from repro.core.builder import SingleSiteSystem
-from repro.core.config import SingleSiteConfig, WorkloadConfig
+from repro.core.config import (DistributedConfig, SingleSiteConfig,
+                               WorkloadConfig)
+from repro.dist import DistributedSystem
 from repro.kernel import DefaultChooser, SchedulerController
 from repro.kernel.controlled import entry_label, pending_signature
 
@@ -72,11 +74,34 @@ def test_controller_records_choice_trail():
         assert as_dict["labels"][as_dict["chosen"]] in record.labels
 
 
+def _deliveries_in_flight():
+    """A global-mode system stepped until network deliveries are
+    queued (the caller finishes the run: an abandoned one would score
+    its parked transactions at teardown)."""
+    system = DistributedSystem(DistributedConfig(
+        mode="global", seed=7, comm_delay=2.0, db_size=30,
+        workload=WorkloadConfig(n_transactions=6, mean_interarrival=1.0,
+                                transaction_size=3)))
+    kernel = system.kernel
+    while system.network.messages_sent < 3:
+        assert kernel.step()
+    return system
+
+
 def test_entry_labels_are_address_free():
-    system = SingleSiteSystem(_config("C"))
-    for entry in system.kernel.events.live_entries():
-        label = entry_label(entry)
-        assert "0x" not in label or "0xADDR" in label
+    single = SingleSiteSystem(_config("C"))
+    distributed = _deliveries_in_flight()
+    deliveries = []
+    for kernel in (single.kernel, distributed.kernel):
+        for entry in kernel.events.live_entries():
+            label = entry_label(entry)
+            assert "0x" not in label or "0xADDR" in label
+            if "Network._deliver" in label:
+                deliveries.append(label)
+    # A message in flight is a partial whose repr carries the message.
+    assert deliveries
+    assert all("sender_site=" in label for label in deliveries)
+    distributed.run()
 
 
 def test_pending_signature_excludes_sequence_numbers():
