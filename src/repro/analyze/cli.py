@@ -3,7 +3,7 @@
     repro lint                      # lint the installed repro package
     repro lint src tests            # lint explicit paths
     repro lint --format json        # machine-readable findings
-    repro lint --select RPL001,RPL006
+    repro lint --select RPL001,RPL005
     repro lint --list-rules
 
 Exit status: 0 clean, 1 findings, 2 usage error.

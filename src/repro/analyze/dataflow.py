@@ -1,15 +1,15 @@
 """Lightweight dataflow facts for the flow-aware lint rules.
 
-The syntactic rules of :mod:`repro.analyze.rules` inspect one AST node
-at a time; the rules in :mod:`repro.analyze.flow_rules` need three
-facts a single node cannot provide:
+Most lint rules inspect one AST node at a time; the determinism rule
+and the rules in :mod:`repro.analyze.flow_rules` need three facts a
+single node cannot provide:
 
-- **reaching definitions** (per function, flow-insensitive): every
-  value ever assigned to a local name.  Good enough to decide "is this
-  name always a string constant?" — the question the stream-name and
-  wall-clock-alias rules ask — without a full CFG fixpoint, because a
-  name with *any* non-constant definition is simply not provably
-  constant.
+- **reaching definitions** (per function and for the module body,
+  flow-insensitive): every value ever assigned to a local name.  Good
+  enough to decide "is this name always a string constant?" or "can
+  this name be ``time.time``?" — the questions the stream-name and
+  determinism rules ask — without a full CFG fixpoint, because a name
+  with *any* non-constant definition is simply not provably constant.
 - **module constants**: module-level ``NAME = <literal>`` bindings
   (single assignment), so ``rng.stream(STREAM)`` resolves.
 - **a module-local call graph** (name-based): edges from each function
@@ -34,7 +34,8 @@ UNKNOWN = object()
 
 
 class FunctionScope:
-    """One function or method, with its local definitions."""
+    """One function or method — or the module body — with its local
+    definitions."""
 
     def __init__(self, qualname: str, node: Any,
                  class_name: Optional[str]):
@@ -47,11 +48,12 @@ class FunctionScope:
         self._collect()
 
     def _collect(self) -> None:
-        args = self.node.args
-        for arg in (list(args.posonlyargs) + list(args.args)
-                    + list(args.kwonlyargs)
-                    + [a for a in (args.vararg, args.kwarg) if a]):
-            self.definitions.setdefault(arg.arg, []).append(UNKNOWN)
+        args = getattr(self.node, "args", None)  # None: the module
+        if args is not None:
+            for arg in (list(args.posonlyargs) + list(args.args)
+                        + list(args.kwonlyargs)
+                        + [a for a in (args.vararg, args.kwarg) if a]):
+                self.definitions.setdefault(arg.arg, []).append(UNKNOWN)
         for node in own_nodes(self.node):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
@@ -101,7 +103,8 @@ class ModuleDataflow:
         self.tree = tree
         self.module_constants: Dict[str, object] = {}
         self.imported_names: Set[str] = set()
-        #: local alias -> imported module name (``import time as t``).
+        #: local name -> imported module (``import time as t``; ``os``
+        #: for ``import os.path``).
         self.module_aliases: Dict[str, str] = {}
         #: local name -> (module, original) for ``from m import x``.
         self.from_imports: Dict[str, Tuple[str, str]] = {}
@@ -134,13 +137,15 @@ class ModuleDataflow:
                 for item in node.names:
                     local = item.asname or item.name.split(".")[0]
                     self.imported_names.add(local)
-                    self.module_aliases[local] = item.name
+                    self.module_aliases[local] = (item.name if item.asname
+                                                  else local)
             elif isinstance(node, ast.ImportFrom):
                 for item in node.names:
                     local = item.asname or item.name
                     self.imported_names.add(local)
                     self.from_imports[local] = (node.module or "",
                                                 item.name)
+        self.module_scope = FunctionScope("<module>", self.tree, None)
         self._collect_functions(self.tree, prefix="", class_name=None)
 
     def _collect_functions(self, node: ast.AST, prefix: str,
@@ -189,6 +194,20 @@ class ModuleDataflow:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def walk(self) -> Iterator[Tuple[ast.AST, FunctionScope]]:
+        """Every node in source order, with the scope it runs in (the
+        innermost function, else the module body)."""
+        scopes = {id(scope.node): scope for scope in self.functions}
+        stack = [(child, self.module_scope)
+                 for child in reversed(list(ast.iter_child_nodes(
+                     self.tree)))]
+        while stack:
+            node, scope = stack.pop()
+            yield node, scope
+            inner = scopes.get(id(node), scope)
+            stack.extend((child, inner) for child in reversed(list(
+                ast.iter_child_nodes(node))))
+
     def scope_at(self, node: ast.AST) -> Optional[FunctionScope]:
         """The innermost collected scope whose body contains ``node``."""
         best: Optional[FunctionScope] = None
@@ -263,8 +282,8 @@ class ModuleDataflow:
         return seen
 
 
-#: Small keyed cache so the three flow rules share one analysis per
-#: file.  Strong references to the trees keep ids stable.
+#: Small keyed cache so the rules share one analysis per file.  Strong
+#: references to the trees keep ids stable.
 _CACHE: Dict[int, Tuple[ast.Module, ModuleDataflow]] = {}
 
 

@@ -8,10 +8,11 @@ through ``# noqa`` suppression comments:
 - ``# noqa: RPL001`` (or a comma-separated list) suppresses only the
   named codes.
 
-Rules are plain objects with a ``code``, a ``name``, and a
-``check(tree, path) -> Iterable[Finding]`` method (see
-:mod:`repro.analyze.rules`).  The engine knows nothing about what any
-rule looks for, which keeps adding a rule a one-file change.
+Rules are plain objects with a ``code``, the ``codes`` they report,
+an ``applies_to(path)`` scope and a ``check(tree, path) ->
+Iterable[Finding]`` method (see :mod:`repro.analyze.rules`).  The
+engine knows nothing about what any rule looks for, which keeps adding
+a rule a one-file change.
 """
 
 from __future__ import annotations
@@ -86,10 +87,11 @@ class LintEngine:
 
     def __init__(self, rules: Sequence[Any],
                  select: Optional[Iterable[str]] = None):
-        selected = (None if select is None
-                    else {code.upper() for code in select})
+        self.selected = (None if select is None
+                         else {code.upper() for code in select})
         self.rules = [rule for rule in rules
-                      if selected is None or rule.code in selected]
+                      if self.selected is None
+                      or self.selected.intersection(rule.codes)]
 
     # ------------------------------------------------------------------
     def check_source(self, source: str, path: str) -> List[Finding]:
@@ -105,7 +107,10 @@ class LintEngine:
         for rule in self.rules:
             if not rule.applies_to(path):
                 continue
-            findings.extend(rule.check(tree, path))
+            findings.extend(
+                finding for finding in rule.check(tree, path)
+                if self.selected is None
+                or finding.code in self.selected)
         return self._apply_noqa(findings, source.splitlines())
 
     def check_file(self, path: Path) -> List[Finding]:

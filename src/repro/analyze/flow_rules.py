@@ -1,4 +1,4 @@
-"""Flow-aware lint rules (RPL010-RPL012), built on
+"""Flow-aware lint rules (RPL010, RPL012), built on
 :mod:`repro.analyze.dataflow`.
 
 Each rule needs a fact that spans more than one AST node:
@@ -11,12 +11,6 @@ Each rule needs a fact that spans more than one AST node:
   argument through reaching definitions and module constants; string
   literals, f-strings over constants/attributes, and ``STREAM``-style
   constants all pass.
-- **RPL011 — nondeterminism imported into a deterministic layer.**
-  The kernel, protocol and distributed layers run on virtual time and
-  seeded streams; ``time``/``datetime``/``random`` have no business
-  being imported there at all (the syntactic rules RPL001/RPL002 only
-  catch direct *calls*; an alias like ``clock = time.time`` then
-  ``clock()`` slips through them — reaching definitions catch it).
 - **RPL012 — orphaned mutation of shared protocol state.**  Every
   mutation of a lock manager's shared state (``waiting``,
   ``_waiting_by_oid``, ``_waiting_by_tid``, ``locks``, and the
@@ -37,7 +31,7 @@ from typing import Any, Iterator, Optional, Set
 
 from . import dataflow
 from .engine import Finding
-from .rules import Rule, _is_path_part
+from .rules import Rule
 
 #: Drawing helpers of RngStreams whose first argument is the stream
 #: name (checked only when that argument is an f-string — a plain
@@ -45,9 +39,6 @@ from .rules import Rule, _is_path_part
 #: a bare random.Random).
 _STREAM_HELPERS = {"exponential", "uniform", "randint", "sample",
                    "choice", "random"}
-
-#: Modules whose presence in a deterministic layer is a finding.
-_NONDETERMINISTIC_MODULES = {"time", "datetime", "random", "secrets"}
 
 #: Shared lock-manager state attributes patrolled by RPL012.
 _PROTOCOL_STATE = {"waiting", "_waiting_by_oid", "_waiting_by_tid",
@@ -60,20 +51,12 @@ _MUTATORS = {"append", "remove", "pop", "clear", "insert", "extend",
              "release", "release_all"}
 
 
-def _is_rng_module(path: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return normalized.endswith("kernel/rng.py")
-
-
 class DynamicStreamNameRule(Rule):
     """RPL010: RNG stream name not statically derivable."""
 
     code = "RPL010"
     name = "dynamic-rng-stream-name"
-
-    def applies_to(self, path: str) -> bool:
-        return not (_is_path_part(path, "tests")
-                    or _is_rng_module(path))
+    exempt = ("tests", "kernel/rng.py")
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         facts = dataflow.analyze(tree)
@@ -111,96 +94,14 @@ class DynamicStreamNameRule(Rule):
         return False
 
 
-class NondeterministicImportRule(Rule):
-    """RPL011: time/datetime/random imported or aliased into the
-    kernel/protocol/distributed layers."""
-
-    code = "RPL011"
-    name = "nondeterminism-in-deterministic-layer"
-    #: Directory names this rule patrols.
-    scoped_parts = ("kernel", "cc", "dist")
-
-    def applies_to(self, path: str) -> bool:
-        if _is_path_part(path, "tests") or _is_rng_module(path):
-            return False
-        return any(_is_path_part(path, part)
-                   for part in self.scoped_parts)
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        facts = dataflow.analyze(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for item in node.names:
-                    root = item.name.split(".")[0]
-                    if root in _NONDETERMINISTIC_MODULES:
-                        yield self.finding(
-                            path, node,
-                            f"'import {item.name}' in a deterministic "
-                            f"layer; this code runs on virtual time "
-                            f"and seeded streams (kernel.now, "
-                            f"kernel.rng)")
-            elif isinstance(node, ast.ImportFrom):
-                root = (node.module or "").split(".")[0]
-                if root in _NONDETERMINISTIC_MODULES:
-                    names = [item.name for item in node.names
-                             if item.name != "Random"]
-                    if names:
-                        yield self.finding(
-                            path, node,
-                            f"'from {node.module} import "
-                            f"{', '.join(names)}' in a deterministic "
-                            f"layer; use virtual time / seeded "
-                            f"streams")
-        # Aliased calls: f = time.time; ...; f()  — the reaching
-        # definitions expose the alias even though the call site
-        # mentions neither module.
-        for scope in facts.functions:
-            for node in dataflow.own_nodes(scope.node):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)):
-                    continue
-                for definition in scope.definitions.get(
-                        node.func.id, ()):
-                    label = self._nondeterministic_source(definition,
-                                                         facts)
-                    if label is not None:
-                        yield self.finding(
-                            path, node,
-                            f"call through alias '{node.func.id}' of "
-                            f"{label} in a deterministic layer")
-                        break
-
-    @staticmethod
-    def _nondeterministic_source(definition: Any,
-                                 facts: Any) -> Optional[str]:
-        if definition is dataflow.UNKNOWN or not isinstance(
-                definition, ast.AST):
-            return None
-        node = definition
-        while isinstance(node, ast.Attribute):
-            node = node.value
-        if isinstance(node, ast.Name):
-            module = facts.module_aliases.get(node.id)
-            if module and module.split(".")[0] in \
-                    _NONDETERMINISTIC_MODULES:
-                return ast.unparse(definition)
-        return None
-
-
 class OrphanStateMutationRule(Rule):
     """RPL012: shared protocol state mutated by a method unreachable
     from the lock-manager entry points."""
 
     code = "RPL012"
     name = "orphan-protocol-state-mutation"
-    #: Directory names this rule patrols (the lock managers).
-    scoped_parts = ("cc",)
-
-    def applies_to(self, path: str) -> bool:
-        if _is_path_part(path, "tests"):
-            return False
-        return any(_is_path_part(path, part)
-                   for part in self.scoped_parts)
+    #: The lock managers.
+    layers = ("cc",)
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         facts = dataflow.analyze(tree)
@@ -277,12 +178,10 @@ class OrphanStateMutationRule(Rule):
 
 FLOW_RULES = (
     DynamicStreamNameRule(),
-    NondeterministicImportRule(),
     OrphanStateMutationRule(),
 )
 
 FLOW_RULE_INDEX = {
     "RPL010": "RNG stream name not statically derivable",
-    "RPL011": "time/datetime/random in a deterministic layer",
     "RPL012": "orphaned mutation of shared lock-manager state",
 }

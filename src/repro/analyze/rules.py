@@ -3,19 +3,17 @@
 Every rule exists because the violation it detects has a concrete
 failure mode in this repository:
 
-- **RPL001 — wall-clock in simulation code.**  The simulation runs on
-  deterministic *virtual* time; reading the host clock (``time.time``,
-  ``datetime.now``) or sleeping on it makes results irreproducible and
-  silently poisons the exec-engine's fingerprint cache (two runs with
-  the same fingerprint would disagree).  The harness under
-  ``repro/exec`` is exempt — measuring real elapsed time for progress
-  and retry backoff is its job.
-- **RPL002 — global randomness.**  ``random.random()`` and friends draw
-  from the process-global RNG, whose state depends on import order and
-  other callers; ``os.urandom`` is entropy by definition.  Model code
-  must draw from the seeded per-stream RNGs of
-  ``repro.kernel.rng.RngStreams`` (``random.Random`` instances are
-  fine — the rule only bans the module-global API).
+- **RPL001 — determinism.**  A point of the paper's curves is the mean
+  of seeded replications, and the exec cache serves a row by its config
+  fingerprint alone, so no simulation layer may read host time or
+  process-global randomness.  One table, :data:`DETERMINISM_TABLE`,
+  says which sources each layer bans: wall clocks and global randomness
+  everywhere (tests included), host clocks as well in ``telemetry``,
+  and the whole ``time``/``datetime``/``random``/``secrets`` modules in
+  ``kernel``, ``cc`` and ``dist``.  Imports, calls and calls through
+  aliases (``stamp = time.time; stamp()``) are resolved on the
+  :mod:`repro.analyze.dataflow` facts, and each row names the one
+  gateway module allowed to wrap its sources.
 - **RPL003 — syscall constructed but not yielded.**  Kernel blocking
   operations (``port.receive()``, ``cpu.use(t)``, ``sem.wait()``,
   ``cc.acquire(...)``, ``Delay(t)``) *construct* a SysCall that only
@@ -34,8 +32,6 @@ failure mode in this repository:
   can embed memory addresses or unstable ordering, so equal configs
   stop hashing equally and the cache silently fragments or, worse,
   collides.
-- **RPL006 — mutable default argument.**  The standard Python trap: the
-  default is evaluated once and shared across calls.
 - **RPL007 — ad-hoc output in protocol/dist modules.**  ``print`` and
   the ``logging`` module are banned from the concurrency-control and
   distributed layers: those layers report through the kernel's
@@ -62,13 +58,12 @@ failure mode in this repository:
   them will silently miss protocols registered later — exactly the bug
   the registry exists to prevent.  Dispatch on the resolved spec's
   fields or derive sets from registry queries instead.
+- **RPL015 — event-queue internals.**  Two event engines promise
+  bitwise-identical results, so only they may touch a queue's
+  representation or move ``kernel.now``.
 
-- **RPL014 — host clock outside the sanctioned gateway.**  In ``cc``,
-  ``dist``, ``kernel`` and ``telemetry`` even *elapsed* host time
-  (``time.perf_counter()``, ``monotonic()`` — allowed elsewhere by
-  RPL001) must route through ``repro.telemetry.hostclock.host_clock``
-  so every host-time read in the determinism-critical layers is
-  auditable in one place.
+The flow-aware RPL010 and RPL012 live in :mod:`repro.analyze.flow_rules`.
+Mutable default arguments are left to ruff's ``B006``.
 
 Each rule reports ``(code, line, col, message)`` findings through the
 engine; suppress a deliberate occurrence with ``# noqa: <code>``.
@@ -77,25 +72,12 @@ engine; suppress a deliberate occurrence with ``# noqa: <code>``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..constants import BLOCKING_CATEGORIES
+from . import dataflow
 from .engine import Finding
 
-#: Wall-clock functions of the ``time`` module (monotonic and
-#: perf_counter are allowed: they measure elapsed host time for
-#: reporting and never leak into simulation state).
-_WALL_CLOCK_TIME = {"time", "time_ns", "sleep", "localtime", "gmtime",
-                    "ctime", "asctime", "strftime"}
-#: Wall-clock constructors on datetime classes.
-_WALL_CLOCK_DATETIME = {"now", "utcnow", "today"}
-#: Module-global randomness (anything on the random module except the
-#: Random class itself).
-_GLOBAL_RANDOM = {"random", "randint", "randrange", "choice", "choices",
-                  "shuffle", "sample", "uniform", "gauss", "seed",
-                  "getrandbits", "betavariate", "expovariate",
-                  "normalvariate", "vonmisesvariate", "paretovariate",
-                  "triangular"}
 #: Methods that construct blocking kernel syscalls.
 _SYSCALL_METHODS = {"receive", "wait", "use", "acquire"}
 #: Bare-name syscall constructors from repro.kernel.syscalls.
@@ -111,40 +93,38 @@ _SAFE_ANNOTATIONS = {"int", "float", "str", "bool", "bytes", "None",
                      "Literal"}
 
 
-def _module_aliases(tree: ast.Module, module: str) -> Set[str]:
-    """Names the module is importable under (``import time as t``)."""
-    aliases = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.name == module:
-                    aliases.add(item.asname or module)
-    return aliases
-
-
-def _from_imports(tree: ast.Module, module: str) -> Dict[str, str]:
-    """{local name: original name} for ``from module import ...``."""
-    names = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for item in node.names:
-                names[item.asname or item.name] = item.name
-    return names
-
-
-def _is_path_part(path: str, part: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return f"/{part}/" in normalized or normalized.startswith(f"{part}/")
+def _on_path(path: str, part: str) -> bool:
+    """Is ``part`` — a directory (``cc``), a package path
+    (``kernel/turbo``) or a module path (``kernel/rng.py``) — on
+    ``path``?"""
+    normalized = "/" + path.replace("\\", "/")
+    if part.endswith(".py"):
+        return normalized.endswith("/" + part)
+    return f"/{part}/" in normalized
 
 
 class Rule:
-    """Base: applies everywhere unless a subclass narrows the scope."""
+    """Base: a rule lints the files of its ``layers`` (every file when
+    empty) except its ``exempt`` paths."""
 
     code = "RPL000"
     name = "base"
+    #: Directory names the rule patrols; empty patrols every file.
+    layers: Tuple[str, ...] = ()
+    #: Paths the rule never lints, spelled as :func:`_on_path` parts.
+    exempt: Tuple[str, ...] = ("tests",)
+
+    @property
+    def codes(self) -> Tuple[str, ...]:
+        """Every code the rule reports (``--select`` keeps the rule
+        when any of them is selected)."""
+        return (self.code,)
 
     def applies_to(self, path: str) -> bool:
-        return True
+        if any(_on_path(path, part) for part in self.exempt):
+            return False
+        return not self.layers or any(_on_path(path, layer)
+                                      for layer in self.layers)
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         raise NotImplementedError
@@ -155,140 +135,152 @@ class Rule:
                        message)
 
 
-class WallClockRule(Rule):
-    """RPL001: wall-clock reads/sleeps in simulation code."""
+class Ban(NamedTuple):
+    """One row of the determinism table."""
+
+    #: Directory names the row patrols, tests excepted; empty is every
+    #: file, tests included.
+    layers: Tuple[str, ...]
+    #: Dotted sources: a name (``time.time``), a module (``time``: its
+    #: import and everything on it) or a module's members (``random.*``:
+    #: everything on it, but not the import).
+    sources: Tuple[str, ...]
+    #: The one module of the row's layers allowed to wrap its sources.
+    gateway: str
+    #: What to use instead.
+    advice: str
+
+
+_WALL_CLOCKS = tuple(
+    [f"time.{name}" for name in ("time", "time_ns", "sleep", "localtime",
+                                 "gmtime", "ctime", "asctime", "strftime")]
+    + [f"datetime.{cls}.{name}" for cls in ("datetime", "date")
+       for name in ("now", "utcnow", "today")])
+_GLOBAL_RANDOMNESS = ("random.*", "os.urandom", "secrets")
+_HOST_CLOCKS = tuple(f"time.{name}{suffix}"
+                     for name in ("perf_counter", "monotonic",
+                                  "process_time")
+                     for suffix in ("", "_ns"))
+
+#: layer -> banned sources: the determinism invariant, patrolled by
+#: RPL001.
+DETERMINISM_TABLE = (
+    Ban((), _WALL_CLOCKS + _GLOBAL_RANDOMNESS, "",
+        "use virtual time (kernel.now) and seeded streams (kernel.rng)"),
+    Ban(("telemetry",), _HOST_CLOCKS, "telemetry/hostclock.py",
+        "read host time through repro.telemetry.hostclock.host_clock()"),
+    Ban(("kernel", "cc", "dist"), ("time", "datetime", "random",
+                                   "secrets"), "kernel/rng.py",
+        "this layer runs on virtual time and seeded streams "
+        "(kernel.now, kernel.rng)"),
+)
+#: The seeded generator every stream is made of is never banned.
+_ALLOWED = ("random.Random",)
+
+
+def _bans(source: str, name: str) -> bool:
+    if source.endswith(".*"):
+        return name.startswith(source[:-1])
+    return name == source or name.startswith(source + ".")
+
+
+def _resolve(node: ast.AST, facts: dataflow.ModuleDataflow,
+             scope: dataflow.FunctionScope,
+             depth: int = 0) -> Optional[str]:
+    """The dotted name an expression reaches through module aliases,
+    from-imports and reaching definitions, or None."""
+    if isinstance(node, ast.Attribute):
+        base = _resolve(node.value, facts, scope, depth)
+        return None if base is None else f"{base}.{node.attr}"
+    if not isinstance(node, ast.Name) or depth > 8:  # a = b; b = a
+        return None
+    for frame in (scope, facts.module_scope):
+        definitions = frame.definitions.get(node.id)
+        if definitions:
+            for definition in definitions:
+                if isinstance(definition, ast.AST):
+                    name = _resolve(definition, facts, frame, depth + 1)
+                    if name is not None:
+                        return name
+            return None
+    if node.id in facts.module_aliases:
+        return facts.module_aliases[node.id]
+    if node.id in facts.from_imports:
+        module, original = facts.from_imports[node.id]
+        return f"{module}.{original}"
+    return None
+
+
+class DeterminismRule(Rule):
+    """RPL001: host time or process-global randomness reached from a
+    layer whose row of :data:`DETERMINISM_TABLE` bans it."""
 
     code = "RPL001"
-    name = "wall-clock-in-sim"
-    #: Directory names exempt from this rule (the execution harness
-    #: legitimately measures host time).
-    exempt_parts = ("exec",)
-
-    def applies_to(self, path: str) -> bool:
-        return not any(_is_path_part(path, part)
-                       for part in self.exempt_parts)
+    name = "determinism"
+    #: Tests too: only the table's layered rows skip them.
+    exempt = ()
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        time_aliases = _module_aliases(tree, "time")
-        datetime_aliases = _module_aliases(tree, "datetime")
-        datetime_classes = {
-            local for local, orig in _from_imports(tree, "datetime").items()
-            if orig in ("datetime", "date")}
-        for local, orig in _from_imports(tree, "time").items():
-            if orig in _WALL_CLOCK_TIME:
-                node = self._import_node(tree, "time")
-                yield self.finding(
-                    path, node,
-                    f"wall-clock import 'from time import {orig}' in "
-                    f"simulation code; use virtual time (kernel.now)")
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            base = func.value
-            if (isinstance(base, ast.Name)
-                    and base.id in time_aliases
-                    and func.attr in _WALL_CLOCK_TIME):
-                yield self.finding(
-                    path, node,
-                    f"wall-clock call time.{func.attr}() in simulation "
-                    f"code; use virtual time (kernel.now) or "
-                    f"time.perf_counter() for harness timing")
-            elif func.attr in _WALL_CLOCK_DATETIME and isinstance(
-                    base, (ast.Name, ast.Attribute)):
-                root = base
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if (isinstance(root, ast.Name)
-                        and (root.id in datetime_aliases
-                             or root.id in datetime_classes)):
+        in_tests = _on_path(path, "tests")
+        bans = [ban for ban in DETERMINISM_TABLE
+                if not ban.layers
+                or (not in_tests and not _on_path(path, ban.gateway)
+                    and any(_on_path(path, layer)
+                            for layer in ban.layers))]
+
+        def advice(name: str) -> str:
+            """The advice of the first row banning ``name``; "" when
+            none does."""
+            if name not in _ALLOWED:
+                for ban in bans:
+                    if any(_bans(source, name) for source in ban.sources):
+                        return ban.advice
+            return ""
+
+        facts = dataflow.analyze(tree)
+        for node, scope in facts.walk():
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.Import):
+                    names = [item.name for item in node.names]
+                elif node.level == 0 and node.module:
+                    names = [f"{node.module}.{item.name}"
+                             for item in node.names]
+                else:
+                    continue
+                hits = [name for name in names if advice(name)]
+                if hits:
                     yield self.finding(
                         path, node,
-                        f"wall-clock call {ast.unparse(func)}() in "
-                        f"simulation code; use virtual time")
-
-    @staticmethod
-    def _import_node(tree: ast.Module, module: str) -> ast.AST:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == module:
-                return node
-        return tree.body[0] if tree.body else tree
-
-
-class GlobalRandomRule(Rule):
-    """RPL002: process-global randomness instead of seeded streams."""
-
-    code = "RPL002"
-    name = "global-randomness"
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        random_aliases = _module_aliases(tree, "random")
-        os_aliases = _module_aliases(tree, "os")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module == "random":
-                    for item in node.names:
-                        if item.name != "Random":
-                            yield self.finding(
-                                path, node,
-                                f"'from random import {item.name}' uses "
-                                f"the global RNG; draw from a seeded "
-                                f"random.Random stream (kernel.rng)")
-                elif node.module == "secrets":
+                        f"'{ast.unparse(node)}': {', '.join(hits)} is "
+                        f"not reproducible from the seed; "
+                        f"{advice(hits[0])}")
+            elif isinstance(node, ast.Call):
+                name = _resolve(node.func, facts, scope)
+                tip = "" if name is None else advice(name)
+                if tip:
+                    shown = ast.unparse(node.func)
+                    label = (f"{name}()" if shown == name
+                             else f"{shown}() (an alias of {name})")
                     yield self.finding(
                         path, node,
-                        "'secrets' is entropy by definition; simulation "
-                        "code must be deterministic")
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            base = func.value
-            if not isinstance(base, ast.Name):
-                continue
-            if (base.id in random_aliases
-                    and func.attr in _GLOBAL_RANDOM):
-                yield self.finding(
-                    path, node,
-                    f"global-RNG call random.{func.attr}() is "
-                    f"nondeterministic across runs; draw from a seeded "
-                    f"random.Random stream (kernel.rng)")
-            elif base.id in os_aliases and func.attr == "urandom":
-                yield self.finding(
-                    path, node,
-                    "os.urandom() is entropy; simulation code must be "
-                    "deterministic")
-
-
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Descendants whose nearest enclosing function is ``func`` (the
-    walk does not descend into nested function definitions)."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue  # nested scope: its body belongs to it
-        stack.extend(ast.iter_child_nodes(node))
+                        f"{label} is not reproducible from the seed; "
+                        f"{tip}")
 
 
 def _is_generator(func: ast.AST) -> bool:
     """Does this function contain a yield of its own?"""
     return any(isinstance(node, (ast.Yield, ast.YieldFrom))
-               for node in _own_nodes(func))
+               for node in dataflow.own_nodes(func))
 
 
 class DiscardedSyscallRule(Rule):
-    """RPL003/RPL004: a blocking syscall constructed then thrown away."""
+    """RPL003/RPL004: a blocking syscall constructed then thrown away
+    (RPL003 in a process body, RPL004 in a plain function)."""
 
     code = "RPL003"
+    codes = ("RPL003", "RPL004")
     name = "discarded-syscall"
-    sibling_code = "RPL004"
+    exempt = ()  # tests too
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for func in ast.walk(tree):
@@ -296,7 +288,7 @@ class DiscardedSyscallRule(Rule):
                                      ast.AsyncFunctionDef)):
                 continue
             is_gen = _is_generator(func)
-            for stmt in _own_nodes(func):
+            for stmt in dataflow.own_nodes(func):
                 if not isinstance(stmt, ast.Expr):
                     continue
                 call = stmt.value
@@ -307,14 +299,13 @@ class DiscardedSyscallRule(Rule):
                     continue
                 if is_gen:
                     yield Finding(
-                        self.code, path, stmt.lineno, stmt.col_offset,
+                        "RPL003", path, stmt.lineno, stmt.col_offset,
                         f"syscall {label} constructed but never yielded "
                         f"(forgotten 'yield'? the block/delay silently "
                         f"does not happen)")
                 else:
                     yield Finding(
-                        self.sibling_code, path, stmt.lineno,
-                        stmt.col_offset,
+                        "RPL004", path, stmt.lineno, stmt.col_offset,
                         f"blocking syscall {label} in a non-generator "
                         f"function; kernel blocking operations belong "
                         f"in process bodies (generators)")
@@ -331,24 +322,13 @@ class DiscardedSyscallRule(Rule):
         return None
 
 
-class BlockingSyscallRule(DiscardedSyscallRule):
-    """RPL004 registration stub: findings are produced by RPL003's
-    visitor (one pass classifies by generator-ness); this class exists
-    so ``--select RPL004`` and the rule listing know the code."""
-
-    code = "RPL004"
-    name = "syscall-outside-process"
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        return iter(())
-
-
 class FingerprintSafetyRule(Rule):
     """RPL005: config-dataclass fields the fingerprint cannot encode
     stably."""
 
     code = "RPL005"
     name = "fingerprint-unsafe-config-field"
+    exempt = ()  # tests too
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         local_dataclasses = {
@@ -443,51 +423,6 @@ class FingerprintSafetyRule(Rule):
         return [inner]
 
 
-class MutableDefaultRule(Rule):
-    """RPL006: mutable default argument values."""
-
-    code = "RPL006"
-    name = "mutable-default-argument"
-
-    _MUTABLE_CALLS = {"list", "dict", "set", "defaultdict",
-                      "OrderedDict", "Counter", "deque", "bytearray"}
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        for func in ast.walk(tree):
-            if not isinstance(func, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            defaults = list(func.args.defaults) + [
-                default for default in func.args.kw_defaults
-                if default is not None]
-            for default in defaults:
-                label = self._mutable_label(default)
-                if label is not None:
-                    yield self.finding(
-                        path, default,
-                        f"mutable default argument {label} is evaluated "
-                        f"once and shared across calls; default to None "
-                        f"and create inside the function")
-
-    def _mutable_label(self, node: ast.AST):
-        if isinstance(node, (ast.List, ast.ListComp)):
-            return "[...]"
-        if isinstance(node, (ast.Dict, ast.DictComp)):
-            return "{...}"
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return "{...} (set)"
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name in self._MUTABLE_CALLS:
-                return f"{name}(...)"
-        return None
-
-
 class AdHocTraceOutputRule(Rule):
     """RPL007: print()/logging in protocol or distributed modules.
 
@@ -501,14 +436,8 @@ class AdHocTraceOutputRule(Rule):
 
     code = "RPL007"
     name = "ad-hoc-trace-output"
-    #: Directory names this rule patrols (the protocol + dist layers).
-    scoped_parts = ("cc", "dist")
-
-    def applies_to(self, path: str) -> bool:
-        if _is_path_part(path, "tests"):
-            return False
-        return any(_is_path_part(path, part)
-                   for part in self.scoped_parts)
+    #: The protocol and dist layers.
+    layers = ("cc", "dist")
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -587,14 +516,8 @@ class UnguardedHookRule(Rule):
 
     code = "RPL008"
     name = "unguarded-hook-call"
-    #: Directory names this rule patrols (the instrumented layers).
-    scoped_parts = ("kernel", "cc", "db", "dist", "txn", "resources")
-
-    def applies_to(self, path: str) -> bool:
-        if _is_path_part(path, "tests"):
-            return False
-        return any(_is_path_part(path, part)
-                   for part in self.scoped_parts)
+    #: The instrumented layers.
+    layers = ("kernel", "cc", "db", "dist", "txn", "resources")
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         findings: List[Finding] = []
@@ -709,15 +632,8 @@ class BlockingTaxonomyRule(Rule):
 
     code = "RPL009"
     name = "blocking-category-literal"
-    #: Directory names this rule patrols (the layers sharing the
-    #: blocking taxonomy).
-    scoped_parts = ("model", "trace", "cc")
-
-    def applies_to(self, path: str) -> bool:
-        if _is_path_part(path, "tests"):
-            return False
-        return any(_is_path_part(path, part)
-                   for part in self.scoped_parts)
+    #: The layers sharing the blocking taxonomy.
+    layers = ("model", "trace", "cc")
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -760,18 +676,10 @@ class ProtocolLiteralRule(Rule):
 
     code = "RPL013"
     name = "protocol-name-literal"
-    #: Directory names this rule patrols: every layer that consumes
-    #: protocols (their home package, repro/protocols, is the one
-    #: place allowed to spell the names).
-    scoped_parts = ("cc", "dist", "model", "bench")
-
-    def applies_to(self, path: str) -> bool:
-        if _is_path_part(path, "tests"):
-            return False
-        if _is_path_part(path, "protocols"):
-            return False
-        return any(_is_path_part(path, part)
-                   for part in self.scoped_parts)
+    #: Every layer that consumes protocols; their home package,
+    #: repro/protocols, is the one place allowed to spell the names.
+    layers = ("cc", "dist", "model", "bench")
+    exempt = ("tests", "protocols")
 
     @staticmethod
     def _protocol_names() -> set:
@@ -831,69 +739,6 @@ class ProtocolLiteralRule(Rule):
                     "registered protocols are never missed")
 
 
-class HostClockGatewayRule(Rule):
-    """RPL014: direct host-clock call outside the sanctioned gateway.
-
-    RPL001 already bans wall-clock *absolute* time in simulation code
-    but deliberately allows ``time.perf_counter()`` / ``monotonic()``
-    for harness timing.  In the determinism-critical layers — ``cc``,
-    ``dist``, ``kernel`` and ``telemetry`` — even elapsed host time
-    must flow through one audited helper,
-    :func:`repro.telemetry.hostclock.host_clock`, so a reviewer can
-    find every host-time read in those layers with a single grep and
-    the metrics artifacts can never silently mix host and simulated
-    timestamps.  Both the call forms (``time.perf_counter()``) and the
-    from-imports (``from time import perf_counter``) are flagged; the
-    gateway module itself is exempt.
-    """
-
-    code = "RPL014"
-    name = "host-clock-outside-gateway"
-    #: Directory names this rule patrols.
-    scoped_parts = ("cc", "dist", "kernel", "telemetry")
-    #: Module basenames allowed to touch the host clock directly.
-    gateway_modules = ("hostclock.py",)
-    #: Everything on the ``time`` module that reads a host clock.
-    banned = (_WALL_CLOCK_TIME
-              | {"perf_counter", "perf_counter_ns", "monotonic",
-                 "monotonic_ns", "process_time", "process_time_ns"})
-
-    def applies_to(self, path: str) -> bool:
-        if _is_path_part(path, "tests"):
-            return False
-        normalized = path.replace("\\", "/")
-        if normalized.rsplit("/", 1)[-1] in self.gateway_modules:
-            return False
-        return any(_is_path_part(path, part)
-                   for part in self.scoped_parts)
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        time_aliases = _module_aliases(tree, "time")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                for item in node.names:
-                    if item.name in self.banned:
-                        yield self.finding(
-                            path, node,
-                            f"'from time import {item.name}' in a "
-                            f"determinism-critical layer; route host "
-                            f"timing through repro.telemetry.hostclock"
-                            f".host_clock()")
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in time_aliases
-                    and func.attr in self.banned):
-                yield self.finding(
-                    path, node,
-                    f"direct host-clock call time.{func.attr}() in a "
-                    f"determinism-critical layer; route host timing "
-                    f"through repro.telemetry.hostclock.host_clock()")
-
-
 class EventQueueInternalsRule(Rule):
     """RPL015: event-queue internals reached outside the queue engines.
 
@@ -938,16 +783,8 @@ class EventQueueInternalsRule(Rule):
     queue_names = frozenset({"events", "_events", "queue"})
     #: Base-expression spellings that identify a kernel.
     kernel_names = frozenset({"kernel", "_kernel"})
-    #: Module basenames allowed to touch reference-queue internals.
-    engine_modules = ("events.py",)
-
-    def applies_to(self, path: str) -> bool:
-        if _is_path_part(path, "tests"):
-            return False
-        if _is_path_part(path, "turbo"):
-            return False
-        normalized = path.replace("\\", "/")
-        return normalized.rsplit("/", 1)[-1] not in self.engine_modules
+    #: The two engine homes.
+    exempt = ("tests", "kernel/turbo", "kernel/events.py")
 
     @staticmethod
     def _spelled(node: ast.AST, names: frozenset) -> bool:
@@ -958,7 +795,7 @@ class EventQueueInternalsRule(Rule):
         return False
 
     def check(self, tree: ast.Module, path: str) -> Iterator[Finding]:
-        owns_clock = _is_path_part(path, "kernel")
+        owns_clock = _on_path(path, "kernel")
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
@@ -981,38 +818,32 @@ class EventQueueInternalsRule(Rule):
                     f"stay interchangeable")
 
 
-#: The syntactic rule set, in code order.  The flow-aware rules
-#: (RPL010-RPL012) live in :mod:`repro.analyze.flow_rules`; they are
-#: appended below so the shipped registry stays one tuple.
+#: This module's rules, in code order.  The flow-aware RPL010 and
+#: RPL012 live in :mod:`repro.analyze.flow_rules`; they are appended
+#: below so the shipped registry stays one tuple.
 _SYNTACTIC_RULES = (
-    WallClockRule(),
-    GlobalRandomRule(),
+    DeterminismRule(),
     DiscardedSyscallRule(),
-    BlockingSyscallRule(),
     FingerprintSafetyRule(),
-    MutableDefaultRule(),
     AdHocTraceOutputRule(),
     UnguardedHookRule(),
     BlockingTaxonomyRule(),
     ProtocolLiteralRule(),
-    HostClockGatewayRule(),
     EventQueueInternalsRule(),
 )
 
 #: code -> one-line description, for ``repro lint --list-rules``.
 RULE_INDEX = {
-    "RPL001": "wall-clock read or sleep in simulation code",
-    "RPL002": "process-global randomness (random.*, os.urandom)",
+    "RPL001": "host time or global randomness where the determinism "
+              "table bans it",
     "RPL003": "kernel syscall constructed but never yielded",
     "RPL004": "blocking kernel syscall outside a process body",
     "RPL005": "fingerprint-unsafe config dataclass field",
-    "RPL006": "mutable default argument",
     "RPL007": "print()/logging in protocol or dist modules",
     "RPL008": "instrumentation-hook call outside its 'is not None' "
               "guard",
     "RPL009": "re-declared blocking-category string literal",
     "RPL013": "hard-coded protocol-name literal outside the registry",
-    "RPL014": "host-clock call outside the hostclock gateway",
     "RPL015": "event-queue internals or the kernel clock touched "
               "outside the engines",
 }

@@ -5,7 +5,7 @@ clock) and therefore must never be called from simulation code — host
 measurements belong to the layer that runs simulations, not the layer
 being simulated.  Wall time comes from
 :func:`repro.telemetry.hostclock.host_clock`, the sanctioned gateway
-lint rule RPL014 points wall-clock-hungry code at.
+lint rule RPL001 points host-clock-hungry code at.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ Public surface:
   :mod:`repro.telemetry.export`;
 - the sanctioned host-clock helper in
   :mod:`repro.telemetry.hostclock` (the only place simulation-adjacent
-  code may read the host clock — see lint rule RPL014).
+  code may read the host clock — see lint rule RPL001).
 """
 
 from .instruments import Counter, Gauge, Histogram

@@ -1,12 +1,12 @@
 """The sanctioned host-clock helper for simulation-adjacent code.
 
-Lint rule RPL014 bans direct ``time.time()`` / ``time.perf_counter()``
+Lint rule RPL001 bans direct ``time.time()`` / ``time.perf_counter()``
 calls in ``cc/``, ``dist/``, ``kernel/`` and ``telemetry/``: host time
 leaking into those layers is exactly how determinism dies.  Code in
 those layers that legitimately needs to measure *elapsed host* time
 (overhead accounting, worker telemetry) must route through this
-module — the single audited gateway, which deliberately exposes only a
-monotonic elapsed-seconds reading and no absolute wall-clock.
+module — the rule's one host-clock gateway, which deliberately exposes
+only a monotonic elapsed-seconds reading and no absolute wall-clock.
 """
 
 from __future__ import annotations
@@ -20,4 +20,4 @@ def host_clock() -> float:
     Never use the value in simulation state or fingerprinted output —
     it differs between hosts and runs by construction.
     """
-    return time.perf_counter()  # noqa: RPL014 - the sanctioned gateway
+    return time.perf_counter()

@@ -1,8 +1,8 @@
 """Lint fixture: one seeded violation per rule code.
 
 This file is *supposed* to be wrong — the CLI acceptance test asserts
-``repro lint`` exits non-zero on it and reports every rule code.  It is
-never imported.
+``repro lint`` exits non-zero on it and reports exactly these findings.
+It is never imported.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ def wall_clock_timestamp():
 
 
 def pick(items):
-    return random.choice(items) + len(os.urandom(4))  # RPL002
+    return random.choice(items) + len(os.urandom(4))  # RPL001 twice
 
 
 def process_body(port, cpu):
@@ -34,6 +34,5 @@ class SeededConfig:
     tags: Set[str] = dataclasses.field(default_factory=set)  # RPL005
 
 
-def accumulate(value, bucket=[]):  # RPL006
-    bucket.append(value)
-    return bucket
+def aliased_timestamp():
+    stamp = time.time; stamp()  # RPL001 through an alias

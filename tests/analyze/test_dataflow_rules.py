@@ -1,4 +1,4 @@
-"""Flow-aware lint rules (RPL010-RPL012): each must fire on a minimal
+"""Flow-aware lint rules (RPL010, RPL012): each must fire on a minimal
 violation resolved *through* the dataflow layer (reaching definitions,
 module constants, reference-graph reachability) and stay silent on the
 sanctioned alternative."""
@@ -21,7 +21,7 @@ def codes(findings):
 
 
 def test_flow_rules_are_registered():
-    for code in ("RPL010", "RPL011", "RPL012"):
+    for code in ("RPL010", "RPL012"):
         assert code in RULE_INDEX
 
 
@@ -94,54 +94,6 @@ def test_rpl010_flags_reassigned_name():
             return rng.stream(name)
     """, select=["RPL010"])
     assert codes(findings) == ["RPL010"]
-
-
-# ----------------------------------------------------------------------
-# RPL011 — nondeterminism in a deterministic layer
-# ----------------------------------------------------------------------
-def test_rpl011_flags_import_in_kernel_layer():
-    findings = lint("""
-        import time
-
-        def f():
-            return 0
-    """, path="src/repro/kernel/widget.py", select=["RPL011"])
-    assert codes(findings) == ["RPL011"]
-
-
-def test_rpl011_flags_aliased_call_through_reaching_def():
-    findings = lint("""
-        import time
-
-        def f():
-            clock = time.monotonic
-            return clock()
-    """, path="src/repro/cc/widget.py", select=["RPL011"])
-    # Once for the import, once for the aliased call the syntactic
-    # rules cannot see.
-    assert codes(findings) == ["RPL011", "RPL011"]
-    assert any("alias" in finding.message for finding in findings)
-
-
-def test_rpl011_allows_random_Random_import():
-    findings = lint("""
-        from random import Random
-    """, path="src/repro/kernel/widget.py", select=["RPL011"])
-    assert findings == []
-
-
-def test_rpl011_ignores_layers_outside_scope():
-    findings = lint("""
-        import time
-    """, path="src/repro/trace/widget.py", select=["RPL011"])
-    assert findings == []
-
-
-def test_rpl011_ignores_rng_module_itself():
-    findings = lint("""
-        import random
-    """, path="src/repro/kernel/rng.py", select=["RPL011"])
-    assert findings == []
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +226,7 @@ def test_noqa_prose_with_wrong_code_does_not_suppress():
         import time
 
         def f():
-            return time.time()  # noqa: RPL002 justified elsewhere
+            return time.time()  # noqa: RPL003 justified elsewhere
     """)
     assert codes(findings) == ["RPL001"]
 
@@ -285,7 +237,6 @@ def test_flow_rules_are_clean_on_their_own_layers():
     # flow-rules-only gate).
     import repro.cc as cc_pkg
     from pathlib import Path
-    engine = LintEngine(DEFAULT_RULES,
-                        select=["RPL010", "RPL011", "RPL012"])
+    engine = LintEngine(DEFAULT_RULES, select=["RPL010", "RPL012"])
     for module_path in sorted(Path(cc_pkg.__file__).parent.glob("*.py")):
         assert engine.check_file(module_path) == [], module_path

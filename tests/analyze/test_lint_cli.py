@@ -3,6 +3,7 @@ acceptance property that the shipped package itself lints clean while a
 seeded-violation fixture does not."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +16,20 @@ from repro.cli import main as repro_main
 FIXTURE = str(Path(__file__).parent / "fixtures"
               / "seeded_violations.py")
 PACKAGE_DIR = str(Path(repro.__file__).parent)
+README = Path(__file__).resolve().parents[2] / "README.md"
+
+
+def reported(out):
+    """(line, code) of every finding in text output."""
+    return [(int(line), code) for line, code in
+            re.findall(r"^\S+:(\d+):\d+: (RPL\d+) ", out, re.MULTILINE)]
 
 
 def test_seeded_fixture_exits_nonzero_and_reports_every_rule(capsys):
     assert lint_main([FIXTURE]) == 1
-    out = capsys.readouterr().out
-    for code in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
-                 "RPL006"):
-        assert code in out, f"{code} missing from:\n{out}"
+    assert reported(capsys.readouterr().out) == [
+        (16, "RPL001"), (20, "RPL001"), (20, "RPL001"), (24, "RPL003"),
+        (29, "RPL004"), (34, "RPL005"), (38, "RPL001")]
 
 
 def test_shipped_package_lints_clean(capsys):
@@ -33,16 +40,25 @@ def test_shipped_package_lints_clean(capsys):
 def test_json_format_is_machine_readable(capsys):
     assert lint_main([FIXTURE, "--format", "json"]) == 1
     findings = json.loads(capsys.readouterr().out)
-    assert {f["code"] for f in findings} >= {"RPL001", "RPL006"}
+    assert {f["code"] for f in findings} >= {"RPL001", "RPL005"}
     sample = findings[0]
     assert set(sample) == {"code", "path", "line", "col", "message"}
 
 
 def test_select_narrows_to_requested_codes(capsys):
-    assert lint_main([FIXTURE, "--select", "RPL006"]) == 1
+    assert lint_main([FIXTURE, "--select", "RPL005"]) == 1
     out = capsys.readouterr().out
-    assert "RPL006" in out
+    assert "RPL005" in out
     assert "RPL001" not in out
+
+
+def test_select_reports_exactly_the_selected_code_of_a_shared_rule(capsys):
+    # RPL003 and RPL004 come from one rule: selecting either keeps the
+    # rule and reports only the selected code.
+    assert lint_main([FIXTURE, "--select", "RPL004"]) == 1
+    assert reported(capsys.readouterr().out) == [(29, "RPL004")]
+    assert lint_main([FIXTURE, "--select", "RPL003"]) == 1
+    assert reported(capsys.readouterr().out) == [(24, "RPL003")]
 
 
 def test_unknown_rule_code_is_a_usage_error(capsys):
@@ -61,6 +77,13 @@ def test_list_rules_prints_the_index(capsys):
     for code, description in RULE_INDEX.items():
         assert code in out
         assert description in out
+
+
+def test_readme_rule_table_is_the_index():
+    rows = re.findall(r"^\| (RPL\d+) \| (.+) \|$",
+                      README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert dict(rows) == RULE_INDEX
+    assert len(rows) == len(RULE_INDEX)
 
 
 def test_repro_cli_delegates_lint_subcommand(capsys):

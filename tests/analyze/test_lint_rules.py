@@ -3,6 +3,8 @@ violation and stay silent on the sanctioned alternative."""
 
 import textwrap
 
+import pytest
+
 from repro.analyze.engine import LintEngine
 from repro.analyze.rules import DEFAULT_RULES, RULE_INDEX
 
@@ -17,112 +19,183 @@ def codes(findings):
 
 
 # ----------------------------------------------------------------------
-# RPL001 — wall clock
+# RPL001 — determinism: one row per (path, snippet, finding lines)
 # ----------------------------------------------------------------------
-def test_rpl001_flags_time_time():
-    findings = lint("""
-        import time
+WALL_CLOCK = """
+    import time
 
-        def f():
-            return time.time()
-    """)
-    assert codes(findings) == ["RPL001"]
-    assert "time.time()" in findings[0].message
+    def f():
+        return time.time()
+"""
+HOST_CLOCK = """
+    import time
 
+    def measure():
+        return time.perf_counter()
+"""
+ALIASES = """
+    import random
+    import time
 
-def test_rpl001_flags_aliased_import():
-    findings = lint("""
+    stamp = time.time
+    stamp()
+
+    def f():
+        draw = random.random
+        return draw()
+"""
+EXAMPLE = "src/repro/example.py"
+TELEMETRY = "src/repro/telemetry/example.py"
+
+DETERMINISM_CASES = [
+    # wall clocks, everywhere
+    (EXAMPLE, WALL_CLOCK, [5], "flags_time_time"),
+    (EXAMPLE, """
         import time as clock
 
         def f():
             return clock.time()
-    """)
-    assert codes(findings) == ["RPL001"]
-
-
-def test_rpl001_flags_from_import():
-    findings = lint("""
+    """, [5], "flags_aliased_import"),
+    (EXAMPLE, """
         from time import time
 
         def f():
             return time()
-    """)
-    assert codes(findings) == ["RPL001"]
-
-
-def test_rpl001_flags_datetime_now():
-    findings = lint("""
+    """, [2, 5], "flags_from_import"),
+    (EXAMPLE, """
         import datetime
 
         def f():
             return datetime.datetime.now()
-    """)
-    assert codes(findings) == ["RPL001"]
-
-
-def test_rpl001_allows_perf_counter_and_monotonic():
-    findings = lint("""
+    """, [5], "flags_datetime_now"),
+    (EXAMPLE, """
         import time
 
         def f():
             return time.perf_counter() + time.monotonic()
-    """)
-    assert findings == []
-
-
-def test_rpl001_exempts_the_exec_harness():
-    findings = lint("""
-        import time
-
-        def f():
-            return time.time()
-    """, path="src/repro/exec/progress.py")
-    assert findings == []
-
-
-# ----------------------------------------------------------------------
-# RPL002 — global randomness
-# ----------------------------------------------------------------------
-def test_rpl002_flags_global_random_calls():
-    findings = lint("""
+    """, [], "allows_perf_counter_and_monotonic"),
+    ("src/repro/exec/progress.py", WALL_CLOCK, [5],
+     "exec_harness_is_not_exempt"),
+    # global randomness, everywhere
+    (EXAMPLE, """
         import random
 
         def f():
             return random.random() + random.randint(0, 9)
-    """)
-    assert codes(findings) == ["RPL002", "RPL002"]
-
-
-def test_rpl002_flags_from_random_import():
-    findings = lint("""
+    """, [5, 5], "flags_global_random_calls"),
+    (EXAMPLE, """
         from random import choice
 
         def f(items):
             return choice(items)
-    """)
-    assert codes(findings) == ["RPL002"]
-
-
-def test_rpl002_flags_os_urandom_and_secrets():
-    findings = lint("""
+    """, [2, 5], "flags_from_random_import"),
+    (EXAMPLE, """
         import os
         from secrets import token_bytes
 
         def f():
             return os.urandom(8)
-    """)
-    assert sorted(codes(findings)) == ["RPL002", "RPL002"]
-
-
-def test_rpl002_allows_seeded_random_streams():
-    findings = lint("""
+    """, [3, 6], "flags_os_urandom_and_secrets"),
+    (EXAMPLE, """
         from random import Random
 
         def f(seed):
             rng = Random(seed)
             return rng.random()
-    """)
-    assert findings == []
+    """, [], "allows_seeded_random_streams"),
+    # host clocks, in telemetry outside its gateway
+    (TELEMETRY, HOST_CLOCK, [5], "flags_perf_counter_call"),
+    (TELEMETRY, """
+        import time
+
+        def stamp():
+            return time.time()
+    """, [5], "flags_wall_clock_call"),
+    (TELEMETRY, """
+        import time as t
+
+        def measure():
+            return t.monotonic()
+    """, [5], "flags_aliased_module"),
+    (TELEMETRY, """
+        from time import perf_counter
+
+        def measure():
+            return perf_counter()
+    """, [2, 5], "flags_host_clock_from_import"),
+    ("src/repro/telemetry/hostclock.py", HOST_CLOCK, [],
+     "silent_in_gateway_module"),
+    (TELEMETRY, """
+        import time
+
+        def name():
+            return time.__name__
+    """, [], "silent_on_harmless_time_attributes"),
+    (TELEMETRY, """
+        import time
+
+        def measure():
+            return time.perf_counter()  # noqa: RPL001
+    """, [], "honours_noqa"),
+    # the whole modules, in kernel / cc / dist
+    ("src/repro/cc/base.py", HOST_CLOCK, [2, 5], "host_clock_in_cc"),
+    ("src/repro/dist/network.py", HOST_CLOCK, [2, 5], "host_clock_in_dist"),
+    ("src/repro/kernel/kernel.py", HOST_CLOCK, [2, 5],
+     "host_clock_in_kernel"),
+    ("src/repro/telemetry/registry.py", HOST_CLOCK, [5],
+     "host_clock_in_telemetry"),
+    ("src/repro/exec/executor.py", HOST_CLOCK, [], "host_clock_in_exec"),
+    ("src/repro/bench/micro.py", HOST_CLOCK, [], "host_clock_in_bench"),
+    ("src/repro/cli.py", HOST_CLOCK, [], "host_clock_in_cli"),
+    ("tests/telemetry/test_registry.py", HOST_CLOCK, [],
+     "host_clock_in_tests"),
+    ("src/repro/kernel/widget.py", """
+        import time
+
+        def f():
+            return 0
+    """, [2], "flags_import_in_kernel_layer"),
+    ("src/repro/cc/widget.py", """
+        import time
+
+        def f():
+            clock = time.monotonic
+            return clock()
+    """, [2, 6], "flags_aliased_call_through_reaching_def"),
+    ("src/repro/kernel/widget.py", """
+        from random import Random
+    """, [], "allows_random_Random_import"),
+    ("src/repro/trace/widget.py", """
+        import time
+    """, [], "ignores_layers_outside_scope"),
+    ("src/repro/kernel/rng.py", """
+        import random
+    """, [], "ignores_rng_module_itself"),
+    # one alias pass and one report per location, in every layer
+    ("src/repro/model/widget.py", ALIASES, [6, 10], "aliases_in_model"),
+    (TELEMETRY, ALIASES, [6, 10], "aliases_in_telemetry"),
+    ("src/repro/kernel/widget.py", WALL_CLOCK, [2, 5],
+     "time_time_in_kernel_once"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, source, lines",
+    [pytest.param(*case[:3], id=case[3]) for case in DETERMINISM_CASES])
+def test_determinism(path, source, lines):
+    findings = lint(source, path=path)
+    assert [(f.line, f.code) for f in findings] == [
+        (line, "RPL001") for line in lines]
+
+
+def test_determinism_messages_name_the_source_and_the_way_out():
+    call, = lint(WALL_CLOCK)
+    assert "time.time()" in call.message
+    assert "kernel.now" in call.message
+    gateway, = lint(HOST_CLOCK, path=TELEMETRY)
+    assert "host_clock" in gateway.message
+    assert all("alias" in f.message
+               for f in lint(ALIASES, path=TELEMETRY))
 
 
 # ----------------------------------------------------------------------
@@ -257,33 +330,6 @@ def test_rpl005_real_config_module_is_clean():
     import repro.core.config as config_module
     engine = LintEngine(DEFAULT_RULES, select=["RPL005"])
     assert engine.check_file(Path(config_module.__file__)) == []
-
-
-# ----------------------------------------------------------------------
-# RPL006 — mutable defaults
-# ----------------------------------------------------------------------
-def test_rpl006_flags_list_dict_and_call_defaults():
-    findings = lint("""
-        def f(a=[], b={}, c=dict()):
-            return a, b, c
-    """)
-    assert codes(findings) == ["RPL006", "RPL006", "RPL006"]
-
-
-def test_rpl006_flags_keyword_only_defaults():
-    findings = lint("""
-        def f(*, items=[]):
-            return items
-    """)
-    assert codes(findings) == ["RPL006"]
-
-
-def test_rpl006_allows_none_and_immutables():
-    findings = lint("""
-        def f(a=None, b=(), c=0, d="x"):
-            return a, b, c, d
-    """)
-    assert findings == []
 
 
 # ----------------------------------------------------------------------
@@ -510,30 +556,41 @@ def test_noqa_with_other_code_does_not_suppress():
         import time
 
         def f():
-            return time.time()  # noqa: RPL002
+            return time.time()  # noqa: RPL003
     """)
     assert codes(findings) == ["RPL001"]
 
 
-def test_bare_noqa_suppresses_everything_on_the_line():
-    findings = lint("""
-        import time
+BUSY_LINE = """
+    import time
 
-        def f(items=[]):  # noqa
-            return time.time()  # noqa
-    """)
-    assert findings == []
+    def f(cpu):
+        cpu.use(time.time())
+"""
+
+
+def test_bare_noqa_suppresses_everything_on_the_line():
+    assert sorted(codes(lint(BUSY_LINE))) == ["RPL001", "RPL004"]
+    assert lint(BUSY_LINE.replace("time())", "time())  # noqa")) == []
 
 
 def test_select_restricts_the_rule_set():
-    source = """
-        import time
+    assert codes(lint(BUSY_LINE, select=["RPL004"])) == ["RPL004"]
+    assert codes(lint(BUSY_LINE, select=["RPL001"])) == ["RPL001"]
 
-        def f(items=[]):
-            return time.time()
+
+def test_select_keeps_each_code_of_a_two_code_rule_apart():
+    source = """
+        def body(port, cpu):
+            port.receive()
+            yield cpu.use(1.0)
+
+        def helper(cpu):
+            cpu.use(1.0)
     """
-    assert sorted(codes(lint(source))) == ["RPL001", "RPL006"]
-    assert codes(lint(source, select=["RPL006"])) == ["RPL006"]
+    assert codes(lint(source)) == ["RPL003", "RPL004"]
+    assert codes(lint(source, select=["RPL004"])) == ["RPL004"]
+    assert codes(lint(source, select=["RPL003"])) == ["RPL003"]
 
 
 def test_syntax_error_reports_rpl000():
@@ -542,5 +599,5 @@ def test_syntax_error_reports_rpl000():
 
 
 def test_rule_index_covers_every_shipped_rule():
-    shipped = {rule.code for rule in DEFAULT_RULES}
-    assert shipped <= set(RULE_INDEX)
+    shipped = [code for rule in DEFAULT_RULES for code in rule.codes]
+    assert sorted(shipped) == sorted(RULE_INDEX)
