@@ -11,7 +11,7 @@ Public surface::
 """
 
 from .controlled import (ChoiceRecord, Chooser, DefaultChooser,
-                         SchedulerController, active_controller)
+                         SchedulerController)
 from .errors import (InvalidProcessState, KernelError, PortClosed,
                      ProcessInterrupt, SchedulingError, SimulationOver,
                      Timeout)
@@ -33,7 +33,6 @@ __all__ = [
     "Chooser",
     "DefaultChooser",
     "SchedulerController",
-    "active_controller",
     "DeadlineTimer",
     "Delay",
     "Event",

@@ -8,10 +8,10 @@ pick one interleaving out of many that the model semantics allow; a
 bug that only bites under a different legal interleaving is invisible
 to every seed.
 
-This module makes the tie-breaks *pluggable*.  A
-:class:`SchedulerController` installed on a kernel replaces the run
-loop with one that, at every **choice point**, asks a
-:class:`Chooser` which of the tied alternatives goes first:
+This module makes the tie-breaks *pluggable*.  With a
+:class:`SchedulerController` installed, the kernel asks its
+:class:`Chooser`, at every **choice point**, which of the tied
+alternatives goes first:
 
 - ``"event"`` — several live events are scheduled for the same
   ``(time, key)`` instant.  This covers simultaneous arrivals, timer
@@ -30,9 +30,10 @@ run (``tests/verify/test_controlled.py`` proves it against the golden
 summaries).  The verification layer (:mod:`repro.verify`) supplies
 replay choosers that drive the system through *every* interleaving.
 
-When no controller is installed the kernel's hot loop is untouched:
-the only cost is one ``is not None`` test per ``Kernel.run`` call and
-one module-global read per priority-queue pop.
+The controlled run is the shipped run: ``Kernel.run`` dispatches it in
+its own arm, fused wakes and queue sampling included.  When no
+controller is installed the cost is one ``is not None`` test per
+``Kernel.run`` call and one attribute read per priority-queue pop.
 """
 
 from __future__ import annotations
@@ -140,14 +141,13 @@ def pending_signature(events) -> Tuple[Tuple[float, float, str], ...]:
 
 
 class SchedulerController:
-    """Replacement run loop that routes every tie through a chooser.
+    """The strategy and the records of a controlled run.
 
-    Install with :meth:`install`; ``Kernel.run`` then delegates here.
-    The loop dispatches one event at a time: it collects every live
-    event tied at the earliest ``(time, key)``, asks the chooser when
-    there is more than one, dispatches the winner and reinserts the
-    rest untouched (their original heap entries, so dispatch order
-    among them is re-decided — not inherited — at the next step).
+    Install with :meth:`install`: ``Kernel.run`` and ``Kernel.step``
+    then dispatch one event at a time, asking :meth:`_choose` whenever
+    several live events are tied at the earliest ``(time, key)``, and a
+    priority :class:`~repro.kernel.scheduler.WaitQueue` of that kernel
+    asks it whenever a pop finds tied waiters.
 
     Hooks (both optional):
 
@@ -164,17 +164,15 @@ class SchedulerController:
         self.trail: List[ChoiceRecord] = []
         self.on_choice: Optional[Callable[[ChoiceRecord], None]] = None
         self.after_dispatch: Optional[Callable] = None
-        #: Events dispatched (all of them, not just contested ones).
+        #: Events dispatched (all of them, not just contested ones; a
+        #: fused wake dispatches none).
         self.dispatched = 0
-        self._now = 0.0
 
-    # ------------------------------------------------------------------
     def install(self, kernel) -> "SchedulerController":
-        """Attach to ``kernel``; its ``run`` now delegates here."""
+        """Attach to ``kernel``: its ties are now this controller's."""
         kernel.controller = self
         return self
 
-    # ------------------------------------------------------------------
     def _choose(self, kind: str, time: float,
                 labels: Tuple[str, ...],
                 seqs: Tuple[int, ...]) -> int:
@@ -189,79 +187,3 @@ class SchedulerController:
         if hook is not None:
             hook(record)
         return index
-
-    def choose_queue_tie(self, labels: Tuple[str, ...],
-                         seqs: Tuple[int, ...]) -> int:
-        """Resolve an equal-priority wait-queue tie (called by
-        :class:`~repro.kernel.scheduler.WaitQueue`)."""
-        return self._choose("queue", self._now, labels, seqs)
-
-    # ------------------------------------------------------------------
-    def run(self, kernel, until: Optional[float] = None) -> float:
-        """Controlled counterpart of ``Kernel.run``.
-
-        Same contract: dispatch until the queue drains or ``until``,
-        return the final virtual time, refuse re-entrant calls.
-        """
-        if kernel._dispatching:
-            raise SimulationOver("Kernel.run is not re-entrant")
-        kernel._dispatching = True
-        global _ACTIVE
-        previous = _ACTIVE
-        _ACTIVE = self
-        events = kernel.events
-        resume = kernel._resume
-        after = None
-        try:
-            while True:
-                batch = events.pop_tied_entries()
-                if not batch:
-                    break
-                time = batch[0][0]
-                if until is not None and time > until:
-                    for entry in batch:
-                        events.push_entry(entry)
-                    break
-                self._now = time
-                index = 0
-                if len(batch) > 1:
-                    labels = tuple(entry_label(entry)
-                                   for entry in batch)
-                    seqs = tuple(entry[2] for entry in batch)
-                    index = self._choose("event", time, labels, seqs)
-                entry = batch[index]
-                del batch[index]
-                # Reinsert losers *before* dispatching: the dispatch
-                # may schedule or cancel events and must see a
-                # consistent queue.
-                for other in batch:
-                    events.push_entry(other)
-                kernel.now = time
-                event = entry[3]
-                callback = event.callback
-                if callback is not None:
-                    callback()
-                else:
-                    resume(event.process, event.value, event.exc)
-                self.dispatched += 1
-                after = self.after_dispatch
-                if after is not None:
-                    after(kernel, event)
-        finally:
-            _ACTIVE = previous
-            kernel._dispatching = False
-        if until is not None and kernel.now < until:
-            kernel.now = until
-        return kernel.now
-
-
-#: The controller currently inside :meth:`SchedulerController.run`,
-#: consulted by :class:`~repro.kernel.scheduler.WaitQueue` for
-#: priority-tie choice points.  Plain module global (the kernel is
-#: single-threaded by construction).
-_ACTIVE: Optional[SchedulerController] = None
-
-
-def active_controller() -> Optional[SchedulerController]:
-    """The controller currently running a controlled dispatch loop."""
-    return _ACTIVE

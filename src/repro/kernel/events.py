@@ -176,22 +176,25 @@ class EventQueue:
         """Remove and return every live entry tied at the earliest
         ``(time, key)`` instant, in ``(time, key, seq)`` order.
 
-        The controlled run loop (:mod:`repro.kernel.controlled`) uses
+        The kernel's controlled arm (``Kernel._dispatch_next``) uses
         this to surface simultaneous-event ties as choice points; entry
         0 is exactly what :meth:`pop` would have returned.  Unchosen
         entries go back via :meth:`push_entry` with their identity
-        (and therefore their relative order) intact.
+        (and therefore their relative order) intact.  Cancelled
+        entries behind entry 0 stay queued, as after :meth:`pop`: the
+        heap :meth:`Kernel.wake` tests is the one the other arms leave.
         """
         first = self._pop_live_entry()
         if first is None:
             return []
-        batch = [first]
+        heap = self._heap
         time, key = first[0], first[1]
-        while True:
-            entry = self._peek_live_entry()
-            if entry is None or entry[0] != time or entry[1] != key:
-                break
-            batch.append(self._pop_live_entry())
+        batch, dead = [first], []
+        while heap and heap[0][0] == time and heap[0][1] == key:
+            entry = heappop(heap)
+            (dead if entry[3].cancelled else batch).append(entry)
+        for entry in dead:
+            heappush(heap, entry)
         return batch
 
     def push_entry(self, entry: tuple) -> None:
@@ -206,13 +209,6 @@ class EventQueue:
                 return entry
             self._dead -= 1
         return None
-
-    def _peek_live_entry(self) -> Optional[tuple]:
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-            self._dead -= 1
-        return heap[0] if heap else None
 
     # ------------------------------------------------------------------
     # dispatch API — the only sanctioned way for engines to reach the

@@ -15,6 +15,7 @@ import itertools
 from heapq import heappop
 from typing import Any, Callable, Generator, List, Optional
 
+from .controlled import entry_label
 from .errors import (InvalidProcessState, KernelError, ProcessInterrupt,
                      SimulationOver)
 from .events import Event, EventQueue
@@ -58,8 +59,9 @@ class Kernel:
         #: observes.  Sampled here, once: activate observers *before*
         #: building the system they should see.
         self.hooks = hooks if hooks is not None else activation()
-        #: Optional SchedulerController (repro.kernel.controlled);
-        #: when set, :meth:`run` delegates to its controlled loop.
+        #: Optional SchedulerController (repro.kernel.controlled):
+        #: when set, :meth:`run` and :meth:`step` let it pick among
+        #: tied events, and priority wait queues among tied waiters.
         self.controller = None
         self._dispatching = False
         #: Alias of the event queue's heap while the reference loop is
@@ -158,9 +160,10 @@ class Kernel:
         (a next job with nothing left to run) that the queued resume
         would still have preceded.
 
-        Fuses only inside the reference :meth:`run`/:meth:`step` loop:
-        under a controller, on an engine without the capability, or
-        called by hand outside dispatch it is the queued path.
+        Fuses only while :meth:`run` or :meth:`step` dispatches, under
+        a controller too (a fusable resume is never tied, so never a
+        choice point); on an engine without the capability, or called
+        by hand outside dispatch, it is the queued path.
         """
         heap = self._quiet
         if (heap is not None and process.state is _BLOCKED
@@ -235,18 +238,20 @@ class Kernel:
         guarantees non-decreasing times, so the monotonicity check
         :meth:`step` makes is redundant here), and process resumes read
         their arguments off the event instead of calling through a
-        per-event closure.
+        per-event closure.  With a :attr:`controller` installed the
+        run takes a third arm, :meth:`_dispatch_next` per event, so
+        neither hot arm pays a tie test.
         """
-        controller = self.controller
-        if controller is not None:
-            return controller.run(self, until)
         if self._dispatching:
             raise SimulationOver("Kernel.run is not re-entrant")
         self._dispatching = True
         events = self.events
+        controller = self.controller
         # The alias is stable: compaction filters the heap in place,
-        # never rebinds it.
-        heap = events.prepare_dispatch()
+        # never rebinds it.  Turbo, which fuses nothing, enters this
+        # loop only for the controlled arm, which needs no alias.
+        heap = (events.prepare_dispatch()
+                if controller is None or self.fuses_wakes else None)
         if self.fuses_wakes:
             self._quiet = heap
         resume = self._resume
@@ -259,7 +264,10 @@ class Kernel:
         else:
             sample, sample_at = None, float("inf")
         try:
-            if until is None:
+            if controller is not None:
+                while self._dispatch_next(controller, until):
+                    pass
+            elif until is None:
                 # Drain-everything loop: pop unconditionally (nothing
                 # can outlive an unbounded run, so no peek needed).
                 while heap:
@@ -309,7 +317,9 @@ class Kernel:
         :meth:`wake` on a quiet instant steps the woken process inside
         the same ``step()`` (a delay expiring with nothing else due
         runs the body up to its next block), where a tied instant
-        takes a second ``step()`` for the queued resume.
+        takes a second ``step()`` for the queued resume.  Under a
+        :attr:`controller` the event is the chooser's pick: one step is
+        one event of the controlled :meth:`run`.
 
         Guarded against re-entrant use exactly like :meth:`run` — a
         step from inside a dispatching event callback would corrupt the
@@ -319,28 +329,59 @@ class Kernel:
             raise SimulationOver("Kernel.step is not re-entrant")
         self._dispatching = True
         try:
-            if self.fuses_wakes and self.controller is None:
+            if self.fuses_wakes:
                 self._quiet = self.events.prepare_dispatch()
-            event = self.events.pop()
-            if event is None:
-                return False
-            if event.time < self.now:
-                # A corrupted queue, not a scheduling decision: refuse
-                # rather than silently un-order the simulation.
-                raise ValueError(f"clock cannot move backwards: "
-                                 f"{event.time} < {self.now}")
-            self.now = event.time
-            hooks = self.hooks
-            if hooks is not None and event.time >= hooks.sample_due():
-                hooks.kernel_sample(event.time, self)
-            if event.callback is not None:
-                event.callback()
-            else:
-                self._resume(event.process, event.value, event.exc)
-            return True
+            return self._dispatch_next(self.controller, None)
         finally:
             self._dispatching = False
             self._quiet = None
+
+    def _dispatch_next(self, controller, until: Optional[float]) -> bool:
+        """Dispatch one event: :meth:`step`, and the controlled arm of
+        :meth:`run`.  Returns False when nothing is due by ``until``.
+
+        Pops every live event tied at the earliest ``(time, key)``;
+        when there are several, ``controller`` (if any) picks one —
+        alternative 0 is the entry the other arms would pop.  The rest
+        go back untouched *before* the dispatch, which may schedule or
+        cancel events, and the order among them is re-decided next time.
+        """
+        events = self.events
+        batch = events.pop_tied_entries()
+        if not batch:
+            return False
+        time = batch[0][0]
+        if until is not None and time > until:
+            for entry in batch:
+                events.push_entry(entry)
+            return False
+        if time < self.now:
+            # A corrupted queue, not a scheduling decision: refuse
+            # rather than silently un-order the simulation.
+            raise ValueError(f"clock cannot move backwards: "
+                             f"{time} < {self.now}")
+        index = 0
+        if controller is not None and len(batch) > 1:
+            index = controller._choose(
+                "event", time, tuple(entry_label(entry) for entry in batch),
+                tuple(entry[2] for entry in batch))
+        event = batch.pop(index)[3]
+        for entry in batch:
+            events.push_entry(entry)
+        self.now = time
+        hooks = self.hooks
+        if hooks is not None and time >= hooks.sample_due():
+            hooks.kernel_sample(time, self)
+        if event.callback is not None:
+            event.callback()
+        else:
+            self._resume(event.process, event.value, event.exc)
+        if controller is not None:
+            controller.dispatched += 1
+            after = controller.after_dispatch
+            if after is not None:
+                after(self, event)
+        return True
 
     # ------------------------------------------------------------------
     # internals

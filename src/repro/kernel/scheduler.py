@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
 
-from . import controlled as _controlled
 from .process import Process
 
 T = TypeVar("T")
@@ -31,13 +30,19 @@ POLICIES = ("fifo", "priority")
 
 
 class WaitQueue(Generic[T]):
-    """Queue of ``(process, item)`` pairs with FIFO or priority service."""
+    """Queue of ``(process, item)`` pairs with FIFO or priority service.
 
-    def __init__(self, policy: str = "fifo"):
+    ``kernel`` is the owner's (a :class:`~repro.kernel.semaphore.Semaphore`
+    or a :class:`~repro.resources.io.DiskArray`): its controller, if
+    any, resolves the priority ties of :meth:`pop`.
+    """
+
+    def __init__(self, policy: str = "fifo", kernel=None):
         if policy not in POLICIES:
             raise ValueError(f"unknown wait-queue policy {policy!r}; "
                              f"expected one of {POLICIES}")
         self.policy = policy
+        self.kernel = kernel
         self._entries: List[Tuple[int, Process, T]] = []
         self._seq = itertools.count()
 
@@ -49,11 +54,11 @@ class WaitQueue(Generic[T]):
         """Dequeue the next process according to the policy.
 
         A *dequeue* (unlike a peek) is a committed scheduling action,
-        so under a controlled run an equal-priority tie here is a
-        choice point: the active
-        :class:`~repro.kernel.controlled.SchedulerController` picks
+        so when the owner's kernel has a
+        :class:`~repro.kernel.controlled.SchedulerController`, an
+        equal-priority tie here is a choice point: the controller picks
         which of the tied waiters is served.  Uncontrolled runs — and
-        the default chooser — keep today's FIFO-among-equals order.
+        the default chooser — keep the FIFO-among-equals order.
         """
         if not self._entries:
             raise IndexError("pop from empty WaitQueue")
@@ -86,7 +91,9 @@ class WaitQueue(Generic[T]):
             key = (process.effective_priority, -seq)
             if key > best_key:
                 best, best_key = i, key
-        if resolve_ties and _controlled._ACTIVE is not None:
+        kernel = self.kernel
+        if (resolve_ties and kernel is not None
+                and kernel.controller is not None):
             top = best_key[0]
             tied = [i for i, (__, process, ___) in enumerate(entries)
                     if process.effective_priority == top]
@@ -94,9 +101,8 @@ class WaitQueue(Generic[T]):
                 labels = tuple(f"waiter:{entries[i][1].name}"
                                for i in tied)
                 seqs = tuple(entries[i][0] for i in tied)
-                chosen = _controlled._ACTIVE.choose_queue_tie(labels,
-                                                              seqs)
-                return tied[chosen]
+                return tied[kernel.controller._choose(
+                    "queue", kernel.now, labels, seqs)]
         return best
 
     def remove(self, process: Process) -> bool:

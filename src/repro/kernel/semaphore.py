@@ -36,7 +36,7 @@ class Semaphore:
         self.kernel = kernel
         self.count = initial
         self.name = name
-        self._waiters: WaitQueue = WaitQueue(policy)
+        self._waiters: WaitQueue = WaitQueue(policy, kernel)
 
     def wait(self, timeout: Optional[float] = None) -> "SemaphoreWait":
         """Syscall: P operation.  Decrements the count or blocks.

@@ -17,9 +17,9 @@ choice:
 Diagnostic instrumentation overrides all of that: traced, metered and
 sanitized runs force the reference engine (its loop carries the probe
 window checks and the instrumentation contract the tools were
-validated against), and controlled/verify runs delegate to the
-controller's own loop regardless of engine.  Forcing is silent and
-safe precisely because the engines are result-identical.
+validated against), and a controlled run takes the reference
+``Kernel.run``'s controlled arm on either engine.  Forcing is silent
+and safe precisely because the engines are result-identical.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ reference :class:`~repro.kernel.kernel.Kernel` and overrides exactly
 two things: the event-queue factory (installing a
 :class:`~repro.kernel.turbo.calendar.CalendarEventQueue`) and the
 ``run`` loop.  Every other service — process control, syscalls, clock,
-RNG streams, tracing hooks, the controlled-scheduler delegation — is
+RNG streams, tracing hooks, the controlled arm of ``Kernel.run`` — is
 inherited, which is what makes the bitwise contract provable: both
 engines execute the identical model code in the identical event order
 (see the ordering proof in :mod:`.calendar`), so they cannot diverge.
@@ -20,10 +20,9 @@ What the turbo loop adds over the reference loop:
   allocate no event objects (see :meth:`CalendarEventQueue.recycle`
   for the aliasing argument).
 
-Traced, metered, sanitized and controlled runs never reach this loop:
-:func:`~repro.kernel.turbo.resolve_engine` forces the reference engine
-for those (the controller delegation below is a second line of
-defense, not the primary gate).
+Traced, metered and sanitized runs never reach this loop:
+:func:`~repro.kernel.turbo.make_kernel` builds the reference engine
+for those.  A controlled run takes the reference controlled arm.
 """
 
 from __future__ import annotations
@@ -48,9 +47,8 @@ class TurboKernel(Kernel):
         """Dispatch until the queue drains or ``until``; returns the
         final virtual time.  Same contract (and same re-entrancy
         refusal) as the reference loop."""
-        controller = self.controller
-        if controller is not None:
-            return controller.run(self, until)
+        if self.controller is not None:
+            return super().run(until)
         if self._dispatching:
             raise SimulationOver("Kernel.run is not re-entrant")
         self._dispatching = True

@@ -81,7 +81,7 @@ class DiskArray:
         self.kernel = kernel
         self.name = name
         self.servers = servers
-        self._queue: WaitQueue = WaitQueue(policy)
+        self._queue: WaitQueue = WaitQueue(policy, kernel)
         #: process -> completion event for in-service requests
         self._in_service: Dict[Process, object] = {}
         self._seq = itertools.count()

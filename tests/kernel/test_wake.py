@@ -5,7 +5,8 @@ The queued path (``ready(process)`` then ``then()``) is the oracle.
 Every ordering test below builds an instant where fusing *wrongly*
 would reorder two observable actions, and names the guard mutant it
 kills; the counting tests pin that a quiet instant really costs one
-event less and that nothing fuses outside the reference dispatch loop.
+event less, that nothing fuses outside dispatch and that a controlled
+run fuses exactly as the plain one.
 """
 
 import re
@@ -273,16 +274,26 @@ def test_wake_by_hand_outside_dispatch_is_the_queued_path():
     assert log == [] and kernel.fused_wakes == 0
 
 
-def test_a_controller_never_fuses():
-    kernel = Kernel()
-    SchedulerController().install(kernel)
-    log = []
-    sleeper(kernel, log, "p", 1.0, 1.0)
-    kernel.run()
-    assert log == [("p", 1.0), ("p", 2.0)]
-    assert kernel.fused_wakes == 0
-    assert dispatched(kernel) == 5
-    assert kernel.step() is False  # step() under a controller neither
+def test_a_controller_fuses_as_the_plain_run_does():
+    # The resumes of ``a`` and ``b`` tie at 1.0 (queued); ``p`` expires
+    # alone at 1.5 (fused), then at 2.5 ahead of a cancelled entry
+    # armed at 2.0, which every arm must leave queued (a tie: queued).
+    def run(controlled):
+        kernel = Kernel()
+        if controlled:
+            SchedulerController().install(kernel)
+        log = []
+        sleeper(kernel, log, "p", 1.5, 1.0)
+        sleeper(kernel, log, "a", 1.0)
+        sleeper(kernel, log, "b", 1.0)
+        kernel.at(2.0, lambda: kernel.at(2.5, lambda: None).cancel())
+        kernel.run()
+        assert kernel.step() is False
+        return log, kernel.fused_wakes, kernel.events.queue_stats()
+
+    plain = run(controlled=False)
+    assert plain[1] == 1
+    assert run(controlled=True) == plain
 
 
 def test_the_guard_is_disarmed_when_the_loop_exits():

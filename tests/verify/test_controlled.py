@@ -1,11 +1,12 @@
 """The controlled scheduler must be invisible by default.
 
-The ISSUE contract for the verification layer: installing a
-SchedulerController with the DefaultChooser reproduces today's kernel
-behaviour *bitwise* — same dispatch order, same summaries — because
-the default choice (index 0) is exactly the entry the uncontrolled
-hot loop would pop, and a queue tie's option 0 is the FIFO-among-
-equals waiter the priority policy already serves.
+The contract for the verification layer: installing a
+SchedulerController with the DefaultChooser reproduces the kernel's
+behaviour *bitwise* — same dispatch order, same fused wakes, same
+summaries and metered series — because the default choice (index 0)
+is exactly the entry the uncontrolled hot loop would pop, and a queue
+tie's option 0 is the FIFO-among-equals waiter the priority policy
+already serves.
 """
 
 import math
@@ -16,8 +17,11 @@ from repro.core.builder import SingleSiteSystem
 from repro.core.config import (DistributedConfig, SingleSiteConfig,
                                WorkloadConfig)
 from repro.dist import DistributedSystem
-from repro.kernel import DefaultChooser, SchedulerController
+from repro.kernel import (Chooser, Delay, DefaultChooser, Kernel,
+                          SchedulerController, Semaphore)
 from repro.kernel.controlled import entry_label, pending_signature
+from repro.kernel.turbo import TurboKernel
+from repro.telemetry import MetricsRegistry, metering
 
 
 def _config(protocol):
@@ -29,15 +33,17 @@ def _config(protocol):
                                 read_only_fraction=0.25))
 
 
-def _summary(protocol, controlled):
-    system = SingleSiteSystem(_config(protocol))
+def _run(protocol, controlled):
+    """A run built under metering: ``(system, series, controller)``."""
+    with metering(MetricsRegistry()) as registry:
+        system = SingleSiteSystem(_config(protocol))
     controller = None
     if controlled:
         controller = SchedulerController(DefaultChooser())
         controller.install(system.kernel)
     system.run()
-    summary = system.summary()
-    return summary, controller
+    registry.finalize()
+    return system, registry.dump()["series"], controller
 
 
 def _diff(expected, actual):
@@ -54,18 +60,23 @@ def _diff(expected, actual):
 
 @pytest.mark.parametrize("protocol", ["C", "P", "L"])
 def test_default_chooser_is_bitwise_invisible(protocol):
-    baseline, _ = _summary(protocol, controlled=False)
-    controlled, controller = _summary(protocol, controlled=True)
-    problems = _diff(baseline, controlled)
+    baseline, baseline_series, _ = _run(protocol, controlled=False)
+    controlled, series, controller = _run(protocol, controlled=True)
+    problems = _diff(baseline.summary(), controlled.summary())
     assert not problems, (
         f"DefaultChooser perturbed protocol {protocol}:\n  "
         + "\n  ".join(problems))
+    # The controlled run is the shipped run: it fuses the same wakes
+    # and samples the same series.
+    assert controlled.kernel.fused_wakes == baseline.kernel.fused_wakes > 0
+    assert series == baseline_series
     # The run went through the controlled path and saw real ties.
     assert controller.dispatched > 0
+    assert controller.trail
 
 
 def test_controller_records_choice_trail():
-    _, controller = _summary("C", controlled=True)
+    _, _, controller = _run("C", controlled=True)
     for record in controller.trail:
         assert record.arity >= 2
         assert 0 <= record.chosen < record.arity
@@ -118,3 +129,68 @@ def test_reinstalling_controller_rejects_double_run():
     controller = SchedulerController(DefaultChooser())
     controller.install(system.kernel)
     assert system.kernel.controller is controller
+
+
+class _Pick(Chooser):
+    """Take alternative ``index`` at every choice point of ``kind``
+    (negative counts from the end) and the default at the others."""
+
+    def __init__(self, kind, index):
+        self.kind = kind
+        self.index = index
+
+    def choose(self, kind, time, labels):
+        return self.index % len(labels) if kind == self.kind else 0
+
+
+def _tied_callbacks(kernel):
+    ran = []
+    kernel.at(1.0, lambda: ran.append("first"))
+    kernel.at(1.0, lambda: ran.append("second"))
+    return ran
+
+
+def test_step_dispatches_the_choosers_pick():
+    kernel = Kernel()
+    controller = SchedulerController(_Pick("event", -1)).install(kernel)
+    ran = _tied_callbacks(kernel)
+    assert kernel.step() is True
+    assert ran == ["second"]
+    assert [record.kind for record in controller.trail] == ["event"]
+    assert kernel.step() is True and kernel.step() is False
+    assert ran == ["second", "first"] and len(controller.trail) == 1
+
+
+def test_a_turbo_kernel_takes_the_controlled_arm():
+    kernel = TurboKernel()
+    controller = SchedulerController(_Pick("event", -1)).install(kernel)
+    ran = _tied_callbacks(kernel)
+    assert kernel.run() == 1.0
+    assert ran == ["second", "first"]
+    assert controller.dispatched == 2 and len(controller.trail) == 1
+
+
+def test_a_priority_queue_tie_is_a_choice_point():
+    kernel = Kernel()
+    semaphore = Semaphore(kernel, policy="priority")
+    controller = SchedulerController(_Pick("queue", 1)).install(kernel)
+    served = []
+
+    def waiter(name):
+        yield semaphore.wait()
+        served.append(name)
+
+    def signaller():
+        yield Delay(1.0)
+        for _ in range(3):
+            semaphore.signal()
+
+    for name in ("w0", "w1", "w2"):
+        kernel.spawn(waiter(name), name)
+    kernel.spawn(signaller(), "signaller")
+    kernel.run()
+    ties = [record for record in controller.trail if record.kind == "queue"]
+    assert [(tie.time, tie.arity, tie.chosen) for tie in ties] == [
+        (1.0, 3, 1), (1.0, 2, 1)]
+    assert ties[0].labels == ("waiter:w0", "waiter:w1", "waiter:w2")
+    assert served == ["w1", "w2", "w0"]

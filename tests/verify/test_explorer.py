@@ -5,17 +5,38 @@ import pytest
 
 from repro.verify import SCENARIOS, Explorer
 
-#: Scenarios small enough for exhaustive (reduction="none") runs in a
-#: unit-test budget, with their known ground-truth schedule counts.
-_EXHAUSTIVE = {
-    "pcp-2x2": 6,
-    "twopl-2x2": 48,
-    "pcp-3x2": 120,
-    "twopl-3x1": 90,
+#: (scenario, reduction) -> (schedules, choice_points, pruned_hash,
+#: pruned_sleep), as ``repro verify --format json`` reports them at the
+#: default budget: every scenario under ``sleep``, and the four small
+#: enough to exhaust under ``none`` (ground truth) and ``hash`` too.
+PINNED = {
+    ("pcp-2x2", "none"): (6, 16, 0, 0),
+    ("twopl-2x2", "none"): (48, 272, 0, 0),
+    ("pcp-3x2", "none"): (120, 636, 0, 0),
+    ("twopl-3x1", "none"): (90, 432, 0, 0),
+    ("pcp-2x2", "hash"): (5, 12, 1, 0),
+    ("twopl-2x2", "hash"): (25, 127, 9, 0),
+    ("pcp-3x2", "hash"): (77, 380, 27, 0),
+    ("twopl-3x1", "hash"): (42, 174, 17, 0),
+    ("pcp-2x2", "sleep"): (2, 6, 0, 2),
+    ("twopl-2x2", "sleep"): (9, 51, 3, 4),
+    ("pcp-3x2", "sleep"): (8, 44, 1, 6),
+    ("twopl-3x3", "sleep"): (274, 2615, 174, 17),
+    ("twopl-3x1", "sleep"): (2, 10, 0, 8),
+    ("dist-global-2x2", "sleep"): (8, 160, 5, 50),
+    ("dist-local-2x2", "sleep"): (1, 13, 0, 23),
 }
 
+_GROUND_TRUTH = sorted(name for name, reduction in PINNED
+                       if reduction == "none")
 
-@pytest.mark.parametrize("name", sorted(_EXHAUSTIVE))
+
+def _numbers(report):
+    return (report.schedules, report.choice_points, report.pruned_hash,
+            report.pruned_sleep)
+
+
+@pytest.mark.parametrize("name", _GROUND_TRUTH)
 def test_exhaustive_exploration_is_clean(name):
     explorer = Explorer(SCENARIOS[name], max_schedules=500,
                         reduction="none")
@@ -23,10 +44,19 @@ def test_exhaustive_exploration_is_clean(name):
     assert report.exhausted
     assert report.clean, (
         f"{name} has a violating interleaving: {sorted(report.codes)}")
-    assert report.schedules == _EXHAUSTIVE[name]
+    assert _numbers(report) == PINNED[name, "none"]
 
 
-@pytest.mark.parametrize("name", sorted(_EXHAUSTIVE))
+@pytest.mark.parametrize("name,reduction", sorted(
+    key for key in PINNED if key[1] != "none"))
+def test_reduced_exploration_is_pinned(name, reduction):
+    report = Explorer(SCENARIOS[name], reduction=reduction).explore()
+    assert report.exhausted
+    assert report.clean, sorted(report.codes)
+    assert _numbers(report) == PINNED[name, reduction]
+
+
+@pytest.mark.parametrize("name", _GROUND_TRUTH)
 def test_reductions_agree_with_ground_truth(name):
     """Hash pruning and sleep-set skipping are heuristics: on clean
     code they must still reach the clean verdict, and on these known
@@ -39,14 +69,6 @@ def test_reductions_agree_with_ground_truth(name):
         assert reduced.exhausted
         assert reduced.codes == truth.codes
         assert reduced.schedules <= truth.schedules
-
-
-@pytest.mark.parametrize("name", ["dist-global-2x2", "dist-local-2x2"])
-def test_distributed_scenarios_clean_under_sleep(name):
-    report = Explorer(SCENARIOS[name], max_schedules=300,
-                      reduction="sleep").explore()
-    assert report.exhausted
-    assert report.clean, sorted(report.codes)
 
 
 def test_budget_truncation_is_reported():
