@@ -8,8 +8,9 @@ it to :mod:`repro.exec` as one flat batch (so ``jobs``/``cache`` or
 ``REPRO_JOBS``/``REPRO_CACHE_DIR`` parallelise and memoise the whole
 figure, and the merged series is identical to a serial run) and pivots
 the averaged summaries into one row dict per swept value;
-:func:`render` prints the spec's tables.  The CLI, ``benchmarks/`` and
-tier-1 all read the same rows.
+:func:`render` prints the spec's tables and :func:`verdicts` checks its
+claims — the paper's sentences it reproduces, each with the predicate
+that decides it.  The CLI and tier-1 read the same rows and claims.
 
 Besides the paper's Figures 2-6 the table holds the ablations the
 paper motivates but does not plot, and two repo-grown companions:
@@ -65,8 +66,23 @@ Series = List[Dict[str, object]]
 
 
 # ----------------------------------------------------------------------
-# The spec and the two functions over it
+# The spec and the functions over it
 # ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class Claim:
+    """One result the paper states (or an ablation expects), checked on
+    a finished series.
+
+    ``holds`` reads the rows by swept value (``at[20]["missed_L"]``); a
+    grid that lacks a value it names raises, it does not pass.
+    """
+
+    name: str
+    #: The paper's sentence, then what is asserted, in brackets.
+    text: str
+    holds: Callable[[Dict[object, Dict[str, object]]], bool]
+
+
 @dataclasses.dataclass(frozen=True)
 class Table:
     """One printed table: a title and its ``(header, row key)`` columns."""
@@ -108,6 +124,8 @@ class Sweep:
     #: when the measurement lives inside the simulation.  Such a sweep
     #: runs in this process: the engine knobs do not reach it.
     sample: Optional[Callable[[object], Dict[str, float]]] = None
+    #: What the series must show; every figure command checks them.
+    claims: Tuple[Claim, ...] = ()
 
 
 def run(spec: Sweep, replications: int = 5, *,
@@ -144,6 +162,16 @@ def run(spec: Sweep, replications: int = 5, *,
 def render(spec: Sweep, series: Series) -> str:
     """The text ``spec`` prints for ``series``: its tables, in order."""
     return "\n\n".join(table(series) for table in spec.tables)
+
+
+def verdicts(spec: Sweep, series: Series) -> Tuple[List[str], bool]:
+    """One ``[PASS]``/``[FAIL]`` line per claim of ``spec`` on
+    ``series``, and whether every claim held."""
+    at = dict(zip(spec.values, series))
+    held = [bool(claim.holds(at)) for claim in spec.claims]
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {claim.name}: {claim.text}"
+             for claim, ok in zip(spec.claims, held)]
+    return lines, all(held)
 
 
 def _per_variant(header: str, stem: str, variants) -> tuple:
@@ -356,6 +384,269 @@ def suite_protocols() -> Tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
+# What the paper says the series show
+# ----------------------------------------------------------------------
+def _every(test) -> Callable[[Dict], bool]:
+    """The claim that ``test`` holds on every row."""
+    return lambda at: all(test(row) for row in at.values())
+
+
+def _c_stable(at) -> bool:
+    c = [row["throughput_C"] for size, row in at.items() if size >= 8]
+    return max(c) < 4.0 * min(c)
+
+
+_DEGRADES = ('"the performance of the two-phase locking protocol with '
+             'or without priority degrades very rapidly"')
+_FIG2_CLAIMS = (
+    Claim("C is stable", '"there is little impact on the throughput of '
+          'the priority ceiling protocol" [max < 4 x min, sizes >= 8]',
+          _c_stable),
+    Claim("L collapses", _DEGRADES + " [L at size 20 < 0.5 x size 5]",
+          lambda at: at[20]["throughput_L"] < 0.5 * at[5]["throughput_L"]),
+    Claim("C beats L at size 20", _DEGRADES + " [throughput C > L]",
+          lambda at: at[20]["throughput_C"] > at[20]["throughput_L"]),
+    Claim("C beats P at size 20", _DEGRADES + " [throughput C > P]",
+          lambda at: at[20]["throughput_C"] > at[20]["throughput_P"]),
+)
+
+_SLOWER = ('"the percentage of deadline-missing transactions increases '
+           'more slowly ... in the priority ceiling protocol"')
+_FIG3_CLAIMS = (
+    Claim("L misses past C", _SLOWER + " [%missed L > C at size 20]",
+          lambda at: at[20]["missed_L"] > at[20]["missed_C"]),
+    Claim("P misses past C", _SLOWER + " [%missed P > C at size 20]",
+          lambda at: at[20]["missed_P"] > at[20]["missed_C"]),
+    Claim("L misses rise sharply", '"increases sharply for the two-phase '
+          'locking protocol" [L at size 20 > 2 x size 11, or > 80%]',
+          lambda at: at[20]["missed_L"] > 2.0 * at[11]["missed_L"]
+          or at[20]["missed_L"] > 80.0),
+    Claim("L deadlocks grow superlinearly", '"with the fourth power of '
+          'the transaction size" [size 20 > 4 x max(size 5, 1); size 5 >= 0]',
+          lambda at: at[20]["deadlocks_L"]
+          > 4.0 * max(at[5]["deadlocks_L"], 1.0)
+          and at[5]["deadlocks_L"] >= 0),
+    Claim("C never deadlocks", "the ceiling protocol is deadlock-free "
+          "[C deadlocks = 0 at every size]",
+          _every(lambda row: row["deadlocks_C"] == 0)),
+)
+
+_WITH_DELAY = ('"If we consider communication delays, this performance '
+               'ratio will increase accordingly"')
+_FIG4_CLAIMS = (
+    Claim("local wins at zero delay", '"the local ceiling approach '
+          "achieves the throughput between 1.5 and 3 times higher than "
+          'that of the global ceiling approach" [ratio at delay 0 > 1.3 '
+          "on the mixes <= 0.25; the 0.5 and 0.75 rows are unclaimed]",
+          lambda at: all(row["ratio_d0"] > 1.3
+                         for mix, row in at.items() if mix <= 0.25)),
+    Claim("ratio grows by delay 2", _WITH_DELAY + " [d2 > d0, every mix]",
+          _every(lambda row: row["ratio_d2"] > row["ratio_d0"])),
+    Claim("ratio holds to delay 8",
+          _WITH_DELAY + " [d8 >= 0.8 x d2, every mix]",
+          _every(lambda row: row["ratio_d8"] >= row["ratio_d2"] * 0.8)),
+    Claim("ratio grows by delay 8", _WITH_DELAY + " [d8 > d0, every mix]",
+          _every(lambda row: row["ratio_d8"] > row["ratio_d0"])),
+    Claim("ratio keeps growing at mix 0.5", _WITH_DELAY + " [d8 > d2]",
+          lambda at: at[0.5]["ratio_d8"] > at[0.5]["ratio_d2"]),
+)
+
+
+def _growth(at, start: float, end: float) -> float:
+    return at[end]["ratio"] - at[start]["ratio"]
+
+
+_SLOWLY = '"and then rather slowly after that" [growth from delay 2 to '
+_FIG5_CLAIMS = (
+    Claim("rapid rise", '"In the range of small communication delays (up '
+          'to 2 time units), this ratio increases rapidly" [delay 2 > '
+          "2 x delay 0, or 10 above it]",
+          lambda at: at[2.0]["ratio"] > 2.0 * at[0.0]["ratio"]
+          or _growth(at, 0.0, 2.0) > 10.0),
+    Claim("then slowly", _SLOWLY + "10 < growth from 0 to 2]",
+          lambda at: _growth(at, 2.0, 10.0) < _growth(at, 0.0, 2.0)),
+    Claim("slowly by delay 8", _SLOWLY + "8 < growth from 0 to 2]",
+          lambda at: _growth(at, 2.0, 8.0) < _growth(at, 0.0, 2.0)),
+    Claim("beyond 16", '"As the communication delay increases, the '
+          'performance ratio increases beyond 16" [largest ratio > 16]',
+          lambda at: max(row["ratio"] for row in at.values()) > 16.0),
+    Claim("global misses rise", "the global approach pays every delay "
+          "[global %missed at delay 10 > delay 0]",
+          lambda at: at[10.0]["global_missed"] > at[0.0]["global_missed"]),
+    Claim("local misses stay flat", "replication decouples the local "
+          "approach [|local %missed at delay 10 - delay 0| < 20]",
+          lambda at: abs(at[10.0]["local_missed"]
+                         - at[0.0]["local_missed"]) < 20.0),
+)
+
+
+def _gap(row, delay: float) -> float:
+    return row[f"global_d{delay:g}"] - row[f"local_d{delay:g}"]
+
+
+_FEWER = ('"As the proportion of read-only transactions increases, the '
+          'number of deadline-missing transactions decreases" [mix 0.75 ')
+_WIDENS = ('"the performance difference ... between two approaches '
+           'increases as the communication delay increases" [global - '
+           "local at delay 8 ")
+_FIG6_CLAIMS = (
+    Claim("misses fall with the read-only share",
+          _FEWER + "<= mix 0, both modes, delays 2 and 8]",
+          lambda at: all(at[0.75][key] <= at[0.0][key] + 1e-9
+                         for key in ("local_d2", "global_d2",
+                                     "local_d8", "global_d8"))),
+    Claim("misses fall at delay 2", _FEWER + "< mix 0, both modes]",
+          lambda at: at[0.75]["local_d2"] < at[0.0]["local_d2"]
+          and at[0.75]["global_d2"] < at[0.0]["global_d2"]),
+    Claim("the gap widens", _WIDENS + ">= at delay 2 - 5, every mix]",
+          _every(lambda row: _gap(row, 8.0) >= _gap(row, 2.0) - 5.0)),
+    Claim("global misses more", _WIDENS + "> 0, every mix]",
+          _every(lambda row: _gap(row, 8.0) > 0.0)),
+)
+
+_A1_CLAIMS = (
+    Claim("rw keeps up", "read/write semantics do not lose to exclusive "
+          "ones [throughput C >= 0.8 x Cx at every size]",
+          _every(lambda row: row["throughput_C"]
+                 >= 0.8 * row["throughput_Cx"])),
+    Claim("rw misses no more", "nor at the largest size "
+          "[%missed C <= Cx + 5 at size 20]",
+          lambda at: at[20]["missed_C"] <= at[20]["missed_Cx"] + 5.0),
+)
+
+_CHAINED = ('"the blocking duration ... can still be substantial due to '
+            'the potential chain of blocking" [%missed at size 20: ')
+_A2_CLAIMS = (
+    Claim("C misses fewer than PI", _CHAINED + "C < PI]",
+          lambda at: at[20]["missed_C"] < at[20]["missed_PI"]),
+    Claim("C misses fewer than P", _CHAINED + "C < P]",
+          lambda at: at[20]["missed_C"] < at[20]["missed_P"]),
+    Claim("PI is no worse than P", "inheritance only shortens inversion "
+          "[%missed at size 20: PI <= P + 10]",
+          lambda at: at[20]["missed_PI"] <= at[20]["missed_P"] + 10.0),
+)
+
+_CONFIRMS = 'the omitted experiment "only confirms" the size sweep [L '
+_A3_CLAIMS = (
+    Claim("L deadlocks fall", _CONFIRMS + "deadlocks, db size 800 < 100]",
+          lambda at: at[800]["deadlocks_L"] < at[100]["deadlocks_L"]),
+    Claim("L misses fall", _CONFIRMS + "%missed, db size 800 < 100]",
+          lambda at: at[800]["missed_L"] < at[100]["missed_L"]),
+    Claim("C beats L at high conflict", "as in the size sweep "
+          "[%missed L > C at db size 100]",
+          lambda at: at[100]["missed_L"] > at[100]["missed_C"]),
+)
+
+_A4_CLAIMS = (
+    Claim("a copy takes a hop", "no copy is visible faster than one "
+          "network hop [mean apply latency >= delay, every delay]",
+          lambda at: all(row["mean_apply_latency"] >= delay - 1e-9
+                         for delay, row in at.items())),
+    Claim("latency grows with delay", "temporal inconsistency grows with "
+          "the delay [mean apply latency, delay 10 > delay 2 + 5]",
+          lambda at: at[10.0]["mean_apply_latency"]
+          > at[2.0]["mean_apply_latency"] + 5.0),
+    Claim("peak staleness is comparable", "lock contention at the "
+          "applying site dominates it [delay 10 >= delay 0 - 15]",
+          lambda at: at[10.0]["peak_staleness"]
+          >= at[0.0]["peak_staleness"] - 15.0),
+    Claim("misses stay flat", "staleness, not misses, is the price "
+          "[|%missed at delay 10 - delay 0| < 20]",
+          lambda at: abs(at[10.0]["percent_missed"]
+                         - at[0.0]["percent_missed"]) < 20.0),
+)
+
+_RESTARTING = ("requester", "lowest_priority", "youngest")
+_A5_CLAIMS = (
+    Claim("restarting misses no more", "detect-and-restart beats "
+          "wait-until-deadline [%missed <= none's, every policy]",
+          lambda at: all(at[policy]["percent_missed"]
+                         <= at["none"]["percent_missed"]
+                         for policy in _RESTARTING)),
+    Claim("restarting policies restart", "cycles are broken "
+          "[restarts > 0, every restarting policy]",
+          lambda at: all(at[policy]["restarts"] > 0
+                         for policy in _RESTARTING)),
+    Claim("waiting never restarts", '"transactions that miss the '
+          'deadline are aborted" [restarts = 0 for none]',
+          lambda at: at["none"]["restarts"] == 0),
+)
+
+_NEVER_BLOCK = "snapshot readers never block ["
+_A6_CLAIMS = (
+    Claim("snapshots miss no more",
+          _NEVER_BLOCK + "%missed snapshot <= read locks + 1, every mix]",
+          _every(lambda row: row["missed_snapshot"]
+                 <= row["missed_locking"] + 1.0)),
+    Claim("snapshots keep throughput",
+          _NEVER_BLOCK + "throughput snapshot >= 0.9 x read locks, "
+          "every mix]",
+          _every(lambda row: row["throughput_snapshot"]
+                 >= 0.9 * row["throughput_locking"])),
+    Claim("snapshots help",
+          _NEVER_BLOCK + "%missed snapshot < read locks - 0.5, some mix]",
+          lambda at: any(row["missed_snapshot"]
+                         < row["missed_locking"] - 0.5
+                         for row in at.values())),
+)
+
+
+def _disk_loss(at, protocol: str) -> float:
+    key = f"throughput_{protocol}"
+    return 1.0 - at[1][key] / at["inf"][key]
+
+
+_PARALLEL_IO = ('"the concurrency is fully achieved with an assumption '
+                'of parallel I/O processing" [')
+_A7_CLAIMS = (
+    Claim("L keeps up with parallel I/O",
+          _PARALLEL_IO + "unlimited I/O: throughput L >= 0.8 x C]",
+          lambda at: at["inf"]["throughput_L"]
+          >= 0.8 * at["inf"]["throughput_C"]),
+    Claim("one disk hurts L more",
+          _PARALLEL_IO + "throughput share lost to one disk: L > C]",
+          lambda at: _disk_loss(at, "L") > _disk_loss(at, "C")),
+    Claim("one disk raises L's misses",
+          _PARALLEL_IO + "%missed L: one disk >= unlimited I/O]",
+          lambda at: at[1]["missed_L"] >= at["inf"]["missed_L"]),
+)
+
+
+def _sane(row) -> bool:
+    return (0.0 <= row["local_missed"] <= 100.0
+            and 0.0 <= row["global_missed"] <= 100.0
+            and row["local_throughput"] >= 0.0
+            and row["global_throughput"] >= 0.0)
+
+
+_A8_CLAIMS = (
+    Claim("every point completes", "nothing hangs [0 <= %missed <= 100 "
+          "and throughput >= 0, both modes, every row]",
+          _every(_sane)),
+    Claim("zero faults lose nothing", "the fault-free points run the "
+          "historical path [msgs lost = 0 at loss 0 and downtime 0]",
+          lambda at: at["loss", 0.0]["messages_lost"] == 0.0
+          and at["crash", 0.0]["messages_lost"] == 0.0),
+    Claim("injected loss is visible", "the accounting sees it "
+          "[msgs lost > 0 at loss 0.05 and 0.1]",
+          lambda at: at["loss", 0.05]["messages_lost"] > 0.0
+          and at["loss", 0.1]["messages_lost"] > 0.0),
+    Claim("faults only hurt", "no architecture gains from loss or "
+          "downtime [%missed at loss 0.1, downtime 40 >= at 0 - 2]",
+          lambda at: all(at[kind, worst][column]
+                         >= at[kind, 0.0][column] - 2.0
+                         for kind, worst in (("loss", 0.1),
+                                             ("crash", 40.0))
+                         for column in ("local_missed",
+                                        "global_missed"))),
+    Claim("crashes hurt the local architecture", "dead sites refuse "
+          "arrivals [local %missed at downtime 40 > downtime 0]",
+          lambda at: at["crash", 40.0]["local_missed"]
+          > at["crash", 0.0]["local_missed"]),
+)
+
+
+# ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
 THROUGHPUT = ("throughput", "throughput_{}")
@@ -379,13 +670,17 @@ _FIG3 = Table("Figure 3 - Percentage of Deadline-Missing Transactions",
 _FIG23 = Sweep(
     axis="size", values=FIG23_SIZES, variants=_CPL,
     config=lambda size, protocol: single_site_config(protocol, size),
-    metrics=(THROUGHPUT, MISSED, DEADLOCKS), tables=(_FIG2, _FIG3))
+    metrics=(THROUGHPUT, MISSED, DEADLOCKS), tables=(_FIG2, _FIG3),
+    claims=_FIG2_CLAIMS + _FIG3_CLAIMS)
 
 #: Command name -> spec, in the order of ``repro all`` and ``repro -h``.
 SPECS: Dict[str, Sweep] = {
-    # One sweep, two tables: fig2 and fig3 each print their own.
-    "fig2": dataclasses.replace(_FIG23, tables=(_FIG2,)),
-    "fig3": dataclasses.replace(_FIG23, tables=(_FIG3,)),
+    # One sweep, two tables: fig2 and fig3 each print and claim their
+    # own.
+    "fig2": dataclasses.replace(_FIG23, tables=(_FIG2,),
+                                claims=_FIG2_CLAIMS),
+    "fig3": dataclasses.replace(_FIG23, tables=(_FIG3,),
+                                claims=_FIG3_CLAIMS),
     "fig23": _FIG23,
     "fig4": Sweep(
         axis="mix", values=FIG46_MIXES,
@@ -399,7 +694,8 @@ SPECS: Dict[str, Sweep] = {
             "(local ceiling / global ceiling)",
             (("read-only fraction", "mix"),)
             + _per_variant("ratio @ delay {:g}", "ratio_d{:g}",
-                           FIG4_DELAYS)),)),
+                           FIG4_DELAYS)),),
+        claims=_FIG4_CLAIMS),
     "fig5": Sweep(
         axis="delay", values=FIG5_DELAYS, variants=MODES,
         config=lambda delay, mode: _fig5_config(mode, delay, 0.5, 150),
@@ -411,7 +707,8 @@ SPECS: Dict[str, Sweep] = {
             (("comm delay", "delay"),
              ("global %missed", "global_missed"),
              ("local %missed", "local_missed"),
-             ("ratio (global/local)", "ratio"))),)),
+             ("ratio (global/local)", "ratio"))),),
+        claims=_FIG5_CLAIMS),
     "fig6": Sweep(
         axis="mix", values=FIG46_MIXES,
         variants=tuple((mode, delay) for delay in FIG6_DELAYS
@@ -424,7 +721,8 @@ SPECS: Dict[str, Sweep] = {
             (("read-only fraction", "mix"),)
             + tuple((f"{mode} %missed @ d={delay:g}",
                      f"{mode}_d{delay:g}")
-                    for delay in FIG6_DELAYS for mode in MODES)),)),
+                    for delay in FIG6_DELAYS for mode in MODES)),),
+        claims=_FIG6_CLAIMS),
     "a1": Sweep(
         axis="size", values=KNEE_SIZES, variants=("C", "Cx"),
         config=lambda size, protocol: _a1_config(protocol, size),
@@ -434,7 +732,8 @@ SPECS: Dict[str, Sweep] = {
             "under the ceiling protocol (read-heavy mix)",
             (("size", "size"),
              ("C thr", "throughput_C"), ("Cx thr", "throughput_Cx"),
-             ("C %missed", "missed_C"), ("Cx %missed", "missed_Cx"))),)),
+             ("C %missed", "missed_C"), ("Cx %missed", "missed_Cx"))),),
+        claims=_A1_CLAIMS),
     "a2": Sweep(
         axis="size", values=KNEE_SIZES, variants=("P", "PI", "C"),
         config=lambda size, protocol: single_site_config(protocol, size),
@@ -445,7 +744,8 @@ SPECS: Dict[str, Sweep] = {
             (("size", "size"),)
             + _per_variant("{} %missed", "missed_{}", ("P", "PI", "C"))
             + _per_variant("{} thr", "throughput_{}",
-                           ("P", "PI", "C"))),)),
+                           ("P", "PI", "C"))),),
+        claims=_A2_CLAIMS),
     # The experiment the paper omitted because it "only confirms" the
     # others: conflict probability via database size.
     "a3": Sweep(
@@ -458,7 +758,8 @@ SPECS: Dict[str, Sweep] = {
             "at size 14",
             (("db size", "db_size"), ("C %missed", "missed_C"),
              ("L %missed", "missed_L"),
-             ("L deadlocks", "deadlocks_L"))),)),
+             ("L deadlocks", "deadlocks_L"))),),
+        claims=_A3_CLAIMS),
     "a4": Sweep(
         axis="delay", values=(0.0, 2.0, 5.0, 10.0), variants=(None,),
         config=lambda delay, _: dataclasses.replace(
@@ -476,7 +777,8 @@ SPECS: Dict[str, Sweep] = {
              ("mean apply latency", "mean_apply_latency"),
              ("p95 apply latency", "p95_apply_latency"),
              ("peak staleness", "peak_staleness"),
-             ("%missed", "percent_missed"))),)),
+             ("%missed", "percent_missed"))),),
+        claims=_A4_CLAIMS),
     # The paper's implicit wait-until-deadline model ("none") vs
     # detect-and-restart under three victim-selection rules.
     "a5": Sweep(
@@ -492,7 +794,8 @@ SPECS: Dict[str, Sweep] = {
             "Ablation A5 - 2PL deadlock resolution policies at size 17",
             (("victim policy", "policy"), ("%missed", "percent_missed"),
              ("throughput", "throughput"), ("deadlocks", "cc_deadlocks"),
-             ("restarts", "restarts"))),)),
+             ("restarts", "restarts"))),),
+        claims=_A5_CLAIMS),
     # Read-only transactions served lock-free from the version store vs
     # classic read locks, under the local ceiling.
     "a6": Sweep(
@@ -510,7 +813,8 @@ SPECS: Dict[str, Sweep] = {
              ("%missed (read locks)", "missed_locking"),
              ("%missed (snapshots)", "missed_snapshot"),
              ("thr (read locks)", "throughput_locking"),
-             ("thr (snapshots)", "throughput_snapshot"))),)),
+             ("thr (snapshots)", "throughput_snapshot"))),),
+        claims=_A6_CLAIMS),
     # 2PL's small-transaction advantage relies on "concurrency ...
     # fully achieved with an assumption of parallel I/O processing";
     # bounding the I/O subsystem to k disks removes that concurrency.
@@ -525,7 +829,8 @@ SPECS: Dict[str, Sweep] = {
             "assumption (size 11)",
             (("I/O servers", "io_servers"),
              ("C thr", "throughput_C"), ("L thr", "throughput_L"),
-             ("C %missed", "missed_C"), ("L %missed", "missed_L"))),)),
+             ("C %missed", "missed_C"), ("L %missed", "missed_L"))),),
+        claims=_A7_CLAIMS),
     "a8": Sweep(
         axis="kind,x",
         values=(("loss", 0.0), ("loss", 0.05), ("loss", 0.1),
@@ -543,7 +848,8 @@ SPECS: Dict[str, Sweep] = {
              ("global %missed", "global_missed"),
              ("local tput", "local_throughput"),
              ("global tput", "global_throughput"),
-             ("msgs lost", "messages_lost"))),)),
+             ("msgs lost", "messages_lost"))),),
+        claims=_A8_CLAIMS),
     # The simulated side reuses the Figure 2/3 configurations, so with
     # those rows in the result cache this costs only the model
     # evaluations.  Light-load, knee and thrash points per protocol.

@@ -14,8 +14,8 @@
 Two tables drive it: :data:`FIGURES` (the sweep commands; one parser,
 one runner) and :data:`TOOLS` (everything else, dispatched to the
 module that owns the command).  Each figure command runs its spec from
-:data:`repro.bench.SPECS` through the one grid runner and prints the
-text table the benchmark harness would print.  Sweeps
+:data:`repro.bench.SPECS` through the one grid runner, prints its
+tables and a verdict per claim, and exits 1 if one fails.  Sweeps
 execute on the :mod:`repro.exec` engine: ``--jobs`` (or ``REPRO_JOBS``)
 fans the seeded run units out to a process pool, and the on-disk result
 cache — enabled by default under ``~/.cache/repro`` — means re-running
@@ -74,13 +74,13 @@ class Figure:
         return self.spec.sample is not None
 
     def render(self, replications: int,
-               opts: ExecOptions) -> Tuple[str, int]:
-        """The command's tables and the replication count that ran."""
+               opts: ExecOptions) -> Tuple[list, str, int]:
+        """The series, its tables and the replication count that ran."""
         if self.halved:
             replications = max(1, replications // 2)
         series = bench.run(self.spec, replications,
                            **({} if self.serial else opts.kwargs()))
-        return bench.render(self.spec, series), replications
+        return series, bench.render(self.spec, series), replications
 
 
 def _figure(name: str, help: str, **facts: bool) -> Tuple[str, Figure]:
@@ -230,14 +230,19 @@ def _run_figures(names: List[str], args: argparse.Namespace) -> int:
     opts = exec_options(args)
     if opts is None:
         return 2
+    status = 0
     for name in names:
         # perf_counter, not time.time: the trailer measures elapsed
         # duration, and wall clock jumps under NTP adjustment.
         started = time.perf_counter()
         before = session_counters()
-        text, replications = FIGURES[name].render(args.replications,
-                                                  opts)
-        print(text)
+        figure = FIGURES[name]
+        series, text, replications = figure.render(args.replications,
+                                                   opts)
+        lines, held = bench.verdicts(figure.spec, series)
+        print("\n".join([text, *lines]))
+        if not held:
+            status = 1
         delta = {key: value - before[key]
                  for key, value in session_counters().items()}
         trailer = (f"[{name}: {time.perf_counter() - started:.1f}s, "
@@ -251,7 +256,7 @@ def _run_figures(names: List[str], args: argparse.Namespace) -> int:
                 trailer += f", {delta['messages_lost']} msgs lost"
         print(trailer + "]")
         print()
-    return 0
+    return status
 
 
 def _all_main(argv: List[str]) -> int:

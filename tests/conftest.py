@@ -32,6 +32,19 @@ def unobserved(monkeypatch):
     monkeypatch.setattr(hooks, "_ACTIVE", None)
 
 
+@pytest.fixture(scope="session")
+def claimed(tmp_path_factory):
+    """Every claimed figure's series at 2 replications, run as its
+    command runs it (a4 halved), on two workers and one cache; run once
+    for every module that reads it."""
+    from repro.cli import FIGURES, ExecOptions
+    from repro.exec import ResultCache
+    opts = ExecOptions(jobs=2, cache=ResultCache(
+        str(tmp_path_factory.mktemp("cache"))))
+    return {name: figure.render(2, opts)[0]
+            for name, figure in FIGURES.items() if figure.spec.claims}
+
+
 def observers(kind=object):
     """The subscribers of class ``kind`` that a kernel built right now
     would report to (empty: nothing of that kind observes)."""

@@ -110,11 +110,31 @@ def test_trailer_reports_the_replications_that_ran(capsys,
                                                    monkeypatch):
     # a4 halves the request; the trailer names the count it used.
     a4 = FIGURES["a4"]
+    # The claims name delays the cut grid lacks.
     monkeypatch.setitem(FIGURES, "a4", dataclasses.replace(
-        a4, spec=dataclasses.replace(a4.spec,
-                                     values=a4.spec.values[:1])))
+        a4, spec=dataclasses.replace(a4.spec, values=a4.spec.values[:1],
+                                     claims=())))
     assert main(["a4", "--replications", "3", "--no-cache"]) == 0
     assert "s, 1 replications]" in capsys.readouterr().out
+
+
+def test_a_failed_claim_is_exit_status_1(capsys):
+    # One replication leaves the local approach no misses at delays 0
+    # and 2, so the capped ratio reads 100 at both: no rapid rise.
+    assert main(["fig5", "--replications", "1", "--no-cache"]) == 1
+    out = capsys.readouterr().out
+    assert any(line.startswith("[FAIL] rapid rise: ")
+               for line in out.splitlines())
+
+
+def test_claims_print_between_the_tables_and_the_trailer(capsys):
+    assert main(["fig2", "--replications", "1", "--no-cache"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [index for index, line in enumerate(lines)
+                if line.startswith("[PASS] ")]
+    assert len(verdicts) == len(FIGURES["fig2"].spec.claims)
+    assert lines[verdicts[0] - 1].startswith("20 ")
+    assert lines[verdicts[-1] + 1].startswith("[fig2: ")
 
 
 def test_every_command_has_a_description():

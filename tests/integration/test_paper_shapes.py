@@ -1,121 +1,44 @@
-"""Scaled-down checks that the paper's qualitative results hold.
+"""The paper's shapes tier-1 has always checked by name, read off the
+claims of the figure that states them.
 
-These use smaller runs than the benchmarks (seconds, not minutes) and
-assert *shapes* with margins: who wins, and in which direction curves
-move.  The full-resolution series live in benchmarks/.
+Each shape is stated once, as a claim on its spec in
+``repro.bench.figures``; these tests name the claims that carry it and
+check them on the spec's own series at 2 replications (the session's
+``claimed`` fixture, shared with ``tests/core/test_bench_module.py``).
 """
 
 import dataclasses
 
-import pytest
-
-from repro.core import (DistributedConfig, SingleSiteConfig,
-                        TimingConfig, WorkloadConfig, run_distributed,
-                        run_single_site)
-from repro.core.metrics import mean
-from repro.txn import CostModel
+from repro.bench import verdicts
+from repro.cli import FIGURES
 
 
-def single(protocol, size, seed):
-    return SingleSiteConfig(
-        protocol=protocol, db_size=200,
-        workload=WorkloadConfig(n_transactions=150,
-                                mean_interarrival=25.0,
-                                transaction_size=size,
-                                size_jitter=max(1, size // 3)),
-        timing=TimingConfig(slack_factor=8.0),
-        costs=CostModel(cpu_per_object=1.0, io_per_object=2.0),
-        seed=seed)
+def assert_claims_hold(claimed, figure, *names):
+    spec = FIGURES[figure].spec
+    claims = tuple(claim for claim in spec.claims if claim.name in names)
+    assert [claim.name for claim in claims] == list(names)
+    lines, held = verdicts(dataclasses.replace(spec, claims=claims),
+                           claimed[figure])
+    assert held, "\n".join(lines)
 
 
-def averaged_single(protocol, size, seeds=(1, 2, 3)):
-    rows = [run_single_site(single(protocol, size, seed))
-            for seed in seeds]
-    return {key: mean([row[key] for row in rows])
-            for key in ("throughput", "percent_missed", "cc_deadlocks")}
+def test_fig3_shape_2pl_misses_rise_sharply_past_ceiling(claimed):
+    assert_claims_hold(claimed, "fig3", "L misses past C",
+                       "P misses past C")
 
 
-def test_fig2_shape_2pl_collapses_ceiling_stays_stable():
-    c_small = averaged_single("C", 5)
-    c_large = averaged_single("C", 20)
-    l_small = averaged_single("L", 5)
-    l_large = averaged_single("L", 20)
-    # 2PL throughput collapses at large sizes; PCP does not.
-    assert l_large["throughput"] < 0.5 * l_small["throughput"] or \
-        l_large["throughput"] < 0.5 * c_large["throughput"]
-    assert c_large["throughput"] > l_large["throughput"]
+def test_fig3_driver_deadlocks_grow_with_size(claimed):
+    assert_claims_hold(claimed, "fig3", "L deadlocks grow superlinearly")
 
 
-def test_fig3_shape_2pl_misses_rise_sharply_past_ceiling():
-    c_large = averaged_single("C", 20)
-    l_large = averaged_single("L", 20)
-    p_large = averaged_single("P", 20)
-    assert l_large["percent_missed"] > c_large["percent_missed"]
-    assert p_large["percent_missed"] > c_large["percent_missed"]
+def test_ceiling_protocol_has_zero_deadlocks_at_any_size(claimed):
+    assert_claims_hold(claimed, "fig3", "C never deadlocks")
 
 
-def test_fig3_driver_deadlocks_grow_with_size():
-    small = averaged_single("L", 5)
-    large = averaged_single("L", 20)
-    assert large["cc_deadlocks"] > small["cc_deadlocks"]
-    assert small["cc_deadlocks"] >= 0
+def test_fig4_shape_local_beats_global_even_at_zero_delay(claimed):
+    assert_claims_hold(claimed, "fig4", "local wins at zero delay")
 
 
-def test_ceiling_protocol_has_zero_deadlocks_at_any_size():
-    for size in (5, 20):
-        assert averaged_single("C", size)["cc_deadlocks"] == 0
-
-
-def distributed(mode, delay, mix, seed):
-    return DistributedConfig(
-        mode=mode, comm_delay=delay, db_size=300, seed=seed,
-        workload=WorkloadConfig(n_transactions=100,
-                                mean_interarrival=2.5,
-                                transaction_size=6, size_jitter=2,
-                                read_only_fraction=mix),
-        timing=TimingConfig(slack_factor=8.0),
-        costs=CostModel(cpu_per_object=1.0, io_per_object=0.0))
-
-
-def averaged_distributed(mode, delay, mix, seeds=(1, 2)):
-    rows = [run_distributed(distributed(mode, delay, mix, seed))
-            for seed in seeds]
-    return {key: mean([row[key] for row in rows])
-            for key in ("throughput", "percent_missed")}
-
-
-def test_fig4_shape_local_beats_global_even_at_zero_delay():
-    local = averaged_distributed("local", 0.0, 0.25)
-    global_ = averaged_distributed("global", 0.0, 0.25)
-    ratio = local["throughput"] / max(global_["throughput"], 1e-9)
-    assert ratio > 1.3  # paper: 1.5-3x over the mix range
-
-
-def test_fig4_shape_ratio_grows_with_delay():
-    ratios = []
-    for delay in (0.0, 2.0, 6.0):
-        local = averaged_distributed("local", delay, 0.5)
-        global_ = averaged_distributed("global", delay, 0.5)
-        ratios.append(local["throughput"]
-                      / max(global_["throughput"], 1e-9))
-    assert ratios[0] < ratios[1] < ratios[2]
-
-
-def test_fig5_shape_missed_ratio_grows_then_saturates():
-    ratios = []
-    for delay in (0.0, 2.0, 8.0):
-        local = averaged_distributed("local", delay, 0.5)
-        global_ = averaged_distributed("global", delay, 0.5)
-        ratios.append(global_["percent_missed"]
-                      / max(local["percent_missed"], 0.5))
-    assert ratios[1] > ratios[0]           # rapid rise at small delays
-    growth_early = ratios[1] - ratios[0]
-    growth_late = ratios[2] - ratios[1]
-    assert growth_late < growth_early      # then slower
-
-
-def test_fig6_shape_misses_fall_as_read_share_rises():
-    for mode in ("local", "global"):
-        heavy_mix = averaged_distributed(mode, 2.0, 0.0)
-        light_mix = averaged_distributed(mode, 2.0, 0.75)
-        assert light_mix["percent_missed"] < heavy_mix["percent_missed"]
+def test_fig4_shape_ratio_grows_with_delay(claimed):
+    assert_claims_hold(claimed, "fig4", "ratio grows by delay 2",
+                       "ratio keeps growing at mix 0.5")
