@@ -26,6 +26,7 @@ reports how many units were computed vs served from cache.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import os
@@ -133,8 +134,7 @@ TOOLS: Dict[str, Tuple[str, str, str]] = {
     "trace": (".trace.cli", "main",
               "summarize, export and validate trace artifacts"),
     "metrics": (".telemetry.cli", "main",
-                "summarize, export, diff and validate metrics "
-                "artifacts"),
+                "summarize and diff metrics artifacts"),
     "verify": (".verify.cli", "main",
                "explore protocol schedules exhaustively on small "
                "configs"),
@@ -174,6 +174,22 @@ def option_block(replications: Optional[int],
     return block
 
 
+#: What the running command switched on for its duration: the
+#: sanitizer and the variables its workers inherit.  :func:`main`
+#: unwinds it on return, so a command leaves its process as it found it.
+_COMMAND = contextlib.ExitStack()
+
+
+def _set_for_command(name: str, value: str) -> None:
+    """Set an environment variable until :func:`main` returns."""
+    previous = os.environ.get(name)
+    if previous is None:
+        _COMMAND.callback(os.environ.pop, name, None)
+    else:
+        _COMMAND.callback(os.environ.__setitem__, name, previous)
+    os.environ[name] = value
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -191,9 +207,11 @@ def exec_options(args: argparse.Namespace) -> Optional[ExecOptions]:
             _usage_error(f"--{flag} must be >= 1")
             return None
     if args.sanitize:
-        # Via the environment: this process's kernels read it as they
-        # are built, and process-pool workers inherit it.
-        os.environ[ENV_SANITIZE] = "1"
+        # This process's kernels observe through the scoped sanitizer;
+        # process-pool workers inherit the variable.
+        from .analyze.sanitizer import sanitize
+        _COMMAND.enter_context(sanitize(strict=True))
+        _set_for_command(ENV_SANITIZE, "1")
     cache = False
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
@@ -314,7 +332,7 @@ def _observed(directory: Optional[str], subdir: str, env_var: str,
     directory = directory or os.path.join(
         args.cache_dir or default_cache_dir(), subdir)
     os.makedirs(directory, exist_ok=True)
-    os.environ[env_var] = directory
+    _set_for_command(env_var, directory)
     return directory, dataclasses.replace(opts, cache=False)
 
 
@@ -582,23 +600,26 @@ def _print_metrics_summary(config, metrics_dir: str) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Dispatch one command; a run with failed units prints the first
-    failure's worker traceback under one ``error:`` line and exits 1."""
+    failure's worker traceback under one ``error:`` line and exits 1.
+    Whatever the command activated ends with it."""
     raw = sys.argv[1:] if argv is None else list(argv)
-    try:
-        if raw and raw[0] in TOOLS:
-            module, function, __ = TOOLS[raw[0]]
-            return getattr(importlib.import_module(module, __package__),
-                           function)(raw[1:])
-        parser = build_parser()
-        args = parser.parse_args(raw)
-        if args.command in TOOLS:
-            parser.error(f"{args.command!r} takes its own options: put "
-                         f"it first ('repro {args.command} -h')")
-        return _run_figures([args.command], args)
-    except ExecutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(exc.failures[0].traceback, end="", file=sys.stderr)
-        return 1
+    with _COMMAND:
+        try:
+            if raw and raw[0] in TOOLS:
+                module, function, __ = TOOLS[raw[0]]
+                runner = getattr(importlib.import_module(
+                    module, __package__), function)
+                return runner(raw[1:])
+            parser = build_parser()
+            args = parser.parse_args(raw)
+            if args.command in TOOLS:
+                parser.error(f"{args.command!r} takes its own options: "
+                             f"put it first ('repro {args.command} -h')")
+            return _run_figures([args.command], args)
+        except ExecutionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print(exc.failures[0].traceback, end="", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

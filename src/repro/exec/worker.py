@@ -25,12 +25,12 @@ def execute_config(config, batch: int = 1) -> dict:
     written there as ``<config_fingerprint>.trace.jsonl`` plus a
     Perfetto-loadable ``<config_fingerprint>.trace.json``.  When
     ``REPRO_METRICS_DIR`` names a directory, the unit runs under a
-    fresh :class:`~repro.telemetry.registry.MetricsRegistry` (window
-    width from ``REPRO_METRICS_WINDOW`` when set) and its time series
-    are written there as ``<config_fingerprint>.metrics.jsonl`` with
-    host telemetry (wall seconds, worker peak RSS, batch size) in the
-    artifact meta.  Both observers are zero-perturbation: the summary
-    row is bitwise-identical either way.
+    fresh :class:`~repro.telemetry.registry.MetricsRegistry` (the
+    default window) and its time series are written there as
+    ``<config_fingerprint>.metrics.jsonl`` with host telemetry (wall
+    seconds, worker peak RSS, batch size) in the artifact meta.  Both
+    observers are zero-perturbation: the summary row is
+    bitwise-identical either way.
     """
     # Imported lazily: repro.core.experiment itself builds on this
     # package, and worker processes should not pay the import until
@@ -61,12 +61,8 @@ def execute_config(config, batch: int = 1) -> dict:
         subscribers.append(tracer)
     if metrics_dir:
         from ..telemetry.probes import probes
-        from ..telemetry.registry import (DEFAULT_WINDOW,
-                                          ENV_METRICS_WINDOW,
-                                          MetricsRegistry)
-        raw = os.environ.get(ENV_METRICS_WINDOW, "").strip()
-        registry = MetricsRegistry(
-            window=float(raw) if raw else DEFAULT_WINDOW)
+        from ..telemetry.registry import MetricsRegistry
+        registry = MetricsRegistry()
         subscribers.extend(probes(registry))
     with observing(*subscribers):
         started = host_clock()

@@ -14,8 +14,7 @@ Public surface:
   :mod:`repro.telemetry.instruments`;
 - the probes — the subscribers to the kernel's instrumentation
   hooks — in :mod:`repro.telemetry.probes`;
-- exporters (JSONL artifact, OpenMetrics/Prometheus text, CSV, JSON)
-  and the exposition-format validator in
+- the per-unit JSONL artifact, its summary and its diff in
   :mod:`repro.telemetry.export`;
 - the sanctioned host-clock helper in
   :mod:`repro.telemetry.hostclock` (the only place simulation-adjacent
@@ -23,11 +22,11 @@ Public surface:
 """
 
 from .instruments import Counter, Gauge, Histogram
-from .registry import (DEFAULT_WINDOW, ENV_METRICS_DIR,
-                       ENV_METRICS_WINDOW, MetricsRegistry, metering)
+from .registry import (DEFAULT_WINDOW, ENV_METRICS_DIR, MetricsRegistry,
+                       metering)
 
 __all__ = [
     "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "metering",
-    "DEFAULT_WINDOW", "ENV_METRICS_DIR", "ENV_METRICS_WINDOW",
+    "DEFAULT_WINDOW", "ENV_METRICS_DIR",
 ]

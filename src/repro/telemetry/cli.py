@@ -1,16 +1,11 @@
 """``repro metrics`` — inspect per-run metrics artifacts.
 
     repro metrics summarize RUN.metrics.jsonl [--json]
-    repro metrics export RUN.metrics.jsonl -o RUN.prom
-        [--format openmetrics|csv|json]
     repro metrics diff LEFT.metrics.jsonl RIGHT.metrics.jsonl
-    repro metrics validate RUN.prom
 
 ``summarize`` prints the per-series table (kind, point count, final
-value); ``export`` renders an artifact as OpenMetrics exposition text,
-CSV, or pretty JSON; ``diff`` compares two artifacts series-by-series
-(exit 1 on any difference — the determinism check); ``validate``
-grammar-checks an OpenMetrics page.
+value); ``diff`` compares two artifacts series-by-series (exit 1 on
+any difference — the determinism check).
 """
 
 from __future__ import annotations
@@ -21,18 +16,13 @@ import sys
 from typing import List, Optional
 
 from .export import (diff_documents, load_metrics_jsonl, summarize_rows,
-                     summary_text, to_csv, to_json, to_openmetrics,
-                     validate_openmetrics)
-
-_FORMATS = {"openmetrics": to_openmetrics, "csv": to_csv,
-            "json": to_json}
+                     summary_text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro metrics",
-        description="Summarize, export, diff and validate metrics "
-                    "artifacts.")
+        description="Summarize and diff metrics artifacts.")
     sub = parser.add_subparsers(dest="action")
 
     summarize = sub.add_parser(
@@ -41,22 +31,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     summarize.add_argument("--json", action="store_true",
                            help="print summary rows as JSON")
 
-    export = sub.add_parser(
-        "export", help="render an artifact in an exchange format")
-    export.add_argument("artifact", help="*.metrics.jsonl artifact")
-    export.add_argument("-o", "--output", required=True,
-                        help="destination path")
-    export.add_argument("--format", choices=sorted(_FORMATS),
-                        default="openmetrics")
-
     diff = sub.add_parser(
         "diff", help="compare two artifacts series-by-series")
     diff.add_argument("left", help="*.metrics.jsonl artifact")
     diff.add_argument("right", help="*.metrics.jsonl artifact")
-
-    validate = sub.add_parser(
-        "validate", help="grammar-check an OpenMetrics page")
-    validate.add_argument("page", help="exported exposition text file")
 
     args = parser.parse_args(argv)
     if args.action is None:
@@ -71,38 +49,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 print(summary_text(document))
             return 0
-        if args.action == "export":
-            document = load_metrics_jsonl(args.artifact)
-            rendered = _FORMATS[args.format](document)
-            with open(args.output, "w", encoding="utf-8") as sink:
-                sink.write(rendered)
-            print(f"{args.output}: {len(document['series'])} series "
-                  f"exported as {args.format}")
-            return 0
-        if args.action == "diff":
-            left = load_metrics_jsonl(args.left)
-            right = load_metrics_jsonl(args.right)
-            problems = diff_documents(left, right)
-            if problems:
-                for problem in problems:
-                    print(problem)
-                return 1
-            print(f"identical: {len(left['series'])} series match")
-            return 0
-        # validate
-        with open(args.page, "r", encoding="utf-8") as stream:
-            text = stream.read()
-        problems = validate_openmetrics(text)
+        left = load_metrics_jsonl(args.left)
+        right = load_metrics_jsonl(args.right)
+        problems = diff_documents(left, right)
         if problems:
-            for problem in problems[:20]:
-                print(f"error: {problem}", file=sys.stderr)
-            if len(problems) > 20:
-                print(f"error: ... and {len(problems) - 20} more",
-                      file=sys.stderr)
+            for problem in problems:
+                print(problem)
             return 1
-        samples = sum(1 for line in text.splitlines()
-                      if line and not line.startswith("#"))
-        print(f"{args.page}: OK ({samples} samples)")
+        print(f"identical: {len(left['series'])} series match")
         return 0
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,37 +1,20 @@
-"""Metrics exporters: JSONL artifacts, OpenMetrics, CSV and JSON.
+"""Metrics artifacts: one JSONL file per run unit, summarized and
+diffed.
 
-- **JSONL** — one meta header line plus one series object per line;
-  lossless round trip through :func:`load_metrics_jsonl` (the
-  ``repro metrics`` subcommands operate on these artifacts).
-- **OpenMetrics / Prometheus text** — the exposition format scrapers
-  ingest: ``# HELP`` / ``# TYPE`` per family, ``_total``-suffixed
-  counter samples, cumulative ``le``-labelled histogram buckets with a
-  terminal ``+Inf``, escaped label values, ``# EOF`` trailer.  The
-  exposition is a snapshot of each instrument's *final* state.
-- **CSV** — the windowed time series flattened to rows for pandas or
-  a spreadsheet; histogram points widen into sum/count/bucket rows.
-- **JSON** — the registry document verbatim, sorted keys.
-
-:func:`validate_openmetrics` is the grammar check CI runs against
-every exported exposition (HELP/TYPE shape, sample syntax, label
-escaping, bucket monotonicity, ``_count`` == ``+Inf`` bucket).
+An artifact is one meta header line plus one series object per line;
+:func:`load_metrics_jsonl` reads back exactly what
+:func:`write_metrics_jsonl` wrote.  ``repro metrics summarize`` prints
+:func:`summary_text` of one artifact and ``repro metrics diff`` the
+:func:`diff_documents` of two (the determinism check).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import re
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 METRICS_VERSION = 1
-
-#: OpenMetrics sample-name prefix; metric dots become underscores, so
-#: ``cc.wait_time`` exposes as ``repro_cc_wait_time``.
-OPENMETRICS_PREFIX = "repro_"
-
-_TYPES = ("counter", "gauge", "histogram")
 
 
 # ----------------------------------------------------------------------
@@ -67,23 +50,8 @@ def load_metrics_jsonl(source: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# OpenMetrics / Prometheus exposition
+# summarize / diff
 # ----------------------------------------------------------------------
-def metric_name(name: str) -> str:
-    """Dotted instrument name -> exposition sample-family name."""
-    sanitized = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    return OPENMETRICS_PREFIX + sanitized
-
-
-def _escape_label(value: str) -> str:
-    return (value.replace("\\", "\\\\").replace("\"", "\\\"")
-            .replace("\n", "\\n"))
-
-
-def _escape_help(value: str) -> str:
-    return value.replace("\\", "\\\\").replace("\n", "\\n")
-
-
 def _fmt_value(value) -> str:
     value = float(value)
     if math.isinf(value):
@@ -95,272 +63,6 @@ def _fmt_value(value) -> str:
     return repr(value)
 
 
-def _label_block(labels: Dict[str, str],
-                 extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = sorted(labels.items())
-    if extra is not None:
-        pairs.append(extra)
-    if not pairs:
-        return ""
-    inner = ",".join(f'{key}="{_escape_label(str(value))}"'
-                     for key, value in pairs)
-    return "{" + inner + "}"
-
-
-def _cumulate(counts: List[float]) -> List[float]:
-    out, running = [], 0.0
-    for count in counts:
-        running += count
-        out.append(running)
-    return out
-
-
-def to_openmetrics(document: dict) -> str:
-    """Render the final instrument states as an OpenMetrics page."""
-    families: Dict[str, List[dict]] = {}
-    order: List[str] = []
-    for series in document.get("series", []):
-        name = series["name"]
-        if name not in families:
-            families[name] = []
-            order.append(name)
-        families[name].append(series)
-    out = io.StringIO()
-    for name in sorted(order):
-        members = families[name]
-        family = metric_name(name)
-        kind = members[0]["kind"]
-        help_text = next((m["help"] for m in members if m.get("help")),
-                         "")
-        out.write(f"# HELP {family} {_escape_help(help_text)}\n")
-        out.write(f"# TYPE {family} {kind}\n")
-        for series in sorted(members,
-                             key=lambda s: sorted(s["labels"].items())):
-            labels = series["labels"]
-            if kind == "counter":
-                out.write(f"{family}_total{_label_block(labels)} "
-                          f"{_fmt_value(series['final'])}\n")
-            elif kind == "gauge":
-                out.write(f"{family}{_label_block(labels)} "
-                          f"{_fmt_value(series['final'])}\n")
-            else:  # histogram
-                final = series["final"]
-                cumulative = _cumulate(final["counts"])
-                edges = [*series["bounds"], float("inf")]
-                for edge, running in zip(edges, cumulative):
-                    block = _label_block(
-                        labels, extra=("le", _fmt_value(edge)))
-                    out.write(f"{family}_bucket{block} "
-                              f"{_fmt_value(running)}\n")
-                out.write(f"{family}_sum{_label_block(labels)} "
-                          f"{_fmt_value(final['sum'])}\n")
-                out.write(f"{family}_count{_label_block(labels)} "
-                          f"{_fmt_value(final['count'])}\n")
-    out.write("# EOF\n")
-    return out.getvalue()
-
-
-# ----------------------------------------------------------------------
-# CSV / JSON
-# ----------------------------------------------------------------------
-def to_csv(document: dict) -> str:
-    """Flatten the windowed series into ``name,kind,labels,t,field,
-    value`` rows (histogram points widen into sum/count/le rows)."""
-    out = io.StringIO()
-    out.write("name,kind,labels,t,field,value\n")
-
-    def row(series: dict, t, field: str, value) -> None:
-        labels = ";".join(f"{k}={v}" for k, v
-                          in sorted(series["labels"].items()))
-        quoted = '"' + labels.replace('"', '""') + '"' if labels else ""
-        out.write(f"{series['name']},{series['kind']},{quoted},"
-                  f"{_fmt_value(t)},{field},{_fmt_value(value)}\n")
-
-    for series in document.get("series", []):
-        if series["kind"] == "histogram":
-            edges = [*series["bounds"], float("inf")]
-            for point in series["points"]:
-                row(series, point["t"], "sum", point["sum"])
-                row(series, point["t"], "count", point["count"])
-                for edge, running in zip(edges,
-                                         _cumulate(point["counts"])):
-                    row(series, point["t"],
-                        f"le_{_fmt_value(edge)}", running)
-        else:
-            for t, value in series["points"]:
-                row(series, t, "value", value)
-    return out.getvalue()
-
-
-def to_json(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2)
-
-
-# ----------------------------------------------------------------------
-# OpenMetrics grammar validation
-# ----------------------------------------------------------------------
-_NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
-_SAMPLE_RE = re.compile(
-    r"(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^{}]*)\})?"
-    r" (?P<value>\S+)"
-    r"(?: (?P<ts>\S+))?\Z")
-_LABELS_RE = re.compile(
-    r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\["\\n])*"'
-    r'(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\["\\n])*")*\Z')
-_LABEL_PAIR_RE = re.compile(
-    r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\["\\n])*)"')
-
-_SUFFIXES = {"histogram": ("_bucket", "_sum", "_count"),
-             "counter": ("_total",)}
-
-
-def _family_of(sample_name: str, types: Dict[str, str]) -> Optional[str]:
-    """Match a sample name back to a declared family."""
-    for family, kind in types.items():
-        if kind == "gauge" and sample_name == family:
-            return family
-        for suffix in _SUFFIXES.get(kind, ()):
-            if sample_name == family + suffix:
-                return family
-    return None
-
-
-def _parse_value(text: str) -> Optional[float]:
-    if text in ("+Inf", "-Inf"):
-        return float(text.replace("Inf", "inf"))
-    if text == "NaN":
-        return float("nan")
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def validate_openmetrics(text: str) -> List[str]:
-    """Grammar-check an exposition page; [] means valid."""
-    problems: List[str] = []
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[-1] != "# EOF":
-        problems.append("missing terminal '# EOF' line")
-    types: Dict[str, str] = {}
-    helped: Dict[str, None] = {}
-    sampled: Dict[str, None] = {}
-    # family -> labels-sans-le -> list of (le, value) in document order
-    buckets: Dict[str, Dict[tuple, List[Tuple[float, float]]]] = {}
-    counts: Dict[str, Dict[tuple, float]] = {}
-    for index, line in enumerate(lines):
-        where = f"line {index + 1}"
-        if line == "# EOF":
-            if index != len(lines) - 1:
-                problems.append(f"{where}: content after '# EOF'")
-                break
-            continue
-        if line.startswith("#"):
-            parts = line.split(" ", 3)
-            if len(parts) < 3 or parts[0] != "#" \
-                    or parts[1] not in ("HELP", "TYPE"):
-                problems.append(f"{where}: malformed comment {line!r}")
-                continue
-            family = parts[2]
-            if not _NAME_RE.match(family):
-                problems.append(f"{where}: bad metric name {family!r}")
-                continue
-            if parts[1] == "TYPE":
-                kind = parts[3] if len(parts) > 3 else ""
-                if kind not in _TYPES:
-                    problems.append(f"{where}: unknown type {kind!r}")
-                elif family in types:
-                    problems.append(f"{where}: duplicate TYPE for "
-                                    f"{family}")
-                elif family in sampled:
-                    problems.append(f"{where}: TYPE for {family} after "
-                                    f"its samples")
-                else:
-                    types[family] = kind
-            else:
-                if family in helped:
-                    problems.append(f"{where}: duplicate HELP for "
-                                    f"{family}")
-                helped[family] = None
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            problems.append(f"{where}: unparseable sample {line!r}")
-            continue
-        raw_labels = match.group("labels")
-        label_map: Dict[str, str] = {}
-        if raw_labels is not None:
-            if raw_labels and not _LABELS_RE.match(raw_labels):
-                problems.append(f"{where}: malformed labels "
-                                f"{{{raw_labels}}}")
-                continue
-            for key, value in _LABEL_PAIR_RE.findall(raw_labels):
-                if key in label_map:
-                    problems.append(f"{where}: duplicate label {key!r}")
-                label_map[key] = value
-        value = _parse_value(match.group("value"))
-        if value is None:
-            problems.append(f"{where}: bad sample value "
-                            f"{match.group('value')!r}")
-            continue
-        sample_name = match.group("name")
-        family = _family_of(sample_name, types)
-        if family is None:
-            problems.append(f"{where}: sample {sample_name!r} has no "
-                            f"matching TYPE declaration")
-            continue
-        sampled[family] = None
-        kind = types[family]
-        if kind == "histogram":
-            key = tuple(sorted((k, v) for k, v in label_map.items()
-                               if k != "le"))
-            if sample_name == family + "_bucket":
-                if "le" not in label_map:
-                    problems.append(f"{where}: bucket without 'le'")
-                    continue
-                edge = _parse_value(label_map["le"])
-                if edge is None:
-                    problems.append(f"{where}: bad le "
-                                    f"{label_map['le']!r}")
-                    continue
-                buckets.setdefault(family, {}).setdefault(
-                    key, []).append((edge, value))
-            elif sample_name == family + "_count":
-                counts.setdefault(family, {})[key] = value
-        elif kind == "counter" and value < 0:
-            problems.append(f"{where}: negative counter value")
-    for family, groups in buckets.items():
-        for key, series in groups.items():
-            label_text = dict(key) or ""
-            edges = [edge for edge, _ in series]
-            values = [value for _, value in series]
-            if edges != sorted(edges):
-                problems.append(f"{family}{label_text}: bucket edges "
-                                f"not ascending")
-            if any(b < a for a, b in zip(values, values[1:])):
-                problems.append(f"{family}{label_text}: bucket counts "
-                                f"not cumulative")
-            if not edges or not math.isinf(edges[-1]):
-                problems.append(f"{family}{label_text}: missing +Inf "
-                                f"bucket")
-            else:
-                count = counts.get(family, {}).get(key)
-                if count is None:
-                    problems.append(f"{family}{label_text}: histogram "
-                                    f"without _count sample")
-                elif count != values[-1]:
-                    problems.append(
-                        f"{family}{label_text}: _count {count} != +Inf "
-                        f"bucket {values[-1]}")
-    return problems
-
-
-# ----------------------------------------------------------------------
-# summarize / diff
-# ----------------------------------------------------------------------
 def summarize_rows(document: dict) -> List[dict]:
     """One summary row per series (the ``summarize`` CLI table)."""
     rows = []

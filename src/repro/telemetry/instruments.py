@@ -151,8 +151,7 @@ class Histogram(Instrument):
 
     ``bounds`` are ascending upper bucket edges; observations above
     the last edge land in the implicit +Inf bucket.  Per-bucket counts
-    are stored *non*-cumulative; exporters cumulate on the way out
-    (the OpenMetrics ``le`` convention).
+    are stored *non*-cumulative.
     """
 
     kind = "histogram"

@@ -43,10 +43,6 @@ DEFAULT_WINDOW = 50.0
 #: artifacts into this directory (see :mod:`repro.exec.worker`).
 ENV_METRICS_DIR = "REPRO_METRICS_DIR"
 
-#: Optional override for the sampling-window width (a float, in
-#: simulated time units), honored by the exec worker.
-ENV_METRICS_WINDOW = "REPRO_METRICS_WINDOW"
-
 
 class MetricsRegistry:
     """Holds the instruments of one run and samples them on windows."""

@@ -41,10 +41,7 @@ def export_jsonl(tracer, destination: str) -> Dict[str, int]:
     """Write ``tracer``'s ring buffer as JSONL; returns the meta row."""
     meta = {"trace_version": TRACE_VERSION,
             "events": len(tracer.events), "emitted": tracer.emitted,
-            "dropped": tracer.dropped,
-            # A trace_version-1 field; always 0 since the guarded
-            # legacy callbacks that could fail went away.
-            "callback_errors": 0}
+            "dropped": tracer.dropped}
     with open(destination, "w", encoding="utf-8") as sink:
         sink.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
         for event in tracer.events:

@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import FIGURES, TOOLS, build_parser, main
+from tests.conftest import observers
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -217,6 +218,32 @@ def test_a_failed_unit_is_an_error_line_not_a_traceback(capsys,
     # The worker's traceback follows the one error line.
     assert "Traceback (most recent call last)" in err
     assert err.rstrip().endswith("RuntimeError: seed 1001 is broken")
+
+
+def test_an_observed_run_leaves_the_process_as_it_found_it(
+        capsys, tmp_path, monkeypatch, unobserved):
+    names = ("REPRO_METRICS_DIR", "REPRO_TRACE_DIR", "REPRO_SANITIZE")
+    for name in names:
+        # Set first, so teardown removes it even if ``main`` leaks it.
+        monkeypatch.setenv(name, "")
+        monkeypatch.delenv(name)
+    metrics, trace = tmp_path / "metrics", tmp_path / "trace"
+    run = ["run", "--transactions", "10", "--replications", "1",
+           "--no-cache"]
+    assert main(run + ["--mode", "local", "--metrics", str(metrics),
+                       "--trace", str(trace), "--sanitize"]) == 0
+    written = sorted(os.listdir(metrics)), sorted(os.listdir(trace))
+    assert written[0] and written[1]
+    assert [name for name in names if name in os.environ] == []
+    assert observers() == []
+    assert main(run + ["--mode", "global"]) == 0
+    assert (sorted(os.listdir(metrics)),
+            sorted(os.listdir(trace))) == written
+    # Unobserved, a kernel itself would keep the environment's
+    # sanitizer in the activation.
+    assert main(run + ["--mode", "global", "--sanitize"]) == 0
+    assert observers() == []
+    capsys.readouterr()
 
 
 def test_exec_option_block_is_declared_once():

@@ -12,7 +12,7 @@ from repro.core.config import SingleSiteConfig, WorkloadConfig
 from repro.exec.fingerprint import config_fingerprint
 from repro.exec.worker import execute_config
 from repro.telemetry.export import load_metrics_jsonl
-from repro.telemetry.registry import ENV_METRICS_DIR, ENV_METRICS_WINDOW
+from repro.telemetry.registry import ENV_METRICS_DIR
 from tests.conftest import metered
 
 CONFIG = SingleSiteConfig(
@@ -53,15 +53,6 @@ def test_artifact_written_with_host_meta(metrics_dir):
     # peak_rss_kb is None only off-POSIX; on either platform the key
     # must be present in the artifact meta.
     assert "peak_rss_kb" in meta
-
-
-def test_worker_honours_window_override(metrics_dir, monkeypatch):
-    monkeypatch.setenv(ENV_METRICS_WINDOW, "5.0")
-    execute_config(CONFIG)
-    stem = config_fingerprint(CONFIG)
-    document = load_metrics_jsonl(str(metrics_dir /
-                                      f"{stem}.metrics.jsonl"))
-    assert document["meta"]["window"] == 5.0
 
 
 def test_worker_uninstalls_registry_after_run(metrics_dir):

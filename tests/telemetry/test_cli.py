@@ -38,25 +38,6 @@ def test_summarize_json(artifact, capsys):
                                              "cc.wait_time"]
 
 
-def test_export_openmetrics_then_validate(artifact, tmp_path, capsys):
-    page = str(tmp_path / "run.prom")
-    assert metrics_main(["export", artifact, "-o", page]) == 0
-    capsys.readouterr()
-    assert metrics_main(["validate", page]) == 0
-    assert "OK" in capsys.readouterr().out
-
-
-def test_export_csv_and_json(artifact, tmp_path):
-    for fmt, suffix in (("csv", "csv"), ("json", "json")):
-        out = str(tmp_path / f"run.{suffix}")
-        assert metrics_main(["export", artifact, "-o", out,
-                             "--format", fmt]) == 0
-    with open(str(tmp_path / "run.csv"), encoding="utf-8") as stream:
-        assert stream.readline().startswith("name,kind,labels")
-    with open(str(tmp_path / "run.json"), encoding="utf-8") as stream:
-        assert json.load(stream)["series"]
-
-
 def test_diff_identical_artifacts(artifact, capsys):
     assert metrics_main(["diff", artifact, artifact]) == 0
     assert "identical" in capsys.readouterr().out
@@ -72,13 +53,6 @@ def test_diff_differing_artifacts_exits_1(artifact, tmp_path, capsys):
     assert metrics_main(["diff", artifact, second]) == 1
     out = capsys.readouterr().out
     assert "only in left" in out or "final" in out
-
-
-def test_validate_bad_page_exits_1(tmp_path, capsys):
-    bad = tmp_path / "bad.prom"
-    bad.write_text("repro_x_total 1\n")
-    assert metrics_main(["validate", str(bad)]) == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_no_action_exits_2(capsys):

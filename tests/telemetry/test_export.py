@@ -1,16 +1,8 @@
-"""Exporter contracts: JSONL round trip, OpenMetrics grammar, CSV,
-summarize and diff."""
-
-import math
-
-import pytest
+"""Artifact contracts: JSONL round trip, summarize and diff."""
 
 from repro.telemetry.export import (METRICS_VERSION, diff_documents,
-                                    load_metrics_jsonl, metric_name,
-                                    summarize_rows, summary_text,
-                                    to_csv, to_json, to_openmetrics,
-                                    validate_openmetrics,
-                                    write_metrics_jsonl)
+                                    load_metrics_jsonl, summarize_rows,
+                                    summary_text, write_metrics_jsonl)
 from repro.telemetry.registry import MetricsRegistry
 
 
@@ -46,134 +38,6 @@ def test_jsonl_round_trip(tmp_path):
     assert loaded["series"] == document["series"]
     assert loaded["meta"]["seed"] == 7
     assert loaded["meta"]["window"] == 10.0
-
-
-# ----------------------------------------------------------------------
-# OpenMetrics exposition
-# ----------------------------------------------------------------------
-def test_metric_name_sanitizes_dots():
-    assert metric_name("cc.wait_time") == "repro_cc_wait_time"
-    assert metric_name("a-b.c d") == "repro_a_b_c_d"
-
-
-def test_openmetrics_page_is_grammar_valid():
-    page = to_openmetrics(sample_document())
-    assert validate_openmetrics(page) == []
-
-
-def test_openmetrics_counter_and_gauge_samples():
-    page = to_openmetrics(sample_document())
-    assert "# HELP repro_cc_grants lock grants\n" in page
-    assert "# TYPE repro_cc_grants counter\n" in page
-    assert 'repro_cc_grants_total{waited="no"} 5\n' in page
-    assert "# TYPE repro_kernel_queue_depth gauge\n" in page
-    assert "repro_kernel_queue_depth 1\n" in page
-    assert page.endswith("# EOF\n")
-
-
-def test_openmetrics_histogram_buckets_cumulate():
-    page = to_openmetrics(sample_document())
-    assert 'repro_cc_hold_time_bucket{le="1"} 1\n' in page
-    assert 'repro_cc_hold_time_bucket{le="4"} 2\n' in page
-    assert 'repro_cc_hold_time_bucket{le="+Inf"} 3\n' in page
-    assert "repro_cc_hold_time_sum 11.5\n" in page
-    assert "repro_cc_hold_time_count 3\n" in page
-
-
-def test_openmetrics_label_escaping_round_trips():
-    registry = MetricsRegistry(window=10.0)
-    weird = registry.counter(
-        "cc.grants", labels={"site": 'a"b\\c\nd'})
-    weird.inc(1.0)
-    registry.finalize()
-    page = to_openmetrics(registry.dump())
-    assert 'site="a\\"b\\\\c\\nd"' in page
-    assert validate_openmetrics(page) == []
-
-
-def test_openmetrics_families_sorted_and_declared_once():
-    page = to_openmetrics(sample_document())
-    type_lines = [line for line in page.splitlines()
-                  if line.startswith("# TYPE")]
-    families = [line.split()[2] for line in type_lines]
-    assert families == sorted(families)
-    assert len(families) == len(set(families))
-
-
-# ----------------------------------------------------------------------
-# validator negative cases
-# ----------------------------------------------------------------------
-def test_validator_requires_eof():
-    problems = validate_openmetrics("# TYPE repro_x counter\n"
-                                    "repro_x_total 1\n")
-    assert any("EOF" in p for p in problems)
-
-
-def test_validator_rejects_sample_without_type():
-    problems = validate_openmetrics("repro_x_total 1\n# EOF\n")
-    assert any("no matching TYPE" in p for p in problems)
-
-
-def test_validator_rejects_negative_counter():
-    problems = validate_openmetrics(
-        "# TYPE repro_x counter\nrepro_x_total -1\n# EOF\n")
-    assert any("negative counter" in p for p in problems)
-
-
-def test_validator_rejects_non_cumulative_buckets():
-    page = ("# TYPE repro_h histogram\n"
-            'repro_h_bucket{le="1"} 5\n'
-            'repro_h_bucket{le="+Inf"} 3\n'
-            "repro_h_sum 1\n"
-            "repro_h_count 3\n# EOF\n")
-    problems = validate_openmetrics(page)
-    assert any("not cumulative" in p for p in problems)
-
-
-def test_validator_rejects_missing_inf_bucket():
-    page = ("# TYPE repro_h histogram\n"
-            'repro_h_bucket{le="1"} 1\n'
-            "repro_h_sum 1\nrepro_h_count 1\n# EOF\n")
-    problems = validate_openmetrics(page)
-    assert any("+Inf" in p for p in problems)
-
-
-def test_validator_rejects_count_bucket_mismatch():
-    page = ("# TYPE repro_h histogram\n"
-            'repro_h_bucket{le="+Inf"} 3\n'
-            "repro_h_sum 1\nrepro_h_count 4\n# EOF\n")
-    problems = validate_openmetrics(page)
-    assert any("_count" in p for p in problems)
-
-
-def test_validator_rejects_malformed_labels():
-    page = ("# TYPE repro_x gauge\n"
-            'repro_x{bad-key="1"} 1\n# EOF\n')
-    problems = validate_openmetrics(page)
-    assert problems
-
-
-# ----------------------------------------------------------------------
-# CSV / JSON
-# ----------------------------------------------------------------------
-def test_csv_shape():
-    lines = to_csv(sample_document()).splitlines()
-    assert lines[0] == "name,kind,labels,t,field,value"
-    assert 'cc.grants,counter,"waited=no",10,value,1' in lines
-    # histogram points widen into sum/count/le_ rows
-    assert any(line.startswith("cc.hold_time,histogram,,10,sum,")
-               for line in lines)
-    assert any(",le_+Inf," in line for line in lines)
-    grants_rows = [line for line in lines
-                   if line.startswith("cc.grants,")]
-    assert len(grants_rows) == 2      # two closed windows
-
-
-def test_to_json_is_sorted_and_loadable():
-    import json
-    document = sample_document()
-    assert json.loads(to_json(document)) == json.loads(
-        to_json(json.loads(to_json(document))))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """End-to-end CLI contract: ``repro run --metrics`` writes loadable
-artifacts, prints the first-replication summary, and the exported
-exposition passes the OpenMetrics grammar check."""
+artifacts, prints the first-replication summary, and a rerun writes
+artifacts that ``repro metrics diff`` finds identical."""
 
 import os
 import subprocess
@@ -9,8 +9,7 @@ import sys
 import pytest
 
 from repro.telemetry.cli import main as metrics_main
-from repro.telemetry.export import (load_metrics_jsonl,
-                                    validate_openmetrics)
+from repro.telemetry.export import load_metrics_jsonl
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -25,17 +24,21 @@ def _repro(argv, tmp):
         capture_output=True, text=True, env=env, cwd=str(tmp))
 
 
-@pytest.fixture(scope="module")
-def metered_run(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("metrics-cli")
-    metrics_dir = tmp / "metrics"
+def _metered(tmp, metrics_dir):
     result = _repro(
         ["run", "--mode", "local", "--transactions", "15",
          "--replications", "2", "--comm-delay", "1.0",
          "--cache-dir", str(tmp / "cache"),
          "--metrics", str(metrics_dir)], tmp)
     assert result.returncode == 0, result.stderr
-    return result, metrics_dir
+    return result
+
+
+@pytest.fixture(scope="module")
+def metered_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("metrics-cli")
+    metrics_dir = tmp / "metrics"
+    return _metered(tmp, metrics_dir), metrics_dir
 
 
 def test_run_metrics_writes_one_artifact_per_replication(metered_run):
@@ -54,13 +57,14 @@ def test_run_metrics_prints_summary(metered_run):
     assert "series" in result.stdout
 
 
-def test_exported_exposition_is_spec_valid(metered_run, tmp_path):
+def test_rerun_writes_identical_artifacts(metered_run, tmp_path):
     __, metrics_dir = metered_run
-    artifact = sorted(metrics_dir.glob("*.metrics.jsonl"))[0]
-    page = str(tmp_path / "run.prom")
-    assert metrics_main(["export", str(artifact), "-o", page]) == 0
-    with open(page, "r", encoding="utf-8") as stream:
-        assert validate_openmetrics(stream.read()) == []
+    _metered(tmp_path, tmp_path / "again")
+    first = sorted(metrics_dir.glob("*.metrics.jsonl"))
+    again = sorted((tmp_path / "again").glob("*.metrics.jsonl"))
+    assert [path.name for path in again] == [path.name for path in first]
+    for left, right in zip(first, again):
+        assert metrics_main(["diff", str(left), str(right)]) == 0
 
 
 def test_sweep_prune_model_progress_ends_with_the_finish_frame(

@@ -43,7 +43,7 @@ def test_jsonl_meta_reports_ring_overflow(tmp_path):
     path = str(tmp_path / "overflow.trace.jsonl")
     meta = export_jsonl(tracer, path)
     assert meta == {"trace_version": 1, "events": 2, "emitted": 5,
-                    "dropped": 3, "callback_errors": 0}
+                    "dropped": 3}
     loaded_meta, events = load_jsonl(path)
     assert loaded_meta["dropped"] == 3
     assert len(events) == 2
