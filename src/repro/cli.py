@@ -7,9 +7,9 @@
     python -m repro fig2 --sanitize      # run with invariant checking
     python -m repro lint                 # static lint (repro.analyze)
     python -m repro verify               # bounded model check (repro.verify)
-    python -m repro validate-model --quick   # sim-vs-model divergence
-    python -m repro sweep --prune-model      # analytically pruned sweep
-    python -m repro -h                       # every command, once
+    python -m repro model                # sim vs model, error budget
+    python -m repro sweep --prune-model  # analytically pruned sweep
+    python -m repro -h                   # every command, once
 
 Two tables drive it: :data:`FIGURES` (the sweep commands; one parser,
 one runner) and :data:`TOOLS` (everything else, dispatched to the
@@ -111,7 +111,7 @@ FIGURES: Dict[str, Figure] = dict([
     _figure("a6", "Ablation A6 - lock-free snapshot reads"),
     _figure("a7", "Ablation A7 - bounded disks vs parallel I/O"),
     _figure("a8", "Ablation A8 - faulted network: loss and crashes"),
-    _figure("model", "Analytic model vs simulation overlay"),
+    _figure("model", "Analytic model vs simulation, error budget"),
     _figure("protocols", "Protocol suite - mpcp/dpcp/fmlp vs C/Cx"),
 ])
 
@@ -127,9 +127,6 @@ TOOLS: Dict[str, Tuple[str, str, str]] = {
             "or metered"),
     "sweep": (".cli", "_sweep_main",
               "a protocol x size grid, optionally pruned by the model"),
-    "validate-model": (".model.validate", "main",
-                       "cross-validate the analytic model against the "
-                       "simulator"),
     "faults": (".cli", "_faults_main", "validate a fault plan"),
     "trace": (".trace.cli", "main",
               "summarize, export and validate trace artifacts"),
@@ -144,15 +141,13 @@ TOOLS: Dict[str, Tuple[str, str, str]] = {
 }
 
 
-def option_block(replications: Optional[int],
-                 default: str = "%(default)s") -> argparse.ArgumentParser:
+def option_block(replications: int) -> argparse.ArgumentParser:
     """The one declaration of the options every simulating command
-    takes, for ``ArgumentParser(parents=[...])``; ``default`` words the
-    ``--replications`` default where it is not a number."""
+    takes, for ``ArgumentParser(parents=[...])``."""
     block = argparse.ArgumentParser(add_help=False)
     block.add_argument("--replications", type=int, default=replications,
                        help="seeded runs averaged per sweep point "
-                            f"(paper used 10; default {default})")
+                            "(paper used 10; default %(default)s)")
     block.add_argument("--jobs", type=int, default=None,
                        help="worker processes for the run units "
                             "(default: REPRO_JOBS or 1; 1 runs "

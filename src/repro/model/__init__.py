@@ -7,9 +7,9 @@ by the *same* config dataclasses the simulator consumes.  The model is
 a cheap proxy — microseconds per configuration instead of seconds —
 used two ways:
 
-- ``repro validate-model`` sweeps simulator vs. model across a
-  calibration grid and reports per-metric relative error against a
-  documented budget (:mod:`repro.model.validate`);
+- ``repro model`` runs simulator and model over one grid and checks
+  the mean relative error against the documented budget as claims
+  (the ``model`` spec of :mod:`repro.bench.figures`);
 - ``repro sweep --prune-model`` scores candidate configurations
   analytically and only simulates the most promising fraction
   (:mod:`repro.model.prune`).
@@ -23,30 +23,21 @@ from .markov import (BirthDeathChain, RenegingQueue, erlang_tail,
                      mm1_mean_wait, reneging_queue)
 from .prune import PruneResult, model_scores, run_pruned_sweep
 from .response import ModelPrediction, predict, predict_summary
-from .validate import (DEFAULT_ERROR_BUDGET, METRIC_FLOORS,
-                       ValidationReport, format_report, full_grid,
-                       quick_grid, run_validation)
 from .workload import WorkloadModel
 
 __all__ = [
     "BirthDeathChain",
     "BlockingPrediction",
-    "DEFAULT_ERROR_BUDGET",
-    "METRIC_FLOORS",
     "ModelPrediction",
     "PruneResult",
     "RenegingQueue",
-    "ValidationReport",
     "WorkloadModel",
     "ceiling_blocking",
     "erlang_tail",
-    "format_report",
-    "full_grid",
     "mm1_mean_wait",
     "model_scores",
     "predict",
     "predict_summary",
-    "quick_grid",
     "reneging_queue",
     "run_pruned_sweep",
     "twopl_blocking",

@@ -11,7 +11,7 @@ Because :func:`plan_subset` preserves the full-batch group numbering,
 the surviving units' cache fingerprints are identical to an unpruned
 sweep's: a later full run reuses every row the pruned run produced.
 
-The model ranks only what ``repro validate-model`` holds it to: a
+The model ranks only what ``repro model`` holds it to: a
 config whose protocol is modelled by another family's solver (the
 queue locks ``mpcp`` and ``fmlp`` borrow the 2PL fixed point, which
 does not compute their blocking bounds — Brandenburg,

@@ -5,7 +5,7 @@ dataclass — the same object the simulator runs — to a
 :class:`ModelPrediction` whose ``summary`` dict uses the *simulator's*
 key names (``percent_missed``, ``throughput``, ``mean_blocked_time``,
 ``mean_response_time``), so model and simulation rows can be compared
-field-for-field by :mod:`repro.model.validate`.
+field-for-field by the ``model`` spec of :mod:`repro.bench.figures`.
 
 Cost: microseconds per configuration (a few hundred fixed-point or
 chain iterations), against seconds per seeded simulation run — the

@@ -140,6 +140,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.action is None:
         parser.print_help(sys.stderr)
         return 2
+    if args.action == "summarize" and args.top is not None \
+            and args.top < 0:
+        print("error: --top must be >= 0", file=sys.stderr)
+        return 2
     try:
         if args.action == "summarize":
             run = _load_run(args.artifact)

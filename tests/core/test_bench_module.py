@@ -125,3 +125,17 @@ def test_swapping_the_compared_columns_fails_a_claim(claimed, name, one,
                                                      other):
     spec = FIGURES[name].spec
     assert not verdicts(spec, swapped(spec, claimed[name], one, other))[1]
+
+
+def test_doubling_the_model_fails_both_budget_claims(claimed,
+                                                     monkeypatch):
+    from repro.bench import figures
+    real = figures.predict_summary
+    monkeypatch.setattr(figures, "predict_summary", lambda config: {
+        key: 2.0 * value for key, value in real(config).items()})
+    spec = FIGURES["model"].spec
+    rows = [dict(row) for row in claimed["model"]]
+    for row in rows:
+        spec.derive(row)
+    assert [line.split(":")[0] for line in verdicts(spec, rows)[0]] == \
+        ["[FAIL] calibrated regime", "[FAIL] whole grid"]

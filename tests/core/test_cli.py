@@ -17,7 +17,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 def test_parser_accepts_every_command():
     parser = build_parser()
-    assert len(FIGURES) + len(TOOLS) == 26
+    assert len(FIGURES) + len(TOOLS) == 25
     for command in [*FIGURES, *TOOLS]:
         args = parser.parse_args([command])
         assert args.command == command
@@ -179,7 +179,7 @@ def test_all_runs_what_no_other_figure_covers():
 
 
 @pytest.mark.parametrize("command", [
-    ["run"], ["sweep"], ["validate-model", "--quick"]])
+    ["run"], ["sweep"], ["model"]])
 @pytest.mark.parametrize("flag", ["--jobs", "--replications"])
 def test_option_block_is_validated_for_every_simulating_command(
         capsys, command, flag):

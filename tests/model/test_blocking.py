@@ -116,7 +116,7 @@ def test_waste_balance_miss():
 
 # ----------------------------------------------------------------------
 # sim-vs-model tolerance on paper baselines (documented budget:
-# DESIGN.md §10 / DEFAULT_ERROR_BUDGET)
+# DESIGN.md §10 / figures.ERROR_BUDGET)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol,size", [("C", 2), ("C", 8),
                                            ("L", 2), ("L", 8)])

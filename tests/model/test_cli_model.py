@@ -1,4 +1,4 @@
-"""CLI wiring of the model subsystem: validate-model and sweep."""
+"""CLI wiring of the model subsystem: model and sweep."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.cli import FIGURES, build_parser, main
 
 def test_parser_lists_new_commands():
     parser = build_parser()
-    for command in ("validate-model", "sweep"):
+    for command in ("model", "sweep"):
         assert parser.parse_args([command]).command == command
 
 
@@ -61,8 +61,8 @@ def test_sweep_help_documents_pruning(capsys):
 
 def test_validate_model_help_reaches_subparser(capsys):
     with pytest.raises(SystemExit):
-        main(["validate-model", "--help"])
-    assert "--quick" in capsys.readouterr().out
+        main(["model", "--help"])
+    assert "--replications" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

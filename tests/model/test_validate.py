@@ -1,43 +1,30 @@
-"""validate-model: grids, error metric, report, CLI contract."""
+"""The model's cross-validation: the ``model`` spec's grid, error
+metric, table and budget claims, and its command's CLI contract."""
 
-import json
+import re
 
 import pytest
 
-from repro.core.config import SingleSiteConfig, WorkloadConfig
-from repro.model.validate import (DEFAULT_ERROR_BUDGET, METRIC_FLOORS,
-                                  ValidationCase, format_report,
-                                  full_grid, main, quick_grid,
-                                  relative_error, run_validation)
+from repro.bench import SPECS, render, verdicts
+from repro.bench.figures import (CALIBRATED_POINTS, ERROR_BUDGET,
+                                 METRIC_FLOORS, MODES, relative_error)
+from repro.cli import main
 
-
-def small_case(label="case", protocol="C", size=2):
-    return ValidationCase(label, SingleSiteConfig(
-        protocol=protocol, db_size=200,
-        workload=WorkloadConfig(n_transactions=30,
-                                mean_interarrival=25.0,
-                                transaction_size=size,
-                                size_jitter=1)))
+SPEC = SPECS["model"]
 
 
 def test_quick_grid_is_ci_sized():
-    cases = quick_grid()
-    # The acceptance floor: the CI gate sweeps at least 12 configs.
-    assert len(cases) >= 12
-    labels = [case.label for case in cases]
-    assert len(set(labels)) == len(labels)
-    # Every protocol family is represented.
-    assert any(label.startswith("C/") for label in labels)
-    assert any(label.startswith("P/") for label in labels)
-    assert any(label.startswith("L/") for label in labels)
+    # The calibrated regime's claim averages at least 12 points.
+    assert len(CALIBRATED_POINTS) >= 12
+    assert len(set(CALIBRATED_POINTS)) == len(CALIBRATED_POINTS)
+    # Every protocol of the overlay cast is represented.
+    assert {protocol for protocol, __ in CALIBRATED_POINTS} == \
+        {"C", "P", "L"}
 
 
 def test_full_grid_extends_quick_grid():
-    quick = {case.label for case in quick_grid()}
-    full = {case.label for case in full_grid()}
-    assert quick < full
-    assert any(label.startswith("local/") for label in full)
-    assert any(label.startswith("global/") for label in full)
+    assert set(CALIBRATED_POINTS) < set(SPEC.values)
+    assert {point[0] for point in SPEC.values} >= set(MODES)
 
 
 def test_relative_error_uses_floors():
@@ -50,67 +37,69 @@ def test_relative_error_uses_floors():
         pytest.approx(0.2)
 
 
-def test_run_validation_report_shape():
-    cases = [small_case("a", "C"), small_case("b", "L")]
-    report = run_validation(cases, replications=1)
-    assert len(report.rows) == 2
-    assert report.budget == DEFAULT_ERROR_BUDGET
-    for row in report.rows:
-        assert set(row["metrics"]) >= {"percent_missed",
-                                       "mean_blocked_time"}
-        for cell in row["metrics"].values():
-            assert cell["error"] >= 0.0
-    # Light-load cases sit far inside the budget.
-    assert report.within_budget
-    doc = report.as_dict()
-    assert doc["schema"] == "repro-model-validation/1"
-    assert doc["within_budget"] is True
-    json.dumps(doc)   # must be serializable as the JSON artifact
+def test_run_validation_report_shape(claimed):
+    rows = claimed["model"]
+    assert len(rows) == len(SPEC.values)
+    for row in rows:
+        for metric in METRIC_FLOORS:
+            assert {f"sim_{metric}", f"model_{metric}",
+                    f"err_{metric}"} <= set(row)
+            assert row[f"err_{metric}"] >= 0.0
 
 
 def test_run_validation_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        run_validation([], replications=1)
+    assert len(SPEC.claims) == 2
+    for claim in SPEC.claims:
+        with pytest.raises(KeyError):
+            claim.holds({})
 
 
-def test_worst_ranks_by_error():
-    report = run_validation([small_case("a", "C"),
-                             small_case("b", "L")], replications=1)
-    worst = report.worst("percent_missed", top=2)
-    assert len(worst) == 2
-    assert worst[0]["metrics"]["percent_missed"]["error"] >= \
-        worst[1]["metrics"]["percent_missed"]["error"]
+def test_worst_ranks_by_error(claimed):
+    text = render(SPEC, claimed["model"])
+    for metric in ERROR_BUDGET:
+        line, = [line for line in text.splitlines()
+                 if line.startswith(f"worst {metric}: ")]
+        errors = [float(x) for x in re.findall(r"\(([0-9.]+)\)", line)]
+        assert len(errors) == 2
+        assert errors == sorted(errors, reverse=True)
 
 
-def test_format_report_mentions_budget_verdict():
-    report = run_validation([small_case()], replications=1)
-    text = format_report(report)
-    assert "percent_missed" in text
-    assert "budget" in text
-    assert " ok" in text
+def test_format_report_mentions_budget_verdict(claimed):
+    lines, held = verdicts(SPEC, claimed["model"])
+    assert held
+    assert [line.split(":")[0] for line in lines] == \
+        ["[PASS] calibrated regime", "[PASS] whole grid"]
+    for line in lines:
+        assert "percent_missed <= 0.30" in line
+        assert "mean_blocked_time <= 0.40" in line
 
 
 # ----------------------------------------------------------------------
 # CLI argument contract (exit 2 on usage errors; no simulation runs)
 # ----------------------------------------------------------------------
 def test_cli_rejects_bad_replications(capsys):
-    assert main(["--quick", "--replications", "0"]) == 2
+    assert main(["model", "--replications", "0"]) == 2
     assert "replications" in capsys.readouterr().err
 
 
-def test_cli_rejects_nonpositive_budget(capsys):
-    assert main(["--quick", "--budget-missed", "0"]) == 2
-    assert "budget" in capsys.readouterr().err
+def test_cli_rejects_nonpositive_budget():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate-model", "--budget-missed", "0"])
+    assert excinfo.value.code == 2
 
 
 def test_cli_rejects_unknown_flag():
-    with pytest.raises(SystemExit):
-        main(["--frobnicate"])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["model", "--quick"])
+    assert excinfo.value.code == 2
 
 
 def test_cli_help_documents_quick(capsys):
     with pytest.raises(SystemExit):
-        main(["--help"])
+        main(["model", "--help"])
     out = capsys.readouterr().out
-    assert "--quick" in out
-    assert "--json" in out
+    for flag in ("--replications", "--jobs", "--cache-dir",
+                 "--no-cache", "--progress", "--sanitize"):
+        assert flag in out
+    assert "--json" not in out
+    assert "--quick" not in out

@@ -125,6 +125,14 @@ def test_trace_subcommand_error_paths(tmp_path, capsys):
     assert "unknown phase" in capsys.readouterr().err
 
 
+def test_summarize_rejects_a_negative_top(traced_run, capsys):
+    artifact = _single_artifact(traced_run[1], ".trace.jsonl")
+    assert trace_main(["summarize", artifact, "--top", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --top must be >= 0\n")
+    assert trace_main(["summarize", artifact, "--top", "0"]) == 0
+    assert "raise --top to see them" in capsys.readouterr().out
+
+
 def test_profile_requires_trace(tmp_path):
     result = _repro(["run", "--mode", "local", "--profile"], tmp_path)
     assert result.returncode == 2
