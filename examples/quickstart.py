@@ -47,8 +47,7 @@ def main() -> None:
           f"({stats.immediate_grants} immediate, {stats.blocks} blocked)")
     print(f"  ceiling blocks         : {stats.ceiling_blocks} "
           f"(blocked with no direct conflict - the 'insurance premium')")
-    print(f"  deadlocks              : {stats.deadlocks} "
-          f"(always 0 under the ceiling protocol)")
+    print(f"  2PL-detected deadlocks : {stats.deadlocks}")
 
 
 if __name__ == "__main__":

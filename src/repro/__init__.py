@@ -6,7 +6,7 @@ The package rebuilds the paper's prototyping environment as a
 deterministic discrete-event simulation library:
 
 - :mod:`repro.kernel`    — StarLite-style concurrent kernel (processes,
-  semaphores, ports, timers, deterministic RNG streams);
+  ports, timers, deterministic RNG streams);
 - :mod:`repro.resources` — preemptive-priority CPUs, parallel I/O;
 - :mod:`repro.db`        — data objects, lock table, multiversion store,
   replica catalog;

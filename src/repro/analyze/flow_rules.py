@@ -33,13 +33,6 @@ from . import dataflow
 from .engine import Finding
 from .rules import Rule
 
-#: Drawing helpers of RngStreams whose first argument is the stream
-#: name (checked only when that argument is an f-string — a plain
-#: string literal is trivially static, a number means the receiver is
-#: a bare random.Random).
-_STREAM_HELPERS = {"exponential", "uniform", "randint", "sample",
-                   "choice", "random"}
-
 #: Shared lock-manager state attributes patrolled by RPL012.
 _PROTOCOL_STATE = {"waiting", "_waiting_by_oid", "_waiting_by_tid",
                    "locks", "active", "_shared", "_inheriting",
@@ -64,15 +57,8 @@ class DynamicStreamNameRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not isinstance(func, ast.Attribute) or not node.args:
-                continue
-            if func.attr == "stream":
-                pass
-            elif (func.attr in _STREAM_HELPERS
-                    and self._receiver_is_rng(func.value)
-                    and isinstance(node.args[0], ast.JoinedStr)):
-                pass
-            else:
+            if (not isinstance(func, ast.Attribute)
+                    or func.attr != "stream" or not node.args):
                 continue
             name_arg = node.args[0]
             scope = facts.scope_at(node)
@@ -84,14 +70,6 @@ class DynamicStreamNameRule(Rule):
                     f"constants/attributes, or module-level CONSTANTS); "
                     f"a runtime-computed name can split a stream "
                     f"between runs and break seed reproducibility")
-
-    @staticmethod
-    def _receiver_is_rng(base: ast.AST) -> bool:
-        if isinstance(base, ast.Name):
-            return base.id == "rng" or base.id.endswith("rng")
-        if isinstance(base, ast.Attribute):
-            return base.attr == "rng" or base.attr.endswith("rng")
-        return False
 
 
 class OrphanStateMutationRule(Rule):

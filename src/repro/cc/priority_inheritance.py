@@ -7,9 +7,9 @@ transactions blocked by T".
 
 The paper discusses why this alone is inadequate — blocking is bounded
 but a transaction can still be blocked once per lock it needs (*chained
-blocking*), and deadlocks remain possible.  The ablation benchmark
-``test_ablation_inheritance`` quantifies both effects against the
-ceiling protocol.
+blocking*), and deadlocks remain possible.  The ``a2`` ablation
+(``repro a2``: P / PI / C) quantifies both effects against the ceiling
+protocol.
 """
 
 from __future__ import annotations

@@ -1,9 +1,5 @@
 """Core facade: configuration, builders, monitoring, experiments."""
 
-from .analysis import (ceiling_load_estimate, ceiling_pipeline_capacity,
-                       cpu_bound_capacity, cpu_utilisation_estimate,
-                       expected_deadlocks, fitted_power_law_exponent,
-                       gray_deadlock_probability, offered_object_rate)
 from .builder import SingleSiteSystem
 from .config import (DISTRIBUTED_MODES, DistributedConfig,
                      SingleSiteConfig, TimingConfig, WorkloadConfig)
@@ -16,14 +12,6 @@ from .monitor import PerformanceMonitor, TransactionRecord
 from .reporting import format_table
 
 __all__ = [
-    "ceiling_load_estimate",
-    "ceiling_pipeline_capacity",
-    "cpu_bound_capacity",
-    "cpu_utilisation_estimate",
-    "expected_deadlocks",
-    "fitted_power_law_exponent",
-    "gray_deadlock_probability",
-    "offered_object_rate",
     "DISTRIBUTED_MODES",
     "DistributedConfig",
     "PerformanceMonitor",

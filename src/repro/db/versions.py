@@ -66,32 +66,5 @@ class MultiVersionStore:
             raise NoVersion(f"object {oid} has no version at {timestamp}")
         return times[index], self._values[oid][index]
 
-    def latest(self, oid: int) -> Tuple[float, float]:
-        """The most recent version (initial version if never written)."""
-        times = self._times.get(oid)
-        if not times:
-            return self._initial
-        return times[-1], self._values[oid][-1]
-
     def version_count(self, oid: int) -> int:
         return len(self._times.get(oid, ()))
-
-    def prune_before(self, horizon: float) -> int:
-        """Drop versions strictly older than the last one <= horizon.
-
-        Keeps, for each object, at least the version that a read at
-        ``horizon`` would return.  Returns the number pruned.
-        """
-        pruned = 0
-        for oid, times in self._times.items():
-            index = bisect.bisect_right(times, horizon) - 1
-            if index > 0:
-                del times[:index]
-                del self._values[oid][:index]
-                pruned += index
-        return pruned
-
-    def lag(self, oid: int, now: float) -> float:
-        """Age of the newest version of ``oid`` relative to ``now``."""
-        version_ts, __ = self.latest(oid)
-        return max(0.0, now - version_ts)

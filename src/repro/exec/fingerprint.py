@@ -56,9 +56,8 @@ HASHED_SOURCES = (
 #: tables (``tests/exec/test_source_salt.py`` fails on an unlisted one).
 EXEMPT_SOURCES = (
     "__init__.py", "__main__.py", "analyze", "bench", "cli.py",
-    "core/__init__.py", "core/analysis.py", "core/metrics.py",
-    "core/reporting.py", "exec", "model", "telemetry", "trace",
-    "verify")
+    "core/__init__.py", "core/metrics.py", "core/reporting.py", "exec",
+    "model", "telemetry", "trace", "verify")
 
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

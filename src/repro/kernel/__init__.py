@@ -3,7 +3,7 @@
 Public surface::
 
     from repro.kernel import (
-        Kernel, Process, ProcessState, Semaphore, Port, DeadlineTimer,
+        Kernel, Process, ProcessState, Port, DeadlineTimer,
         Delay, Spawn, Join, Call, Now, Immediate, BLOCKED,
         WaitQueue, RngStreams,
         KernelError, ProcessInterrupt, Timeout,
@@ -12,16 +12,14 @@ Public surface::
 
 from .controlled import (ChoiceRecord, Chooser, DefaultChooser,
                          SchedulerController)
-from .errors import (InvalidProcessState, KernelError, PortClosed,
-                     ProcessInterrupt, SchedulingError, SimulationOver,
-                     Timeout)
+from .errors import (InvalidProcessState, KernelError, ProcessInterrupt,
+                     SchedulingError, SimulationOver, Timeout)
 from .events import Event, EventQueue
 from .kernel import Kernel
 from .ports import Port
 from .process import Process, ProcessState
 from .rng import RngStreams
 from .scheduler import WaitQueue
-from .semaphore import Semaphore
 from .syscalls import (BLOCKED, Call, Delay, Immediate, Join, Now, Spawn,
                        SysCall)
 from .timers import DeadlineTimer
@@ -44,13 +42,11 @@ __all__ = [
     "KernelError",
     "Now",
     "Port",
-    "PortClosed",
     "Process",
     "ProcessInterrupt",
     "ProcessState",
     "RngStreams",
     "SchedulingError",
-    "Semaphore",
     "SimulationOver",
     "Spawn",
     "SysCall",

@@ -29,10 +29,6 @@ class SchedulingError(KernelError):
     """The scheduler or a resource reached an inconsistent state."""
 
 
-class PortClosed(KernelError):
-    """A send or receive was attempted on a closed port."""
-
-
 class ProcessInterrupt(Exception):
     """Delivered *into* a process coroutine by :meth:`Kernel.interrupt`.
 
@@ -50,5 +46,5 @@ class ProcessInterrupt(Exception):
 
 
 class Timeout(ProcessInterrupt):
-    """Raised inside a process when a timed wait (receive with timeout,
-    semaphore wait with timeout) expires before the event occurs."""
+    """Raised inside a process when a receive with a timeout expires
+    before a message arrives."""

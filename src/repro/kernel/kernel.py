@@ -130,8 +130,8 @@ class Kernel:
               exc: Optional[BaseException] = None) -> None:
         """Unblock ``process``; it resumes at the current instant with
         ``value`` as the result of its pending yield (or with ``exc``
-        thrown into it).  Called by blockers (semaphores, ports, CPUs,
-        lock managers) when the condition a process waited on occurs."""
+        thrown into it).  Called by blockers (ports, CPUs, lock
+        managers) when the condition a process waited on occurs."""
         if process.state is not _BLOCKED:
             process.check_not_terminated()
             raise InvalidProcessState(

@@ -3,20 +3,16 @@
 The prototyping environment's server processes "communicate among
 themselves through ports"; within a site, processes "send and receive
 messages directly through their associated ports" without touching the
-Message Server.  Ports here support both styles the paper names:
-
-- asynchronous send (:meth:`Port.send`) — never blocks; the message is
-  buffered if no receiver is waiting;
-- Ada-style rendezvous (:meth:`Port.send_sync`) — the sender blocks until
-  a receiver has retrieved the message.
+Message Server.  A send (:meth:`Port.send`) never blocks: the message
+goes to a waiting receiver or is buffered.
 
 Receives may carry a timeout (the paper's site-failure time-out
 mechanism), delivered as a :class:`~repro.kernel.errors.Timeout`.
 
-Every port is FIFO and unbounded: buffered messages, parked receivers
-and parked rendezvous senders are each served in arrival order, so the
-waiters sit in plain deques of ``(process, blocker)`` pairs rather than
-a :class:`~repro.kernel.scheduler.WaitQueue`.  Every inter-site message
+Every port is FIFO and unbounded: buffered messages and parked
+receivers are each served in arrival order, so the receivers sit in a
+plain deque of ``(process, blocker)`` pairs rather than a
+:class:`~repro.kernel.scheduler.WaitQueue`.  Every inter-site message
 crosses two ports (the network into the Message Server's inbox, the
 Message Server into the service port), so a delivery to a receiver
 parked without a timeout calls nothing but :meth:`Kernel.ready`.
@@ -28,34 +24,27 @@ from collections import deque
 from functools import partial
 from typing import Any, Deque, Optional, Tuple
 
-from .errors import PortClosed, Timeout
+from .errors import Timeout
 from .kernel import Kernel
 from .process import Process
-from .syscalls import BLOCKED, DONE, Immediate, SysCall
+from .syscalls import BLOCKED, Immediate, SysCall
 
 
 class Port:
-    """A named FIFO mailbox with blocking receive and optional
-    rendezvous."""
+    """A named FIFO mailbox with blocking receive."""
 
     def __init__(self, kernel: Kernel, name: str = "port"):
         self.kernel = kernel
         self.name = name
-        self.closed = False
         self._buffer: Deque[Any] = deque()
         #: Parked receivers, in arrival order.
         self._receivers: Deque[Tuple[Process, _ReceiverBlocker]] = deque()
-        #: Senders parked in a rendezvous, in arrival order; each
-        #: blocker carries its pending message.
-        self._senders: Deque[Tuple[Process, _SenderBlocker]] = deque()
 
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def send(self, message: Any) -> None:
         """Asynchronous send: deliver to a waiting receiver or buffer."""
-        if self.closed:
-            raise self._closed_error()
         if self._receivers:
             receiver, blocker = self._receivers.popleft()
             if blocker.timer is not None:
@@ -63,13 +52,6 @@ class Port:
             self.kernel.ready(receiver, value=message)
         else:
             self._buffer.append(message)
-
-    def send_sync(self, message: Any) -> "SendSync":
-        """Syscall: rendezvous send; blocks until a receiver takes it."""
-        call = SendSync()
-        call.port = self
-        call.message = message
-        return call
 
     # ------------------------------------------------------------------
     # receiving
@@ -95,38 +77,9 @@ class Port:
         with its volatile memory.  Waiting receivers are untouched —
         only queued data vanishes.
         """
-        self._check_open()
         drained = list(self._buffer)
         self._buffer.clear()
         return drained
-
-    def try_receive(self) -> Tuple[bool, Any]:
-        """Non-blocking poll: (True, message) or (False, None)."""
-        self._check_open()
-        if self._buffer:
-            return True, self._buffer.popleft()
-        if self._senders:
-            sender, blocker = self._senders.popleft()
-            self.kernel.ready(sender)
-            return True, blocker.message
-        return False, None
-
-    # ------------------------------------------------------------------
-    # lifecycle / introspection
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the port; pending waiters get :class:`PortClosed`."""
-        self.closed = True
-        for queue in (self._receivers, self._senders):
-            for process, blocker in list(queue):
-                # Leaves the queue (and disarms a receive timeout).
-                blocker.withdraw(process)
-                # A waiter whose own cleanup is closing the port (its
-                # generator is being finalised while still parked, at
-                # teardown of an abandoned run) has nobody left to
-                # deliver the exception to.
-                if not process.generator.gi_running:
-                    self.kernel.ready(process, exc=self._closed_error())
 
     @property
     def queued(self) -> int:
@@ -137,13 +90,6 @@ class Port:
     def waiting_receivers(self) -> int:
         return len(self._receivers)
 
-    def _closed_error(self) -> PortClosed:
-        return PortClosed(f"port {self.name!r} is closed")
-
-    def _check_open(self) -> None:
-        if self.closed:
-            raise self._closed_error()
-
     def _expire(self, process: Process) -> None:
         if any(parked is process for parked, __ in self._receivers):
             self.kernel.interrupt(process, Timeout(self.name))
@@ -153,33 +99,6 @@ class Port:
                 f"receivers={self.waiting_receivers})")
 
 
-class SendSync(SysCall):
-    """Rendezvous send on a port; build via :meth:`Port.send_sync`."""
-
-    __slots__ = ("port", "message")
-
-    def apply(self, kernel: Kernel, process: Process):
-        port = self.port
-        if port.closed:
-            raise port._closed_error()
-        if port._receivers:
-            receiver, blocker = port._receivers.popleft()
-            if blocker.timer is not None:
-                blocker.timer.cancel()
-            kernel.ready(receiver, value=self.message)
-            return DONE
-        blocker = _SenderBlocker()
-        blocker.port = port
-        blocker.message = self.message
-        port._senders.append((process, blocker))
-        process.blocker = blocker
-        return BLOCKED
-
-    @property
-    def label(self) -> str:
-        return f"send_sync({self.port.name})"
-
-
 class Receive(SysCall):
     """Blocking receive on a port; build via :meth:`Port.receive`."""
 
@@ -187,14 +106,8 @@ class Receive(SysCall):
 
     def apply(self, kernel: Kernel, process: Process):
         port = self.port
-        if port.closed:
-            raise port._closed_error()
         if port._buffer:
             return Immediate(port._buffer.popleft())
-        if port._senders:
-            sender, blocker = port._senders.popleft()
-            kernel.ready(sender)
-            return Immediate(blocker.message)
         # Slot stores, no __init__: a class that defines neither
         # __new__ nor __init__ instantiates without a Python frame.
         blocker = _ReceiverBlocker()
@@ -223,11 +136,3 @@ class _ReceiverBlocker:
         if self.timer is not None:
             self.timer.cancel()
 
-
-class _SenderBlocker:
-    """A rendezvous sender parked on ``port`` with its ``message``."""
-
-    __slots__ = ("port", "message")
-
-    def withdraw(self, process: Process) -> None:
-        self.port._senders.remove((process, self))

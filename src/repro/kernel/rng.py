@@ -11,9 +11,7 @@ protocol C, P and L with *the same* arrival process.
 from __future__ import annotations
 
 import random
-from typing import Dict, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Dict
 
 
 class RngStreams:
@@ -33,32 +31,6 @@ class RngStreams:
         if name not in self._streams:
             self._streams[name] = random.Random(self.seed ^ _fnv1a(name))
         return self._streams[name]
-
-    def exponential(self, name: str, mean: float) -> float:
-        """Draw from Exp(mean) on the named stream."""
-        if mean <= 0:
-            raise ValueError(f"exponential mean must be positive, got {mean}")
-        return self.stream(name).expovariate(1.0 / mean)
-
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """Draw uniformly from [low, high) on the named stream."""
-        return self.stream(name).uniform(low, high)
-
-    def randint(self, name: str, low: int, high: int) -> int:
-        """Draw an integer uniformly from [low, high] on the named stream."""
-        return self.stream(name).randint(low, high)
-
-    def sample(self, name: str, population: Sequence[T], k: int) -> list:
-        """Sample ``k`` distinct items from ``population``."""
-        return self.stream(name).sample(population, k)
-
-    def choice(self, name: str, population: Sequence[T]) -> T:
-        """Pick one item from ``population``."""
-        return self.stream(name).choice(population)
-
-    def random(self, name: str) -> float:
-        """Draw uniformly from [0, 1) on the named stream."""
-        return self.stream(name).random()
 
 
 def _fnv1a(text: str) -> int:

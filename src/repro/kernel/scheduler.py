@@ -1,6 +1,6 @@
 """Wait queues with pluggable service disciplines.
 
-Semaphores and the parallel-I/O disk array park their waiters in a
+The parallel-I/O disk array parks its waiters in a
 :class:`WaitQueue` (ports are FIFO-only and keep plain deques; the CPU
 and the lock tables order their own waiters).  Two policies cover the
 paper's protocols:
@@ -32,9 +32,8 @@ POLICIES = ("fifo", "priority")
 class WaitQueue(Generic[T]):
     """Queue of ``(process, item)`` pairs with FIFO or priority service.
 
-    ``kernel`` is the owner's (a :class:`~repro.kernel.semaphore.Semaphore`
-    or a :class:`~repro.resources.io.DiskArray`): its controller, if
-    any, resolves the priority ties of :meth:`pop`.
+    ``kernel`` is the owner's (a :class:`~repro.resources.io.DiskArray`):
+    its controller, if any, resolves the priority ties of :meth:`pop`.
     """
 
     def __init__(self, policy: str = "fifo", kernel=None):

@@ -8,7 +8,7 @@ resumed later via ``kernel.ready`` (or ``kernel.wake``, from the
 completion callback of a timed structure).
 
 Model code normally uses the convenience wrappers on the structures
-themselves (``semaphore.wait()``, ``port.receive()``, ``cpu.use(t)``,
+themselves (``port.receive()``, ``cpu.use(t)``, ``disk.use(t)``,
 ``cc.acquire(...)``).  Each returns a small typed :class:`SysCall`
 subclass defined next to its structure, whose ``apply`` *is* the
 operation: one object access costs one allocation and one frame here,
@@ -152,7 +152,7 @@ class Call(SysCall):
     parking the process); plain return values are wrapped in Immediate.
     This is the extension point for *model and test* code that needs a
     one-off kernel-context operation.  The library's own structures
-    (semaphores, ports, CPUs, I/O, lock managers) do not use it: each
+    (ports, CPUs, I/O, lock managers) do not use it: each
     defines a typed ``SysCall`` subclass, which costs no closure.
     """
 

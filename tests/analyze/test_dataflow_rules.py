@@ -49,9 +49,10 @@ def test_rpl010_flags_fstring_over_local_variable():
 def test_rpl010_flags_helper_call_with_dynamic_fstring():
     findings = lint("""
         def f(rng, txn):
-            return rng.exponential(f"arrival-{txn.label()}", 1.0)
+            return rng.stream(f"arrival-{txn.label()}")
     """, select=["RPL010"])
     assert codes(findings) == ["RPL010"]
+    assert findings[0].line == 3
 
 
 def test_rpl010_allows_string_literal():

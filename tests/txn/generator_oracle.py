@@ -2,7 +2,7 @@
 
 This is the historical body: every draw goes through the stdlib's
 ``random.Random`` methods (``expovariate``, ``random``, ``randint``,
-``sample``, ``shuffle``) via :class:`RngStreams`, one named-stream
+``sample``, ``shuffle``) on :meth:`RngStreams.stream`, one named-stream
 lookup per draw.  ``src/`` transcribes those methods over
 ``getrandbits`` (``repro.txn.generator._below`` / ``_sample`` /
 ``_shuffle``) to skip a Python frame per draw; the transcription is
@@ -27,8 +27,9 @@ def generate(generator: WorkloadGenerator) -> List[TransactionSpec]:
     specs: List[TransactionSpec] = []
     clock = 0.0
     for index in range(generator.n_transactions):
-        clock += generator.rng.exponential(
-            f"{generator._prefix}.arrivals", generator.mean_interarrival)
+        clock += generator.rng.stream(
+            f"{generator._prefix}.arrivals").expovariate(
+                1.0 / generator.mean_interarrival)
         specs.append(_one(generator, index, clock))
     return specs
 
@@ -37,18 +38,20 @@ def _one(generator: WorkloadGenerator, index: int,
          arrival: float) -> TransactionSpec:
     rng, prefix = generator.rng, generator._prefix
     all_oids = list(range(generator.db_size))
-    read_only = (rng.random(f"{prefix}.mix")
+    read_only = (rng.stream(f"{prefix}.mix").random()
                  < generator.read_only_fraction)
     size = _draw_size(generator)
     if read_only:
-        site = (rng.randint(f"{prefix}.site", 0, generator.n_sites - 1)
+        site = (rng.stream(f"{prefix}.site").randint(
+                    0, generator.n_sites - 1)
                 if generator.n_sites > 1 else 0)
-        oids = rng.sample(f"{prefix}.objects", all_oids, size)
+        oids = rng.stream(f"{prefix}.objects").sample(all_oids, size)
         operations = tuple((oid, LockMode.READ) for oid in oids)
         return TransactionSpec(arrival, operations, site,
                                TransactionType.READ_ONLY)
     if generator.catalog is not None:
-        site = rng.randint(f"{prefix}.site", 0, generator.n_sites - 1)
+        site = rng.stream(f"{prefix}.site").randint(
+            0, generator.n_sites - 1)
         write_pool = generator.catalog.primaries_at(site)
     else:
         site = 0
@@ -56,12 +59,14 @@ def _one(generator: WorkloadGenerator, index: int,
     n_writes = max(1, round(generator.write_fraction * size))
     n_writes = min(n_writes, size, len(write_pool))
     n_reads = size - n_writes
-    write_oids = rng.sample(f"{prefix}.objects", write_pool, n_writes)
+    write_oids = rng.stream(f"{prefix}.objects").sample(write_pool,
+                                                        n_writes)
     read_oids = []
     if n_reads > 0:
         written = set(write_oids)
         read_pool = [oid for oid in all_oids if oid not in written]
-        read_oids = rng.sample(f"{prefix}.objects", read_pool, n_reads)
+        read_oids = rng.stream(f"{prefix}.objects").sample(read_pool,
+                                                           n_reads)
     operations = ([(oid, LockMode.WRITE) for oid in write_oids] +
                   [(oid, LockMode.READ) for oid in read_oids])
     rng.stream(f"{prefix}.order").shuffle(operations)
@@ -74,4 +79,5 @@ def _draw_size(generator: WorkloadGenerator) -> int:
         return generator.transaction_size
     low = max(1, generator.transaction_size - generator.size_jitter)
     high = generator.transaction_size + generator.size_jitter
-    return generator.rng.randint(f"{generator._prefix}.size", low, high)
+    return generator.rng.stream(f"{generator._prefix}.size").randint(
+        low, high)

@@ -17,10 +17,11 @@ from repro.core.builder import SingleSiteSystem
 from repro.core.config import (DistributedConfig, SingleSiteConfig,
                                WorkloadConfig)
 from repro.dist import DistributedSystem
-from repro.kernel import (Chooser, Delay, DefaultChooser, Kernel,
-                          SchedulerController, Semaphore)
+from repro.kernel import (Chooser, DefaultChooser, Kernel,
+                          SchedulerController)
 from repro.kernel.controlled import entry_label, pending_signature
 from repro.kernel.turbo import TurboKernel
+from repro.resources import DiskArray
 from repro.telemetry import MetricsRegistry, metering
 
 
@@ -172,25 +173,19 @@ def test_a_turbo_kernel_takes_the_controlled_arm():
 
 def test_a_priority_queue_tie_is_a_choice_point():
     kernel = Kernel()
-    semaphore = Semaphore(kernel, policy="priority")
+    disks = DiskArray(kernel, servers=1, policy="priority")
     controller = SchedulerController(_Pick("queue", 1)).install(kernel)
     served = []
 
-    def waiter(name):
-        yield semaphore.wait()
+    def user(name):
+        yield disks.use(1.0)
         served.append(name)
 
-    def signaller():
-        yield Delay(1.0)
-        for _ in range(3):
-            semaphore.signal()
-
-    for name in ("w0", "w1", "w2"):
-        kernel.spawn(waiter(name), name)
-    kernel.spawn(signaller(), "signaller")
+    for name in ("holder", "w0", "w1", "w2"):
+        kernel.spawn(user(name), name)
     kernel.run()
     ties = [record for record in controller.trail if record.kind == "queue"]
     assert [(tie.time, tie.arity, tie.chosen) for tie in ties] == [
-        (1.0, 3, 1), (1.0, 2, 1)]
+        (1.0, 3, 1), (2.0, 2, 1)]
     assert ties[0].labels == ("waiter:w0", "waiter:w1", "waiter:w2")
-    assert served == ["w1", "w2", "w0"]
+    assert served == ["holder", "w1", "w2", "w0"]
