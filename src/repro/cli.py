@@ -38,6 +38,7 @@ from . import bench
 from .protocols import REGISTRY, UnknownProtocolError
 from .exec import (ExecutionError, ResultCache, TextProgress,
                    default_cache_dir, resolve_jobs, session_counters)
+from .exec.cache import no_cache_requested
 from .kernel.hooks import ENV_SANITIZE
 
 
@@ -46,7 +47,8 @@ class ExecOptions:
     """Engine knobs threaded from the command line into the sweeps."""
 
     jobs: Optional[int] = None
-    #: A cache, or False for none.  Never None here: ``resolve_cache``
+    #: A cache (memory-only under ``--no-cache``), or False for none
+    #: (traced and metered runs).  Never None here: ``resolve_cache``
     #: reads None as "ask the environment", which would let
     #: ``REPRO_CACHE_DIR`` undo ``--no-cache``.
     cache: Union[ResultCache, bool] = False
@@ -156,7 +158,8 @@ def option_block(replications: int) -> argparse.ArgumentParser:
                        help="result-cache directory (default: "
                             "REPRO_CACHE_DIR or ~/.cache/repro)")
     block.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache")
+                       help="no on-disk result cache; a unit repeated "
+                            "within one invocation is computed once")
     block.add_argument("--progress", action="store_true",
                        help="draw the live progress panel (units, "
                             "ETA, host RSS, latest row; utilization "
@@ -207,9 +210,11 @@ def exec_options(args: argparse.Namespace) -> Optional[ExecOptions]:
         from .analyze.sanitizer import sanitize
         _COMMAND.enter_context(sanitize(strict=True))
         _set_for_command(ENV_SANITIZE, "1")
-    cache = False
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
+    # ``--no-cache`` keeps the memory tier: a unit that several specs
+    # of one invocation share is computed once, and nothing is written.
+    cache = ResultCache(
+        None if args.no_cache or no_cache_requested()
+        else args.cache_dir or default_cache_dir())
     progress = None
     if args.progress or sys.stderr.isatty():
         progress = TextProgress(sys.stderr)

@@ -2,8 +2,8 @@
 
 Plans sweep/replication requests into independent run units, executes
 them serially or on a process pool that survives a dying worker,
-caches per-unit summary rows on disk keyed by stable config
-fingerprints, and reports progress.  See DESIGN.md ("Execution
+caches per-unit summary rows in memory and on disk keyed by stable
+config fingerprints, and reports progress.  See DESIGN.md ("Execution
 engine") for the architecture.
 """
 

@@ -1,4 +1,4 @@
-"""On-disk result cache: fingerprint -> summary row.
+"""Result cache: fingerprint -> summary row, in memory and on disk.
 
 Each cached unit is one small JSON file under
 ``<cache-dir>/<fp[:2]>/<fp>.json`` (the two-level fan-out keeps
@@ -8,6 +8,12 @@ entry, and reads tolerate corrupt or foreign files by treating them as
 misses.  The cache is safe for concurrent writers on one machine: the
 worst case is two processes computing the same unit and one replace
 winning, which is harmless because entries are deterministic.
+
+Every instance also remembers the rows it has read or durably written,
+so a unit repeated within one invocation (``repro all``'s specs share
+grids) is served without touching the disk again.
+``ResultCache(None)`` is that memory alone: the CLI's ``--no-cache``,
+which computes each distinct unit once and writes nothing.
 
 Resolution order for "should this run use a cache, and where":
 
@@ -24,15 +30,20 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
-from .fingerprint import canonical_payload, config_fingerprint
+from .fingerprint import canonical_payload
 
 CacheSpec = Union["ResultCache", str, os.PathLike, bool, None]
 
 _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 #: With the pid, a temp-file name no other live writer is using.
 _TEMP_IDS = itertools.count()
+
+
+def no_cache_requested() -> bool:
+    """``REPRO_NO_CACHE`` is set to anything but ``""`` or ``"0"``."""
+    return os.environ.get("REPRO_NO_CACHE", "") not in ("", "0")
 
 
 def default_cache_dir() -> str:
@@ -67,24 +78,47 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 class ResultCache:
-    """Content-addressed store of per-unit summary rows."""
+    """Content-addressed store of per-unit summary rows.
 
-    def __init__(self, directory: Union[str, os.PathLike]):
-        self.directory = os.fspath(directory)
+    ``directory=None`` keeps rows in memory only.  The memory tier
+    belongs to the instance and holds copies: a row goes in and comes
+    out as ``dict(row)`` (rows are flat dicts of numbers), so a caller
+    that mutates a returned row cannot change a later hit.
+    """
+
+    def __init__(self, directory: Optional[Union[str, os.PathLike]]):
+        self.directory: Optional[str] = (
+            None if directory is None else os.fspath(directory))
         self.hits = 0
         self.misses = 0
+        #: Entries written to disk (the memory tier counts none).
         self.writes = 0
+        self._rows: Dict[str, dict] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ResultCache({self.directory!r}, hits={self.hits}, "
                 f"misses={self.misses}, writes={self.writes})")
 
     def path_for(self, fingerprint: str) -> str:
+        if self.directory is None:
+            raise ValueError("a memory-only cache has no entry paths")
         return os.path.join(self.directory, fingerprint[:2],
                             fingerprint + ".json")
 
     def get(self, fingerprint: str) -> Optional[dict]:
         """The cached row, or None on miss / corrupt entry."""
+        row = self._rows.get(fingerprint)
+        if row is None and self.directory is not None:
+            row = self._read(fingerprint)
+            if row is not None:
+                self._rows[fingerprint] = row
+        if row is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return dict(row)
+
+    def _read(self, fingerprint: str) -> Optional[dict]:
         try:
             with open(self.path_for(fingerprint), "rb") as handle:
                 payload = json.loads(handle.read())
@@ -93,9 +127,7 @@ class ResultCache:
                     or not isinstance(row, dict)):
                 raise ValueError("foreign or torn cache entry")
         except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
             return None
-        self.hits += 1
         return row
 
     def put(self, fingerprint: str, row: dict,
@@ -106,25 +138,21 @@ class ResultCache:
         the row so entries are self-describing (debuggable with `cat`).
         Write errors (read-only cache dir, disk full) are swallowed:
         caching is an optimisation, never a correctness requirement.
+        Memory remembers the row only once it is durable on disk.
         """
-        payload = {"fingerprint": fingerprint, "row": row}
-        if config is not None:
-            # Already in sorted key order, and memoised from the unit's
-            # fingerprint: nothing is re-encoded here.
-            payload["config"] = canonical_payload(config)
-        data = json.dumps(payload).encode("ascii")
-        try:
-            _write_atomic(self.path_for(fingerprint), data)
-        except OSError:
-            return
-        self.writes += 1
-
-    def lookup(self, config: object) -> Optional[dict]:
-        """Fingerprint ``config`` and fetch its row in one step."""
-        return self.get(config_fingerprint(config))
-
-    def store(self, config: object, row: dict) -> None:
-        self.put(config_fingerprint(config), row, config=config)
+        if self.directory is not None:
+            payload = {"fingerprint": fingerprint, "row": row}
+            if config is not None:
+                # Already in sorted key order, and memoised from the
+                # unit's fingerprint: nothing is re-encoded here.
+                payload["config"] = canonical_payload(config)
+            data = json.dumps(payload).encode("ascii")
+            try:
+                _write_atomic(self.path_for(fingerprint), data)
+            except OSError:
+                return
+            self.writes += 1
+        self._rows[fingerprint] = dict(row)
 
 
 def resolve_cache(cache: CacheSpec = None) -> Optional[ResultCache]:
@@ -137,7 +165,7 @@ def resolve_cache(cache: CacheSpec = None) -> Optional[ResultCache]:
         return None
     if cache is not None:  # path-like
         return ResultCache(cache)
-    if os.environ.get("REPRO_NO_CACHE", "") not in ("", "0"):
+    if no_cache_requested():
         return None
     directory = os.environ.get("REPRO_CACHE_DIR")
     if directory:

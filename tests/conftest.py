@@ -33,14 +33,13 @@ def unobserved(monkeypatch):
 
 
 @pytest.fixture(scope="session")
-def claimed(tmp_path_factory):
+def claimed():
     """Every claimed figure's series at 2 replications, run as its
-    command runs it (a4 halved), on two workers and one cache; run once
-    for every module that reads it."""
+    command runs it (a4 halved), on two workers and one in-memory
+    cache; run once for every module that reads it."""
     from repro.cli import FIGURES, ExecOptions
     from repro.exec import ResultCache
-    opts = ExecOptions(jobs=2, cache=ResultCache(
-        str(tmp_path_factory.mktemp("cache"))))
+    opts = ExecOptions(jobs=2, cache=ResultCache(None))
     return {name: figure.render(2, opts)[0]
             for name, figure in FIGURES.items() if figure.spec.claims}
 

@@ -8,7 +8,7 @@ import re
 import pytest
 
 import repro
-from repro.cli import FIGURES, TOOLS, build_parser, main
+from repro.cli import FIGURES, TOOLS, _run_figures, build_parser, main
 from tests.conftest import observers
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -100,6 +100,37 @@ def test_no_cache_flag_beats_the_environment(capsys, tmp_path,
         assert main(["a3", "--replications", "1", "--no-cache"]) == 0
         assert "8 computed, 0 cache hits" in capsys.readouterr().out
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["1", "yes"])
+def test_no_cache_environment_variable_is_the_flag(capsys, tmp_path,
+                                                   monkeypatch, value):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_NO_CACHE", value)
+    assert main(["a3", "--replications", "1"]) == 0
+    assert "8 computed, 0 cache hits" in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
+
+
+def test_no_cache_computes_a_shared_unit_once(capsys):
+    """fig6 is fig4's grid: under ``--no-cache`` one invocation serves
+    it from memory, and prints what a run of its own prints."""
+    def printed(text):
+        """The tables and verdicts, without the ``[name: ...]``
+        trailers (they carry wall time)."""
+        return [line for line in text.splitlines()
+                if not re.match(r"\[(fig4|fig6): ", line)]
+
+    args = build_parser().parse_args(
+        ["fig4", "--replications", "1", "--no-cache"])
+    _run_figures(["fig4", "fig6"], args)
+    both = capsys.readouterr().out
+    assert "16 units, 0 computed, 16 cache hits]" in both
+    main(["fig4", "--replications", "1", "--no-cache"])
+    main(["fig6", "--replications", "1", "--no-cache"])
+    alone = capsys.readouterr().out
+    assert "0 cache hits]" in alone.splitlines()[-2]
+    assert printed(both) == printed(alone)
 
 
 def test_a5_runs_on_the_engine(capsys):

@@ -1,4 +1,5 @@
-"""On-disk result cache: roundtrips, corruption tolerance, resolution."""
+"""Result cache: roundtrips, the memory tier, corruption tolerance,
+resolution."""
 
 import json
 import os
@@ -212,3 +213,57 @@ def test_resolve_cache_environment(tmp_path, monkeypatch):
     assert resolve_cache(None).directory == str(tmp_path)
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     assert resolve_cache(None) is None
+
+
+def test_a_hit_is_served_after_its_entry_is_deleted(tmp_path):
+    """Rows a cache wrote or read are remembered by that instance."""
+    config = tiny_config()
+    fp = config_fingerprint(config)
+    writer, reader = ResultCache(tmp_path), ResultCache(tmp_path)
+    writer.put(fp, ROW, config=config)
+    assert reader.get(fp) == ROW                 # read from disk
+    os.unlink(writer.path_for(fp))
+    assert writer.get(fp) == ROW == reader.get(fp)
+    assert ResultCache(tmp_path).get(fp) is None
+
+
+@pytest.mark.parametrize("on_disk", [True, False])
+def test_rows_go_in_and_come_out_as_copies(tmp_path, on_disk):
+    cache = ResultCache(tmp_path if on_disk else None)
+    fp = config_fingerprint(tiny_config())
+    row = {"throughput": 1.5, "processed": 15}
+    cache.put(fp, row)
+    row["throughput"] = -1.0
+    hit = cache.get(fp)
+    assert hit == {"throughput": 1.5, "processed": 15}
+    hit["processed"] = -1
+    del hit["throughput"]
+    assert cache.get(fp) == {"throughput": 1.5, "processed": 15}
+
+
+def test_memory_only_cache_touches_no_disk(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cache = ResultCache(None)
+    fp = config_fingerprint(tiny_config())
+    assert cache.get(fp) is None
+    cache.put(fp, ROW, config=tiny_config())
+    assert cache.get(fp) == ROW
+    assert cache.directory is None
+    assert (cache.hits, cache.misses, cache.writes) == (1, 1, 0)
+    assert entries(tmp_path) == []
+    with pytest.raises(ValueError):
+        cache.path_for(fp)
+
+
+def test_counters_keep_their_meaning(tmp_path):
+    """A memory hit is a hit; ``writes`` counts disk entries only."""
+    cache = ResultCache(tmp_path)
+    fps = [config_fingerprint(tiny_config(seed=seed))
+           for seed in (1, 2)]
+    assert cache.get(fps[0]) is None
+    cache.put(fps[0], ROW)
+    for __ in range(3):
+        assert cache.get(fps[0]) == ROW
+    assert cache.get(fps[1]) is None
+    assert (cache.hits, cache.misses, cache.writes) == (3, 2, 1)
+    assert len(entries(tmp_path)) == 1
