@@ -14,8 +14,8 @@ deterministic discrete-event simulation library:
   priority (P), priority inheritance (PI), priority ceiling (C), the
   exclusive-lock ceiling ablation (Cx), and the post-paper suite
   (mpcp, dpcp, fmlp);
-- :mod:`repro.protocols` — the protocol plugin registry (names,
-  aliases, families, config schemas, factories, fingerprints);
+- :mod:`repro.protocols` — the protocol table (names, aliases,
+  families, options, factories);
 - :mod:`repro.txn`       — transactions, EDF priorities, workload
   generation, transaction managers, 2PC;
 - :mod:`repro.dist`      — virtual sites, network, Message Servers, and
@@ -32,9 +32,9 @@ Quickstart::
     print(monitor.percent_missed, monitor.throughput())
 """
 
-from .cc import (MPCP, PROTOCOLS, DistributedPriorityCeiling,
-                 FMLPQueueLock, PriorityCeiling, PriorityInheritance,
-                 TwoPhaseLocking, TwoPhaseLockingPriority, make_protocol)
+from .cc import (MPCP, DistributedPriorityCeiling, FMLPQueueLock,
+                 PriorityCeiling, PriorityInheritance, TwoPhaseLocking,
+                 TwoPhaseLockingPriority)
 from .protocols import REGISTRY as PROTOCOL_REGISTRY
 from .core import (DistributedConfig, PerformanceMonitor,
                    SingleSiteConfig, SingleSiteSystem, TimingConfig,
@@ -55,7 +55,6 @@ __all__ = [
     "FMLPQueueLock",
     "Kernel",
     "MPCP",
-    "PROTOCOLS",
     "PROTOCOL_REGISTRY",
     "PerformanceMonitor",
     "PriorityCeiling",
@@ -71,7 +70,6 @@ __all__ = [
     "WorkloadGenerator",
     "__version__",
     "compare_protocols",
-    "make_protocol",
     "replicate",
     "replicate_many",
     "run_distributed",

@@ -51,13 +51,13 @@ failure mode in this repository:
   drift waiting to happen — one typo and a measured category silently
   stops matching its prediction.
 - **RPL013 — hard-coded protocol-name literal.**  The protocol cast is
-  a plugin registry (:mod:`repro.protocols`); every spec declares its
-  family, model family, sanitizer checker and aliases there.  Code in
-  the consuming layers (``cc``, ``dist``, ``model``, ``bench``) that
-  compares against protocol-name literals or re-declares a tuple of
-  them will silently miss protocols registered later — exactly the bug
-  the registry exists to prevent.  Dispatch on the resolved spec's
-  fields or derive sets from registry queries instead.
+  a table (:mod:`repro.protocols`); every row declares its family,
+  placement and aliases there.  Code in the consuming layers (``cc``,
+  ``dist``, ``model``, ``bench``) that compares against protocol-name
+  literals or re-declares a tuple of them will silently miss a row —
+  exactly the bug the table exists to prevent.  Dispatch on the
+  resolved row's family or derive sets from registry queries
+  (``REGISTRY.modelled_by(...)``) instead.
 - **RPL015 — event-queue internals.**  Two event engines promise
   bitwise-identical results, so only they may touch a queue's
   representation or move ``kernel.now``.
@@ -652,22 +652,22 @@ class BlockingTaxonomyRule(Rule):
 
 
 class ProtocolLiteralRule(Rule):
-    """RPL013: hard-coded protocol-name literal outside the registry.
+    """RPL013: hard-coded protocol-name literal outside the table.
 
-    The protocol set lives in :mod:`repro.protocols`; each plugin spec
-    declares its family, model family, checker and aliases, so any
-    module that branches on — or re-declares a set of — protocol name
-    literals will silently miss protocols registered later.  Two
-    shapes are flagged, the ones drift historically came from:
+    The protocol set lives in :mod:`repro.protocols`; each row declares
+    its family, placement and aliases, so any module that branches on
+    — or re-declares a set of — protocol name literals will silently
+    miss a row it did not list.  Two shapes are flagged, the ones drift
+    historically came from:
 
     - a comparison or membership test against protocol-name literals
       (``if protocol == "C"``, ``protocol in ("L", "P")``) — dispatch
-      belongs on the registered spec's fields;
+      belongs on the resolved row's family;
     - a module-level tuple/list made entirely of protocol names
       (``MY_PROTOCOLS = ("C", "Cx")``) — protocol sets must be
-      registry queries (``REGISTRY.model_family_names(...)`` etc.).
+      registry queries (``REGISTRY.modelled_by(...)``).
 
-    Only canonical registry names are matched (aliases like
+    Only canonical table names are matched (aliases like
     ``ceiling`` double as ordinary words).  A class-level ``name``
     attribute (a protocol implementation identifying itself) and
     per-figure cast defaults in function signatures are deliberate
@@ -719,9 +719,9 @@ class ProtocolLiteralRule(Rule):
                     yield self.finding(
                         path, literal,
                         f"protocol name {literal.value!r} tested "
-                        f"against a literal; dispatch on the "
-                        f"registered spec's fields "
-                        f"(repro.protocols.REGISTRY) instead")
+                        f"against a literal; dispatch on the row's "
+                        f"family (repro.protocols.REGISTRY.resolve) "
+                        f"or a REGISTRY.modelled_by(...) set instead")
         for statement in tree.body:
             value = None
             if isinstance(statement, ast.Assign):
@@ -735,8 +735,9 @@ class ProtocolLiteralRule(Rule):
                 yield self.finding(
                     path, value,
                     "protocol set re-declared as literals; derive it "
-                    "from a repro.protocols.REGISTRY query so newly "
-                    "registered protocols are never missed")
+                    "from a registry query (repro.protocols."
+                    "REGISTRY.modelled_by(...)) so no row of the "
+                    "table is missed")
 
 
 class EventQueueInternalsRule(Rule):
@@ -843,7 +844,7 @@ RULE_INDEX = {
     "RPL008": "instrumentation-hook call outside its 'is not None' "
               "guard",
     "RPL009": "re-declared blocking-category string literal",
-    "RPL013": "hard-coded protocol-name literal outside the registry",
+    "RPL013": "hard-coded protocol-name literal outside the table",
     "RPL015": "event-queue internals or the kernel clock touched "
               "outside the engines",
 }

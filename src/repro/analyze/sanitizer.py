@@ -70,23 +70,18 @@ class Sanitizer:
     def attach_protocol(self, cc) -> ProtocolChecker:
         """Checker for a concurrency-control instance.
 
-        Selection is registry-driven (the plugin declares its checker
-        family), imported lazily so this module keeps its no-model-
-        imports contract at load time.  Unregistered protocol objects
-        (ad-hoc test doubles) fall back to duck typing: ceiling
-        protocols expose ``rw_ceiling``.
+        The protocol table's ``ceiling`` family gets the
+        :class:`CeilingChecker`, every other row the
+        :class:`TwoPhaseChecker`; the table is imported lazily so this
+        module keeps its no-model-imports contract at load time.
+        Protocol objects outside the table (ad-hoc test doubles) fall
+        back to duck typing: ceiling protocols expose ``rw_ceiling``.
         """
-        family = None
-        try:
-            from ..protocols import REGISTRY
-        except ImportError:  # pragma: no cover - partial installs
-            pass
-        else:
-            family = REGISTRY.checker_family(getattr(cc, "name", None))
-        checker_class = (
-            CeilingChecker if family == "ceiling" or (
-                family is None and hasattr(cc, "rw_ceiling"))
-            else TwoPhaseChecker)
+        from ..protocols import REGISTRY
+        name = getattr(cc, "name", None)
+        ceiling = (REGISTRY.resolve(name).family == "ceiling"
+                   if name in REGISTRY else hasattr(cc, "rw_ceiling"))
+        checker_class = CeilingChecker if ceiling else TwoPhaseChecker
         checker = checker_class(self, weakref.proxy(cc))
         self._checkers[id(cc)] = checker
         weakref.finalize(cc, self._checkers.pop, id(cc), None)

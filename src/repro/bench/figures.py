@@ -31,7 +31,7 @@ paper motivates but does not plot, and two repo-grown companions:
 - **model**: the analytic model of :mod:`repro.model` against the
   simulation on the Figure-2/3 sizes and both architectures, its error
   budget stated as claims (DESIGN.md §10).
-- **protocols**: the registry's post-paper plugins next to the paper's
+- **protocols**: the table's post-paper protocols next to the paper's
   ceiling baselines on the Figure-2/3 grid.
 
 Calibration
@@ -60,7 +60,7 @@ from ..exec.cache import CacheSpec
 from ..faults import FaultPlan, SiteCrash
 from ..kernel.syscalls import Delay
 from ..model.response import predict_summary
-from ..protocols import REGISTRY
+from ..protocols import REGISTRY, TABLE
 from ..txn.manager import CostModel
 
 Series = List[Dict[str, object]]
@@ -350,18 +350,19 @@ METRIC_FLOORS = {"percent_missed": 5.0, "mean_blocked_time": 10.0,
                  "mean_response_time": 10.0, "throughput": 0.05}
 #: The documented budget on the mean relative error (DESIGN.md §10).
 ERROR_BUDGET = {"percent_missed": 0.30, "mean_blocked_time": 0.40}
-#: The cross-validation grid: the overlay cast at every Figure-2/3
-#: size, then ``(mode, delay, mix)`` points of both architectures.
+#: The cast the paper plots in Figures 2 and 3; it does not grow.
+_CPL = ("C", "P", "L")  # noqa: RPL013
+#: The cross-validation grid: Figure 2/3's cast at every size, then
+#: ``(mode, delay, mix)`` points of both architectures.
 MODEL_POINTS = tuple(
-    (protocol, size) for protocol in REGISTRY.overlay_cast()
-    for size in FIG23_SIZES) + (
+    (protocol, size) for protocol in _CPL for size in FIG23_SIZES) + (
     ("local", 1.0, 0.0), ("local", 1.0, 0.5),
     ("global", 1.0, 0.5), ("global", 4.0, 0.5))
 #: Where the solvers are calibrated: the ceiling pipeline at every
 #: size, the 2PL fixed point below its thrash knee (size 11).
 CALIBRATED_POINTS = tuple(
     point for point in MODEL_POINTS if point[0] not in MODES
-    and (point[0] in REGISTRY.model_family_names("ceiling")
+    and (point[0] in REGISTRY.modelled_by("ceiling")
          or point[1] <= 8))
 
 
@@ -434,12 +435,10 @@ def _model_text(series: Series) -> str:
 
 def suite_protocols() -> Tuple[str, ...]:
     """The protocol suite's cast: the paper's ceiling-family baselines
-    followed by every registered post-paper protocol, in registration
-    order — registering another plugin adds a column."""
-    specs = REGISTRY.specs()
-    baseline = [spec.name for spec in specs
+    followed by every post-paper protocol, in table order."""
+    baseline = [spec.name for spec in TABLE
                 if spec.paper_protocol and spec.family == "ceiling"]
-    modern = [spec.name for spec in specs if not spec.paper_protocol]
+    modern = [spec.name for spec in TABLE if not spec.paper_protocol]
     return tuple(baseline + modern)
 
 
@@ -728,8 +727,6 @@ DEADLOCKS = ("cc_deadlocks", "deadlocks_{}")
 #: Figures 4 and 6 compare (architecture, delay) pairs: ``local_d2``.
 MODE_AT_DELAY = "{0[0]}_d{0[1]:g}"
 
-#: The cast the paper plots in Figures 2 and 3; it does not grow.
-_CPL = ("C", "P", "L")  # noqa: RPL013
 _SUITE = suite_protocols()
 
 _FIG2 = Table("Figure 2 - Transaction Throughput "

@@ -1,11 +1,8 @@
 """Concurrency-control protocol implementations.
 
-The protocol *set* lives in :mod:`repro.protocols` — a registry where
-each protocol declares its name, aliases, family, config schema and
-factories.  This package hosts the implementation classes; the
-historical ``make_protocol``/``PROTOCOLS`` surface remains as a thin
-shim over the registry (resolved lazily to keep the import graph
-acyclic: registry specs import their classes from here).
+The protocol *set* lives in :mod:`repro.protocols`, a table whose rows
+name each class here with its aliases and family; build one with
+``REGISTRY.resolve(name).build(kernel, options)``.
 """
 
 from .base import CCStats, ConcurrencyControl, Request
@@ -17,36 +14,12 @@ from .priority_inheritance import PriorityInheritance
 from .queue_locks import FMLPQueueLock, MPCP
 from .twopl import TwoPhaseLocking, TwoPhaseLockingPriority
 
-
-def make_protocol(name: str, kernel,
-                  options=None) -> ConcurrencyControl:
-    """Instantiate a protocol by registry name or alias.
-
-    ``options`` (mapping or ``(key, value)`` pairs) is validated
-    against the protocol's declared parameter schema; see
-    ``repro.protocols.REGISTRY.names()`` for the available set.
-    """
-    from ..protocols import REGISTRY
-    return REGISTRY.resolve(name).build(kernel, options)
-
-
-def __getattr__(name: str):
-    # PROTOCOLS is registry-derived, resolved lazily so that importing
-    # repro.cc (which the registry's builtin specs do) never recurses.
-    if name == "PROTOCOLS":
-        from ..protocols import REGISTRY
-        return REGISTRY.names()
-    raise AttributeError(f"module {__name__!r} has no attribute "
-                         f"{name!r}")
-
-
 __all__ = [
     "CCStats",
     "ConcurrencyControl",
     "DistributedPriorityCeiling",
     "FMLPQueueLock",
     "MPCP",
-    "PROTOCOLS",
     "PriorityCeiling",
     "PriorityInheritance",
     "Request",
@@ -56,5 +29,4 @@ __all__ = [
     "WaitsForGraph",
     "build_waits_for",
     "choose_victim",
-    "make_protocol",
 ]

@@ -9,8 +9,8 @@ Yang et al. (arXiv:2007.00706).
 
 The class below is the *per-agent* protocol: an ordinary priority
 ceiling instance whose ceilings span only the resources routed to its
-site.  The distributed behaviour lives in the registry's placement
-hooks (``placement="primary"`` in :mod:`repro.protocols.builtin`):
+site.  The distributed behaviour lives in the table's placement
+hooks (``placement="primary"`` in :mod:`repro.protocols.registry`):
 under the global architecture :mod:`repro.dist.system` spawns one
 agent per site and the transaction manager routes each lock request to
 ``catalog.primary_site(oid)`` — reusing the existing ceiling-manager

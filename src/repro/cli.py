@@ -196,13 +196,21 @@ def _usage_error(message: str) -> int:
 def exec_options(args: argparse.Namespace) -> Optional[ExecOptions]:
     """Validate and apply an :func:`option_block` namespace.
 
-    Returns None, having printed the one-line error, when a count is
-    out of range (the caller exits 2).
+    Returns None, having printed the one-line error, when a count —
+    or ``REPRO_JOBS`` standing in for ``--jobs`` — is out of range
+    (the caller exits 2).
     """
     for flag in ("replications", "jobs"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             _usage_error(f"--{flag} must be >= 1")
+            return None
+    if args.jobs is None:
+        try:
+            resolve_jobs()
+        except ValueError:
+            _usage_error(f"REPRO_JOBS must be an integer >= 1, got "
+                         f"{os.environ['REPRO_JOBS']!r}")
             return None
     if args.sanitize:
         # This process's kernels observe through the scoped sanitizer;
@@ -346,7 +354,7 @@ def _run_main(argv: List[str]) -> int:
     parser.add_argument("--mode", choices=("local", "global", "both"),
                         default="both")
     parser.add_argument("--protocol", default="C",
-                        help="concurrency-control protocol (registry "
+                        help="concurrency-control protocol (table "
                              "name or alias; default %(default)s)")
     parser.add_argument("--faults", default=None, metavar="PLAN.json",
                         help="fault-plan JSON to run under")
@@ -444,39 +452,30 @@ def _sweep_main(argv: List[str]) -> int:
     """``repro sweep`` — a protocol x size grid, optionally pruned.
 
     With ``--prune-model`` every grid point is scored by the analytic
-    model first and only the best ``--keep-fraction`` is simulated;
-    skipped points report the model's prediction, marked ``~``.
+    model first and only the 40 % with the lowest predicted
+    ``percent_missed`` is simulated; skipped points report the model's
+    prediction, marked ``~``.
     """
     parser = argparse.ArgumentParser(
         prog="repro sweep", parents=[option_block(5)],
-        description="Sweep a protocol x transaction-size grid. "
-                    "--prune-model scores every config analytically "
-                    "(repro.model) and simulates only the top "
-                    "fraction by --metric.")
+        description="Sweep a protocol x transaction-size grid and "
+                    "print percent_missed. --prune-model scores every "
+                    "config analytically (repro.model) and simulates "
+                    "only the best-ranked 40%.")
     parser.add_argument("--protocols", "--protocol", dest="protocols",
                         default="C,P,L",
                         help="comma-separated protocol names or "
                              "aliases (default %(default)s); see "
-                             "repro.protocols for the registry")
+                             "repro.protocols for the table")
     parser.add_argument("--sizes", default="2,5,8,11,14,17,20",
                         help="comma-separated transaction sizes "
                              "(default %(default)s)")
-    parser.add_argument("--metric", default="percent_missed",
-                        help="summary metric to rank configs by "
-                             "(default %(default)s)")
     parser.add_argument("--prune-model", action="store_true",
-                        help="simulate only the best --keep-fraction "
-                             "of the grid by the model's --metric "
-                             "score (and every config of a protocol "
-                             "the model is not validated for); report "
-                             "the runs saved")
-    parser.add_argument("--keep-fraction", type=float, default=0.4,
-                        help="fraction of configs to simulate under "
-                             "--prune-model (default %(default)s)")
-    parser.add_argument("--best", choices=("min", "max"),
-                        default="min",
-                        help="whether lower or higher --metric scores "
-                             "rank better (default %(default)s)")
+                        help="simulate only the 40%% of the grid with "
+                             "the lowest model percent_missed (and "
+                             "every config of a protocol the model is "
+                             "not validated for); report the runs "
+                             "saved")
     parser.add_argument("--metrics", nargs="?", const="", default=None,
                         metavar="DIR",
                         help="write per-unit metrics artifacts "
@@ -489,8 +488,6 @@ def _sweep_main(argv: List[str]) -> int:
                              "%(default)s); results are bitwise "
                              "identical (REPRO_ENGINE overrides)")
     args = parser.parse_args(argv)
-    if not 0.0 < args.keep_fraction <= 1.0:
-        return _usage_error("--keep-fraction must be in (0, 1]")
     try:
         sizes = [int(part) for part in args.sizes.split(",") if part]
     except ValueError:
@@ -521,40 +518,33 @@ def _sweep_main(argv: List[str]) -> int:
                          args, opts)
     configs = [config for __, __, config in grid]
     header = (f"{'':>1}{'protocol':>9} {'size':>5} "
-              f"{args.metric:>16} {'source':>7}")
+              f"{'percent_missed':>16} {'source':>7}")
     if args.prune_model:
         from .model import run_pruned_sweep
-        try:
-            result = run_pruned_sweep(
-                configs, metric=args.metric,
-                keep_fraction=args.keep_fraction, best=args.best,
-                replications=args.replications, **opts.kwargs())
-        except KeyError as exc:
-            return _usage_error(exc.args[0])
+        result = run_pruned_sweep(configs,
+                                  replications=args.replications,
+                                  **opts.kwargs())
         print(header)
         for (protocol, size, __), row in zip(grid, result.rows):
             marker = "~" if row["pruned"] else " "
             source = "model" if row["pruned"] else "sim"
             print(f"{marker}{protocol:>9} {size:>5} "
-                  f"{row[args.metric]:>16.3f} {source:>7}")
+                  f"{row['percent_missed']:>16.3f} {source:>7}")
         ranked = len(result.kept) - len(result.unprunable)
         unprunable = (f", {len(result.unprunable)} unprunable"
                       if result.unprunable else "")
         print(f"\n[pruned {result.n_skipped}/{result.n_configs} "
               f"configs ({result.saved_fraction:.0%} of simulation "
               f"runs saved), kept top {ranked} by model "
-              f"{args.metric} ({args.best}){unprunable}]")
+              f"percent_missed (min){unprunable}]")
         return 0
     from .core.experiment import replicate_many
     rows = replicate_many(configs, replications=args.replications,
                           **opts.kwargs())
-    if args.metric not in rows[0]:
-        return _usage_error(f"simulator summary has no metric "
-                            f"{args.metric!r}")
     print(header)
     for (protocol, size, __), row in zip(grid, rows):
         print(f" {protocol:>9} {size:>5} "
-              f"{row[args.metric]:>16.3f} {'sim':>7}")
+              f"{row['percent_missed']:>16.3f} {'sim':>7}")
     return 0
 
 

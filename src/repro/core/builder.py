@@ -18,14 +18,14 @@ import itertools
 from functools import partial
 from typing import Callable, List, Optional
 
-from ..cc import make_protocol
 from ..db.objects import Database
 from ..kernel.turbo import make_kernel
+from ..protocols import REGISTRY
 from ..resources.cpu import CPU
 from ..resources.io import DiskArray, ParallelIO
 from ..txn.generator import TransactionSpec, WorkloadGenerator
 from ..txn.manager import spawn_transaction
-from ..txn.priority import PriorityAssigner, proportional_deadline
+from ..txn.priority import edf_priority, proportional_deadline
 from ..txn.transaction import Transaction
 from .config import SingleSiteConfig
 from .monitor import PerformanceMonitor
@@ -56,8 +56,8 @@ class SingleSiteSystem:
         config.validate()
         self.config = config
         self.kernel = make_kernel(config.seed, engine=config.engine)
-        self.cc = make_protocol(config.protocol, self.kernel,
-                                config.protocol_options)
+        self.cc = REGISTRY.resolve(config.protocol).build(
+            self.kernel, config.protocol_options)
         self.cpu = CPU(self.kernel, name="cpu-0",
                        policy=self.cc.cpu_policy)
         if config.io_servers is None:
@@ -70,8 +70,6 @@ class SingleSiteSystem:
                                 policy=self.cc.cpu_policy)
         self.database = Database(config.db_size, site_id=0)
         self.monitor = PerformanceMonitor()
-        self.assigner = PriorityAssigner(config.timing.priority_policy)
-        self._active = 0
         #: Transaction ids of this run, from 1: ids are hashed, so a
         #: row must not depend on what the interpreter numbered before.
         self._tids = itertools.count(1)
@@ -94,21 +92,14 @@ class SingleSiteSystem:
         now = self.kernel.now
         deadline = proportional_deadline(
             now, spec.size, self.config.costs.per_object_time,
-            self.config.timing.slack_factor,
-            load=self._active,
-            load_factor=self.config.timing.load_factor)
-        priority = self.assigner.priority(now, deadline)
-        txn = Transaction(spec.operations, now, deadline, priority,
+            self.config.timing.slack_factor)
+        txn = Transaction(spec.operations, now, deadline,
+                          edf_priority(deadline),
                           site=spec.site, txn_type=spec.txn_type,
                           periodic=spec.periodic, tid=next(self._tids))
-        self._active += 1
         spawn_transaction(self.kernel, txn, self.cc, self.cpu, self.io,
                           self.database, self.config.costs,
-                          self._on_done)
-
-    def _on_done(self, txn: Transaction) -> None:
-        self._active -= 1
-        self.monitor.record(txn)
+                          self.monitor.record)
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> PerformanceMonitor:

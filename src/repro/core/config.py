@@ -48,20 +48,14 @@ class WorkloadConfig:
 
 @dataclasses.dataclass(frozen=True)
 class TimingConfig:
-    """Deadline and priority policy (§3.3's deadline formula)."""
+    """Deadline allowance (§3.3's deadline formula).  Priorities are
+    always EDF, fixed at arrival."""
 
     slack_factor: float = 6.0
-    load_factor: float = 0.0
-    priority_policy: str = "edf"
 
     def validate(self) -> None:
         if self.slack_factor <= 0:
             raise ValueError("slack_factor must be positive")
-        if self.load_factor < 0:
-            raise ValueError("load_factor must be >= 0")
-        if self.priority_policy not in ("edf", "fcfs"):
-            raise ValueError(f"unknown priority policy "
-                             f"{self.priority_policy!r}")
 
 
 def _validate_engine(engine: str) -> None:
@@ -89,7 +83,7 @@ class SingleSiteConfig:
     io_servers: Optional[int] = None
     #: Per-protocol parameters as ``(name, value)`` pairs (kept as a
     #: tuple so configs stay hashable and fingerprintable); validated
-    #: against the protocol's registered schema.
+    #: against the protocol's row (only ``victim_policy`` exists).
     protocol_options: Tuple[Tuple[str, str], ...] = ()
     #: Event-core engine ("reference" or "turbo").  Excluded from the
     #: exec fingerprint (``metadata={"fingerprint": False}``): both
@@ -99,8 +93,8 @@ class SingleSiteConfig:
         default="reference", metadata={"fingerprint": False})
 
     def validate(self) -> None:
-        spec = REGISTRY.resolve(self.protocol)
-        spec.validate_options(self.protocol_options)
+        REGISTRY.resolve(self.protocol).validate_options(
+            self.protocol_options)
         _validate_engine(self.engine)
         if self.db_size < 1:
             raise ValueError("db_size must be >= 1")
@@ -129,7 +123,6 @@ class DistributedConfig:
 
     mode: str = "local"
     n_sites: int = 3
-    gcm_site: int = 0
     comm_delay: float = 1.0
     db_size: int = 300
     workload: WorkloadConfig = dataclasses.field(
@@ -153,9 +146,9 @@ class DistributedConfig:
     #: any plan with every perturbation at zero — runs the historical
     #: fault-free code path bit-for-bit.
     faults: Optional[FaultPlan] = None
-    #: Concurrency-control protocol (registry name or alias).  In
-    #: global mode the registered placement hooks decide where lock
-    #: managers live (one global manager, or — DPCP — one agent per
+    #: Concurrency-control protocol (table name or alias).  In global
+    #: mode its row's placement decides where lock managers live (one
+    #: global manager at site 0, or — DPCP — one agent per
     #: resource-primary site); in local mode every site runs its own
     #: instance.
     protocol: str = "C"
@@ -167,8 +160,8 @@ class DistributedConfig:
         default="reference", metadata={"fingerprint": False})
 
     def validate(self) -> None:
-        spec = REGISTRY.resolve(self.protocol)
-        options = spec.validate_options(self.protocol_options)
+        options = REGISTRY.resolve(self.protocol).validate_options(
+            self.protocol_options)
         _validate_engine(self.engine)
         if (self.mode == "global"
                 and options.get("victim_policy", "none") != "none"):
@@ -184,8 +177,6 @@ class DistributedConfig:
                              f"of {DISTRIBUTED_MODES}")
         if self.n_sites < 2:
             raise ValueError("distributed runs need >= 2 sites")
-        if not 0 <= self.gcm_site < self.n_sites:
-            raise ValueError("gcm_site outside the site range")
         if self.comm_delay < 0:
             raise ValueError("comm_delay must be >= 0")
         if self.db_size < self.n_sites:

@@ -60,7 +60,7 @@ COMMIT_SERVICE = "commit"
 def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
     """Generator body: a lock-manager server loop.
 
-    Historically the *global* ceiling manager; under the registry's
+    Historically the *global* ceiling manager; under the table's
     placement hooks the same loop also serves DPCP's resource-local
     agents (one per site, each wrapping its own protocol instance).
     ``cc`` is any protocol supporting the async acquire path.
@@ -250,7 +250,7 @@ def commit_server(site: Site, costs: CostModel):
 # ----------------------------------------------------------------------
 # the transaction manager (global mode)
 # ----------------------------------------------------------------------
-def global_transaction_manager(sites: List[Site], gcm_site: int,
+def global_transaction_manager(sites: List[Site],
                                catalog: ReplicaCatalog, txn: Transaction,
                                costs: CostModel,
                                on_done: Callable[[Transaction], None],
@@ -266,15 +266,16 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
     decisions) is ``post``-ed, so the manager always learns the outcome
     the transport can deliver.
 
-    ``router`` is the registry spec's per-oid lock routing (DPCP:
-    each lock request goes to the resource's own agent site, and the
+    ``router`` is the table row's per-oid lock routing (DPCP: each
+    lock request goes to the resource's own agent site, and the
     transaction registers/releases at every agent it touches).  With
-    ``router=None`` all lock traffic goes to ``gcm_site``.
+    ``router=None`` all lock traffic goes to the global ceiling
+    manager at site 0.
     """
     site = sites[txn.site]
     kernel = site.kernel
     if router is None:
-        manager_sites = [gcm_site]
+        manager_sites = [0]
     else:
         manager_sites = sorted({router(oid)
                                 for oid, __ in txn.operations})
@@ -310,7 +311,7 @@ def global_transaction_manager(sites: List[Site], gcm_site: int,
             if hooks is not None:
                 hooks.txn_block(blocked_at, txn)
             yield from comms.request(
-                gcm_site if router is None else router(oid),
+                0 if router is None else router(oid),
                 lambda oid=oid, mode=mode: LockRequest(
                     target=CEILING_SERVICE, sender_site=site.site_id,
                     txn=txn, oid=oid, mode=mode,

@@ -5,14 +5,14 @@ interconnected sites, each with its own CPU and a full database copy, a
 Message Server, and either
 
 - **global mode** — lock managers behind ceiling-manager server loops,
-  placed by the protocol's registry spec: one manager at ``gcm_site``
-  for single-manager protocols (the paper's global ceiling manager),
+  placed by the protocol's table row: one manager at site 0 for
+  single-manager protocols (the paper's global ceiling manager),
   or one resource-local agent per site under DPCP, with lock requests
   routed to each object's primary site; data and commit servers at
   every site; transactions run the global TM (lock round trips, remote
   data access, 2PC);
 - **local mode** — one protocol instance per site (built from the
-  registry spec); replica appliers at every site; transactions run the
+  table row); replica appliers at every site; transactions run the
   local TM (local locks, local commit, asynchronous replica fan-out).
 
 With a :class:`~repro.faults.FaultPlan` on the config, the network
@@ -39,7 +39,7 @@ from ..faults import FaultInjector
 from ..kernel.turbo import make_kernel
 from ..protocols import REGISTRY
 from ..txn.generator import TransactionSpec, WorkloadGenerator
-from ..txn.priority import PriorityAssigner, proportional_deadline
+from ..txn.priority import edf_priority, proportional_deadline
 from ..txn.transaction import (SiteFailure, Transaction,
                                TransactionStatus)
 from .comms import DirectComms, RecoveryPolicy, ReliableComms
@@ -74,8 +74,6 @@ class DistributedSystem:
         ]
         self.monitor = PerformanceMonitor()
         self.degradation = self.monitor.degradation
-        self.assigner = PriorityAssigner(config.timing.priority_policy)
-        self._active = 0
         self._inflight: Dict[int, Transaction] = {}
         self.versions: Optional[List[MultiVersionStore]] = None
         self.snapshot_reader: Optional[SnapshotReader] = None
@@ -112,16 +110,14 @@ class DistributedSystem:
         spec = REGISTRY.resolve(config.protocol)
         self.spec = spec
         self.lock_router = None
-        #: Lock managers by site.  Global mode: one entry at
-        #: ``gcm_site`` for single-manager protocols, one per site under
+        #: Lock managers by site.  Global mode: one entry at site 0
+        #: for single-manager protocols, one per site under
         #: DPCP's resource-local placement.  Local mode: every site's
         #: own instance (also ``site.ceiling``).
         self.ccs: Dict[int, object] = {}
         if config.mode == "global":
-            self.lock_router = spec.lock_router(self.catalog,
-                                                config.gcm_site)
-            for manager_id in spec.manager_sites(config.n_sites,
-                                                 config.gcm_site):
+            self.lock_router = spec.lock_router(self.catalog)
+            for manager_id in spec.manager_sites(config.n_sites):
                 cc = spec.build(self.kernel, config.protocol_options)
                 self.ccs[manager_id] = cc
                 self.kernel.spawn(
@@ -167,11 +163,9 @@ class DistributedSystem:
         now = self.kernel.now
         deadline = proportional_deadline(
             now, spec.size, self.config.costs.per_object_time,
-            self.config.timing.slack_factor,
-            load=self._active,
-            load_factor=self.config.timing.load_factor)
-        priority = self.assigner.priority(now, deadline)
-        txn = Transaction(spec.operations, now, deadline, priority,
+            self.config.timing.slack_factor)
+        txn = Transaction(spec.operations, now, deadline,
+                          edf_priority(deadline),
                           site=spec.site, txn_type=spec.txn_type,
                           periodic=spec.periodic, tid=next(self._tids))
         if not self.network.is_operational(spec.site):
@@ -185,10 +179,9 @@ class DistributedSystem:
             if hooks is not None:
                 hooks.txn_miss(now, txn, "site-down")
             return
-        self._active += 1
         if self.config.mode == "global":
             body = global_transaction_manager(
-                self.sites, self.config.gcm_site, self.catalog, txn,
+                self.sites, self.catalog, txn,
                 self.config.costs, self._on_done, self.connect,
                 router=self.lock_router)
         elif (self.snapshot_reader is not None
@@ -210,7 +203,6 @@ class DistributedSystem:
         self.sites[txn.site].adopt(txn.process)
 
     def _on_done(self, txn: Transaction) -> None:
-        self._active -= 1
         self._inflight.pop(txn.tid, None)
         self.monitor.record(txn)
 

@@ -14,7 +14,7 @@ from .executor import (ExecutionError, ExecutionStats, UnitFailure,
                        resolve_jobs)
 from .fingerprint import (CODE_VERSION, config_fingerprint,
                           describe_config)
-from .host import host_clock, peak_rss_kb
+from .host import peak_rss_kb
 from .progress import NullProgress, TextProgress
 from .units import (RunUnit, group_rows, plan_batch, plan_replications,
                     plan_subset, replication_seeds, rows_by_group)
@@ -35,7 +35,6 @@ __all__ = [
     "describe_config",
     "execute_config",
     "group_rows",
-    "host_clock",
     "invoke_unit",
     "peak_rss_kb",
     "plan_batch",

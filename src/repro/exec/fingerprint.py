@@ -38,8 +38,6 @@ import json
 import os
 from typing import Dict, Optional, Tuple
 
-from ..protocols import REGISTRY
-
 #: Bump whenever simulation semantics change in a way the hashed
 #: sources cannot show: old cache entries must not satisfy new runs.
 CODE_VERSION = "repro-exec-v3"  # v3: protocol plugin registry
@@ -209,25 +207,6 @@ def _walk(value: object, path: str) -> Tuple[object, bool]:
                     f"for a {type(value).__name__}")
 
 
-def _protocol_token(config: object) -> Optional[str]:
-    """The protocol plugin's fingerprint contribution.
-
-    Registered protocols contribute ``name@revision`` (resolved to the
-    canonical name, so aliases fingerprint identically), letting one
-    plugin bump its ``revision`` to invalidate exactly its cached
-    rows without a global :data:`CODE_VERSION` bump.  Configs without
-    a protocol field — or with one that fails to resolve (validation
-    reports that; fingerprints must stay total) — contribute nothing.
-    """
-    name = getattr(config, "protocol", None)
-    if not isinstance(name, str):
-        return None
-    try:
-        return REGISTRY.fingerprint_token(name)
-    except ValueError:
-        return None
-
-
 def canonical_payload(config: object,
                       salt: Optional[str] = None) -> dict:
     """The object a fingerprint digests, keys in sorted order.
@@ -235,12 +214,8 @@ def canonical_payload(config: object,
     Shares memoised sub-trees between calls: read it, serialise it,
     never mutate it.
     """
-    payload = {"config": _walk(config, type(config).__name__)[0]}
-    token = _protocol_token(config)
-    if token is not None:
-        payload["protocol"] = token
-    payload["salt"] = cache_salt(salt)
-    return payload
+    return {"config": _walk(config, type(config).__name__)[0],
+            "salt": cache_salt(salt)}
 
 
 def config_payload(config: object,

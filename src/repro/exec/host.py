@@ -1,7 +1,7 @@
 """Host-process measurement helpers shared by exec and bench.
 
-Everything here reads *host* state (the process's peak RSS, the wall
-clock) and therefore must never be called from simulation code — host
+Everything here reads *host* state (the process's peak RSS) and
+therefore must never be called from simulation code — host
 measurements belong to the layer that runs simulations, not the layer
 being simulated.  Wall time comes from
 :func:`repro.telemetry.hostclock.host_clock`, the sanctioned gateway
@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..telemetry.hostclock import host_clock
-
-__all__ = ["host_clock", "peak_rss_kb"]
+__all__ = ["peak_rss_kb"]
 
 
 def peak_rss_kb() -> Optional[int]:

@@ -52,7 +52,8 @@ def execute_config(config, batch: int = 1) -> dict:
 
     from ..kernel.hooks import observing
     from .fingerprint import config_fingerprint
-    from .host import host_clock, peak_rss_kb
+    from ..telemetry.hostclock import host_clock
+    from .host import peak_rss_kb
 
     subscribers = []
     if trace_dir:

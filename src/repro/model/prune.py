@@ -1,8 +1,9 @@
 """Model-guided sweep pruning: simulate only what the model ranks.
 
 ``repro sweep --prune-model`` scores every configuration of a sweep
-analytically (microseconds each), keeps the top fraction by the chosen
-metric, and hands only the survivors to the execution engine via
+analytically (microseconds each), keeps the :data:`KEEP_FRACTION` with
+the lowest predicted ``percent_missed``, and hands only the survivors
+to the execution engine via
 :func:`repro.exec.plan_subset`.  Skipped configs still appear in the
 result — carrying the model's prediction and a ``pruned`` flag — so
 the output stays one row per requested config.
@@ -29,13 +30,16 @@ from ..exec import plan_subset, rows_by_group, run_units
 from ..protocols import REGISTRY
 from .response import predict_summary
 
+#: The ranking metric; lower is better.
+METRIC = "percent_missed"
+#: The share of the rankable configs that is simulated.
+KEEP_FRACTION = 0.4
+
 
 @dataclasses.dataclass(frozen=True)
 class PruneResult:
     """Outcome of a model-pruned sweep."""
 
-    #: Ranking metric (a simulator summary key, e.g. percent_missed).
-    metric: str
     #: Model score per requested config, in input order.
     scores: List[float]
     #: Indices (into the request) that were actually simulated.
@@ -64,56 +68,31 @@ class PruneResult:
         return self.n_skipped / self.n_configs
 
 
-def model_scores(configs: Sequence[object],
-                 metric: str = "percent_missed") -> List[float]:
-    """Score each config analytically by one summary metric."""
-    scores = []
-    for config in configs:
-        summary = predict_summary(config)
-        if metric not in summary:
-            raise KeyError(f"model does not predict {metric!r}; "
-                           f"choose one of {sorted(summary)}")
-        scores.append(float(summary[metric]))
-    return scores
+def model_scores(configs: Sequence[object]) -> List[float]:
+    """Score each config analytically by :data:`METRIC`."""
+    return [float(predict_summary(config)[METRIC]) for config in configs]
 
 
-def select_configs(scores: Sequence[float],
-                   keep_fraction: float = 0.4,
-                   best: str = "min") -> List[int]:
-    """Indices of the best-scoring fraction, in input order.
-
-    ``best="min"`` keeps the lowest scores (miss rate, blocking time);
-    ``best="max"`` keeps the highest (throughput).  At least one config
-    always survives; ties are broken by input order, so the selection
-    is deterministic.
-    """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must be in (0, 1]")
-    if best not in ("min", "max"):
-        raise ValueError("best must be 'min' or 'max'")
-    n_keep = max(1, math.ceil(len(scores) * keep_fraction))
-    sign = 1.0 if best == "min" else -1.0
-    ranked = sorted(range(len(scores)),
-                    key=lambda i: (sign * scores[i], i))
+def select_configs(scores: Sequence[float]) -> List[int]:
+    """Indices of the :data:`KEEP_FRACTION` lowest scores, in input
+    order.  At least one config always survives; ties are broken by
+    input order, so the selection is deterministic."""
+    n_keep = max(1, math.ceil(len(scores) * KEEP_FRACTION))
+    ranked = sorted(range(len(scores)), key=lambda i: (scores[i], i))
     return sorted(ranked[:n_keep])
 
 
-def run_pruned_sweep(configs: Sequence[object],
-                     metric: str = "percent_missed",
-                     keep_fraction: float = 0.4, best: str = "min",
-                     replications: int = 10, base_seed: int = 1, *,
-                     jobs: Optional[int] = None, cache=None,
-                     progress=None) -> PruneResult:
+def run_pruned_sweep(configs: Sequence[object], replications: int = 10,
+                     base_seed: int = 1, *, jobs: Optional[int] = None,
+                     cache=None, progress=None) -> PruneResult:
     """Score analytically, simulate the survivors, merge the rows."""
     configs = list(configs)
-    scores = model_scores(configs, metric=metric)
+    scores = model_scores(configs)
     rankable, unprunable = [], []
     for index, config in enumerate(configs):
-        spec = REGISTRY.resolve(config.protocol)
-        (rankable if spec.family == spec.model_family
-         else unprunable).append(index)
-    chosen = select_configs([scores[index] for index in rankable],
-                            keep_fraction=keep_fraction, best=best)
+        (unprunable if REGISTRY.resolve(config.protocol).family == "queue"
+         else rankable).append(index)
+    chosen = select_configs([scores[index] for index in rankable])
     kept = sorted([rankable[index] for index in chosen] + unprunable)
     units = plan_subset(configs, kept, replications=replications,
                         base_seed=base_seed)
@@ -132,6 +111,6 @@ def run_pruned_sweep(configs: Sequence[object],
             row["pruned"] = True
         row["model_score"] = scores[index]
         rows.append(row)
-    return PruneResult(metric=metric, scores=scores, kept=kept,
+    return PruneResult(scores=scores, kept=kept,
                        unprunable=unprunable, rows=rows,
                        replications=replications)

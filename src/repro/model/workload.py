@@ -20,19 +20,18 @@ from ..protocols import REGISTRY
 
 AnyConfig = Union[SingleSiteConfig, DistributedConfig]
 
-#: Protocols analysed with the ceiling (pipeline) model — every
-#: registered plugin whose ``model_family`` is ``ceiling``: the
-#: paper's C, its exclusive-semantics ablation Cx (under the analysis
-#: both serialize lock holding the same way) and dpcp (per-partition
-#: ceiling agents; on one site the partition is everything).
-CEILING_PROTOCOLS = REGISTRY.model_family_names(
-    "ceiling")  # noqa: RPL009 - model family, not a blocking category
-#: Protocols analysed with the 2PL contention fixed point — plugins
-#: whose ``model_family`` is ``twopl``: L, P, PI, plus the queue-lock
-#: suite (mpcp, fmlp).  Queue ordering and inheritance reorder *who*
-#: waits, which moves the miss distribution but not the mean
-#: contention the model predicts.
-TWOPL_PROTOCOLS = REGISTRY.model_family_names("twopl")
+#: Protocols analysed with the ceiling (pipeline) model — the
+#: table's ``ceiling`` family: the paper's C, its exclusive-semantics
+#: ablation Cx (under the analysis both serialize lock holding the
+#: same way) and dpcp (per-partition ceiling agents; on one site the
+#: partition is everything).
+CEILING_PROTOCOLS = REGISTRY.modelled_by(
+    "ceiling")  # noqa: RPL009 - model solver, not a blocking category
+#: Protocols analysed with the 2PL contention fixed point — every
+#: other row: L, P, PI, plus the queue-lock suite (mpcp, fmlp).
+#: Queue ordering and inheritance reorder *who* waits, which moves the
+#: miss distribution but not the mean contention the model predicts.
+TWOPL_PROTOCOLS = REGISTRY.modelled_by("twopl")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,7 +86,7 @@ class WorkloadModel:
         workload = config.workload
         costs = config.costs
         return cls(
-            # Canonicalized through the registry so aliases ("pcp")
+            # Canonicalized through the table so aliases ("pcp")
             # classify identically to their protocol ("C").
             protocol=REGISTRY.resolve(
                 getattr(config, "protocol", "C")).name,

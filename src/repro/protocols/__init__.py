@@ -1,26 +1,17 @@
-"""repro.protocols — the protocol plugin registry.
+"""repro.protocols — the protocol table.
 
-Importing the package registers the built-in plugins (the paper's
-L/P/PI/C/Cx plus mpcp/dpcp/fmlp) into :data:`REGISTRY`; everything
-else in the repo resolves protocols through it — config validation,
-system builders, model family classification, sanitizer checker
-selection and exec-cache fingerprints.  See DESIGN.md §12.
+Eight :class:`ProtocolSpec` rows (the paper's L/P/PI/C/Cx plus
+mpcp/dpcp/fmlp) and :data:`REGISTRY`, their name/alias lookup;
+everything else in the repo resolves protocols through it — config
+validation, system builders, the model's solver sets and the
+sanitizer's checker choice.  See DESIGN.md §12.
 """
 
-from .registry import (CHECKER_FAMILIES, FAMILIES, MODEL_FAMILIES,
-                       PLACEMENTS, REGISTRY, ParamSpec,
-                       ProtocolRegistry, ProtocolSpec,
-                       UnknownProtocolError)
-from . import builtin  # noqa: F401  (side effect: populate REGISTRY)
+from .registry import REGISTRY, TABLE, ProtocolSpec, UnknownProtocolError
 
 __all__ = [
-    "CHECKER_FAMILIES",
-    "FAMILIES",
-    "MODEL_FAMILIES",
-    "PLACEMENTS",
-    "ParamSpec",
-    "ProtocolRegistry",
     "ProtocolSpec",
     "REGISTRY",
+    "TABLE",
     "UnknownProtocolError",
 ]

@@ -1,302 +1,157 @@
-"""The protocol plugin registry.
+"""The protocol table: one row per concurrency-control protocol.
 
-Every concurrency-control protocol the repo knows — the paper's five
-(L, P, PI, C, Cx) and the post-paper multiprocessor suite (mpcp, dpcp,
-fmlp) — is described by one :class:`ProtocolSpec` registered here.  A
-spec declares everything the rest of the stack needs to treat the
-protocol generically:
+The repo runs a fixed cast — the paper's five (L, P, PI, C, Cx) and the
+post-paper multiprocessor suite (mpcp, dpcp, fmlp; Brandenburg,
+arXiv:1909.09600, and Yang et al., arXiv:2007.00706).  Each is one
+:class:`ProtocolSpec` row of :data:`TABLE`, and :data:`REGISTRY` is the
+case-insensitive name/alias lookup built once from it.
 
-- **identity** — canonical name, aliases, human title, paper citation;
-- **family** — the implementation family (``twopl`` / ``ceiling`` /
-  ``queue``), the analytic-model family the :mod:`repro.model` solvers
-  branch on, and the sanitizer checker family;
-- **configuration** — a per-protocol parameter schema
-  (:class:`ParamSpec`) validated by :mod:`repro.core.config`;
-- **factories** — a single-site/one-manager constructor plus the
-  distributed placement hooks (where lock managers live in global
-  mode, and how lock requests are routed to them);
-- **fingerprint contribution** — a ``name@revision`` token folded into
-  exec-cache fingerprints so bumping one protocol's ``revision``
-  invalidates exactly that protocol's cached rows.
+A row's ``family`` is all the rest of the stack branches on:
+
+- ``ceiling`` (C, Cx, dpcp) — checked by the sanitizer's
+  ``CeilingChecker``, modelled by the ceiling pipeline, and never
+  deadlocks, so it takes no options;
+- ``twopl`` (L, P, PI) and ``queue`` (mpcp, fmlp) — checked by the
+  ``TwoPhaseChecker``, modelled by the 2PL fixed point (which the queue
+  locks only borrow, so the sweep pruner never ranks them), and take
+  the deadlock ``victim_policy`` option.
 
 Consumers never test protocol names against string literals (lint rule
-RPL013 bans that outside this package); they ask the registry.
+RPL013 bans that outside this package); they ask the table.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import (Any, Callable, Dict, Iterable, List, Mapping,
-                    Optional, Tuple, Union)
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-#: Implementation families: how the protocol orders and admits lock
-#: requests.  ``queue`` is the post-paper suspension-based queue-lock
-#: family (MPCP/FMLP) surveyed by Brandenburg (arXiv:1909.09600).
-FAMILIES = ("twopl", "ceiling", "queue")
-#: Analytic-model families the blocking solvers implement.
-MODEL_FAMILIES = ("twopl", "ceiling")
-#: Runtime-sanitizer checker families.
-CHECKER_FAMILIES = ("twopl", "ceiling")
-#: Global-mode lock-manager placements: ``manager`` keeps every
-#: ceiling decision at the configured ``gcm_site`` (the paper's global
-#: ceiling manager); ``primary`` places a resource-local agent at each
-#: object's primary site (DPCP's synchronization processors).
-PLACEMENTS = ("manager", "primary")
-
-Options = Union[None, Mapping[str, Any],
-                Iterable[Tuple[str, Any]]]
+from ..cc.deadlock import VICTIM_POLICIES
+from ..cc.dpcp import DistributedPriorityCeiling
+from ..cc.priority_ceiling import PriorityCeiling
+from ..cc.priority_inheritance import PriorityInheritance
+from ..cc.queue_locks import FMLPQueueLock, MPCP
+from ..cc.twopl import TwoPhaseLocking, TwoPhaseLockingPriority
 
 
 class UnknownProtocolError(ValueError):
-    """Lookup failed; the message lists every registered name/alias."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ParamSpec:
-    """One per-protocol configuration parameter.
-
-    Values arrive as strings when they come from CLI/config
-    ``protocol_options`` pairs; :meth:`coerce` turns them into the
-    declared kind before :meth:`validate` checks choices.
-    """
-
-    name: str
-    kind: str = "str"  # "str" | "int" | "float" | "bool"
-    default: Any = None
-    choices: Optional[Tuple[Any, ...]] = None
-    help: str = ""
-
-    def coerce(self, raw: Any) -> Any:
-        if self.kind == "bool":
-            if isinstance(raw, bool):
-                return raw
-            if isinstance(raw, str) and raw.lower() in ("true", "1",
-                                                        "yes", "on"):
-                return True
-            if isinstance(raw, str) and raw.lower() in ("false", "0",
-                                                        "no", "off"):
-                return False
-            raise ValueError(f"parameter {self.name!r} expects a "
-                             f"boolean, got {raw!r}")
-        try:
-            if self.kind == "int":
-                return int(raw)
-            if self.kind == "float":
-                return float(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"parameter {self.name!r} expects "
-                             f"{self.kind}, got {raw!r}") from None
-        if not isinstance(raw, str):
-            raise ValueError(f"parameter {self.name!r} expects a "
-                             f"string, got {raw!r}")
-        return raw
-
-    def validate(self, value: Any) -> Any:
-        if self.choices is not None and value not in self.choices:
-            raise ValueError(f"parameter {self.name!r} must be one of "
-                             f"{self.choices}, got {value!r}")
-        return value
+    """Lookup failed; the message lists every name and alias."""
 
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolSpec:
-    """One registered protocol plugin."""
+    """One protocol of the table."""
 
     #: Canonical name (the ``--protocol`` value; case-insensitive).
     name: str
-    #: One-line human title for docs and benchmark tables.
-    title: str
-    #: Implementation family; one of :data:`FAMILIES`.
+    #: ``twopl``, ``ceiling`` or ``queue`` (see the module docstring).
     family: str
-    #: Analytic-model family; one of :data:`MODEL_FAMILIES`.
-    model_family: str
-    #: Sanitizer checker family; one of :data:`CHECKER_FAMILIES`.
-    checker: str
-    #: ``factory(kernel, **validated_options) -> ConcurrencyControl``.
-    #: Used for the single-site system, for every distributed lock
-    #: manager instance, and for local-mode per-site managers.
+    #: ``factory(kernel, **options) -> ConcurrencyControl``, for the
+    #: single-site system and every distributed lock manager.
     factory: Callable[..., Any]
     #: Alternate lookup names (case-insensitive, like ``name``).
     aliases: Tuple[str, ...] = ()
-    #: Source citation rendered in the README protocol table.
-    paper: str = ""
-    #: Per-protocol configuration schema.
-    params: Tuple[ParamSpec, ...] = ()
-    #: Fingerprint revision: bump when this protocol's semantics
-    #: change, invalidating exactly its cached results.
-    revision: str = "1"
     #: True for the five protocols evaluated in the source paper.
     paper_protocol: bool = False
-    #: Position in the model-vs-sim overlay cast (None: not overlaid).
-    overlay_rank: Optional[int] = None
-    #: Global-mode manager placement; one of :data:`PLACEMENTS`.
+    #: Global-mode lock managers: ``manager`` keeps every decision at
+    #: site 0 (the paper's global ceiling manager); ``primary`` places
+    #: an agent at each object's primary site (DPCP).
     placement: str = "manager"
 
-    # ------------------------------------------------------------------
-    def fingerprint_token(self) -> str:
-        """The exec-cache contribution: ``name@revision``."""
-        return f"{self.name}@{self.revision}"
-
-    def validate_options(self, options: Options) -> Dict[str, Any]:
-        """Coerce and validate ``options`` against the schema.
-
-        Accepts a mapping or ``(key, value)`` pairs (the
-        fingerprint-friendly tuple form configs carry).  Unknown keys
-        raise; omitted parameters take their declared defaults.
-        """
-        raw: Dict[str, Any] = {}
-        if options:
-            pairs = (options.items() if isinstance(options, Mapping)
-                     else options)
-            for key, value in pairs:
-                if key in raw:
-                    raise ValueError(f"duplicate protocol option "
-                                     f"{key!r}")
-                raw[key] = value
-        known = {param.name: param for param in self.params}
-        unknown = sorted(set(raw) - set(known))
+    def validate_options(
+            self, options: Iterable[Tuple[str, Any]] = ()) -> Dict[str, Any]:
+        """The ``(key, value)`` pairs a config carries, checked and
+        returned as factory keywords.  Only a protocol that can
+        deadlock takes one, ``victim_policy`` (the paper's model is its
+        factory default, ``none``; A5 sweeps the others)."""
+        validated: Dict[str, Any] = {}
+        for key, value in options:
+            if key in validated:
+                raise ValueError(f"duplicate protocol option {key!r}")
+            validated[key] = value
+        known = [] if self.family == "ceiling" else ["victim_policy"]
+        unknown = sorted(set(validated) - set(known))
         if unknown:
             raise ValueError(
                 f"unknown option(s) {unknown} for protocol "
-                f"{self.name!r}; supported: {sorted(known) or 'none'}")
-        validated: Dict[str, Any] = {}
-        for param in self.params:
-            if param.name in raw:
-                validated[param.name] = param.validate(
-                    param.coerce(raw[param.name]))
-            elif param.default is not None:
-                validated[param.name] = param.default
+                f"{self.name!r}; supported: {known or 'none'}")
+        policy = validated.get("victim_policy", "none")
+        if policy not in VICTIM_POLICIES:
+            raise ValueError(f"parameter 'victim_policy' must be one of "
+                             f"{VICTIM_POLICIES}, got {policy!r}")
         return validated
 
-    def build(self, kernel: Any, options: Options = None) -> Any:
+    def build(self, kernel: Any,
+              options: Iterable[Tuple[str, Any]] = ()) -> Any:
         """Instantiate the protocol for one lock-manager domain."""
         return self.factory(kernel, **self.validate_options(options))
 
-    # ------------------------------------------------------------------
-    # distributed placement hooks (global mode)
-    # ------------------------------------------------------------------
-    def manager_sites(self, n_sites: int,
-                      gcm_site: int) -> Tuple[int, ...]:
+    def manager_sites(self, n_sites: int) -> Tuple[int, ...]:
         """Sites that host a lock manager under the global approach."""
         if self.placement == "primary":
             return tuple(range(n_sites))
-        return (gcm_site,)
+        return (0,)
 
-    def lock_router(self, catalog: Any,
-                    gcm_site: int) -> Optional[Callable[[int], int]]:
+    def lock_router(self, catalog: Any) -> Optional[Callable[[int], int]]:
         """Per-oid manager-site routing, or None for the single-manager
-        legacy path (whose message sequence must stay bit-identical)."""
+        path (whose message sequence must stay bit-identical)."""
         if self.placement == "primary":
             return catalog.primary_site
         return None
 
 
-class ProtocolRegistry:
-    """Name → spec registry with alias-aware, case-insensitive lookup."""
+#: The cast, in the order ``--help`` and error messages list it.
+TABLE: Tuple[ProtocolSpec, ...] = (
+    ProtocolSpec("L", "twopl", TwoPhaseLocking, ("2pl",),
+                 paper_protocol=True),
+    ProtocolSpec("P", "twopl", TwoPhaseLockingPriority, ("2pl-priority",),
+                 paper_protocol=True),
+    ProtocolSpec("PI", "twopl", PriorityInheritance, ("inheritance",),
+                 paper_protocol=True),
+    ProtocolSpec("C", "ceiling", PriorityCeiling, ("pcp", "ceiling"),
+                 paper_protocol=True),
+    ProtocolSpec("Cx", "ceiling",
+                 lambda kernel: PriorityCeiling(kernel, exclusive_only=True),
+                 ("pcp-exclusive",), paper_protocol=True),
+    ProtocolSpec("mpcp", "queue", MPCP, ("m-pcp",)),
+    ProtocolSpec("dpcp", "ceiling", DistributedPriorityCeiling, ("d-pcp",),
+                 placement="primary"),
+    ProtocolSpec("fmlp", "queue", FMLPQueueLock, ("fifo-queue",)),
+)
 
-    def __init__(self) -> None:
-        self._specs: Dict[str, ProtocolSpec] = {}  # insertion-ordered
-        self._lookup: Dict[str, ProtocolSpec] = {}  # casefolded keys
 
-    # ------------------------------------------------------------------
-    def register(self, spec: ProtocolSpec) -> ProtocolSpec:
-        if spec.family not in FAMILIES:
-            raise ValueError(f"protocol {spec.name!r}: family must be "
-                             f"one of {FAMILIES}, got {spec.family!r}")
-        if spec.model_family not in MODEL_FAMILIES:
-            raise ValueError(f"protocol {spec.name!r}: model_family "
-                             f"must be one of {MODEL_FAMILIES}, got "
-                             f"{spec.model_family!r}")
-        if spec.checker not in CHECKER_FAMILIES:
-            raise ValueError(f"protocol {spec.name!r}: checker must be "
-                             f"one of {CHECKER_FAMILIES}, got "
-                             f"{spec.checker!r}")
-        if spec.placement not in PLACEMENTS:
-            raise ValueError(f"protocol {spec.name!r}: placement must "
-                             f"be one of {PLACEMENTS}, got "
-                             f"{spec.placement!r}")
-        for key in (spec.name,) + spec.aliases:
-            folded = key.casefold()
-            if folded in self._lookup:
-                holder = self._lookup[folded]
-                what = ("name" if key == spec.name else
-                        f"alias {key!r}")
-                raise ValueError(
-                    f"protocol {spec.name!r}: {what} collides with "
-                    f"registered protocol {holder.name!r}")
-        self._specs[spec.name] = spec
-        self._lookup[spec.name.casefold()] = spec
-        for alias in spec.aliases:
-            self._lookup[alias.casefold()] = spec
-        return spec
+class _Lookup:
+    """Name/alias → row over :data:`TABLE`, case-insensitive."""
 
-    # ------------------------------------------------------------------
-    # lookup
-    # ------------------------------------------------------------------
+    def __init__(self, specs: Tuple[ProtocolSpec, ...]) -> None:
+        self._by_key = {key.casefold(): spec for spec in specs
+                        for key in (spec.name,) + spec.aliases}
+        self._names = tuple(spec.name for spec in specs)
+        self._specs = specs
+        aliases = sorted(alias for spec in specs for alias in spec.aliases)
+        self._expected = (f"expected one of {self._names} "
+                          f"(aliases: {', '.join(aliases)})")
+
     def resolve(self, name: str) -> ProtocolSpec:
-        """Spec for a canonical name or alias (case-insensitive)."""
-        spec = (self._lookup.get(name.casefold())
+        """Row for a canonical name or alias (case-insensitive)."""
+        spec = (self._by_key.get(name.casefold())
                 if isinstance(name, str) else None)
         if spec is None:
-            raise UnknownProtocolError(self.unknown_message(name))
+            raise UnknownProtocolError(
+                f"unknown protocol {name!r}; {self._expected}")
         return spec
 
-    def unknown_message(self, name: Any) -> str:
-        """The stable unknown-protocol message: canonical names in
-        registration order, aliases sorted — never hash-ordered."""
-        return (f"unknown protocol {name!r}; expected one of "
-                f"{self.names()} (aliases: "
-                f"{', '.join(self.aliases())})")
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and name.casefold() in self._by_key
 
-    def __contains__(self, name: str) -> bool:
-        return (isinstance(name, str)
-                and name.casefold() in self._lookup)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     def names(self) -> Tuple[str, ...]:
-        """Canonical names in registration order."""
-        return tuple(self._specs)
+        """Canonical names in table order."""
+        return self._names
 
-    def aliases(self) -> Tuple[str, ...]:
-        """Every alias, sorted."""
-        out: List[str] = []
-        for spec in self._specs.values():
-            out.extend(spec.aliases)
-        return tuple(sorted(out))
-
-    def specs(self) -> Tuple[ProtocolSpec, ...]:
-        return tuple(self._specs.values())
-
-    def family_names(self, family: str) -> Tuple[str, ...]:
-        return tuple(spec.name for spec in self._specs.values()
-                     if spec.family == family)
-
-    def model_family_names(self, model_family: str) -> Tuple[str, ...]:
-        return tuple(spec.name for spec in self._specs.values()
-                     if spec.model_family == model_family)
-
-    def overlay_cast(self) -> Tuple[str, ...]:
-        """Protocols in the model-vs-sim overlay, in rank order."""
-        ranked = [spec for spec in self._specs.values()
-                  if spec.overlay_rank is not None]
-        ranked.sort(key=lambda spec: spec.overlay_rank)
-        return tuple(spec.name for spec in ranked)
-
-    def checker_family(self, name: Any) -> Optional[str]:
-        """Sanitizer checker family, or None for unregistered names
-        (ad-hoc protocol objects fall back to duck typing)."""
-        if isinstance(name, str):
-            spec = self._lookup.get(name.casefold())
-            if spec is not None:
-                return spec.checker
-        return None
-
-    def fingerprint_token(self, name: str) -> str:
-        return self.resolve(name).fingerprint_token()
+    def modelled_by(self, solver: str) -> Tuple[str, ...]:
+        """Names the analytic model's ``solver`` covers: ``ceiling``
+        takes the ceiling family, ``twopl`` every other row."""
+        return tuple(spec.name for spec in self._specs
+                     if (spec.family == "ceiling") == (solver == "ceiling"))
 
 
-#: The process-wide registry; :mod:`repro.protocols.builtin` populates
-#: it on package import.
-REGISTRY = ProtocolRegistry()
+REGISTRY = _Lookup(TABLE)

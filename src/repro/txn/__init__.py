@@ -3,8 +3,7 @@
 from .generator import (PeriodicStream, TransactionSpec, WorkloadGenerator,
                         merge_schedules)
 from .manager import CostModel, spawn_transaction, transaction_manager
-from .priority import (PriorityAssigner, edf_priority,
-                       proportional_deadline)
+from .priority import edf_priority, proportional_deadline
 from .trace import (TraceFormatError, dump_schedule, load_schedule)
 from .transaction import (DeadlineMiss, DeadlockAbort, Transaction,
                           TransactionAbort, TransactionStatus,
@@ -17,7 +16,6 @@ __all__ = [
     "DeadlineMiss",
     "DeadlockAbort",
     "PeriodicStream",
-    "PriorityAssigner",
     "TraceFormatError",
     "Transaction",
     "TransactionAbort",

@@ -4,15 +4,15 @@ The paper's experiments assign each transaction a deadline "in proportion
 to its size and system workload", and "the transaction with the earliest
 deadline is assigned the highest priority" — i.e. earliest-deadline-first
 priorities fixed at arrival, which is what the priority ceiling protocol
-(premised on a fixed priority per transaction) requires.
+(premised on a fixed priority per transaction) requires.  The workload
+enters only through the transaction's size: the allowance is not
+stretched by how many transactions are in the system.
 
 Priorities here are floats, larger = more urgent, consistent with the
 kernel.  EDF maps deadline d to priority -d.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 
 def edf_priority(deadline: float) -> float:
@@ -22,54 +22,14 @@ def edf_priority(deadline: float) -> float:
 
 def proportional_deadline(arrival: float, size: int,
                           per_object_time: float,
-                          slack_factor: float,
-                          load: int = 0,
-                          load_factor: float = 0.0) -> float:
-    """Deadline proportional to transaction size and system workload.
+                          slack_factor: float) -> float:
+    """Deadline proportional to transaction size.
 
     ``per_object_time`` is the no-contention service time per data object
-    (CPU + I/O); ``slack_factor`` scales it into a deadline allowance;
-    ``load`` (number of transactions concurrently in the system at
-    arrival) stretches the allowance by ``1 + load_factor * load`` so a
-    heavily loaded system hands out proportionally looser deadlines, as
-    in the paper ("each transaction's deadline is set in proportion to
-    its size and system workload").
+    (CPU + I/O); ``slack_factor`` scales it into a deadline allowance.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     if slack_factor <= 0:
         raise ValueError(f"slack_factor must be positive, got {slack_factor}")
-    allowance = slack_factor * size * per_object_time
-    allowance *= 1.0 + load_factor * max(0, load)
-    return arrival + allowance
-
-
-class PriorityAssigner:
-    """Policy object mapping (arrival, size, deadline) to a priority.
-
-    Two policies cover the paper plus a degenerate baseline:
-
-    - ``"edf"``    — earliest deadline first (the paper's policy);
-    - ``"fcfs"``   — arrival order (all-equal priorities degrade the
-      priority protocols to their no-priority counterparts; useful in
-      tests and as the protocol-L baseline's view of the world).
-    """
-
-    POLICIES = ("edf", "fcfs")
-
-    def __init__(self, policy: str = "edf"):
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown priority policy {policy!r}; "
-                             f"expected one of {self.POLICIES}")
-        self.policy = policy
-
-    def priority(self, arrival: float, deadline: float) -> float:
-        if self.policy == "edf":
-            return edf_priority(deadline)
-        return -arrival  # fcfs: earlier arrivals slightly more urgent
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PriorityAssigner({self.policy!r})"
-
-
-DeadlinePolicy = Callable[[float, int], float]
+    return arrival + slack_factor * size * per_object_time

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cc import TwoPhaseLocking, make_protocol
+from repro.cc import TwoPhaseLocking
 from repro.kernel import Kernel
+from repro.protocols import REGISTRY
 from tests.conftest import LockClient, make_txn
 
 
@@ -140,13 +141,10 @@ def test_invalid_victim_policy_rejected(kernel):
 
 
 def test_factory_returns_expected_types(kernel):
-    assert make_protocol("L", kernel).name == "L"
-    assert make_protocol("P", kernel).name == "P"
-    assert make_protocol("PI", kernel).name == "PI"
-    assert make_protocol("C", kernel).name == "C"
-    assert make_protocol("Cx", kernel).name == "Cx"
+    for name in ("L", "P", "PI", "C", "Cx"):
+        assert REGISTRY.resolve(name).build(kernel).name == name
     with pytest.raises(ValueError):
-        make_protocol("X", kernel)
+        REGISTRY.resolve("X")
 
 
 def test_stats_track_grant_kinds(kernel):

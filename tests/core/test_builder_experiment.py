@@ -35,7 +35,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WorkloadConfig(mean_interarrival=0.0).validate()
     with pytest.raises(ValueError):
-        TimingConfig(priority_policy="magic").validate()
+        TimingConfig(slack_factor=0.0).validate()
 
 
 def test_system_processes_every_transaction():
@@ -125,18 +125,3 @@ def test_compare_protocols_runs_same_workload():
                                 replications=2)
     assert set(results) == {"C", "L"}
     assert all(row["processed"] == 20.0 for row in results.values())
-
-
-def test_deadline_policy_uses_load_factor():
-    config = dataclasses.replace(
-        tiny_config(),
-        workload=WorkloadConfig(n_transactions=30,
-                                mean_interarrival=1.0,
-                                transaction_size=3),
-        timing=TimingConfig(slack_factor=5.0, load_factor=0.5))
-    system = SingleSiteSystem(config)
-    system.run()
-    deadlines = [record.deadline - record.arrival_time
-                 for record in system.monitor.records]
-    # Later arrivals saw a loaded system: allowances vary.
-    assert max(deadlines) > min(deadlines)

@@ -218,15 +218,16 @@ def test_option_block_is_validated_for_every_simulating_command(
     assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
 
 
-def test_sweep_checks_the_metric_before_printing_the_header(
-        capsys, tmp_path):
-    code = main(["sweep", "--metric", "nope", "--sizes", "2",
-                 "--protocols", "C", "--replications", "1",
-                 "--cache-dir", str(tmp_path)])
-    assert code == 2
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize("command", [["fig2"], ["a1"], ["sweep"]])
+def test_a_bad_repro_jobs_is_an_error_line_not_a_traceback(
+        capsys, monkeypatch, command, value):
+    monkeypatch.setenv("REPRO_JOBS", value)
+    assert main(command + ["--replications", "1", "--no-cache"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "nope" in captured.err
+    assert captured.err == (f"error: REPRO_JOBS must be an integer "
+                            f">= 1, got {value!r}\n")
 
 
 def test_a_failed_unit_is_an_error_line_not_a_traceback(capsys,

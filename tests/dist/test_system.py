@@ -25,8 +25,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DistributedConfig(n_sites=1).validate()
     with pytest.raises(ValueError):
-        DistributedConfig(gcm_site=7).validate()
-    with pytest.raises(ValueError):
         DistributedConfig(comm_delay=-1).validate()
 
 

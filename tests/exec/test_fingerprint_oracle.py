@@ -44,9 +44,6 @@ def oracle_encode(value):
 
 def oracle_payload(config, salt=None):
     payload = {"salt": cache_salt(salt), "config": oracle_encode(config)}
-    token = fingerprint._protocol_token(config)
-    if token is not None:
-        payload["protocol"] = token
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -61,9 +58,7 @@ workloads = st.builds(
     size_jitter=st.integers(0, 3),
     read_only_fraction=st.sampled_from([0, 0.0, 0.25, 1, 1.0]),
     write_fraction=st.sampled_from([0.5, 1, 1.0]))
-timings = st.builds(TimingConfig, slack_factor=numbers,
-                    load_factor=st.sampled_from([0, 0.0, 0.5]),
-                    priority_policy=st.sampled_from(["edf", "fcfs"]))
+timings = st.builds(TimingConfig, slack_factor=numbers)
 costs = st.builds(CostModel, cpu_per_object=numbers,
                   io_per_object=numbers)
 options = st.sampled_from([

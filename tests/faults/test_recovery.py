@@ -105,7 +105,7 @@ def test_global_mode_survives_a_gcm_site_crash():
     plan = FaultPlan(crashes=(SiteCrash(site=0, at=40.0,
                                         down_for=30.0),))
     system, monitor = run_to_completion(fault_config("global", plan))
-    assert system.config.gcm_site == 0
+    assert sorted(system.ccs) == [0]
     assert system.degradation.recoveries == 1
     # Some transactions survived the outage overall.
     assert monitor.committed > 0

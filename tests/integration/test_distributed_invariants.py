@@ -60,7 +60,7 @@ def test_global_mode_message_accounting():
     # registration message; the MS forwarded (or deliberately dropped)
     # every network message.
     remote_txns = sum(1 for record in system.monitor.records
-                      if record.site != system.config.gcm_site)
+                      if record.site not in system.ccs)
     assert system.network.messages_sent >= remote_txns
     forwarded = sum(site.message_server.forwarded
                     for site in system.sites)

@@ -23,12 +23,6 @@ def test_sweep_rejects_bad_replications(capsys):
     assert "replications" in capsys.readouterr().err
 
 
-def test_sweep_rejects_bad_keep_fraction(capsys):
-    assert main(["sweep", "--keep-fraction", "0"]) == 2
-    assert "keep-fraction" in capsys.readouterr().err
-    assert main(["sweep", "--keep-fraction", "1.5"]) == 2
-
-
 def test_sweep_rejects_non_integer_sizes(capsys):
     assert main(["sweep", "--sizes", "2,x"]) == 2
     assert "sizes" in capsys.readouterr().err
@@ -44,19 +38,12 @@ def test_sweep_rejects_unknown_protocol(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_sweep_rejects_unknown_model_metric(capsys):
-    code = main(["sweep", "--prune-model", "--metric", "bogus",
-                 "--sizes", "2", "--protocols", "C", "--no-cache"])
-    assert code == 2
-    assert "bogus" in capsys.readouterr().err
-
-
 def test_sweep_help_documents_pruning(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--help"])
     out = capsys.readouterr().out
     assert "--prune-model" in out
-    assert "--keep-fraction" in out
+    assert "40%" in out
 
 
 def test_validate_model_help_reaches_subparser(capsys):
@@ -70,7 +57,7 @@ def test_validate_model_help_reaches_subparser(capsys):
 # ----------------------------------------------------------------------
 def test_sweep_prune_model_end_to_end(tmp_path, capsys):
     code = main(["sweep", "--prune-model", "--protocols", "C,L",
-                 "--sizes", "2,14", "--keep-fraction", "0.5",
+                 "--sizes", "2,14",
                  "--replications", "1",
                  "--cache-dir", str(tmp_path)])
     assert code == 0
@@ -88,7 +75,7 @@ def test_sweep_prune_model_end_to_end(tmp_path, capsys):
 def test_sweep_prune_model_reports_unprunable_protocols(tmp_path,
                                                         capsys):
     code = main(["sweep", "--prune-model", "--protocols", "mpcp,C",
-                 "--sizes", "2,14", "--keep-fraction", "0.5",
+                 "--sizes", "2,14",
                  "--replications", "1",
                  "--cache-dir", str(tmp_path)])
     assert code == 0

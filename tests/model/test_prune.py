@@ -16,32 +16,16 @@ def small_config(protocol="C", interarrival=25.0, size=2):
 
 
 def test_select_configs_keeps_best_fraction():
-    scores = [5.0, 1.0, 3.0, 2.0, 4.0]
-    assert select_configs(scores, keep_fraction=0.4) == [1, 3]
-    assert select_configs(scores, keep_fraction=0.4,
-                          best="max") == [0, 4]
+    # The lowest 40 %, in input order.
+    assert select_configs([5.0, 1.0, 3.0, 2.0, 4.0]) == [1, 3]
 
 
 def test_select_configs_always_keeps_one():
-    assert select_configs([9.0, 1.0], keep_fraction=0.01) == [1]
+    assert select_configs([9.0, 1.0]) == [1]
 
 
 def test_select_configs_breaks_ties_by_input_order():
-    assert select_configs([2.0, 2.0, 2.0], keep_fraction=0.33) == [0]
-
-
-def test_select_configs_validation():
-    with pytest.raises(ValueError):
-        select_configs([1.0], keep_fraction=0.0)
-    with pytest.raises(ValueError):
-        select_configs([1.0], keep_fraction=1.5)
-    with pytest.raises(ValueError):
-        select_configs([1.0], best="median")
-
-
-def test_model_scores_unknown_metric():
-    with pytest.raises(KeyError):
-        model_scores([small_config()], metric="no_such_metric")
+    assert select_configs([2.0, 2.0, 2.0, 2.0, 2.0]) == [0, 1]
 
 
 def test_pruned_sweep_retains_top_ranked_configs():
@@ -50,8 +34,7 @@ def test_pruned_sweep_retains_top_ranked_configs():
     configs = [small_config(interarrival=25.0, size=2),
                small_config(interarrival=25.0, size=3),
                small_config(interarrival=1.0, size=12)]
-    result = run_pruned_sweep(configs, metric="percent_missed",
-                              keep_fraction=0.5, replications=1)
+    result = run_pruned_sweep(configs, replications=1)
     assert result.kept == [0, 1]
     assert result.n_skipped == 1
     assert result.saved_fraction == pytest.approx(1 / 3)
@@ -69,13 +52,12 @@ def test_pruned_sweep_retains_top_ranked_configs():
 def test_pruned_sweep_always_simulates_a_borrowed_model_family():
     # mpcp is a queue lock scored by the 2PL solver, which nobody
     # validated for it: never pruned, however badly it ranks, and the
-    # keep fraction applies to the validated remainder alone.
+    # 40 % applies to the validated remainder alone.
     configs = [small_config("mpcp", interarrival=1.0, size=12),
                small_config("C", interarrival=25.0, size=2),
                small_config("C", interarrival=1.0, size=12),
                small_config("mpcp", interarrival=25.0, size=2)]
-    result = run_pruned_sweep(configs, keep_fraction=0.5,
-                              replications=1)
+    result = run_pruned_sweep(configs, replications=1)
     assert result.unprunable == [0, 3]
     assert result.kept == [0, 1, 3]
     assert [row["pruned"] for row in result.rows] == [
@@ -83,8 +65,8 @@ def test_pruned_sweep_always_simulates_a_borrowed_model_family():
 
 
 def test_pruned_sweep_saves_at_least_half_at_default_fraction():
-    # The acceptance grid shape: keep_fraction 0.4 must skip >= 50%.
+    # The acceptance grid shape: keeping 40 % must skip >= 50%.
     configs = [small_config(size=size) for size in range(2, 9)] * 3
     scores = model_scores(configs)
-    kept = select_configs(scores, keep_fraction=0.4)
+    kept = select_configs(scores)
     assert (len(configs) - len(kept)) / len(configs) >= 0.5

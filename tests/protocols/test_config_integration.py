@@ -1,4 +1,4 @@
-"""Registry integration with configs, builders and fingerprints."""
+"""Protocol-table integration with configs, builders and fingerprints."""
 
 import dataclasses
 import json
@@ -10,6 +10,12 @@ from repro.core import (DistributedConfig, SingleSiteConfig,
 from repro.exec.fingerprint import (CODE_VERSION, config_fingerprint,
                                     config_payload)
 from repro.protocols import REGISTRY
+
+
+def unknown_message(name):
+    with pytest.raises(ValueError) as err:
+        REGISTRY.resolve(name)
+    return str(err.value)
 
 
 def small_config(protocol, **overrides):
@@ -27,9 +33,9 @@ def test_unknown_protocol_message_lists_the_registry_cast():
     config = small_config("bogus")
     with pytest.raises(ValueError) as err:
         config.validate()
-    # The config error IS the registry's stable message: canonical
-    # names in registration order, aliases sorted.
-    assert str(err.value) == REGISTRY.unknown_message("bogus")
+    # The config error IS the table's stable message: canonical
+    # names in table order, aliases sorted.
+    assert str(err.value) == unknown_message("bogus")
     for name in REGISTRY.names():
         assert name in str(err.value)
     assert "2pl" in str(err.value)  # an alias, listed dynamically
@@ -60,7 +66,7 @@ def test_distributed_config_resolves_protocol_via_registry():
     config.validate()
     with pytest.raises(ValueError) as err:
         DistributedConfig(mode="global", protocol="bogus").validate()
-    assert str(err.value) == REGISTRY.unknown_message("bogus")
+    assert str(err.value) == unknown_message("bogus")
 
 
 def test_global_mode_rejects_victim_abort():
@@ -83,24 +89,12 @@ def test_code_version_bumped_for_the_registry_migration():
     assert CODE_VERSION == "repro-exec-v3"
 
 
-def test_payload_carries_the_protocol_revision_token():
-    payload = json.loads(config_payload(small_config("mpcp")))
-    spec = REGISTRY.resolve("mpcp")
-    assert payload["protocol"] == f"mpcp@{spec.revision}"
-
-
-def test_payload_token_canonicalises_aliases():
-    canonical = json.loads(config_payload(small_config("C")))
-    aliased = json.loads(config_payload(small_config("pcp")))
-    assert canonical["protocol"] == aliased["protocol"]
-
-
 def test_unresolvable_protocol_still_fingerprints():
     # Fingerprints must stay total: validation reports bad names, the
     # cache key must never raise.
     config = small_config("bogus")
     payload = json.loads(config_payload(config))
-    assert "protocol" not in payload
+    assert payload["config"]["fields"]["protocol"] == "bogus"
     assert config_fingerprint(config)
 
 
@@ -120,9 +114,7 @@ def test_protocol_options_move_the_fingerprint():
 # ----------------------------------------------------------------------
 # public surface
 # ----------------------------------------------------------------------
-def test_package_exports_registry_and_legacy_protocols_tuple():
+def test_package_exports_the_registry():
     import repro
 
     assert repro.PROTOCOL_REGISTRY is REGISTRY
-    # The legacy tuple is now registry-derived but keeps its name.
-    assert tuple(repro.PROTOCOLS) == REGISTRY.names()

@@ -7,12 +7,13 @@ import pytest
 
 from repro.analyze.invariants import CeilingChecker, TwoPhaseChecker
 from repro.analyze.sanitizer import Sanitizer, sanitize
-from repro.cc import MPCP, FMLPQueueLock, make_protocol
+from repro.cc import MPCP, FMLPQueueLock
 from repro.cc.dpcp import DistributedPriorityCeiling
 from repro.core import (SingleSiteConfig, SingleSiteSystem,
                         TimingConfig, WorkloadConfig)
 from repro.core.experiment import run_single_site
 from repro.kernel import Kernel
+from repro.protocols import REGISTRY
 from repro.txn import CostModel
 
 MODERN = ("mpcp", "dpcp", "fmlp")
@@ -32,13 +33,17 @@ def config(protocol, seed=11, size=6, interarrival=18.0, n=60):
 # ----------------------------------------------------------------------
 # factories
 # ----------------------------------------------------------------------
-def test_make_protocol_builds_the_new_classes():
+def make_protocol(name, kernel):
+    return REGISTRY.resolve(name).build(kernel)
+
+
+def test_the_table_builds_the_new_classes():
     kernel = Kernel(seed=1)
     assert isinstance(make_protocol("mpcp", kernel), MPCP)
     assert isinstance(make_protocol("fmlp", kernel), FMLPQueueLock)
     assert isinstance(make_protocol("dpcp", kernel),
                       DistributedPriorityCeiling)
-    # Aliases go through the same registry path.
+    # Aliases go through the same lookup.
     assert isinstance(make_protocol("fifo-queue", kernel),
                       FMLPQueueLock)
 

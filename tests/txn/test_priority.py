@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.txn.priority import (PriorityAssigner, edf_priority,
-                                proportional_deadline)
+from repro.txn.priority import edf_priority, proportional_deadline
 
 
 def test_edf_earlier_deadline_is_higher_priority():
@@ -25,35 +24,9 @@ def test_proportional_deadline_offsets_arrival():
     assert deadline == 124.0
 
 
-def test_load_factor_stretches_deadline():
-    base = proportional_deadline(0.0, 2, 3.0, 4.0, load=0,
-                                 load_factor=0.1)
-    loaded = proportional_deadline(0.0, 2, 3.0, 4.0, load=10,
-                                   load_factor=0.1)
-    assert loaded == base * 2.0
-
-
 def test_deadline_validation():
     with pytest.raises(ValueError):
         proportional_deadline(0.0, 0, 3.0, 4.0)
     with pytest.raises(ValueError):
         proportional_deadline(0.0, 2, 3.0, 0.0)
 
-
-def test_assigner_edf_orders_by_deadline():
-    assigner = PriorityAssigner("edf")
-    urgent = assigner.priority(arrival=0.0, deadline=10.0)
-    relaxed = assigner.priority(arrival=0.0, deadline=50.0)
-    assert urgent > relaxed
-
-
-def test_assigner_fcfs_orders_by_arrival():
-    assigner = PriorityAssigner("fcfs")
-    early = assigner.priority(arrival=1.0, deadline=100.0)
-    late = assigner.priority(arrival=9.0, deadline=10.0)
-    assert early > late  # deadline irrelevant under fcfs
-
-
-def test_assigner_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        PriorityAssigner("random")
