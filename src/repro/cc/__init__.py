@@ -6,8 +6,7 @@ name each class here with its aliases and family; build one with
 """
 
 from .base import CCStats, ConcurrencyControl, Request
-from .deadlock import (VICTIM_POLICIES, WaitsForGraph, build_waits_for,
-                       choose_victim)
+from .deadlock import VICTIM_POLICIES, choose_victim
 from .dpcp import DistributedPriorityCeiling
 from .priority_ceiling import PriorityCeiling
 from .priority_inheritance import PriorityInheritance
@@ -26,7 +25,5 @@ __all__ = [
     "TwoPhaseLocking",
     "TwoPhaseLockingPriority",
     "VICTIM_POLICIES",
-    "WaitsForGraph",
-    "build_waits_for",
     "choose_victim",
 ]

@@ -36,6 +36,11 @@ from ..txn.transaction import Transaction
 _RUNNING = ProcessState.RUNNING
 _TERMINATED = ProcessState.TERMINATED
 
+#: Edge kinds of :meth:`ConcurrencyControl.blocked_by` (combine with |).
+CONFLICT = 1
+QUEUE = 2
+BARRIER = 4
+
 
 class CCStats:
     """Counters every protocol maintains, for the Performance Monitor.
@@ -338,12 +343,32 @@ class ConcurrencyControl:
         """Called after ``request`` was parked (inheritance, deadlock
         detection).  Default: nothing."""
 
-    def ceiling_blockers(self, request: Request) -> List[Transaction]:
-        """The holders behind a conflict-free (ceiling) block, for a
-        ``lock_block`` subscriber (the trace layer classifies inversion
-        intervals from them).  Protocols that can name them override
-        this."""
-        return []
+    def blocked_by(self, txn: Transaction,
+                   kinds: int = CONFLICT | QUEUE) -> Iterable[Transaction]:
+        """The transactions ``txn``'s waiting requests wait for, over
+        the edge ``kinds``: ``CONFLICT`` (incompatible holders),
+        ``QUEUE`` (2PL waiters queued ahead) and ``BARRIER`` (holders of
+        PCP's highest-rw-ceiling lock).  Each reader names its kinds:
+
+        - 2PL detection, the default: a cycle can close through a
+          fairness wait;
+        - PI/FMLP inheritance, ``CONFLICT``: a holder inherits from the
+          waiters it blocks, never from a queue neighbour;
+        - PCP inheritance, and the tracer on a conflict-free block,
+          ``BARRIER``: the holders the ceiling rule blocks on;
+        - ``VFY-DEADLOCK``, ``CONFLICT | QUEUE``: a barrier cycle is the
+          rising-ceiling deviation (DESIGN.md §4b.1), not a bug.
+
+        Here a list of conflicting holders, in request then holder
+        order: the order inheritance re-prioritises them in.
+        """
+        holders: List[Transaction] = []
+        if kinds & CONFLICT:
+            conflicting_holders = self.locks.conflicting_holders
+            for request in self._waiting_by_tid.get(txn.tid, ()):
+                holders += conflicting_holders(request.oid, txn,
+                                               request.mode)
+        return holders
 
     def _grant_order(self) -> Iterable[Request]:
         """Waiters in the order they should be reconsidered."""

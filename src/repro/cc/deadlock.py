@@ -1,12 +1,12 @@
-"""Waits-for graph and deadlock resolution for the 2PL protocols.
+"""Deadlock detection and resolution for the 2PL protocols.
 
 Under two-phase locking a cycle of transactions each waiting for a lock
 held by the next can form; the paper attributes the sharp rise of
 deadline misses for 2PL at larger transaction sizes to deadlocks, whose
 probability "would go up with the fourth power of the transaction size"
-[Gray81].  The priority ceiling protocol never calls into this module —
-its admission rule makes cycles impossible, which the integration tests
-assert.
+[Gray81].  The priority ceiling protocol never calls into this module;
+over an open arrival stream its cycles are the rare rising-ceiling ones
+of DESIGN.md §4b.1, broken by deadline aborts.
 
 Detection runs at block time (continuous detection): when a request
 joins the wait set we look for a cycle through it, and if one exists a
@@ -16,34 +16,9 @@ original deadline and priority — the classical restart model).
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
-                    Set)
+from typing import Callable, Hashable, Iterable, List, Optional, Set
 
 VICTIM_POLICIES = ("none", "requester", "lowest_priority", "youngest")
-
-
-class WaitsForGraph:
-    """Directed graph: waiter -> holders it waits for."""
-
-    def __init__(self) -> None:
-        self._edges: Dict[Hashable, Set[Hashable]] = {}
-
-    def add_edges(self, waiter: Hashable,
-                  holders: Iterable[Hashable]) -> None:
-        targets = self._edges.setdefault(waiter, set())
-        for holder in holders:
-            if holder is not waiter:
-                targets.add(holder)
-
-    def find_cycle_through(self, start: Hashable) -> Optional[List]:
-        """Return a cycle containing ``start`` as a node list (without
-        the repeated node), or None."""
-        edges = self._edges
-        return find_cycle_through(start,
-                                  lambda node: edges.get(node, ()))
-
-    def __contains__(self, node: Hashable) -> bool:
-        return node in self._edges
 
 
 def find_cycle_through(start: Hashable,
@@ -84,24 +59,6 @@ def _search(node: Hashable, start: Hashable,
             return found
     path.pop()
     return None
-
-
-def build_waits_for(waiting_requests, lock_table) -> WaitsForGraph:
-    """Construct the lock-conflict graph from a wait set and lock table:
-    each waiter waits for every holder whose lock conflicts with its
-    request.
-
-    Lock conflicts are only half of the 2PL waits-for relation: a waiter
-    also waits for the waiters queued *ahead* of it on the same object.
-    Those edges depend on the queue policy, which the lock table does
-    not know; :meth:`TwoPhaseLocking._waits_for` adds them on top.
-    """
-    graph = WaitsForGraph()
-    for request in waiting_requests:
-        holders = lock_table.conflicting_holders(request.oid, request.txn,
-                                                 request.mode)
-        graph.add_edges(request.txn, holders)
-    return graph
 
 
 def choose_victim(cycle: List, policy: str, requester) -> Hashable:

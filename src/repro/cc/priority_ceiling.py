@@ -40,13 +40,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..db.locks import LockError, LockMode
 from ..kernel.process import ProcessState
 from ..txn.transaction import Transaction
-from .base import (ConcurrencyControl, Request, by_priority_then_seq,
-                   by_seq)
+from .base import (BARRIER, CONFLICT, QUEUE, ConcurrencyControl, Request,
+                   by_priority_then_seq, by_seq)
 
 _TERMINATED = ProcessState.TERMINATED
 
@@ -347,15 +347,20 @@ class PriorityCeiling(ConcurrencyControl):
     # ------------------------------------------------------------------
     # inheritance
     # ------------------------------------------------------------------
-    def ceiling_blockers(self, request: Request) -> List[Transaction]:
-        """Holder(s) of the lock with the highest rw-ceiling — the
-        transaction(s) 'blocking' this request in the protocol's sense
-        (a ceiling block has no direct lock conflict to name them)."""
-        __, oid = self._ceiling_barrier(request.txn)
-        if oid is None:
-            return []
-        return [holder for holder in self.locks.holder_map(oid)
-                if holder is not request.txn]
+    def blocked_by(self, txn: Transaction,
+                   kinds: int = CONFLICT | QUEUE) -> Iterable[Transaction]:
+        """``BARRIER`` adds the holder(s) of the lock with the highest
+        rw-ceiling, in holder order: the transaction(s) blocking ``txn``
+        in the protocol's sense, conflicting or not."""
+        holders: List[Transaction] = []
+        if kinds & CONFLICT:
+            holders += super().blocked_by(txn, kinds)
+        if kinds & BARRIER:
+            __, oid = self._ceiling_barrier(txn)
+            if oid is not None:
+                holders += [holder for holder in
+                            self.locks.holder_map(oid) if holder is not txn]
+        return holders
 
     def _after_change(self) -> None:
         # Same fixpoint structure as PI, but the inheritance edge goes to
@@ -396,7 +401,7 @@ class PriorityCeiling(ConcurrencyControl):
                     if (priority != request.txn.priority
                             and request.on_grant is not None):
                         volatile = True
-                    holders = self.ceiling_blockers(request)
+                    holders = self.blocked_by(request.txn, BARRIER)
                 for holder in holders:
                     tid = holder.tid
                     current = contributions.get(tid)

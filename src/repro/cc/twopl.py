@@ -27,14 +27,13 @@ from the requester.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..db.locks import LockMode
 from ..txn.transaction import DeadlockAbort, Transaction
-from .base import (ConcurrencyControl, Request, by_priority_then_seq,
-                   by_seq)
-from .deadlock import (VICTIM_POLICIES, build_waits_for, choose_victim,
-                       find_cycle_through)
+from .base import (CONFLICT, QUEUE, ConcurrencyControl, Request,
+                   by_priority_then_seq, by_seq)
+from .deadlock import VICTIM_POLICIES, choose_victim, find_cycle_through
 
 
 class TwoPhaseLocking(ConcurrencyControl):
@@ -140,7 +139,7 @@ class TwoPhaseLocking(ConcurrencyControl):
     # deadlock handling
     # ------------------------------------------------------------------
     def _on_block(self, request: Request) -> None:
-        cycle = find_cycle_through(request.txn, self._waits_on)
+        cycle = find_cycle_through(request.txn, self.blocked_by)
         if cycle is None:
             return
         self.stats.deadlocks += 1
@@ -183,23 +182,22 @@ class TwoPhaseLocking(ConcurrencyControl):
             return choose_victim(candidates, "youngest", request.txn)
         return choose_victim(candidates, self.victim_policy, request.txn)
 
-    def _waits_on(self, txn: Transaction) -> Set[Transaction]:
-        """The transactions ``txn`` waits for — its edges in
-        :meth:`_waits_for`, built for this one node.
-
-        Cycle (hence victim) parity with the full graph rests on set
-        iteration order, which is a function of the insertion sequence:
-        conflicting holders of each of ``txn``'s requests first, then
-        the waiters ahead of each in its object's queue — the sequence
-        ``build_waits_for`` plus the queue-order loop insert for this
-        node, both walking requests in enqueue order.
-        """
+    def blocked_by(self, txn: Transaction,
+                   kinds: int = CONFLICT | QUEUE) -> Iterable[Transaction]:
+        """With ``QUEUE``, a set: the detector's successors.  Its
+        iteration order, hence the cycle and the victim, follows the
+        insertion sequence the whole-graph oracle also uses: conflicting
+        holders of each of ``txn``'s requests, then the waiters ahead of
+        each, requests in enqueue order.  Else the base class's list."""
+        if not kinds & QUEUE:
+            return super().blocked_by(txn, kinds)
         targets: Set[Transaction] = set()
         requests = self._waiting_by_tid.get(txn.tid, ())
-        conflicting_holders = self.locks.conflicting_holders
-        for request in requests:
-            targets.update(
-                conflicting_holders(request.oid, txn, request.mode))
+        if kinds & CONFLICT:
+            conflicting_holders = self.locks.conflicting_holders
+            for request in requests:
+                targets.update(
+                    conflicting_holders(request.oid, txn, request.mode))
         for request in requests:
             for other in self._waiting_by_oid[request.oid]:
                 if (other.txn is not txn
@@ -223,8 +221,7 @@ class TwoPhaseLocking(ConcurrencyControl):
             inheritors: dict = {}
             for request in self.waiting:
                 waiter_priority = request.waiter_priority()
-                for holder in self.locks.conflicting_holders(
-                        request.oid, request.txn, request.mode):
+                for holder in self.blocked_by(request.txn, CONFLICT):
                     tid = holder.tid
                     current = contributions.get(tid)
                     if current is None or current < waiter_priority:
@@ -232,21 +229,6 @@ class TwoPhaseLocking(ConcurrencyControl):
                         inheritors[tid] = holder
             if not self._apply_inheritance(contributions, inheritors):
                 break
-
-    def _waits_for(self):
-        """The whole waits-for graph.  Introspection and the test
-        oracle only: ``_on_block`` searches :meth:`_waits_on` edges."""
-        graph = build_waits_for(self.waiting, self.locks)
-        # Queue-order waits are waits too: without these edges a cycle
-        # closed through a fairness wait would go undetected.  The
-        # per-oid index preserves enqueue order, so the edges come out
-        # identical to the historical all-pairs scan.
-        for request in self.waiting:
-            for other in self._waiting_by_oid.get(request.oid, ()):
-                if (other.txn is not request.txn
-                        and self._ahead_of(other, request, request.txn)):
-                    graph.add_edges(request.txn, [other.txn])
-        return graph
 
 
 class TwoPhaseLockingPriority(TwoPhaseLocking):

@@ -26,6 +26,7 @@ import contextlib
 from collections import deque
 from typing import Any, Iterable, Iterator, List, Optional
 
+from ..cc.base import BARRIER
 from ..kernel.hooks import observing
 from .events import TraceEvent
 
@@ -163,7 +164,7 @@ class Tracer:
         timeline layer can classify priority-inversion intervals
         offline."""
         txn = request.txn
-        holders = conflicts or cc.ceiling_blockers(request)
+        holders = conflicts or cc.blocked_by(txn, BARRIER)
         self.emit(t, "lock_block", site=_txn_site(txn),
                   tid=_txn_tid(txn), oid=request.oid,
                   mode=str(request.mode), cause=cause,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set, Tuple
 
 from ..analyze.invariants import Violation
+from ..cc.base import CONFLICT, QUEUE
 
 #: Trace kinds that end a transaction incarnation (the next lock grant
 #: for the same tid belongs to a fresh attempt).
@@ -62,7 +63,9 @@ def _cycle(edges: Dict[object, Set[object]]) -> List[object]:
 # per-state checks (run after every dispatch)
 # ----------------------------------------------------------------------
 def check_deadlock(instance) -> List[Violation]:
-    """Wait-for-graph cycle over the direct lock conflicts.
+    """Wait-for-graph cycle over each protocol's ``blocked_by``
+    conflict and queue edges (a cycle through a ceiling barrier is the
+    documented rising-ceiling deviation, DESIGN.md §4b.1).
 
     PCP guarantees deadlock freedom, and a 2PL variant with a victim
     policy resolves detected cycles *at block time*, so a conflict
@@ -75,7 +78,6 @@ def check_deadlock(instance) -> List[Violation]:
         return []
     edges: Dict[object, Set[object]] = {}
     for cc in instance.ccs:
-        locks = cc.locks
         for request in cc.waiting:
             waiter = request.txn
             process = getattr(waiter, "process", None)
@@ -86,9 +88,8 @@ def check_deadlock(instance) -> List[Violation]:
                 # is already scheduled: this waiter is leaving the
                 # graph, so the cycle is being resolved, not stuck.
                 continue
-            for holder in locks.holders(request.oid):
-                if holder is not waiter:
-                    edges.setdefault(waiter, set()).add(holder)
+            edges.setdefault(waiter, set()).update(
+                cc.blocked_by(waiter, CONFLICT | QUEUE))
     cycle = _cycle(edges)
     if not cycle:
         return []

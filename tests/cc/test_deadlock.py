@@ -1,89 +1,89 @@
-"""Waits-for graph and victim selection."""
+"""Cycle search, the 2PL blocked-by relation and victim selection."""
 
 import pytest
 
-from repro.cc import WaitsForGraph, build_waits_for, choose_victim
-from repro.db import LockMode, LockTable
-from repro.cc.base import Request
-from tests.conftest import make_txn
+from repro.cc import TwoPhaseLocking, choose_victim
+from repro.cc.base import CONFLICT, QUEUE
+from repro.cc.deadlock import find_cycle_through
+from repro.kernel import Kernel
+from tests.conftest import LockClient, make_txn
 
 
-def make_request(txn, oid, mode, seq):
-    """A parked-nowhere request (``Request`` has no ``__init__``: the
-    protocol's constructing sites store the slots)."""
-    request = Request()
-    request.txn, request.oid, request.mode = txn, oid, mode
-    request.process, request.seq, request.since = None, seq, 0.0
-    request.on_grant = None
-    return request
+def cycle_through(edges, start):
+    """``find_cycle_through`` over a dict's successor lists."""
+    return find_cycle_through(start, lambda node: edges.get(node, ()))
 
 
 def test_no_cycle_in_a_chain():
-    graph = WaitsForGraph()
-    graph.add_edges("a", ["b"])
-    graph.add_edges("b", ["c"])
-    assert graph.find_cycle_through("a") is None
+    assert cycle_through({"a": ["b"], "b": ["c"]}, "a") is None
 
 
 def test_two_cycle_detected():
-    graph = WaitsForGraph()
-    graph.add_edges("a", ["b"])
-    graph.add_edges("b", ["a"])
-    cycle = graph.find_cycle_through("a")
+    cycle = cycle_through({"a": ["b"], "b": ["a"]}, "a")
     assert cycle is not None
     assert set(cycle) == {"a", "b"}
 
 
 def test_long_cycle_detected_through_start_only():
-    graph = WaitsForGraph()
-    graph.add_edges("a", ["b"])
-    graph.add_edges("b", ["c"])
-    graph.add_edges("c", ["a"])
     # Also a separate cycle not involving "x".
-    graph.add_edges("y", ["z"])
-    graph.add_edges("z", ["y"])
-    assert set(graph.find_cycle_through("a")) == {"a", "b", "c"}
-    graph.add_edges("x", ["y"])
-    assert graph.find_cycle_through("x") is None  # x not on the cycle
-
-
-def test_self_edges_ignored():
-    graph = WaitsForGraph()
-    graph.add_edges("a", ["a"])
-    assert graph.find_cycle_through("a") is None
+    edges = {"a": ["b"], "b": ["c"], "c": ["a"], "y": ["z"], "z": ["y"]}
+    assert set(cycle_through(edges, "a")) == {"a", "b", "c"}
+    edges["x"] = ["y"]
+    assert cycle_through(edges, "x") is None  # x not on the cycle
 
 
 def test_branching_graph_finds_cycle():
-    graph = WaitsForGraph()
-    graph.add_edges("a", ["b", "c"])
-    graph.add_edges("b", ["d"])
-    graph.add_edges("c", ["a"])
-    assert set(graph.find_cycle_through("a")) == {"a", "c"}
+    edges = {"a": ["b", "c"], "b": ["d"], "c": ["a"]}
+    assert set(cycle_through(edges, "a")) == {"a", "c"}
 
 
-def test_build_waits_for_connects_waiters_to_conflicting_holders():
-    table = LockTable()
-    t1 = make_txn([(1, "w")], priority=1)
-    t2 = make_txn([(1, "w")], priority=2)
-    table.grant(1, t1, LockMode.WRITE)
-    request = make_request(t2, 1, LockMode.WRITE, seq=0)
-    graph = build_waits_for([request], table)
-    assert graph.find_cycle_through(t2) is None
-    # Close the cycle: t1 waits on something t2 holds.
-    table.grant(2, t2, LockMode.WRITE)
-    request_back = make_request(t1, 2, LockMode.WRITE, seq=1)
-    graph = build_waits_for([request, request_back], table)
-    assert graph.find_cycle_through(t2) is not None
+def test_self_edges_ignored():
+    # An upgrade conflicts with the other reader, never with the
+    # requester's own read lock: no transaction waits for itself.
+    kernel = Kernel(seed=1)
+    cc = TwoPhaseLocking(kernel)
+    upgrader = make_txn([(1, "r"), (1, "w")], priority=1)
+    reader = make_txn([(1, "r")], priority=1)
+    LockClient(kernel, cc, upgrader, hold_each=1.0)
+    LockClient(kernel, cc, reader, hold=10.0)
+    kernel.run(until=5.0)
+    assert cc.waiting_txns() == [upgrader]
+    assert list(cc.blocked_by(upgrader)) == [reader]
+    assert find_cycle_through(upgrader, cc.blocked_by) is None
+
+
+def test_blocked_by_connects_waiters_to_conflicting_holders():
+    kernel = Kernel(seed=1)
+    cc = TwoPhaseLocking(kernel)
+    t1 = make_txn([(1, "w"), (2, "w")], priority=1)
+    t2 = make_txn([(2, "w"), (1, "w")], priority=1)
+    LockClient(kernel, cc, t1, hold_each=2.0)
+    LockClient(kernel, cc, t2, start_delay=0.5, hold_each=2.0)
+    kernel.run(until=1.0)
+    assert cc.blocked_by(t2) == set()  # holds o2, waits for nothing
+    kernel.run(until=2.5)
+    # t2 waits for o1 (held by t1), t1 for o2 (held by t2).
+    assert cc.blocked_by(t1, CONFLICT) == [t2]
+    assert cc.blocked_by(t2, CONFLICT) == [t1]
+    assert set(find_cycle_through(t2, cc.blocked_by)) == {t1, t2}
+    assert cc.stats.deadlocks == 1
 
 
 def test_read_locks_do_not_create_edges_for_readers():
-    table = LockTable()
-    t1 = make_txn([(1, "r")], priority=1)
-    t2 = make_txn([(1, "r")], priority=2)
-    table.grant(1, t1, LockMode.READ)
-    request = make_request(t2, 1, LockMode.READ, seq=0)
-    graph = build_waits_for([request], table)
-    assert graph.find_cycle_through(t2) is None
+    # A reader queued behind a writer waits for the writer (QUEUE) but
+    # not for the reader holding the lock (no CONFLICT).
+    kernel = Kernel(seed=1)
+    cc = TwoPhaseLocking(kernel)
+    holder = make_txn([(1, "r")], priority=1)
+    writer = make_txn([(1, "w")], priority=1)
+    reader = make_txn([(1, "r")], priority=1)
+    LockClient(kernel, cc, holder, hold=10.0)
+    LockClient(kernel, cc, writer, start_delay=1.0)
+    LockClient(kernel, cc, reader, start_delay=2.0)
+    kernel.run(until=5.0)
+    assert cc.blocked_by(reader, CONFLICT) == []
+    assert cc.blocked_by(reader, QUEUE) == {writer}
+    assert cc.blocked_by(writer) == {holder}
 
 
 def test_choose_victim_policies():

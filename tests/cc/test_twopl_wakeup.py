@@ -7,6 +7,7 @@ import pytest
 
 from repro.cc import (FMLPQueueLock, TwoPhaseLocking,
                       TwoPhaseLockingPriority)
+from repro.cc.base import CONFLICT
 from repro.txn.transaction import DeadlockAbort
 from tests.cc import twopl_oracle
 from tests.conftest import LockClient, make_txn
@@ -153,9 +154,9 @@ def test_on_demand_edges_iterate_like_the_full_graph(kernel, protocol):
     assert cc.waiting_count >= 4
     whole = twopl_oracle.waits_for(cc)
     for request in cc.waiting:
-        assert (list(cc._waits_on(request.txn))
+        assert (list(cc.blocked_by(request.txn))
                 == list(whole[request.txn]))
-    assert cc._waits_on(make_txn([(9, "w")], priority=0)) == set()
+    assert cc.blocked_by(make_txn([(9, "w")], priority=0)) == set()
 
 
 def _order_revealing_pair(operations_a, operations_b):
@@ -182,6 +183,25 @@ def test_successors_insert_holders_before_queue_neighbours(
     LockClient(kernel, cc, ahead, start_delay=1.0)
     LockClient(kernel, cc, waiter, start_delay=2.0)
     kernel.run(until=5.0)
-    assert list(cc._waits_on(waiter)) == list({holder, ahead})
-    assert (list(cc._waits_on(waiter))
+    assert list(cc.blocked_by(waiter)) == list({holder, ahead})
+    assert (list(cc.blocked_by(waiter))
             == list(twopl_oracle.waits_for(cc)[waiter]))
+
+
+@BOTH_QUEUE_POLICIES
+def test_conflict_edges_keep_holder_order(kernel, protocol):
+    # PI and FMLP re-prioritise (and trace) holders in the order their
+    # CONFLICT edges come: holder order, which the detector's set would
+    # reverse for this pair.
+    cc = protocol(kernel)
+    first = make_txn([(1, "r")], priority=1)
+    second = make_txn([(1, "r")], priority=1)
+    while list({first, second}) == [first, second]:
+        second = make_txn([(1, "r")], priority=1)
+    writer = make_txn([(1, "w")], priority=1)
+    LockClient(kernel, cc, first, hold=100.0)
+    LockClient(kernel, cc, second, hold=100.0)
+    LockClient(kernel, cc, writer, start_delay=1.0)
+    kernel.run(until=5.0)
+    assert cc.blocked_by(writer, CONFLICT) == [first, second]
+    assert list(cc.blocked_by(writer)) == [second, first]

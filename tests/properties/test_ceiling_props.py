@@ -25,6 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cc import PriorityCeiling
+from repro.cc.base import BARRIER, CONFLICT, QUEUE
+from repro.cc.deadlock import find_cycle_through
 from repro.kernel import Kernel
 from repro.kernel.timers import DeadlineTimer
 from repro.txn.transaction import DeadlineMiss
@@ -172,6 +174,15 @@ def test_rising_ceiling_cycle_regression():
     kernel.run(until=50.0)
     # Stuck: all three are waiting and no event is pending before 100.
     assert cc.waiting_count == 3
+    # The cycle closes through the barrier edge t3 -> t2: every kind
+    # finds it; the conflict and queue kinds (VFY-DEADLOCK's, and the
+    # sanitizer's) do not.
+    every_kind = CONFLICT | QUEUE | BARRIER
+    cycle = find_cycle_through(
+        t2, lambda txn: cc.blocked_by(txn, every_kind))
+    assert cycle is not None and set(cycle) == {t2, t3}
+    assert find_cycle_through(
+        t2, lambda txn: cc.blocked_by(txn, CONFLICT | QUEUE)) is None
     kernel.run()
     # t2's deadline abort at t=100 releases O2 and unjams everyone.
     assert c2.aborted

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cc.base import BARRIER
 from repro.kernel import Kernel
 from repro.kernel.syscalls import Delay
 from repro.trace import EVENT_KINDS, Tracer, tracing
@@ -130,7 +131,8 @@ def test_lock_block_snapshots_holders_as_plain_data():
 
     class Protocol:
         @staticmethod
-        def ceiling_blockers(request):
+        def blocked_by(txn, kinds):
+            assert kinds == BARRIER
             return [Holder()]
 
     tracer = Tracer()
