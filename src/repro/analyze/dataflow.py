@@ -180,8 +180,7 @@ class ModuleDataflow:
     def _called_names(func: Any) -> Set[str]:
         """Names this function may invoke — calls plus bare references
         (a function passed as a callback is 'called' for reachability
-        purposes; the kernel's ``Call(attempt, ...)`` pattern relies
-        on this)."""
+        purposes)."""
         names: Set[str] = set()
         for node in own_nodes(func):
             if isinstance(node, ast.Name) and isinstance(

@@ -81,7 +81,7 @@ from .engine import Finding
 #: Methods that construct blocking kernel syscalls.
 _SYSCALL_METHODS = {"receive", "wait", "use", "acquire"}
 #: Bare-name syscall constructors from repro.kernel.syscalls.
-_SYSCALL_NAMES = {"Delay", "Join", "Spawn", "Now"}
+_SYSCALL_NAMES = {"Delay"}
 #: Annotation heads that make a config field fingerprint-unsafe.
 _UNSAFE_ANNOTATIONS = {"Any", "Callable", "object", "set", "Set",
                        "frozenset", "FrozenSet", "MutableSet",

@@ -52,13 +52,10 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from ..core.config import (DistributedConfig, SingleSiteConfig,
                            TimingConfig, WorkloadConfig)
 from ..core.experiment import replicate_many
-from ..core.metrics import aggregate_runs, missed_ratio, throughput_ratio
+from ..core.metrics import missed_ratio, throughput_ratio
 from ..core.reporting import format_table
-from ..dist.system import DistributedSystem
-from ..exec import plan_replications
 from ..exec.cache import CacheSpec
 from ..faults import FaultPlan, SiteCrash
-from ..kernel.syscalls import Delay
 from ..model.response import predict_summary
 from ..protocols import REGISTRY, TABLE
 from ..txn.manager import CostModel
@@ -121,10 +118,6 @@ class Sweep:
     tables: Tuple[Callable[[Series], str], ...]
     #: Adds cells computed from a finished row (ratios, labels, sums).
     derive: Optional[Callable[[Dict[str, object]], None]] = None
-    #: ``seeded config -> summary row`` replacing the engine's plain run
-    #: when the measurement lives inside the simulation.  Such a sweep
-    #: runs in this process: the engine knobs do not reach it.
-    sample: Optional[Callable[[object], Dict[str, float]]] = None
     #: What the series must show; every figure command checks them.
     claims: Tuple[Claim, ...] = ()
 
@@ -136,15 +129,8 @@ def run(spec: Sweep, replications: int = 5, *,
     points = [(value, variant) for value in spec.values
               for variant in spec.variants]
     configs = [spec.config(value, variant) for value, variant in points]
-    if spec.sample is None:
-        summaries = replicate_many(configs, replications=replications,
-                                   jobs=jobs, cache=cache,
-                                   progress=progress)
-    else:
-        summaries = [
-            aggregate_runs(spec.sample(unit.config) for unit
-                           in plan_replications(config, replications))
-            for config in configs]
+    summaries = replicate_many(configs, replications=replications,
+                               jobs=jobs, cache=cache, progress=progress)
     by_point = dict(zip(points, summaries))
     axis = spec.axis.split(",")
     series: Series = []
@@ -305,39 +291,6 @@ def _a8_cells(row: Dict) -> None:
     row["fault"] = {"loss": "loss rate", "crash": "downtime"}[
         row["kind"]]
     row["messages_lost"] = row["local_lost"] + row["global_lost"]
-
-
-def _sample_staleness(config: DistributedConfig,
-                      sample_interval: float = 1.0) -> Dict[str, float]:
-    """A4's run: peak secondary-copy staleness observed *during* it.
-
-    Staleness converges to zero once the system drains (replicas catch
-    up), so a sampler process polls the catalog every
-    ``sample_interval`` virtual time units and the peak is reported.
-    """
-    system = DistributedSystem(config)
-    peak = 0.0
-
-    def sampler():
-        nonlocal peak
-        while True:
-            yield Delay(sample_interval)
-            peak = max(peak, system.max_staleness())
-
-    system.kernel.spawn(sampler(), "sampler")
-    system.run(until=(config.workload.n_transactions
-                      * config.workload.mean_interarrival * 3.0))
-    latencies = sorted(latency for site in system.sites
-                       for latency in site.replica_apply_latencies)
-    return {
-        "peak_staleness": peak,
-        "mean_apply_latency": (sum(latencies) / len(latencies)
-                               if latencies else 0.0),
-        "p95_apply_latency": (latencies[int(0.95
-                                            * (len(latencies) - 1))]
-                              if latencies else 0.0),
-        "percent_missed": system.summary()["percent_missed"],
-    }
 
 
 # ----------------------------------------------------------------------
@@ -835,7 +788,6 @@ SPECS: Dict[str, Sweep] = {
         config=lambda delay, _: dataclasses.replace(
             distributed_config("local", delay, 0.0),
             temporal_versions=True),
-        sample=_sample_staleness,
         metrics=tuple((key, key) for key in (
             "mean_apply_latency", "p95_apply_latency", "peak_staleness",
             "percent_missed")),

@@ -65,25 +65,14 @@ class Figure:
 
     spec: bench.Sweep
     help: str
-    #: Runs half the requested replications.
-    halved: bool = False
     #: Part of ``repro all``.
     in_all: bool = True
 
-    @property
-    def serial(self) -> bool:
-        """Samples inside the simulation (A4's staleness co-process)
-        and cannot fan out: the engine knobs are not passed."""
-        return self.spec.sample is not None
-
     def render(self, replications: int,
-               opts: ExecOptions) -> Tuple[list, str, int]:
-        """The series, its tables and the replication count that ran."""
-        if self.halved:
-            replications = max(1, replications // 2)
-        series = bench.run(self.spec, replications,
-                           **({} if self.serial else opts.kwargs()))
-        return series, bench.render(self.spec, series), replications
+               opts: ExecOptions) -> Tuple[list, str]:
+        """The series and its tables."""
+        series = bench.run(self.spec, replications, **opts.kwargs())
+        return series, bench.render(self.spec, series)
 
 
 def _figure(name: str, help: str, **facts: bool) -> Tuple[str, Figure]:
@@ -107,8 +96,7 @@ FIGURES: Dict[str, Figure] = dict([
     _figure("a1", "Ablation A1 - rw vs exclusive lock semantics"),
     _figure("a2", "Ablation A2 - priority inheritance vs ceiling"),
     _figure("a3", "Ablation A3 - database size sweep"),
-    _figure("a4", "Ablation A4 - replica staleness vs delay",
-            halved=True),
+    _figure("a4", "Ablation A4 - replica staleness vs delay"),
     _figure("a5", "Ablation A5 - 2PL deadlock policies"),
     _figure("a6", "Ablation A6 - lock-free snapshot reads"),
     _figure("a7", "Ablation A7 - bounded disks vs parallel I/O"),
@@ -263,8 +251,7 @@ def _run_figures(names: List[str], args: argparse.Namespace) -> int:
         started = time.perf_counter()
         before = session_counters()
         figure = FIGURES[name]
-        series, text, replications = figure.render(args.replications,
-                                                   opts)
+        series, text = figure.render(args.replications, opts)
         lines, held = bench.verdicts(figure.spec, series)
         print("\n".join([text, *lines]))
         if not held:
@@ -272,14 +259,13 @@ def _run_figures(names: List[str], args: argparse.Namespace) -> int:
         delta = {key: value - before[key]
                  for key, value in session_counters().items()}
         trailer = (f"[{name}: {time.perf_counter() - started:.1f}s, "
-                   f"{replications} replications")
-        if delta["units"]:
-            trailer += (f", jobs={resolve_jobs(args.jobs)}, "
-                        f"{delta['units']} units, "
-                        f"{delta['computed']} computed, "
-                        f"{delta['cache_hits']} cache hits")
-            if delta["messages_lost"]:
-                trailer += f", {delta['messages_lost']} msgs lost"
+                   f"{args.replications} replications, "
+                   f"jobs={resolve_jobs(args.jobs)}, "
+                   f"{delta['units']} units, "
+                   f"{delta['computed']} computed, "
+                   f"{delta['cache_hits']} cache hits")
+        if delta["messages_lost"]:
+            trailer += f", {delta['messages_lost']} msgs lost"
         print(trailer + "]")
         print()
     return status

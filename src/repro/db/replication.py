@@ -47,10 +47,13 @@ class ReplicaCatalog:
         self._primary_sets: Dict[int, FrozenSet[int]] = {
             site: frozenset(oids)
             for site, oids in self._primaries.items()}
-        #: (site, oid) -> version timestamp of that site's copy.
-        self._copy_ts: Dict[int, List[float]] = {
-            site: [0.0] * db_size for site in range(n_sites)
-        }
+        #: [site][oid] -> version timestamp of that site's copy.
+        self._copy_ts: List[List[float]] = [
+            [0.0] * db_size for __ in range(n_sites)]
+        #: Worst staleness seen just before a copy changed (see
+        #: :meth:`record_write`); with :meth:`max_staleness` at the end
+        #: of a run, the run's exact peak.
+        self.peak_staleness = 0.0
 
     # ------------------------------------------------------------------
     # placement
@@ -81,9 +84,24 @@ class ReplicaCatalog:
     # ------------------------------------------------------------------
     # copy freshness
     # ------------------------------------------------------------------
-    def record_write(self, site: int, oid: int, timestamp: float) -> None:
-        """The copy of ``oid`` at ``site`` now reflects ``timestamp``."""
+    def record_write(self, site: int, oid: int, timestamp: float,
+                     now: Optional[float] = None) -> None:
+        """The copy of ``oid`` at ``site`` reflects ``timestamp`` from
+        ``now`` on (default: ``timestamp``, a primary's own write).
+
+        Between two changes to ``oid``'s copies its staleness only
+        grows, so it peaks just before one of them: the peak is taken
+        here, over the copies as they were, and is exact.
+        """
         self._check_site(site)
+        if now is None:
+            now = timestamp
+        primary_ts = self._copy_ts[self._primary[oid]][oid]
+        for copy_ts in self._copy_ts:
+            if copy_ts[oid] < primary_ts:
+                if now - primary_ts > self.peak_staleness:
+                    self.peak_staleness = now - primary_ts
+                break
         self._copy_ts[site][oid] = timestamp
 
     def copy_timestamp(self, site: int, oid: int) -> float:
@@ -136,10 +154,9 @@ class ReplicaCatalog:
         # staleness() inlined: a pair is stale by now - primary_ts when
         # its copy lags, so the worst pair is the oldest lagging write.
         worst = 0.0
-        copies = list(self._copy_ts.values())
         for oid, primary in self._primary.items():
             primary_ts = self._copy_ts[primary][oid]
-            for copy_ts in copies:
+            for copy_ts in self._copy_ts:
                 if copy_ts[oid] < primary_ts:
                     if now - primary_ts > worst:
                         worst = now - primary_ts

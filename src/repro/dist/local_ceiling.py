@@ -131,7 +131,7 @@ def _apply_update(site: Site, catalog: ReplicaCatalog,
                 hooks.replica_write(kernel.now, catalog, site.site_id,
                                     message.oid, message.timestamp)
             catalog.record_write(site.site_id, message.oid,
-                                 message.timestamp)
+                                 message.timestamp, kernel.now)
         site.replica_apply_latencies.append(
             kernel.now - message.timestamp)
         if versions is not None:

@@ -303,6 +303,17 @@ class DistributedSystem:
             for key, value in self.ccs[site_id].stats.as_dict().items():
                 stats[key] = stats.get(key, 0) + value
         row.update({f"cc_{key}": value for key, value in stats.items()})
+        if self.config.temporal_versions:
+            # §4's temporal-consistency quantities (ablation A4).
+            row["peak_staleness"] = max(self.catalog.peak_staleness,
+                                        self.max_staleness())
+            latencies = sorted(latency for site in self.sites
+                               for latency in site.replica_apply_latencies)
+            row["mean_apply_latency"] = (
+                sum(latencies) / len(latencies) if latencies else 0.0)
+            row["p95_apply_latency"] = (
+                latencies[int(0.95 * (len(latencies) - 1))]
+                if latencies else 0.0)
         if self.degradation.enabled:
             now = self.kernel.now
             row["fault_downtime"] = self.degradation.total_downtime(now)

@@ -4,7 +4,7 @@ Public surface::
 
     from repro.kernel import (
         Kernel, Process, ProcessState, Port, DeadlineTimer,
-        Delay, Spawn, Join, Call, Now, Immediate, BLOCKED,
+        Delay, Immediate, BLOCKED,
         WaitQueue, RngStreams,
         KernelError, ProcessInterrupt, Timeout,
     )
@@ -20,13 +20,11 @@ from .ports import Port
 from .process import Process, ProcessState
 from .rng import RngStreams
 from .scheduler import WaitQueue
-from .syscalls import (BLOCKED, Call, Delay, Immediate, Join, Now, Spawn,
-                       SysCall)
+from .syscalls import BLOCKED, Delay, Immediate, SysCall
 from .timers import DeadlineTimer
 
 __all__ = [
     "BLOCKED",
-    "Call",
     "ChoiceRecord",
     "Chooser",
     "DefaultChooser",
@@ -37,10 +35,8 @@ __all__ = [
     "EventQueue",
     "Immediate",
     "InvalidProcessState",
-    "Join",
     "Kernel",
     "KernelError",
-    "Now",
     "Port",
     "Process",
     "ProcessInterrupt",
@@ -48,7 +44,6 @@ __all__ = [
     "RngStreams",
     "SchedulingError",
     "SimulationOver",
-    "Spawn",
     "SysCall",
     "Timeout",
     "WaitQueue",

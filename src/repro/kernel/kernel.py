@@ -403,8 +403,8 @@ class Kernel:
                     exc = None
                 else:
                     item = send(value)
-            except StopIteration as stop:
-                self._terminate(process, result=stop.value)
+            except StopIteration:
+                self._terminate(process)
                 return
             except ProcessInterrupt as interrupt:
                 # An interrupt the body chose not to handle terminates
@@ -442,10 +442,9 @@ class Kernel:
                 raise TypeError(
                     f"syscall {type(item).__name__} returned {outcome!r}")
 
-    def _terminate(self, process: Process, result: Any = None,
+    def _terminate(self, process: Process,
                    exception: Optional[BaseException] = None) -> None:
         process.state = _TERMINATED
-        process.result = result
         process.exception = exception
         process.generator.close()
         hooks = self.hooks
@@ -455,9 +454,3 @@ class Kernel:
         # dropping it lets the transaction go at its last reference
         # instead of leaving the pair to the cyclic collector.
         process.payload = None
-        joiners, process.joiners = process.joiners, []
-        for joiner in joiners:
-            if exception is not None:
-                self.ready(joiner, exc=exception)
-            else:
-                self.ready(joiner, value=result)

@@ -43,8 +43,7 @@ class Process:
 
     __slots__ = ("pid", "name", "generator", "base_priority",
                  "inherited_priority", "state", "blocker",
-                 "pending_resume", "joiners", "result", "exception",
-                 "payload")
+                 "pending_resume", "exception", "payload")
 
     def __init__(self, generator: Generator, name: str,
                  priority: float = 0.0, pid: int = 0):
@@ -59,9 +58,6 @@ class Process:
         self.blocker: Optional[Any] = None
         #: Pending resume Event, if the process is READY.
         self.pending_resume: Optional[Any] = None
-        #: Processes waiting (via Join) for this one to terminate.
-        self.joiners: list = []
-        self.result: Any = None
         self.exception: Optional[BaseException] = None
         #: Arbitrary model payload (e.g. the Transaction this TM runs).
         self.payload: Any = None

@@ -22,9 +22,8 @@ slots itself, so building a request runs the wrapper's frame only.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Generator
+from typing import Any
 
-from .errors import InvalidProcessState
 from .process import Process
 
 
@@ -94,85 +93,3 @@ class Delay(SysCall):
         process.blocker = kernel.events.schedule(
             kernel.now + duration, partial(kernel.wake, process))
         return BLOCKED
-
-
-class Spawn(SysCall):
-    """Create a child process; returns the new :class:`Process`."""
-
-    __slots__ = ("body", "name", "priority")
-
-    def __init__(self, body: Generator, name: str, priority: float = 0.0):
-        self.body = body
-        self.name = name
-        self.priority = priority
-
-    def apply(self, kernel, process):
-        child = kernel.spawn(self.body, self.name, self.priority)
-        return Immediate(child)
-
-
-class Join(SysCall):
-    """Block until ``target`` terminates; returns its result value.
-
-    If the target raised, the exception is re-raised in the joiner.
-    """
-
-    __slots__ = ("target",)
-
-    def __init__(self, target: Process):
-        self.target = target
-
-    def apply(self, kernel, process):
-        if process is self.target:
-            raise InvalidProcessState("a process cannot join itself")
-        if self.target.terminated:
-            if self.target.exception is not None:
-                raise self.target.exception
-            return Immediate(self.target.result)
-        self.target.joiners.append(process)
-        process.blocker = _JoinBlocker(self.target)
-        return BLOCKED
-
-
-class _JoinBlocker:
-    __slots__ = ("target",)
-
-    def __init__(self, target: Process):
-        self.target = target
-
-    def withdraw(self, process: Process) -> None:
-        if process in self.target.joiners:
-            self.target.joiners.remove(process)
-
-
-class Call(SysCall):
-    """Run an arbitrary kernel-context function ``fn(kernel, process)``.
-
-    The function may return ``Immediate`` or ``BLOCKED`` itself (after
-    parking the process); plain return values are wrapped in Immediate.
-    This is the extension point for *model and test* code that needs a
-    one-off kernel-context operation.  The library's own structures
-    (ports, CPUs, I/O, lock managers) do not use it: each
-    defines a typed ``SysCall`` subclass, which costs no closure.
-    """
-
-    __slots__ = ("fn", "label")
-
-    def __init__(self, fn: Callable, label: str = "call"):
-        self.fn = fn
-        self.label = label
-
-    def apply(self, kernel, process):
-        outcome = self.fn(kernel, process)
-        if isinstance(outcome, Immediate) or outcome is BLOCKED:
-            return outcome
-        return Immediate(outcome)
-
-
-class Now(SysCall):
-    """Return the current virtual time (convenience)."""
-
-    __slots__ = ()
-
-    def apply(self, kernel, process):
-        return Immediate(kernel.now)

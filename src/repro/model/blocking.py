@@ -84,10 +84,6 @@ class BlockingPrediction:
         return sum(value for name, value in self.categories.items()
                    if name != BLOCKING_NETWORK)
 
-    @property
-    def network_wait(self) -> float:
-        return self.categories.get(BLOCKING_NETWORK, 0.0)
-
 
 def _categories(direct: float = 0.0, ceiling: float = 0.0,
                 network: float = 0.0) -> Dict[str, float]:

@@ -171,13 +171,8 @@ class WorkloadModel:
         return 1.0 + self.mean_allowance / max(self.arrival_span, 1e-9)
 
     # ------------------------------------------------------------------
-    # access probabilities
+    # operation mix and conflicts
     # ------------------------------------------------------------------
-    @property
-    def access_probability(self) -> float:
-        """P(a given transaction touches a given object) = E[size]/D."""
-        return self.mean_size / self.db_size
-
     @property
     def write_op_fraction(self) -> float:
         """Fraction of all issued operations that take write locks."""

@@ -246,13 +246,6 @@ class RunTimeline:
                 hot[0]["total_wait"] if hot else 0.0),
         }
 
-    def merge_summary(self, summary: Dict[str, float]
-                      ) -> Dict[str, float]:
-        """A *new* dict: the run summary plus the trace_* overlay."""
-        merged = dict(summary)
-        merged.update(self.overlay())
-        return merged
-
 
 # ----------------------------------------------------------------------
 # reconstruction

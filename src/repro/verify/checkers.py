@@ -20,7 +20,7 @@ global findings uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..analyze.invariants import Violation
 from ..cc.base import CONFLICT, QUEUE
@@ -240,12 +240,4 @@ def run_final_checks(instance) -> List[Violation]:
     violations.extend(check_serializability(instance))
     violations.extend(check_agreement(instance))
     violations.extend(check_misses(instance))
-    return violations
-
-
-def harvest(instance,
-            extra: Iterable[Violation] = ()) -> List[Violation]:
-    """Sanitizer findings plus explorer findings, in one list."""
-    violations = list(instance.sanitizer.violations)
-    violations.extend(extra)
     return violations

@@ -35,8 +35,8 @@ def unobserved(monkeypatch):
 @pytest.fixture(scope="session")
 def claimed():
     """Every claimed figure's series at 2 replications, run as its
-    command runs it (a4 halved), on two workers and one in-memory
-    cache; run once for every module that reads it."""
+    command runs it, on two workers and one in-memory cache; run once
+    for every module that reads it."""
     from repro.cli import FIGURES, ExecOptions
     from repro.exec import ResultCache
     opts = ExecOptions(jobs=2, cache=ResultCache(None))

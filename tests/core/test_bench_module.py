@@ -11,7 +11,8 @@ import pytest
 from repro.bench import (Table, distributed_config, render, run,
                          single_site_config, verdicts)
 from repro.bench.figures import _fig5_config
-from repro.cli import FIGURES
+from repro.cli import FIGURES, ExecOptions
+from repro.exec import ResultCache, session_counters
 
 CLAIMED = [name for name, figure in FIGURES.items()
            if figure.spec.claims]
@@ -70,9 +71,20 @@ def test_every_figure_runs_and_renders(name):
     assert text
 
 
-def test_only_a4_samples_in_process():
-    assert [name for name, figure in FIGURES.items()
-            if figure.serial] == ["a4"]
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_every_figure_runs_on_the_engine(name):
+    # Every unit goes through the engine and its cache: a second pass
+    # on one cache computes nothing.
+    figure = dataclasses.replace(FIGURES[name],
+                                 spec=tiny(FIGURES[name].spec))
+    opts = ExecOptions(cache=ResultCache(None))
+    computed = []
+    for __ in range(2):
+        before = session_counters()["computed"]
+        figure.render(1, opts)
+        computed.append(session_counters()["computed"] - before)
+    assert computed[0] > 0
+    assert computed[1] == 0
 
 
 @pytest.mark.parametrize("name", CLAIMED)

@@ -140,14 +140,16 @@ def test_a5_runs_on_the_engine(capsys):
 
 def test_trailer_reports_the_replications_that_ran(capsys,
                                                    monkeypatch):
-    # a4 halves the request; the trailer names the count it used.
+    # a4 runs the replications it is asked for, on the engine.
     a4 = FIGURES["a4"]
     # The claims name delays the cut grid lacks.
     monkeypatch.setitem(FIGURES, "a4", dataclasses.replace(
         a4, spec=dataclasses.replace(a4.spec, values=a4.spec.values[:1],
                                      claims=())))
     assert main(["a4", "--replications", "3", "--no-cache"]) == 0
-    assert "s, 1 replications]" in capsys.readouterr().out
+    assert re.search(r"s, 3 replications, jobs=\d+, 3 units, "
+                     r"3 computed, 0 cache hits\]",
+                     capsys.readouterr().out)
 
 
 def test_a_failed_claim_is_exit_status_1(capsys):

@@ -1,9 +1,9 @@
-"""Kernel: process lifecycle, run loop, interrupts, joins."""
+"""Kernel: process lifecycle, run loop, interrupts."""
 
 import pytest
 
-from repro.kernel import (Delay, InvalidProcessState, Join, Kernel, Now,
-                          ProcessInterrupt, ProcessState, Spawn)
+from repro.kernel import (Delay, InvalidProcessState, Kernel,
+                          ProcessInterrupt, ProcessState, SysCall)
 from repro.kernel.errors import SimulationOver
 from repro.kernel.hooks import Hooks
 
@@ -78,54 +78,25 @@ def test_run_returns_final_time():
     assert kernel.run() == 3.0
 
 
-def test_process_return_value_via_join():
-    kernel = Kernel()
-    results = []
+class Refused(SysCall):
+    """A request its own kernel refuses (a lock request that makes the
+    requester the deadlock victim fails the same way)."""
 
-    def child():
-        yield Delay(1.0)
-        return "child-result"
-
-    def parent():
-        process = yield Spawn(child(), "child")
-        value = yield Join(process)
-        results.append((kernel.now, value))
-
-    kernel.spawn(parent(), "parent")
-    kernel.run()
-    assert results == [(1.0, "child-result")]
+    def apply(self, kernel, process):
+        raise InvalidProcessState("refused")
 
 
-def test_join_on_terminated_process_returns_immediately():
-    kernel = Kernel()
-    results = []
-
-    def child():
-        yield Delay(0)
-        return 7
-
-    def parent():
-        process = yield Spawn(child(), "child")
-        yield Delay(5.0)  # child long done
-        value = yield Join(process)
-        results.append(value)
-
-    kernel.spawn(parent(), "parent")
-    kernel.run()
-    assert results == [7]
-
-
-def test_join_self_rejected():
+def test_a_syscall_error_is_delivered_at_the_yield_point():
     kernel = Kernel()
     errors = []
 
     def body():
         try:
-            yield Join(me)
+            yield Refused()
         except InvalidProcessState:
             errors.append("caught")
 
-    me = kernel.spawn(body(), "loner")
+    kernel.spawn(body(), "loner")
     kernel.run()
     # The error is delivered at the yield point, where the body caught it.
     assert errors == ["caught"]
@@ -135,9 +106,9 @@ def test_unhandled_kernel_error_crashes_the_run():
     kernel = Kernel()
 
     def body():
-        yield Join(me)  # raises InvalidProcessState, not handled
+        yield Refused()  # raises InvalidProcessState, not handled
 
-    me = kernel.spawn(body(), "loner")
+    kernel.spawn(body(), "loner")
     with pytest.raises(InvalidProcessState):
         kernel.run()
 
@@ -184,41 +155,6 @@ def test_unhandled_interrupt_terminates_process_cleanly():
     kernel.run()
     assert process.terminated
     assert isinstance(process.exception, ProcessInterrupt)
-
-
-def test_join_reraises_child_interrupt():
-    kernel = Kernel()
-    caught = []
-
-    def child_body():
-        yield Delay(50.0)
-
-    def parent():
-        try:
-            yield Join(child)
-        except ProcessInterrupt as interrupt:
-            caught.append(interrupt.cause)
-
-    child = kernel.spawn(child_body(), "child")
-    kernel.spawn(parent(), "parent")
-    kernel.at(2.0, lambda: kernel.interrupt(child,
-                                            ProcessInterrupt("boom")))
-    kernel.run()
-    assert caught == ["boom"]
-
-
-def test_now_syscall():
-    kernel = Kernel()
-    seen = []
-
-    def body():
-        yield Delay(4.0)
-        now = yield Now()
-        seen.append(now)
-
-    kernel.spawn(body(), "p")
-    kernel.run()
-    assert seen == [4.0]
 
 
 def test_yielding_non_syscall_raises_type_error():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel import (BLOCKED, Call, Delay, Immediate, Kernel, Port,
+from repro.kernel import (BLOCKED, Delay, Kernel, Port,
                           ProcessInterrupt, ProcessState, SysCall)
 from repro.kernel.errors import InvalidProcessState, SchedulingError
 from repro.kernel.process import Process
@@ -69,19 +69,6 @@ def test_garbage_apply_result_is_a_type_error(garbage):
     kernel.spawn(body(), "p")
     with pytest.raises(TypeError, match="Sloppy returned"):
         kernel.run()
-
-
-def test_call_stays_the_extension_point_and_boxes_plain_values():
-    kernel = Kernel()
-    seen = []
-
-    def body():
-        seen.append((yield Call(lambda kernel, process: 41 + 1)))
-        seen.append((yield Call(lambda kernel, process: Immediate("x"))))
-
-    kernel.spawn(body(), "p")
-    kernel.run()
-    assert seen == [42, "x"]
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +216,6 @@ def test_labels_are_formatted_on_demand_in_the_legacy_spelling():
     assert Port(kernel, "inbox").receive().label == "receive(inbox)"
     assert (cc.acquire(txn, 3, LockMode.WRITE).label
             == f"lock(3,{LockMode.WRITE})")
-    assert Call(lambda kernel, process: None).label == "call"
 
 
 # ----------------------------------------------------------------------

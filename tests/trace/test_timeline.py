@@ -184,7 +184,7 @@ def test_longest_inversions():
     assert inversions[0]["duration"] == 5.0
 
 
-def test_overlay_and_merge_summary():
+def test_overlay_sums_the_profiled_run():
     run = _profiled_run()
     overlay = run.overlay()
     assert overlay["trace_events"] == 8
@@ -196,8 +196,3 @@ def test_overlay_and_merge_summary():
     assert overlay["trace_inversion_time"] == 5.0
     assert overlay["trace_longest_inversion"] == 5.0
     assert overlay["trace_hottest_oid"] == 7
-    base = {"throughput": 1.5}
-    merged = run.merge_summary(base)
-    assert merged["throughput"] == 1.5
-    assert merged["trace_events"] == 8
-    assert base == {"throughput": 1.5}  # the input is not mutated
