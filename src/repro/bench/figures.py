@@ -559,9 +559,10 @@ _A4_CLAIMS = (
           lambda at: at[10.0]["mean_apply_latency"]
           > at[2.0]["mean_apply_latency"] + 5.0),
     Claim("peak staleness is comparable", "lock contention at the "
-          "applying site dominates it [delay 10 >= delay 0 - 15]",
-          lambda at: at[10.0]["peak_staleness"]
-          >= at[0.0]["peak_staleness"] - 15.0),
+          "applying site dominates it [|peak at delay 10 - delay 0| "
+          "<= 15]",
+          lambda at: abs(at[10.0]["peak_staleness"]
+                         - at[0.0]["peak_staleness"]) <= 15.0),
     Claim("misses stay flat", "staleness, not misses, is the price "
           "[|%missed at delay 10 - delay 0| < 20]",
           lambda at: abs(at[10.0]["percent_missed"]

@@ -5,7 +5,9 @@ ceiling) shares this skeleton:
 
 - :meth:`acquire` returns a syscall the transaction manager yields;
   applied by the kernel it runs :meth:`attempt`, which grants
-  immediately or parks the requester in the protocol's wait set;
+  immediately or parks the requester in the protocol's wait set (a
+  lock-manager server calls :meth:`attempt` itself, with a grant
+  callback);
 - :meth:`release_all` frees a committing transaction's locks and
   re-evaluates waiters;
 - :meth:`abort` cleans up a transaction that died mid-flight (deadline
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 from ..constants import BLOCKING_CEILING, BLOCKING_DIRECT
 from ..db.locks import LockMode, LockTable
@@ -33,6 +35,7 @@ from ..kernel.process import Process, ProcessState
 from ..kernel.syscalls import BLOCKED, DONE, SysCall
 from ..txn.transaction import Transaction
 
+_WRITE = LockMode.WRITE
 _RUNNING = ProcessState.RUNNING
 _TERMINATED = ProcessState.TERMINATED
 
@@ -76,20 +79,17 @@ class CCStats:
 
 
 class Request:
-    """A waiting lock request.
-
-    Two delivery styles:
+    """A waiting lock request.  No ``__init__``:
+    :meth:`ConcurrencyControl.attempt`, the one constructing site,
+    stores every slot (a frame per block otherwise).  Two delivery
+    styles:
 
     - *blocking* (``on_grant is None``): the requesting process yielded
       the acquire syscall and is parked; the grant resumes it;
-    - *async* (``on_grant`` set): created by :meth:`acquire_async` from
-      a server process (the global ceiling manager); the grant invokes
-      the callback instead — the requester is blocked elsewhere, waiting
-      for the grant *message*.
-
-    No ``__init__``: :meth:`ConcurrencyControl.attempt` and
-    :meth:`~ConcurrencyControl.acquire_async`, the two constructing
-    sites, store every slot (a frame per block otherwise).
+    - *callback* (``on_grant`` set): a lock-manager server (the global
+      ceiling manager) asked on a remote transaction's behalf; the
+      grant invokes the callback instead — the requester is blocked
+      elsewhere, waiting for the grant *message*.
     """
 
     __slots__ = ("txn", "oid", "mode", "process", "seq", "since",
@@ -147,6 +147,8 @@ class ConcurrencyControl:
     name = "base"
     #: CPU discipline this protocol is designed for.
     cpu_policy = "priority"
+    #: Every lock is taken in WRITE mode (protocol Cx, the §5 ablation).
+    exclusive_only = False
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
@@ -157,7 +159,7 @@ class ConcurrencyControl:
         #: ``waiting``).  Maintained by _enqueue/_dequeue only.
         self._waiting_by_oid: dict = {}
         #: tid -> that transaction's waiting requests, in enqueue order
-        #: (one entry except for async requests in flight together).
+        #: (one entry except for callback requests in flight together).
         #: Keyed by tid: an int key hashes without a Python-level call.
         self._waiting_by_tid: dict = {}
         self.stats = CCStats()
@@ -204,9 +206,20 @@ class ConcurrencyControl:
         return call
 
     def attempt(self, kernel: Kernel, process: Process, txn: Transaction,
-                oid: int, mode: LockMode):
-        """Kernel-context body of :meth:`acquire`: grant now (``DONE``)
-        or park ``process`` in the wait set (``BLOCKED``)."""
+                oid: int, mode: LockMode, on_grant=None):
+        """The one request body: grant now (``DONE``) or queue the
+        request in the wait set (``BLOCKED``).
+
+        Without ``on_grant`` this is the kernel-context body of
+        :meth:`acquire`, and a blocked ``process`` is parked until the
+        grant.  A lock-manager server passes ``on_grant`` instead: a
+        queued request calls it when granted, and ``process`` (the
+        remote transaction's) only feeds priority inheritance.  No
+        protocol that aborts deadlock victims serves such requests: the
+        victim machinery assumes a parked requester.
+        """
+        if self.exclusive_only:
+            mode = _WRITE
         self.stats.requests += 1
         hooks = kernel.hooks
         if hooks is not None:
@@ -232,70 +245,32 @@ class ConcurrencyControl:
         request.process = process
         request.seq = next(self._seq)
         request.since = kernel.now
-        request.on_grant = None
+        request.on_grant = on_grant
         self._enqueue(request)
-        process.blocker = blocker = _RequestBlocker()
-        blocker.cc = self
-        blocker.request = request
+        if on_grant is None:
+            process.blocker = blocker = _RequestBlocker()
+            blocker.cc = self
+            blocker.request = request
         if hooks is not None:
             hooks.lock_block(kernel.now, self, request, cause, conflicts)
         # _on_block may raise a TransactionAbort into the requester
         # (deadlock victim); it must leave protocol state clean if so.
         self._on_block(request)
         self._after_change()
-        if process.blocker is None:
+        if on_grant is None and process.blocker is None:
             # _on_block aborted another victim, and its leaving the
             # queue admitted this very request (see _grant_waiter).
             return DONE
         return BLOCKED
 
-    def acquire_async(self, txn: Transaction, oid: int, mode: LockMode,
-                      on_grant, process: Optional[Process] = None) -> bool:
-        """Server-mode acquire used by the global ceiling manager.
-
-        Returns True if the lock was granted immediately; otherwise the
-        request is queued and ``on_grant()`` fires when it is granted.
-        ``process`` (the remote transaction's manager process) feeds
-        priority-inheritance bookkeeping.  Only deadlock-free protocols
-        (the ceiling protocols) support this path — the 2PL victim
-        machinery assumes a parked requester.
-        """
-        self.stats.requests += 1
-        kernel = self.kernel
-        hooks = kernel.hooks
-        if hooks is not None:
-            hooks.lock_request(kernel.now, self, txn, oid, mode)
-        if self._can_acquire(txn, oid, mode):
-            self.locks.grant(oid, txn, mode)
-            self.stats.immediate_grants += 1
-            if hooks is not None:
-                hooks.lock_grant(kernel.now, self, txn, oid, mode, None)
-            return True
-        self.stats.blocks += 1
-        conflicts = self.locks.conflicting_holders(oid, txn, mode)
-        if conflicts:
-            self.stats.direct_blocks += 1
-            cause = BLOCKING_DIRECT
-        else:
-            self.stats.ceiling_blocks += 1
-            cause = BLOCKING_CEILING
-        request = Request()
-        request.txn = txn
-        request.oid = oid
-        request.mode = mode
-        request.process = process if process is not None else txn.process
-        request.seq = next(self._seq)
-        request.since = kernel.now
-        request.on_grant = on_grant
-        self._enqueue(request)
-        if hooks is not None:
-            hooks.lock_block(kernel.now, self, request, cause, conflicts)
-        self._on_block(request)
-        self._after_change()
-        return False
+    def is_waiting(self, txn: Transaction, oid: int) -> bool:
+        """Whether ``txn`` has a request for ``oid`` in the wait set."""
+        return any(request.oid == oid
+                   for request in self._waiting_by_tid.get(txn.tid, ()))
 
     def cancel_async(self, txn: Transaction) -> int:
-        """Withdraw every queued async request of ``txn`` (abort path).
+        """Withdraw every queued callback request of ``txn`` (abort
+        path).
 
         Returns the number removed."""
         if txn.tid not in self._waiting_by_tid:

@@ -32,8 +32,9 @@ predeclares its access sets, exactly the information the paper's
 workload generator specifies ("size of their read-sets and write-sets").
 
 ``exclusive_only=True`` gives the §5 ablation: read semantics are
-ignored, every lock is exclusive and both static ceilings collapse to
-the absolute ceiling.
+ignored, every lock is exclusive (the shared request body takes it in
+WRITE mode, whoever asks) and both static ceilings collapse to the
+absolute ceiling.
 """
 
 from __future__ import annotations
@@ -255,16 +256,11 @@ class PriorityCeiling(ConcurrencyControl):
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def acquire(self, txn: Transaction, oid: int, mode: LockMode):
+    def _can_acquire(self, txn: Transaction, oid: int,
+                     mode: LockMode) -> bool:
         if txn.tid not in self.active:
             raise LockError(f"transaction {txn.tid} must be registered "
                             f"before acquiring locks under {self.name}")
-        if self.exclusive_only:
-            mode = LockMode.WRITE
-        return super().acquire(txn, oid, mode)
-
-    def _can_acquire(self, txn: Transaction, oid: int,
-                     mode: LockMode) -> bool:
         barrier, __ = self._ceiling_barrier(txn)
         if barrier is not None and txn.priority <= barrier:
             return False
@@ -383,11 +379,11 @@ class PriorityCeiling(ConcurrencyControl):
                     break
                 place += 1
             order = order[:place] + [None] + order[place:]
-        # A boosted waiter queued by acquire_async can lose the boost
-        # with no event here: its process may end while its abort
-        # message is in flight, and waiter_priority() then falls back
-        # to the base priority.  A pass that read such a priority does
-        # not count as settled.
+        # A boosted waiter a lock manager queued for a remote
+        # transaction can lose the boost with no event here: its
+        # process may end while its abort message is in flight, and
+        # waiter_priority() then falls back to the base priority.  A
+        # pass that read such a priority does not count as settled.
         volatile = False
         for __ in range(len(self.waiting) + 1):
             contributions: Dict[int, float] = {}

@@ -165,8 +165,8 @@ class DistributedConfig:
         _validate_engine(self.engine)
         if (self.mode == "global"
                 and options.get("victim_policy", "none") != "none"):
-            # The ceiling-manager server grants remote requests through
-            # acquire_async; the 2PL victim machinery assumes a parked
+            # The ceiling-manager server queues remote requests with a
+            # grant callback; the 2PL victim machinery assumes a parked
             # local requester it can interrupt, so deadlock-victim
             # aborts are a single-site-only option.
             raise ValueError("global mode requires victim_policy="

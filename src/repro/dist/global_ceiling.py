@@ -33,16 +33,16 @@ storage): a crash silences it while down, it does not amnesia it.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from ..cc.base import ConcurrencyControl
 from ..db.locks import LockMode
 from ..db.replication import ReplicaCatalog
+from ..kernel.syscalls import DONE
 from ..kernel.timers import DeadlineTimer
 from ..txn.manager import CostModel
 from ..txn.transaction import (DeadlineMiss, Transaction,
                                TransactionAbort)
-from ..txn.two_phase_commit import TwoPhaseCommit
 from .comms import ack
 from .message import (AbortTxn, DataReply, DataRequest, Decide,
                       LockGrant, LockQueued, LockRequest, Prepare,
@@ -63,18 +63,21 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
     Historically the *global* ceiling manager; under the table's
     placement hooks the same loop also serves DPCP's resource-local
     agents (one per site, each wrapping its own protocol instance).
-    ``cc`` is any protocol supporting the async acquire path.
+    ``cc`` is any protocol that aborts no deadlock victims: the loop
+    is an ordinary caller of its one request body,
+    :meth:`ConcurrencyControl.attempt`, with a grant callback in place
+    of a parked process.
 
-    Keeps a registry of active transactions and of queued lock
-    requests so repeated messages (at-least-once delivery under a fault
-    plan) are absorbed without double-registering, double-granting or
-    double-releasing; the dedup branches are only reachable when
-    messages repeat.
+    Keeps the tids of registered and of completed transactions so
+    repeated messages (at-least-once delivery under a fault plan) are
+    absorbed without double-registering, double-granting or
+    double-releasing; a repeated request still queued is recognised in
+    the protocol's own wait set.  The dedup branches are only reachable
+    when messages repeat.
     """
     receive = site.register_service(CEILING_SERVICE).receive()
-    registered: Dict[int, Transaction] = {}
+    registered: Set[int] = set()
     completed: Set[int] = set()
-    queued: Set[Tuple[int, int]] = set()
 
     while True:
         message = yield receive
@@ -87,7 +90,7 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                     stats.duplicates_suppressed += 1
             else:
                 cc.register(txn)
-                registered[txn.tid] = txn
+                registered.add(txn.tid)
             ack(site, message)
         elif isinstance(message, LockRequest):
             txn = message.txn
@@ -112,7 +115,7 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                     if stats is not None:
                         stats.duplicates_suppressed += 1
                     continue
-                if (txn.tid, message.oid) in queued:
+                if cc.is_waiting(txn, message.oid):
                     # Still ceiling-blocked: re-acknowledge the queue.
                     site.send(reply_site,
                               LockQueued(target=reply_name,
@@ -122,19 +125,16 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                         stats.duplicates_suppressed += 1
                     continue
 
-            grant = partial(_grant, site, queued, reply_site, reply_name,
-                            message.oid, txn.tid)
-            granted = cc.acquire_async(txn, message.oid, message.mode,
-                                       on_grant=grant, process=txn.process)
-            if granted:
+            grant = partial(_grant, site, reply_site, reply_name,
+                            message.oid)
+            if cc.attempt(cc.kernel, txn.process, txn, message.oid,
+                          message.mode, on_grant=grant) is DONE:
                 grant()
-            else:
-                queued.add((txn.tid, message.oid))
-                if message.queued_ack:
-                    site.send(reply_site,
-                              LockQueued(target=reply_name,
-                                         sender_site=site.site_id,
-                                         oid=message.oid))
+            elif message.queued_ack:
+                site.send(reply_site,
+                          LockQueued(target=reply_name,
+                                     sender_site=site.site_id,
+                                     oid=message.oid))
         elif isinstance(message, ReleaseAndDeregister):
             txn = message.txn
             if txn.tid in completed:
@@ -151,7 +151,6 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                 if hooks is not None:
                     hooks.lock_commit(site.kernel.now, cc, txn)
                 cc.deregister(txn)
-                registered.pop(txn.tid, None)
                 completed.add(txn.tid)
             ack(site, message)
         elif isinstance(message, AbortTxn):
@@ -163,21 +162,17 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                 cc.cancel_async(txn)
                 cc.abort(txn)
                 cc.deregister(txn)
-                registered.pop(txn.tid, None)
                 completed.add(txn.tid)
-                queued.difference_update(
-                    {entry for entry in queued if entry[0] == txn.tid})
             ack(site, message)
         else:
             raise TypeError(f"ceiling manager got {message!r}")
 
 
-def _grant(site: Site, queued: Set[Tuple[int, int]], reply_site: int,
-           reply_name: str, oid: int, tid: int) -> None:
-    """Send the grant of ``tid``'s lock on ``oid`` to its reply port:
-    at once for an immediate grant, or as the queued request's
+def _grant(site: Site, reply_site: int, reply_name: str,
+           oid: int) -> None:
+    """Send the grant of the lock on ``oid`` to its reply port: at
+    once for an immediate grant, or as the queued request's
     ``on_grant`` when the protocol admits it later."""
-    queued.discard((tid, oid))
     site.send(reply_site, LockGrant(target=reply_name,
                                     sender_site=site.site_id, oid=oid))
 
@@ -345,11 +340,11 @@ def global_transaction_manager(sites: List[Site],
                     match=lambda m, oid=oid: (isinstance(m, DataReply)
                                               and m.oid == oid))
 
-        # Two-phase commit across the sites holding written primaries.
+        # Two-phase commit across the sites holding written primaries:
+        # ``gather`` returns exactly one vote per participant, and the
+        # decision is commit iff every vote is.
         if by_site:
             participants = sorted(by_site)
-            tpc = TwoPhaseCommit(txn.tid, participants)
-            tpc.start()
             if hooks is not None:
                 hooks.two_pc(kernel.now, txn, "prepare", participants)
             votes = yield from comms.gather(
@@ -360,9 +355,7 @@ def global_transaction_manager(sites: List[Site],
                                     reply_to=reply.address),
                 match=lambda m: (isinstance(m, Vote)
                                  and m.txn_tid == txn.tid))
-            for participant in participants:
-                tpc.record_vote(participant, votes[participant].commit)
-            commit = tpc.decision_commit
+            commit = all(vote.commit for vote in votes.values())
             in_doubt = {dst: Decide(target=COMMIT_SERVICE,
                                     sender_site=site.site_id, txn=txn,
                                     commit=commit,
@@ -373,8 +366,6 @@ def global_transaction_manager(sites: List[Site],
                 hooks.two_pc(kernel.now, txn, "decide", participants,
                              commit)
             yield from comms.gather(participants, in_doubt.get)
-            for participant in participants:
-                tpc.record_ack(participant)
             in_doubt = {}
             if hooks is not None:
                 hooks.two_pc(kernel.now, txn, "done", participants)

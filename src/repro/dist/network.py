@@ -16,14 +16,14 @@ self-addressed case with zero delay for uniformity of caller code.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..kernel.kernel import Kernel
 from .message import Message
 
 
 class Network:
-    """Fully connected mesh with per-link constant delay."""
+    """Fully connected mesh with one constant inter-site delay."""
 
     def __init__(self, kernel: Kernel, n_sites: int, delay: float,
                  local_delay: float = 0.0):
@@ -35,8 +35,6 @@ class Network:
         self.n_sites = n_sites
         self.delay = delay
         self.local_delay = local_delay
-        #: Per-link overrides: (src, dst) -> delay.
-        self._link_delay: Dict[Tuple[int, int], float] = {}
         #: site -> inbox port (wired by DistributedSystem).
         self.inboxes: Dict[int, object] = {}
         #: Sites currently not operational: messages to them vanish
@@ -50,19 +48,6 @@ class Network:
         #: it decides each message's fate (loss, jitter, duplication,
         #: reordering, partitions) on a dedicated RNG stream.
         self.injector = None
-
-    def set_link_delay(self, src: int, dst: int, delay: float) -> None:
-        """Override the delay of one directed link (topology shaping)."""
-        self._check_site(src)
-        self._check_site(dst)
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self._link_delay[(src, dst)] = delay
-
-    def link_delay(self, src: int, dst: int) -> float:
-        if src == dst:
-            return self.local_delay
-        return self._link_delay.get((src, dst), self.delay)
 
     def attach_inbox(self, site: int, inbox) -> None:
         self._check_site(site)
@@ -88,16 +73,13 @@ class Network:
 
     def send(self, dst: int, message: Message) -> None:
         """Deliver ``message`` to site ``dst``'s Message Server inbox
-        after the link delay from ``message.sender_site``."""
+        after the delay from ``message.sender_site``."""
         self._check_site(dst)
         inbox = self.inboxes.get(dst)
         if inbox is None:
             raise RuntimeError(f"site {dst} has no attached inbox")
         src = message.sender_site
-        if src == dst:
-            delay = self.local_delay
-        else:
-            delay = self._link_delay.get((src, dst), self.delay)
+        delay = self.local_delay if src == dst else self.delay
         self.messages_sent += 1
         if self.injector is None:
             fates = (delay,)

@@ -282,8 +282,13 @@ class DistributedSystem:
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> PerformanceMonitor:
+        """Run to the end (``until=None``: the server loops, which
+        never terminate, are then closed) or to simulated time
+        ``until``."""
         self.kernel.run(until=until)
         self._finalize_orphans()
+        if until is None:
+            self.kernel.close()
         return self.monitor
 
     def summary(self) -> dict:

@@ -310,6 +310,19 @@ class Kernel:
             self.now = until
         return self.now
 
+    def close(self) -> None:
+        """Close the generator of every process that never terminated
+        (server loops; the transactions of a cut or abandoned run), so
+        its cleanup runs now, quietly — not at garbage collection,
+        where a ``finally`` block firing against a half-torn-down
+        system prints ignored-exception noise."""
+        for process in self.processes:
+            if process.state is not _TERMINATED:
+                try:
+                    process.generator.close()
+                except BaseException:
+                    pass
+
     def step(self) -> bool:
         """Dispatch a single event; returns False when the queue is empty.
 

@@ -1,4 +1,4 @@
-"""Transaction model: lifecycle, priorities, workload, managers, 2PC."""
+"""Transaction model: lifecycle, priorities, workload, managers."""
 
 from .generator import (PeriodicStream, TransactionSpec, WorkloadGenerator,
                         merge_schedules)
@@ -8,10 +8,8 @@ from .trace import (TraceFormatError, dump_schedule, load_schedule)
 from .transaction import (DeadlineMiss, DeadlockAbort, Transaction,
                           TransactionAbort, TransactionStatus,
                           TransactionType)
-from .two_phase_commit import CommitPhase, TwoPhaseCommit
 
 __all__ = [
-    "CommitPhase",
     "CostModel",
     "DeadlineMiss",
     "DeadlockAbort",
@@ -22,7 +20,6 @@ __all__ = [
     "TransactionSpec",
     "TransactionStatus",
     "TransactionType",
-    "TwoPhaseCommit",
     "WorkloadGenerator",
     "dump_schedule",
     "edf_priority",

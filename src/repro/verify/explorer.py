@@ -318,7 +318,7 @@ class Explorer:
                          f"{outcome.crash}"),
                 time=instance.kernel.now))
         finally:
-            _dispose(instance)
+            instance.kernel.close()
         outcome.violations[:0] = sanitizer.violations
         outcome.diverged = chooser.diverged
         if collect_instance:
@@ -335,21 +335,6 @@ class Explorer:
 class _Stop(Exception):
     """Internal: a violation was detected; end the replay early so the
     counterexample trail stays minimal."""
-
-
-def _dispose(instance) -> None:
-    """Close the generators of an abandoned (pruned / early-stopped)
-    replay so their cleanup runs now, quietly — not at garbage
-    collection time, where a transaction manager's ``finally`` block
-    firing against a half-torn-down system prints ignored-exception
-    noise."""
-    for process in instance.kernel.processes:
-        if process.terminated:
-            continue
-        try:
-            process.generator.close()
-        except BaseException:
-            pass
 
 
 def _diff(before: Optional[dict], after: dict,

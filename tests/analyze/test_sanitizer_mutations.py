@@ -17,6 +17,7 @@ from repro.cc.twopl import TwoPhaseLocking
 from repro.db.locks import LockMode
 from repro.db.replication import ReplicaCatalog
 from repro.kernel import Kernel
+from repro.kernel.syscalls import BLOCKED, DONE
 from repro.txn.transaction import TransactionAbort
 from tests.conftest import LockClient, make_txn
 
@@ -70,14 +71,15 @@ def test_dropped_barrier_entry_is_detected(strict_from_env, kernel):
     low = make_txn([(2, "w")], priority=5)
     cc.register(high)
     cc.register(low)
-    assert cc.acquire_async(high, 1, LockMode.WRITE,
-                            on_grant=lambda: None)
+    assert cc.attempt(kernel, high.process, high, 1, LockMode.WRITE,
+                      on_grant=lambda: None) is DONE
     assert cc._entries == [(-10.0, 0, 1)]
     # Mutation: the index forgets the lock that forms the barrier.
     cc._entries.clear()
     cc._entry_of.clear()
     with pytest.raises(SanitizerViolation) as excinfo:
-        cc.acquire_async(low, 2, LockMode.WRITE, on_grant=lambda: None)
+        cc.attempt(kernel, low.process, low, 2, LockMode.WRITE,
+                   on_grant=lambda: None)
     violation = excinfo.value.violation
     assert violation.code == "SAN-PCP-CEILING"
     assert violation.txn == low.tid
@@ -91,14 +93,14 @@ def test_inflated_barrier_entry_is_detected(strict_from_env, kernel):
     above = make_txn([(2, "w")], priority=12)
     cc.register(holder)
     cc.register(above)
-    assert cc.acquire_async(holder, 1, LockMode.WRITE,
-                            on_grant=lambda: None)
+    assert cc.attempt(kernel, holder.process, holder, 1, LockMode.WRITE,
+                      on_grant=lambda: None) is DONE
     # Mutation: the index carries a ceiling nobody declared, so a
     # transaction above the real barrier is turned away.
     cc._entries[0] = cc._entry_of[1] = (-20.0, 0, 1)
     with pytest.raises(SanitizerViolation) as excinfo:
-        cc.acquire_async(above, 2, LockMode.WRITE,
-                         on_grant=lambda: None)
+        cc.attempt(kernel, above.process, above, 2, LockMode.WRITE,
+                   on_grant=lambda: None)
     violation = excinfo.value.violation
     assert violation.code == "SAN-PCP-BLOCK"
     assert violation.txn == above.tid
@@ -131,7 +133,7 @@ def test_spurious_ceiling_block_is_detected(san, kernel, monkeypatch):
 # SAN-PCP-ONCE — blocked-at-most-once accounting
 # ----------------------------------------------------------------------
 def test_repeated_ceiling_blocking_is_detected(san, kernel):
-    # Mutation at the client layer: an async requester withdraws and
+    # Mutation at the client layer: a callback requester withdraws and
     # re-requests within one stable active set, producing two blocking
     # episodes against the same lower-priority holder — more than the
     # PCP bound of one critical section allows.
@@ -142,9 +144,8 @@ def test_repeated_ceiling_blocking_is_detected(san, kernel):
     cc.locks.grant(1, low, LockMode.WRITE)
     cc.register(high)
     for __ in range(2):
-        granted = cc.acquire_async(high, 1, LockMode.WRITE,
-                                   on_grant=lambda: None)
-        assert not granted
+        assert cc.attempt(kernel, high.process, high, 1, LockMode.WRITE,
+                          on_grant=lambda: None) is BLOCKED
         cc.cancel_async(high)
     assert "SAN-PCP-ONCE" in only_codes(san)
     violation = next(v for v in san.violations
@@ -172,10 +173,10 @@ def test_ceiling_deadlock_cycle_is_detected(san, kernel, monkeypatch):
     cc.locks.grant(2, second, LockMode.WRITE)
     # Each now requests the other's object: a classic two-member cycle
     # the real admission test would have prevented.
-    assert not cc.acquire_async(first, 2, LockMode.WRITE,
-                                on_grant=lambda: None)
-    assert not cc.acquire_async(second, 1, LockMode.WRITE,
-                                on_grant=lambda: None)
+    assert cc.attempt(kernel, first.process, first, 2, LockMode.WRITE,
+                      on_grant=lambda: None) is BLOCKED
+    assert cc.attempt(kernel, second.process, second, 1, LockMode.WRITE,
+                      on_grant=lambda: None) is BLOCKED
     assert "SAN-PCP-DEADLOCK" in only_codes(san)
     violation = next(v for v in san.violations
                      if v.code == "SAN-PCP-DEADLOCK")

@@ -5,6 +5,7 @@ import pytest
 from repro.cc import PriorityCeiling
 from repro.db.locks import LockError, LockMode
 from repro.kernel import Delay, Kernel
+from repro.kernel.syscalls import BLOCKED, DONE
 from repro.txn.transaction import TransactionAbort
 from tests.cc.pcp_oracle import barrier_entries, shadowed
 from tests.conftest import LockClient, make_txn
@@ -44,10 +45,18 @@ def test_rw_ceiling_depends_on_lock_mode(kernel):
 
 
 def test_acquire_requires_registration(kernel):
+    # Both entry points run the one request body: a transaction
+    # manager's syscall and a lock manager's callback request.
     cc = PriorityCeiling(kernel)
     rogue = make_txn([(1, "w")], priority=5)
+    LockClient(kernel, cc, rogue, register=False)
     with pytest.raises(LockError, match="registered"):
-        cc.acquire(rogue, 1, LockMode.WRITE)
+        kernel.run()
+    with pytest.raises(LockError, match="registered"):
+        cc.attempt(kernel, rogue.process, rogue, 1, LockMode.WRITE,
+                   on_grant=lambda: None)
+    assert not cc.locks.is_locked(1)
+    assert cc.waiting_count == 0
 
 
 # ----------------------------------------------------------------------
@@ -222,12 +231,12 @@ def test_subsumption_assertion_never_fires_in_random_scenarios(kernel):
 # insertion order — is compared against the historical O(W) scan.
 # ----------------------------------------------------------------------
 def _queue(cc, txn, oid, mode=LockMode.WRITE, granted=None):
-    """Queue an async request that must block; returns its grant log
+    """Queue a callback request that must block; returns its grant log
     (``granted``, when several requests should share one)."""
     if granted is None:
         granted = []
-    assert not cc.acquire_async(txn, oid, mode,
-                                on_grant=lambda: granted.append(oid))
+    assert cc.attempt(cc.kernel, txn.process, txn, oid, mode,
+                      on_grant=lambda: granted.append(oid)) is BLOCKED
     return granted
 
 
@@ -581,8 +590,8 @@ def test_read_share_join_unsettles_though_the_entry_stands(kernel):
         assert low.process.inherited_priority == 5
         assert cc._epoch == cc._settled
         entry = cc._entry_of[1]
-        assert cc.acquire_async(joiner, 1, LockMode.READ,
-                                on_grant=lambda: None)
+        assert cc.attempt(kernel, joiner.process, joiner, 1,
+                          LockMode.READ, on_grant=lambda: None) is DONE
         assert cc._entry_of[1] is entry and cc._entries[0] is entry
         assert cc._epoch != cc._settled
         assert cc._ceiling_barrier(mid) == (9.0, 1)
@@ -685,7 +694,7 @@ def test_boosted_async_waiter_keeps_the_protocol_unsettled(kernel):
 
 
 def test_every_queue_change_unsettles(kernel):
-    # attempt/acquire_async/_withdraw/cancel_async all follow a queue
+    # attempt/_withdraw/cancel_async all follow a queue
     # change with a pass of their own; the epoch must not depend on
     # that, so the seam is driven directly.
     cc = PriorityCeiling(kernel)

@@ -151,3 +151,16 @@ def test_doubling_the_model_fails_both_budget_claims(claimed,
         spec.derive(row)
     assert [line.split(":")[0] for line in verdicts(spec, rows)[0]] == \
         ["[FAIL] calibrated regime", "[FAIL] whole grid"]
+
+
+@pytest.mark.parametrize("error", (20.0, -20.0))
+def test_a_peak_off_by_20_at_delay_10_fails_a4(claimed, error):
+    # A staleness tracker that misreads the delay-10 peak either way.
+    spec = FIGURES["a4"].spec
+    rows = [dict(row) for row in claimed["a4"]]
+    rows[spec.values.index(10.0)]["peak_staleness"] += error
+    assert [line for line in verdicts(spec, rows)[0]
+            if line.startswith("[FAIL]")] == [
+        "[FAIL] peak staleness is comparable: lock contention at the "
+        "applying site dominates it [|peak at delay 10 - delay 0| "
+        "<= 15]"]

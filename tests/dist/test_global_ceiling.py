@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cc import PriorityCeiling
+from repro.constants import BLOCKING_DIRECT
 from repro.core import DistributedConfig, TimingConfig, WorkloadConfig
 from repro.db.locks import LockMode
 from repro.dist import DistributedSystem
@@ -11,6 +12,8 @@ from repro.dist.message import (AbortTxn, LockGrant, LockRequest,
                                 RegisterTxn, ReleaseAndDeregister)
 from repro.dist.network import Network
 from repro.dist.site import Site
+from repro.kernel.hooks import observing
+from repro.kernel.syscalls import BLOCKED
 from repro.txn import CostModel
 from repro.txn.generator import TransactionSpec
 from tests.conftest import make_txn
@@ -120,9 +123,8 @@ def test_abort_cancels_pending_request_and_frees_locks(kernel):
     cc.register(waiter)
     cc.locks.grant(1, holder, LockMode.WRITE)
     cc.locks.grant(2, waiter, LockMode.WRITE)
-    granted = cc.acquire_async(waiter, 1, LockMode.WRITE,
-                               on_grant=lambda: None)
-    assert granted is False
+    assert cc.attempt(kernel, waiter.process, waiter, 1, LockMode.WRITE,
+                      on_grant=lambda: None) is BLOCKED
     sites[0].send(0, AbortTxn(target=CEILING_SERVICE, sender_site=0,
                               txn=waiter))
     kernel.run(until=5.0)
@@ -130,6 +132,43 @@ def test_abort_cancels_pending_request_and_frees_locks(kernel):
     assert not cc.locks.is_locked(2)       # waiter's lock released
     assert cc.locks.is_locked(1)           # holder unaffected
     assert waiter.tid not in cc.active
+
+
+class _ManagerLocks:
+    """Hook subscriber: the mode of every grant, and for every block
+    its cause and whether another transaction held the object."""
+
+    def __init__(self):
+        self.modes = set()
+        self.blocks = []
+
+    def lock_grant(self, now, cc, txn, oid, mode, request):
+        self.modes.add(mode)
+
+    def lock_block(self, now, cc, request, cause, conflicts):
+        held = any(holder is not request.txn
+                   for holder in cc.locks.holder_map(request.oid))
+        self.blocks.append((cause, held))
+
+
+def test_cx_manager_grants_only_exclusive_locks():
+    # The manager asks the protocol through the request body every
+    # caller uses, so Cx's every-lock-exclusive rule holds there too:
+    # no READ grant, and a request that finds the object held is
+    # blocked by that holder, not by a ceiling.
+    config = DistributedConfig(
+        mode="global", protocol="Cx", comm_delay=1.0, db_size=30, seed=9,
+        workload=WorkloadConfig(n_transactions=40, mean_interarrival=2.0,
+                                transaction_size=4,
+                                read_only_fraction=0.75))
+    log = _ManagerLocks()
+    with observing(log):
+        system = DistributedSystem(config)
+    system.run()
+    assert log.modes == {LockMode.WRITE}
+    held = [cause for cause, held in log.blocks if held]
+    assert held and set(held) == {BLOCKING_DIRECT}
+    assert system.summary()["cc_direct_blocks"] == len(held)
 
 
 def test_remote_data_round_trips_extend_global_commit_latency():

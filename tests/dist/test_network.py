@@ -54,15 +54,6 @@ def test_local_send_uses_local_delay():
     assert inboxes[0].queued == 1  # local delay defaults to 0
 
 
-def test_link_delay_override():
-    kernel = Kernel()
-    network, inboxes = wire(kernel, 3, delay=5.0)
-    network.set_link_delay(0, 2, 1.0)
-    assert network.link_delay(0, 2) == 1.0
-    assert network.link_delay(2, 0) == 5.0  # directed override
-    assert network.link_delay(0, 1) == 5.0
-
-
 def test_fifo_order_preserved_per_link():
     kernel = Kernel()
     network, inboxes = wire(kernel, 2, delay=2.0)

@@ -10,13 +10,13 @@ import pytest
 from repro.core import DistributedConfig, TimingConfig, WorkloadConfig
 from repro.db.locks import LockMode
 from repro.db.replication import ReplicaCatalog
-from repro.dist import DistributedSystem, global_ceiling
+from repro.dist import DistributedSystem
 from repro.faults import FaultPlan, SiteCrash
+from repro.kernel.hooks import observing
 from repro.telemetry import metering
 from repro.trace import tracing
 from repro.txn import CostModel
 from repro.txn.generator import TransactionSpec
-from repro.txn.two_phase_commit import CommitPhase, TwoPhaseCommit
 
 N = 60
 
@@ -170,18 +170,23 @@ def remote_writers(faults, slack_factor=40.0, seed=11):
     return DistributedSystem(config, schedule=schedule)
 
 
+class Coordinators(dict):
+    """tid -> the last 2PC phase its coordinator reached ("prepare",
+    "commit" or "abort" once decided, "done" once every participant
+    acknowledged), from the ``two_pc`` hook."""
+
+    def two_pc(self, now, txn, phase, participants, commit=None):
+        if phase == "decide":
+            phase = "commit" if commit else "abort"
+        self[txn.tid] = phase
+
+
 @pytest.fixture
-def coordinators(monkeypatch):
-    """Every TwoPhaseCommit the global TM constructs, in order."""
-    made = []
-
-    class Recorded(TwoPhaseCommit):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(global_ceiling, "TwoPhaseCommit", Recorded)
-    return made
+def coordinators():
+    """Every 2PC coordinator of the systems the test builds."""
+    recorded = Coordinators()
+    with observing(recorded):
+        yield recorded
 
 
 def check_two_phase_commit(system, coordinators):
@@ -190,9 +195,8 @@ def check_two_phase_commit(system, coordinators):
     assert not system._inflight
     records = {txn.tid: txn for txn in system.monitor.records}
     assert sorted(records) == [1, 2, 3]
-    decided = {tpc.txn_tid: tpc for tpc in coordinators
-               if tpc.phase in (CommitPhase.DECIDED_COMMIT,
-                                CommitPhase.DONE)}
+    decided = {tid: phase for tid, phase in coordinators.items()
+               if phase in ("commit", "done")}
     for txn in records.values():
         # Admitted in schedule order, numbered from 1.
         remote = [oid for oid, mode in system.schedule[txn.tid - 1]
@@ -207,10 +211,9 @@ def check_two_phase_commit(system, coordinators):
             assert (value == float(txn.tid)) == (txn.tid in decided), (
                 txn, oid)
         if txn.committed:
-            assert decided[txn.tid].phase is CommitPhase.DONE
-    for tpc in coordinators:
-        assert (tpc.phase is CommitPhase.DONE
-                or records[tpc.txn_tid].missed)
+            assert decided[txn.tid] == "done"
+    for tid, phase in coordinators.items():
+        assert phase == "done" or records[tid].missed
     # Nothing outlives the run: every courier terminated with its ack,
     # and no private reply port is left registered.
     assert system.degradation.courier_failures == 0
@@ -269,7 +272,7 @@ def test_in_doubt_participants_learn_commit_after_the_deadline(
     system = remote_writers(PARTICIPANT_CRASH, slack_factor=4.0)
     decided, records = check_two_phase_commit(system, coordinators)
     assert records[1].missed
-    assert decided[1].phase is CommitPhase.DECIDED_COMMIT
+    assert decided[1] == "commit"
     assert system.degradation.courier_retries > 0
 
 

@@ -4,7 +4,7 @@ reachable-only deadlock search equal the full scan.
 Random small, heavily contended configurations — L, P, PI, MPCP and
 FMLP under every victim policy on a single site (deadline misses,
 deadlock victims restarting), and under the global architecture, where
-the lock manager serves ``acquire_async`` requests and ``cancel_async``
+the lock manager serves callback requests and ``cancel_async``
 withdraws them — run with every :class:`TwoPhaseLocking` decision
 shadowed by the reference oracle in ``tests/cc/twopl_oracle.py``: each
 woken waiter, the absence of a stranded admissible waiter whenever
