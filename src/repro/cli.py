@@ -118,10 +118,9 @@ TOOLS: Dict[str, Tuple[str, str, str]] = {
     "sweep": (".cli", "_sweep_main",
               "a protocol x size grid, optionally pruned by the model"),
     "faults": (".cli", "_faults_main", "validate a fault plan"),
-    "trace": (".trace.cli", "main",
-              "summarize, export and validate trace artifacts"),
-    "metrics": (".telemetry.cli", "main",
-                "summarize and diff metrics artifacts"),
+    "report": (".trace.report", "main",
+               "report, diff or Chrome-export a trace or metrics "
+               "artifact"),
     "verify": (".verify.cli", "main",
                "explore protocol schedules exhaustively on small "
                "configs"),
@@ -350,8 +349,8 @@ def _run_main(argv: List[str]) -> int:
     parser.add_argument("--trace", nargs="?", const="", default=None,
                         metavar="DIR",
                         help="write per-unit trace artifacts "
-                             "(*.trace.jsonl + Chrome *.trace.json) "
-                             "to DIR (default: <cache-dir>/traces); "
+                             "(*.trace.jsonl) to DIR (default: "
+                             "<cache-dir>/traces); "
                              "disables the result cache so every unit "
                              "is re-run under the tracer")
     parser.add_argument("--profile", action="store_true",
@@ -426,10 +425,11 @@ def _run_main(argv: List[str]) -> int:
             if key.startswith("fault_") and key not in shown \
                     and not key.endswith(("_std", "_ci95")):
                 print(f"  {key:<20} {row[key]:.6g}")
-        if trace_dir is not None:
-            _print_trace_summary(config, trace_dir, args.profile)
-        if metrics_dir is not None:
-            _print_metrics_summary(config, metrics_dir)
+        for kind, directory in (("trace", trace_dir),
+                                ("metrics", metrics_dir)):
+            if directory is not None:
+                _print_first_report(config, kind, directory,
+                                    args.profile)
         print()
     return 0
 
@@ -534,44 +534,25 @@ def _sweep_main(argv: List[str]) -> int:
     return 0
 
 
-def _first_artifact(kind: str, config, directory: str) -> Optional[str]:
-    """Path of the first replication's ``kind`` artifact, announced.
+def _print_first_report(config, kind: str, directory: str,
+                        profile: bool) -> None:
+    """``repro report`` of the first replication's ``kind`` artifact.
 
     The first unit of a ``replicate`` call runs ``config`` with seed
     ``base_seed`` (1), so its fingerprint locates its artifact.
     """
     from .exec.fingerprint import config_fingerprint
+    from .trace.export import load_jsonl
+    from .trace.report import report_text
     fp = config_fingerprint(dataclasses.replace(config, seed=1))
     artifact = os.path.join(directory, f"{fp}.{kind}.jsonl")
     if not os.path.exists(artifact):
         print(f"  (no {kind} artifact at {artifact})")
-        return None
-    print(f"[{kind}] first replication artifact: {artifact}")
-    return artifact
-
-
-def _print_trace_summary(config, trace_dir: str,
-                         profile: bool) -> None:
-    """Summarize the first replication's trace artifact for one mode."""
-    from .trace.cli import profile_text, summary_text
-    from .trace.export import load_jsonl
-    from .trace.timeline import reconstruct
-    artifact = _first_artifact("trace", config, trace_dir)
-    if artifact is None:
         return
-    meta, events = load_jsonl(artifact)
-    run = reconstruct(events, dropped=int(meta.get("dropped", 0)))
-    print(summary_text(run, top=10))
-    if profile:
-        print(profile_text(run))
-
-
-def _print_metrics_summary(config, metrics_dir: str) -> None:
-    """Summarize the first replication's metrics artifact for one mode."""
-    from .telemetry.export import load_metrics_jsonl, summary_text
-    artifact = _first_artifact("metrics", config, metrics_dir)
-    if artifact is not None:
-        print(summary_text(load_metrics_jsonl(artifact)))
+    print(f"[{kind}] first replication artifact: {artifact}")
+    print(report_text(*load_jsonl(artifact),
+                      top=10 if kind == "trace" else None,
+                      profile=profile))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

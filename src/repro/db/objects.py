@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List
 class DataObject:
     """One lockable granule."""
 
-    __slots__ = ("oid", "value", "version_ts", "writes", "reads")
+    __slots__ = ("oid", "value", "version_ts")
 
     def __init__(self, oid: int, value: float = 0.0,
                  version_ts: float = 0.0):
@@ -24,15 +24,8 @@ class DataObject:
         self.value = value
         #: Virtual time of the last committed write reflected here.
         self.version_ts = version_ts
-        self.writes = 0
-        self.reads = 0
-
-    def read(self) -> float:
-        self.reads += 1
-        return self.value
 
     def write(self, value: float, timestamp: float) -> None:
-        self.writes += 1
         self.value = value
         self.version_ts = timestamp
 

@@ -200,19 +200,18 @@ def data_server(site: Site, costs: CostModel):
 
 def _serve_data(site: Site, message: DataRequest, costs: CostModel):
     yield site.cpu.use(costs.cpu_per_object)
-    data_object = site.database.object(message.oid)
     if message.mode is LockMode.WRITE:
         # Workspace write: the durable install happens at 2PC decide.
         value = float(message.txn.tid)
     else:
-        value = data_object.read()
+        value = site.database.object(message.oid).value
     reply_site, reply_name = message.reply_to
     site.send(reply_site, DataReply(target=reply_name,
                                     sender_site=site.site_id,
                                     oid=message.oid, value=value))
 
 
-def commit_server(site: Site, costs: CostModel):
+def commit_server(site: Site):
     """Generator body: 2PC participant for this site's partition.
 
     A repeated Decide (re-sent by the coordinator because the ack was
@@ -223,8 +222,6 @@ def commit_server(site: Site, costs: CostModel):
     while True:
         message = yield receive
         if isinstance(message, Prepare):
-            if costs.commit_cpu > 0:
-                yield site.cpu.use(costs.commit_cpu)
             reply_site, reply_name = message.reply_to
             site.send(reply_site, Vote(target=reply_name,
                                        sender_site=site.site_id,
@@ -323,11 +320,9 @@ def global_transaction_manager(sites: List[Site],
             home = catalog.primary_site(oid)
             if home == txn.site:
                 yield cpu_burst
-                data_object = site.database.object(oid)
                 if mode is LockMode.WRITE:
-                    data_object.write(float(txn.tid), kernel.now)
-                else:
-                    data_object.read()
+                    site.database.object(oid).write(float(txn.tid),
+                                                    kernel.now)
             else:
                 if mode is LockMode.WRITE:
                     by_site.setdefault(home, []).append(oid)
@@ -369,8 +364,6 @@ def global_transaction_manager(sites: List[Site],
             in_doubt = {}
             if hooks is not None:
                 hooks.two_pc(kernel.now, txn, "done", participants)
-        if costs.commit_cpu > 0:
-            yield site.cpu.use(costs.commit_cpu)
         for manager in manager_sites:
             post(manager, ReleaseAndDeregister(target=CEILING_SERVICE,
                                                sender_site=site.site_id,
@@ -392,7 +385,8 @@ def global_transaction_manager(sites: List[Site],
         txn.mark_missed(kernel.now)
         if hooks is not None:
             hooks.txn_miss(kernel.now, txn, "deadline")
-    finally:
-        timer.cancel()
-        reply.close()
-        on_done(txn)
+    # Not a ``finally``: a manager closed in flight (a cut run's
+    # ``Kernel.close()`` or the collector) records nothing.
+    timer.cancel()
+    reply.close()
+    on_done(txn)

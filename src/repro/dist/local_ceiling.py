@@ -152,9 +152,9 @@ def _apply_update(site: Site, catalog: ReplicaCatalog,
         cc.abort(txn)
         if hooks is not None:
             hooks.txn_abort(kernel.now, txn, "crash")
-    finally:
-        site.pending_updates.discard(key)
-        cc.deregister(txn)
+    # Not a ``finally``: an applier closed in flight leaves its state.
+    site.pending_updates.discard(key)
+    cc.deregister(txn)
 
 
 # ----------------------------------------------------------------------
@@ -196,11 +196,6 @@ def local_transaction_manager(sites: List[Site],
                 hooks.txn_unblock(kernel.now, txn, waited)
             txn.blocked_time += waited
             yield cpu_burst
-            data_object = site.database.object(oid)
-            if mode is LockMode.READ:
-                data_object.read()
-        if costs.commit_cpu > 0:
-            yield site.cpu.use(costs.commit_cpu)
         # Commit: install at local primaries, then release (strict 2PL).
         commit_ts = kernel.now
         writes = sorted(txn.write_set)
@@ -233,7 +228,8 @@ def local_transaction_manager(sites: List[Site],
         txn.mark_missed(kernel.now)
         if hooks is not None:
             hooks.txn_miss(kernel.now, txn, "deadline")
-    finally:
-        timer.cancel()
-        cc.deregister(txn)
-        on_done(txn)
+    # Not a ``finally``: a manager closed in flight (a cut run's
+    # ``Kernel.close()`` or the collector) records nothing.
+    timer.cancel()
+    cc.deregister(txn)
+    on_done(txn)

@@ -25,16 +25,14 @@ from .message import Message
 class Network:
     """Fully connected mesh with one constant inter-site delay."""
 
-    def __init__(self, kernel: Kernel, n_sites: int, delay: float,
-                 local_delay: float = 0.0):
+    def __init__(self, kernel: Kernel, n_sites: int, delay: float):
         if n_sites < 1:
             raise ValueError(f"need at least one site, got {n_sites}")
-        if delay < 0 or local_delay < 0:
+        if delay < 0:
             raise ValueError("delays must be non-negative")
         self.kernel = kernel
         self.n_sites = n_sites
         self.delay = delay
-        self.local_delay = local_delay
         #: site -> inbox port (wired by DistributedSystem).
         self.inboxes: Dict[int, object] = {}
         #: Sites currently not operational: messages to them vanish
@@ -43,7 +41,6 @@ class Network:
         self._down: set = set()
         self.messages_sent = 0
         self.messages_lost = 0
-        self.bytes_delay_total = 0.0
         #: Optional :class:`repro.faults.FaultInjector`; when attached,
         #: it decides each message's fate (loss, jitter, duplication,
         #: reordering, partitions) on a dedicated RNG stream.
@@ -79,7 +76,7 @@ class Network:
         if inbox is None:
             raise RuntimeError(f"site {dst} has no attached inbox")
         src = message.sender_site
-        delay = self.local_delay if src == dst else self.delay
+        delay = 0.0 if src == dst else self.delay
         self.messages_sent += 1
         if self.injector is None:
             fates = (delay,)
@@ -104,17 +101,14 @@ class Network:
     def _deliver(self, dst: int, inbox, message: Message,
                  lag: float) -> None:
         """One fate of ``message`` lands after ``lag``."""
-        # Operational state — and the delay ledger — are evaluated at
-        # delivery time: a site that crashes while a message is in
-        # flight still loses it, and a message that never arrives
-        # accrues no delivered delay.
+        # Operational state is evaluated at delivery time: a site that
+        # crashes while a message is in flight still loses it.
         hooks = self.kernel.hooks
         if dst in self._down:
             self.messages_lost += 1
             if hooks is not None:
                 hooks.msg_drop(self.kernel.now, dst, message, "site-down")
         else:
-            self.bytes_delay_total += lag
             if hooks is not None:
                 hooks.msg_deliver(self.kernel.now, dst, message, lag)
             inbox.send(message)

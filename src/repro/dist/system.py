@@ -128,7 +128,7 @@ class DistributedSystem:
                 self.kernel.spawn(data_server(site, config.costs),
                                   f"data-server-{site.site_id}",
                                   priority=float("inf"))
-                self.kernel.spawn(commit_server(site, config.costs),
+                self.kernel.spawn(commit_server(site),
                                   f"commit-server-{site.site_id}",
                                   priority=float("inf"))
         else:

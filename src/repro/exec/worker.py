@@ -22,8 +22,8 @@ def execute_config(config, batch: int = 1) -> dict:
 
     When ``REPRO_TRACE_DIR`` names a directory, the unit runs under a
     fresh :class:`~repro.trace.tracer.Tracer` and its event stream is
-    written there as ``<config_fingerprint>.trace.jsonl`` plus a
-    Perfetto-loadable ``<config_fingerprint>.trace.json``.  When
+    written there as ``<config_fingerprint>.trace.jsonl`` (``repro
+    report`` reads it, and makes the Chrome document on demand).  When
     ``REPRO_METRICS_DIR`` names a directory, the unit runs under a
     fresh :class:`~repro.telemetry.registry.MetricsRegistry` (the
     default window) and its time series are written there as
@@ -53,6 +53,7 @@ def execute_config(config, batch: int = 1) -> dict:
     from ..kernel.hooks import observing
     from .fingerprint import config_fingerprint
     from ..telemetry.hostclock import host_clock
+    from ..trace.export import metrics_artifact, trace_artifact, write_jsonl
     from .host import peak_rss_kb
 
     subscribers = []
@@ -72,14 +73,10 @@ def execute_config(config, batch: int = 1) -> dict:
 
     stem = config_fingerprint(config)
     if trace_dir:
-        from ..trace.export import export_chrome, export_jsonl
         os.makedirs(trace_dir, exist_ok=True)
-        path = os.path.join(trace_dir, stem)
-        export_jsonl(tracer, path + ".trace.jsonl")
-        export_chrome(list(tracer.events), path + ".trace.json",
-                      dropped=tracer.dropped)
+        write_jsonl(os.path.join(trace_dir, stem + ".trace.jsonl"),
+                    *trace_artifact(tracer))
     if metrics_dir:
-        from ..telemetry.export import write_metrics_jsonl
         registry.finalize()
         registry.meta.update({
             "fingerprint": stem,
@@ -89,9 +86,8 @@ def execute_config(config, batch: int = 1) -> dict:
             "batch": batch,
         })
         os.makedirs(metrics_dir, exist_ok=True)
-        write_metrics_jsonl(registry.dump(),
-                            os.path.join(metrics_dir,
-                                         stem + ".metrics.jsonl"))
+        write_jsonl(os.path.join(metrics_dir, stem + ".metrics.jsonl"),
+                    *metrics_artifact(registry.dump()))
     return row
 
 

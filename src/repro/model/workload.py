@@ -55,7 +55,6 @@ class WorkloadModel:
     per_object_time: float
     cpu_per_object: float
     io_per_object: float
-    commit_cpu: float
     apply_cpu: float
     comm_delay: float
 
@@ -103,7 +102,6 @@ class WorkloadModel:
             per_object_time=costs.per_object_time,
             cpu_per_object=costs.cpu_per_object,
             io_per_object=costs.io_per_object,
-            commit_cpu=costs.commit_cpu,
             apply_cpu=costs.apply_cpu,
             comm_delay=comm_delay,
         )
@@ -126,7 +124,7 @@ class WorkloadModel:
     def service_demand(self, size: float) -> float:
         """No-contention total service time of a ``size``-object txn
         (mirrors :meth:`repro.txn.manager.CostModel.service_demand`)."""
-        return size * self.per_object_time + self.commit_cpu
+        return size * self.per_object_time
 
     @property
     def mean_service(self) -> float:

@@ -32,7 +32,6 @@ class ParallelIO:
         self.kernel = kernel
         self.name = name
         self.requests = 0
-        self.total_service = 0.0
 
     def use(self, amount: float) -> "IoBurst":
         """Syscall: perform ``amount`` time units of I/O (pure delay)."""
@@ -56,7 +55,6 @@ class IoBurst(SysCall):
         io = self.io
         amount = self.amount
         io.requests += 1
-        io.total_service += amount
         if amount == 0:
             return DONE
         # A pure delay, like the Delay syscall: ``amount`` was checked
@@ -86,8 +84,6 @@ class DiskArray:
         self._in_service: Dict[Process, object] = {}
         self._seq = itertools.count()
         self.requests = 0
-        self.total_service = 0.0
-        self.total_wait = 0.0
 
     def use(self, amount: float) -> "DiskRequest":
         """Syscall: perform ``amount`` units of disk service, queueing
@@ -100,10 +96,6 @@ class DiskArray:
         return call
 
     def _start(self, process: Process, amount: float) -> None:
-        blocker = process.blocker
-        if isinstance(blocker, _DiskBlocker):
-            self.total_wait += self.kernel.now - blocker.enqueued_at
-            blocker.in_service = True
         self._in_service[process] = self.kernel.after(
             amount, partial(self._finish, process))
 
@@ -148,10 +140,9 @@ class DiskRequest(SysCall):
         disks = self.disks
         amount = self.amount
         disks.requests += 1
-        disks.total_service += amount
         if amount == 0 and len(disks._in_service) < disks.servers:
             return DONE
-        blocker = _DiskBlocker(disks, kernel.now)
+        blocker = _DiskBlocker(disks)
         process.blocker = blocker
         if len(disks._in_service) < disks.servers:
             disks._start(process, amount)
@@ -165,12 +156,10 @@ class DiskRequest(SysCall):
 
 
 class _DiskBlocker:
-    __slots__ = ("disks", "enqueued_at", "in_service")
+    __slots__ = ("disks",)
 
-    def __init__(self, disks: DiskArray, enqueued_at: float):
+    def __init__(self, disks: DiskArray):
         self.disks = disks
-        self.enqueued_at = enqueued_at
-        self.in_service = False
 
     def withdraw(self, process: Process) -> None:
         self.disks._withdraw(process)

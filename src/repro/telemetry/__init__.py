@@ -14,8 +14,8 @@ Public surface:
   :mod:`repro.telemetry.instruments`;
 - the probes — the subscribers to the kernel's instrumentation
   hooks — in :mod:`repro.telemetry.probes`;
-- the per-unit JSONL artifact, its summary and its diff in
-  :mod:`repro.telemetry.export`;
+- the per-unit JSONL artifact in :mod:`repro.trace.export`, read by
+  ``repro report`` (:mod:`repro.trace.report`);
 - the sanctioned host-clock helper in
   :mod:`repro.telemetry.hostclock` (the only place simulation-adjacent
   code may read the host clock — see lint rule RPL001).

@@ -4,14 +4,17 @@ The observability layer of the reproduction: a zero-perturbation
 :class:`Tracer` (typed events into a bounded ring buffer), a span and
 timeline reconstructor with the blocking-time decomposition the
 real-time locking literature uses (direct, ceiling, inversion, network
-wait), and exporters to JSONL and Perfetto-loadable Chrome
-``trace_event`` JSON.  See the README "Observability" section.
+wait), the one JSONL artifact format of observed runs (traces and
+metrics alike), its Perfetto-loadable Chrome ``trace_event`` export,
+and ``repro report``, the reader of both kinds.  See the README
+"Observability" section.
 """
 
 from .events import EVENT_KINDS, TraceEvent
-from .export import (chrome_document, export_chrome, export_jsonl,
-                     load_jsonl, validate_chrome_document,
-                     validate_event_kinds)
+from .export import (chrome_document, export_chrome, load_jsonl,
+                     metrics_artifact, trace_artifact,
+                     validate_chrome_document, validate_event_kinds,
+                     write_jsonl)
 from .timeline import (BlockSpan, RunTimeline, TransactionTimeline,
                        merge_intervals, reconstruct, subtract_intervals,
                        total_length)
@@ -22,6 +25,7 @@ __all__ = [
     "ENV_TRACE_DIR", "tracing",
     "BlockSpan", "RunTimeline", "TransactionTimeline", "reconstruct",
     "merge_intervals", "subtract_intervals", "total_length",
-    "chrome_document", "export_chrome", "export_jsonl", "load_jsonl",
+    "chrome_document", "export_chrome", "load_jsonl", "write_jsonl",
+    "trace_artifact", "metrics_artifact",
     "validate_chrome_document", "validate_event_kinds",
 ]

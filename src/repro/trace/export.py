@@ -1,17 +1,20 @@
-"""Trace exporters: JSONL and Chrome ``trace_event`` format.
+"""Observed-run artifacts: one JSONL format, and the Chrome export.
 
-- **JSONL** — one meta header line plus one JSON object per event;
-  lossless round trip through :func:`load_jsonl` (the ``repro trace``
-  subcommands operate on these artifacts).
+- **JSONL** — the artifact a traced or metered unit writes, and a
+  ``repro verify`` counterexample's trace: one ``{"meta": ...}``
+  header line, then one JSON record per line.  :func:`write_jsonl`
+  is the one writer and :func:`load_jsonl` the one loader; the
+  header's ``trace_version`` (records are trace events) or
+  ``metrics_version`` (records are series of a registry dump) says
+  which kind it is.  ``repro report`` reads both.
 - **Chrome trace_event** — the JSON array format Perfetto and
   ``about:tracing`` load directly: one *process* lane per site, one
   *thread* lane per transaction, complete (``"X"``) events for
   transaction lifetimes, lock-blocking spans and RPC spans, instant
   (``"i"``) events for messages, ceilings, 2PC phases and crashes.
   Timestamps map one virtual time unit to one microsecond.
-
-:func:`validate_chrome_document` is the schema check CI runs against
-every exported artifact.
+  :func:`export_chrome` writes a document only once
+  :func:`validate_chrome_document` accepts it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .events import EVENT_KINDS, TraceEvent
 from .timeline import reconstruct
 
 TRACE_VERSION = 1
+METRICS_VERSION = 1
 
 #: Event kinds surfaced as Chrome instant events (the rest are either
 #: span-reconstructed or too chatty for a visual timeline).
@@ -37,34 +41,41 @@ _INSTANT_KINDS = ("msg_send", "msg_deliver", "msg_drop", "msg_retry",
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def export_jsonl(tracer, destination: str) -> Dict[str, int]:
-    """Write ``tracer``'s ring buffer as JSONL; returns the meta row."""
-    meta = {"trace_version": TRACE_VERSION,
-            "events": len(tracer.events), "emitted": tracer.emitted,
-            "dropped": tracer.dropped}
+def write_jsonl(destination: str, meta: dict,
+                records: Iterable[dict]) -> dict:
+    """Write one artifact: the ``meta`` header, then one line per
+    record; returns ``meta``."""
     with open(destination, "w", encoding="utf-8") as sink:
         sink.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-        for event in tracer.events:
-            sink.write(json.dumps(event.as_dict(), sort_keys=True)
-                       + "\n")
+        for record in records:
+            sink.write(json.dumps(record, sort_keys=True) + "\n")
     return meta
 
 
-def load_jsonl(source: str) -> Tuple[Dict[str, int], List[TraceEvent]]:
-    """Read a JSONL artifact back into ``(meta, events)``."""
-    meta: Dict[str, int] = {}
-    events: List[TraceEvent] = []
+def load_jsonl(source: str) -> Tuple[dict, List[dict]]:
+    """Read an artifact back into ``(meta, records)``."""
     with open(source, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "meta" in record and "kind" not in record:
-                meta = record["meta"]
-            else:
-                events.append(TraceEvent.from_dict(record))
-    return meta, events
+        lines = [json.loads(line) for line in stream if line.strip()]
+    if not lines or list(lines[0]) != ["meta"]:
+        raise ValueError(f"{source}: no meta header on the first line")
+    return lines[0]["meta"], lines[1:]
+
+
+def trace_artifact(tracer) -> Tuple[dict, List[dict]]:
+    """A tracer's ring buffer as ``(meta, records)``."""
+    meta = {"trace_version": TRACE_VERSION,
+            "events": len(tracer.events), "emitted": tracer.emitted,
+            "dropped": tracer.dropped}
+    return meta, [event.as_dict() for event in tracer.events]
+
+
+def metrics_artifact(document: dict) -> Tuple[dict, List[dict]]:
+    """A registry :meth:`~repro.telemetry.registry.MetricsRegistry.dump`
+    as ``(meta, records)``: one record per series."""
+    series = document["series"]
+    meta = dict(document["meta"], metrics_version=METRICS_VERSION,
+                series=len(series))
+    return meta, series
 
 
 # ----------------------------------------------------------------------
@@ -150,12 +161,18 @@ def chrome_document(events: Iterable[TraceEvent],
 
 
 def export_chrome(events: Iterable[TraceEvent], destination: str,
-                  dropped: int = 0) -> Dict:
-    """Write a Perfetto-loadable Chrome trace JSON file."""
+                  dropped: int = 0) -> List[str]:
+    """Write a Perfetto-loadable Chrome trace JSON file, unless the
+    events or the document fail validation: returns the problems, and
+    ``[]`` means the file was written."""
+    events = list(events)
     document = chrome_document(events, dropped=dropped)
-    with open(destination, "w", encoding="utf-8") as sink:
-        json.dump(document, sink, sort_keys=True)
-    return document
+    problems = (validate_event_kinds(events)
+                + validate_chrome_document(document))
+    if not problems:
+        with open(destination, "w", encoding="utf-8") as sink:
+            json.dump(document, sink, sort_keys=True)
+    return problems
 
 
 # ----------------------------------------------------------------------

@@ -215,7 +215,7 @@ class RunTimeline:
         """Run-level ``trace_*`` aggregates.
 
         Merged into summary rows at *presentation* time only (the CLI
-        and ``repro trace summarize``): the live monitor summary stays
+        and ``repro report``): the live monitor summary stays
         byte-identical between traced and untraced runs."""
         direct = ceiling = network = inversion = 0.0
         decomposed = 0

@@ -37,14 +37,13 @@ class CostModel:
 
     ``cpu_per_object``/``io_per_object`` make "the total processing time
     of a transaction directly related to the number of data objects
-    accessed"; ``commit_cpu`` is the commit-processing burst;
+    accessed" (commit processing costs nothing on its own);
     ``restart_delay`` spaces deadlock-victim restarts; ``apply_cpu`` is
     the cost of installing one replicated update at a remote site.
     """
 
     cpu_per_object: float = 1.0
     io_per_object: float = 2.0
-    commit_cpu: float = 0.0
     restart_delay: float = 0.0
     apply_cpu: float = 0.5
 
@@ -55,7 +54,7 @@ class CostModel:
 
     def service_demand(self, size: int) -> float:
         """No-contention total service time of a ``size``-object txn."""
-        return size * self.per_object_time + self.commit_cpu
+        return size * self.per_object_time
 
 
 def transaction_manager(kernel: Kernel, txn: Transaction,
@@ -96,13 +95,9 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
                     txn.blocked_time += waited
                     yield cpu_burst
                     yield io_burst
-                    data_object = database.object(oid)
                     if mode is LockMode.WRITE:
-                        data_object.write(float(txn.tid), kernel.now)
-                    else:
-                        data_object.read()
-                if costs.commit_cpu > 0:
-                    yield cpu.use(costs.commit_cpu)
+                        database.object(oid).write(float(txn.tid),
+                                                   kernel.now)
                 cc.release_all(txn)
                 txn.mark_committed(kernel.now)
                 if hooks is not None:
@@ -121,10 +116,11 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
         txn.mark_missed(kernel.now)
         if hooks is not None:
             hooks.txn_miss(kernel.now, txn, "deadline")
-    finally:
-        timer.cancel()
-        cc.deregister(txn)
-        on_done(txn)
+    # Not a ``finally``: a manager closed in flight (a cut run's
+    # ``Kernel.close()`` or the collector) records nothing.
+    timer.cancel()
+    cc.deregister(txn)
+    on_done(txn)
 
 
 def spawn_transaction(kernel: Kernel, txn: Transaction,

@@ -10,8 +10,8 @@ minimal form and exports two artifacts per counterexample:
   choice trail of its replay (kind, time, labels, chosen), i.e. the
   exact interleaving in human-readable form;
 - ``<scenario>.trace.jsonl`` — the replay's event trace in the
-  standard :mod:`repro.trace` JSONL format, so every existing trace
-  tool (``repro trace summary`` / ``timeline`` / ``export``) works on
+  standard :mod:`repro.trace` JSONL format, so ``repro report`` (the
+  blocking breakdown, ``--profile``, ``--chrome``) reads
   counterexamples unchanged.
 
 Minimization is greedy: repeatedly try dropping the last non-default
@@ -27,7 +27,7 @@ import json
 import os
 from typing import FrozenSet, Optional, Tuple
 
-from ..trace.export import export_jsonl
+from ..trace.export import trace_artifact, write_jsonl
 from .explorer import Explorer, RunOutcome
 
 
@@ -113,7 +113,7 @@ def write_counterexample(directory: str, explorer: Explorer,
         json.dump(manifest, sink, indent=2, sort_keys=True)
         sink.write("\n")
     assert outcome.instance is not None
-    export_jsonl(outcome.instance.tracer, trace_path)
+    write_jsonl(trace_path, *trace_artifact(outcome.instance.tracer))
     return manifest
 
 

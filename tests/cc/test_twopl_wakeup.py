@@ -194,10 +194,11 @@ def test_conflict_edges_keep_holder_order(kernel, protocol):
     # CONFLICT edges come: holder order, which the detector's set would
     # reverse for this pair.
     cc = protocol(kernel)
-    first = make_txn([(1, "r")], priority=1)
-    second = make_txn([(1, "r")], priority=1)
-    while list({first, second}) == [first, second]:
-        second = make_txn([(1, "r")], priority=1)
+    # Eight consecutive tids cover every slot of a two-element set's
+    # table, so some pair among them iterates in reverse of insertion.
+    pool = [make_txn([(1, "r")], priority=1) for __ in range(8)]
+    first, second = next((a, b) for a in pool for b in pool
+                         if list({a, b}) == [b, a])
     writer = make_txn([(1, "w")], priority=1)
     LockClient(kernel, cc, first, hold=100.0)
     LockClient(kernel, cc, second, hold=100.0)

@@ -17,7 +17,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 def test_parser_accepts_every_command():
     parser = build_parser()
-    assert len(FIGURES) + len(TOOLS) == 25
+    assert len(FIGURES) + len(TOOLS) == 24
     for command in [*FIGURES, *TOOLS]:
         args = parser.parse_args([command])
         assert args.command == command

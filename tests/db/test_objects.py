@@ -30,17 +30,14 @@ def test_len_and_iter():
     assert [obj.oid for obj in database] == [0, 1, 2, 3]
 
 
-def test_read_write_counters_and_timestamps():
+def test_write_sets_value_and_timestamp():
     obj = DataObject(7)
-    assert obj.read() == 0.0
+    assert (obj.value, obj.version_ts) == (0.0, 0.0)
     obj.write(3.5, timestamp=12.0)
     assert obj.value == 3.5
     assert obj.version_ts == 12.0
-    assert obj.reads == 1
-    assert obj.writes == 1
     obj.write(4.0, timestamp=15.0)
-    assert obj.writes == 2
-    assert obj.version_ts == 15.0
+    assert (obj.value, obj.version_ts) == (4.0, 15.0)
 
 
 def test_objects_are_built_on_first_touch():

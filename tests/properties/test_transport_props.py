@@ -58,8 +58,7 @@ def run(specs, comm_delay, faults):
         workload=WorkloadConfig(n_transactions=len(specs),
                                 transaction_size=1),
         timing=TimingConfig(slack_factor=200.0),
-        costs=CostModel(cpu_per_object=1.0, io_per_object=0.0,
-                        commit_cpu=0.25),
+        costs=CostModel(cpu_per_object=1.25, io_per_object=0.0),
         faults=faults)
     system = DistributedSystem(config, schedule=specs)
     system.run()

@@ -73,8 +73,8 @@ def assert_fused_equals_queued(build):
        io_servers=st.sampled_from([None, 1, 2]),
        costs=st.sampled_from([
            CostModel(),  # the paper's 1 + 1 = 2: ties everywhere
-           CostModel(cpu_per_object=0.75, io_per_object=1.5,
-                     commit_cpu=0.5, restart_delay=1.0),
+           CostModel(cpu_per_object=0.75, io_per_object=1.25,
+                     restart_delay=1.0),
            CostModel(io_per_object=0.0)]))
 @settings(max_examples=60, deadline=None)
 def test_single_site_runs_step_identically_fused_and_queued(

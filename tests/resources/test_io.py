@@ -48,7 +48,8 @@ def test_parallel_io_counts_requests_and_service():
     kernel.spawn(io_job(kernel, io, log, "b", 3.0)(), "b")
     kernel.run()
     assert io.requests == 2
-    assert io.total_service == 5.0
+    # Each request is served for exactly its own amount.
+    assert log == [(2.0, "a"), (3.0, "b")]
 
 
 def test_parallel_io_negative_rejected():
@@ -182,4 +183,4 @@ def test_disk_busy_and_queued_introspection():
     kernel.run()
     assert disks.busy == 0
     assert disks.queued == 0
-    assert disks.total_wait == 5.0  # b waited 5 units
+    assert log == [(5.0, "a"), (10.0, "b")]  # b waited 5 units

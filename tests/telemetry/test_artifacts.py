@@ -11,7 +11,7 @@ import pytest
 from repro.core.config import SingleSiteConfig, WorkloadConfig
 from repro.exec.fingerprint import config_fingerprint
 from repro.exec.worker import execute_config
-from repro.telemetry.export import load_metrics_jsonl
+from repro.trace.export import load_jsonl
 from repro.telemetry.registry import ENV_METRICS_DIR
 from tests.conftest import metered
 
@@ -42,14 +42,13 @@ def test_artifact_written_with_host_meta(metrics_dir):
     execute_config(CONFIG, batch=3)
     stem = config_fingerprint(CONFIG)
     artifact = metrics_dir / f"{stem}.metrics.jsonl"
-    assert artifact.exists()
-    document = load_metrics_jsonl(str(artifact))
-    meta = document["meta"]
+    assert sorted(metrics_dir.iterdir()) == [artifact]
+    meta, series = load_jsonl(str(artifact))
     assert meta["fingerprint"] == stem
     assert meta["seed"] == CONFIG.seed
     assert meta["batch"] == 3
     assert meta["wall_s"] >= 0.0
-    assert meta["series"] == len(document["series"]) > 0
+    assert meta["series"] == len(series) > 0
     # peak_rss_kb is None only off-POSIX; on either platform the key
     # must be present in the artifact meta.
     assert "peak_rss_kb" in meta

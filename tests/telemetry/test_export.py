@@ -1,9 +1,10 @@
-"""Artifact contracts: JSONL round trip, summarize and diff."""
+"""Metrics artifact contracts: JSONL round trip, report and diff."""
 
-from repro.telemetry.export import (METRICS_VERSION, diff_documents,
-                                    load_metrics_jsonl, summarize_rows,
-                                    summary_text, write_metrics_jsonl)
 from repro.telemetry.registry import MetricsRegistry
+from repro.trace.export import (METRICS_VERSION, load_jsonl,
+                                metrics_artifact, write_jsonl)
+from repro.trace.report import (diff_records, main, metrics_rows,
+                                report_text)
 
 
 def sample_document():
@@ -31,54 +32,59 @@ def sample_document():
 def test_jsonl_round_trip(tmp_path):
     document = sample_document()
     path = str(tmp_path / "run.metrics.jsonl")
-    meta = write_metrics_jsonl(document, path)
+    meta = write_jsonl(path, *metrics_artifact(document))
     assert meta["metrics_version"] == METRICS_VERSION
     assert meta["series"] == 3
-    loaded = load_metrics_jsonl(path)
-    assert loaded["series"] == document["series"]
-    assert loaded["meta"]["seed"] == 7
-    assert loaded["meta"]["window"] == 10.0
+    loaded_meta, series = load_jsonl(path)
+    assert series == document["series"]
+    assert loaded_meta == meta
+    assert loaded_meta["seed"] == 7
+    assert loaded_meta["window"] == 10.0
 
 
 # ----------------------------------------------------------------------
 # summarize / diff
 # ----------------------------------------------------------------------
 def test_summarize_rows_and_text():
-    document = sample_document()
-    rows = summarize_rows(document)
+    meta, series = metrics_artifact(sample_document())
+    rows = metrics_rows(series)
     assert [row["name"] for row in rows] == [
         "cc.grants", "cc.hold_time", "kernel.queue_depth"]
     grants = rows[0]
     assert grants["kind"] == "counter"
     assert grants["final"] == 5.0
-    text = summary_text(document)
+    text = report_text(meta, series)
     assert "3 series" in text
     assert "window=10.0" in text
     assert "cc.grants{waited=no}" in text
 
 
 def test_diff_identical_documents_is_empty():
-    assert diff_documents(sample_document(), sample_document()) == []
+    assert diff_records(sample_document()["series"],
+                        sample_document()["series"]) == []
 
 
-def test_diff_ignores_meta():
+def test_diff_ignores_meta(tmp_path):
     left, right = sample_document(), sample_document()
     right["meta"]["wall_s"] = 123.0
-    assert diff_documents(left, right) == []
+    paths = [str(tmp_path / name) for name in ("a.jsonl", "b.jsonl")]
+    for path, document in zip(paths, (left, right)):
+        write_jsonl(path, *metrics_artifact(document))
+    assert main([paths[0], "--diff", paths[1]]) == 0
 
 
 def test_diff_reports_final_and_membership_differences():
-    left, right = sample_document(), sample_document()
-    right["series"][0]["final"] = 99.0
-    del right["series"][1]
-    problems = diff_documents(left, right)
-    assert any("final" in p for p in problems)
-    assert any(p.startswith("only in left: cc.hold_time")
-               for p in problems)
+    left, right = sample_document()["series"], sample_document()["series"]
+    right[0]["final"] = 99.0
+    del right[1]
+    assert diff_records(left, right) == [
+        "record 1: cc.grants{waited=no} != cc.grants{waited=no}",
+        "record 2: cc.hold_time{} != kernel.queue_depth{}",
+        "3 records vs 2"]
 
 
 def test_diff_reports_point_stream_differences():
-    left, right = sample_document(), sample_document()
-    right["series"][2]["points"].append([25.0, 9.0])
-    problems = diff_documents(left, right)
-    assert any("sample streams differ" in p for p in problems)
+    left, right = sample_document()["series"], sample_document()["series"]
+    right[2]["points"].append([25.0, 9.0])
+    assert diff_records(left, right) == [
+        "record 3: kernel.queue_depth{} != kernel.queue_depth{}"]

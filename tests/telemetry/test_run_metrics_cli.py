@@ -1,6 +1,6 @@
 """End-to-end CLI contract: ``repro run --metrics`` writes loadable
-artifacts, prints the first-replication summary, and a rerun writes
-artifacts that ``repro metrics diff`` finds identical."""
+artifacts, prints the first-replication report, and a rerun writes
+artifacts that ``repro report --diff`` finds identical."""
 
 import os
 import subprocess
@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from repro.telemetry.cli import main as metrics_main
-from repro.telemetry.export import load_metrics_jsonl
+from repro.trace.export import load_jsonl
+from repro.trace.report import main as report_main
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -46,9 +46,9 @@ def test_run_metrics_writes_one_artifact_per_replication(metered_run):
     artifacts = sorted(metrics_dir.glob("*.metrics.jsonl"))
     assert len(artifacts) == 2
     for artifact in artifacts:
-        document = load_metrics_jsonl(str(artifact))
-        assert document["series"]
-        assert document["meta"]["wall_s"] >= 0.0
+        meta, series = load_jsonl(str(artifact))
+        assert series
+        assert meta["wall_s"] >= 0.0
 
 
 def test_run_metrics_prints_summary(metered_run):
@@ -64,7 +64,7 @@ def test_rerun_writes_identical_artifacts(metered_run, tmp_path):
     again = sorted((tmp_path / "again").glob("*.metrics.jsonl"))
     assert [path.name for path in again] == [path.name for path in first]
     for left, right in zip(first, again):
-        assert metrics_main(["diff", str(left), str(right)]) == 0
+        assert report_main([str(left), "--diff", str(right)]) == 0
 
 
 def test_sweep_prune_model_progress_ends_with_the_finish_frame(

@@ -1,11 +1,12 @@
-"""Exporters: JSONL round trip, Chrome trace_event schema, validation."""
+"""Artifacts: JSONL round trip, Chrome trace_event schema, validation."""
 
 import json
 import math
 
 from repro.trace import (TraceEvent, Tracer, chrome_document,
-                         export_chrome, export_jsonl, load_jsonl,
-                         validate_chrome_document, validate_event_kinds)
+                         export_chrome, load_jsonl, trace_artifact,
+                         validate_chrome_document, validate_event_kinds,
+                         write_jsonl)
 
 
 def _small_tracer():
@@ -28,12 +29,13 @@ def _small_tracer():
 def test_jsonl_round_trip(tmp_path):
     tracer = _small_tracer()
     path = str(tmp_path / "run.trace.jsonl")
-    meta = export_jsonl(tracer, path)
+    meta = write_jsonl(path, *trace_artifact(tracer))
     assert meta["events"] == 5
     assert meta["dropped"] == 0
-    loaded_meta, events = load_jsonl(path)
+    loaded_meta, records = load_jsonl(path)
     assert loaded_meta == meta
-    assert events == list(tracer.events)
+    assert [TraceEvent.from_dict(r) for r in records] \
+        == list(tracer.events)
 
 
 def test_jsonl_meta_reports_ring_overflow(tmp_path):
@@ -41,12 +43,12 @@ def test_jsonl_meta_reports_ring_overflow(tmp_path):
     for k in range(5):
         tracer.emit(float(k), "txn_start", tid=k)
     path = str(tmp_path / "overflow.trace.jsonl")
-    meta = export_jsonl(tracer, path)
+    meta = write_jsonl(path, *trace_artifact(tracer))
     assert meta == {"trace_version": 1, "events": 2, "emitted": 5,
                     "dropped": 3}
-    loaded_meta, events = load_jsonl(path)
+    loaded_meta, records = load_jsonl(path)
     assert loaded_meta["dropped"] == 3
-    assert len(events) == 2
+    assert len(records) == 2
 
 
 # ----------------------------------------------------------------------
@@ -82,14 +84,14 @@ def test_chrome_export_sanitizes_non_finite_values(tmp_path):
                 priority=-float("inf"), deadline=float("inf"))
     tracer.emit(2.0, "txn_commit", site=0, tid=1)
     path = str(tmp_path / "inf.trace.json")
-    document = export_chrome(list(tracer.events), path)
-    assert validate_chrome_document(document) == []
+    assert export_chrome(list(tracer.events), path) == []
     # The file is strict JSON (no Infinity literals)...
     with open(path, "r", encoding="utf-8") as stream:
         raw = stream.read()
     assert "Infinity" not in raw.replace("'inf'", "").replace(
         '"inf"', "")
     parsed = json.loads(raw)
+    assert validate_chrome_document(parsed) == []
     # ...and every numeric field is finite.
     for event in parsed["traceEvents"]:
         for field in ("ts", "dur"):
@@ -126,3 +128,13 @@ def test_validate_event_kinds():
     bad = good + [TraceEvent(1.0, "made_up_kind", 0, 1, None)]
     assert validate_event_kinds(bad) == [
         "unregistered event kind 'made_up_kind'"]
+
+
+def test_export_chrome_writes_nothing_it_would_reject(tmp_path):
+    path = tmp_path / "bad.trace.json"
+    events = [TraceEvent(0.0, "made_up_kind", 0, 1, None),
+              TraceEvent(float("nan"), "msg_send", 0, 1, None)]
+    problems = export_chrome(events, str(path))
+    assert problems[0] == "unregistered event kind 'made_up_kind'"
+    assert any("bad ts" in problem for problem in problems[1:])
+    assert not path.exists()

@@ -43,24 +43,16 @@ def test_single_transaction_commits_with_expected_timing(kernel):
     assert rig.done == [txn]
 
 
-def test_commit_cpu_adds_to_completion_time(kernel):
-    rig = Rig(kernel, PriorityCeiling(kernel),
-              costs=CostModel(cpu_per_object=1.0, io_per_object=0.0,
-                              commit_cpu=2.5))
-    txn = rig.submit(make_txn([(1, "w")], priority=1, deadline=100.0))
-    kernel.run()
-    assert txn.finish_time == 3.5
-
-
 def test_writes_update_database_objects(kernel):
     rig = Rig(kernel, PriorityCeiling(kernel))
     txn = rig.submit(make_txn([(3, "w"), (4, "r")], priority=1,
                               deadline=100.0))
     kernel.run()
-    assert rig.database.object(3).writes == 1
     assert rig.database.object(3).value == float(txn.tid)
-    assert rig.database.object(4).reads == 1
-    assert rig.database.object(4).writes == 0
+    # Written in place once its own bursts are done (1 cpu + 2 io).
+    assert rig.database.object(3).version_ts == 3.0
+    # A read installs nothing.
+    assert rig.database.object(4).version_ts == 0.0
 
 
 def test_deadline_miss_aborts_and_releases_locks(kernel):

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.trace.report import main as report_main
 from repro.verify.cli import main
 
 
@@ -52,6 +53,12 @@ def test_violations_exit_one_and_export(tmp_path, capsys, lost_wakeup):
     assert schedule.exists() and trace.exists()
     manifest = json.loads(schedule.read_text())
     assert "VFY-MISS" in manifest["codes"]
+    # The counterexample's trace is an ordinary trace artifact.
+    assert report_main([str(trace), "--profile"]) == 0
+    report = capsys.readouterr().out
+    assert "per-transaction blocking breakdown" in report
+    assert " miss\n" in report
+    assert "[profile] top-5 hottest lock objects:" in report
 
 
 def test_stale_wakeup_index_exits_one(capsys, stale_index):
