@@ -15,9 +15,10 @@ arXiv:1909.09600).
 This module imports nothing from the model packages (``repro.cc``,
 ``repro.db``, ``repro.txn``): the dependency points one way only.
 Protocol objects are duck-typed: a checker needs
-``cc.locks`` (holders/locks_of), ``cc.kernel.now``, ``cc.name`` and,
-for the ceiling checker, ``cc.exclusive_only`` plus transactions with
-``tid``/``priority``/``read_set``/``write_set``/``access_set``.
+``cc.locks`` (holders/locks_of, owners are tids), ``cc.kernel.now``,
+``cc.name`` and, for the ceiling checker, ``cc.exclusive_only`` plus
+transactions with ``tid``/``priority``/``read_set``/``write_set``/
+``access_set``.
 
 Invariant codes reported (see DESIGN.md for the paper references):
 
@@ -92,7 +93,7 @@ class _WaitForGraph:
     def add(self, waiter: Any, holders) -> None:
         targets = self._edges.setdefault(waiter, set())
         for holder in holders:
-            if holder is not waiter:
+            if holder != waiter:
                 targets.add(holder)
 
     def cycle_through(self, start: Any) -> Optional[List[Any]]:
@@ -104,7 +105,7 @@ class _WaitForGraph:
             path.append(node)
             on_path.add(node)
             for successor in self._edges.get(node, ()):
-                if successor is start:
+                if successor == start:
                     return list(path)
                 if successor in on_path or successor in done:
                     continue
@@ -127,9 +128,9 @@ class ProtocolChecker:
     def __init__(self, sanitizer, cc):
         self.sanitizer = sanitizer
         self.cc = cc
-        #: Transactions that executed their release point and may not
-        #: acquire again until they abort/restart or leave.
-        self._shrunk: Set[Any] = set()
+        #: Tids of the transactions that executed their release point
+        #: and may not acquire again until they abort/restart or leave.
+        self._shrunk: Set[int] = set()
 
     # -- context helpers -----------------------------------------------
     def _now(self) -> Optional[float]:
@@ -148,32 +149,32 @@ class ProtocolChecker:
         pass
 
     def txn_deregister(self, txn) -> None:
-        self._shrunk.discard(txn)
+        self._shrunk.discard(txn.tid)
 
     def lock_block(self, txn, oid: int, mode) -> None:
         pass
 
     def lock_grant(self, txn, oid: int, mode) -> None:
-        if txn in self._shrunk:
+        if txn.tid in self._shrunk:
             self._report(
                 "SAN-2PL-PHASE",
                 f"transaction {txn.tid} acquired {mode} on object {oid} "
                 f"after its first release — the two-phase property "
                 f"('no lock after unlock') is broken",
                 txn=txn, oid=oid)
-            self._shrunk.discard(txn)  # report once per offence
+            self._shrunk.discard(txn.tid)  # report once per offence
         self._check_race(oid)
 
     def lock_release(self, txn, freed) -> None:
         if freed:
-            self._shrunk.add(txn)
+            self._shrunk.add(txn.tid)
 
     def lock_abort(self, txn) -> None:
         # A deadlock victim restarts from scratch: fresh growing phase.
-        self._shrunk.discard(txn)
+        self._shrunk.discard(txn.tid)
 
     def lock_commit(self, txn) -> None:
-        held = self.cc.locks.locks_of(txn)
+        held = self.cc.locks.locks_of(txn.tid)
         if held:
             self._report(
                 "SAN-2PL-STRICT",
@@ -181,7 +182,7 @@ class ProtocolChecker:
                 f"locks on {sorted(held)} — strict 2PL releases "
                 f"everything at commit",
                 txn=txn, oid=min(held))
-        self._shrunk.discard(txn)
+        self._shrunk.discard(txn.tid)
 
     # -- shared checks ---------------------------------------------------
     def _check_race(self, oid: int) -> None:
@@ -192,12 +193,11 @@ class ProtocolChecker:
         for index, held in enumerate(modes):
             for other in modes[index + 1:]:
                 if _incompatible(held, other):
-                    holder_map = {getattr(t, "tid", t): str(m)
-                                  for t, m in holders.items()}
+                    by_tid = {tid: str(m) for tid, m in holders.items()}
                     self._report(
                         "SAN-LOCK-RACE",
                         f"incompatible grants coexist on object "
-                        f"{oid}: {holder_map}",
+                        f"{oid}: {by_tid}",
                         oid=oid)
                     return
 
@@ -216,10 +216,11 @@ class CeilingChecker(ProtocolChecker):
 
     def __init__(self, sanitizer, cc):
         super().__init__(sanitizer, cc)
-        #: Independent active-set registry (the protocol keeps its own).
-        self._active: Set[Any] = set()
-        #: Ceiling-blocking episodes per txn within the current epoch.
-        self._episodes: Dict[Any, int] = {}
+        #: Independent active-set registry, tid -> transaction (the
+        #: protocol keeps its own).
+        self._active: Dict[int, Any] = {}
+        #: Ceiling-blocking episodes per tid within the current epoch.
+        self._episodes: Dict[int, int] = {}
 
     # -- independent ceiling computation ---------------------------------
     def _declared_write(self, txn) -> frozenset:
@@ -228,12 +229,12 @@ class CeilingChecker(ProtocolChecker):
         return txn.write_set
 
     def _write_ceiling(self, oid: int) -> Optional[float]:
-        priorities = [txn.priority for txn in self._active
+        priorities = [txn.priority for txn in self._active.values()
                       if oid in self._declared_write(txn)]
         return max(priorities) if priorities else None
 
     def _absolute_ceiling(self, oid: int) -> Optional[float]:
-        priorities = [txn.priority for txn in self._active
+        priorities = [txn.priority for txn in self._active.values()
                       if oid in txn.access_set]
         return max(priorities) if priorities else None
 
@@ -244,12 +245,13 @@ class CeilingChecker(ProtocolChecker):
         return self._write_ceiling(oid)
 
     def _barrier(self, txn):
-        """(ceiling, oid, holders) of the highest rw-ceiling among
+        """(ceiling, oid, holder tids) of the highest rw-ceiling among
         objects locked by transactions other than ``txn``."""
+        tid = txn.tid
         best = best_oid = None
         for oid in list(self.cc.locks.locked_oids()):
             holders = self.cc.locks.holders(oid)
-            if not any(holder is not txn for holder in holders):
+            if not any(holder != tid for holder in holders):
                 continue
             ceiling = self._rw_ceiling(oid)
             if ceiling is None:
@@ -260,24 +262,24 @@ class CeilingChecker(ProtocolChecker):
             return None, None, []
         blocking = [holder
                     for holder in self.cc.locks.holders(best_oid)
-                    if holder is not txn]
+                    if holder != tid]
         return best, best_oid, blocking
 
-    def _conflicters(self, txn, oid: int, mode) -> List[object]:
+    def _conflicters(self, txn, oid: int, mode) -> List[int]:
         return [holder
                 for holder, held in self.cc.locks.holders(oid).items()
-                if holder is not txn and _incompatible(held, mode)]
+                if holder != txn.tid and _incompatible(held, mode)]
 
     # -- the protocol's hooks ---------------------------------------------
     def txn_register(self, txn) -> None:
-        self._active.add(txn)
+        self._active[txn.tid] = txn
         # The active set changed, so the static ceilings changed: the
         # blocked-at-most-once bound is only claimed within one epoch.
         self._episodes.clear()
 
     def txn_deregister(self, txn) -> None:
         super().txn_deregister(txn)
-        self._active.discard(txn)
+        self._active.pop(txn.tid, None)
         self._episodes.clear()
 
     def lock_grant(self, txn, oid: int, mode) -> None:
@@ -305,16 +307,16 @@ class CeilingChecker(ProtocolChecker):
                 txn=txn, oid=oid)
             return
         blockers = blocking if ceiling_blocked else conflicters
-        if blockers and all(holder.priority < txn.priority
+        active = self._active
+        if blockers and all(active[holder].priority < txn.priority
                             for holder in blockers):
-            count = self._episodes.get(txn, 0) + 1
-            self._episodes[txn] = count
+            count = self._episodes.get(txn.tid, 0) + 1
+            self._episodes[txn.tid] = count
             if count > 1:
-                blocker_tids = sorted(h.tid for h in blockers)
                 self._report(
                     "SAN-PCP-ONCE",
                     f"transaction {txn.tid} was blocked by "
-                    f"lower-priority holders {blocker_tids} "
+                    f"lower-priority holders {sorted(blockers)} "
                     f"(episode {count}) within one stable active set "
                     f"— PCP bounds blocking to one critical section",
                     txn=txn, oid=oid)
@@ -335,13 +337,13 @@ class CeilingChecker(ProtocolChecker):
         graph = _WaitForGraph()
         for request in list(getattr(self.cc, "waiting", ())):
             waiter = request.txn
-            graph.add(waiter, self._conflicters(waiter, request.oid,
-                                                request.mode))
-        cycle = graph.cycle_through(txn)
+            graph.add(waiter.tid, self._conflicters(waiter, request.oid,
+                                                    request.mode))
+        cycle = graph.cycle_through(txn.tid)
         if cycle is not None:
             self._report(
                 "SAN-PCP-DEADLOCK",
-                f"wait-for cycle {[t.tid for t in cycle]} under the "
+                f"wait-for cycle {cycle} under the "
                 f"priority ceiling protocol, which is deadlock-free by "
                 f"construction",
                 txn=txn)

@@ -15,7 +15,9 @@ ceiling) shares this skeleton:
   by the kernel's interrupt machinery, so only held locks remain;
 - :meth:`register`/:meth:`deregister` bracket a transaction's *active*
   interval (the ceiling protocol computes per-object ceilings from the
-  declared access sets of registered transactions).
+  declared access sets of registered transactions).  A transaction
+  locks only while registered: the lock table's owners are tids, and
+  :attr:`ConcurrencyControl.active` maps them back.
 
 Subclasses implement ``_can_acquire`` (the admission test),
 ``_grant_order`` (which waiters to reconsider, in what order) and
@@ -29,7 +31,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, List, Set
 
 from ..constants import BLOCKING_CEILING, BLOCKING_DIRECT
-from ..db.locks import LockMode, LockTable
+from ..db.locks import LockError, LockMode, LockTable
 from ..kernel.kernel import Kernel
 from ..kernel.process import Process, ProcessState
 from ..kernel.syscalls import BLOCKED, DONE, SysCall
@@ -152,6 +154,10 @@ class ConcurrencyControl:
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
+        #: Lock owners are tids (an int key hashes without a
+        #: Python-level call); this maps the registered ones back to
+        #: their transactions.
+        self.active: Dict[int, Transaction] = {}
         self.locks = LockTable()
         self.waiting: List[Request] = []
         #: oid -> waiting requests on that object, in enqueue order —
@@ -184,9 +190,12 @@ class ConcurrencyControl:
         hooks = self.kernel.hooks
         if hooks is not None:
             hooks.txn_register(self.kernel.now, self, txn)
+        self.active[txn.tid] = txn
 
     def deregister(self, txn: Transaction) -> None:
         """The transaction left the system (committed or missed)."""
+        if txn.tid in self.active:
+            del self.active[txn.tid]
         hooks = self.kernel.hooks
         if hooks is not None:
             hooks.txn_deregister(self.kernel.now, self, txn)
@@ -224,14 +233,18 @@ class ConcurrencyControl:
         hooks = kernel.hooks
         if hooks is not None:
             hooks.lock_request(kernel.now, self, txn, oid, mode)
+        tid = txn.tid
+        if tid not in self.active:
+            raise LockError(f"transaction {tid} must be registered "
+                            f"before acquiring locks under {self.name}")
         if self._can_acquire(txn, oid, mode):
-            self.locks.grant(oid, txn, mode)
+            self.locks.grant(oid, tid, mode)
             self.stats.immediate_grants += 1
             if hooks is not None:
                 hooks.lock_grant(kernel.now, self, txn, oid, mode, None)
             return DONE
         self.stats.blocks += 1
-        conflicts = self.locks.conflicting_holders(oid, txn, mode)
+        conflicts = self.locks.conflicting_holders(oid, tid, mode)
         if conflicts:
             self.stats.direct_blocks += 1
             cause = BLOCKING_DIRECT
@@ -288,7 +301,7 @@ class ConcurrencyControl:
 
     def release_all(self, txn: Transaction) -> List[int]:
         """Free every lock ``txn`` holds; wake newly grantable waiters."""
-        freed = self.locks.release_all(txn)
+        freed = self.locks.release_all(txn.tid)
         hooks = self.kernel.hooks
         if hooks is not None:
             hooks.lock_release(self.kernel.now, self, txn, freed)
@@ -318,12 +331,13 @@ class ConcurrencyControl:
         """Called after ``request`` was parked (inheritance, deadlock
         detection).  Default: nothing."""
 
-    def blocked_by(self, txn: Transaction,
-                   kinds: int = CONFLICT | QUEUE) -> Iterable[Transaction]:
-        """The transactions ``txn``'s waiting requests wait for, over
-        the edge ``kinds``: ``CONFLICT`` (incompatible holders),
-        ``QUEUE`` (2PL waiters queued ahead) and ``BARRIER`` (holders of
-        PCP's highest-rw-ceiling lock).  Each reader names its kinds:
+    def blocked_by(self, tid: int,
+                   kinds: int = CONFLICT | QUEUE) -> Iterable[int]:
+        """The tids of the transactions that transaction ``tid``'s
+        waiting requests wait for, over the edge ``kinds``:
+        ``CONFLICT`` (incompatible holders), ``QUEUE`` (2PL waiters
+        queued ahead) and ``BARRIER`` (holders of PCP's
+        highest-rw-ceiling lock).  Each reader names its kinds:
 
         - 2PL detection, the default: a cycle can close through a
           fairness wait;
@@ -337,11 +351,11 @@ class ConcurrencyControl:
         Here a list of conflicting holders, in request then holder
         order: the order inheritance re-prioritises them in.
         """
-        holders: List[Transaction] = []
+        holders: List[int] = []
         if kinds & CONFLICT:
             conflicting_holders = self.locks.conflicting_holders
-            for request in self._waiting_by_tid.get(txn.tid, ()):
-                holders += conflicting_holders(request.oid, txn,
+            for request in self._waiting_by_tid.get(tid, ()):
+                holders += conflicting_holders(request.oid, tid,
                                                request.mode)
         return holders
 
@@ -371,7 +385,7 @@ class ConcurrencyControl:
         self._after_change()
 
     def _grant_waiter(self, request: Request) -> None:
-        self.locks.grant(request.oid, request.txn, request.mode)
+        self.locks.grant(request.oid, request.txn.tid, request.mode)
         self._dequeue(request)
         hooks = self.kernel.hooks
         if hooks is not None:
@@ -425,10 +439,9 @@ class ConcurrencyControl:
     # ------------------------------------------------------------------
     # inheritance plumbing shared by PI and ceiling protocols
     # ------------------------------------------------------------------
-    def _apply_inheritance(self, contributions: Dict[int, float],
-                           holders: Dict[int, Transaction]) -> bool:
-        """Set inherited priorities from {tid: priority}; ``holders``
-        maps each of those tids to its transaction.
+    def _apply_inheritance(self, contributions: Dict[int, float]) -> bool:
+        """Set inherited priorities from {tid: priority}, each tid a
+        lock holder's, hence registered.
 
         Transactions that previously inherited but no longer appear are
         cleared.  ``contributions`` values are effective priorities of
@@ -442,6 +455,7 @@ class ConcurrencyControl:
         hooks = kernel.hooks
         inheriting = self._inheriting
         inheriting_txn = self._inheriting_txn
+        active = self.active
         for tid in list(inheriting):
             if tid not in contributions:
                 inheriting.discard(tid)
@@ -455,7 +469,7 @@ class ConcurrencyControl:
                         hooks.priority_restore(kernel.now, txn)
                     kernel.set_inherited_priority(process, None)
         for tid, priority in contributions.items():
-            txn = holders[tid]
+            txn = active[tid]
             process = txn.process
             if process is None or process.state is _TERMINATED:
                 continue

@@ -49,7 +49,7 @@ def _search(node: Hashable, start: Hashable,
     """
     path.append(node)
     for successor in successors(node):
-        if successor is start:
+        if successor == start:  # tids: equal, not always identical
             return list(path)
         if successor in entered:
             continue  # on the path (a cycle not through start) or done

@@ -63,10 +63,8 @@ class PriorityCeiling(ConcurrencyControl):
         self.exclusive_only = exclusive_only
         if exclusive_only:
             self.name = "Cx"
-        #: Active transactions (started, not completed), by tid.  The
-        #: protocol's tables are keyed by tid throughout: an int key
-        #: hashes without a Python-level call.
-        self.active: Dict[int, Transaction] = {}
+        # The protocol's tables are keyed by tid throughout, as the
+        # lock table is (see ``active``).
         #: oid -> {tid: priority} of the active transactions declaring
         #: a write on it, and the static write-priority ceiling that
         #: follows from them.
@@ -125,7 +123,6 @@ class PriorityCeiling(ConcurrencyControl):
     def register(self, txn: Transaction) -> None:
         super().register(txn)
         tid = txn.tid
-        self.active[tid] = txn
         priority = txn.priority
         locked = self._locked
         for index, ceilings, oids in self._declarations(txn):
@@ -242,14 +239,15 @@ class PriorityCeiling(ConcurrencyControl):
     #: Lock-table notification (see LockTable.subscribe).
     on_lock_change = _refresh_entry
 
-    def _ceiling_barrier(self, txn: Transaction):
+    def _ceiling_barrier(self, tid: int):
         """(ceiling, oid) of the highest rw-ceiling among objects locked
-        by transactions other than ``txn``; (None, None) if no such
-        object or none of them has a ceiling."""
-        holder_map = self.locks.holder_map
+        by transactions other than ``tid``; (None, None) if no such
+        object or none of them has a ceiling.  Every indexed oid is
+        locked, so its record is read straight from the table."""
+        locked = self._locked
         for neg_ceiling, __, oid in self._entries:
-            for holder in holder_map(oid):
-                if holder is not txn:
+            for holder in locked[oid].holders:
+                if holder != tid:
                     return -neg_ceiling, oid
         return None, None
 
@@ -258,15 +256,13 @@ class PriorityCeiling(ConcurrencyControl):
     # ------------------------------------------------------------------
     def _can_acquire(self, txn: Transaction, oid: int,
                      mode: LockMode) -> bool:
-        if txn.tid not in self.active:
-            raise LockError(f"transaction {txn.tid} must be registered "
-                            f"before acquiring locks under {self.name}")
-        barrier, __ = self._ceiling_barrier(txn)
+        tid = txn.tid
+        barrier, __ = self._ceiling_barrier(tid)
         if barrier is not None and txn.priority <= barrier:
             return False
         # The ceiling test passed; the grant must be conflict-free.
         # A failure here is an implementation bug, never a run condition.
-        if not self.locks.can_grant(oid, txn, mode):
+        if not self.locks.can_grant(oid, tid, mode):
             raise LockError(
                 f"ceiling test admitted txn {txn.tid} (prio "
                 f"{txn.priority}) for {mode} on {oid}, but holders "
@@ -285,7 +281,7 @@ class PriorityCeiling(ConcurrencyControl):
         # The shared group's one barrier and one priority stand for a
         # member only while it holds nothing and waits at its own
         # priority; a second request of a member also goes solo.
-        if (tid in self._shared or self.locks.holds_any(txn)
+        if (tid in self._shared or self.locks.holds_any(tid)
                 or request.waiter_priority() != txn.priority):
             self._solo.append(request)
             return
@@ -343,19 +339,19 @@ class PriorityCeiling(ConcurrencyControl):
     # ------------------------------------------------------------------
     # inheritance
     # ------------------------------------------------------------------
-    def blocked_by(self, txn: Transaction,
-                   kinds: int = CONFLICT | QUEUE) -> Iterable[Transaction]:
+    def blocked_by(self, tid: int,
+                   kinds: int = CONFLICT | QUEUE) -> Iterable[int]:
         """``BARRIER`` adds the holder(s) of the lock with the highest
-        rw-ceiling, in holder order: the transaction(s) blocking ``txn``
+        rw-ceiling, in holder order: the transaction(s) blocking ``tid``
         in the protocol's sense, conflicting or not."""
-        holders: List[Transaction] = []
+        holders: List[int] = []
         if kinds & CONFLICT:
-            holders += super().blocked_by(txn, kinds)
+            holders += super().blocked_by(tid, kinds)
         if kinds & BARRIER:
-            __, oid = self._ceiling_barrier(txn)
+            __, oid = self._ceiling_barrier(tid)
             if oid is not None:
-                holders += [holder for holder in
-                            self.locks.holder_map(oid) if holder is not txn]
+                holders += [holder for holder in self._locked[oid].holders
+                            if holder != tid]
         return holders
 
     def _after_change(self) -> None:
@@ -385,26 +381,24 @@ class PriorityCeiling(ConcurrencyControl):
         # waiter_priority() then falls back to the base priority.  A
         # pass that read such a priority does not count as settled.
         volatile = False
+        locked = self._locked
         for __ in range(len(self.waiting) + 1):
             contributions: Dict[int, float] = {}
-            inheritors: Dict[int, Transaction] = {}
             for request in order:
                 if request is None:
                     priority = top.txn.priority
-                    holders = self.locks.holder_map(self._entries[0][2])
+                    holders = locked[self._entries[0][2]].holders
                 else:
                     priority = request.waiter_priority()
                     if (priority != request.txn.priority
                             and request.on_grant is not None):
                         volatile = True
-                    holders = self.blocked_by(request.txn, BARRIER)
-                for holder in holders:
-                    tid = holder.tid
+                    holders = self.blocked_by(request.txn.tid, BARRIER)
+                for tid in holders:
                     current = contributions.get(tid)
                     if current is None or current < priority:
                         contributions[tid] = priority
-                        inheritors[tid] = holder
-            if not self._apply_inheritance(contributions, inheritors):
+            if not self._apply_inheritance(contributions):
                 break
         self._settled = -1 if volatile else self._epoch
         self._inheritance_seen = kernel.inheritance_changes

@@ -44,12 +44,9 @@ class MPCP(TwoPhaseLockingPriority):
 
     def __init__(self, kernel, victim_policy: str = "none"):
         super().__init__(kernel, victim_policy=victim_policy)
-        #: Active transactions (registered, not completed), by tid —
-        #: the same shapes as PriorityCeiling's tables.
-        self.active: Dict[int, Transaction] = {}
         #: oid -> {tid: priority} of the active transactions declaring
-        #: any access to it; the per-resource priority ceiling is the
-        #: max over the values.
+        #: any access to it (PriorityCeiling's shape); the per-resource
+        #: priority ceiling is the max over the values.
         self._accessors: Dict[int, Dict[int, float]] = {}
 
     # ------------------------------------------------------------------
@@ -57,7 +54,6 @@ class MPCP(TwoPhaseLockingPriority):
     # ------------------------------------------------------------------
     def register(self, txn: Transaction) -> None:
         super().register(txn)
-        self.active[txn.tid] = txn
         for oid in txn.access_set:
             self._accessors.setdefault(oid, {})[txn.tid] = txn.priority
         hooks = self.kernel.hooks
@@ -116,23 +112,19 @@ class MPCP(TwoPhaseLockingPriority):
         # mechanism.  No fixpoint needed: inflation depends only on
         # base priorities, never on inherited ones.
         contributions: dict = {}
-        inheritors: dict = {}
         top = self._priority_top()
         floor = self._priority_floor()
         if top is not None:
-            holder_map = self.locks.holder_map
-            for oid in self.locks.locked_oids():
+            for oid, record in self.locks.records.items():
                 ceiling = self.resource_ceiling(oid)
                 if ceiling is None:
                     continue
                 boosted = top + (ceiling - floor) + 1.0
-                for holder in holder_map(oid):
-                    tid = holder.tid
+                for tid in record.holders:
                     current = contributions.get(tid)
                     if current is None or current < boosted:
                         contributions[tid] = boosted
-                        inheritors[tid] = holder
-        self._apply_inheritance(contributions, inheritors)
+        self._apply_inheritance(contributions)
 
 
 class FMLPQueueLock(TwoPhaseLocking):

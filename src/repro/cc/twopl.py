@@ -62,7 +62,7 @@ class TwoPhaseLocking(ConcurrencyControl):
     # ------------------------------------------------------------------
     def _can_acquire(self, txn: Transaction, oid: int,
                      mode: LockMode) -> bool:
-        if not self.locks.can_grant(oid, txn, mode):
+        if not self.locks.can_grant(oid, txn.tid, mode):
             return False
         return not self._queue_blocks(txn, oid)
 
@@ -139,7 +139,7 @@ class TwoPhaseLocking(ConcurrencyControl):
     # deadlock handling
     # ------------------------------------------------------------------
     def _on_block(self, request: Request) -> None:
-        cycle = find_cycle_through(request.txn, self.blocked_by)
+        cycle = find_cycle_through(request.txn.tid, self.blocked_by)
         if cycle is None:
             return
         self.stats.deadlocks += 1
@@ -155,13 +155,12 @@ class TwoPhaseLocking(ConcurrencyControl):
             # the kernel delivers the interrupt into its generator.
             self._dequeue(request)
             request.process.blocker = None
-            raise DeadlockAbort(f"deadlock cycle "
-                                f"{[t.tid for t in cycle]}")
-        self.kernel.interrupt(
-            victim.process,
-            DeadlockAbort(f"deadlock cycle {[t.tid for t in cycle]}"))
+            raise DeadlockAbort(f"deadlock cycle {cycle}")
+        self.kernel.interrupt(victim.process,
+                              DeadlockAbort(f"deadlock cycle {cycle}"))
 
-    def _select_victim(self, cycle, request: Request) -> Transaction:
+    def _select_victim(self, cycle: List[int],
+                       request: Request) -> Transaction:
         """Apply the victim policy over members that can actually break
         the cycle.
 
@@ -173,8 +172,9 @@ class TwoPhaseLocking(ConcurrencyControl):
         lock-holding members; the requester is only eligible while it
         holds locks itself.
         """
-        holders = [txn for txn in cycle if self.locks.locks_of(txn)]
-        candidates = holders if holders else list(cycle)
+        holds_any = self.locks.holds_any
+        holders = [tid for tid in cycle if holds_any(tid)]
+        candidates = [self.active[tid] for tid in holders or cycle]
         if (self.victim_policy == "requester"
                 and request.txn not in candidates):
             # The requester cannot break the cycle: fall back to the
@@ -182,27 +182,30 @@ class TwoPhaseLocking(ConcurrencyControl):
             return choose_victim(candidates, "youngest", request.txn)
         return choose_victim(candidates, self.victim_policy, request.txn)
 
-    def blocked_by(self, txn: Transaction,
-                   kinds: int = CONFLICT | QUEUE) -> Iterable[Transaction]:
+    def blocked_by(self, tid: int,
+                   kinds: int = CONFLICT | QUEUE) -> Iterable[int]:
         """With ``QUEUE``, a set: the detector's successors.  Its
         iteration order, hence the cycle and the victim, follows the
         insertion sequence the whole-graph oracle also uses: conflicting
-        holders of each of ``txn``'s requests, then the waiters ahead of
-        each, requests in enqueue order.  Else the base class's list."""
+        holders of each of ``tid``'s requests, then the waiters ahead of
+        each, requests in enqueue order.  A set of tids iterates as the
+        set of transactions it replaced did (``hash(txn)`` is
+        ``txn.tid``).  Else the base class's list."""
         if not kinds & QUEUE:
-            return super().blocked_by(txn, kinds)
-        targets: Set[Transaction] = set()
-        requests = self._waiting_by_tid.get(txn.tid, ())
+            return super().blocked_by(tid, kinds)
+        targets: Set[int] = set()
+        requests = self._waiting_by_tid.get(tid, ())
         if kinds & CONFLICT:
             conflicting_holders = self.locks.conflicting_holders
             for request in requests:
                 targets.update(
-                    conflicting_holders(request.oid, txn, request.mode))
+                    conflicting_holders(request.oid, tid, request.mode))
         for request in requests:
+            txn = request.txn
             for other in self._waiting_by_oid[request.oid]:
                 if (other.txn is not txn
                         and self._ahead_of(other, request, txn)):
-                    targets.add(other.txn)
+                    targets.add(other.txn.tid)
         return targets
 
     def _inherit_from_waiters(self) -> None:
@@ -218,16 +221,13 @@ class TwoPhaseLocking(ConcurrencyControl):
         bounded by the number of waiters, so the loop terminates."""
         for __ in range(len(self.waiting) + 1):
             contributions: dict = {}
-            inheritors: dict = {}
             for request in self.waiting:
                 waiter_priority = request.waiter_priority()
-                for holder in self.blocked_by(request.txn, CONFLICT):
-                    tid = holder.tid
+                for tid in self.blocked_by(request.txn.tid, CONFLICT):
                     current = contributions.get(tid)
                     if current is None or current < waiter_priority:
                         contributions[tid] = waiter_priority
-                        inheritors[tid] = holder
-            if not self._apply_inheritance(contributions, inheritors):
+            if not self._apply_inheritance(contributions):
                 break
 
 

@@ -8,8 +8,9 @@ waiter is re-evaluated — belongs to the concurrency-control protocols in
 prototyping environment argues for (swapping the protocol touches only
 the protocol module).
 
-Owners are opaque hashables (the transaction objects of
-:mod:`repro.txn.transaction`, but the table never looks inside them).
+Owners are opaque hashables, compared by equality.  The protocols of
+:mod:`repro.cc` pass transaction ids: an int hashes in C, so no lock-table
+operation costs a Python-level ``__hash__`` call.
 
 Hot-path design: each locked object is a slotted :class:`_LockRecord`
 carrying a writer count (O(1) ``write_locked``) and an insertion
@@ -66,9 +67,6 @@ class _LockRecord:
     """
 
     __slots__ = ("holders", "writers", "seq")
-
-
-_EMPTY: Dict[Hashable, LockMode] = {}
 
 
 class LockTable:
@@ -133,15 +131,6 @@ class LockTable:
         """Current holders of ``oid`` (empty dict if unlocked)."""
         record = self._records.get(oid)
         return dict(record.holders) if record is not None else {}
-
-    def holder_map(self, oid: int) -> Mapping[Hashable, LockMode]:
-        """Holders of ``oid`` without copying.
-
-        The returned mapping is the live table state — callers must
-        treat it as read-only and must not hold it across transitions.
-        """
-        record = self._records.get(oid)
-        return record.holders if record is not None else _EMPTY
 
     def mode_held(self, oid: int, owner: Hashable) -> Optional[LockMode]:
         record = self._records.get(oid)
@@ -208,8 +197,8 @@ class LockTable:
         # with the writers, anything else with every other holder.
         if mode is LockMode.READ:
             return [o for o, m in record.holders.items()
-                    if o is not owner and m is not LockMode.READ]
-        return [o for o in record.holders if o is not owner]
+                    if o != owner and m is not LockMode.READ]
+        return [o for o in record.holders if o != owner]
 
     # ------------------------------------------------------------------
     # transitions

@@ -103,7 +103,7 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                     if stats is not None:
                         stats.duplicates_suppressed += 1
                     continue
-                held = cc.locks.mode_held(message.oid, txn)
+                held = cc.locks.mode_held(message.oid, txn.tid)
                 if held is not None and (held is LockMode.WRITE
                                          or message.mode
                                          is LockMode.READ):

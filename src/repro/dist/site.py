@@ -113,16 +113,18 @@ class Site:
         own abort, so this is a defensive sweep: any lock still held by
         a terminated owner (a kill path that never got to run) is
         force-released so the rebuilt ceiling state cannot embalm a
-        dead transaction.
+        dead transaction.  Lock owners are tids; every one is
+        registered with the protocol.
         """
         if self.ceiling is None:
             return
         cc = self.ceiling
-        for owner in list(cc.locks.owners()):
-            process = getattr(owner, "process", None)
+        for tid in list(cc.locks.owners()):
+            txn = cc.active[tid]
+            process = txn.process
             if process is not None and process.terminated:
-                cc.abort(owner)
-                cc.deregister(owner)
+                cc.abort(txn)
+                cc.deregister(txn)
 
     def send(self, dst_site: int, message) -> None:
         """Route a message: local targets go straight to the service

@@ -45,7 +45,7 @@ HOOKS = {
     "cpu_preempt": "(now, cpu, process)",
     # cc/ — ``request`` is the cc.base.Request that waited, or None
     # for a grant without waiting; ``conflicts`` the incompatible
-    # holders ([] on a ceiling block); the ceiling hooks fire after
+    # holders' tids ([] on a ceiling block); the ceiling hooks fire after
     # ``txn`` joined / left the active set of a ceiling protocol.
     "attach_protocol": "(cc)",
     "txn_register": "(now, cc, txn)",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -266,6 +267,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(report_text(meta, records, top=args.top,
                               profile=args.profile, as_json=args.json))
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
             return 0
         for problem in problems[:_SHOWN_PROBLEMS]:
             print(problem, file=stream)
@@ -275,6 +277,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if problems:
             return 1
         print(done)
+        sys.stdout.flush()
+        return 0
+    except BrokenPipeError:
+        # The reader left early (`repro report A | grep -q X`): no
+        # error.  Stdout goes to devnull so the exit-time flush of what
+        # is still buffered cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,10 +48,9 @@ def _txn_site(txn) -> Optional[int]:
     return site if isinstance(site, int) else None
 
 
-def _holder_entry(holder) -> List[float]:
+def _holder_entry(cc, tid: int) -> List[float]:
     """(tid, base priority) snapshot of a blocking lock holder."""
-    return [getattr(holder, "tid", -1),
-            float(getattr(holder, "priority", 0.0))]
+    return [tid, float(cc.active[tid].priority)]
 
 
 def _active_ceiling(cc) -> Optional[float]:
@@ -164,11 +163,11 @@ class Tracer:
         timeline layer can classify priority-inversion intervals
         offline."""
         txn = request.txn
-        holders = conflicts or cc.blocked_by(txn, BARRIER)
+        holders = conflicts or cc.blocked_by(txn.tid, BARRIER)
         self.emit(t, "lock_block", site=_txn_site(txn),
                   tid=_txn_tid(txn), oid=request.oid,
                   mode=str(request.mode), cause=cause,
-                  holders=[_holder_entry(holder) for holder in holders],
+                  holders=[_holder_entry(cc, tid) for tid in holders],
                   waiter_priority=float(txn.priority))
 
     def lock_release(self, t: float, cc, txn,

@@ -20,7 +20,7 @@ global findings uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set, Tuple, TypeVar
 
 from ..analyze.invariants import Violation
 from ..cc.base import CONFLICT, QUEUE
@@ -29,14 +29,16 @@ from ..cc.base import CONFLICT, QUEUE
 #: for the same tid belongs to a fresh attempt).
 _INCARNATION_ENDS = frozenset(("txn_restart", "txn_abort"))
 
+Node = TypeVar("Node")
 
-def _cycle(edges: Dict[object, Set[object]]) -> List[object]:
+
+def _cycle(edges: Dict[Node, Set[Node]]) -> List[Node]:
     """First cycle found in ``edges`` (as a node list), or ``[]``."""
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {node: WHITE for node in edges}
-    stack: List[object] = []
+    stack: List[Node] = []
 
-    def visit(node: object) -> List[object]:
+    def visit(node: Node) -> List[Node]:
         colour[node] = GREY
         stack.append(node)
         for succ in sorted(edges.get(node, ()), key=repr):
@@ -76,7 +78,7 @@ def check_deadlock(instance) -> List[Violation]:
     """
     if getattr(instance, "expect_deadlocks", False):
         return []
-    edges: Dict[object, Set[object]] = {}
+    edges: Dict[int, Set[int]] = {}
     for cc in instance.ccs:
         for request in cc.waiting:
             waiter = request.txn
@@ -88,12 +90,11 @@ def check_deadlock(instance) -> List[Violation]:
                 # is already scheduled: this waiter is leaving the
                 # graph, so the cycle is being resolved, not stuck.
                 continue
-            edges.setdefault(waiter, set()).update(
-                cc.blocked_by(waiter, CONFLICT | QUEUE))
-    cycle = _cycle(edges)
-    if not cycle:
+            edges.setdefault(waiter.tid, set()).update(
+                cc.blocked_by(waiter.tid, CONFLICT | QUEUE))
+    tids = _cycle(edges)
+    if not tids:
         return []
-    tids = [getattr(txn, "tid", -1) for txn in cycle]
     return [Violation(
         code="VFY-DEADLOCK",
         message=f"wait-for cycle among transactions {sorted(tids)}",

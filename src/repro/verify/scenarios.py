@@ -116,8 +116,8 @@ class ScenarioInstance:
             locks = cc.locks
             for oid in locks.locked_oids():
                 holders = tuple(sorted(
-                    (getattr(owner, "tid", -1), mode.value)
-                    for owner, mode in locks.holders(oid).items()))
+                    (tid, mode.value)
+                    for tid, mode in locks.holders(oid).items()))
                 if holders:
                     state[("lock", index, oid)] = holders
             state[("wait", index)] = tuple(sorted(

@@ -141,7 +141,7 @@ def test_repeated_ceiling_blocking_is_detected(san, kernel):
     low = make_txn([(1, "w")], priority=1)
     high = make_txn([(1, "w")], priority=10)
     cc.register(low)
-    cc.locks.grant(1, low, LockMode.WRITE)
+    cc.locks.grant(1, low.tid, LockMode.WRITE)
     cc.register(high)
     for __ in range(2):
         assert cc.attempt(kernel, high.process, high, 1, LockMode.WRITE,
@@ -162,15 +162,15 @@ def test_ceiling_deadlock_cycle_is_detected(san, kernel, monkeypatch):
     # ceiling test — the thing that makes C deadlock-free — is gone).
     monkeypatch.setattr(
         PriorityCeiling, "_can_acquire",
-        lambda self, txn, oid, mode: self.locks.can_grant(oid, txn,
+        lambda self, txn, oid, mode: self.locks.can_grant(oid, txn.tid,
                                                           mode))
     cc = PriorityCeiling(kernel)
     first = make_txn([(1, "w"), (2, "w")], priority=5)
     second = make_txn([(2, "w"), (1, "w")], priority=6)
     cc.register(first)
     cc.register(second)
-    cc.locks.grant(1, first, LockMode.WRITE)
-    cc.locks.grant(2, second, LockMode.WRITE)
+    cc.locks.grant(1, first.tid, LockMode.WRITE)
+    cc.locks.grant(2, second.tid, LockMode.WRITE)
     # Each now requests the other's object: a classic two-member cycle
     # the real admission test would have prevented.
     assert cc.attempt(kernel, first.process, first, 2, LockMode.WRITE,

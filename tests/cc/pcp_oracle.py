@@ -16,7 +16,8 @@ the oracle at three seams:
 - every :meth:`_apply_inheritance` must receive the ``contributions``
   the full scan builds — same holder tids, same values, **same
   insertion order** (the order fixes ``set_inherited_priority`` calls
-  and trace events) — and the transaction of each tid;
+  and trace events), every tid registered (the protocol maps it back
+  through ``active``);
 - every :meth:`_after_change` must start with no admissible waiter left
   behind (a lost wake-up);
 - every :meth:`deregister` that *skips* its re-evaluation (the protocol
@@ -71,9 +72,10 @@ def barrier_entries(cc) -> List[tuple]:
 
 def ceiling_barrier(cc, txn):
     """(ceiling, oid) of the highest rw-ceiling among objects locked by
-    transactions other than ``txn``; (None, None) if there is none."""
+    transactions other than ``txn``; (None, None) if there is none.
+    Lock owners are tids."""
     for neg_ceiling, __, oid in barrier_entries(cc):
-        if any(holder is not txn for holder in cc.locks.holders(oid)):
+        if any(holder != txn.tid for holder in cc.locks.holders(oid)):
             return -neg_ceiling, oid
     return None, None
 
@@ -83,7 +85,7 @@ def blocking_holders(cc, request) -> list:
     if oid is None:
         return []
     return [holder for holder in cc.locks.holders(oid)
-            if holder is not request.txn]
+            if holder != request.txn.tid]
 
 
 def next_grant(cc):
@@ -103,10 +105,10 @@ def contributions(cc) -> dict:
     result: dict = {}
     for request in cc.waiting:
         waiter_priority = request.waiter_priority()
-        for holder in blocking_holders(cc, request):
-            current = result.get(holder.tid)
+        for tid in blocking_holders(cc, request):
+            current = result.get(tid)
             if current is None or current < waiter_priority:
-                result[holder.tid] = waiter_priority
+                result[tid] = waiter_priority
     return result
 
 
@@ -142,14 +144,14 @@ def shadowed():
         log.grants += 1
         return real_grant(self, request)
 
-    def checked_apply(self, got, holders):
+    def checked_apply(self, got):
         expected = contributions(self)
         assert list(got.items()) == list(expected.items()), (
             f"contributions {list(got.items())} != full scan "
             f"{list(expected.items())}")
-        assert all(holders[tid].tid == tid for tid in got)
+        assert all(tid in self.active for tid in got)
         log.inheritance_passes += 1
-        return real_apply(self, got, holders)
+        return real_apply(self, got)
 
     def checked_after(self):
         stranded = next_grant(self)

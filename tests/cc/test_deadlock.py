@@ -37,6 +37,16 @@ def test_branching_graph_finds_cycle():
     assert set(cycle_through(edges, "a")) == {"a", "c"}
 
 
+def test_cycle_closes_over_equal_but_distinct_ints():
+    # Lock owners are tids: a successor equal to the start closes the
+    # cycle even when it is another int object (ints > 256 are not
+    # cached, so identity would miss it).
+    start = int("1000")
+    edges = {start: [int("1001")], int("1001"): [int("1000")]}
+    assert edges[int("1001")][0] is not start
+    assert cycle_through(edges, start) == [1000, 1001]
+
+
 def test_self_edges_ignored():
     # An upgrade conflicts with the other reader, never with the
     # requester's own read lock: no transaction waits for itself.
@@ -48,8 +58,8 @@ def test_self_edges_ignored():
     LockClient(kernel, cc, reader, hold=10.0)
     kernel.run(until=5.0)
     assert cc.waiting_txns() == [upgrader]
-    assert list(cc.blocked_by(upgrader)) == [reader]
-    assert find_cycle_through(upgrader, cc.blocked_by) is None
+    assert list(cc.blocked_by(upgrader.tid)) == [reader.tid]
+    assert find_cycle_through(upgrader.tid, cc.blocked_by) is None
 
 
 def test_blocked_by_connects_waiters_to_conflicting_holders():
@@ -60,12 +70,13 @@ def test_blocked_by_connects_waiters_to_conflicting_holders():
     LockClient(kernel, cc, t1, hold_each=2.0)
     LockClient(kernel, cc, t2, start_delay=0.5, hold_each=2.0)
     kernel.run(until=1.0)
-    assert cc.blocked_by(t2) == set()  # holds o2, waits for nothing
+    assert cc.blocked_by(t2.tid) == set()  # holds o2, waits for nothing
     kernel.run(until=2.5)
     # t2 waits for o1 (held by t1), t1 for o2 (held by t2).
-    assert cc.blocked_by(t1, CONFLICT) == [t2]
-    assert cc.blocked_by(t2, CONFLICT) == [t1]
-    assert set(find_cycle_through(t2, cc.blocked_by)) == {t1, t2}
+    assert cc.blocked_by(t1.tid, CONFLICT) == [t2.tid]
+    assert cc.blocked_by(t2.tid, CONFLICT) == [t1.tid]
+    assert (set(find_cycle_through(t2.tid, cc.blocked_by))
+            == {t1.tid, t2.tid})
     assert cc.stats.deadlocks == 1
 
 
@@ -81,9 +92,9 @@ def test_read_locks_do_not_create_edges_for_readers():
     LockClient(kernel, cc, writer, start_delay=1.0)
     LockClient(kernel, cc, reader, start_delay=2.0)
     kernel.run(until=5.0)
-    assert cc.blocked_by(reader, CONFLICT) == []
-    assert cc.blocked_by(reader, QUEUE) == {writer}
-    assert cc.blocked_by(writer) == {holder}
+    assert cc.blocked_by(reader.tid, CONFLICT) == []
+    assert cc.blocked_by(reader.tid, QUEUE) == {writer.tid}
+    assert cc.blocked_by(writer.tid) == {holder.tid}
 
 
 def test_choose_victim_policies():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cc import PriorityCeiling
 from repro.db.locks import LockError, LockMode
-from repro.kernel import Delay, Kernel
+from repro.kernel import Delay
 from repro.kernel.syscalls import BLOCKED, DONE
 from repro.txn.transaction import TransactionAbort
 from tests.cc.pcp_oracle import barrier_entries, shadowed
@@ -35,11 +35,11 @@ def test_rw_ceiling_depends_on_lock_mode(kernel):
     reader = make_txn([(1, "r")], priority=8)
     cc.register(writer)
     cc.register(reader)
-    cc.locks.grant(1, reader, LockMode.READ)
+    cc.locks.grant(1, reader.tid, LockMode.READ)
     # Read-locked: rw ceiling = write ceiling.
     assert cc.rw_ceiling(1) == 5
-    cc.locks.release_all(reader)
-    cc.locks.grant(1, writer, LockMode.WRITE)
+    cc.locks.release_all(reader.tid)
+    cc.locks.grant(1, writer.tid, LockMode.WRITE)
     # Write-locked: rw ceiling = absolute ceiling.
     assert cc.rw_ceiling(1) == 8
 
@@ -66,7 +66,7 @@ def test_direct_conflict_blocked(kernel):
     cc = PriorityCeiling(kernel)
     t1 = make_txn([(1, "w")], priority=5)
     t2 = make_txn([(1, "w")], priority=9)
-    c1 = LockClient(kernel, cc, t1, hold=5.0)
+    LockClient(kernel, cc, t1, hold=5.0)
     c2 = LockClient(kernel, cc, t2, start_delay=1.0)
     kernel.run()
     assert c2.grant_time(1) == 5.0
@@ -78,7 +78,7 @@ def test_ceiling_blocks_unlocked_object_access(kernel):
     cc = PriorityCeiling(kernel)
     t1 = make_txn([(1, "w")], priority=5)     # locks object 1
     t2 = make_txn([(2, "w")], priority=3)     # wants *unlocked* object 2
-    c1 = LockClient(kernel, cc, t1, hold=6.0)
+    LockClient(kernel, cc, t1, hold=6.0)
     c2 = LockClient(kernel, cc, t2, start_delay=1.0)
     kernel.run()
     # t2's priority (3) <= rw-ceiling of object 1 (5): blocked until
@@ -92,7 +92,7 @@ def test_higher_priority_passes_ceiling_on_disjoint_objects(kernel):
     cc = PriorityCeiling(kernel)
     t1 = make_txn([(1, "w")], priority=5)
     t2 = make_txn([(2, "w")], priority=8)     # higher than ceiling(1)=5
-    c1 = LockClient(kernel, cc, t1, hold=6.0)
+    LockClient(kernel, cc, t1, hold=6.0)
     c2 = LockClient(kernel, cc, t2, start_delay=1.0)
     kernel.run()
     assert c2.grant_time(2) == 1.0  # not blocked
@@ -122,7 +122,7 @@ def test_ceiling_block_triggers_priority_inheritance(kernel):
     t1 = make_txn([(1, "w")], priority=5)
     t2 = make_txn([(2, "w")], priority=3)
     t3 = make_txn([(3, "w")], priority=4)
-    c1 = LockClient(kernel, cc, t1, hold=10.0)
+    LockClient(kernel, cc, t1, hold=10.0)
     LockClient(kernel, cc, t2, start_delay=1.0)
     LockClient(kernel, cc, t3, start_delay=2.0)
     kernel.run(until=3.0)
@@ -179,7 +179,7 @@ def test_concurrent_readers_allowed_when_no_writer_active(kernel):
     cc = PriorityCeiling(kernel)
     r1 = make_txn([(1, "r")], priority=5)
     r2 = make_txn([(1, "r")], priority=6)
-    c1 = LockClient(kernel, cc, r1, hold=5.0)
+    LockClient(kernel, cc, r1, hold=5.0)
     c2 = LockClient(kernel, cc, r2, hold=5.0, start_delay=1.0)
     kernel.run()
     # Object 1 read-locked: rw ceiling = write ceiling = None (no active
@@ -191,7 +191,7 @@ def test_exclusive_mode_serializes_readers(kernel):
     cc = PriorityCeiling(kernel, exclusive_only=True)
     r1 = make_txn([(1, "r")], priority=5)
     r2 = make_txn([(1, "r")], priority=6)
-    c1 = LockClient(kernel, cc, r1, hold=5.0)
+    LockClient(kernel, cc, r1, hold=5.0)
     c2 = LockClient(kernel, cc, r2, hold=5.0, start_delay=1.0)
     kernel.run()
     # Exclusive semantics: the second reader waits for the first.
@@ -248,7 +248,7 @@ def _index_is_consistent(cc):
     assert sorted(shared + cc._solo, key=lambda r: r.seq) == cc.waiting
     assert cc._solo == sorted(cc._solo, key=lambda r: r.seq)
     for request in shared:
-        assert not cc.locks.holds_any(request.txn)
+        assert not cc.locks.holds_any(request.txn.tid)
         assert cc._shared[request.txn.tid] is request
     return True
 
@@ -258,15 +258,15 @@ def test_barrier_index_follows_grants_releases_and_the_active_set(kernel):
     writer = make_txn([(1, "w"), (2, "w")], priority=4)
     reader = make_txn([(1, "r")], priority=6)
     cc.register(writer)
-    cc.locks.grant(1, writer, LockMode.WRITE)   # driven directly
+    cc.locks.grant(1, writer.tid, LockMode.WRITE)   # driven directly
     assert cc._entries == [(-4.0, 0, 1)]
     cc.register(reader)                          # raises absolute(1)
     assert cc._entries == [(-6.0, 0, 1)]
-    cc.locks.grant(2, writer, LockMode.WRITE)
+    cc.locks.grant(2, writer.tid, LockMode.WRITE)
     assert cc._entries == [(-6.0, 0, 1), (-4.0, 1, 2)]
     cc.deregister(reader)                        # ceiling falls back
     assert cc._entries == [(-4.0, 0, 1), (-4.0, 1, 2)]
-    cc.locks.release(1, writer)
+    cc.locks.release(1, writer.tid)
     assert cc._entries == [(-4.0, 1, 2)]
     cc.release_all(writer)
     assert cc._entries == [] and cc._entry_of == {}
@@ -278,7 +278,7 @@ def test_read_lock_enters_the_index_when_a_writer_registers(kernel):
     cc = PriorityCeiling(kernel)
     reader = make_txn([(1, "r")], priority=5)
     cc.register(reader)
-    cc.locks.grant(1, reader, LockMode.READ)
+    cc.locks.grant(1, reader.tid, LockMode.READ)
     assert cc._entries == []          # read-locked, nobody writes it
     writer = make_txn([(1, "w")], priority=3)
     cc.register(writer)
@@ -292,7 +292,7 @@ def test_lock_free_waiters_share_one_heap_entry(kernel):
         cc = PriorityCeiling(kernel)
         holder = make_txn([(1, "w")], priority=9)
         cc.register(holder)
-        cc.locks.grant(1, holder, LockMode.WRITE)
+        cc.locks.grant(1, holder.tid, LockMode.WRITE)
         waiters = [make_txn([(10 + i, "w")], priority=p)
                    for i, p in enumerate((3, 7, 5))]
         grants = []
@@ -330,26 +330,25 @@ def test_lock_holding_waiter_sole_holder_of_the_top_entry(kernel):
         free = make_txn([(4, "w")], priority=3)
         for txn in (low, mid, raises_1, raises_2, free):
             cc.register(txn)
-        cc.locks.grant(1, low, LockMode.WRITE)
-        cc.locks.grant(2, mid, LockMode.WRITE)
+        cc.locks.grant(1, low.tid, LockMode.WRITE)
+        cc.locks.grant(2, mid.tid, LockMode.WRITE)
         assert [entry[2] for entry in cc._entries] == [2, 1]
         applied = []
         real_apply = cc._apply_inheritance
-        cc._apply_inheritance = lambda c, holders: (
-            applied.append(list(c.items())),
-            real_apply(c, holders))[1]
+        cc._apply_inheritance = lambda c: (
+            applied.append(list(c.items())), real_apply(c))[1]
         _queue(cc, mid, 3)
-        assert cc._ceiling_barrier(mid) == (7.0, 1)
+        assert cc._ceiling_barrier(mid.tid) == (7.0, 1)
         assert [r.txn for r in cc._solo] == [mid]
         _queue(cc, free, 4)
-        assert cc._ceiling_barrier(free) == (9.0, 2)
+        assert cc._ceiling_barrier(free.tid) == (9.0, 2)
         assert list(cc._shared) == [free.tid]
         assert applied[-1] == [(low.tid, 5.0), (mid.tid, 3.0)]
         # A solo waiter queued *after* the group's earliest member
         # contributes after it.
         late = make_txn([(5, "w"), (6, "w")], priority=2)
         cc.register(late)
-        cc.locks.grant(5, late, LockMode.WRITE)
+        cc.locks.grant(5, late.tid, LockMode.WRITE)
         _queue(cc, late, 6)
         assert [r.txn for r in cc._solo] == [mid, late]
         assert [tid for tid, __ in applied[-1]] == [low.tid, mid.tid]
@@ -368,7 +367,7 @@ def test_empty_barrier_contributes_nothing_and_wakes_the_top(kernel):
         high = make_txn([(3, "r")], priority=6)
         for txn in (reader, writer, low, high):
             cc.register(txn)
-        cc.locks.grant(1, reader, LockMode.READ)   # rw-ceiling 8
+        cc.locks.grant(1, reader.tid, LockMode.READ)   # rw-ceiling 8
         order = []
         _queue(cc, low, 2, LockMode.READ, order)
         _queue(cc, high, 3, LockMode.READ, order)
@@ -377,7 +376,7 @@ def test_empty_barrier_contributes_nothing_and_wakes_the_top(kernel):
         # the read locks the waiters take have no ceiling either.
         cc.deregister(writer)
         assert cc._entries == []
-        assert cc._ceiling_barrier(low) == (None, None)
+        assert cc._ceiling_barrier(low.tid) == (None, None)
         assert order == [3, 2]
         assert cc.waiting == [] and _index_is_consistent(cc)
     assert log.grants == 2
@@ -418,7 +417,7 @@ def test_second_request_of_a_waiting_transaction_goes_solo(kernel):
         twice = make_txn([(2, "w"), (3, "w")], priority=5)
         cc.register(holder)
         cc.register(twice)
-        cc.locks.grant(1, holder, LockMode.WRITE)
+        cc.locks.grant(1, holder.tid, LockMode.WRITE)
         first = _queue(cc, twice, 2)
         second = _queue(cc, twice, 3)
         assert cc._shared[twice.tid].oid == 2
@@ -433,7 +432,7 @@ def test_shared_heap_is_compacted_to_the_live_waiters(kernel):
     cc = PriorityCeiling(kernel)
     holder = make_txn([(1, "w")], priority=1000)
     cc.register(holder)
-    cc.locks.grant(1, holder, LockMode.WRITE)
+    cc.locks.grant(1, holder.tid, LockMode.WRITE)
     keeper = make_txn([(2, "w")], priority=999)
     cc.register(keeper)
     _queue(cc, keeper, 2)
@@ -471,11 +470,11 @@ def test_waiter_boosted_by_another_agent_is_refiled(kernel):
                                        priority=txn.priority)
         kernel.run(until=1.0)
         agent_a.register(both)
-        agent_a.locks.grant(1, both, LockMode.WRITE)
+        agent_a.locks.grant(1, both.tid, LockMode.WRITE)
         for txn in (both, b_holder, b_other, b_raise, later):
             agent_b.register(txn)
-        agent_b.locks.grant(12, b_holder, LockMode.WRITE)
-        agent_b.locks.grant(15, b_other, LockMode.WRITE)
+        agent_b.locks.grant(12, b_holder.tid, LockMode.WRITE)
+        agent_b.locks.grant(15, b_other.tid, LockMode.WRITE)
         _queue(agent_b, both, 11)
         _queue(agent_b, b_holder, 14)       # solo, queued after `both`
         assert list(agent_b._shared) == [both.tid]
@@ -536,7 +535,7 @@ def test_ceiling_drop_on_an_unlocked_object_stays_settled(kernel):
         _parked(kernel, holder)
         cc.register(holder)
         cc.register(waiter)
-        cc.locks.grant(1, holder, LockMode.WRITE)
+        cc.locks.grant(1, holder.tid, LockMode.WRITE)
         idle = _bystander(cc)
         _queue(cc, waiter, 2)                 # blocks: a pass settles
         assert holder.process.inherited_priority == 5
@@ -557,7 +556,7 @@ def test_ceiling_drop_on_a_locked_object_unsettles(kernel):
     waiter = make_txn([(2, "r")], priority=4)
     for txn in (reader, writer, waiter):
         cc.register(txn)
-    cc.locks.grant(1, reader, LockMode.READ)        # rw-ceiling 8
+    cc.locks.grant(1, reader.tid, LockMode.READ)        # rw-ceiling 8
     granted = _queue(cc, waiter, 2, LockMode.READ)
     assert cc._epoch == cc._settled and granted == []
     # The writer holds nothing, so only its deregister re-files the
@@ -583,10 +582,10 @@ def test_read_share_join_unsettles_though_the_entry_stands(kernel):
         for txn in (top_writer, mid, low, raises_2, joiner):
             cc.register(txn)
         idle = _bystander(cc)
-        cc.locks.grant(1, mid, LockMode.READ)
-        cc.locks.grant(2, low, LockMode.WRITE)
+        cc.locks.grant(1, mid.tid, LockMode.READ)
+        cc.locks.grant(2, low.tid, LockMode.WRITE)
         _queue(cc, mid, 3)
-        assert cc._ceiling_barrier(mid) == (7.0, 2)
+        assert cc._ceiling_barrier(mid.tid) == (7.0, 2)
         assert low.process.inherited_priority == 5
         assert cc._epoch == cc._settled
         entry = cc._entry_of[1]
@@ -594,7 +593,7 @@ def test_read_share_join_unsettles_though_the_entry_stands(kernel):
                           LockMode.READ, on_grant=lambda: None) is DONE
         assert cc._entry_of[1] is entry and cc._entries[0] is entry
         assert cc._epoch != cc._settled
-        assert cc._ceiling_barrier(mid) == (9.0, 1)
+        assert cc._ceiling_barrier(mid.tid) == (9.0, 1)
         cc.deregister(idle)
         assert low.process.inherited_priority is None
         assert joiner.process.inherited_priority == 5
@@ -613,11 +612,11 @@ def test_foreign_boost_unsettles(kernel):
         a_waiter = make_txn([(1, "w")], priority=7)
         _parked(kernel, both, b_holder)
         agent_a.register(both)
-        agent_a.locks.grant(1, both, LockMode.WRITE)
+        agent_a.locks.grant(1, both.tid, LockMode.WRITE)
         for txn in (both, b_holder, b_raise):
             agent_b.register(txn)
         idle = _bystander(agent_b)
-        agent_b.locks.grant(12, b_holder, LockMode.WRITE)
+        agent_b.locks.grant(12, b_holder.tid, LockMode.WRITE)
         _queue(agent_b, both, 11)
         assert b_holder.process.inherited_priority == 3
         agent_a.register(a_waiter)
@@ -645,7 +644,7 @@ def test_overwritten_loan_below_the_base_priority_unsettles(kernel):
                                    (agent_b, 11, b_waiter)):
             agent.register(holder)
             agent.register(waiter)
-            agent.locks.grant(oid, holder, LockMode.WRITE)
+            agent.locks.grant(oid, holder.tid, LockMode.WRITE)
         idle = _bystander(agent_a)
         changes = kernel.inheritance_changes
         _queue(agent_a, a_waiter, 1)
@@ -680,8 +679,8 @@ def test_boosted_async_waiter_keeps_the_protocol_unsettled(kernel):
         for txn in (bottom, mid, raises_1, high):
             cc.register(txn)
         idle = _bystander(cc)
-        cc.locks.grant(1, bottom, LockMode.WRITE)
-        cc.locks.grant(2, mid, LockMode.WRITE)
+        cc.locks.grant(1, bottom.tid, LockMode.WRITE)
+        cc.locks.grant(2, mid.tid, LockMode.WRITE)
         _queue(cc, high, 2)                   # mid inherits 9
         _queue(cc, mid, 3)                    # waits boosted, on bottom
         assert mid.process.effective_priority == 9
@@ -702,7 +701,7 @@ def test_every_queue_change_unsettles(kernel):
     waiter = make_txn([(2, "w")], priority=5)
     cc.register(holder)
     cc.register(waiter)
-    cc.locks.grant(1, holder, LockMode.WRITE)
+    cc.locks.grant(1, holder.tid, LockMode.WRITE)
     _queue(cc, waiter, 2)
     (request,) = cc.waiting
     assert cc._epoch == cc._settled
@@ -721,11 +720,11 @@ def test_every_table_transition_unsettles(kernel):
     cc.register(first)
     cc.register(second)
     for transition in (
-            lambda: cc.locks.grant(1, first, LockMode.READ),
-            lambda: cc.locks.grant(1, second, LockMode.READ),
-            lambda: cc.locks.grant(2, first, LockMode.WRITE),
-            lambda: cc.locks.release(1, second),
-            lambda: cc.locks.release_all(first)):
+            lambda: cc.locks.grant(1, first.tid, LockMode.READ),
+            lambda: cc.locks.grant(1, second.tid, LockMode.READ),
+            lambda: cc.locks.grant(2, first.tid, LockMode.WRITE),
+            lambda: cc.locks.release(1, second.tid),
+            lambda: cc.locks.release_all(first.tid)):
         cc._after_change()
         assert cc._epoch == cc._settled
         transition()

@@ -9,7 +9,7 @@ def test_holder_inherits_blocked_waiter_priority(kernel):
     cc = PriorityInheritance(kernel)
     low = make_txn([(1, "w")], priority=1)
     high = make_txn([(1, "w")], priority=9)
-    c_low = LockClient(kernel, cc, low, hold=5.0)
+    LockClient(kernel, cc, low, hold=5.0)
     LockClient(kernel, cc, high, start_delay=1.0)
     kernel.run(until=2.0)
     assert low.process.effective_priority == 9
@@ -48,7 +48,6 @@ def test_inheritance_is_transitive_through_chains(kernel):
 
 
 def test_inheritance_cleared_when_waiter_leaves(kernel):
-    from repro.kernel import ProcessInterrupt
     from repro.txn.transaction import DeadlineMiss
 
     cc = PriorityInheritance(kernel)

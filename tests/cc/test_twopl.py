@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cc import TwoPhaseLocking
-from repro.kernel import Kernel
 from repro.protocols import REGISTRY
 from tests.conftest import LockClient, make_txn
 
@@ -77,7 +76,7 @@ def test_two_phase_rule_locks_held_until_done(kernel):
     cc = TwoPhaseLocking(kernel)
     t1 = make_txn([(1, "w"), (2, "w")], priority=1)
     t2 = make_txn([(1, "w")], priority=1)
-    c1 = LockClient(kernel, cc, t1, hold_each=2.0, hold=3.0)
+    LockClient(kernel, cc, t1, hold_each=2.0, hold=3.0)
     c2 = LockClient(kernel, cc, t2, start_delay=1.0)
     kernel.run()
     # t1 finishes at 2+2+3=7; t2 gets object 1 only then (strictness).

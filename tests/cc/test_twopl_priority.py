@@ -24,7 +24,7 @@ def test_high_priority_reader_jumps_waiting_low_writer(kernel):
     reader1 = make_txn([(1, "r")], priority=5)
     writer = make_txn([(1, "w")], priority=1)
     reader2 = make_txn([(1, "r")], priority=9)
-    c1 = LockClient(kernel, cc, reader1, hold=10.0)
+    LockClient(kernel, cc, reader1, hold=10.0)
     cw = LockClient(kernel, cc, writer, hold=2.0, start_delay=1.0)
     c2 = LockClient(kernel, cc, reader2, hold=3.0, start_delay=2.0)
     kernel.run()
@@ -39,7 +39,7 @@ def test_low_priority_reader_cannot_jump_high_writer(kernel):
     reader1 = make_txn([(1, "r")], priority=5)
     writer = make_txn([(1, "w")], priority=9)
     reader2 = make_txn([(1, "r")], priority=1)
-    c1 = LockClient(kernel, cc, reader1, hold=10.0)
+    LockClient(kernel, cc, reader1, hold=10.0)
     cw = LockClient(kernel, cc, writer, hold=2.0, start_delay=1.0)
     c2 = LockClient(kernel, cc, reader2, hold=1.0, start_delay=2.0)
     kernel.run()
@@ -51,7 +51,7 @@ def test_no_priority_inheritance_in_plain_p(kernel):
     cc = TwoPhaseLockingPriority(kernel)
     low = make_txn([(1, "w")], priority=1)
     high = make_txn([(1, "w")], priority=9)
-    c_low = LockClient(kernel, cc, low, hold=5.0)
+    LockClient(kernel, cc, low, hold=5.0)
     LockClient(kernel, cc, high, start_delay=1.0)
     kernel.run(until=2.0)
     # high is blocked on low, but low's effective priority is unchanged:

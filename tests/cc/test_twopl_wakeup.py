@@ -34,7 +34,7 @@ def test_direct_table_release_then_reevaluate_wakes_the_waiter(
         kernel, protocol):
     cc = protocol(kernel)
     holder, (client,) = _parked_behind_a_writer(kernel, cc, 1, "w")
-    cc.locks.release(1, holder)  # behind the protocol's back
+    cc.locks.release(1, holder.tid)  # behind the protocol's back
     cc._reevaluate()
     assert cc.waiting_count == 0
     kernel.run(until=11.0)
@@ -46,7 +46,7 @@ def test_direct_table_release_all_then_reevaluate_wakes_the_waiter(
         kernel, protocol):
     cc = protocol(kernel)
     holder, (client,) = _parked_behind_a_writer(kernel, cc, 1, "w")
-    assert cc.locks.release_all(holder) == [1]
+    assert cc.locks.release_all(holder.tid) == [1]
     cc._reevaluate()
     assert cc.waiting_count == 0
     kernel.run(until=11.0)
@@ -60,10 +60,11 @@ def test_granting_one_reader_admits_the_next_in_the_same_call(
     # admissible only once the first one's grant takes it off the queue.
     cc = protocol(kernel)
     holder, clients = _parked_behind_a_writer(kernel, cc, 3, "r")
-    cc.locks.release_all(holder)
+    cc.locks.release_all(holder.tid)
     cc._reevaluate()
     assert cc.waiting_count == 0
-    assert set(cc.locks.holders(1)) == {client.txn for client in clients}
+    assert (set(cc.locks.holders(1))
+            == {client.txn.tid for client in clients})
 
 
 @BOTH_QUEUE_POLICIES
@@ -71,7 +72,7 @@ def test_nothing_dirty_after_a_reevaluation(kernel, protocol):
     cc = protocol(kernel)
     holder, __ = _parked_behind_a_writer(kernel, cc, 2, "w")
     assert cc._dirty == {}
-    cc.locks.release_all(holder)
+    cc.locks.release_all(holder.tid)
     assert list(cc._dirty) == [1]
     cc._reevaluate()  # grants the first writer; the second stays
     assert cc._dirty == {} and cc.waiting_count == 1
@@ -154,9 +155,9 @@ def test_on_demand_edges_iterate_like_the_full_graph(kernel, protocol):
     assert cc.waiting_count >= 4
     whole = twopl_oracle.waits_for(cc)
     for request in cc.waiting:
-        assert (list(cc.blocked_by(request.txn))
-                == list(whole[request.txn]))
-    assert cc.blocked_by(make_txn([(9, "w")], priority=0)) == set()
+        assert (list(cc.blocked_by(request.txn.tid))
+                == list(whole[request.txn.tid]))
+    assert cc.blocked_by(make_txn([(9, "w")], priority=0).tid) == set()
 
 
 def _order_revealing_pair(operations_a, operations_b):
@@ -165,7 +166,7 @@ def _order_revealing_pair(operations_a, operations_b):
     a = make_txn(operations_a, priority=1)
     while True:
         b = make_txn(operations_b, priority=1)
-        if list({a, b}) != list({b, a}):
+        if list({a.tid, b.tid}) != list({b.tid, a.tid}):
             return a, b
 
 
@@ -183,9 +184,9 @@ def test_successors_insert_holders_before_queue_neighbours(
     LockClient(kernel, cc, ahead, start_delay=1.0)
     LockClient(kernel, cc, waiter, start_delay=2.0)
     kernel.run(until=5.0)
-    assert list(cc.blocked_by(waiter)) == list({holder, ahead})
-    assert (list(cc.blocked_by(waiter))
-            == list(twopl_oracle.waits_for(cc)[waiter]))
+    assert list(cc.blocked_by(waiter.tid)) == list({holder.tid, ahead.tid})
+    assert (list(cc.blocked_by(waiter.tid))
+            == list(twopl_oracle.waits_for(cc)[waiter.tid]))
 
 
 @BOTH_QUEUE_POLICIES
@@ -198,11 +199,11 @@ def test_conflict_edges_keep_holder_order(kernel, protocol):
     # table, so some pair among them iterates in reverse of insertion.
     pool = [make_txn([(1, "r")], priority=1) for __ in range(8)]
     first, second = next((a, b) for a in pool for b in pool
-                         if list({a, b}) == [b, a])
+                         if list({a.tid, b.tid}) == [b.tid, a.tid])
     writer = make_txn([(1, "w")], priority=1)
     LockClient(kernel, cc, first, hold=100.0)
     LockClient(kernel, cc, second, hold=100.0)
     LockClient(kernel, cc, writer, start_delay=1.0)
     kernel.run(until=5.0)
-    assert cc.blocked_by(writer, CONFLICT) == [first, second]
-    assert list(cc.blocked_by(writer)) == [second, first]
+    assert cc.blocked_by(writer.tid, CONFLICT) == [first.tid, second.tid]
+    assert list(cc.blocked_by(writer.tid)) == [second.tid, first.tid]

@@ -17,7 +17,6 @@ import pytest
 from repro.bench.figures import single_site_config
 from repro.core.builder import SingleSiteSystem
 from repro.cc.twopl import TwoPhaseLocking
-from repro.kernel import Kernel
 from tests.conftest import LockClient, make_txn
 
 

@@ -16,9 +16,11 @@ block is checked against the oracle at three seams:
 - when :meth:`_reevaluate` returns, no waiter may be admissible (a lost
   wake-up);
 - every deadlock search of :meth:`_on_block` must return the cycle the
-  search over the *whole* waits-for graph returns: same transactions,
-  **same node order** (the order fixes the victim under every policy
-  and the abort message).
+  search over the *whole* waits-for graph returns: same tids, **same
+  node order** (the order fixes the victim under every policy and the
+  abort message).
+
+Lock owners are tids, so the graph's nodes are tids too.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.db.locks import LockMode
 # ----------------------------------------------------------------------
 def can_grant(cc, txn, oid, mode) -> bool:
     holders = cc.locks.holders(oid)
-    held = holders.pop(txn, None)
+    held = holders.pop(txn.tid, None)
     if held is LockMode.WRITE:
         return True
     if mode is LockMode.READ:
@@ -48,7 +50,7 @@ def can_grant(cc, txn, oid, mode) -> bool:
 def conflicting_holders(cc, request) -> list:
     holders = cc.locks.holders(request.oid)
     return [holder for holder, held in holders.items()
-            if holder is not request.txn
+            if holder != request.txn.tid
             and not (held is LockMode.READ
                      and request.mode is LockMode.READ)]
 
@@ -99,12 +101,13 @@ def next_grant(cc):
 # deadlock search over the whole graph
 # ----------------------------------------------------------------------
 def waits_for(cc) -> dict:
-    """The whole waits-for graph as ``{waiter: set(targets)}``, built
-    in the historical order: lock-conflict edges of every waiter (wait
-    list order), then queue-order edges by an all-pairs scan."""
+    """The whole waits-for graph as ``{waiter tid: set(target
+    tids)}``, built in the historical order: lock-conflict edges of
+    every waiter (wait list order), then queue-order edges by an
+    all-pairs scan."""
     edges: dict = {}
     for request in cc.waiting:
-        targets = edges.setdefault(request.txn, set())
+        targets = edges.setdefault(request.txn.tid, set())
         for holder in conflicting_holders(cc, request):
             targets.add(holder)
     for request in cc.waiting:
@@ -112,7 +115,7 @@ def waits_for(cc) -> dict:
             if (other.oid == request.oid
                     and other.txn is not request.txn
                     and ahead_of(cc, other, request)):
-                edges[request.txn].add(other.txn)
+                edges[request.txn.tid].add(other.txn.tid)
     return edges
 
 
@@ -126,7 +129,7 @@ def find_cycle(edges: dict, start) -> Optional[List]:
         path.append(node)
         on_path.add(node)
         for successor in edges.get(node, ()):
-            if successor is start:
+            if successor == start:
                 return list(path)
             if successor in on_path:
                 continue  # a cycle not through start
@@ -143,8 +146,8 @@ def find_cycle(edges: dict, start) -> Optional[List]:
     return dfs(start)
 
 
-def cycle_through(cc, txn) -> Optional[List]:
-    return find_cycle(waits_for(cc), txn)
+def cycle_through(cc, tid) -> Optional[List]:
+    return find_cycle(waits_for(cc), tid)
 
 
 # ----------------------------------------------------------------------
@@ -158,10 +161,6 @@ class ShadowLog:
         self.grants = 0
         self.searches = 0
         self.cycles = 0
-
-
-def _tids(cycle) -> Optional[list]:
-    return None if cycle is None else [txn.tid for txn in cycle]
 
 
 @contextlib.contextmanager
@@ -188,9 +187,9 @@ def shadowed():
         cc = successors.__self__
         expected = cycle_through(cc, start)
         found = real_find(start, successors)
-        # Transactions compare by identity, so this is node for node.
+        # Lists of tids compare node for node.
         assert found == expected, (
-            f"cycle {_tids(found)} != full graph's {_tids(expected)}")
+            f"cycle {found} != full graph's {expected}")
         log.searches += 1
         log.cycles += found is not None
         return found

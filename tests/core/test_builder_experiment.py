@@ -9,7 +9,6 @@ from repro.core import (SingleSiteConfig, SingleSiteSystem, TimingConfig,
                         WorkloadConfig, compare_protocols, replicate,
                         run_single_site)
 from repro.db.locks import LockMode
-from repro.txn import CostModel
 from repro.txn.generator import TransactionSpec
 
 

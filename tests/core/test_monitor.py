@@ -101,7 +101,7 @@ def test_mean_response_time_none_without_commits():
 def test_per_site_split():
     monitor = PerformanceMonitor()
     a = committed_txn()
-    a_record_site = a  # site defaults to 0
+    # a.site defaults to 0
     b = missed_txn()
     b.site = 1
     monitor.record(a)

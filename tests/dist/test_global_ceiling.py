@@ -76,7 +76,7 @@ def test_lock_request_granted_immediately_when_free(kernel):
     kernel.run(until=5.0)
     assert len(grants) == 1
     assert isinstance(grants[0], LockGrant)
-    assert cc.locks.mode_held(1, txn) is LockMode.WRITE
+    assert cc.locks.mode_held(1, txn.tid) is LockMode.WRITE
 
 
 def test_blocked_request_granted_after_release(kernel):
@@ -87,17 +87,16 @@ def test_blocked_request_granted_after_release(kernel):
     waiter.process = kernel.spawn(_noop(), "tm2", priority=4)
     cc.register(holder)
     cc.register(waiter)
-    cc.locks.grant(1, holder, LockMode.WRITE)
+    cc.locks.grant(1, holder.tid, LockMode.WRITE)
     events = []
 
     def client():
-        from repro.kernel import Delay
         reply = sites[1].make_reply_port("w")
         sites[1].send(0, LockRequest(target=CEILING_SERVICE,
                                      sender_site=1, txn=waiter, oid=1,
                                      mode=LockMode.WRITE,
                                      reply_to=reply.address))
-        grant = yield reply.receive()
+        yield reply.receive()
         events.append(("granted", kernel.now))
 
     def releaser():
@@ -121,8 +120,8 @@ def test_abort_cancels_pending_request_and_frees_locks(kernel):
     kernel.run(until=0.5)  # let the manager register its service port
     cc.register(holder)
     cc.register(waiter)
-    cc.locks.grant(1, holder, LockMode.WRITE)
-    cc.locks.grant(2, waiter, LockMode.WRITE)
+    cc.locks.grant(1, holder.tid, LockMode.WRITE)
+    cc.locks.grant(2, waiter.tid, LockMode.WRITE)
     assert cc.attempt(kernel, waiter.process, waiter, 1, LockMode.WRITE,
                       on_grant=lambda: None) is BLOCKED
     sites[0].send(0, AbortTxn(target=CEILING_SERVICE, sender_site=0,
@@ -146,8 +145,8 @@ class _ManagerLocks:
         self.modes.add(mode)
 
     def lock_block(self, now, cc, request, cause, conflicts):
-        held = any(holder is not request.txn
-                   for holder in cc.locks.holder_map(request.oid))
+        held = any(holder != request.txn.tid
+                   for holder in cc.locks.holders(request.oid))
         self.blocks.append((cause, held))
 
 

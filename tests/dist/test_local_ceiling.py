@@ -6,7 +6,6 @@ from repro.core import DistributedConfig, TimingConfig, WorkloadConfig
 from repro.db.locks import LockMode
 from repro.db.replication import ReplicationViolation
 from repro.dist import DistributedSystem
-from repro.dist.local_ceiling import local_transaction_manager
 from repro.txn import CostModel
 from repro.txn.generator import TransactionSpec
 from repro.txn.transaction import TransactionType

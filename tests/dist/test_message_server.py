@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dist.message import Ack, Message
+from repro.dist.message import Ack
 from repro.dist.message_server import MessageServer, ServiceRegistry
 from repro.kernel import Kernel, Port
 

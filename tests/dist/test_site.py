@@ -1,9 +1,13 @@
 """Sites: service plumbing, reply ports, local-vs-remote routing."""
 
+from repro.cc import PriorityCeiling
+from repro.db.locks import LockMode
 from repro.dist.message import Ack
 from repro.dist.network import Network
 from repro.dist.site import Site
-from repro.kernel import Kernel
+from repro.kernel import Delay
+from repro.kernel.syscalls import DONE
+from tests.conftest import make_txn
 
 
 def build_sites(kernel, n=2, delay=2.0, db_size=10):
@@ -96,3 +100,35 @@ def test_reply_round_trip_between_sites(kernel):
     kernel.spawn(client(), "client")
     kernel.run(until=10.0)
     assert results == [(3.0, "echo:payload")]
+
+
+def _returns():
+    return
+    yield
+
+
+def _parked():
+    yield Delay(100.0)
+
+
+def test_recover_releases_and_deregisters_a_dead_owner(kernel):
+    # A kill path that never ran leaves a lock held by a terminated
+    # transaction that is still registered: recovery force-releases it
+    # and deregisters the transaction; a live owner keeps its lock.
+    site = build_sites(kernel)[0][0]
+    site.ceiling = cc = PriorityCeiling(kernel)
+    dead = make_txn([(1, "w")], priority=1)
+    live = make_txn([(2, "w")], priority=2)
+    dead.process = kernel.spawn(_returns(), "dead")
+    live.process = kernel.spawn(_parked(), "live")
+    for txn, oid in ((dead, 1), (live, 2)):
+        cc.register(txn)
+        assert cc.attempt(kernel, txn.process, txn, oid,
+                          LockMode.WRITE) is DONE
+    kernel.run(until=1.0)
+    assert dead.process.terminated and not live.process.terminated
+    site.recover()
+    assert not cc.locks.is_locked(1)
+    assert cc.locks.locks_of(live.tid) == {2: LockMode.WRITE}
+    assert dead.tid not in cc.active
+    assert cc.active == {live.tid: live}

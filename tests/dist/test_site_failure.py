@@ -9,7 +9,7 @@ import pytest
 from repro.dist.message import Ack, RegisterTxn
 from repro.dist.network import Network
 from repro.dist.site import Site
-from repro.kernel import Delay, Kernel, Timeout
+from repro.kernel import Timeout
 
 
 def build(kernel, delay=2.0):

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.core import DistributedConfig, TimingConfig, WorkloadConfig
-from repro.db.versions import MultiVersionStore
 from repro.dist import DistributedSystem
 from repro.dist.snapshot import SnapshotReader
 from repro.txn import CostModel

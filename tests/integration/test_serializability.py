@@ -7,7 +7,6 @@ builds the conflict graph over *committed* transactions, and checks it
 is acyclic with networkx — an independent oracle for the protocols.
 """
 
-import dataclasses
 
 import networkx
 import pytest
@@ -30,7 +29,7 @@ def run_with_audit(protocol, seed):
         seed=seed)
     system = SingleSiteSystem(config)
 
-    accesses = []  # (sequence, txn, oid, mode)
+    accesses = []  # (sequence, tid, oid, mode): lock owners are tids
     original_grant = system.cc.locks.grant
 
     def audited_grant(oid, owner, mode):
@@ -45,17 +44,17 @@ def run_with_audit(protocol, seed):
 def conflict_graph(accesses, committed):
     graph = networkx.DiGraph()
     graph.add_nodes_from(committed)
-    for i, (__, txn_a, oid_a, mode_a) in enumerate(accesses):
-        if txn_a not in committed:
+    for i, (__, tid_a, oid_a, mode_a) in enumerate(accesses):
+        if tid_a not in committed:
             continue
-        for (___, txn_b, oid_b, mode_b) in accesses[i + 1:]:
-            if txn_b not in committed or txn_b is txn_a:
+        for (___, tid_b, oid_b, mode_b) in accesses[i + 1:]:
+            if tid_b not in committed or tid_b == tid_a:
                 continue
             if oid_a != oid_b:
                 continue
             if mode_a is LockMode.READ and mode_b is LockMode.READ:
                 continue
-            graph.add_edge(txn_a.tid, txn_b.tid)
+            graph.add_edge(tid_a, tid_b)
     return graph
 
 
@@ -65,11 +64,7 @@ def test_committed_schedule_is_conflict_serializable(protocol, seed):
     system, accesses = run_with_audit(protocol, seed)
     committed = {record.tid for record in system.monitor.records
                  if record.committed}
-    committed_txns = set()
-    for __, txn, ___, ____ in accesses:
-        if txn.tid in committed:
-            committed_txns.add(txn)
-    graph = conflict_graph(accesses, committed_txns)
+    graph = conflict_graph(accesses, committed)
     assert networkx.is_directed_acyclic_graph(graph), (
         f"conflict cycle under {protocol}: "
         f"{list(networkx.simple_cycles(graph))[:3]}")

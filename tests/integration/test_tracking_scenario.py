@@ -1,7 +1,6 @@
 """The paper's motivating application as an integration test: periodic
 radar-scan updates + aperiodic queries on a replicated 3-site system."""
 
-import pytest
 
 from repro.core import DistributedConfig, TimingConfig, WorkloadConfig
 from repro.db.locks import LockMode

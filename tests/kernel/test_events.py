@@ -1,6 +1,5 @@
 """Event queue: ordering, stability, cancellation."""
 
-import pytest
 
 from repro.kernel.events import EventQueue
 

@@ -60,7 +60,7 @@ def test_past_deadline_fires_at_current_instant():
     def body():
         yield Delay(5.0)
         # Arm a timer whose deadline is already past.
-        timer = DeadlineTimer(kernel, me, 2.0, lambda: Expired("past"))
+        DeadlineTimer(kernel, me, 2.0, lambda: Expired("past"))
         try:
             yield Delay(100.0)
         except Expired:

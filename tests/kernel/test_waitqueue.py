@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.kernel import Kernel
 from repro.kernel.scheduler import WaitQueue
 
 

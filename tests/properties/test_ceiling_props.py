@@ -141,8 +141,8 @@ def test_pcp_subsumption_no_conflicting_grants(scripts):
     for index, script in enumerate(scripts):
         txn = make_txn(dedupe(script["objects"]),
                        priority=script["priority"] + index * 1e-6)
-        client = LockClient(kernel, cc, txn, hold_each=script["hold"],
-                            start_delay=script["start"])
+        LockClient(kernel, cc, txn, hold_each=script["hold"],
+                   start_delay=script["start"])
         DeadlineTimer(kernel, txn.process, script["start"] + 50.0,
                       lambda tid=txn.tid: DeadlineMiss(tid))
     kernel.run()  # would raise LockError on any subsumption violation
@@ -179,10 +179,10 @@ def test_rising_ceiling_cycle_regression():
     # sanitizer's) do not.
     every_kind = CONFLICT | QUEUE | BARRIER
     cycle = find_cycle_through(
-        t2, lambda txn: cc.blocked_by(txn, every_kind))
-    assert cycle is not None and set(cycle) == {t2, t3}
+        t2.tid, lambda tid: cc.blocked_by(tid, every_kind))
+    assert cycle is not None and set(cycle) == {t2.tid, t3.tid}
     assert find_cycle_through(
-        t2, lambda txn: cc.blocked_by(txn, CONFLICT | QUEUE)) is None
+        t2.tid, lambda tid: cc.blocked_by(tid, CONFLICT | QUEUE)) is None
     kernel.run()
     # t2's deadline abort at t=100 releases O2 and unjams everyone.
     assert c2.aborted

@@ -1,6 +1,6 @@
 """Property tests: event queue ordering and cancellation."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.kernel.events import EventQueue

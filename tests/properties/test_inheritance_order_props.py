@@ -46,6 +46,7 @@ def test_restore_order_is_that_of_a_set_of_transactions(tids, rounds):
         txn = make_txn([(index, "w")], priority=1.0)
         txn.tid = tid  # hash(txn) follows: Transaction.__hash__ is tid
         txn.process = kernel.spawn(_parked(), f"tm-{tid}", priority=1.0)
+        cc.register(txn)  # contributions name tids; active maps them
         pool.append(txn)
     restored = []
     real = kernel.set_inherited_priority
@@ -67,8 +68,7 @@ def test_restore_order_is_that_of_a_set_of_transactions(tids, rounds):
         for txn in chosen:
             reference.add(txn)
         del restored[:]
-        cc._apply_inheritance({txn.tid: 5.0 for txn in chosen},
-                              {txn.tid: txn for txn in chosen})
+        cc._apply_inheritance({txn.tid: 5.0 for txn in chosen})
         assert restored == expected
         assert cc._inheriting == {txn.tid for txn in reference}
         assert list(cc._inheriting) == [txn.tid for txn in reference]

@@ -1,6 +1,6 @@
 """Property tests: lock table invariants under random workloads."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db.locks import LockMode, LockTable, compatible

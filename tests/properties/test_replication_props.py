@@ -1,6 +1,6 @@
 """Property tests: replica catalog partitioning and staleness algebra."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db.replication import ReplicaCatalog

@@ -145,6 +145,24 @@ def test_summarize_rejects_a_negative_top(traced_run, capsys):
     assert "raise --top to see them" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_report_into_a_closed_pipe_is_quiet(traced_run, tmp_path, extra):
+    # `repro report A | grep -q X`: the reader leaves at its first
+    # match, and the rest of the report has nowhere to go — no error.
+    artifact = _single_artifact(traced_run[1], ".trace.jsonl")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "report", artifact] + extra,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            cwd=str(tmp_path))
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 def test_report_diff_of_one_seeded_unit_run_twice(traced_run, tmp_path,
                                                   capsys):
     __, trace_dir = traced_run

@@ -78,7 +78,9 @@ def test_typed_methods_emit_registered_kinds():
 
     tracer = Tracer()
     txn = FakeRequest.txn
-    cc = None  # the tracer asks a protocol only for ceiling blockers
+    # The tracer asks a protocol only for ceiling blockers and for the
+    # transactions behind holder tids.
+    cc = None
     tracer.txn_start(0.0, txn)
     tracer.txn_commit(1.0, txn)
     tracer.txn_miss(1.0, txn, reason="deadline")
@@ -86,7 +88,8 @@ def test_typed_methods_emit_registered_kinds():
     tracer.txn_abort(1.0, txn, reason="crash")
     tracer.lock_request(2.0, cc, txn, 9, "R")
     tracer.lock_grant(2.0, cc, txn, 9, "R", None)
-    tracer.lock_block(2.0, cc, FakeRequest(), "direct", [txn])
+    tracer.lock_block(2.0, FakeProtocol(), FakeRequest(), "direct",
+                      [txn.tid])
     tracer.lock_release(3.0, cc, txn, [9])
     tracer.lock_release(3.0, cc, txn, [])      # nothing freed: no event
     tracer.lock_withdraw(3.0, cc, FakeRequest())
@@ -130,10 +133,12 @@ def test_lock_block_snapshots_holders_as_plain_data():
         mode = "W"
 
     class Protocol:
+        active = {11: Holder(), 12: Waiter()}
+
         @staticmethod
-        def blocked_by(txn, kinds):
-            assert kinds == BARRIER
-            return [Holder()]
+        def blocked_by(tid, kinds):
+            assert tid == 12 and kinds == BARRIER
+            return [11]
 
     tracer = Tracer()
     # No direct conflict: the protocol names the barrier's holders.

@@ -5,7 +5,6 @@ import pytest
 from repro.cc import (PriorityCeiling, TwoPhaseLocking,
                       TwoPhaseLockingPriority)
 from repro.db import Database
-from repro.kernel import Kernel
 from repro.resources import CPU, ParallelIO
 from repro.txn import CostModel
 from repro.txn.manager import spawn_transaction
@@ -71,7 +70,7 @@ def test_deadline_miss_aborts_and_releases_locks(kernel):
 
 def test_blocked_time_recorded(kernel):
     rig = Rig(kernel, TwoPhaseLockingPriority(kernel))
-    first = rig.submit(make_txn([(1, "w")], priority=5, deadline=100.0))
+    rig.submit(make_txn([(1, "w")], priority=5, deadline=100.0))
     second = rig.submit(make_txn([(1, "w")], priority=1, deadline=100.0))
     kernel.run()
     assert second.committed

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.db.locks import LockMode
 from repro.kernel.rng import RngStreams
 from repro.txn import WorkloadGenerator
 from repro.txn.trace import (TraceFormatError, dump_schedule,

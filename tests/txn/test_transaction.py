@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.db.locks import LockMode
 from repro.txn import Transaction, TransactionStatus, TransactionType
 from tests.conftest import make_txn
 

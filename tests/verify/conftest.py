@@ -21,14 +21,14 @@ def ceiling_hole(monkeypatch):
     orig = PriorityCeiling._can_acquire
 
     def mutated(self, txn, oid, mode):
-        barrier, barrier_oid = self._ceiling_barrier(txn)
+        barrier, barrier_oid = self._ceiling_barrier(txn.tid)
         if barrier is not None and txn.priority <= barrier:
             holders = []
             if barrier_oid is not None:
                 holders = [h for h in self.locks.holders(barrier_oid)
-                           if h is not txn]
-            if holders and all(h.tid > txn.tid for h in holders):
-                return self.locks.can_grant(oid, txn, mode)
+                           if h != txn.tid]
+            if holders and all(h > txn.tid for h in holders):
+                return self.locks.can_grant(oid, txn.tid, mode)
             return False
         return orig(self, txn, oid, mode)
 

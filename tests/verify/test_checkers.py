@@ -34,7 +34,7 @@ def test_no_false_deadlock_under_the_ceiling_barrier():
     kernel.run(until=5.0)
     assert w in cc.waiting_txns()
     assert check_deadlock(_instance(cc, kernel)) == []
-    assert cc.blocked_by(w, BARRIER) == [z]
+    assert cc.blocked_by(w.tid, BARRIER) == [z.tid]
     kernel.run()
     assert cc.waiting_count == 0 and len(cc.locks) == 0
 
@@ -56,5 +56,5 @@ def test_deadlock_cycle_matches_the_detector():
     [violation] = check_deadlock(_instance(cc, kernel))
     assert violation.code == "VFY-DEADLOCK"
     assert violation.message == f"wait-for cycle among transactions {tids}"
-    detected = find_cycle_through(r, cc.blocked_by)
-    assert sorted(txn.tid for txn in detected) == tids
+    detected = find_cycle_through(r.tid, cc.blocked_by)
+    assert sorted(detected) == tids
