@@ -39,7 +39,7 @@ from .protocols import REGISTRY, UnknownProtocolError
 from .exec import (ExecutionError, ResultCache, TextProgress,
                    default_cache_dir, resolve_jobs, session_counters)
 from .exec.cache import no_cache_requested
-from .kernel.hooks import ENV_SANITIZE
+from .kernel.hooks import ENV_METRICS_DIR, ENV_SANITIZE, ENV_TRACE_DIR
 
 
 @dataclasses.dataclass(frozen=True)
@@ -390,8 +390,6 @@ def _run_main(argv: List[str]) -> int:
             print(f"error: invalid fault plan: {exc}", file=sys.stderr)
             return 1
     from .core.experiment import replicate
-    from .telemetry.registry import ENV_METRICS_DIR
-    from .trace.tracer import ENV_TRACE_DIR
     trace_dir, opts = _observed(args.trace, "traces", ENV_TRACE_DIR,
                                 args, opts)
     metrics_dir, opts = _observed(args.metrics, "metrics",
@@ -499,7 +497,6 @@ def _sweep_main(argv: List[str]) -> int:
     opts = exec_options(args)
     if opts is None:
         return 2
-    from .telemetry.registry import ENV_METRICS_DIR
     __, opts = _observed(args.metrics, "metrics", ENV_METRICS_DIR,
                          args, opts)
     configs = [config for __, __, config in grid]

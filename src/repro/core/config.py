@@ -163,15 +163,15 @@ class DistributedConfig:
         options = REGISTRY.resolve(self.protocol).validate_options(
             self.protocol_options)
         _validate_engine(self.engine)
-        if (self.mode == "global"
-                and options.get("victim_policy", "none") != "none"):
-            # The ceiling-manager server queues remote requests with a
-            # grant callback; the 2PL victim machinery assumes a parked
-            # local requester it can interrupt, so deadlock-victim
-            # aborts are a single-site-only option.
-            raise ValueError("global mode requires victim_policy="
-                             "'none' (async lock requests cannot be "
-                             "aborted as deadlock victims)")
+        if options.get("victim_policy", "none") != "none":
+            # Deadlock-victim aborts are a single-site-only option: the
+            # ceiling-manager server queues remote requests with a grant
+            # callback the 2PL victim machinery cannot interrupt, and a
+            # local-mode manager would score its victim as a deadline
+            # miss where the single-site manager restarts it.
+            raise ValueError(f"{self.mode} mode requires victim_policy="
+                             "'none' (deadlock-victim aborts are a "
+                             "single-site-only option)")
         if self.mode not in DISTRIBUTED_MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one "
                              f"of {DISTRIBUTED_MODES}")

@@ -39,10 +39,8 @@ from ..cc.base import ConcurrencyControl
 from ..db.locks import LockMode
 from ..db.replication import ReplicaCatalog
 from ..kernel.syscalls import DONE
-from ..kernel.timers import DeadlineTimer
 from ..txn.manager import CostModel
-from ..txn.transaction import (DeadlineMiss, Transaction,
-                               TransactionAbort)
+from ..txn.transaction import Transaction, TransactionAbort
 from .comms import ack
 from .message import (AbortTxn, DataReply, DataRequest, Decide,
                       LockGrant, LockQueued, LockRequest, Prepare,
@@ -146,7 +144,7 @@ def ceiling_manager(site: Site, cc: ConcurrencyControl, stats=None):
                 # The protocol-level commit point: under the global
                 # approach locks are held across the network until this
                 # message, so strict-2PL accounting closes here, not at
-                # mark_committed.
+                # the originating site's ``txn.commit``.
                 hooks = site.kernel.hooks
                 if hooks is not None:
                     hooks.lock_commit(site.kernel.now, cc, txn)
@@ -271,12 +269,8 @@ def global_transaction_manager(sites: List[Site],
     else:
         manager_sites = sorted({router(oid)
                                 for oid, __ in txn.operations})
-    txn.mark_started(kernel.now)
+    txn.start(kernel)
     hooks = kernel.hooks
-    if hooks is not None:
-        hooks.txn_start(kernel.now, txn)
-    timer = DeadlineTimer(kernel, txn.process, txn.deadline,
-                          lambda: DeadlineMiss(txn.tid))
     reply = site.make_reply_port(f"txn{txn.tid}")
     comms = connect(site, reply, tid=txn.tid)
     post = comms.post
@@ -368,9 +362,7 @@ def global_transaction_manager(sites: List[Site],
             post(manager, ReleaseAndDeregister(target=CEILING_SERVICE,
                                                sender_site=site.site_id,
                                                txn=txn))
-        txn.mark_committed(kernel.now)
-        if hooks is not None:
-            hooks.txn_commit(kernel.now, txn)
+        txn.commit(kernel)
     except TransactionAbort:
         # Resolve any in-doubt participants, then free the locks.  If
         # the decision was already commit when the abort struck (a
@@ -382,11 +374,8 @@ def global_transaction_manager(sites: List[Site],
         for manager in manager_sites:
             post(manager, AbortTxn(target=CEILING_SERVICE,
                                    sender_site=site.site_id, txn=txn))
-        txn.mark_missed(kernel.now)
-        if hooks is not None:
-            hooks.txn_miss(kernel.now, txn, "deadline")
+        txn.miss(kernel)
     # Not a ``finally``: a manager closed in flight (a cut run's
     # ``Kernel.close()`` or the collector) records nothing.
-    timer.cancel()
     reply.close()
     on_done(txn)

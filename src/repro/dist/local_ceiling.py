@@ -40,11 +40,10 @@ from typing import Callable, Iterator, List, Optional
 from ..db.locks import LockMode
 from ..db.replication import ReplicaCatalog
 from ..db.versions import MultiVersionStore
-from ..kernel.timers import DeadlineTimer
 from ..resources.cpu import CpuBurst
 from ..txn.manager import CostModel
-from ..txn.transaction import (DeadlineMiss, Transaction,
-                               TransactionAbort, TransactionType)
+from ..txn.transaction import (Transaction, TransactionAbort,
+                               TransactionType)
 from .comms import ack
 from .message import ReplicaUpdate
 from .site import Site
@@ -116,10 +115,8 @@ def _apply_update(site: Site, catalog: ReplicaCatalog,
     cc = site.ceiling
     kernel = site.kernel
     hooks = kernel.hooks
-    txn.mark_started(kernel.now)
     cc.register(txn)
-    if hooks is not None:
-        hooks.txn_start(kernel.now, txn, True)
+    txn.start(kernel, applier=True)
     try:
         yield cc.acquire(txn, message.oid, LockMode.WRITE)
         if apply_burst is not None:
@@ -138,10 +135,9 @@ def _apply_update(site: Site, catalog: ReplicaCatalog,
             versions.install(message.oid, message.timestamp,
                              message.value)
         cc.release_all(txn)
-        txn.mark_committed(kernel.now)
         if hooks is not None:
             hooks.lock_commit(kernel.now, cc, txn)
-            hooks.txn_commit(kernel.now, txn, True)
+        txn.commit(kernel, applier=True)
         # Dedup memory + ack only after the install is durable, so a
         # crash between receive and apply leaves the update re-playable.
         site.applied_updates.add(key)
@@ -177,13 +173,9 @@ def local_transaction_manager(sites: List[Site],
     kernel = site.kernel
     cc = site.ceiling
     catalog.check_update_locality(txn.site, txn.write_set)  # R2
-    txn.mark_started(kernel.now)
     cc.register(txn)
+    txn.start(kernel)
     hooks = kernel.hooks
-    if hooks is not None:
-        hooks.txn_start(kernel.now, txn)
-    timer = DeadlineTimer(kernel, txn.process, txn.deadline,
-                          lambda: DeadlineMiss(txn.tid))
     try:
         cpu_burst = site.cpu.use(costs.cpu_per_object)
         for oid, mode in txn.operations:
@@ -209,10 +201,9 @@ def local_transaction_manager(sites: List[Site],
                 versions[site.site_id].install(oid, commit_ts,
                                                float(txn.tid))
         cc.release_all(txn)
-        txn.mark_committed(kernel.now)
         if hooks is not None:
             hooks.lock_commit(kernel.now, cc, txn)
-            hooks.txn_commit(kernel.now, txn)
+        txn.commit(kernel)
         # R3: committed first, now propagate asynchronously.
         post = comms.post
         for oid in writes:
@@ -225,11 +216,8 @@ def local_transaction_manager(sites: List[Site],
                     origin_priority=txn.priority, origin_tid=txn.tid))
     except TransactionAbort:
         cc.abort(txn)
-        txn.mark_missed(kernel.now)
-        if hooks is not None:
-            hooks.txn_miss(kernel.now, txn, "deadline")
+        txn.miss(kernel)
     # Not a ``finally``: a manager closed in flight (a cut run's
     # ``Kernel.close()`` or the collector) records nothing.
-    timer.cancel()
     cc.deregister(txn)
     on_done(txn)

@@ -25,9 +25,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from ..db.versions import MultiVersionStore
-from ..kernel.timers import DeadlineTimer
-from ..txn.transaction import (DeadlineMiss, Transaction,
-                               TransactionAbort)
+from ..txn.transaction import Transaction, TransactionAbort
 from .site import Site
 
 
@@ -81,8 +79,7 @@ class SnapshotReader:
 
 def snapshot_read_transaction(site: Site, reader: SnapshotReader,
                               txn: Transaction, cpu_per_object: float,
-                              on_done: Callable[[Transaction], None],
-                              margin: float = 0.0):
+                              on_done: Callable[[Transaction], None]):
     """Generator body: a read-only transaction served from the local
     version store — no locks, no blocking, CPU only.
 
@@ -91,20 +88,20 @@ def snapshot_read_transaction(site: Site, reader: SnapshotReader,
     the caller knows exactly how old its view is.
     """
     kernel = site.kernel
-    txn.mark_started(kernel.now)
-    timer = DeadlineTimer(kernel, txn.process, txn.deadline,
-                          lambda: DeadlineMiss(txn.tid))
+    txn.start(kernel)
+    result = None
     try:
-        as_of = reader.safe_snapshot_time(kernel.now, margin=margin)
-        for oid, __ in txn.operations:
-            yield site.cpu.use(cpu_per_object)
+        as_of = reader.safe_snapshot_time(kernel.now)
+        cpu_burst = site.cpu.use(cpu_per_object)
+        for __ in txn.operations:
+            yield cpu_burst
         result = reader.read(site.site_id, [oid for oid, __
                                             in txn.operations], as_of)
-        txn.mark_committed(kernel.now)
-        return result
+        txn.commit(kernel)
     except TransactionAbort:
         # Deadline expiry — or the site crashing under the reader.
-        txn.mark_missed(kernel.now)
-    finally:
-        timer.cancel()
-        on_done(txn)
+        txn.miss(kernel)
+    # Not a ``finally``: a reader closed in flight (a cut run's
+    # ``Kernel.close()`` or the collector) records nothing.
+    on_done(txn)
+    return result

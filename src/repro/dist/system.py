@@ -172,12 +172,9 @@ class DistributedSystem:
             # A crashed site accepts no work: the arrival is refused and
             # scored as missed (the hard-deadline policy — it can never
             # finish in time on a dead site).
-            txn.mark_missed(now)
+            txn.miss(self.kernel, "site-down")
             self.degradation.rejected_at_down_site += 1
             self.monitor.record(txn)
-            hooks = self.kernel.hooks
-            if hooks is not None:
-                hooks.txn_miss(now, txn, "site-down")
             return
         if self.config.mode == "global":
             body = global_transaction_manager(
@@ -259,11 +256,8 @@ class DistributedSystem:
             if (process is not None and process.terminated
                     and txn.status in (TransactionStatus.PENDING,
                                        TransactionStatus.RUNNING)):
-                txn.mark_missed(self.kernel.now)
+                txn.miss(self.kernel, "orphaned")
                 self._on_done(txn)
-                hooks = self.kernel.hooks
-                if hooks is not None:
-                    hooks.txn_miss(self.kernel.now, txn, "orphaned")
 
     def _resync_replicas(self, site_id: int) -> None:
         """Anti-entropy after recovery (local mode): re-propagate every

@@ -16,6 +16,8 @@ import os
 import traceback
 from typing import Optional, Tuple
 
+from ..kernel.hooks import ENV_METRICS_DIR, ENV_TRACE_DIR
+
 
 def execute_config(config, batch: int = 1) -> dict:
     """Run one seeded configuration and return its summary row.
@@ -45,8 +47,8 @@ def execute_config(config, batch: int = 1) -> dict:
     else:
         raise TypeError(f"unknown config type {type(config).__name__}")
 
-    trace_dir = os.environ.get("REPRO_TRACE_DIR")
-    metrics_dir = os.environ.get("REPRO_METRICS_DIR")
+    trace_dir = os.environ.get(ENV_TRACE_DIR)
+    metrics_dir = os.environ.get(ENV_METRICS_DIR)
     if not trace_dir and not metrics_dir:
         return runner(config)
 

@@ -3,7 +3,7 @@
 Public surface::
 
     from repro.kernel import (
-        Kernel, Process, ProcessState, Port, DeadlineTimer,
+        Kernel, Process, ProcessState, Port,
         Delay, Immediate, BLOCKED,
         WaitQueue, RngStreams,
         KernelError, ProcessInterrupt, Timeout,
@@ -21,7 +21,6 @@ from .process import Process, ProcessState
 from .rng import RngStreams
 from .scheduler import WaitQueue
 from .syscalls import BLOCKED, Delay, Immediate, SysCall
-from .timers import DeadlineTimer
 
 __all__ = [
     "BLOCKED",
@@ -29,7 +28,6 @@ __all__ = [
     "Chooser",
     "DefaultChooser",
     "SchedulerController",
-    "DeadlineTimer",
     "Delay",
     "Event",
     "EventQueue",

@@ -90,6 +90,12 @@ HOOKS = {
 #: Environment activation of the protocol sanitizer, honoured here
 #: because the kernel is what samples the activation.
 ENV_SANITIZE = "REPRO_SANITIZE"
+#: Exec-engine activation: when set, the worker runs each unit under
+#: a fresh Tracer / MetricsRegistry and writes its artifact into this
+#: directory (:mod:`repro.exec.worker`).  Named here so that setting
+#: them imports neither observer package.
+ENV_TRACE_DIR = "REPRO_TRACE_DIR"
+ENV_METRICS_DIR = "REPRO_METRICS_DIR"
 
 _NEVER = float("inf")
 

@@ -105,7 +105,7 @@ class DiskArray:
 
     def _dispatch(self) -> None:
         while self._queue and len(self._in_service) < self.servers:
-            process, (blocker, amount) = self._queue.pop()
+            process, amount = self._queue.pop()
             self._start(process, amount)
 
     def _withdraw(self, process: Process) -> None:
@@ -142,12 +142,11 @@ class DiskRequest(SysCall):
         disks.requests += 1
         if amount == 0 and len(disks._in_service) < disks.servers:
             return DONE
-        blocker = _DiskBlocker(disks)
-        process.blocker = blocker
+        process.blocker = _DiskBlocker(disks)
         if len(disks._in_service) < disks.servers:
             disks._start(process, amount)
         else:
-            disks._queue.push(process, (blocker, amount))
+            disks._queue.push(process, amount)
         return BLOCKED
 
     @property

@@ -21,9 +21,9 @@ Public surface:
   code may read the host clock — see lint rule RPL001).
 """
 
+from ..kernel.hooks import ENV_METRICS_DIR
 from .instruments import Counter, Gauge, Histogram
-from .registry import (DEFAULT_WINDOW, ENV_METRICS_DIR, MetricsRegistry,
-                       metering)
+from .registry import DEFAULT_WINDOW, MetricsRegistry, metering
 
 __all__ = [
     "Counter", "Gauge", "Histogram",

@@ -38,11 +38,6 @@ from .probes import probes
 #: Default sampling-window width in *simulated* time units.
 DEFAULT_WINDOW = 50.0
 
-#: Exec-engine activation: when set, the worker installs a fresh
-#: registry per run unit and writes ``<fingerprint>.metrics.jsonl``
-#: artifacts into this directory (see :mod:`repro.exec.worker`).
-ENV_METRICS_DIR = "REPRO_METRICS_DIR"
-
 
 class MetricsRegistry:
     """Holds the instruments of one run and samples them on windows."""

@@ -10,6 +10,7 @@ and ``repro report``, the reader of both kinds.  See the README
 "Observability" section.
 """
 
+from ..kernel.hooks import ENV_TRACE_DIR
 from .events import EVENT_KINDS, TraceEvent
 from .export import (chrome_document, export_chrome, load_jsonl,
                      metrics_artifact, trace_artifact,
@@ -18,7 +19,7 @@ from .export import (chrome_document, export_chrome, load_jsonl,
 from .timeline import (BlockSpan, RunTimeline, TransactionTimeline,
                        merge_intervals, reconstruct, subtract_intervals,
                        total_length)
-from .tracer import DEFAULT_CAPACITY, ENV_TRACE_DIR, Tracer, tracing
+from .tracer import DEFAULT_CAPACITY, Tracer, tracing
 
 __all__ = [
     "EVENT_KINDS", "TraceEvent", "Tracer", "DEFAULT_CAPACITY",

@@ -33,11 +33,6 @@ from .events import TraceEvent
 #: Ring-buffer capacity (events) unless the caller chooses otherwise.
 DEFAULT_CAPACITY = 1 << 20
 
-#: Exec-engine activation: when set, the worker installs a fresh
-#: Tracer per run unit and writes per-unit artifacts into this
-#: directory (see :mod:`repro.exec.worker`).
-ENV_TRACE_DIR = "REPRO_TRACE_DIR"
-
 
 def _txn_tid(txn) -> Optional[int]:
     return getattr(txn, "tid", None)

@@ -22,7 +22,6 @@ from ..db.locks import LockMode
 from ..db.objects import Database
 from ..kernel.kernel import Kernel
 from ..kernel.syscalls import Delay
-from ..kernel.timers import DeadlineTimer
 from ..resources.cpu import CPU
 from ..resources.io import ParallelIO
 from .transaction import DeadlineMiss, DeadlockAbort, Transaction
@@ -67,13 +66,9 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
     The caller spawns it with the transaction's priority and assigns
     ``txn.process`` before the kernel first steps it.
     """
-    txn.mark_started(kernel.now)
     cc.register(txn)
+    txn.start(kernel)
     hooks = kernel.hooks
-    if hooks is not None:
-        hooks.txn_start(kernel.now, txn)
-    timer = DeadlineTimer(kernel, txn.process, txn.deadline,
-                          lambda: DeadlineMiss(txn.tid))
     try:
         # A syscall only describes its request, so the two per-object
         # bursts (constant cost) are built once and yielded per object.
@@ -99,10 +94,9 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
                         database.object(oid).write(float(txn.tid),
                                                    kernel.now)
                 cc.release_all(txn)
-                txn.mark_committed(kernel.now)
                 if hooks is not None:
                     hooks.lock_commit(kernel.now, cc, txn)
-                    hooks.txn_commit(kernel.now, txn)
+                txn.commit(kernel)
                 break
             except DeadlockAbort:
                 txn.restarts += 1
@@ -113,12 +107,9 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
                     yield Delay(costs.restart_delay)
     except DeadlineMiss:
         cc.abort(txn)
-        txn.mark_missed(kernel.now)
-        if hooks is not None:
-            hooks.txn_miss(kernel.now, txn, "deadline")
+        txn.miss(kernel)
     # Not a ``finally``: a manager closed in flight (a cut run's
     # ``Kernel.close()`` or the collector) records nothing.
-    timer.cancel()
     cc.deregister(txn)
     on_done(txn)
 

@@ -19,6 +19,7 @@ from ..kernel.errors import ProcessInterrupt
 
 _READ = LockMode.READ
 _WRITE = LockMode.WRITE
+_NEVER = float("inf")
 
 
 class TransactionAbort(ProcessInterrupt):
@@ -94,6 +95,9 @@ class Transaction:
         # -- runtime ----------------------------------------------------
         self.process = None  # kernel Process of the transaction manager
         self.status = TransactionStatus.PENDING
+        #: The armed deadline and the kernel it fires on (:meth:`start`).
+        self._deadline_event = None
+        self._kernel = None
         # -- statistics (the Performance Monitor's per-transaction row) -
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
@@ -132,26 +136,60 @@ class Transaction:
         return self.status is TransactionStatus.COMMITTED
 
     # ------------------------------------------------------------------
-    # state transitions (called by the transaction manager)
+    # lifecycle (called by the manager body; each fires its txn_* hook)
     # ------------------------------------------------------------------
-    def mark_started(self, now: float) -> None:
+    def start(self, kernel, applier: bool = False) -> None:
+        """PENDING -> RUNNING: arm the hard deadline against
+        ``self.process`` (queued, so one already past fires at the
+        current instant; an applier's infinite one arms nothing)."""
         if self.status is not TransactionStatus.PENDING:
             raise ValueError(f"cannot start transaction in {self.status}")
         self.status = TransactionStatus.RUNNING
-        self.start_time = now
+        now = self.start_time = kernel.now
+        if self.deadline != _NEVER:
+            self._kernel = kernel
+            self._deadline_event = kernel.at(max(self.deadline, now),
+                                             self._expire)
+        hooks = kernel.hooks
+        if hooks is not None:
+            hooks.txn_start(now, self, applier)
 
-    def mark_committed(self, now: float) -> None:
+    def commit(self, kernel, applier: bool = False) -> None:
+        """RUNNING -> COMMITTED, the deadline disarmed."""
         if self.status is not TransactionStatus.RUNNING:
             raise ValueError(f"cannot commit transaction in {self.status}")
+        event = self._deadline_event
+        if event is not None:
+            event.cancel()
+            self._deadline_event = self._kernel = None
         self.status = TransactionStatus.COMMITTED
-        self.finish_time = now
+        self.finish_time = kernel.now
+        hooks = kernel.hooks
+        if hooks is not None:
+            hooks.txn_commit(kernel.now, self, applier)
 
-    def mark_missed(self, now: float) -> None:
+    def miss(self, kernel, reason: str = "deadline") -> None:
+        """RUNNING or PENDING -> MISSED (aborted: it disappears), the
+        deadline disarmed."""
         if self.status not in (TransactionStatus.RUNNING,
                                TransactionStatus.PENDING):
             raise ValueError(f"cannot miss transaction in {self.status}")
+        event = self._deadline_event
+        if event is not None:
+            event.cancel()
+            self._deadline_event = self._kernel = None
         self.status = TransactionStatus.MISSED
-        self.finish_time = now
+        self.finish_time = kernel.now
+        hooks = kernel.hooks
+        if hooks is not None:
+            hooks.txn_miss(kernel.now, self, reason)
+
+    def _expire(self) -> None:
+        """The deadline event: abort the manager with
+        :class:`DeadlineMiss` (a no-op once its process terminated)."""
+        kernel = self._kernel
+        self._deadline_event = self._kernel = None
+        kernel.interrupt(self.process, DeadlineMiss(self.tid))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Transaction(tid={self.tid}, size={self.size}, "

@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -278,6 +280,28 @@ def test_an_observed_run_leaves_the_process_as_it_found_it(
     assert main(run + ["--mode", "global", "--sanitize"]) == 0
     assert observers() == []
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--mode", "local", "--transactions", "5"],
+    ["sweep", "--sizes", "2", "--protocols", "C"]])
+def test_an_unobserved_command_imports_no_observer(argv):
+    # The activation variables live in repro.kernel.hooks, so a run
+    # without --trace / --metrics pays for neither observer package.
+    script = ("import contextlib, io, sys\n"
+              "from repro.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(sys.argv[1:]) == 0\n"
+              "print(sorted(name for name in sys.modules if name.startswith("
+              "('repro.trace', 'repro.telemetry'))))\n")
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--replications", "1",
+         "--no-cache"], env=env, capture_output=True, text=True,
+        check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_exec_option_block_is_declared_once():

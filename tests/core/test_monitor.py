@@ -3,31 +3,37 @@
 import pytest
 
 from repro.core.monitor import PerformanceMonitor, TransactionRecord
+from repro.kernel import Kernel
 from tests.conftest import make_txn
 
 
-def committed_txn(size=4, start=0.0, finish=10.0, arrival=0.0):
+def finished_txn(size, arrival, start, finish, committed):
+    """A transaction started and ended on a kernel at the given times."""
     txn = make_txn([(index, "w") for index in range(size)], priority=1,
                    arrival=arrival)
-    txn.arrival_time = arrival
-    txn.mark_started(start)
-    txn.mark_committed(finish)
+    kernel = Kernel()
+    kernel.run(until=start)
+    txn.start(kernel)
+    kernel.run(until=finish)
+    if committed:
+        txn.commit(kernel)
+    else:
+        txn.miss(kernel)
     return txn
+
+
+def committed_txn(size=4, start=0.0, finish=10.0, arrival=0.0):
+    return finished_txn(size, arrival, start, finish, committed=True)
 
 
 def missed_txn(size=4, arrival=0.0, finish=20.0):
-    txn = make_txn([(index, "w") for index in range(size)], priority=1,
-                   arrival=arrival)
-    txn.arrival_time = arrival
-    txn.mark_started(arrival)
-    txn.mark_missed(finish)
-    return txn
+    return finished_txn(size, arrival, arrival, finish, committed=False)
 
 
 def test_rejects_unfinished_transactions():
     monitor = PerformanceMonitor()
     running = make_txn([(1, "w")], priority=1)
-    running.mark_started(0.0)
+    running.start(Kernel())
     with pytest.raises(ValueError):
         monitor.record(running)
 

@@ -1,5 +1,6 @@
 """Snapshot reads: the §4 multiversion mechanism as a feature."""
 
+import collections
 import dataclasses
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.core import DistributedConfig, TimingConfig, WorkloadConfig
 from repro.dist import DistributedSystem
 from repro.dist.snapshot import SnapshotReader
+from repro.kernel.hooks import observing
 from repro.txn import CostModel
 
 
@@ -51,6 +53,37 @@ def test_snapshot_readers_never_block():
     readers = [record for record in monitor.records if record.read_only]
     assert readers
     assert all(record.blocked_time == 0.0 for record in readers)
+
+
+class Lifecycle:
+    """Counts the lifecycle hooks each non-applier transaction fires."""
+
+    def __init__(self):
+        self.starts = collections.Counter()
+        self.ends = collections.Counter()
+
+    def txn_start(self, t, txn, applier=False):
+        if not applier:
+            self.starts[txn.tid] += 1
+
+    def txn_commit(self, t, txn, applier=False):
+        if not applier:
+            self.ends[txn.tid] += 1
+
+    def txn_miss(self, t, txn, reason):
+        self.ends[txn.tid] += 1
+
+
+def test_snapshot_readers_fire_their_lifecycle_hooks():
+    lifecycle = Lifecycle()
+    with observing(lifecycle):
+        system = DistributedSystem(snapshot_config())
+    monitor = system.run()
+    assert any(record.read_only for record in monitor.records)
+    once = collections.Counter(record.tid for record in monitor.records)
+    assert len(once) == monitor.processed == 80
+    assert lifecycle.starts == once
+    assert lifecycle.ends == once
 
 
 def test_snapshot_readers_never_touch_the_lock_table():

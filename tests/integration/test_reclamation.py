@@ -9,6 +9,7 @@ victim's ``DeadlockAbort`` holding ``Kernel._resume``'s frame in its
 traceback — and each of the tests below fails if any one comes back.
 """
 
+import dataclasses
 import gc
 import sys
 
@@ -124,8 +125,12 @@ def test_a_cut_run_is_collected_quietly(monkeypatch):
     from repro.bench import distributed_config, single_site_config
     caught = []
     monkeypatch.setattr(sys, "unraisablehook", caught.append)
+    snapshot_reads = dataclasses.replace(
+        distributed_config("local", 1.0, 0.5), temporal_versions=True,
+        snapshot_reads=True)
     for build in (
             lambda: DistributedSystem(distributed_config("local", 2.0, 0.5)),
+            lambda: DistributedSystem(snapshot_reads),
             lambda: DistributedSystem(distributed_config("global", 2.0, 0.5)),
             lambda: SingleSiteSystem(single_site_config("C", 14))):
         system = build()

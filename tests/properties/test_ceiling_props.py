@@ -28,9 +28,16 @@ from repro.cc import PriorityCeiling
 from repro.cc.base import BARRIER, CONFLICT, QUEUE
 from repro.cc.deadlock import find_cycle_through
 from repro.kernel import Kernel
-from repro.kernel.timers import DeadlineTimer
 from repro.txn.transaction import DeadlineMiss
 from tests.conftest import LockClient, make_txn
+
+def arm_deadline(kernel, txn, time):
+    """Interrupt ``txn``'s client with :class:`DeadlineMiss` at
+    ``time``, as a transaction manager's deadline does."""
+    process = txn.process
+    kernel.at(time, lambda: kernel.interrupt(process,
+                                             DeadlineMiss(txn.tid)))
+
 
 scenario = st.lists(
     st.fixed_dictionaries({
@@ -121,8 +128,7 @@ def test_pcp_arbitrary_priorities_drain_with_deadlines(scripts):
         client = LockClient(kernel, cc, txn,
                             hold_each=script["hold"],
                             start_delay=script["start"])
-        DeadlineTimer(kernel, txn.process, script["start"] + 50.0,
-                      lambda tid=txn.tid: DeadlineMiss(tid))
+        arm_deadline(kernel, txn, script["start"] + 50.0)
         clients.append(client)
     kernel.run()
     assert all(client.finished or client.aborted for client in clients)
@@ -143,8 +149,7 @@ def test_pcp_subsumption_no_conflicting_grants(scripts):
                        priority=script["priority"] + index * 1e-6)
         LockClient(kernel, cc, txn, hold_each=script["hold"],
                    start_delay=script["start"])
-        DeadlineTimer(kernel, txn.process, script["start"] + 50.0,
-                      lambda tid=txn.tid: DeadlineMiss(tid))
+        arm_deadline(kernel, txn, script["start"] + 50.0)
     kernel.run()  # would raise LockError on any subsumption violation
 
 
@@ -169,8 +174,7 @@ def test_rising_ceiling_cycle_regression():
     c1 = LockClient(kernel, cc, t1, start_delay=1.0)
     c2 = LockClient(kernel, cc, t2, hold_each=1.0)
     c3 = LockClient(kernel, cc, t3, hold_each=1.0)
-    DeadlineTimer(kernel, t2.process, 100.0,
-                  lambda: DeadlineMiss(t2.tid))
+    arm_deadline(kernel, t2, 100.0)
     kernel.run(until=50.0)
     # Stuck: all three are waiting and no event is pending before 100.
     assert cc.waiting_count == 3

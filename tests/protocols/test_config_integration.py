@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (DistributedConfig, SingleSiteConfig,
                         SingleSiteSystem, WorkloadConfig)
+from repro.dist import DistributedSystem
 from repro.exec.fingerprint import (CODE_VERSION, config_fingerprint,
                                     config_payload)
 from repro.protocols import REGISTRY
@@ -76,10 +77,23 @@ def test_global_mode_rejects_victim_abort():
         protocol_options=(("victim_policy", "lowest_priority"),))
     with pytest.raises(ValueError, match="victim_policy"):
         config.validate()
-    # The same options are fine under the synchronous local approach.
-    DistributedConfig(
-        mode="local", protocol="fmlp",
-        protocol_options=(("victim_policy", "lowest_priority"),)).validate()
+
+
+@pytest.mark.parametrize("policy", ["youngest", "requester",
+                                    "lowest_priority"])
+def test_local_mode_rejects_victim_abort(policy):
+    # A local-mode manager has no restart loop: a victim would be
+    # scored as a deadline miss the moment it was chosen.
+    config = DistributedConfig(
+        mode="local", protocol="L",
+        protocol_options=(("victim_policy", policy),))
+    with pytest.raises(ValueError, match="local mode requires "
+                                         "victim_policy='none'"):
+        config.validate()
+    with pytest.raises(ValueError, match="victim_policy"):
+        DistributedSystem(config)
+    dataclasses.replace(config, protocol_options=(
+        ("victim_policy", "none"),)).validate()
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.core.config import SingleSiteConfig, WorkloadConfig
 from repro.exec.fingerprint import config_fingerprint
 from repro.exec.worker import execute_config
 from repro.trace.export import load_jsonl
-from repro.telemetry.registry import ENV_METRICS_DIR
+from repro.telemetry import ENV_METRICS_DIR
 from tests.conftest import metered
 
 CONFIG = SingleSiteConfig(
