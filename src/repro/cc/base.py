@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..constants import BLOCKING_CEILING, BLOCKING_DIRECT
 from ..db.locks import LockError, LockMode, LockTable
@@ -128,14 +128,24 @@ class _RequestBlocker:
 
 
 class Acquire(SysCall):
-    """A blocking lock request; build via
-    :meth:`ConcurrencyControl.acquire`."""
+    """A blocking lock request, and the syscall to apply once it is
+    granted (or None); build via :meth:`ConcurrencyControl.acquire`."""
 
-    __slots__ = ("cc", "txn", "oid", "mode")
+    __slots__ = ("cc", "txn", "oid", "mode", "then")
 
     def apply(self, kernel: Kernel, process: Process):
-        return self.cc.attempt(kernel, process, self.txn, self.oid,
-                               self.mode)
+        outcome = self.cc.attempt(kernel, process, self.txn, self.oid,
+                                  self.mode)
+        then = self.then
+        if then is None or outcome is BLOCKED:
+            return outcome
+        # Granted at once: report the requester's zero wait (a late
+        # grant's requester reports its own, see ``acquire``), then
+        # start ``then`` in this same syscall.
+        hooks = kernel.hooks
+        if hooks is not None:
+            hooks.txn_unblock(kernel.now, self.txn, 0.0)
+        return then.apply(kernel, process)
 
     @property
     def label(self) -> str:
@@ -204,14 +214,21 @@ class ConcurrencyControl:
     # ------------------------------------------------------------------
     # the lock API used by transaction managers
     # ------------------------------------------------------------------
-    def acquire(self, txn: Transaction, oid: int,
-                mode: LockMode) -> "Acquire":
-        """Syscall: obtain ``mode`` on ``oid``, blocking per protocol."""
+    def acquire(self, txn: Transaction, oid: int, mode: LockMode,
+                then: Optional[SysCall] = None) -> "Acquire":
+        """Syscall: obtain ``mode`` on ``oid``, blocking per protocol.
+
+        With ``then`` (the access the lock guards), an immediate grant
+        applies ``then`` inside the same syscall, so the requester
+        resumes only when that completes, with None; a grant after a
+        wait resumes it with True, and ``then`` is its to yield.
+        """
         call = Acquire()
         call.cc = self
         call.txn = txn
         call.oid = oid
         call.mode = mode
+        call.then = then
         return call
 
     def attempt(self, kernel: Kernel, process: Process, txn: Transaction,
@@ -399,7 +416,9 @@ class ConcurrencyControl:
             # never parked, so there is nothing to make ready.
             process.blocker = None
         else:
-            self.kernel.ready(process)
+            # True tells the requester its grant came late (see
+            # ``acquire``).
+            self.kernel.ready(process, True)
 
     def _withdraw(self, request: Request) -> None:
         """Interrupt cleanup: the waiter leaves the wait set."""

@@ -12,6 +12,7 @@ where swapping a synchronization protocol touches only its own module.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from heapq import heappop
 from typing import Any, Callable, Generator, List, Optional
 
@@ -69,10 +70,11 @@ class Kernel:
         #: flag and the operand of :meth:`wake`'s quiet-instant test in
         #: one attribute read.
         self._quiet = None
-        #: Completions whose resume :meth:`wake` ran in place instead
-        #: of scheduling it (``kernel.wakes_fused`` when metered).  A
-        #: fused wake dispatches no event, so ``events_dispatched``
-        #: alone under-reports the work scheduled by this count.
+        #: Completions whose resume, or chained follow-on start,
+        #: :meth:`wake` ran in place instead of scheduling it
+        #: (``kernel.wakes_fused`` when metered).  A fused wake
+        #: dispatches no event, so ``events_dispatched`` alone
+        #: under-reports the work scheduled by this count.
         self.fused_wakes = 0
         #: Effective-priority changes applied through
         #: :meth:`set_inherited_priority`.  A protocol that caches a
@@ -142,7 +144,8 @@ class Kernel:
             self.now, process, value, exc)
 
     def wake(self, process: Process,
-             then: Optional[Callable[[], None]] = None) -> None:
+             then: Optional[Callable[[], None]] = None,
+             follow: Optional[SysCall] = None) -> None:
         """The tail of a completion callback: unblock ``process`` —
         its delay expired, its burst finished — and run ``then()``, the
         completing structure's own re-dispatch (a CPU starting its next
@@ -160,6 +163,15 @@ class Kernel:
         (a next job with nothing left to run) that the queued resume
         would still have preceded.
 
+        ``follow`` is the syscall the finished burst chained (the I/O
+        of ``cpu.use(a, then=io.use(b))``): the process's next request,
+        started here instead of by the process.  On a quiet instant it
+        is applied right after ``then()``; otherwise a start event
+        takes the resume's sequence slot, holding the process until it
+        fires, and ``then()`` runs after it.  Either way the step the
+        process would have taken to yield it is gone; a follow-on that
+        completes at once resumes the process.
+
         Fuses only while :meth:`run` or :meth:`step` dispatches, under
         a controller too (a fusable resume is never tied, so never a
         choice point); on an engine without the capability, or called
@@ -172,11 +184,33 @@ class Kernel:
             self.fused_wakes += 1
             if then is not None:
                 then()
-            self._resume(process, None, None)
+            if follow is None:
+                self._resume(process, None, None)
+            elif follow.pure_delay and follow.duration:
+                # What the follow-on's ``apply`` does, without its frame
+                # (one per object access).
+                follow.meter.requests += 1
+                process.blocker = self.events.schedule(
+                    self.now + follow.duration, partial(self.wake, process))
+            elif follow.apply(self, process) is not BLOCKED:
+                self._resume(process, None, None)
             return
-        self.ready(process)
+        if follow is not None and process.state is _BLOCKED:
+            # Withdrawn like a delay: cancelling the start is all an
+            # interrupt has to undo.
+            process.blocker = self.events.schedule(
+                self.now, partial(self._start_follow, process, follow))
+        else:
+            self.ready(process)
         if then is not None:
             then()
+
+    def _start_follow(self, process: Process, follow: SysCall) -> None:
+        """The queued half of :meth:`wake`'s chain: apply ``follow`` in
+        the slot where the resume that yielded it would have run."""
+        process.blocker = None
+        if follow.apply(self, process) is not BLOCKED:
+            self._resume(process, None, None)
 
     def interrupt(self, process: Process,
                   exc: ProcessInterrupt) -> bool:

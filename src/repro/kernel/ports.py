@@ -91,8 +91,13 @@ class Port:
         return len(self._receivers)
 
     def _expire(self, process: Process) -> None:
-        if any(parked is process for parked, __ in self._receivers):
-            self.kernel.interrupt(process, Timeout(self.name))
+        for parked, blocker in self._receivers:
+            if parked is process:
+                # This timer is the event being dispatched: it left the
+                # queue, so the withdraw must not cancel it.
+                blocker.timer = None
+                self.kernel.interrupt(process, Timeout(self.name))
+                return
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Port({self.name!r}, queued={self.queued}, "

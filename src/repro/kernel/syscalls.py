@@ -17,6 +17,12 @@ a request — ``apply`` never mutates it — so a process may build one
 once and yield it many times.  The typed classes define no
 ``__init__``: the wrapper validates its arguments and stores the
 slots itself, so building a request runs the wrapper's frame only.
+
+A syscall may carry a *follow-on*, the request its process makes next
+(``cpu.use(a, then=io.use(b))``, ``cc.acquire(..., then=burst)``): the
+structure starts it itself when the first part is done — a lock grant
+at once, a burst's completion through :meth:`Kernel.wake` — and the
+process resumes once, when the follow-on completes.
 """
 
 from __future__ import annotations
@@ -58,6 +64,12 @@ class SysCall:
     """Base class for yieldable system calls."""
 
     __slots__ = ()
+
+    #: True on a *pure delay* (ParallelIO's request): ``apply`` only
+    #: counts the call on its ``meter`` and parks the process on a
+    #: wake event ``duration`` from now.  :meth:`Kernel.wake` starts
+    #: one chained as a follow-on in place, without the ``apply`` frame.
+    pure_delay = False
 
     def apply(self, kernel: "Kernel", process: Process):  # noqa: F821
         raise NotImplementedError

@@ -36,7 +36,7 @@ class _Job:
     site, stores the slots (a frame per burst otherwise).
     """
 
-    __slots__ = ("process", "remaining", "seq", "cpu")
+    __slots__ = ("process", "remaining", "seq", "cpu", "then")
 
     # Blocker protocol -------------------------------------------------
     def withdraw(self, process: Process) -> None:
@@ -47,13 +47,15 @@ class _Job:
 
 
 class CpuBurst(SysCall):
-    """One CPU burst request; build via :meth:`CPU.use`."""
+    """One CPU burst request, and the syscall chained to it (or
+    None); build via :meth:`CPU.use`."""
 
-    __slots__ = ("cpu", "amount")
+    __slots__ = ("cpu", "amount", "then")
 
     def apply(self, kernel: Kernel, process: Process):
         if self.amount == 0:
-            return DONE
+            then = self.then
+            return DONE if then is None else then.apply(kernel, process)
         cpu = self.cpu
         jobs = cpu._jobs
         if process in jobs:
@@ -64,6 +66,7 @@ class CpuBurst(SysCall):
         job.remaining = self.amount
         job.seq = next(cpu._seq)
         job.cpu = cpu
+        job.then = self.then
         process.blocker = job
         idle = not jobs
         jobs[process] = job
@@ -110,18 +113,23 @@ class CPU:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def use(self, amount: float) -> "CpuBurst":
-        """Syscall: consume ``amount`` units of CPU time.
+    def use(self, amount: float,
+            then: Optional[SysCall] = None) -> "CpuBurst":
+        """Syscall: consume ``amount`` units of CPU time, then, if
+        given, the request ``then`` (an I/O burst).
 
         The calling process is blocked until its burst completes; it may
         be preempted (priority policy) and later resumed without losing
-        progress (preemptive-resume).
+        progress (preemptive-resume).  The completion starts ``then``
+        itself (:meth:`Kernel.wake`), so the process resumes once, when
+        that request completes.
         """
         if amount < 0:
             raise ValueError(f"CPU burst must be >= 0, got {amount}")
         call = CpuBurst()
         call.cpu = self
         call.amount = amount
+        call.then = then
         return call
 
     @property
@@ -210,7 +218,7 @@ class CPU:
         del jobs[job.process]
         # An emptied CPU — most completions — has nothing to start.
         self.kernel.wake(job.process,
-                         self._reschedule if jobs else None)
+                         self._reschedule if jobs else None, job.then)
 
     def _withdraw(self, job: _Job) -> None:
         """Interrupt cleanup: remove the job, preempting if running."""

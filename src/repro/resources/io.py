@@ -38,8 +38,8 @@ class ParallelIO:
         if amount < 0:
             raise ValueError(f"I/O burst must be >= 0, got {amount}")
         call = IoBurst()
-        call.io = self
-        call.amount = amount
+        call.meter = self
+        call.duration = amount
         return call
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -47,26 +47,27 @@ class ParallelIO:
 
 
 class IoBurst(SysCall):
-    """One parallel-I/O request; build via :meth:`ParallelIO.use`."""
+    """One parallel-I/O request, counted on its ParallelIO (the
+    ``meter``); build via :meth:`ParallelIO.use`."""
 
-    __slots__ = ("io", "amount")
+    __slots__ = ("meter", "duration")
+    pure_delay = True
 
     def apply(self, kernel: Kernel, process: Process):
-        io = self.io
-        amount = self.amount
-        io.requests += 1
-        if amount == 0:
+        self.meter.requests += 1
+        duration = self.duration
+        if duration == 0:
             return DONE
-        # A pure delay, like the Delay syscall: ``amount`` was checked
+        # A pure delay, like the Delay syscall: ``duration`` was checked
         # non-negative at construction, and the wake-up event is its
         # own blocker (withdraw == cancel).
         process.blocker = kernel.events.schedule(
-            kernel.now + amount, partial(kernel.wake, process))
+            kernel.now + duration, partial(kernel.wake, process))
         return BLOCKED
 
     @property
     def label(self) -> str:
-        return f"io({self.io.name})"
+        return f"io({self.meter.name})"
 
 
 class DiskArray:

@@ -57,7 +57,8 @@ class KernelProbe:
 
     def kernel_sample(self, t: float, kernel) -> None:
         """Record queue statistics at ``t`` (the queue never saw the
-        resumes ``kernel.fused_wakes`` counts)."""
+        resumes, or the chained follow-on starts, that
+        ``kernel.fused_wakes`` counts)."""
         live, dispatched, cancelled = kernel.events.queue_stats()
         self._depth.set(t, live)
         totals = (dispatched, cancelled, kernel.fused_wakes)

@@ -70,10 +70,18 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
     txn.start(kernel)
     hooks = kernel.hooks
     try:
-        # A syscall only describes its request, so the two per-object
-        # bursts (constant cost) are built once and yielded per object.
-        cpu_burst = cpu.use(costs.cpu_per_object)
-        io_burst = io.use(costs.io_per_object)
+        # A syscall only describes its request, so the per-object
+        # access (constant cost) is built once and yielded per object:
+        # the CPU burst with the I/O chained to it.  With no I/O time
+        # the request stays a step of its own, so those runs (the
+        # verifier's scenarios among them) schedule no chained start.
+        if costs.io_per_object:
+            access = cpu.use(costs.cpu_per_object,
+                             io.use(costs.io_per_object))
+            tail = None
+        else:
+            access = cpu.use(costs.cpu_per_object)
+            tail = io.use(costs.io_per_object)
         while True:  # restart loop for deadlock victims
             try:
                 # One attempt — acquire-and-access every object, then
@@ -83,13 +91,17 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
                     blocked_at = kernel.now
                     if hooks is not None:
                         hooks.txn_block(blocked_at, txn)
-                    yield cc.acquire(txn, oid, mode)
-                    waited = kernel.now - blocked_at
-                    if hooks is not None:
-                        hooks.txn_unblock(kernel.now, txn, waited)
-                    txn.blocked_time += waited
-                    yield cpu_burst
-                    yield io_burst
+                    # An immediate grant runs the access in the lock
+                    # syscall and resumes us when it is done; a late
+                    # one resumes us with True, to book the wait first.
+                    if (yield cc.acquire(txn, oid, mode, access)):
+                        waited = kernel.now - blocked_at
+                        if hooks is not None:
+                            hooks.txn_unblock(kernel.now, txn, waited)
+                        txn.blocked_time += waited
+                        yield access
+                    if tail is not None:
+                        yield tail
                     if mode is LockMode.WRITE:
                         database.object(oid).write(float(txn.tid),
                                                    kernel.now)

@@ -5,13 +5,17 @@ terminates (no hung kernel), every transaction is accounted for, and
 after recovery the system converges.
 """
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+from repro.bench import distributed_config
 from repro.core import DistributedConfig, TimingConfig, WorkloadConfig
 from repro.db.locks import LockMode
 from repro.db.replication import ReplicaCatalog
 from repro.dist import DistributedSystem
-from repro.faults import FaultPlan, SiteCrash
+from repro.faults import FaultPlan, SiteCrash, load_plan
 from repro.kernel.hooks import observing
 from repro.telemetry import metering
 from repro.trace import tracing
@@ -307,3 +311,18 @@ def test_stale_votes_and_acks_are_metered_under_duplication(
     stale = system.degradation.stale_replies
     assert stale > 0
     assert registry.counter("comms.stale_replies").value == stale
+
+
+def test_a_lossy_local_run_leaves_an_exact_event_queue():
+    # A receive timeout that fired must not be cancelled again by its
+    # receiver's withdraw, or the drained heap keeps a negative live
+    # count (``_dead`` 44 on this run) and ``len(kernel.events)`` raises.
+    plan = load_plan(str(Path(__file__).resolve().parents[2]
+                         / "examples" / "faults" / "lossy.json"))
+    config = dataclasses.replace(
+        distributed_config("local", 2.0, 0.5, n_transactions=120),
+        faults=plan)
+    system = DistributedSystem(config)
+    system.run()
+    assert len(system.kernel.events) == 0
+    assert system.kernel.events._dead == 0

@@ -79,6 +79,28 @@ def test_receive_timeout_raises():
     assert port.waiting_receivers == 0
 
 
+def test_a_fired_receive_timeout_is_not_cancelled_again():
+    # The timeout event is the one being dispatched when it interrupts
+    # the receiver: the withdraw must not count it as a dead entry of
+    # a heap it already left.
+    kernel = Kernel()
+    port = Port(kernel, "p")
+    outcome = []
+
+    def receiver():
+        for __ in range(3):
+            try:
+                yield port.receive(timeout=5.0)
+            except Timeout:
+                outcome.append(kernel.now)
+
+    kernel.spawn(receiver(), "r")
+    kernel.run()
+    assert outcome == [5.0, 10.0, 15.0]
+    assert kernel.events._dead == 0 and len(kernel.events) == 0
+    assert kernel.events.queue_stats() == (0, 7, 0)
+
+
 def test_message_before_timeout_cancels_timer():
     kernel = Kernel()
     port = Port(kernel, "p")

@@ -6,7 +6,8 @@ Every ordering test below builds an instant where fusing *wrongly*
 would reorder two observable actions, and names the guard mutant it
 kills; the counting tests pin that a quiet instant really costs one
 event less, that nothing fuses outside dispatch and that a controlled
-run fuses exactly as the plain one.
+run fuses exactly as the plain one.  The chain tests hold a burst's
+follow-on start to the same rule, the two-yield body as their oracle.
 """
 
 import re
@@ -363,3 +364,172 @@ def test_interrupt_before_expiry_still_cancels_the_wake(make):
     assert log == [("stopped", 3.0), ("resumed", 13.0)]
     assert kernel.fused_wakes == 2
     assert len(kernel.events) == 0
+
+
+# ----------------------------------------------------------------------
+# the chain: a CPU burst that starts the I/O it carries
+# ----------------------------------------------------------------------
+def recording_steps(kernel):
+    """Log every process step (``run`` aliases ``_resume`` when it
+    starts, ``wake`` looks it up per call)."""
+    steps = []
+    resume = kernel._resume
+
+    def recording(process, value, exc):
+        steps.append((kernel.now, process.name))
+        resume(process, value, exc)
+
+    kernel._resume = recording
+    return steps
+
+
+def cpu_then_io(kernel, cpu, device, log, name, chained, cpu_time=1.0,
+                io_time=2.0):
+    """One object access, as one chained syscall or as two yields."""
+    def body():
+        if chained:
+            yield cpu.use(cpu_time, device.use(io_time))
+        else:
+            yield cpu.use(cpu_time)
+            yield device.use(io_time)
+        log.append((name, kernel.now))
+
+    return body()
+
+
+def test_a_quiet_chained_completion_starts_the_io_without_a_step():
+    kernel = Kernel()
+    cpu, io = CPU(kernel), ParallelIO(kernel)
+    steps = recording_steps(kernel)
+    log = []
+    kernel.spawn(cpu_then_io(kernel, cpu, io, log, "p", True), "p")
+    kernel.run()
+    assert log == [("p", 3.0)]
+    assert steps == [(0.0, "p"), (3.0, "p")]  # nothing at t=1
+    # The follow-on started in place, and the I/O expiry fused.
+    assert kernel.fused_wakes == 2
+    assert dispatched(kernel) == 3 and io.requests == 1
+
+
+@pytest.mark.parametrize("chained", [True, False])
+@pytest.mark.parametrize("fuses", [True, False])
+def test_a_tied_chained_completion_queues_the_start_in_the_resume_slot(
+        chained, fuses):
+    # Mutant: the follow-on started in place on a tied instant.  At t=1
+    # the burst ends together with ``arm2``, which schedules ``late``
+    # at t=3; the I/O expiry p's resume would have scheduled comes
+    # after it, so ``late`` fires first.
+    kernel = Kernel()
+    kernel.fuses_wakes = fuses
+    cpu, io = CPU(kernel), ParallelIO(kernel)
+    log = []
+    kernel.spawn(cpu_then_io(kernel, cpu, io, log, "p", chained), "p")
+
+    def arm2():
+        kernel.at(3.0, lambda: log.append(("late", kernel.now)))
+
+    kernel.at(0.0, lambda: kernel.at(1.0, arm2))
+    kernel.run()
+    assert log == [("late", 3.0), ("p", 3.0)]
+    # Only the I/O expiry fuses, after ``late``: the same count and
+    # the same events whether the I/O was chained or yielded.
+    assert kernel.fused_wakes == (1 if fuses else 0)
+    assert kernel.events.queue_stats() == (0, 7 if fuses else 8, 0)
+
+
+def test_then_starts_the_next_job_before_the_follow_on():
+    # Mutant: the follow-on applied before ``then()``.  When hi's burst
+    # ends, lo's job must be dispatched (its completion scheduled for
+    # t=2) before hi's I/O, also due at t=2, is started.
+    kernel = Kernel()
+    cpu, io = CPU(kernel), ParallelIO(kernel)
+    log = []
+    kernel.spawn(cpu_then_io(kernel, cpu, io, log, "hi", True,
+                             io_time=1.0), "hi", priority=2)
+
+    def lo_body():
+        yield cpu.use(1.0)
+        log.append(("lo", kernel.now))
+
+    kernel.spawn(lo_body(), "lo", priority=1)
+    kernel.run()
+    assert log == [("lo", 2.0), ("hi", 2.0)]
+    assert kernel.fused_wakes == 1  # hi's chain; t=2 is a tie
+
+
+@pytest.mark.parametrize("at, holder", [
+    (0.5, "_Job"), (1.0, "_start_follow"), (2.0, "wake")],
+    ids=["cpu", "queued-start", "io"])
+def test_an_interrupt_withdraws_whichever_phase_holds_the_process(
+        at, holder):
+    # The interrupt at t=1 is queued behind the burst's completion, so
+    # that instant is tied and the start waits in the resume's slot.
+    kernel = Kernel()
+    cpu, io = CPU(kernel), ParallelIO(kernel)
+    log = []
+
+    def body():
+        try:
+            yield cpu.use(1.0, io.use(2.0))
+            log.append("done")
+        except Stop:
+            log.append(("stopped", kernel.now))
+
+    process = kernel.spawn(body(), "p")
+    seen = []
+
+    def stop():
+        blocker = process.blocker
+        callback = getattr(blocker, "callback", None)
+        seen.append(type(blocker).__name__ if callback is None else
+                    getattr(callback, "func", callback).__name__)
+        kernel.interrupt(process, Stop())
+
+    kernel.at(0.0, lambda: kernel.at(at, stop))
+    kernel.run()
+    assert seen == [holder]
+    assert log == [("stopped", at)]
+    # The I/O never starts unless it already held the process.
+    assert io.requests == (1 if holder == "wake" else 0)
+    assert cpu.busy_time == pytest.approx(min(at, 1.0))
+    assert kernel.events._dead == 0 and len(kernel.events) == 0
+    assert kernel.events.queue_stats()[2] == 1  # the one withdrawal
+
+
+def test_a_zero_cpu_burst_applies_its_follow_on_at_once():
+    kernel = Kernel()
+    cpu, io = CPU(kernel), ParallelIO(kernel)
+    log = []
+
+    def body():
+        yield cpu.use(0.0, io.use(2.0))
+        log.append(kernel.now)
+        yield cpu.use(0.0, io.use(0.0))
+        log.append(kernel.now)
+
+    kernel.spawn(body(), "p")
+    kernel.run()
+    assert log == [2.0, 2.0]
+    assert io.requests == 2 and cpu.busy_time == 0.0
+    assert dispatched(kernel) == 2  # the spawn and the I/O expiry
+
+
+@pytest.mark.parametrize("fuses", [True, False])
+def test_a_disk_follow_on_takes_the_generic_start(fuses):
+    # A bounded DiskArray is no pure delay: the chain applies its
+    # request, queueing included, exactly as the process would have.
+    def run(chained):
+        kernel = Kernel()
+        kernel.fuses_wakes = fuses
+        cpu, disks = CPU(kernel, policy="fifo"), DiskArray(kernel)
+        log = []
+        for name in ("a", "b", "c"):
+            kernel.spawn(cpu_then_io(kernel, cpu, disks, log, name,
+                                     chained), name)
+        kernel.run()
+        return log, disks.requests, kernel.events.queue_stats()
+
+    chained = run(True)
+    assert chained == run(False)
+    assert chained[0] == [("a", 3.0), ("b", 5.0), ("c", 7.0)]
+    assert chained[1] == 3

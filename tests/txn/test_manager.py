@@ -75,6 +75,8 @@ def test_blocked_time_recorded(kernel):
     kernel.run()
     assert second.committed
     assert second.blocked_time == pytest.approx(3.0)  # first's service
+    # The late grant still runs its own access: 1 cpu + 2 io.
+    assert second.finish_time == pytest.approx(6.0)
 
 
 def test_monitor_callback_receives_all_outcomes(kernel):
