@@ -248,8 +248,6 @@ class ConcurrencyControl:
             mode = _WRITE
         self.stats.requests += 1
         hooks = kernel.hooks
-        if hooks is not None:
-            hooks.lock_request(kernel.now, self, txn, oid, mode)
         tid = txn.tid
         if tid not in self.active:
             raise LockError(f"transaction {tid} must be registered "

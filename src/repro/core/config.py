@@ -118,7 +118,7 @@ class DistributedConfig:
     Matches the paper's setup defaults: "three sites with fully
     interconnected communication network ... we did not include any I/O
     cost ... a memory-resident database system" — hence
-    ``CostModel(io_per_object=0.0)``.
+    ``CostModel(io_per_object=0.0)``, the only I/O cost it accepts.
     """
 
     mode: str = "local"
@@ -181,6 +181,12 @@ class DistributedConfig:
             raise ValueError("comm_delay must be >= 0")
         if self.db_size < self.n_sites:
             raise ValueError("db_size must be >= n_sites")
+        if self.costs.io_per_object != 0:
+            # No distributed body does I/O; a non-zero cost would only
+            # loosen every deadline (proportional_deadline charges it).
+            raise ValueError("distributed runs require "
+                             "costs.io_per_object == 0 (no I/O is "
+                             "simulated)")
         if self.snapshot_reads and not self.temporal_versions:
             raise ValueError("snapshot_reads requires temporal_versions")
         if self.snapshot_reads and self.mode != "local":

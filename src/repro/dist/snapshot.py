@@ -77,26 +77,22 @@ class SnapshotReader:
                    for site in range(1, len(self.versions)))
 
 
-def snapshot_read_transaction(site: Site, reader: SnapshotReader,
-                              txn: Transaction, cpu_per_object: float,
+def snapshot_read_transaction(site: Site, txn: Transaction,
+                              cpu_per_object: float,
                               on_done: Callable[[Transaction], None]):
     """Generator body: a read-only transaction served from the local
     version store — no locks, no blocking, CPU only.
 
-    The snapshot time is fixed at transaction start (the freshest time
-    known-complete everywhere); results carry the version timestamps so
-    the caller knows exactly how old its view is.
+    Only its cost is simulated, one CPU burst per object: nothing
+    consumes the values, so none are read.  The view it stands for is
+    :meth:`SnapshotReader.read` as of the safe snapshot time at start.
     """
     kernel = site.kernel
     txn.start(kernel)
-    result = None
     try:
-        as_of = reader.safe_snapshot_time(kernel.now)
         cpu_burst = site.cpu.use(cpu_per_object)
         for __ in txn.operations:
             yield cpu_burst
-        result = reader.read(site.site_id, [oid for oid, __
-                                            in txn.operations], as_of)
         txn.commit(kernel)
     except TransactionAbort:
         # Deadline expiry — or the site crashing under the reader.
@@ -104,4 +100,3 @@ def snapshot_read_transaction(site: Site, reader: SnapshotReader,
     # Not a ``finally``: a reader closed in flight (a cut run's
     # ``Kernel.close()`` or the collector) records nothing.
     on_done(txn)
-    return result

@@ -186,7 +186,7 @@ class DistributedSystem:
             # §4 mechanism: read-only transactions served lock-free
             # from the local multiversion store.
             body = snapshot_read_transaction(
-                self.sites[txn.site], self.snapshot_reader, txn,
+                self.sites[txn.site], txn,
                 self.config.costs.cpu_per_object, self._on_done)
         else:
             body = local_transaction_manager(

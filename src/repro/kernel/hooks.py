@@ -35,14 +35,11 @@ import contextlib
 import os
 from typing import Callable, Iterator, Optional, Tuple
 
-#: Hook name -> signature, grouped by the layer that fires it.  The
-#: first argument of every run-time hook is the simulated time.
+#: Hook name -> signature, grouped by the layer that fires it (the
+#: kernel and the CPUs fire none: the queue sampler is a method of
+#: :class:`Hooks`).  The first argument of every run-time hook is the
+#: simulated time.
 HOOKS = {
-    # kernel/ — ``kind`` is "spawn", "interrupt" or "terminate".
-    "kernel_event": "(now, kind, process, detail)",
-    # resources/
-    "cpu_dispatch": "(now, cpu, process)",
-    "cpu_preempt": "(now, cpu, process)",
     # cc/ — ``request`` is the cc.base.Request that waited, or None
     # for a grant without waiting; ``conflicts`` the incompatible
     # holders' tids ([] on a ceiling block); the ceiling hooks fire after
@@ -50,7 +47,6 @@ HOOKS = {
     "attach_protocol": "(cc)",
     "txn_register": "(now, cc, txn)",
     "txn_deregister": "(now, cc, txn)",
-    "lock_request": "(now, cc, txn, oid, mode)",
     "lock_grant": "(now, cc, txn, oid, mode, request)",
     "lock_block": "(now, cc, request, cause, conflicts)",
     "lock_withdraw": "(now, cc, request)",

@@ -123,9 +123,6 @@ class Kernel:
         process.state = _READY
         process.pending_resume = self.events.schedule_resume(
             self.now, process)
-        hooks = self.hooks
-        if hooks is not None:
-            hooks.kernel_event(self.now, "spawn", process, None)
         return process
 
     def ready(self, process: Process, value: Any = None,
@@ -236,9 +233,6 @@ class Kernel:
         process.state = _READY
         process.pending_resume = self.events.schedule_resume(
             self.now, process, None, exc)
-        hooks = self.hooks
-        if hooks is not None:
-            hooks.kernel_event(self.now, "interrupt", process, exc)
         return True
 
     def set_inherited_priority(self, process: Process,
@@ -494,9 +488,6 @@ class Kernel:
         process.state = _TERMINATED
         process.exception = exception
         process.generator.close()
-        hooks = self.hooks
-        if hooks is not None:
-            hooks.kernel_event(self.now, "terminate", process, exception)
         # The payload (a TM's Transaction) points back at its process:
         # dropping it lets the transaction go at its last reference
         # instead of leaving the pair to the cyclic collector.

@@ -81,9 +81,6 @@ class CpuBurst(SysCall):
         cpu._slice_start = now
         cpu._completion_event = kernel.events.schedule(
             now + job.remaining, cpu._complete)
-        hooks = kernel.hooks
-        if hooks is not None:
-            hooks.cpu_dispatch(now, cpu, process)
         return BLOCKED
 
     @property
@@ -184,7 +181,6 @@ class CPU:
         if best is self._running:
             return
         now = self.kernel.now
-        hooks = self.kernel.hooks
         if self._running is not None:
             # Preempt: charge the elapsed slice and cancel the completion.
             elapsed = now - self._slice_start
@@ -196,15 +192,11 @@ class CPU:
             if self._completion_event is not None:
                 self._completion_event.cancel()
                 self._completion_event = None
-            if hooks is not None:
-                hooks.cpu_preempt(now, self, self._running.process)
         self._running = best
         if best is not None:
             self._slice_start = now
             self._completion_event = self.kernel.at(
                 now + best.remaining, self._complete)
-            if hooks is not None:
-                hooks.cpu_dispatch(now, self, best.process)
 
     def _complete(self) -> None:
         job = self._running

@@ -46,8 +46,8 @@ class KernelProbe:
                 "events cancelled (timer churn)"),
             registry.counter(
                 "kernel.wakes_fused",
-                "completions whose resume ran in place, without an "
-                "event"))
+                "completions whose resume or chained follow-on start "
+                "ran in place, without an event"))
         #: kernel -> the lifetime (dispatched, cancelled, fused) totals
         #: already counted.
         self._seen: Dict[object, Tuple[int, int, int]] = {}

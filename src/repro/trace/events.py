@@ -1,15 +1,16 @@
 """Typed trace event records.
 
-A :class:`TraceEvent` is plain data — no kernel, protocol or process
-references survive in it, so the trace package sits *below* every model
-layer in the import graph (the kernel and the protocols import us, not
-the other way round) and an exported event stream is self-contained.
+A :class:`TraceEvent` is the read-side view of one ``(t, kind, site,
+tid, data)`` record of the :class:`~repro.trace.tracer.Tracer`, which
+stores the flat tuples and builds events only when they are read.  It
+is plain data — no kernel, protocol or process references survive in
+it — so an exported event stream is self-contained.
 
 Every event carries:
 
 - ``t``    — virtual time of the event;
 - ``kind`` — one of the :data:`EVENT_KINDS` taxonomy below;
-- ``site`` — originating site id, or None for single-site runs and
+- ``site`` — originating site id (0 in single-site runs), or None for
   system-wide events;
 - ``tid``  — the transaction the event belongs to, or None for
   infrastructure events (message servers, couriers, crash timers);
@@ -22,16 +23,9 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 #: kind -> one-line description.  This table is the documented event
-#: schema: the README renders it, the exporters stamp events against
-#: it, and tests assert every emitted kind is registered here.
+#: schema: the exporters stamp events against it, and tests assert
+#: every recorded kind is registered here.
 EVENT_KINDS: Dict[str, str] = {
-    # kernel process lifecycle (the hardened legacy `trace` hook)
-    "spawn": "process created and scheduled",
-    "interrupt": "interrupt delivered to a process",
-    "terminate": "process terminated (detail: unhandled interrupt)",
-    # CPU scheduling
-    "cpu_dispatch": "a burst starts (or resumes) on a CPU",
-    "cpu_preempt": "the running burst is preempted",
     # transaction lifecycle
     "txn_start": "transaction manager started executing",
     "txn_commit": "transaction committed",
@@ -39,7 +33,6 @@ EVENT_KINDS: Dict[str, str] = {
     "txn_restart": "deadlock victim restarted from scratch",
     "txn_abort": "non-deadline abort (e.g. applier killed by a crash)",
     # locking, with blocking-cause classification
-    "lock_request": "lock requested from the protocol",
     "lock_grant": "lock granted (immediately or after a wait)",
     "lock_block": "request blocked; cause is 'direct' or 'ceiling'",
     "lock_release": "all locks of a transaction released",

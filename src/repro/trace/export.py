@@ -63,10 +63,11 @@ def load_jsonl(source: str) -> Tuple[dict, List[dict]]:
 
 def trace_artifact(tracer) -> Tuple[dict, List[dict]]:
     """A tracer's ring buffer as ``(meta, records)``."""
+    records = tracer.records
     meta = {"trace_version": TRACE_VERSION,
-            "events": len(tracer.events), "emitted": tracer.emitted,
+            "events": len(records), "emitted": tracer.emitted,
             "dropped": tracer.dropped}
-    return meta, [event.as_dict() for event in tracer.events]
+    return meta, [TraceEvent(*record).as_dict() for record in records]
 
 
 def metrics_artifact(document: dict) -> Tuple[dict, List[dict]]:

@@ -147,10 +147,9 @@ class ScenarioInstance:
                       for __, process, ___ in disks._queue._entries))
         state[("pending",)] = pending_signature(self.kernel.events)
         progress: Dict[tuple, int] = {}
-        for event in self.tracer.events:
-            if event.kind in _PROGRESS_KINDS:
-                oid = (event.data or {}).get("oid")
-                key = (event.kind, event.tid, event.site, oid)
+        for __, kind, site, tid, data in self.tracer.records:
+            if kind in _PROGRESS_KINDS:
+                key = (kind, tid, site, (data or {}).get("oid"))
                 progress[key] = progress.get(key, 0) + 1
         state[("progress",)] = tuple(sorted(progress.items(),
                                             key=repr))

@@ -420,7 +420,7 @@ def test_rpl008_guard_does_not_leak_past_its_branch():
         def spawn(self, process):
             if self.hooks is not None:
                 pass
-            self.hooks.kernel_event(self.now, "spawn", process, None)
+            self.hooks.txn_start(self.now, process.payload)
     """, path="src/repro/kernel/kernel.py")
     assert codes(findings) == ["RPL008"]
 
@@ -430,7 +430,7 @@ def test_rpl008_accepts_early_return_guard():
         def emit(self, event):
             if self.hooks is None:
                 return
-            self.hooks.kernel_event(0.0, "spawn", event, None)
+            self.hooks.txn_start(0.0, event)
     """, path="src/repro/kernel/kernel.py")
     assert findings == []
 
@@ -451,7 +451,7 @@ def test_rpl008_guard_does_not_cover_nested_function():
         def arm(self):
             if self.hooks is not None:
                 def later():
-                    self.hooks.kernel_event(0.0, "fire", None, None)
+                    self.hooks.rpc_timeout(0.0)
                 return later
     """, path="src/repro/kernel/kernel.py")
     assert codes(findings) == ["RPL008"]

@@ -5,7 +5,6 @@ import pytest
 from repro.kernel import (Delay, InvalidProcessState, Kernel,
                           ProcessInterrupt, ProcessState, SysCall)
 from repro.kernel.errors import SimulationOver
-from repro.kernel.hooks import Hooks
 
 
 def test_spawn_requires_generator():
@@ -214,27 +213,6 @@ def test_process_states_progress():
     assert process.state is ProcessState.BLOCKED
     kernel.run()
     assert process.state is ProcessState.TERMINATED
-
-
-def test_trace_hook_receives_lifecycle_events():
-    events = []
-
-    class Subscriber:
-        def kernel_event(self, now, kind, process, detail):
-            events.append((now, kind, process.name))
-
-    kernel = Kernel(hooks=Hooks((Subscriber(),)))
-
-    def body():
-        yield Delay(2.0)
-
-    victim = kernel.spawn(body(), "traced")
-    kernel.at(1.0, lambda: kernel.interrupt(victim,
-                                            ProcessInterrupt("stop")))
-    kernel.run()
-    assert events == [(0.0, "spawn", "traced"),
-                      (1.0, "interrupt", "traced"),
-                      (1.0, "terminate", "traced")]
 
 
 def test_at_rejects_past_times():

@@ -11,6 +11,7 @@ from repro.dist import DistributedSystem
 from repro.exec.fingerprint import (CODE_VERSION, config_fingerprint,
                                     config_payload)
 from repro.protocols import REGISTRY
+from repro.txn.manager import CostModel
 
 
 def unknown_message(name):
@@ -94,6 +95,20 @@ def test_local_mode_rejects_victim_abort(policy):
         DistributedSystem(config)
     dataclasses.replace(config, protocol_options=(
         ("victim_policy", "none"),)).validate()
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_distributed_modes_reject_io_cost(mode):
+    # No distributed body does I/O, but the deadline charges
+    # cpu + io per object: a non-zero cost only loosens deadlines.
+    config = DistributedConfig(mode=mode,
+                               costs=CostModel(io_per_object=2.0))
+    with pytest.raises(ValueError, match="io_per_object == 0"):
+        config.validate()
+    with pytest.raises(ValueError, match="io_per_object"):
+        DistributedSystem(config)
+    dataclasses.replace(config, costs=CostModel(
+        io_per_object=0.0)).validate()
 
 
 # ----------------------------------------------------------------------

@@ -9,18 +9,24 @@ from repro.trace import (TraceEvent, Tracer, chrome_document,
                          write_jsonl)
 
 
-def _small_tracer():
-    tracer = Tracer()
-    tracer.emit(0.0, "txn_start", site=1, tid=4,
-                priority=-2.0, deadline=50.0)
-    tracer.emit(1.0, "lock_block", site=1, tid=4, oid=7,
-                cause="direct", waiter_priority=-2.0,
-                holders=[[9, -8.0]])
-    tracer.emit(3.0, "lock_grant", site=1, tid=4, oid=7, waited=True)
-    tracer.emit(4.0, "msg_send", site=1, tid=4, dst=2,
-                msg="DataRequest", copies=1)
-    tracer.emit(6.0, "txn_commit", site=1, tid=4)
+def _filled(records, capacity=1 << 20):
+    """A tracer whose hooks appended ``records``."""
+    tracer = Tracer(capacity)
+    tracer.records.extend(records)
+    tracer.emitted = len(records)
     return tracer
+
+
+def _small_tracer():
+    return _filled([
+        (0.0, "txn_start", 1, 4, {"priority": -2.0, "deadline": 50.0}),
+        (1.0, "lock_block", 1, 4, {"oid": 7, "cause": "direct",
+                                   "waiter_priority": -2.0,
+                                   "holders": [[9, -8.0]]}),
+        (3.0, "lock_grant", 1, 4, {"oid": 7, "waited": True}),
+        (4.0, "msg_send", 1, 4, {"dst": 2, "msg": "DataRequest",
+                                 "copies": 1}),
+        (6.0, "txn_commit", 1, 4, None)])
 
 
 # ----------------------------------------------------------------------
@@ -39,9 +45,8 @@ def test_jsonl_round_trip(tmp_path):
 
 
 def test_jsonl_meta_reports_ring_overflow(tmp_path):
-    tracer = Tracer(capacity=2)
-    for k in range(5):
-        tracer.emit(float(k), "txn_start", tid=k)
+    tracer = _filled([(float(k), "txn_start", None, k, None)
+                      for k in range(5)], capacity=2)
     path = str(tmp_path / "overflow.trace.jsonl")
     meta = write_jsonl(path, *trace_artifact(tracer))
     assert meta == {"trace_version": 1, "events": 2, "emitted": 5,
@@ -79,10 +84,10 @@ def test_chrome_document_structure():
 
 
 def test_chrome_export_sanitizes_non_finite_values(tmp_path):
-    tracer = Tracer()
-    tracer.emit(0.0, "txn_start", site=0, tid=1,
-                priority=-float("inf"), deadline=float("inf"))
-    tracer.emit(2.0, "txn_commit", site=0, tid=1)
+    tracer = _filled([
+        (0.0, "txn_start", 0, 1, {"priority": -float("inf"),
+                                  "deadline": float("inf")}),
+        (2.0, "txn_commit", 0, 1, None)])
     path = str(tmp_path / "inf.trace.json")
     assert export_chrome(list(tracer.events), path) == []
     # The file is strict JSON (no Infinity literals)...

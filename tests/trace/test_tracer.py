@@ -3,9 +3,11 @@
 import pytest
 
 from repro.cc.base import BARRIER
+from repro.db.locks import LockMode
 from repro.kernel import Kernel
 from repro.kernel.syscalls import Delay
 from repro.trace import EVENT_KINDS, Tracer, tracing
+from repro.txn.transaction import Transaction
 from tests.conftest import observers
 
 
@@ -16,17 +18,24 @@ def no_leaked_tracer():
     assert observers(Tracer) == []
 
 
+def _transaction(tid, site=0):
+    return Transaction([(1, LockMode.READ)], 0.0, float("inf"), 0.0,
+                       site=site, tid=tid)
+
+
 # ----------------------------------------------------------------------
 # ring buffer
 # ----------------------------------------------------------------------
-def test_emit_appends_typed_events():
+def test_a_hook_appends_one_flat_record_typed_on_read():
     tracer = Tracer()
-    tracer.emit(1.5, "txn_start", site=0, tid=7, priority=-3.0)
+    tracer.priority_inherit(1.5, _transaction(7, site=2), -3)
     assert len(tracer) == 1
+    assert tracer.records[0] == (1.5, "priority_inherit", 2, 7,
+                                 {"priority": -3.0})
     event = tracer.events[0]
     assert event.t == 1.5
-    assert event.kind == "txn_start"
-    assert event.site == 0
+    assert event.kind == "priority_inherit"
+    assert event.site == 2
     assert event.tid == 7
     assert event.data == {"priority": -3.0}
     assert tracer.dropped == 0
@@ -35,11 +44,11 @@ def test_emit_appends_typed_events():
 def test_ring_buffer_drops_oldest_and_reports():
     tracer = Tracer(capacity=3)
     for k in range(5):
-        tracer.emit(float(k), "txn_start", tid=k)
+        tracer.site_recover(float(k), k)
     assert len(tracer.events) == 3
     assert tracer.emitted == 5
     assert tracer.dropped == 2
-    assert [event.tid for event in tracer.events] == [2, 3, 4]
+    assert [event.site for event in tracer.events] == [2, 3, 4]
 
 
 def test_capacity_must_be_positive():
@@ -70,9 +79,6 @@ def test_typed_methods_emit_registered_kinds():
         oid = 9
         mode = "W"
 
-    class FakeCpu:
-        name = "cpu-0"
-
     class FakeProtocol:
         active = {3: FakeRequest.txn}
 
@@ -86,7 +92,6 @@ def test_typed_methods_emit_registered_kinds():
     tracer.txn_miss(1.0, txn, reason="deadline")
     tracer.txn_restart(1.0, txn)
     tracer.txn_abort(1.0, txn, reason="crash")
-    tracer.lock_request(2.0, cc, txn, 9, "R")
     tracer.lock_grant(2.0, cc, txn, 9, "R", None)
     tracer.lock_block(2.0, FakeProtocol(), FakeRequest(), "direct",
                       [txn.tid])
@@ -97,8 +102,6 @@ def test_typed_methods_emit_registered_kinds():
     tracer.priority_restore(3.5, txn)
     tracer.ceiling_raise(4.0, FakeProtocol(), txn)
     tracer.ceiling_lower(4.0, FakeProtocol(), txn)
-    tracer.cpu_dispatch(4.5, FakeCpu(), None)
-    tracer.cpu_preempt(4.5, FakeCpu(), None)
     tracer.msg_send(5.0, 1, FakeMsg(), 2)
     tracer.msg_deliver(5.5, 1, FakeMsg(), lag=0.5)
     tracer.msg_drop(5.5, 1, FakeMsg(), reason="injected")
@@ -112,7 +115,7 @@ def test_typed_methods_emit_registered_kinds():
     tracer.two_pc(9.0, txn, "done", [1, 2])
     tracer.site_crash(10.0, 1, victims=2)
     tracer.site_recover(12.0, 1)
-    assert tracer.emitted == 29
+    assert tracer.emitted == 26
     for event in tracer.events:
         assert event.kind in EVENT_KINDS, event.kind
 
@@ -152,8 +155,11 @@ def test_lock_block_snapshots_holders_as_plain_data():
 # ----------------------------------------------------------------------
 # activation
 # ----------------------------------------------------------------------
-def _body():
+def _body(kernel):
+    txn = _transaction(1)
+    txn.start(kernel)
     yield Delay(1.0)
+    txn.commit(kernel)
 
 
 def test_install_and_context_manager():
@@ -175,11 +181,11 @@ def test_a_kernel_keeps_the_observers_it_was_built_under(unobserved):
         kernel = Kernel()
     late = Kernel()
     for victim in (kernel, late):
-        victim.spawn(_body(), "worker")
+        victim.spawn(_body(victim), "worker")
         victim.run()
     assert late.hooks is None
-    assert [event.kind for event in tracer.events] == ["spawn",
-                                                       "terminate"]
+    assert [event.kind for event in tracer.events] == ["txn_start",
+                                                       "txn_commit"]
 
 
 def test_untraced_kernel_emits_nothing(unobserved):
@@ -188,6 +194,6 @@ def test_untraced_kernel_emits_nothing(unobserved):
     assert kernel.hooks is None
     with tracing(tracer):
         # Too late: the kernel sampled the activation when it was built.
-        kernel.spawn(_body(), "worker")
+        kernel.spawn(_body(kernel), "worker")
         kernel.run()
     assert tracer.emitted == 0
