@@ -98,9 +98,12 @@ class Request:
                  "on_grant")
 
     def waiter_priority(self) -> float:
-        """Effective priority of the waiter (for inheritance)."""
-        if self.process is not None and not self.process.terminated:
-            return self.process.effective_priority
+        """Effective priority of the waiter (for inheritance), inlined."""
+        process = self.process
+        if process is not None and process.state is not _TERMINATED:
+            held = process.inherited_priority
+            base = process.base_priority
+            return held if held is not None and held > base else base
         return self.txn.priority
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -464,8 +467,8 @@ class ConcurrencyControl:
         cleared.  ``contributions`` values are effective priorities of
         the waiters each holder blocks.  The kernel is only told of a
         priority that differs from the one the process carries.
-        Returns True if any inherited priority changed (the PI fixpoint
-        loop uses this to propagate inheritance chains).
+        Returns True if it re-prioritised a transaction waiting here: the
+        one change the fixpoints' next pass can read (DESIGN.md §9).
         """
         changed = False
         kernel = self.kernel
@@ -481,7 +484,7 @@ class ConcurrencyControl:
                 if (process is not None
                         and process.state is not _TERMINATED
                         and process.inherited_priority is not None):
-                    changed = True
+                    changed = changed or tid in self._waiting_by_tid
                     if hooks is not None:
                         hooks.priority_restore(kernel.now, txn)
                     kernel.set_inherited_priority(process, None)
@@ -492,7 +495,7 @@ class ConcurrencyControl:
                 continue
             if process.inherited_priority != priority:
                 self.stats.inheritance_events += 1
-                changed = True
+                changed = changed or tid in self._waiting_by_tid
                 if hooks is not None:
                     hooks.priority_inherit(kernel.now, txn, priority)
                 kernel.set_inherited_priority(process, priority)

@@ -333,6 +333,8 @@ class PriorityCeiling(ConcurrencyControl):
         # their common barrier, every other member (lower priority,
         # same barrier) fails it too, so the top stands for all.
         top = self._shared_top()
+        if not self._solo:  # the usual case: nothing to sort
+            return [] if top is None else [top]
         candidates = self._solo if top is None else self._solo + [top]
         return sorted(candidates, key=by_priority_then_seq)
 
@@ -368,12 +370,13 @@ class PriorityCeiling(ConcurrencyControl):
         top = self._shared_top()
         if top is not None and self._entries:
             # Everything queued before the earliest member is solo.
-            shared = self._shared
             place = 0
-            for request in self.waiting:
-                if shared.get(request.txn.tid) is request:
-                    break
-                place += 1
+            if order:
+                shared = self._shared
+                for request in self.waiting:
+                    if shared.get(request.txn.tid) is request:
+                        break
+                    place += 1
             order = order[:place] + [None] + order[place:]
         # A boosted waiter a lock manager queued for a remote
         # transaction can lose the boost with no event here: its

@@ -182,12 +182,13 @@ def local_transaction_manager(sites: List[Site],
             blocked_at = kernel.now
             if hooks is not None:
                 hooks.txn_block(blocked_at, txn)
-            yield cc.acquire(txn, oid, mode)
-            waited = kernel.now - blocked_at
-            if hooks is not None:
-                hooks.txn_unblock(kernel.now, txn, waited)
-            txn.blocked_time += waited
-            yield cpu_burst
+            # An immediate grant runs the burst in the lock syscall.
+            if (yield cc.acquire(txn, oid, mode, cpu_burst)):
+                waited = kernel.now - blocked_at
+                if hooks is not None:
+                    hooks.txn_unblock(kernel.now, txn, waited)
+                txn.blocked_time += waited
+                yield cpu_burst
         # Commit: install at local primaries, then release (strict 2PL).
         commit_ts = kernel.now
         writes = sorted(txn.write_set)

@@ -80,9 +80,12 @@ class Process:
         responsible for notifying priority-sensitive resources (the
         kernel's ``set_inherited_priority`` does this).
         """
-        before = self.effective_priority
+        base = self.base_priority
+        held = self.inherited_priority
         self.inherited_priority = priority
-        return self.effective_priority != before
+        return ((held if held is not None and held > base else base)
+                != (priority if priority is not None and priority > base
+                    else base))
 
     def check_not_terminated(self) -> None:
         if self.state is ProcessState.TERMINATED:

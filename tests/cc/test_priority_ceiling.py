@@ -144,6 +144,35 @@ def test_inheritance_raises_low_priority_holder(kernel):
     assert low.process.inherited_priority is None
 
 
+def test_inheritance_is_transitive_through_a_waiting_holder(kernel):
+    # mid holds 2 and waits (solo) for 3 behind low's lock on 1, whose
+    # ceiling a later registration raised above mid.  When high blocks
+    # on mid's lock, mid inherits 9 in the first pass; only a second
+    # pass, which reads mid's new priority, passes it on to low.
+    with shadowed():
+        cc = PriorityCeiling(kernel)
+        low = make_txn([(1, "w")], priority=1)
+        mid = make_txn([(2, "w"), (3, "w")], priority=5)
+        high = make_txn([(2, "w")], priority=9)
+        LockClient(kernel, cc, low, hold=20.0)
+        LockClient(kernel, cc, mid, hold_each=1.0, start_delay=1.0)
+        LockClient(kernel, cc, high, start_delay=3.0)
+        kernel.run(until=1.5)
+        raiser = make_txn([(1, "w")], priority=6)
+        cc.register(raiser)                  # ceiling of 1 rises to 6
+        kernel.run(until=2.5)
+        assert [r.txn for r in cc._solo] == [mid]
+        assert low.process.effective_priority == 5
+        kernel.run(until=4.0)
+        assert list(cc._shared) == [high.tid]
+        assert mid.process.effective_priority == 9
+        assert low.process.effective_priority == 9
+        cc.deregister(raiser)
+        kernel.run()
+        assert low.process.inherited_priority is None
+        assert mid.process.inherited_priority is None
+
+
 # ----------------------------------------------------------------------
 # deadlock freedom
 # ----------------------------------------------------------------------

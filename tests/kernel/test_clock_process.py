@@ -63,6 +63,25 @@ def test_inherit_reports_whether_effective_changed():
     assert process.inherit(9.0) is False   # same value again
 
 
+@pytest.mark.parametrize("held, priority, changed, effective", [
+    (None, 2.0, False, 5.0),   # below base
+    (9.0, 2.0, True, 5.0),     # raised, then below base
+    (None, 5.0, False, 5.0),   # equal to base
+    (9.0, 5.0, True, 5.0),     # raised, then equal to base
+    (None, None, False, 5.0),  # nothing held, nothing lent
+    (2.0, None, False, 5.0),   # a loan below base, cleared
+    (9.0, None, True, 5.0),    # raise then clear
+    (7.0, 9.0, True, 9.0),     # raised further
+])
+def test_inherit_compares_effective_priorities(held, priority, changed,
+                                               effective):
+    process = Process(_gen(), "p", priority=5.0)
+    process.inherit(held)
+    assert process.inherit(priority) is changed
+    assert process.inherited_priority == priority
+    assert process.effective_priority == effective
+
+
 def test_pids_are_unique_and_increasing():
     # The kernel numbers the processes it spawns, from 1, whatever
     # another kernel in this interpreter has spawned.
