@@ -116,10 +116,13 @@ class Hooks:
     """What one kernel's layers call: every name in :data:`HOOKS` is an
     attribute holding that hook's fan-out over ``subscribers``.
 
-    The queue sampler is the one pull-style hook, and so a method: a
-    subscriber that defines ``kernel_sample(now, kernel)`` also defines
-    ``sample_due() -> float``, the simulated time from which it wants
-    the dispatch loop to call it, and is called once per crossing.
+    The queue sampler is the one pull-style hook: a subscriber that
+    defines ``kernel_sample(now, kernel)`` also defines ``sample_due()
+    -> float``, the simulated time from which it wants the dispatch
+    loop to call it; ``kernel_sample`` returns the next such time.
+    Both *are* that subscriber's bound methods.  At most one subscriber
+    samples (``observing`` admits one of each class, and only the
+    metrics' kernel probe samples); with none, nothing is ever due.
     """
 
     def __init__(self, subscribers: Tuple[object, ...]):
@@ -129,19 +132,21 @@ class Hooks:
                 [getattr(subscriber, name)
                  for subscriber in self.subscribers
                  if hasattr(subscriber, name)]))
-        self._samplers = [subscriber for subscriber in self.subscribers
-                          if hasattr(subscriber, "kernel_sample")]
+        samplers = [subscriber for subscriber in self.subscribers
+                    if hasattr(subscriber, "kernel_sample")]
+        if len(samplers) > 1:
+            raise ValueError("at most one subscriber samples the queue")
+        for sampler in samplers:
+            self.sample_due = sampler.sample_due
+            self.kernel_sample = sampler.kernel_sample
 
-    def sample_due(self) -> float:
-        return min([sampler.sample_due() for sampler in self._samplers],
-                   default=_NEVER)
+    @staticmethod
+    def sample_due() -> float:
+        return _NEVER
 
-    def kernel_sample(self, now: float, kernel) -> float:
-        """Sample whoever is due; returns the next :meth:`sample_due`."""
-        for sampler in self._samplers:
-            if now >= sampler.sample_due():
-                sampler.kernel_sample(now, kernel)
-        return self.sample_due()
+    @staticmethod
+    def kernel_sample(now: float, kernel) -> float:
+        return _NEVER
 
 
 # ----------------------------------------------------------------------

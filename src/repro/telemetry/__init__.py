@@ -22,11 +22,11 @@ Public surface:
 """
 
 from ..kernel.hooks import ENV_METRICS_DIR
-from .instruments import Counter, Gauge, Histogram
-from .registry import DEFAULT_WINDOW, MetricsRegistry, metering
+from .instruments import WINDOW, Counter, Gauge, Histogram
+from .registry import MetricsRegistry, metering
 
 __all__ = [
     "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "metering",
-    "DEFAULT_WINDOW", "ENV_METRICS_DIR",
+    "WINDOW", "ENV_METRICS_DIR",
 ]

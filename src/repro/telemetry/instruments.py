@@ -3,10 +3,11 @@
 Every instrument belongs to a :class:`~repro.telemetry.registry.
 MetricsRegistry` and is identified by a name plus a sorted tuple of
 ``(key, value)`` label pairs.  Mutations carry the *simulated* time of
-the event being measured; the registry uses it to close elapsed
-sampling windows lazily (see ``MetricsRegistry._tick``), so the
-instrument layer never schedules kernel events and never perturbs the
-run it observes.
+the event being measured; a mutation only updates the value, marks the
+instrument dirty in the open window and notes the time.  Windows are
+closed by the registry when the kernel's sampler reaches their end
+(see ``MetricsRegistry.close_windows``), so the instrument layer never
+schedules kernel events and never perturbs the run it observes.
 
 Each closed window in which an instrument changed yields one sample
 point; windows with no activity yield nothing (consumers forward-fill
@@ -18,31 +19,24 @@ runs produce byte-identical sample streams.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-LabelsArg = Union[Dict[str, str], Iterable[Tuple[str, str]]]
 Labels = Tuple[Tuple[str, str], ...]
 
+#: Sampling-window width in *simulated* time units: windows are
+#: [0, 50), [50, 100), ...
+WINDOW = 50.0
+#: Histogram upper bucket edges, 0.5 * 2**i for i < 16: 0.5 .. 16384
+#: simulated time units, wide enough for lock hold times (~1) through
+#: end-to-end response times (~1000s) at the paper's scale.  An
+#: implicit +Inf bucket always terminates the series.
+BUCKETS = tuple(0.5 * 2.0 ** i for i in range(16))
 
-def canonical_labels(labels: LabelsArg = ()) -> Labels:
+
+def canonical_labels(labels: Optional[Dict[str, str]] = None) -> Labels:
     """Labels as a sorted tuple of (key, value) string pairs."""
-    if isinstance(labels, dict):
-        items = labels.items()
-    else:
-        items = tuple(labels)
-    return tuple(sorted((str(k), str(v)) for k, v in items))
-
-
-def default_buckets(base: float = 0.5, growth: float = 2.0,
-                    count: int = 16) -> Tuple[float, ...]:
-    """Geometric (log-spaced) upper bounds: base, base*growth, ...
-
-    The default covers 0.5 .. 16384 simulated time units — wide enough
-    for lock hold times (~1) through end-to-end response times
-    (~1000s) at the paper's scale.  An implicit +Inf bucket always
-    terminates the series.
-    """
-    return tuple(base * growth ** i for i in range(count))
+    return tuple(sorted((str(k), str(v))
+                        for k, v in (labels or {}).items()))
 
 
 class Instrument:
@@ -51,34 +45,19 @@ class Instrument:
     kind = "untyped"
     __slots__ = ("name", "help", "labels", "_registry", "samples")
 
-    def __init__(self, registry, name: str, help: str = "",
-                 labels: LabelsArg = ()):
+    def __init__(self, registry, name: str, help: str, labels: Labels):
         self.name = name
         self.help = help
-        self.labels = canonical_labels(labels)
+        self.labels = labels
         self._registry = registry
         #: Closed-window sample points, appended by the registry.
         self.samples: List[tuple] = []
-
-    def key(self) -> Tuple[str, Labels]:
-        return (self.name, self.labels)
 
     # The registry calls this when a window the instrument was dirty
     # in closes; ``t`` is the simulated-time window boundary.
     def _sample(self, t: float) -> None:
         raise NotImplementedError
 
-    def _touch(self, t: float) -> None:
-        registry = self._registry
-        registry._tick(t)
-        registry._dirty[self] = None
-
-
-# The mutators below inline ``_touch``'s fast path (bump the last-seen
-# time, close windows only at a boundary crossing, mark dirty): probe
-# hooks fire once or more per simulated event, and the saved function
-# calls are what keep the metered benchmarks inside the <=10% overhead
-# gate (``repro bench --max-metrics-overhead``).
 
 class Counter(Instrument):
     """Monotone event count (grants, retries, drops, ...)."""
@@ -86,16 +65,13 @@ class Counter(Instrument):
     kind = "counter"
     __slots__ = ("value",)
 
-    def __init__(self, registry, name: str, help: str = "",
-                 labels: LabelsArg = ()):
+    def __init__(self, registry, name: str, help: str, labels: Labels):
         super().__init__(registry, name, help, labels)
         self.value = 0.0
 
     def inc(self, t: float, amount: float = 1.0) -> None:
         registry = self._registry
-        if t >= registry._window_end:
-            registry._tick(t)
-        elif t > registry._last_tick:
+        if t > registry._last_tick:
             registry._last_tick = t
         registry._dirty[self] = None
         self.value += amount
@@ -110,34 +86,27 @@ class Gauge(Instrument):
     kind = "gauge"
     __slots__ = ("value",)
 
-    def __init__(self, registry, name: str, help: str = "",
-                 labels: LabelsArg = ()):
+    def __init__(self, registry, name: str, help: str, labels: Labels):
         super().__init__(registry, name, help, labels)
         self.value = 0.0
 
     def set(self, t: float, value: float) -> None:
         registry = self._registry
-        if t >= registry._window_end:
-            registry._tick(t)
-        elif t > registry._last_tick:
+        if t > registry._last_tick:
             registry._last_tick = t
         registry._dirty[self] = None
         self.value = float(value)
 
     def inc(self, t: float, amount: float = 1.0) -> None:
         registry = self._registry
-        if t >= registry._window_end:
-            registry._tick(t)
-        elif t > registry._last_tick:
+        if t > registry._last_tick:
             registry._last_tick = t
         registry._dirty[self] = None
         self.value += amount
 
     def dec(self, t: float, amount: float = 1.0) -> None:
         registry = self._registry
-        if t >= registry._window_end:
-            registry._tick(t)
-        elif t > registry._last_tick:
+        if t > registry._last_tick:
             registry._last_tick = t
         registry._dirty[self] = None
         self.value -= amount
@@ -149,34 +118,26 @@ class Gauge(Instrument):
 class Histogram(Instrument):
     """Log-bucketed distribution (hold times, blocking times, ...).
 
-    ``bounds`` are ascending upper bucket edges; observations above
-    the last edge land in the implicit +Inf bucket.  Per-bucket counts
-    are stored *non*-cumulative.
+    Observations land in the first of :data:`BUCKETS` they do not
+    exceed, or in the implicit +Inf bucket above the last edge.
+    Per-bucket counts are stored *non*-cumulative.
     """
 
     kind = "histogram"
-    __slots__ = ("bounds", "counts", "sum", "count")
+    __slots__ = ("counts", "sum", "count")
 
-    def __init__(self, registry, name: str, help: str = "",
-                 labels: LabelsArg = (),
-                 bounds: Iterable[float] = None):
+    def __init__(self, registry, name: str, help: str, labels: Labels):
         super().__init__(registry, name, help, labels)
-        edges = tuple(bounds) if bounds is not None else default_buckets()
-        if list(edges) != sorted(edges):
-            raise ValueError(f"histogram bounds must ascend: {edges!r}")
-        self.bounds = edges
-        self.counts = [0] * (len(edges) + 1)
+        self.counts = [0] * (len(BUCKETS) + 1)
         self.sum = 0.0
         self.count = 0
 
     def observe(self, t: float, value: float) -> None:
         registry = self._registry
-        if t >= registry._window_end:
-            registry._tick(t)
-        elif t > registry._last_tick:
+        if t > registry._last_tick:
             registry._last_tick = t
         registry._dirty[self] = None
-        self.counts[bisect_left(self.bounds, value)] += 1
+        self.counts[bisect_left(BUCKETS, value)] += 1
         self.sum += value
         self.count += 1
 

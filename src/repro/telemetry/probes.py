@@ -15,25 +15,29 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from ..constants import BLOCKING_CEILING, BLOCKING_DIRECT
-from .instruments import Counter, Histogram
+from .instruments import WINDOW, Counter, Histogram
 
 if TYPE_CHECKING:
     from .registry import MetricsRegistry
 
 
 class KernelProbe:
-    """Event-queue depth, dispatch rate, and timer churn.
+    """Event-queue depth, dispatch rate, and timer churn — and the
+    registry's window clock.
 
     The kernel's run loops compare the current event time against
     :meth:`sample_due` (one float comparison per event) and call
-    :meth:`kernel_sample` only when a sampling window has elapsed — so
-    the per-event overhead with metrics on stays within the bench gate.
+    :meth:`kernel_sample` at the first event of each new window, before
+    that event's hooks fire: it closes the elapsed windows, then
+    records the queue.
     """
 
-    __slots__ = ("_registry", "_depth", "_counters", "_seen")
+    __slots__ = ("_registry", "_due", "_depth", "_counters", "_seen")
 
     def __init__(self, registry: "MetricsRegistry"):
         self._registry = registry
+        #: When the registry's open window ends.
+        self._due = WINDOW
         self._depth = registry.gauge(
             "kernel.queue_depth", "pending events in the kernel queue")
         self._counters = (
@@ -53,12 +57,14 @@ class KernelProbe:
         self._seen: Dict[object, Tuple[int, int, int]] = {}
 
     def sample_due(self) -> float:
-        return self._registry._window_end
+        return self._due
 
-    def kernel_sample(self, t: float, kernel) -> None:
-        """Record queue statistics at ``t`` (the queue never saw the
-        resumes, or the chained follow-on starts, that
-        ``kernel.fused_wakes`` counts)."""
+    def kernel_sample(self, t: float, kernel) -> float:
+        """Close the elapsed windows and record queue statistics at
+        ``t`` (the queue never saw the resumes, or the chained
+        follow-on starts, that ``kernel.fused_wakes`` counts); returns
+        the next :meth:`sample_due`."""
+        self._due = self._registry.close_windows(t)
         live, dispatched, cancelled = kernel.events.queue_stats()
         self._depth.set(t, live)
         totals = (dispatched, cancelled, kernel.fused_wakes)
@@ -67,6 +73,7 @@ class KernelProbe:
             if total > before:
                 counter.inc(t, total - before)
         self._seen[kernel] = totals
+        return self._due
 
 
 class _CCSeries:

@@ -1,20 +1,23 @@
-"""The MetricsRegistry: named instruments + lazy window sampling.
+"""The MetricsRegistry: named instruments + fixed sampling windows.
 
 Design contract (tested in ``tests/telemetry``):
 
 - **zero perturbation** — the registry never schedules kernel events,
   never draws randomness, and never mutates model state.  Sampling
-  windows are closed *lazily*, driven by the instrument mutations
-  themselves: every mutation calls :meth:`MetricsRegistry._tick` with
-  the simulated time of the measured event, which closes any fully
-  elapsed windows first.  A metrics-enabled run is therefore bitwise
+  windows have one clock, the kernel's queue sampler
+  (:class:`~repro.telemetry.probes.KernelProbe`): the dispatch loop
+  calls it at the first event of each new window, before that event's
+  hooks fire, and it asks :meth:`MetricsRegistry.close_windows` to
+  close the elapsed ones; :meth:`MetricsRegistry.finalize` closes the
+  last, partial one.  A metrics-enabled run is therefore bitwise
   identical to a plain run (the golden-summary tests prove it both
   for a single-site and a distributed scenario).
-- **fixed simulated-time windows** — instruments that changed during
-  a window are sampled once at that window's end; untouched windows
-  produce no points (consumers forward-fill).  The dirty set is an
-  insertion-ordered dict so the sample order is deterministic, and
-  :meth:`dump` additionally sorts series by (name, labels).
+- **fixed simulated-time windows** — every :data:`WINDOW` units from
+  0; instruments that changed during a window are sampled once at
+  that window's end; untouched windows produce no points (consumers
+  forward-fill).  The dirty set is an insertion-ordered dict so the
+  sample order is deterministic, and :meth:`dump` additionally sorts
+  series by (name, labels).
 - **bounded, cheap instruments** — get-or-create by (name, labels);
   re-requesting an existing instrument with a different kind is a
   programming error and raises.
@@ -31,42 +34,34 @@ import contextlib
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..kernel.hooks import observing
-from .instruments import (Counter, Gauge, Histogram, Instrument,
-                          LabelsArg, canonical_labels)
+from .instruments import (BUCKETS, WINDOW, Counter, Gauge, Histogram,
+                          Instrument, canonical_labels)
 from .probes import probes
-
-#: Default sampling-window width in *simulated* time units.
-DEFAULT_WINDOW = 50.0
 
 
 class MetricsRegistry:
     """Holds the instruments of one run and samples them on windows."""
 
-    def __init__(self, window: float = DEFAULT_WINDOW,
-                 start: float = 0.0,
-                 meta: Optional[dict] = None):
-        if window <= 0:
-            raise ValueError(f"window must be > 0, got {window}")
-        self.window = float(window)
+    def __init__(self, meta: Optional[dict] = None):
         self.meta: dict = dict(meta or {})
         self._instruments: Dict[Tuple[str, tuple], Instrument] = {}
         #: Instruments mutated in the currently open window, in first-
         #: mutation order (dict as ordered set — determinism matters).
         self._dirty: Dict[Instrument, None] = {}
-        self._start = float(start)
-        self._window_end = self._start + self.window
-        self._last_tick = self._start
+        self._window_end = WINDOW
+        #: The latest simulated time a mutation carried.
+        self._last_tick = 0.0
         self._finalized = False
 
     # ------------------------------------------------------------------
     # instrument factory
     # ------------------------------------------------------------------
-    def _get(self, cls, name: str, help: str, labels: LabelsArg,
-             **kwargs) -> Instrument:
+    def _get(self, cls, name: str, help: str,
+             labels: Optional[Dict[str, str]]) -> Instrument:
         key = (name, canonical_labels(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
-            instrument = cls(self, name, help, labels, **kwargs)
+            instrument = cls(self, name, help, key[1])
             self._instruments[key] = instrument
         elif not isinstance(instrument, cls):
             raise TypeError(
@@ -75,42 +70,38 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str, help: str = "",
-                labels: LabelsArg = ()) -> Counter:
+                labels: Optional[Dict[str, str]] = None) -> Counter:
         return self._get(Counter, name, help, labels)
 
     def gauge(self, name: str, help: str = "",
-              labels: LabelsArg = ()) -> Gauge:
+              labels: Optional[Dict[str, str]] = None) -> Gauge:
         return self._get(Gauge, name, help, labels)
 
     def histogram(self, name: str, help: str = "",
-                  labels: LabelsArg = (),
-                  bounds=None) -> Histogram:
-        return self._get(Histogram, name, help, labels, bounds=bounds)
+                  labels: Optional[Dict[str, str]] = None) -> Histogram:
+        return self._get(Histogram, name, help, labels)
 
     # ------------------------------------------------------------------
     # windowing
     # ------------------------------------------------------------------
-    def _tick(self, t: float) -> None:
-        """Close elapsed windows before a mutation at simulated ``t``.
+    def close_windows(self, t: float) -> float:
+        """Close the windows that ended by simulated ``t``; returns the
+        end of the window now open (when the sampler is next due).
 
-        All dirty instruments were last mutated strictly inside the
-        window ending at ``self._window_end`` (any mutation at or past
-        the boundary lands here first), so they are sampled at that
-        boundary, and the open window jumps forward to cover ``t``.
+        Called by the sampler before any hook of the event at ``t``
+        fires, so every dirty instrument was last mutated strictly
+        inside the window ending at ``self._window_end``: it is sampled
+        at that boundary, and the open window jumps forward to cover
+        ``t``.
         """
-        if t > self._last_tick:
-            self._last_tick = t
-        if t < self._window_end:
-            return
         boundary = self._window_end
-        dirty = self._dirty
-        if dirty:
+        if t >= boundary:
+            dirty = self._dirty
             for instrument in dirty:
                 instrument._sample(boundary)
             dirty.clear()
-        window = self.window
-        self._window_end = self._start + window * (
-            (t - self._start) // window + 1.0)
+            self._window_end = WINDOW * (t // WINDOW + 1.0)
+        return self._window_end
 
     def finalize(self) -> None:
         """Close the final (partial) window at the last seen time."""
@@ -143,7 +134,7 @@ class MetricsRegistry:
                 "labels": dict(instrument.labels),
             }
             if isinstance(instrument, Histogram):
-                entry["bounds"] = list(instrument.bounds)
+                entry["bounds"] = list(BUCKETS)
                 entry["points"] = [
                     {"t": t, "counts": list(counts),
                      "sum": total, "count": count}
@@ -157,7 +148,7 @@ class MetricsRegistry:
                 entry["final"] = instrument.value
             series.append(entry)
         meta = dict(self.meta)
-        meta["window"] = self.window
+        meta["window"] = WINDOW
         return {"meta": meta, "series": series}
 
     def __len__(self) -> int:
@@ -165,7 +156,7 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MetricsRegistry(instruments={len(self._instruments)}, "
-                f"window={self.window}, last_tick={self._last_tick})")
+                f"last_tick={self._last_tick})")
 
 
 # ----------------------------------------------------------------------

@@ -83,6 +83,7 @@ def test_samplers_are_called_once_per_window_crossing():
         def kernel_sample(self, now, kernel):
             calls.append(now)
             self.due += 5.0
+            return self.due
 
     def ticker():
         for __ in range(12):
@@ -93,6 +94,8 @@ def test_samplers_are_called_once_per_window_crossing():
     kernel.run()
     assert calls == [5.0, 10.0]
     assert Hooks(()).sample_due() == float("inf")
+    with pytest.raises(ValueError, match="at most one"):
+        Hooks((Sampler(), Sampler()))
 
 
 def test_explicit_hooks_win_over_the_activation():

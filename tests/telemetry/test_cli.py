@@ -12,12 +12,13 @@ from repro.trace.report import main as report_main
 
 @pytest.fixture()
 def artifact(tmp_path):
-    registry = MetricsRegistry(window=10.0, meta={"seed": 3})
+    registry = MetricsRegistry(meta={"seed": 3})
     counter = registry.counter("cc.grants", "grants",
                                labels={"waited": "no"})
     counter.inc(1.0)
-    counter.inc(12.0)
-    hist = registry.histogram("cc.wait_time", bounds=(1.0, 4.0))
+    registry.close_windows(62.0)
+    counter.inc(62.0)
+    hist = registry.histogram("cc.wait_time")
     hist.observe(2.0, 0.5)
     registry.finalize()
     path = str(tmp_path / "run.metrics.jsonl")
@@ -45,7 +46,7 @@ def test_diff_identical_artifacts(artifact, capsys):
 
 
 def test_diff_differing_artifacts_exits_1(artifact, tmp_path, capsys):
-    registry = MetricsRegistry(window=10.0)
+    registry = MetricsRegistry()
     other = registry.counter("cc.grants", labels={"waited": "no"})
     other.inc(1.0)
     registry.finalize()

@@ -8,20 +8,20 @@ from repro.trace.report import (diff_records, main, metrics_rows,
 
 
 def sample_document():
-    registry = MetricsRegistry(window=10.0, meta={"seed": 7})
+    registry = MetricsRegistry(meta={"seed": 7})
     grants = registry.counter("cc.grants", "lock grants",
                               labels={"waited": "no"})
     depth = registry.gauge("kernel.queue_depth", "ready queue depth")
-    hold = registry.histogram("cc.hold_time", "lock hold time",
-                              bounds=(1.0, 4.0))
+    hold = registry.histogram("cc.hold_time", "lock hold time")
     # Mutations in simulated-time order, spanning two windows.
     grants.inc(1.0)
     depth.set(2.0, 3)
     hold.observe(3.0, 0.5)
-    grants.inc(12.0, 4.0)        # closes the 0..10 window
-    hold.observe(14.0, 2.0)
-    hold.observe(14.5, 9.0)
-    depth.set(15.0, 1)
+    registry.close_windows(60.0)  # the sampler closes the 0..50 window
+    grants.inc(60.0, 4.0)
+    hold.observe(64.0, 2.0)
+    hold.observe(64.5, 9.0)
+    depth.set(65.0, 1)
     registry.finalize()
     return registry.dump()
 
@@ -39,7 +39,7 @@ def test_jsonl_round_trip(tmp_path):
     assert series == document["series"]
     assert loaded_meta == meta
     assert loaded_meta["seed"] == 7
-    assert loaded_meta["window"] == 10.0
+    assert loaded_meta["window"] == 50.0
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_summarize_rows_and_text():
     assert grants["final"] == 5.0
     text = report_text(meta, series)
     assert "3 series" in text
-    assert "window=10.0" in text
+    assert "window=50.0" in text
     assert "cc.grants{waited=no}" in text
 
 

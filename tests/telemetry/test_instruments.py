@@ -2,29 +2,26 @@
 
 import pytest
 
-from repro.telemetry.instruments import canonical_labels, default_buckets
+from repro.telemetry.instruments import BUCKETS, canonical_labels
 from repro.telemetry.registry import MetricsRegistry
 
 
 def test_canonical_labels_sorts_and_stringifies():
     assert canonical_labels({"b": 2, "a": "x"}) == (("a", "x"),
                                                    ("b", "2"))
-    assert canonical_labels([("z", "1"), ("a", "2")]) == (("a", "2"),
-                                                          ("z", "1"))
     assert canonical_labels() == ()
 
 
 def test_default_buckets_are_geometric():
-    bounds = default_buckets()
-    assert len(bounds) == 16
-    assert bounds[0] == 0.5
-    assert bounds[-1] == 0.5 * 2 ** 15
-    ratios = [b / a for a, b in zip(bounds, bounds[1:])]
+    assert len(BUCKETS) == 16
+    assert BUCKETS[0] == 0.5
+    assert BUCKETS[-1] == 0.5 * 2 ** 15
+    ratios = [b / a for a, b in zip(BUCKETS, BUCKETS[1:])]
     assert all(r == 2.0 for r in ratios)
 
 
 def test_counter_accumulates():
-    registry = MetricsRegistry(window=10.0)
+    registry = MetricsRegistry()
     counter = registry.counter("k.events", "events")
     counter.inc(1.0)
     counter.inc(2.0, 3.0)
@@ -32,7 +29,7 @@ def test_counter_accumulates():
 
 
 def test_gauge_set_inc_dec():
-    registry = MetricsRegistry(window=10.0)
+    registry = MetricsRegistry()
     gauge = registry.gauge("k.depth")
     gauge.set(1.0, 5)
     gauge.inc(2.0)
@@ -41,26 +38,20 @@ def test_gauge_set_inc_dec():
 
 
 def test_histogram_bucket_placement():
-    registry = MetricsRegistry(window=10.0)
-    hist = registry.histogram("k.hold", bounds=(1.0, 2.0, 4.0))
-    # <=1 -> bucket 0; values above the last edge -> implicit +Inf.
-    for value in (0.5, 1.0, 1.5, 4.0, 100.0):
+    registry = MetricsRegistry()
+    hist = registry.histogram("k.hold")
+    # <=0.5 -> bucket 0; values above the last edge -> implicit +Inf.
+    for value in (0.25, 0.5, 0.75, 2.0, 20000.0):
         hist.observe(0.0, value)
-    assert hist.counts == [2, 1, 1, 1]
-    assert hist.sum == pytest.approx(107.0)
+    assert hist.counts == [2, 1, 1] + [0] * 13 + [1]
+    assert hist.sum == pytest.approx(20003.5)
     assert hist.count == 5
 
 
-def test_histogram_rejects_unsorted_bounds():
-    registry = MetricsRegistry(window=10.0)
-    with pytest.raises(ValueError, match="ascend"):
-        registry.histogram("k.bad", bounds=(2.0, 1.0))
-
-
 def test_get_or_create_returns_same_instrument():
-    registry = MetricsRegistry(window=10.0)
+    registry = MetricsRegistry()
     one = registry.counter("k.events", labels={"site": "0"})
-    two = registry.counter("k.events", labels=[("site", 0)])
+    two = registry.counter("k.events", labels={"site": 0})
     other = registry.counter("k.events", labels={"site": "1"})
     assert one is two
     assert one is not other
@@ -68,7 +59,7 @@ def test_get_or_create_returns_same_instrument():
 
 
 def test_kind_mismatch_raises():
-    registry = MetricsRegistry(window=10.0)
+    registry = MetricsRegistry()
     registry.counter("k.events")
     with pytest.raises(TypeError, match="already registered"):
         registry.gauge("k.events")
