@@ -66,14 +66,11 @@ class PriorityCeiling(ConcurrencyControl):
         # The protocol's tables are keyed by tid throughout, as the
         # lock table is (see ``active``).
         #: oid -> {tid: priority} of the active transactions declaring
-        #: a write on it, and the static write-priority ceiling that
-        #: follows from them.
+        #: a write on it (whose max is the static write-priority
+        #: ceiling), and declaring any access (absolute ceiling).  A
+        #: ceiling is computed only where it is read.
         self._writers: Dict[int, Dict[int, float]] = {}
-        self._write_ceilings: Dict[int, float] = {}
-        #: oid -> {tid: priority} of the active transactions declaring
-        #: any access to it, and the static absolute-priority ceiling.
         self._accessors: Dict[int, Dict[int, float]] = {}
-        self._absolute_ceilings: Dict[int, float] = {}
         #: Barrier index: sorted (-rw_ceiling, table_seq, oid) over the
         #: locked oids that have a ceiling, and each oid's current entry.
         #: Kept current by _refresh_entry from the lock table's
@@ -111,30 +108,28 @@ class PriorityCeiling(ConcurrencyControl):
         self._lent: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
-    # active set maintenance (drives the static ceilings)
+    # declarations (a static ceiling is read only on a locked oid)
     # ------------------------------------------------------------------
-    def _declarations(self, txn: Transaction):
-        write_set = (txn.access_set if self.exclusive_only
-                     else txn.write_set)
-        return ((self._writers, self._write_ceilings, write_set),
-                (self._accessors, self._absolute_ceilings,
-                 txn.access_set))
-
     def register(self, txn: Transaction) -> None:
         super().register(txn)
         tid = txn.tid
         priority = txn.priority
         locked = self._locked
-        for index, ceilings, oids in self._declarations(txn):
+        # Cx declares a write on everything it reads.
+        both = (self._writers, self._accessors)
+        for oids, indexes in ((txn.write_set, both), (
+                txn.read_set, both if self.exclusive_only else both[1:])):
             for oid in oids:
-                if oid in index:
-                    index[oid][tid] = priority
-                else:
-                    index[oid] = {tid: priority}
-                ceiling = ceilings.get(oid)
-                if ceiling is None or ceiling < priority:
-                    ceilings[oid] = priority
-                    if oid in locked:
+                for index in indexes:
+                    if oid in index:
+                        index[oid][tid] = priority
+                    else:
+                        index[oid] = {tid: priority}
+                # A read lock's entry reads the writers only.
+                if oid in locked and (indexes is both
+                                      or locked[oid].writers):
+                    entry = self._entry_of.get(oid)
+                    if entry is None or -entry[0] < priority:
                         self._refresh_entry(oid, locked[oid])
         hooks = self.kernel.hooks
         if hooks is not None:
@@ -146,29 +141,33 @@ class PriorityCeiling(ConcurrencyControl):
             del self.active[tid]
         priority = txn.priority
         locked = self._locked
-        for index, ceilings, oids in self._declarations(txn):
+        accessors = self._accessors
+        both = (self._writers, accessors)
+        for oids, indexes in ((txn.write_set, both), (
+                txn.read_set, both if self.exclusive_only else both[1:])):
             for oid in oids:
-                declarers = index.get(oid)
-                if declarers is None or tid not in declarers:
+                # Every declaration is an access: none here means it
+                # was never made, or withdrawn (the oid is in both sets).
+                if oid not in accessors or tid not in accessors[oid]:
                     continue
-                del declarers[tid]
-                if not declarers:
-                    del index[oid]
-                    del ceilings[oid]
-                elif ceilings[oid] == priority:
-                    ceilings[oid] = max(declarers.values())
-                else:
-                    continue
-                if oid in locked:
-                    self._refresh_entry(oid, locked[oid])
+                for index in indexes:
+                    declarers = index[oid]
+                    del declarers[tid]
+                    if not declarers:
+                        del index[oid]
+                if oid in locked and (indexes is both
+                                      or locked[oid].writers):
+                    entry = self._entry_of.get(oid)
+                    if entry is not None and -entry[0] == priority:
+                        self._refresh_entry(oid, locked[oid])
         hooks = self.kernel.hooks
         if hooks is not None:
             hooks.ceiling_lower(self.kernel.now, self, txn)
             hooks.txn_deregister(self.kernel.now, self, txn)
         # Ceilings dropped: re-evaluate the waiters — unless nothing
         # that a re-evaluation reads moved since the last one settled
-        # (the usual case: release_all just ran it, and the ceilings
-        # that dropped were on unlocked objects).
+        # (the usual case: release_all just ran it, and no entry of a
+        # locked object moved).
         if (self._epoch == self._settled
                 and self.kernel.inheritance_changes
                 == self._inheritance_seen):
@@ -192,17 +191,19 @@ class PriorityCeiling(ConcurrencyControl):
     # ------------------------------------------------------------------
     def write_ceiling(self, oid: int) -> Optional[float]:
         """Static write-priority ceiling (None if no active writer)."""
-        return self._write_ceilings.get(oid)
+        writers = self._writers.get(oid)
+        return max(writers.values()) if writers else None
 
     def absolute_ceiling(self, oid: int) -> Optional[float]:
         """Static absolute-priority ceiling (None if no active accessor)."""
-        return self._absolute_ceilings.get(oid)
+        accessors = self._accessors.get(oid)
+        return max(accessors.values()) if accessors else None
 
     def rw_ceiling(self, oid: int) -> Optional[float]:
         """Dynamic rw-priority ceiling of a *locked* object."""
         if self.locks.write_locked(oid):
-            return self._absolute_ceilings.get(oid)
-        return self._write_ceilings.get(oid)
+            return self.absolute_ceiling(oid)
+        return self.write_ceiling(oid)
 
     def _refresh_entry(self, oid: int, record) -> None:
         """Bring ``oid``'s barrier-index entry in line with its lock
@@ -221,10 +222,9 @@ class PriorityCeiling(ConcurrencyControl):
         self._epoch += 1
         entry = None
         if record is not None:
-            ceiling = (self._absolute_ceilings if record.writers
-                       else self._write_ceilings).get(oid)
-            if ceiling is not None:
-                entry = (-ceiling, record.seq, oid)
+            index = self._accessors if record.writers else self._writers
+            if oid in index:
+                entry = (-max(index[oid].values()), record.seq, oid)
         stale = self._entry_of.get(oid)
         if entry == stale:
             return

@@ -3,13 +3,13 @@
 This is the historical full scan: every decision is re-derived from
 first principles — the lock table, the wait list and the *declared
 access sets of the active transactions* — with no reference to the
-protocol's barrier index, static-ceiling caches or shared/solo waiter
+protocol's barrier index, its declarer tables or shared/solo waiter
 partition.  It is O(waiters x locked objects) per decision, which is
 why it lives here and not in ``src/``.
 
 :func:`shadowed` patches :class:`PriorityCeiling` so that every
 protocol instance built inside the ``with`` block is checked against
-the oracle at three seams:
+the oracle at these seams:
 
 - every :meth:`_grant_waiter` must grant the request the full scan
   would have granted from the same state;
@@ -24,7 +24,10 @@ the oracle at three seams:
   was settled) has the pass run after all, under the three checks
   above, and it must be a no-op: no grant, and no
   ``set_inherited_priority`` call (the protocol only makes one with a
-  priority the process does not carry yet).
+  priority the process does not carry yet);
+- every :meth:`register` and :meth:`deregister` must leave the barrier
+  index equal to the one rebuilt from scratch, and the static ceilings
+  of the transaction's declared objects equal to the full scan's.
 """
 
 from __future__ import annotations
@@ -123,6 +126,8 @@ class ShadowLog:
         #: were replayed as a no-op.
         self.passes = 0
         self.skipped_passes = 0
+        #: register/deregister calls whose index and ceilings matched.
+        self.index_checks = 0
 
 
 @contextlib.contextmanager
@@ -132,8 +137,25 @@ def shadowed():
     real_grant = PriorityCeiling._grant_waiter
     real_apply = PriorityCeiling._apply_inheritance
     real_after = PriorityCeiling._after_change
+    real_register = PriorityCeiling.register
     real_deregister = PriorityCeiling.deregister
     replaying: list = []
+
+    def check_index(self, txn):
+        assert self._entries == barrier_entries(self), (
+            f"barrier index {self._entries} != full scan "
+            f"{barrier_entries(self)}")
+        for oid in sorted(txn.access_set):
+            got = (self.write_ceiling(oid), self.absolute_ceiling(oid))
+            expected = (write_ceiling(self, oid),
+                        absolute_ceiling(self, oid))
+            assert got == expected, (
+                f"ceilings of {oid}: {got} != full scan {expected}")
+        log.index_checks += 1
+
+    def checked_register(self, txn):
+        real_register(self, txn)
+        check_index(self, txn)
 
     def checked_grant(self, request):
         assert not replaying, (
@@ -162,6 +184,7 @@ def shadowed():
     def checked_deregister(self, txn):
         before = log.passes
         real_deregister(self, txn)
+        check_index(self, txn)
         if log.passes != before:
             return
         # The protocol was settled and skipped its pass: make it.
@@ -184,6 +207,7 @@ def shadowed():
         for name, wrapper in (("_grant_waiter", checked_grant),
                               ("_apply_inheritance", checked_apply),
                               ("_after_change", checked_after),
+                              ("register", checked_register),
                               ("deregister", checked_deregister)):
             stack.enter_context(
                 mock.patch.object(PriorityCeiling, name, wrapper))

@@ -300,7 +300,9 @@ def test_barrier_index_follows_grants_releases_and_the_active_set(kernel):
     cc.release_all(writer)
     assert cc._entries == [] and cc._entry_of == {}
     cc.deregister(writer)
-    assert cc._write_ceilings == {} and cc._absolute_ceilings == {}
+    assert cc._writers == {} and cc._accessors == {}
+    assert [cc.write_ceiling(1), cc.absolute_ceiling(1),
+            cc.write_ceiling(2), cc.absolute_ceiling(2)] == [None] * 4
 
 
 def test_read_lock_enters_the_index_when_a_writer_registers(kernel):
@@ -314,6 +316,46 @@ def test_read_lock_enters_the_index_when_a_writer_registers(kernel):
     assert cc._entries == [(-3.0, 0, 1)]
     cc.deregister(writer)
     assert cc._entries == []
+
+
+# A static ceiling is read only through the barrier index, which holds
+# locked objects only: declarations elsewhere cost no refresh.
+def test_declarations_on_unlocked_objects_refresh_nothing(kernel,
+                                                          monkeypatch):
+    cc = PriorityCeiling(kernel)
+    holder = make_txn([(1, "w"), (2, "r")], priority=4)
+    cc.register(holder)
+    cc.locks.grant(1, holder.tid, LockMode.WRITE)
+    cc.locks.grant(2, holder.tid, LockMode.READ)
+    refreshed = []
+    monkeypatch.setattr(PriorityCeiling, "_refresh_entry",
+                        lambda self, oid, record: refreshed.append(oid))
+    txn = make_txn([(3, "w"), (4, "r"), (5, "w")], priority=9)
+    cc.register(txn)
+    assert cc.write_ceiling(3) == 9 and cc.absolute_ceiling(4) == 9
+    cc.deregister(txn)
+    assert refreshed == []
+    assert cc.write_ceiling(3) is None and cc.absolute_ceiling(4) is None
+
+
+def test_reading_a_read_locked_object_leaves_the_epoch_alone(kernel):
+    # Object 1's entry reads its writers only (rw-ceiling 5); readers
+    # above, at and below that ceiling come and go without moving it.
+    cc = PriorityCeiling(kernel)
+    holder = make_txn([(1, "r")], priority=2)
+    writer = make_txn([(1, "w")], priority=5)
+    cc.register(holder)
+    cc.register(writer)
+    cc.locks.grant(1, holder.tid, LockMode.READ)
+    entries, epoch = list(cc._entries), cc._epoch
+    assert entries == [(-5.0, 0, 1)]
+    for priority in (8, 5, 3):
+        reader = make_txn([(1, "r")], priority=priority)
+        cc.register(reader)
+        assert cc.absolute_ceiling(1) == max(priority, 5)
+        assert cc._epoch == epoch
+        cc.deregister(reader)
+        assert cc._epoch == epoch and cc._entries == entries
 
 
 def test_lock_free_waiters_share_one_heap_entry(kernel):
@@ -571,7 +613,7 @@ def test_ceiling_drop_on_an_unlocked_object_stays_settled(kernel):
         assert cc._epoch == cc._settled
         passes = log.passes
         cc.deregister(idle)                   # ceiling of 99 disappears
-        assert cc._absolute_ceilings.get(99) is None
+        assert 99 not in cc._accessors and cc.absolute_ceiling(99) is None
         assert cc._epoch == cc._settled
         # The oracle made the skipped pass itself, as a no-op.
         assert log.skipped_passes == 1 and log.passes == passes + 1

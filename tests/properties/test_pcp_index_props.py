@@ -7,9 +7,10 @@ agent while inheriting at another) — run with every
 :class:`PriorityCeiling` decision shadowed by the reference oracle in
 ``tests/cc/pcp_oracle.py``: each woken waiter, each ``contributions``
 dict (keys, values and insertion order) and the absence of a stranded
-admissible waiter at every ``_after_change`` — and with every
-re-evaluation ``deregister`` skips made after all and required to be a
-no-op.
+admissible waiter at every ``_after_change``, the barrier index and
+the declared objects' static ceilings after every ``register`` and
+``deregister`` — and with every re-evaluation ``deregister`` skips made
+after all and required to be a no-op.
 """
 
 import dataclasses
@@ -47,6 +48,7 @@ def test_single_site_decisions_match_the_full_scan(
     with shadowed() as log:
         row = run_single_site(config)
     assert row["processed"] == n_transactions
+    assert log.index_checks > 0
     assert log.inheritance_passes > 0 or row["cc_blocks"] == 0
 
 
@@ -75,6 +77,7 @@ def test_distributed_decisions_match_the_full_scan(
     with shadowed() as log:
         row = run_distributed(config)
     assert row["processed"] == 30
+    assert log.index_checks > 0
     assert log.inheritance_passes > 0 or row["cc_blocks"] == 0
 
 
@@ -112,4 +115,4 @@ def test_pinned_counterexamples_match_the_full_scan(name):
     with shadowed() as log:
         row = run_distributed(_PINNED[name])
     assert row["processed"] == _PINNED[name].workload.n_transactions
-    assert log.skipped_passes > 0
+    assert log.skipped_passes > 0 and log.index_checks > 0
