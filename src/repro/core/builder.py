@@ -25,7 +25,6 @@ from ..resources.cpu import CPU
 from ..resources.io import DiskArray, ParallelIO
 from ..txn.generator import TransactionSpec, WorkloadGenerator
 from ..txn.manager import spawn_transaction
-from ..txn.priority import edf_priority, proportional_deadline
 from ..txn.transaction import Transaction
 from .config import SingleSiteConfig
 from .monitor import PerformanceMonitor
@@ -55,6 +54,9 @@ class SingleSiteSystem:
         fresh one is generated from the config's workload and seed."""
         config.validate()
         self.config = config
+        #: The factors of each arrival's deadline (:meth:`_admit`).
+        self._slack = config.timing.slack_factor
+        self._per_object = config.costs.per_object_time
         self.kernel = make_kernel(config.seed, engine=config.engine)
         self.cc = REGISTRY.resolve(config.protocol).build(
             self.kernel, config.protocol_options)
@@ -90,11 +92,12 @@ class SingleSiteSystem:
     def _admit(self, spec: TransactionSpec) -> None:
         """Turn a spec into a live transaction at its arrival instant."""
         now = self.kernel.now
-        deadline = proportional_deadline(
-            now, spec.size, self.config.costs.per_object_time,
-            self.config.timing.slack_factor)
-        txn = Transaction(spec.operations, now, deadline,
-                          edf_priority(deadline),
+        operations = spec.operations
+        # proportional_deadline() and edf_priority(), inlined: the same
+        # operations in the same order (config.validate() and
+        # Transaction reject the arguments those two would refuse).
+        deadline = now + self._slack * len(operations) * self._per_object
+        txn = Transaction(operations, now, deadline, -deadline,
                           site=spec.site, txn_type=spec.txn_type,
                           periodic=spec.periodic, tid=next(self._tids))
         spawn_transaction(self.kernel, txn, self.cc, self.cpu, self.io,

@@ -16,10 +16,24 @@ from typing import Dict, Iterable, List, Optional, Sequence
 _NUMBERS = frozenset((int, float))
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right with ``+=`` from int 0.
+
+    Every float sum that reaches a row goes through here: builtin
+    ``sum()`` compensates float addition from Python 3.12 on, so a row
+    built with it would read differently by interpreter.  This is the
+    plain order of Python <= 3.11's ``sum()``, on every interpreter.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
+    return ordered_sum(values) / len(values)
 
 
 def sample_std(values: Sequence[float]) -> float:
@@ -27,7 +41,7 @@ def sample_std(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     centre = mean(values)
-    return math.sqrt(sum((v - centre) ** 2 for v in values)
+    return math.sqrt(ordered_sum([(v - centre) ** 2 for v in values])
                      / (len(values) - 1))
 
 def confidence_interval(values: Sequence[float],
@@ -105,11 +119,11 @@ def aggregate_runs(rows: Iterable[Dict[str, float]]) -> Dict[str, float]:
             # mean(), sample_std() and confidence_interval() in one
             # pass: the same operations in the same order, so every
             # float is bit-identical to the three-function formula.
-            centre = sum(values) / count
+            centre = ordered_sum(values) / count
             deviation = 0.0
             if count >= 2:
                 deviation = math.sqrt(
-                    sum([(v - centre) ** 2 for v in values])
+                    ordered_sum([(v - centre) ** 2 for v in values])
                     / (count - 1))
             result[key] = centre
             result[key + "_std"] = deviation

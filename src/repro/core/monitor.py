@@ -20,6 +20,10 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..txn.transaction import Transaction, TransactionStatus
+from .metrics import ordered_sum
+
+_COMMITTED = TransactionStatus.COMMITTED
+_MISSED = TransactionStatus.MISSED
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,16 +49,6 @@ class TransactionRecord:
         if self.start_time is None or self.finish_time is None:
             return None
         return self.finish_time - self.start_time
-
-    @classmethod
-    def from_transaction(cls, txn: Transaction) -> "TransactionRecord":
-        return cls(
-            tid=txn.tid, site=txn.site, size=txn.size,
-            priority=txn.priority, arrival_time=txn.arrival_time,
-            start_time=txn.start_time, finish_time=txn.finish_time,
-            deadline=txn.deadline, blocked_time=txn.blocked_time,
-            restarts=txn.restarts, missed=txn.missed,
-            committed=txn.committed, read_only=txn.is_read_only)
 
 
 class DegradationStats:
@@ -122,7 +116,7 @@ class DegradationStats:
 
     def total_downtime(self, now: float) -> float:
         sites = set(self._downtime) | set(self._down_since)
-        return sum(self.downtime(site, now) for site in sites)
+        return ordered_sum([self.downtime(site, now) for site in sites])
 
     def availability(self, n_sites: int, now: float) -> float:
         """Fraction of site-uptime over the run: 1.0 means no site was
@@ -160,18 +154,24 @@ class PerformanceMonitor:
     # collection
     # ------------------------------------------------------------------
     def record(self, txn: Transaction) -> None:
-        """The TM ``on_done`` callback."""
-        if txn.status not in (TransactionStatus.COMMITTED,
-                              TransactionStatus.MISSED):
+        """The TM ``on_done`` callback: the transaction's fields, read
+        once, make its row."""
+        status = txn.status
+        if status is not _COMMITTED and status is not _MISSED:
             raise ValueError(
-                f"transaction {txn.tid} reported in state {txn.status}")
-        self.records.append(TransactionRecord.from_transaction(txn))
-        if (self._first_arrival is None
-                or txn.arrival_time < self._first_arrival):
-            self._first_arrival = txn.arrival_time
-        if (self._last_finish is None
-                or txn.finish_time > self._last_finish):
-            self._last_finish = txn.finish_time
+                f"transaction {txn.tid} reported in state {status}")
+        arrival, finish = txn.arrival_time, txn.finish_time
+        self.records.append(TransactionRecord(
+            tid=txn.tid, site=txn.site, size=len(txn.operations),
+            priority=txn.priority, arrival_time=arrival,
+            start_time=txn.start_time, finish_time=finish,
+            deadline=txn.deadline, blocked_time=txn.blocked_time,
+            restarts=txn.restarts, missed=status is _MISSED,
+            committed=status is _COMMITTED, read_only=not txn.write_set))
+        if self._first_arrival is None or arrival < self._first_arrival:
+            self._first_arrival = arrival
+        if self._last_finish is None or finish > self._last_finish:
+            self._last_finish = finish
 
     # ------------------------------------------------------------------
     # the paper's aggregates
@@ -183,18 +183,16 @@ class PerformanceMonitor:
 
     @property
     def committed(self) -> int:
-        return sum(1 for record in self.records if record.committed)
+        return self.summary()["committed"]
 
     @property
     def missed(self) -> int:
-        return sum(1 for record in self.records if record.missed)
+        return self.summary()["missed"]
 
     @property
     def percent_missed(self) -> float:
         """%missed = 100 × deadline-missing / processed."""
-        if not self.records:
-            return 0.0
-        return 100.0 * self.missed / self.processed
+        return self.summary()["percent_missed"]
 
     @property
     def elapsed(self) -> float:
@@ -207,29 +205,22 @@ class PerformanceMonitor:
         """Normalised throughput: data objects accessed per second by
         *successful* transactions — "obtained by multiplying the
         transaction completion rate by the transaction size"."""
-        window = self.elapsed if elapsed is None else elapsed
-        if window <= 0:
+        if elapsed is None:
+            return self.summary()["throughput"]
+        if elapsed <= 0:
             return 0.0
-        objects = sum(record.size for record in self.records
-                      if record.committed)
-        return objects / window
+        return sum(record.size for record in self.records
+                   if record.committed) / elapsed
 
     @property
     def total_restarts(self) -> int:
-        return sum(record.restarts for record in self.records)
+        return self.summary()["restarts"]
 
     def mean_blocked_time(self) -> float:
-        if not self.records:
-            return 0.0
-        return (sum(record.blocked_time for record in self.records)
-                / len(self.records))
+        return self.summary()["mean_blocked_time"]
 
     def mean_response_time(self) -> Optional[float]:
-        times = [record.processing_time for record in self.records
-                 if record.committed and record.processing_time is not None]
-        if not times:
-            return None
-        return sum(times) / len(times)
+        return self.summary()["mean_response_time"]
 
     def per_site(self) -> Dict[int, "PerformanceMonitor"]:
         """Split records into one monitor view per site."""
@@ -246,17 +237,39 @@ class PerformanceMonitor:
         return result
 
     def summary(self) -> dict:
-        """One flat dict with every aggregate (experiment runner rows)."""
+        """One flat dict with every aggregate (experiment runner rows),
+        from one pass over the records; the properties above read it.
+        Float sums add left to right from int 0, :func:`ordered_sum`'s
+        order, so a row reads the same on every interpreter."""
+        committed = missed = restarts = objects = responses = 0
+        blocked = response = 0
+        for record in self.records:
+            blocked += record.blocked_time
+            restarts += record.restarts
+            if record.missed:
+                missed += 1
+            if record.committed:
+                committed += 1
+                objects += record.size
+                start, finish = record.start_time, record.finish_time
+                if start is not None and finish is not None:
+                    response += finish - start
+                    responses += 1
+        processed = len(self.records)
+        elapsed = self.elapsed
         row = {
-            "processed": self.processed,
-            "committed": self.committed,
-            "missed": self.missed,
-            "percent_missed": self.percent_missed,
-            "throughput": self.throughput(),
-            "elapsed": self.elapsed,
-            "restarts": self.total_restarts,
-            "mean_blocked_time": self.mean_blocked_time(),
-            "mean_response_time": self.mean_response_time(),
+            "processed": processed,
+            "committed": committed,
+            "missed": missed,
+            "percent_missed": (100.0 * missed / processed if processed
+                               else 0.0),
+            "throughput": objects / elapsed if elapsed > 0 else 0.0,
+            "elapsed": elapsed,
+            "restarts": restarts,
+            "mean_blocked_time": (blocked / processed if processed
+                                  else 0.0),
+            "mean_response_time": (response / responses if responses
+                                   else None),
         }
         if self.degradation.enabled:
             row.update(self.degradation.as_dict())

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 
 from ..core.builder import schedule_arrivals
 from ..core.config import DistributedConfig
+from ..core.metrics import ordered_sum
 from ..core.monitor import PerformanceMonitor
 from ..db.replication import ReplicaCatalog
 from ..db.versions import MultiVersionStore
@@ -39,7 +40,6 @@ from ..faults import FaultInjector
 from ..kernel.turbo import make_kernel
 from ..protocols import REGISTRY
 from ..txn.generator import TransactionSpec, WorkloadGenerator
-from ..txn.priority import edf_priority, proportional_deadline
 from ..txn.transaction import (SiteFailure, Transaction,
                                TransactionStatus)
 from .comms import DirectComms, RecoveryPolicy, ReliableComms
@@ -60,6 +60,9 @@ class DistributedSystem:
                  schedule: Optional[List[TransactionSpec]] = None):
         config.validate()
         self.config = config
+        #: The factors of each arrival's deadline (:meth:`_admit`).
+        self._slack = config.timing.slack_factor
+        self._per_object = config.costs.per_object_time
         self.kernel = make_kernel(config.seed, engine=config.engine)
         #: Transaction ids of this run (TMs and replica appliers), from
         #: 1: ids are hashed, so a row must not depend on what the
@@ -161,11 +164,12 @@ class DistributedSystem:
     # ------------------------------------------------------------------
     def _admit(self, spec: TransactionSpec) -> None:
         now = self.kernel.now
-        deadline = proportional_deadline(
-            now, spec.size, self.config.costs.per_object_time,
-            self.config.timing.slack_factor)
-        txn = Transaction(spec.operations, now, deadline,
-                          edf_priority(deadline),
+        operations = spec.operations
+        # proportional_deadline() and edf_priority(), inlined: the same
+        # operations in the same order (config.validate() and
+        # Transaction reject the arguments those two would refuse).
+        deadline = now + self._slack * len(operations) * self._per_object
+        txn = Transaction(operations, now, deadline, -deadline,
                           site=spec.site, txn_type=spec.txn_type,
                           periodic=spec.periodic, tid=next(self._tids))
         if not self.network.is_operational(spec.site):
@@ -309,7 +313,8 @@ class DistributedSystem:
             latencies = sorted(latency for site in self.sites
                                for latency in site.replica_apply_latencies)
             row["mean_apply_latency"] = (
-                sum(latencies) / len(latencies) if latencies else 0.0)
+                ordered_sum(latencies) / len(latencies)
+                if latencies else 0.0)
             row["p95_apply_latency"] = (
                 latencies[int(0.95 * (len(latencies) - 1))]
                 if latencies else 0.0)

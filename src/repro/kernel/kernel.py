@@ -485,9 +485,11 @@ class Kernel:
 
     def _terminate(self, process: Process,
                    exception: Optional[BaseException] = None) -> None:
+        # Both callers caught what ended the generator (StopIteration
+        # or the interrupt it let through): it is finished, and has
+        # nothing left for close() to do.
         process.state = _TERMINATED
         process.exception = exception
-        process.generator.close()
         # The payload (a TM's Transaction) points back at its process:
         # dropping it lets the transaction go at its last reference
         # instead of leaving the pair to the cyclic collector.

@@ -148,8 +148,10 @@ class Transaction:
         now = self.start_time = kernel.now
         if self.deadline != _NEVER:
             self._kernel = kernel
-            self._deadline_event = kernel.at(max(self.deadline, now),
-                                             self._expire)
+            # Clamped to now, so the queue takes it without Kernel.at's
+            # check for a time in the past.
+            self._deadline_event = kernel.events.schedule(
+                max(self.deadline, now), self._expire)
         hooks = kernel.hooks
         if hooks is not None:
             hooks.txn_start(now, self, applier)

@@ -1,8 +1,13 @@
 """Performance monitor: records and aggregates."""
 
+import math
+
 import pytest
 
-from repro.core.monitor import PerformanceMonitor, TransactionRecord
+from repro.core.builder import SingleSiteSystem
+from repro.core.config import SingleSiteConfig, WorkloadConfig
+from repro.core.metrics import aggregate_runs, mean, ordered_sum
+from repro.core.monitor import PerformanceMonitor
 from repro.kernel import Kernel
 from tests.conftest import make_txn
 
@@ -36,6 +41,13 @@ def test_rejects_unfinished_transactions():
     running.start(Kernel())
     with pytest.raises(ValueError):
         monitor.record(running)
+
+
+def test_rejects_transactions_that_never_started():
+    monitor = PerformanceMonitor()
+    with pytest.raises(ValueError, match="PENDING"):
+        monitor.record(make_txn([(1, "w")], priority=1))
+    assert monitor.records == []
 
 
 def test_counts_and_percent_missed():
@@ -78,12 +90,26 @@ def test_record_from_transaction_carries_statistics():
     txn = committed_txn(size=3, start=1.0, finish=7.0)
     txn.blocked_time = 2.5
     txn.restarts = 1
-    record = TransactionRecord.from_transaction(txn)
+    monitor = PerformanceMonitor()
+    monitor.record(txn)
+    record, = monitor.records
+    assert record.tid == txn.tid and record.site == txn.site
     assert record.size == 3
+    assert record.priority == txn.priority
+    assert record.deadline == txn.deadline
+    assert (record.arrival_time, record.start_time,
+            record.finish_time) == (0.0, 1.0, 7.0)
     assert record.processing_time == 6.0
     assert record.blocked_time == 2.5
     assert record.restarts == 1
     assert record.committed and not record.missed
+    assert not record.read_only
+    reader = make_txn([(1, "r")], priority=1)
+    kernel = Kernel()
+    reader.start(kernel)
+    reader.miss(kernel)
+    monitor.record(reader)
+    assert monitor.records[1].read_only and monitor.records[1].missed
 
 
 def test_mean_blocked_and_response_time():
@@ -125,3 +151,53 @@ def test_summary_keys_complete():
                 "throughput", "elapsed", "restarts",
                 "mean_blocked_time", "mean_response_time"):
         assert key in summary
+
+
+def test_float_sums_add_left_to_right():
+    # Left to right, 1e16 + 1.0 rounds back to 1e16 and the sum is 0.0;
+    # a compensated sum (math.fsum, builtin sum() from Python 3.12 on)
+    # keeps the 1.0.  A row must read the same on every interpreter.
+    values = [1e16, 1.0, -1e16]
+    assert math.fsum(values) == 1.0
+    assert ordered_sum(values) == 0.0
+    assert mean(values) == 0.0
+    assert aggregate_runs([{"blocked": value} for value in values]
+                          )["blocked"] == 0.0
+    monitor = PerformanceMonitor()
+    for value in values:
+        txn = committed_txn()
+        txn.blocked_time = value
+        monitor.record(txn)
+    assert monitor.summary()["mean_blocked_time"] == 0.0
+    assert monitor.mean_blocked_time() == 0.0
+
+
+def _properties(monitor):
+    return {
+        "processed": monitor.processed,
+        "committed": monitor.committed,
+        "missed": monitor.missed,
+        "percent_missed": monitor.percent_missed,
+        "throughput": monitor.throughput(),
+        "elapsed": monitor.elapsed,
+        "restarts": monitor.total_restarts,
+        "mean_blocked_time": monitor.mean_blocked_time(),
+        "mean_response_time": monitor.mean_response_time(),
+    }
+
+
+def test_summary_agrees_with_the_properties():
+    # 2PL with deadlock victims on a small database: commits, misses
+    # and restarts in one run.
+    config = SingleSiteConfig(
+        protocol="P", db_size=12, seed=7,
+        workload=WorkloadConfig(n_transactions=60, mean_interarrival=2.0,
+                                transaction_size=4, size_jitter=1),
+        protocol_options=(("victim_policy", "youngest"),))
+    monitor = SingleSiteSystem(config).run()
+    row = monitor.summary()
+    assert row["committed"] and row["missed"] and row["restarts"]
+    assert row == _properties(monitor)
+    empty = PerformanceMonitor()
+    assert empty.summary() == _properties(empty)
+    assert empty.summary()["mean_response_time"] is None
