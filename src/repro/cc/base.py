@@ -142,12 +142,7 @@ class Acquire(SysCall):
         then = self.then
         if then is None or outcome is BLOCKED:
             return outcome
-        # Granted at once: report the requester's zero wait (a late
-        # grant's requester reports its own, see ``acquire``), then
-        # start ``then`` in this same syscall.
-        hooks = kernel.hooks
-        if hooks is not None:
-            hooks.txn_unblock(kernel.now, self.txn, 0.0)
+        # Granted at once: start ``then`` in this same syscall.
         return then.apply(kernel, process)
 
     @property

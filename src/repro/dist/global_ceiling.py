@@ -294,8 +294,6 @@ def global_transaction_manager(sites: List[Site],
         cpu_burst = site.cpu.use(costs.cpu_per_object)
         for oid, mode in txn.operations:
             blocked_at = kernel.now
-            if hooks is not None:
-                hooks.txn_block(blocked_at, txn)
             yield from comms.request(
                 0 if router is None else router(oid),
                 lambda oid=oid, mode=mode: LockRequest(
@@ -307,10 +305,7 @@ def global_transaction_manager(sites: List[Site],
                                           and m.oid == oid),
                 interim=lambda m, oid=oid: (isinstance(m, LockQueued)
                                             and m.oid == oid))
-            waited = kernel.now - blocked_at
-            if hooks is not None:
-                hooks.txn_unblock(kernel.now, txn, waited)
-            txn.blocked_time += waited
+            txn.blocked_time += kernel.now - blocked_at
             home = catalog.primary_site(oid)
             if home == txn.site:
                 yield cpu_burst

@@ -180,14 +180,9 @@ def local_transaction_manager(sites: List[Site],
         cpu_burst = site.cpu.use(costs.cpu_per_object)
         for oid, mode in txn.operations:
             blocked_at = kernel.now
-            if hooks is not None:
-                hooks.txn_block(blocked_at, txn)
             # An immediate grant runs the burst in the lock syscall.
             if (yield cc.acquire(txn, oid, mode, cpu_burst)):
-                waited = kernel.now - blocked_at
-                if hooks is not None:
-                    hooks.txn_unblock(kernel.now, txn, waited)
-                txn.blocked_time += waited
+                txn.blocked_time += kernel.now - blocked_at
                 yield cpu_burst
         # Commit: install at local primaries, then release (strict 2PL).
         commit_ts = kernel.now

@@ -59,8 +59,6 @@ HOOKS = {
     "ceiling_lower": "(now, cc, txn)",
     # txn/ and the dist/ transaction managers
     "txn_start": "(now, txn, applier=False)",
-    "txn_block": "(now, txn)",
-    "txn_unblock": "(now, txn, waited)",
     "txn_commit": "(now, txn, applier=False)",
     "txn_restart": "(now, txn)",
     "txn_miss": "(now, txn, reason)",

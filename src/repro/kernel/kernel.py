@@ -438,18 +438,21 @@ class Kernel:
             try:
                 if exc is not None:
                     item = generator.throw(exc)
-                    # A syscall's own exception (a deadlock victim's
-                    # DeadlockAbort) carries this frame in its
-                    # traceback: holding it here would make a cycle.
+                    # The thrown exception's traceback reaches this
+                    # frame (a deadlock victim's DeadlockAbort, a
+                    # DeadlineMiss the body caught): holding it here,
+                    # on any exit, would make a cycle.
                     exc = None
                 else:
                     item = send(value)
             except StopIteration:
+                exc = None
                 self._terminate(process)
                 return
             except ProcessInterrupt as interrupt:
                 # An interrupt the body chose not to handle terminates
                 # the process cleanly, recording the cause.
+                exc = None
                 self._terminate(process, exception=interrupt)
                 return
             if not isinstance(item, SysCall):

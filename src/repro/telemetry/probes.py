@@ -149,6 +149,7 @@ class CCProbe:
     def lock_withdraw(self, t: float, cc, request) -> None:
         series = self._series[cc]
         self._unqueue(t, series, request)
+        series.wait_time.observe(t, t - request.since)
         series.withdrawn.inc(t)
 
     def _unqueue(self, t: float, series: _CCSeries, request) -> None:
@@ -168,33 +169,21 @@ class CCProbe:
 
 
 class TxnProbe:
-    """Active/blocked/committed/reneged transaction population
-    (replica appliers are not part of it).
+    """Active/committed/reneged transaction population (replica
+    appliers are not part of it).  Waits are the lock layer's:
+    ``cc.wait_queue`` and ``cc.wait_time``."""
 
-    A wait opens at ``txn_block`` and ends at ``txn_unblock`` — or, when
-    no grant ends it, at the ``txn_miss`` / ``txn_restart`` /
-    ``txn_abort`` that interrupted it, which no manager follows with a
-    ``txn_unblock``.
-    """
-
-    __slots__ = ("_active", "_blocked", "_committed", "_restarts",
-                 "_reneged", "_blocked_time", "_waiting")
+    __slots__ = ("_active", "_committed", "_restarts", "_reneged")
 
     def __init__(self, registry: "MetricsRegistry"):
         self._active = registry.gauge(
             "txn.active", "transactions between start and completion")
-        self._blocked = registry.gauge(
-            "txn.blocked", "transactions blocked on a lock")
         self._committed = registry.counter(
             "txn.committed", "committed transactions")
         self._restarts = registry.counter(
             "txn.restarts", "deadlock-induced restarts")
         self._reneged = registry.counter(
             "txn.reneged", "transactions that missed their deadline")
-        self._blocked_time = registry.histogram(
-            "txn.blocked_time", "per-wait blocked time (simulated)")
-        #: tid -> when its open wait began.
-        self._waiting: Dict[int, float] = {}
 
     def txn_start(self, t: float, txn, applier: bool = False) -> None:
         if not applier:
@@ -206,37 +195,14 @@ class TxnProbe:
             self._committed.inc(t)
 
     def txn_restart(self, t: float, txn) -> None:
-        self._end_wait(t, txn)
         self._restarts.inc(t)
 
     def txn_miss(self, t: float, txn, reason: str) -> None:
-        self._end_wait(t, txn)
         # An arrival refused at a down site, or orphaned by a crash
         # before its first step, never started.
         if reason == "deadline":
             self._active.dec(t)
             self._reneged.inc(t)
-
-    def txn_abort(self, t: float, txn, reason: str) -> None:
-        self._end_wait(t, txn)
-
-    def txn_block(self, t: float, txn) -> None:
-        self._blocked.inc(t)
-        self._waiting[txn.tid] = t
-
-    def txn_unblock(self, t: float, txn, waited: float) -> None:
-        waiting = self._waiting
-        if txn.tid in waiting:  # no call, where a pop() is one
-            del waiting[txn.tid]
-        self._blocked.dec(t)
-        self._blocked_time.observe(t, waited)
-
-    def _end_wait(self, t: float, txn) -> None:
-        """Close ``txn``'s open wait, if any, without a grant."""
-        since = self._waiting.pop(txn.tid, None)
-        if since is not None:
-            self._blocked.dec(t)
-            self._blocked_time.observe(t, t - since)
 
 
 class NetworkProbe:

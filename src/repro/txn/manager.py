@@ -89,16 +89,11 @@ def transaction_manager(kernel: Kernel, txn: Transaction,
                 # ``yield from``: every resume would cross both frames.
                 for oid, mode in txn.operations:
                     blocked_at = kernel.now
-                    if hooks is not None:
-                        hooks.txn_block(blocked_at, txn)
                     # An immediate grant runs the access in the lock
                     # syscall and resumes us when it is done; a late
                     # one resumes us with True, to book the wait first.
                     if (yield cc.acquire(txn, oid, mode, access)):
-                        waited = kernel.now - blocked_at
-                        if hooks is not None:
-                            hooks.txn_unblock(kernel.now, txn, waited)
-                        txn.blocked_time += waited
+                        txn.blocked_time += kernel.now - blocked_at
                         yield access
                     if tail is not None:
                         yield tail

@@ -2,9 +2,12 @@
 an unobserved system (does not) carry."""
 
 import inspect
+import pathlib
+import re
 
 import pytest
 
+import repro
 from repro.analyze.sanitizer import Sanitizer
 from repro.core.builder import SingleSiteSystem
 from repro.core.config import (DistributedConfig, SingleSiteConfig,
@@ -48,7 +51,8 @@ def test_fan_out_is_built_once_per_hook():
 
 def test_every_hook_has_a_subscriber_and_every_subscriber_conforms():
     """HOOKS is the contract: each shipped subscriber method named after
-    a hook takes exactly the documented arguments, and no hook is dead."""
+    a hook takes exactly the documented arguments, and no hook is dead
+    in either direction: each has a subscriber and a firing site."""
     implemented = set()
     for subscriber in _subscribers():
         for name, signature in HOOKS.items():
@@ -69,6 +73,10 @@ def test_every_hook_has_a_subscriber_and_every_subscriber_conforms():
                 for parameter in
                 inspect.signature(method).parameters.values()), name
     assert implemented == set(HOOKS)
+    fired = set()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        fired.update(re.findall(r"\bhooks\.(\w+)\(", path.read_text()))
+    assert set(HOOKS) - fired == set()
 
 
 def test_samplers_are_called_once_per_window_crossing():

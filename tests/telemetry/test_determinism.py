@@ -69,30 +69,25 @@ def test_distributed_probes_populate_network_families():
 
 
 def test_a_wait_ended_by_a_miss_is_no_longer_blocked():
-    """No manager fires ``txn_unblock`` for a wait a deadline miss (or
-    a restart) interrupted; the probe closes it itself, so every
-    ``txn_block`` ends as one ``txn.blocked_time`` observation and
-    nothing stays blocked once no transaction is alive."""
-    from repro.kernel.hooks import observing
-
-    class Waits:
-        blocks = unblocks = 0
-
-        def txn_block(self, now, txn):
-            self.blocks += 1
-
-        def txn_unblock(self, now, txn, waited):
-            self.unblocks += 1
-
-    waits = Waits()
-    with metering(MetricsRegistry()) as registry, observing(waits):
+    """Every parked request is one ``cc.wait_time`` observation,
+    whether a grant ends its wait or a withdrawal (a deadline miss, a
+    restart) does, and nothing is still queued once no transaction is
+    alive."""
+    with metering(MetricsRegistry()) as registry:
         row = run_scenario("single_site_2pl")
     registry.finalize()
-    assert row["missed"] > 0 and waits.blocks > waits.unblocks
-    series = {entry["name"]: entry
-              for entry in registry.dump()["series"]}
-    assert series["txn.blocked"]["final"] == 0.0
-    assert series["txn.blocked_time"]["final"]["count"] == waits.blocks
+    assert row["missed"] > 0
+    by_protocol = {}
+    for entry in registry.dump()["series"]:
+        if entry["name"].startswith("cc."):
+            mine = by_protocol.setdefault(entry["labels"]["protocol"], {})
+            mine.setdefault(entry["name"], []).append(entry["final"])
+    assert by_protocol
+    for protocol, series in by_protocol.items():
+        assert series["cc.wait_time"][0]["count"] == sum(
+            series["cc.blocks"]), protocol
+        assert series["cc.withdrawn"][0] > 0, protocol
+        assert series["cc.wait_queue"] == [0.0], protocol
 
 
 def test_summary_never_grows_metrics_keys():

@@ -35,13 +35,8 @@ def three_yield_manager(kernel, txn, cc, cpu, io, database, costs,
             try:
                 for oid, mode in txn.operations:
                     blocked_at = kernel.now
-                    if hooks is not None:
-                        hooks.txn_block(blocked_at, txn)
                     yield cc.acquire(txn, oid, mode)
-                    waited = kernel.now - blocked_at
-                    if hooks is not None:
-                        hooks.txn_unblock(kernel.now, txn, waited)
-                    txn.blocked_time += waited
+                    txn.blocked_time += kernel.now - blocked_at
                     yield cpu_burst
                     yield io_burst
                     if mode is LockMode.WRITE:
